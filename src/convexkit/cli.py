@@ -126,30 +126,13 @@ def svg_document(width_px: float, height_px: float, body: List[str]) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def svg_polygons(rings: List[List[Tuple[float, float]]]) -> str:
+def _svg_rings(rings: List[List[Tuple[float, float]]], pad_share: float, style: str) -> str:
+    """Each ring as an SVG polygon drawn in `style` (with {color} filled in
+    from the palette), framed by the bounding box widened by pad_share of
+    its larger side."""
     xs = [p[0] for ring in rings for p in ring]
     ys = [p[1] for ring in rings for p in ring]
-    x0, y1 = min(xs), max(ys)
-    W = (max(xs) - x0) * PX_PER_UNIT
-    H = (y1 - min(ys)) * PX_PER_UNIT
-    body = []
-    for idx, ring in enumerate(rings):
-        pts = " ".join(
-            f"{_fmt((x - x0) * PX_PER_UNIT)},{_fmt((y1 - y) * PX_PER_UNIT)}"
-            for x, y in ring
-        )
-        color = PALETTE[idx % len(PALETTE)]
-        body.append(
-            f'<polygon points="{pts}" fill="{color}" fill-opacity="0.6" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-    return svg_document(W, H, body)
-
-
-def svg_outlines(rings: List[List[Tuple[float, float]]]) -> str:
-    xs = [p[0] for ring in rings for p in ring]
-    ys = [p[1] for ring in rings for p in ring]
-    pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys))
+    pad = pad_share * max(max(xs) - min(xs), max(ys) - min(ys))
     x0, y1 = min(xs) - pad, max(ys) + pad
     W = (max(xs) - x0 + pad) * PX_PER_UNIT
     H = (y1 - min(ys) + pad) * PX_PER_UNIT
@@ -160,10 +143,18 @@ def svg_outlines(rings: List[List[Tuple[float, float]]]) -> str:
             for x, y in ring
         )
         color = PALETTE[idx % len(PALETTE)]
-        body.append(
-            f'<polygon points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
+        body.append(f'<polygon points="{pts}" ' + style.format(color=color) + "/>")
     return svg_document(W, H, body)
+
+
+def svg_polygons(rings: List[List[Tuple[float, float]]]) -> str:
+    return _svg_rings(
+        rings, 0.0, 'fill="{color}" fill-opacity="0.6" stroke="#333333" stroke-width="1"'
+    )
+
+
+def svg_outlines(rings: List[List[Tuple[float, float]]]) -> str:
+    return _svg_rings(rings, 0.05, 'fill="none" stroke="{color}" stroke-width="1.5"')
 
 
 # ---------------------------------------------------------------- parsing

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import DEFAULT_SAMPLES, SupportBody, support_body_metrics
+from .kernel import DEFAULT_SAMPLES, SupportBody, bisect_root, support_body_metrics
 
 EPS = 1e-9
 
@@ -84,19 +84,10 @@ def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
     u_disc = 1.0 / (4.0 * math.pi)
     if u > u_disc * (1.0 + 1e-12):
         return None
-    lo, hi = 1e-12, math.pi / 2
     if u >= u_disc:
         alpha = math.pi / 2
     else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _lens_ratio(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15:
-                break
-        alpha = 0.5 * (lo + hi)
+        alpha = bisect_root(lambda a: _lens_ratio(a) - u, 1e-12, math.pi / 2, xtol=1e-15)
     d = perimeter * math.sin(alpha) / (2.0 * alpha)
     return Lens(d, alpha)
 
@@ -131,38 +122,23 @@ def sector_metrics(radius: float, phi: float) -> dict:
 def solve_sector(area: float, perimeter: float) -> List[Tuple[float, float]]:
     """All sectors (r, phi), phi in (0, pi], with the given area and
     perimeter.  u = A/p^2 = phi / (2 (2+phi)^2) rises to 1/16 at phi = 2
-    then falls; each monotone branch is bisected, so zero, one, or two
-    sectors come back."""
+    then falls, so phi solves the quadratic 2u phi^2 + (8u-1) phi + 8u = 0
+    with discriminant 1 - 16u.  Its roots phi- <= 2 <= phi+ (product 4)
+    come from the cancellation-free forms below; zero, one, or two of them
+    lie in (0, pi].  A discriminant within rounding of 0 is the peak
+    itself, answered by the single root phi = 2."""
     if area <= 0 or perimeter <= 0:
         raise ValueError("area and perimeter must be positive")
     u = area / (perimeter * perimeter)
-
-    def f(phi: float) -> float:
-        return phi / (2.0 * (2.0 + phi) ** 2)
-
-    out: List[Tuple[float, float]] = []
-    for lo, hi, rising in ((1e-12, 2.0, True), (2.0, math.pi, False)):
-        flo, fhi = f(lo), f(hi)
-        fmin, fmax = min(flo, fhi), max(flo, fhi)
-        if not (fmin - 1e-15 <= u <= fmax + 1e-15):
-            continue
-        a, b = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if (f(mid) < u) == rising:
-                a = mid
-            else:
-                b = mid
-            if b - a <= 1e-15:
-                break
-        phi = 0.5 * (a + b)
-        r = perimeter / (2.0 + phi)
-        out.append((r, phi))
-    # The two branches meet at phi = 2; the peak is quadratic, so bisection
-    # resolves phi only to ~sqrt(eps) there.  Drop the duplicate root.
-    if len(out) == 2 and abs(out[0][1] - out[1][1]) < 1e-6:
-        out.pop()
-    return out
+    disc = 1.0 - 16.0 * u
+    if disc < -1e-14:
+        return []
+    if abs(disc) <= 1e-14:
+        phis = [2.0]
+    else:
+        q = (1.0 - 8.0 * u) + math.sqrt(disc)
+        phis = [16.0 * u / q, q / (4.0 * u)]
+    return [(perimeter / (2.0 + phi), phi) for phi in phis if 0.0 < phi <= math.pi]
 
 
 def _reuleaux_support_fn(width: float):
@@ -211,8 +187,11 @@ def interpolate_constant_width(
 def interpolant_with_area(
     area: float, width: float = 1.0, samples: int = CW_SAMPLES
 ) -> Tuple[float, SupportBody]:
-    """The interpolation parameter whose body has the given area; the area
-    runs monotonically from the Reuleaux value to the disc value."""
+    """The interpolation parameter whose body has the given area.  combine
+    is linear in t and the sampled area is a quadratic form in the samples,
+    so the sampled area is an exact quadratic a + b t + c t^2 in t; it is
+    read off the bodies at t = 0, 1/2, 1 and solved for its root in [0, 1]
+    (the area rises from the Reuleaux value to the disc value there)."""
     lo_a = REULEAUX_AREA_COEFF * width * width
     hi_a = 0.25 * math.pi * width * width
     if not (lo_a - 1e-9 <= area <= hi_a + 1e-9):
@@ -221,15 +200,15 @@ def interpolant_with_area(
         )
     reuleaux = reuleaux_support(width, samples)
     disc = SupportBody.disc(width, samples)
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        body = reuleaux.combine(disc, mid)
-        if support_body_metrics(body)["area"] < area:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
+    a0 = support_body_metrics(reuleaux)["area"]
+    ah = support_body_metrics(reuleaux.combine(disc, 0.5))["area"]
+    a1 = support_body_metrics(disc)["area"]
+    c = 2.0 * (a0 - 2.0 * ah + a1)
+    b = a1 - a0 - c
+    # c < 0 < b, so the rising root is 2 (area - a0) / (b + sqrt(b^2 + 4c (area - a0)))
+    rise = area - a0
+    delta = max(b * b + 4.0 * c * rise, 0.0)
+    t = min(max(2.0 * rise / (b + math.sqrt(delta)), 0.0), 1.0)
     return t, reuleaux.combine(disc, t)
 
 

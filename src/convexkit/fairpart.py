@@ -17,13 +17,15 @@ meet the area target.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import ConvexPolygon
+from .kernel import ConvexPolygon, bisect_root
+from .kernel.polygon import dedupe_ring, is_convex_ring, ring_area, ring_perimeter
 
 EPS = 1e-9
 
@@ -207,17 +209,10 @@ def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> Li
     lo, hi = float(d.min()), float(d.max())
     total = c.area
     want = fraction * total
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        area, _, _, _, _ = _clip_metrics(V, d, mid)
-        if abs(area - want) <= 1e-13 * total:
-            lo = hi = mid
-            break
-        if area < want:
-            lo = mid
-        else:
-            hi = mid
-    return LineCut(theta, 0.5 * (lo + hi))
+    offset = bisect_root(
+        lambda o: _clip_metrics(V, d, o)[0] - want, lo, hi, ftol=1e-13 * total, max_iter=100
+    )
+    return LineCut(theta, offset)
 
 
 @dataclass(frozen=True)
@@ -263,8 +258,10 @@ def perimeter_ratio_profile(
 @dataclass(frozen=True)
 class FairCutResult:
     """found: a cut whose pieces have area ratio a:b and perimeter ratio
-    sqrt(a/b) within tol.  Otherwise rho_min/rho_max bound the realized
-    ratios: the target provably sits outside the sampled range."""
+    sqrt(a/b) within tol.  Otherwise rho_min/rho_max are the extremes of
+    rho over the sampled angles, and the target lies outside that sampled
+    range; rho between samples is not bounded, so this is no proof that
+    no cut exists."""
 
     found: bool
     cut: Optional[LineCut]
@@ -296,20 +293,16 @@ def find_scaled_fair_cut(
         g1 = rhos[(j + 1) % samples] - want
         if g0 == 0.0 or g0 * g1 >= 0:
             continue
-        lo, hi = j * step, (j + 1) * step
-        glo = g0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            pm = _profile_point(c, target, mid)
-            gm = pm.rho - want
-            if abs(gm) <= tol:
-                return FairCutResult(
-                    True, LineCut(pm.theta, pm.offset), pm.rho, rho_min, rho_max, pm.theta
-                )
-            if glo * gm < 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
+        sign = 1.0 if g0 < 0 else -1.0
+        point = functools.cache(lambda theta: _profile_point(c, target, theta))
+        theta = bisect_root(
+            lambda t: sign * (point(t).rho - want), j * step, (j + 1) * step, ftol=tol
+        )
+        pm = point(theta)  # a cache hit when a midpoint met tol
+        if abs(pm.rho - want) <= tol:
+            return FairCutResult(
+                True, LineCut(pm.theta, pm.offset), pm.rho, rho_min, rho_max, pm.theta
+            )
         break
     return FairCutResult(False, None, None, rho_min, rho_max)
 
@@ -321,18 +314,9 @@ def disc_chord_analysis(target: RatioTarget) -> dict:
     constant over theta, so either the single value matches sqrt(a/b) or no
     straight cut works on the disc at this ratio."""
     f = target.fraction
-    lo, hi = 0.0, math.pi / 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        r = mid - math.sin(mid) * math.cos(mid) - math.pi * f
-        if abs(r) <= 1e-15:
-            lo = hi = mid
-            break
-        if r < 0:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
+    u = bisect_root(
+        lambda x: x - math.sin(x) * math.cos(x) - math.pi * f, 0.0, math.pi / 2, ftol=1e-15
+    )
     chord = 2.0 * math.sin(u)
     perim_small = 2.0 * u + chord
     perim_large = 2.0 * math.pi - 2.0 * u + chord
@@ -367,18 +351,11 @@ def equal_fair_cut(c: ConvexPolygon, samples: int = 720, tol: float = 1e-9) -> L
             return LineCut(p.theta, p.offset)
     for j in range(samples):
         if vals[j] * vals[j + 1] < 0:
-            lo, hi, glo = thetas[j], thetas[j + 1], vals[j]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                gm = g(mid)
-                if abs(gm) <= tol * scale:
-                    p = _profile_point(c, half, mid)
-                    return LineCut(p.theta, p.offset)
-                if glo * gm < 0:
-                    hi = mid
-                else:
-                    lo, glo = mid, gm
-            p = _profile_point(c, half, 0.5 * (lo + hi))
+            sign = 1.0 if vals[j] < 0 else -1.0
+            theta = bisect_root(
+                lambda t: sign * g(t), thetas[j], thetas[j + 1], ftol=tol * scale
+            )
+            p = _profile_point(c, half, theta)
             return LineCut(p.theta, p.offset)
     raise ArithmeticError("no sign change found; perimeter difference not continuous?")
 
@@ -386,56 +363,6 @@ def equal_fair_cut(c: ConvexPolygon, samples: int = 720, tol: float = 1e-9) -> L
 # ---------------------------------------------------------------------------
 # Band family: one piece is a uniform-thickness neighborhood of a boundary
 # arc that starts at the bottom edge midpoint and grows counterclockwise.
-
-
-def _poly_area(pts) -> float:
-    s = 0.0
-    m = len(pts)
-    for i in range(m):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % m]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * abs(s)
-
-
-def _poly_perimeter(pts) -> float:
-    s = 0.0
-    m = len(pts)
-    for i in range(m):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % m]
-        s += math.hypot(x1 - x0, y1 - y0)
-    return s
-
-
-def _dedupe(pts, eps: float) -> list:
-    out = []
-    for p in pts:
-        if not out or math.hypot(p[0] - out[-1][0], p[1] - out[-1][1]) > eps:
-            out.append(p)
-    while len(out) > 1 and math.hypot(
-        out[0][0] - out[-1][0], out[0][1] - out[-1][1]
-    ) <= eps:
-        out.pop()
-    return out
-
-
-def _is_convex_pts(pts, eps: float) -> bool:
-    m = len(pts)
-    sign = 0
-    for i in range(m):
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % m]
-        cx, cy = pts[(i + 2) % m]
-        cr = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
-        if abs(cr) <= eps:
-            continue
-        s = 1 if cr > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -537,10 +464,10 @@ def nonconvex_band_partition(
     big = ([] if corner_hit else [end]) + remaining + [start] + inner_chain
 
     eps = 1e-12 * scale
-    small = _dedupe(small, eps)
-    big = _dedupe(big, eps)
-    area_s, area_b = _poly_area(small), _poly_area(big)
-    perim_s, perim_b = _poly_perimeter(small), _poly_perimeter(big)
+    small = dedupe_ring(small, eps)
+    big = dedupe_ring(big, eps)
+    area_s, area_b = abs(ring_area(small)), abs(ring_area(big))
+    perim_s, perim_b = ring_perimeter(small), ring_perimeter(big)
     return BandSample(
         s, True, None, ell, k,
         thickness=t, arm=arm,
@@ -548,7 +475,7 @@ def nonconvex_band_partition(
         area_small=area_s, area_big=area_b,
         perimeter_small=perim_s, perimeter_big=perim_b,
         rho=perim_s / perim_b,
-        small_convex=_is_convex_pts(small, eps * scale),
+        small_convex=is_convex_ring(small, eps * scale),
     )
 
 
@@ -624,6 +551,7 @@ def solve_band(
             continue
         lo, hi, glo = grid[i], grid[i + 1], g0
         hit = None
+        # not bisect_root: an infeasible midpoint abandons this bracket for the next
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             em = nonconvex_band_partition(width, height, target, mid)

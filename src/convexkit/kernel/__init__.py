@@ -1,5 +1,6 @@
 """Shared numeric and geometric primitives: exact rationals, exact linear
-solving, float convex polygons, and sampled support bodies."""
+solving, float convex polygons and point rings, sampled support bodies,
+and the bracketed root finder of the float solves."""
 
 from .linsolve import (
     MAX_FREE_DIMS,
@@ -14,12 +15,12 @@ from .polygon import (
     convex_hull,
     diameter,
     min_width,
-    polygon_metrics,
     random_convex_polygon,
     rectangle,
     regular_ngon,
 )
 from .rational import Rational, format_rational, parse_rational, rational_arith
+from .roots import bisect_root
 from .support import DEFAULT_SAMPLES, SupportBody, support_body_metrics
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "convex_hull",
     "diameter",
     "min_width",
-    "polygon_metrics",
     "random_convex_polygon",
     "rectangle",
     "regular_ngon",
@@ -41,6 +41,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "rational_arith",
+    "bisect_root",
     "DEFAULT_SAMPLES",
     "SupportBody",
     "support_body_metrics",

@@ -49,24 +49,9 @@ class ParamSolution:
         if len(point) != len(self.particular):
             raise ValueError("point length mismatch")
         rhs = [Fraction(p) - q for p, q in zip(point, self.particular)]
-        # Solve basis^T t = rhs; overdetermined, so eliminate and check residue.
-        cols = self.dim
-        rows = [[self.basis[i][j] for i in range(cols)] + [rhs[j]]
-                for j in range(len(rhs))]
-        pivot_row = 0
-        for c in range(cols):
-            pr = next((r for r in range(pivot_row, len(rows)) if rows[r][c] != 0), None)
-            if pr is None:
-                continue
-            rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-            pv = rows[pivot_row][c]
-            rows[pivot_row] = [v / pv for v in rows[pivot_row]]
-            for r in range(len(rows)):
-                if r != pivot_row and rows[r][c] != 0:
-                    f = rows[r][c]
-                    rows[r] = [v - f * p for v, p in zip(rows[r], rows[pivot_row])]
-            pivot_row += 1
-        return all(row[-1] == 0 for row in rows[pivot_row:])
+        # Some t solves basis^T t = rhs exactly when that system is consistent.
+        basis_t = [[row[j] for row in self.basis] for j in range(len(rhs))]
+        return solve_linear_exact(basis_t, rhs) is not None
 
 
 def solve_linear_exact(

@@ -35,10 +35,7 @@ class ConvexPolygon:
         scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
 
         # signed area decides orientation; flip clockwise input
-        area2 = sum(pts[i][0] * pts[(i + 1) % len(pts)][1]
-                    - pts[(i + 1) % len(pts)][0] * pts[i][1]
-                    for i in range(len(pts)))
-        if area2 < 0:
+        if ring_area(pts) < 0:
             pts.reverse()
 
         pts = self._cleanup(pts, scale)
@@ -55,13 +52,7 @@ class ConvexPolygon:
 
     @staticmethod
     def _cleanup(pts: list[Point], scale: float) -> list[Point]:
-        tol = _CLEAN_EPS * scale
-        out: list[Point] = []
-        for p in pts:
-            if not out or math.dist(out[-1], p) > tol:
-                out.append(p)
-        while len(out) > 1 and math.dist(out[0], out[-1]) <= tol:
-            out.pop()
+        out = dedupe_ring(pts, _CLEAN_EPS * scale)
         # drop collinear middles; cross product scales like scale^2
         changed = True
         while changed and len(out) >= 3:
@@ -107,9 +98,58 @@ class ConvexPolygon:
         return True
 
 
-def polygon_metrics(poly: ConvexPolygon) -> dict[str, float]:
-    """Area (shoelace) and perimeter."""
-    return {"area": poly.area, "perimeter": poly.perimeter}
+def ring_area(pts: Sequence[Point]) -> float:
+    """Signed shoelace area of a closed ring, convex or not; positive when
+    the ring runs counterclockwise."""
+    s = 0.0
+    m = len(pts)
+    for i in range(m):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % m]
+        s += x0 * y1 - x1 * y0
+    return 0.5 * s
+
+
+def ring_perimeter(pts: Sequence[Point]) -> float:
+    s = 0.0
+    m = len(pts)
+    for i in range(m):
+        x0, y0 = pts[i]
+        x1, y1 = pts[(i + 1) % m]
+        s += math.hypot(x1 - x0, y1 - y0)
+    return s
+
+
+def dedupe_ring(pts: Iterable[Point], eps: float) -> list[Point]:
+    """Drop points within eps of their predecessor, and closing points
+    within eps of the first."""
+    out: list[Point] = []
+    for p in pts:
+        if not out or math.dist(out[-1], p) > eps:
+            out.append(p)
+    while len(out) > 1 and math.dist(out[0], out[-1]) <= eps:
+        out.pop()
+    return out
+
+
+def is_convex_ring(pts: Sequence[Point], eps: float) -> bool:
+    """Every turn of the ring bends the same way; turns whose cross
+    product is within eps of 0 count as straight."""
+    m = len(pts)
+    sign = 0
+    for i in range(m):
+        ax, ay = pts[i]
+        bx, by = pts[(i + 1) % m]
+        cx, cy = pts[(i + 2) % m]
+        cr = (bx - ax) * (cy - by) - (by - ay) * (cx - bx)
+        if abs(cr) <= eps:
+            continue
+        s = 1 if cr > 0 else -1
+        if sign == 0:
+            sign = s
+        elif s != sign:
+            return False
+    return True
 
 
 def diameter(poly: ConvexPolygon) -> float:

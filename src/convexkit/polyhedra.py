@@ -190,10 +190,6 @@ def face_multiset(m: Mesh) -> Counter:
     return Counter(face_signature(m, face, quantum) for face in m.faces)
 
 
-def multiset_equal(x: Counter, y: Counter) -> bool:
-    return x == y
-
-
 def distance_multiset(m: Mesh) -> Tuple[int, ...]:
     """Sorted quantized pairwise vertex distances.  Equal multisets are
     necessary for congruence, so a difference certifies non-congruence;
@@ -339,20 +335,13 @@ def build_pseudorhombicuboctahedron() -> Mesh:
 
 
 def _height_for_edge(edge: float, radial: float, what: str) -> float:
-    """Height z with z^2 + radial^2 = edge^2, solved by bisection so the
-    feasibility test and the solve share one code path."""
+    """Height z with z^2 + radial^2 = edge^2, in the closed form
+    sqrt((edge - radial)(edge + radial)); edge <= radial has no height."""
     if edge <= radial:
         raise ValueError(
             f"lateral edge {edge:g} too short: {what} needs edge > {radial:.9g}"
         )
-    lo, hi = 0.0, edge
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid * mid + radial * radial < edge * edge:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return math.sqrt((edge - radial) * (edge + radial))
 
 
 def build_icosagonal_dipyramid(s: float = 1.0, l: float = 3.5) -> Mesh:

@@ -180,8 +180,3 @@ def enumerate_layouts(
             )
         )
     return results
-
-
-def layout_count(ts: TileSet, allow_rotation: bool = True, cap: int = DEFAULT_TILE_CAP) -> int:
-    """Number of distinct target rectangles (unordered dimension pairs)."""
-    return len(enumerate_layouts(ts, allow_rotation=allow_rotation, cap=cap))

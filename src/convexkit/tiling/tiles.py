@@ -277,6 +277,14 @@ def layout_to_json(layout: Layout) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _rotated_flag(p: dict) -> bool:
+    """The placement's "rotated" field: a JSON boolean, false when absent."""
+    value = p.get("rotated", False)
+    if not isinstance(value, bool):
+        raise TypeError(f"'rotated' must be true or false, got {value!r}")
+    return value
+
+
 def layout_from_json(text: str) -> Layout:
     doc = json.loads(text)
     try:
@@ -287,7 +295,7 @@ def layout_from_json(text: str) -> Layout:
                 int(p["id"]),
                 parse_rational(str(p["x"])),
                 parse_rational(str(p["y"])),
-                bool(p.get("rotated", False)),
+                _rotated_flag(p),
             )
             for p in doc["placements"]
         )

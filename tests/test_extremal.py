@@ -1,18 +1,23 @@
 """Diameter extremizers: lens upper bound, constant-width and sector lower end."""
 
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from convexkit.kernel import (
     ConvexPolygon,
+    SupportBody,
     convex_hull,
     diameter,
     support_body_metrics,
 )
 from convexkit.extremal import (
     CONJECTURED_CROSSOVER,
+    CW_SAMPLES,
     REULEAUX_AREA_COEFF,
     Lens,
     crossover_scan,
@@ -67,6 +72,19 @@ def test_max_diameter_shape_round_trips():
         m = lens_metrics(lens)
         assert abs(m["area"] - a) <= 1e-9 * a
         assert abs(m["perimeter"] - p) <= 1e-9 * p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(min_value=0.01, max_value=1000.0),
+    share=st.floats(min_value=0.01, max_value=1.0),
+)
+def test_every_lens_verifies(p, share):
+    # share of the disc bound p^2 / 4 pi, up to the disc itself
+    a = share * p * p / (4 * math.pi)
+    m = lens_metrics(max_diameter_shape(a, p))
+    assert abs(m["area"] - a) <= 1e-9 * a
+    assert abs(m["perimeter"] - p) <= 1e-9 * p
 
 
 def test_max_diameter_shape_disc_bound():
@@ -138,6 +156,33 @@ def test_interpolant_area_sweep_is_continuous():
     assert max(b - a for a, b in zip(areas, areas[1:])) < 1e-3
 
 
+@functools.cache
+def sampled_constant_width_range():
+    """Sampled areas of the Reuleaux triangle and the disc of width 1."""
+    lo = support_body_metrics(reuleaux_support(1.0))["area"]
+    hi = support_body_metrics(SupportBody.disc(1.0, CW_SAMPLES))["area"]
+    return lo, hi
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(share=st.floats(min_value=0.0, max_value=1.0))
+@example(share=0.0)
+@example(share=1.0)
+def test_interpolant_hits_every_sampled_area(share):
+    lo, hi = sampled_constant_width_range()
+    target = lo + share * (hi - lo)
+    t, body = interpolant_with_area(target)
+    assert 0.0 <= t <= 1.0
+    assert abs(support_body_metrics(body)["area"] - target) <= 1e-9
+
+
+def test_interpolant_clamps_to_the_reuleaux_end():
+    # the closed-form Reuleaux area sits just below the sampled one
+    t, body = interpolant_with_area(REULEAUX_AREA_COEFF)
+    assert t == 0.0
+    assert support_body_metrics(body)["area"] == sampled_constant_width_range()[0]
+
+
 def test_interpolant_with_area_solves():
     target = 0.72
     t, body = interpolant_with_area(target)
@@ -168,10 +213,10 @@ def test_solve_sector_branches():
     def u_to_area(u):
         return u * p * p
 
-    # peak of phi / (2 (2+phi)^2) at phi = 2: a single deduped root
+    # peak of phi / (2 (2+phi)^2) at phi = 2: a single root
     roots = solve_sector(u_to_area(1.0 / 16.0), p)
     assert len(roots) == 1
-    assert abs(roots[0][1] - 2.0) <= 1e-6
+    assert roots[0][1] == 2.0
     # between f(pi) ~ 0.05942 and the peak both branches answer
     roots = solve_sector(u_to_area(0.061), p)
     assert len(roots) == 2
@@ -184,6 +229,41 @@ def test_solve_sector_branches():
         m = sector_metrics(r, phi)
         assert abs(m["area"] - 0.5565410) <= 1e-9
         assert abs(m["perimeter"] - p) <= 1e-9
+
+
+# u = A / p^2 of the sector with phi = pi, where the falling branch ends
+U_AT_PI = math.pi / (2.0 * (2.0 + math.pi) ** 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    u=st.floats(min_value=1e-200, max_value=1.0 / 16.0),
+    p=st.floats(min_value=0.1, max_value=100.0),
+)
+def test_every_sector_root_verifies(u, p):
+    area = u * p * p
+    assume(area > 0.0)
+    roots = solve_sector(area, p)
+    for r, phi in roots:
+        assert 0.0 < phi <= math.pi
+        m = sector_metrics(r, phi)
+        assert abs(m["area"] - area) <= 1e-9 * area
+        assert abs(m["perimeter"] - p) <= 1e-9 * p
+    # counts away from rounding distance of the branch ends f(pi) and 1/16
+    if u < U_AT_PI * (1 - 1e-12):
+        assert len(roots) == 1
+    elif U_AT_PI * (1 + 1e-12) < u < (1 - 1e-12) / 16.0:
+        assert len(roots) == 2
+    else:
+        assert len(roots) in (1, 2)
+
+
+def test_sector_peak_is_phi_two():
+    for p in (1.0, 2.0, math.pi, 10.0):
+        assert solve_sector(p * p / 16.0, p) == [(p / 4.0, 2.0)]
+    # one ulp either side of the peak is still the peak, not two roots
+    for u in (math.nextafter(1.0 / 16.0, 0.0), math.nextafter(1.0 / 16.0, 1.0)):
+        assert solve_sector(u, 1.0) == [(0.25, 2.0)]
 
 
 # --- survey and reconciliation ---

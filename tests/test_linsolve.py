@@ -20,6 +20,13 @@ def test_unique_solution():
     assert sol.point([]) == [F(2), F(1)]
 
 
+def test_point_space_membership():
+    # dim 0: the space is the single solution point
+    sol = solve_linear_exact([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)])
+    assert sol.contains([F(2), F(1)])
+    assert not sol.contains([F(2), F(2)])
+
+
 def test_infeasible_returns_none():
     sol = solve_linear_exact([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
     assert sol is None

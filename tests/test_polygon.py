@@ -9,7 +9,6 @@ from convexkit.kernel.polygon import (
     convex_hull,
     diameter,
     min_width,
-    polygon_metrics,
     random_convex_polygon,
     rectangle,
     regular_ngon,
@@ -100,10 +99,10 @@ def test_diameter_at_least_min_width():
         assert diameter(poly) >= min_width(poly) - 1e-12
 
 
-def test_polygon_metrics_keys():
-    m = polygon_metrics(rectangle(1, 4))
-    assert m["area"] == pytest.approx(4)
-    assert m["perimeter"] == pytest.approx(10)
+def test_polygon_area_and_perimeter():
+    r = rectangle(1, 4)
+    assert r.area == pytest.approx(4)
+    assert r.perimeter == pytest.approx(10)
 
 
 def test_convex_hull_of_noisy_cloud():

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexkit.polyhedra import (
     Mesh,
@@ -19,7 +21,6 @@ from convexkit.polyhedra import (
     face_multiset,
     is_convex,
     mesh_to_obj,
-    multiset_equal,
     surface_area,
     volume,
 )
@@ -94,7 +95,7 @@ def test_invariants_under_rigid_motion_and_relabeling():
         moved = apply_rigid_motion(mesh, rot, shift)
         assert abs(volume(moved) - base_vol) <= 1e-9 * base_vol
         assert abs(surface_area(moved) - base_surf) <= 1e-9 * base_surf
-        assert multiset_equal(face_multiset(moved), base_faces)
+        assert face_multiset(moved) == base_faces
         assert distance_multiset(moved) == base_dist
 
     # relabeling the vertices leaves every invariant alone
@@ -108,14 +109,14 @@ def test_invariants_under_rigid_motion_and_relabeling():
         tuple(tuple(inv[v] for v in face) for face in mesh.faces),
     )
     assert abs(volume(relabeled) - base_vol) <= 1e-12
-    assert multiset_equal(face_multiset(relabeled), base_faces)
+    assert face_multiset(relabeled) == base_faces
     assert distance_multiset(relabeled) == base_dist
 
 
 def test_cube_pyramids_pair():
     opp = build_cube_with_pyramids()
     adj = build_cube_with_pyramids(mode="adjacent")
-    assert multiset_equal(face_multiset(opp), face_multiset(adj))
+    assert face_multiset(opp) == face_multiset(adj)
     assert abs(volume(opp) - 1.2) <= 1e-9
     assert abs(volume(adj) - 1.2) <= 1e-9
     assert is_convex(opp) and is_convex(adj)
@@ -141,7 +142,7 @@ def test_rhombicuboctahedron_pair():
     ms = face_multiset(rco)
     sides = {len(sig): n for sig, n in ms.items()}
     assert sides == {4: 18, 3: 8}
-    assert multiset_equal(ms, face_multiset(pseudo))
+    assert ms == face_multiset(pseudo)
     assert abs(volume(rco) - RCO_VOLUME) <= 1e-9 * RCO_VOLUME
     assert abs(volume(pseudo) - RCO_VOLUME) <= 1e-9 * RCO_VOLUME
     assert abs(surface_area(rco) - RCO_SURFACE) <= 1e-9 * RCO_SURFACE
@@ -156,11 +157,26 @@ def test_forty_triangle_pair():
     assert sum(ms.values()) == 40
     assert all(len(sig) == 3 for sig in ms)
     assert len(ms) == 1  # forty copies of one isosceles triangle
-    assert multiset_equal(ms, face_multiset(anti))
+    assert ms == face_multiset(anti)
     v1, v2 = volume(dipyr), volume(anti)
     assert abs(v1 - 30.016231) <= 1e-5
     assert abs(v2 - 43.023180) <= 1e-5
     assert abs(v1 - v2) > 0.01 * max(v1, v2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    s=st.floats(min_value=0.1, max_value=10.0),
+    stretch=st.floats(min_value=1.01, max_value=10.0),
+)
+def test_forty_triangles_have_lateral_edge_l(s, stretch):
+    # l above the 20-gon circumradius suits both builders
+    l = stretch * s / (2.0 * math.sin(math.pi / 20))
+    for mesh in (build_icosagonal_dipyramid(s, l), build_decagonal_dipyramidal_antiprism(s, l)):
+        pts = mesh.points()
+        for face in mesh.faces:
+            sides = sorted(float(np.linalg.norm(pts[face[i]] - pts[face[i - 1]])) for i in range(3))
+            assert sides == pytest.approx([s, l, l], rel=1e-9)
 
 
 def test_dipyramid_lateral_edge_floor():

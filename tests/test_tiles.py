@@ -235,3 +235,22 @@ def test_layout_json_malformed():
         layout_from_json('{"target": [1]}')
     with pytest.raises(ValueError):
         layout_from_json('{"placements": []}')
+
+
+def test_layout_json_rotated_must_be_boolean():
+    def doc(rotated):
+        return (
+            '{"target": ["2", "1"], "placements": [{"id": 1, "x": "0", "y": "0"'
+            + ("" if rotated is None else f', "rotated": {rotated}')
+            + "}]}"
+        )
+
+    for bad in ('"false"', '"true"', "1", "0", "null"):
+        with pytest.raises(ValueError, match="malformed layout document"):
+            layout_from_json(doc(bad))
+    assert layout_from_json(doc(None)).placements[0].rotated is False
+    for flag in (True, False):
+        layout = Layout(Fraction(1), Fraction(2), (Placement(1, Fraction(0), Fraction(0), rotated=flag),))
+        again = layout_from_json(layout_to_json(layout))
+        assert again == layout
+        assert again.placements[0].rotated is flag
