@@ -53,10 +53,8 @@ from .polyhedra import (
     build_rhombicuboctahedron,
     compare_report,
     face_multiset,
-    is_convex,
+    mesh_summary,
     mesh_to_obj,
-    surface_area,
-    volume,
 )
 from .tiling import (
     TileFileError,
@@ -419,8 +417,8 @@ def cmd_fairpart_solve(args) -> Handler:
             )
     else:
         lines.append(
-            f"no cut reaches rho={target.rho:.9f}; profile spans "
-            f"[{res.rho_min:.9f}, {res.rho_max:.9f}]"
+            f"no cut found on the {args.samples}-angle grid for rho={target.rho:.9f}; "
+            f"sampled rho range [{res.rho_min:.9f}, {res.rho_max:.9f}]"
         )
     return res.found, report, files, lines
 
@@ -643,27 +641,13 @@ def _build_solid(name: str, args) -> Mesh:
     return SOLID_BUILDERS[name](args)
 
 
-def _mesh_summary(m: Mesh) -> dict:
-    from collections import Counter
-
-    sides = Counter(len(sig) for sig in face_multiset(m).elements())
-    return {
-        "vertices": m.num_vertices,
-        "edges": m.num_edges,
-        "faces": m.num_faces,
-        "convex": is_convex(m),
-        "volume": volume(m),
-        "surface_area": surface_area(m),
-        "faces_by_side_count": {str(k): v for k, v in sorted(sides.items())},
-    }
-
-
 def cmd_poly_build(args) -> Handler:
     mesh = _build_solid(args.solid, args)
-    report = {"command": "poly build", "solid": args.solid, **_mesh_summary(mesh)}
+    summary = mesh_summary(mesh, face_multiset(mesh))
+    report = {"command": "poly build", "solid": args.solid, **summary}
     lines = [
         f"{args.solid}: V={mesh.num_vertices} E={mesh.num_edges} F={mesh.num_faces}, "
-        f"volume={volume(mesh):.9f}, convex={is_convex(mesh)}"
+        f"volume={summary['volume']:.9f}, convex={summary['convex']}"
     ]
     files = {}
     if args.obj:
@@ -696,11 +680,18 @@ def cmd_poly_compare(args) -> Handler:
 # ---------------------------------------------------------------- plumbing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, seed: bool = False, svg: bool = False, obj: bool = False
+) -> None:
+    """The flags every subcommand takes, plus --seed, --svg and --obj on
+    the subcommands whose handler reads them."""
     p.add_argument("--out", default=".", help="directory for report.json and artifacts")
-    p.add_argument("--seed", type=int, default=0, help="random seed for search loops")
-    p.add_argument("--svg", action="store_true", help="emit SVG drawings")
-    p.add_argument("--obj", action="store_true", help="emit OBJ meshes")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="random seed for search loops")
+    if svg:
+        p.add_argument("--svg", action="store_true", help="emit SVG drawings")
+    if obj:
+        p.add_argument("--obj", action="store_true", help="emit OBJ meshes")
     p.add_argument("--json", action="store_true", help="print the full JSON report")
     p.add_argument(
         "--expect-infeasible",
@@ -722,31 +713,31 @@ def build_parser() -> argparse.ArgumentParser:
     tv = tsub.add_parser("verify", help="check a layout file against a tile file")
     tv.add_argument("--tiles", required=True)
     tv.add_argument("--layout", required=True)
-    _add_common(tv)
+    _add_common(tv, svg=True)
 
     te = tsub.add_parser("enumerate", help="find all rectangle targets tileable by the set")
     te.add_argument("--tiles", required=True)
     te.add_argument("--cap", type=int, default=24, help="max tiles accepted")
     te.add_argument("--no-rotation", action="store_true")
-    _add_common(te)
+    _add_common(te, svg=True)
 
     ti = tsub.add_parser("search-iso", help="search unit-semiperimeter floorplans with distinct areas")
     ti.add_argument("--n", type=int, required=True)
     ti.add_argument("--limit", type=int, default=None, help="stop after this many witnesses")
-    _add_common(ti)
+    _add_common(ti, seed=True, svg=True)
 
     th = tsub.add_parser("hcn", help="divisor records, or the layout census of a record-number tile set")
     th.add_argument("--limit", type=int, default=None, help="list divisor records up to this bound")
     th.add_argument("--h", type=int, default=None, help="record number of tiles per group")
     th.add_argument("--i", type=int, default=None, help="widths run 1..i")
     th.add_argument("--length", default=None, help="common tile length (rational)")
-    _add_common(th)
+    _add_common(th, svg=True)
 
     tp = tsub.add_parser("split", help="layout census after halving one unit-width tile")
     tp.add_argument("--h", type=int, required=True)
     tp.add_argument("--i", type=int, required=True)
     tp.add_argument("--length", required=True)
-    _add_common(tp)
+    _add_common(tp, svg=True)
 
     fp = sub.add_parser("fairpart", help="scaled fair partitions by a straight cut")
     fsub = fp.add_subparsers(dest="cmd", required=True)
@@ -762,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     fso.add_argument("--ratio", required=True)
     fso.add_argument("--tol", type=float, default=1e-9)
     fso.add_argument("--samples", type=int, default=720)
-    _add_common(fso)
+    _add_common(fso, svg=True)
 
     fdi = fsub.add_parser("disc", help="chord analysis of the disc, optionally cross-checked on an n-gon")
     fdi.add_argument("--ratio", required=True)
@@ -776,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
     fba.add_argument("--ratio", required=True)
     fba.add_argument("--tol", type=float, default=1e-6)
     fba.add_argument("--samples", type=int, default=2000)
-    _add_common(fba)
+    _add_common(fba, svg=True)
 
     sh = sub.add_parser("shapes", help="diameter extremizers at fixed area and perimeter")
     ssub = sh.add_subparsers(dest="cmd", required=True)
@@ -784,18 +775,18 @@ def build_parser() -> argparse.ArgumentParser:
     sma = ssub.add_parser("maxdiam", help="the diameter-maximizing lens")
     sma.add_argument("--area", type=float, required=True)
     sma.add_argument("--perimeter", type=float, required=True)
-    _add_common(sma)
+    _add_common(sma, svg=True)
 
     smi = ssub.add_parser("mindiam", help="survey small-diameter families")
     smi.add_argument("--area", type=float, required=True)
     smi.add_argument("--perimeter", type=float, default=math.pi)
-    _add_common(smi)
+    _add_common(smi, svg=True)
 
     sip = ssub.add_parser("interp", help="constant-width interpolant between Reuleaux and disc")
     sip.add_argument("--t", type=float, required=True)
     sip.add_argument("--width", type=float, default=1.0)
     sip.add_argument("--samples", type=int, default=14400)
-    _add_common(sip)
+    _add_common(sip, svg=True)
 
     scr = ssub.add_parser("crossover", help="sector crossover: conjectured vs recomputed")
     scr.add_argument("--perimeter", type=float, default=math.pi)
@@ -810,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--h", type=float, default=0.3, help="pyramid height")
     pb.add_argument("--s", type=float, default=1.0, help="triangle base edge")
     pb.add_argument("--l", type=float, default=3.5, help="triangle lateral edge")
-    _add_common(pb)
+    _add_common(pb, obj=True)
 
     pc = psub.add_parser("compare", help="compare invariants across solids")
     pc.add_argument("--solids", required=True, help="comma-separated solid names")
@@ -818,7 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--h", type=float, default=0.3)
     pc.add_argument("--s", type=float, default=1.0)
     pc.add_argument("--l", type=float, default=3.5)
-    _add_common(pc)
+    _add_common(pc, obj=True)
 
     return p
 

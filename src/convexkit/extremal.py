@@ -19,7 +19,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import DEFAULT_SAMPLES, SupportBody, bisect_root, support_body_metrics
+from .kernel import (
+    DEFAULT_SAMPLES, SupportBody, bisect_root, rising_quadratic_root, support_body_metrics
+)
 
 EPS = 1e-9
 
@@ -203,12 +205,7 @@ def interpolant_with_area(
     a0 = support_body_metrics(reuleaux)["area"]
     ah = support_body_metrics(reuleaux.combine(disc, 0.5))["area"]
     a1 = support_body_metrics(disc)["area"]
-    c = 2.0 * (a0 - 2.0 * ah + a1)
-    b = a1 - a0 - c
-    # c < 0 < b, so the rising root is 2 (area - a0) / (b + sqrt(b^2 + 4c (area - a0)))
-    rise = area - a0
-    delta = max(b * b + 4.0 * c * rise, 0.0)
-    t = min(max(2.0 * rise / (b + math.sqrt(delta)), 0.0), 1.0)
+    t = rising_quadratic_root(a0, ah, a1, area)
     return t, reuleaux.combine(disc, t)
 
 

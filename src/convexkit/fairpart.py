@@ -17,6 +17,7 @@ meet the area target.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import ConvexPolygon, bisect_root
+from .kernel import ConvexPolygon, bisect_root, rising_quadratic_root
 from .kernel.polygon import dedupe_ring, is_convex_ring, ring_area, ring_perimeter
 
 EPS = 1e-9
@@ -93,50 +94,25 @@ class LineCut:
         return (-math.sin(self.theta), math.cos(self.theta))
 
 
-def _clip_metrics(V: np.ndarray, d: np.ndarray, offset: float):
+def _cut_metrics(V: np.ndarray, n: np.ndarray, offset: float) -> Tuple[float, float, float]:
     """Area, perimeter, and chord of {p . n <= offset} within the CCW convex
-    polygon V, where d[i] = V[i] . n.  One numpy pass; no polygon is built."""
-    inside = d <= offset
-    Vn = np.roll(V, -1, axis=0)
-    dn = np.roll(d, -1)
-    nin = np.roll(inside, -1)
-
-    if inside.all():
-        area = 0.5 * float((V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]).sum())
-        perim = float(np.linalg.norm(Vn - V, axis=1).sum())
-        return area, perim, 0.0, None, None
-    if not inside.any():
-        return 0.0, 0.0, 0.0, None, None
-
-    denom = np.where(dn != d, dn - d, 1.0)
-    tt = (offset - d) / denom
-    X = V + tt[:, None] * (Vn - V)
-
-    cross = V[:, 0] * Vn[:, 1] - V[:, 1] * Vn[:, 0]
-    seg = np.linalg.norm(Vn - V, axis=1)
-
-    ii = inside & nin
-    io = inside & ~nin
-    oi = ~inside & nin
-
-    area2 = cross[ii].sum()
-    perim = seg[ii].sum()
-
-    exit_pts = X[io]
-    entry_pts = X[oi]
-    # Convexity gives exactly one exit and one entry once both sides are hit.
-    x1 = exit_pts[0]
-    x2 = entry_pts[0]
-    vi = V[io][0]
-    vn = Vn[oi][0]
-    area2 += vi[0] * x1[1] - vi[1] * x1[0]
-    perim += float(np.linalg.norm(x1 - vi))
-    area2 += x2[0] * vn[1] - x2[1] * vn[0]
-    perim += float(np.linalg.norm(vn - x2))
-    area2 += x1[0] * x2[1] - x1[1] * x2[0]
-    chord = float(np.linalg.norm(x2 - x1))
-    perim += chord
-    return 0.5 * float(area2), perim, chord, (float(x1[0]), float(x1[1])), (float(x2[0]), float(x2[1]))
+    polygon V, in one numpy pass.  In the frame s = p . t, u = p . n, with t
+    the cut direction (n turned clockwise), edge i -> i+1 keeps the part of
+    its level range [u_i, u_i+1] below the offset: that share of its length,
+    and that trapezoid of the area integral of s du.  An edge parallel to
+    the cut adds no area and keeps all or none of its length.  The chord,
+    parallel to the cut, closes the kept parts."""
+    u = V @ n
+    s = V @ np.array((n[1], -n[0]))
+    un = np.roll(u, -1)
+    du, ds = un - u, np.roll(s, -1) - s
+    # the edge's level range, clipped to the offset
+    u0, u1 = np.minimum(u, offset), np.minimum(un, offset)
+    share = np.divide(u1 - u0, du, out=(u <= offset).astype(float), where=du != 0)
+    area = float(((u1 - u0) * s + ds * share * (0.5 * (u0 + u1) - u)).sum())
+    chord = abs(float((ds * share).sum()))
+    perim = float((np.hypot(du, ds) * share).sum()) + chord
+    return area, perim, chord
 
 
 @dataclass(frozen=True)
@@ -193,26 +169,31 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
         pb = ConvexPolygon(side_b)
     except ValueError:
         return None
-    _, _, chord, _, _ = _clip_metrics(V, d, cut.offset)
-    return SplitResult(pa, pb, chord)
+    return SplitResult(pa, pb, _cut_metrics(V, n, cut.offset)[2])
 
 
 def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> LineCut:
     """The unique offset where piece a holds the given area fraction.
-    Bisection; the clipped area is strictly monotone in the offset."""
+    Between consecutive vertex levels the clipped area is an exact quadratic
+    in the offset, rising with it; a bisection over the sorted levels finds
+    the pair that brackets the target, and the quadratic through the area at
+    the pair's ends and midpoint is solved for it."""
     if not (0.0 < fraction < 1.0):
         raise ValueError("area fraction must be strictly between 0 and 1")
     theta = theta % math.pi
     n = np.array((-math.sin(theta), math.cos(theta)))
     V = np.asarray(c.vertices, dtype=float)
-    d = V @ n
-    lo, hi = float(d.min()), float(d.max())
-    total = c.area
-    want = fraction * total
-    offset = bisect_root(
-        lambda o: _clip_metrics(V, d, o)[0] - want, lo, hi, ftol=1e-13 * total, max_iter=100
-    )
-    return LineCut(theta, offset)
+    levels = np.unique(V @ n).tolist()
+    want = fraction * c.area
+
+    def area(o: float) -> float:
+        return _cut_metrics(V, n, o)[0]
+
+    # area(levels[0]) = 0 < want, and the last level holds the whole area
+    k = bisect.bisect_left(levels, want, lo=1, hi=len(levels) - 1, key=area)
+    lo, hi = levels[k - 1], levels[k]
+    x = rising_quadratic_root(area(lo), area(0.5 * (lo + hi)), area(hi), want)
+    return LineCut(theta, lo + x * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -229,10 +210,8 @@ class ProfilePoint:
 
 def _profile_point(c: ConvexPolygon, target: RatioTarget, theta: float) -> ProfilePoint:
     cut = solve_offset_for_area(c, theta, target.fraction)
-    n = np.array(cut.normal)
     V = np.asarray(c.vertices, dtype=float)
-    d = V @ n
-    area_a, perim_a, chord, _, _ = _clip_metrics(V, d, cut.offset)
+    area_a, perim_a, chord = _cut_metrics(V, np.array(cut.normal), cut.offset)
     total_a, total_p = c.area, c.perimeter
     area_b = total_a - area_a
     perim_b = total_p - perim_a + 2.0 * chord

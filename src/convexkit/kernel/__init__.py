@@ -1,6 +1,6 @@
 """Shared numeric and geometric primitives: exact rationals, exact linear
 solving, float convex polygons and point rings, sampled support bodies,
-and the bracketed root finder of the float solves."""
+and the root finders of the float solves."""
 
 from .linsolve import (
     MAX_FREE_DIMS,
@@ -20,7 +20,7 @@ from .polygon import (
     regular_ngon,
 )
 from .rational import Rational, format_rational, parse_rational, rational_arith
-from .roots import bisect_root
+from .roots import bisect_root, rising_quadratic_root
 from .support import DEFAULT_SAMPLES, SupportBody, support_body_metrics
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "parse_rational",
     "rational_arith",
     "bisect_root",
+    "rising_quadratic_root",
     "DEFAULT_SAMPLES",
     "SupportBody",
     "support_body_metrics",

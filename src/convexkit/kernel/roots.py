@@ -1,12 +1,16 @@
-"""One bracketed root finder for the float paths.
+"""The two root finders of the float paths.
 
-Every transcendental solve in the toolkit (lens half-angle, cut offset,
-disc chord, fair-cut angle) is a sign change of a continuous function on a
-known bracket, so they share this bisection.
+`bisect_root` serves every transcendental solve in the toolkit (lens
+half-angle, disc chord, fair-cut angle, equal cut): each is a sign change of
+a continuous function on a known bracket.  `rising_quadratic_root` serves
+the solves whose function is an exact quadratic on a known bracket (cut
+offset between two vertex levels, constant-width interpolant area): three
+values fix the quadratic, and its rising root is read off in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 
@@ -34,3 +38,16 @@ def bisect_root(
         if hi - lo <= xtol:
             break
     return 0.5 * (lo + hi)
+
+
+def rising_quadratic_root(f0: float, fh: float, f1: float, want: float) -> float:
+    """The x in [0, 1] where the quadratic through (0, f0), (1/2, fh),
+    (1, f1), rising on [0, 1], reaches want; clamped to [0, 1] when want
+    lies outside [f0, f1]."""
+    c = 2.0 * (f0 - 2.0 * fh + f1)
+    b = f1 - f0 - c
+    # b >= 0 is the slope at x = 0, so the rising root is
+    # 2 (want - f0) / (b + sqrt(b^2 + 4c (want - f0))), free of cancellation
+    rise = want - f0
+    delta = max(b * b + 4.0 * c * rise, 0.0)
+    return min(max(2.0 * rise / (b + math.sqrt(delta)), 0.0), 1.0)

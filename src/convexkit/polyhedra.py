@@ -403,6 +403,21 @@ def build_decagonal_dipyramidal_antiprism(s: float = 1.0, l: float = 3.5) -> Mes
     return _oriented(verts, faces)
 
 
+def mesh_summary(m: Mesh, multiset: Counter) -> dict:
+    """Counts, convexity, volume, surface area, and faces by side count of
+    one mesh, given its face multiset."""
+    counts = Counter(len(sig) for sig in multiset.elements())
+    return {
+        "vertices": m.num_vertices,
+        "edges": m.num_edges,
+        "faces": m.num_faces,
+        "convex": is_convex(m),
+        "volume": volume(m),
+        "surface_area": surface_area(m),
+        "faces_by_side_count": dict(sorted(counts.items())),
+    }
+
+
 def compare_report(meshes: Sequence[Mesh], names: Optional[Sequence[str]] = None) -> dict:
     """Side-by-side invariants for two or more meshes: convexity, face
     multiset with equivalence classes, volume, surface area, and
@@ -430,22 +445,10 @@ def compare_report(meshes: Sequence[Mesh], names: Optional[Sequence[str]] = None
                 groups.append([name])
         return groups
 
-    entries = []
-    for name, m, ms in zip(names, meshes, multisets):
-        counts = Counter(len(sig) for sig in ms.elements())
-        entries.append(
-            {
-                "name": name,
-                "vertices": m.num_vertices,
-                "edges": m.num_edges,
-                "faces": m.num_faces,
-                "convex": is_convex(m),
-                "volume": volume(m),
-                "surface_area": surface_area(m),
-                "faces_by_side_count": dict(sorted(counts.items())),
-                "distinct_face_shapes": len(ms),
-            }
-        )
+    entries = [
+        {"name": name, **mesh_summary(m, ms), "distinct_face_shapes": len(ms)}
+        for name, m, ms in zip(names, meshes, multisets)
+    ]
     return {
         "meshes": entries,
         "multiset_classes": classes(multisets),

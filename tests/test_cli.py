@@ -184,17 +184,36 @@ def test_fairpart_solve_with_svg(tmp_path):
     assert (out / "pieces.svg").read_text().count("<polygon") == 2
 
 
-def test_fairpart_solve_not_found_on_ngon(tmp_path):
+def test_fairpart_solve_not_found_on_ngon(tmp_path, capsys):
     rc, report, _ = run(
         tmp_path, "fairpart", "solve", "--shape", "ngon:256", "--ratio", "1:3"
     )
     assert rc == 1
     assert report["found"] is False
+    # a sampled miss is worded as one: the grid, and the range it sampled
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("no cut found on the 720-angle grid for rho=0.577350269;")
+    assert f"sampled rho range [{float(report['rho_min']):.9f}, " in line
     rc2 = main(
         ["fairpart", "solve", "--shape", "ngon:256", "--ratio", "1:3",
          "--expect-infeasible", "--out", str(tmp_path / "o2")]
     )
     assert rc2 == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fairpart", "profile", "--shape", "rect:4x1", "--ratio", "1:3", "--svg"],
+        ["fairpart", "disc", "--ratio", "1:3", "--seed", "1"],
+        ["shapes", "crossover", "--obj"],
+        ["poly", "build", "--solid", "rco", "--svg"],
+        ["tiling", "enumerate", "--tiles", SEVEN_TILES, "--seed", "1"],
+    ],
+)
+def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_fairpart_disc(tmp_path):

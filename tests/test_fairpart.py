@@ -3,12 +3,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from convexkit.kernel import ConvexPolygon, convex_hull, rectangle, regular_ngon
 from convexkit.fairpart import (
     LineCut,
     RatioTarget,
+    _profile_point,
     disc_chord_analysis,
     equal_fair_cut,
     find_scaled_fair_cut,
@@ -177,6 +181,63 @@ def test_solve_offset_rejects_degenerate_fraction():
     for bad in (0.0, 1.0, -0.2, 1.5):
         with pytest.raises(ValueError):
             solve_offset_for_area(rect, 0.0, bad)
+
+
+def _check_exact_cut(c, target, theta):
+    """The solved cut holds the target area, and the profile point's
+    perimeters and chord match the pieces that split builds."""
+    with np.errstate(all="raise"):
+        cut = solve_offset_for_area(c, theta, target.fraction)
+        sr = split(c, cut)
+        p = _profile_point(c, target, theta)
+    assert abs(sr.area_a - target.fraction * c.area) <= 1e-12 * c.area
+    assert abs(p.perimeter_a - sr.perimeter_a) <= 1e-12
+    assert abs(p.perimeter_b - sr.perimeter_b) <= 1e-12
+    chord = 0.5 * (sr.perimeter_a + sr.perimeter_b - c.perimeter)
+    assert abs(p.cut_length - chord) <= 1e-12
+    assert abs(sr.cut_length - chord) <= 1e-12
+
+
+@pytest.mark.parametrize("target", [RatioTarget(1, 3), RatioTarget(1, 1)])
+@pytest.mark.parametrize(
+    "shape, theta",
+    [("rect", 0.0), ("rect", math.pi / 2)] + [("hexagon", k * math.pi / 6) for k in range(6)],
+)
+def test_exact_cut_at_edge_aligned_angles(shape, theta, target):
+    # every cut here is parallel to some edges and meets others square on
+    c = rectangle(4, 1) if shape == "rect" else regular_ngon(6)
+    _check_exact_cut(c, target, theta)
+
+
+def test_exact_cut_through_a_vertex():
+    half = RatioTarget(1, 1)
+    # the square's diagonal, and the triangle's axis through its apex
+    _check_exact_cut(rectangle(1, 1), half, math.pi / 4)
+    triangle = ConvexPolygon([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
+    _check_exact_cut(triangle, half, math.pi / 2)
+    assert solve_offset_for_area(triangle, math.pi / 2, 0.5).offset == pytest.approx(-1.0, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    polar=st.lists(
+        st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.5, 3.0)), min_size=3, max_size=24
+    ),
+    theta=st.floats(0.0, math.pi),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_exact_cut_holds_the_area_on_random_polygons(polar, theta, fraction):
+    hull = convex_hull([(r * math.cos(a), r * math.sin(a)) for a, r in polar])
+    assume(len(hull) >= 3)
+    try:
+        c = ConvexPolygon(hull)
+    except ValueError:
+        assume(False)
+    assume(c.area >= 0.05)
+    # underflow is harmless here: a subnormal angle makes subnormal coordinates
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        sr = split(c, solve_offset_for_area(c, theta, fraction))
+    assert abs(sr.area_a - fraction * c.area) <= 1e-12 * c.area
 
 
 def test_profile_is_sampled_lipschitz():

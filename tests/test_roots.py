@@ -1,4 +1,4 @@
-"""The bracketed root finder shared by the float solves."""
+"""The root finders shared by the float solves."""
 
 import math
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel import bisect_root
+from convexkit.kernel import bisect_root, rising_quadratic_root
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -36,3 +36,36 @@ def test_bisect_root_orientation_and_stops():
     assert bisect_root(lambda x: x - 1.0, 0.0, 2.0) == 1.0
     # one halving of [0, 1] leaves [0, 1/2]
     assert bisect_root(lambda x: x - 0.3, 0.0, 1.0, max_iter=1) == 0.25
+
+
+def test_rising_quadratic_root_is_exact_and_clamps():
+    def q(x):
+        return 1.0 + 2.0 * x - 0.5 * x * x
+
+    f0, fh, f1 = q(0.0), q(0.5), q(1.0)
+    assert rising_quadratic_root(f0, fh, f1, q(0.3)) == pytest.approx(0.3, abs=1e-15)
+    assert rising_quadratic_root(f0, fh, f1, f0) == 0.0
+    assert rising_quadratic_root(f0, fh, f1, f1) == pytest.approx(1.0, abs=1e-15)
+    # outside [f0, f1] the root clamps to the nearer end
+    assert rising_quadratic_root(f0, fh, f1, f0 - 1.0) == 0.0
+    assert rising_quadratic_root(f0, fh, f1, f1 + 1.0) == 1.0
+    # a straight line, and a quadratic that starts flat
+    assert rising_quadratic_root(0.0, 1.0, 2.0, 0.5) == 0.25
+    assert rising_quadratic_root(0.0, 0.25, 1.0, 0.49) == pytest.approx(0.7, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(min_value=-10.0, max_value=10.0),
+    b=st.floats(min_value=0.01, max_value=10.0),
+    bend=st.floats(min_value=-0.49, max_value=5.0),
+    x=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_rising_quadratic_root_inverts_a_rising_quadratic(a, b, bend, x):
+    # c = bend * b with bend > -1/2 keeps the slope b + 2 c x positive on [0, 1]
+    c = bend * b
+
+    def q(t):
+        return a + b * t + c * t * t
+
+    assert abs(rising_quadratic_root(q(0.0), q(0.5), q(1.0), q(x)) - x) <= 1e-9
