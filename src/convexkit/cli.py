@@ -30,7 +30,7 @@ from .extremal import (
     interpolate_constant_width,
     lens_metrics,
     max_diameter_shape,
-    min_diameter_explore,
+    min_diameter_survey,
     reuleaux_metrics,
 )
 from .fairpart import (
@@ -290,7 +290,8 @@ def cmd_tiling_search_iso(args) -> Handler:
     lines = [
         f"n={res.n}: {res.status} ({res.examined} floorplans, "
         f"{len(res.witnesses)} witness(es), {len(res.forced)} forced-equal, "
-        f"{len(res.residual)} residual)"
+        f"{len(res.residual)} residual, {res.infeasible} infeasible, "
+        f"{res.certified_empty} certified empty)"
     ]
     files = {}
     if args.svg and res.witnesses:
@@ -554,7 +555,7 @@ def _sector_ring(radius: float, phi: float, n: int = 256) -> List[Tuple[float, f
 
 
 def cmd_shapes_mindiam(args) -> Handler:
-    report = min_diameter_explore(args.area, args.perimeter)
+    report, cw_body = min_diameter_survey(args.area, args.perimeter)
     report = {"command": "shapes mindiam", **report}
     lines = []
     files = {}
@@ -572,8 +573,7 @@ def cmd_shapes_mindiam(args) -> Handler:
                 if c["family"] == "sector":
                     rings.append(_sector_ring(c["radius"], c["phi"]))
                 else:
-                    body = interpolate_constant_width(c["t"], report["width"])
-                    rings.append([tuple(p) for p in body.boundary_points()])
+                    rings.append([tuple(p) for p in cw_body.boundary_points()])
             files["outline.svg"] = svg_outlines(rings)
     else:
         lines.append(f"no candidate: {report['reason']}")

@@ -214,6 +214,15 @@ def min_diameter_explore(area: float, perimeter: float = math.pi) -> dict:
     perimeter.  Constant-width bodies cover areas between the Reuleaux and
     disc values (diameter exactly perimeter/pi); sectors reach lower areas
     with larger diameters.  Areas above the disc bound are infeasible."""
+    return min_diameter_survey(area, perimeter)[0]
+
+
+def min_diameter_survey(
+    area: float, perimeter: float = math.pi
+) -> Tuple[dict, Optional[SupportBody]]:
+    """`min_diameter_explore`'s report together with the constant-width
+    body its "constant-width" candidate was measured on (None when there
+    is no such candidate), for callers that draw it."""
     if area <= 0 or perimeter <= 0:
         raise ValueError("area and perimeter must be positive")
     w = perimeter / math.pi
@@ -228,9 +237,10 @@ def min_diameter_explore(area: float, perimeter: float = math.pi) -> dict:
         "feasible": area <= disc_area * (1.0 + 1e-12),
         "candidates": [],
     }
+    body = None
     if not report["feasible"]:
         report["reason"] = "area exceeds the disc bound p^2 / 4 pi"
-        return report
+        return report, body
 
     if reuleaux_area - 1e-12 <= area:
         t, body = interpolant_with_area(min(area, disc_area), w)
@@ -261,7 +271,7 @@ def min_diameter_explore(area: float, perimeter: float = math.pi) -> dict:
         report["best"] = best
     else:
         report["reason"] = "no surveyed family reaches this area"
-    return report
+    return report, body
 
 
 # Conjectured crossover between the constant-width and sector regimes,

@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Solves A x = b by fraction-free-ish Gaussian elimination (plain Fraction
-pivoting; sizes here are tens of variables, so clarity beats Bareiss), and
-searches affine solution spaces for points whose chosen coordinates are all
-strictly positive. The positivity search runs Fourier-Motzkin elimination,
+Solves A x = b by Gauss-Jordan elimination over Fraction (`_rref`, the one
+elimination routine here): each pivot row is scaled and subtracted only at
+its nonzero entries, so a sparse system costs what its nonzeros cost.  The
+solution space comes back in reduced row echelon form, which is unique for
+a given solution set and column order.  The module also searches affine
+solution spaces for points whose chosen coordinates are all strictly
+positive. The positivity search runs Fourier-Motzkin elimination,
 which doubles as an exact emptiness certificate for the open polytope.
 """
 
@@ -53,6 +56,60 @@ class ParamSolution:
         basis_t = [[row[j] for row in self.basis] for j in range(len(rhs))]
         return solve_linear_exact(basis_t, rhs) is not None
 
+    def canonical(self) -> "ParamSolution":
+        """The same space in the form `solve_linear_exact` returns for it.
+
+        Free columns are the trailing nonzero positions of the direction
+        space; basis vector k is 1 at free column k and 0 at the other free
+        columns; the particular point is 0 on every free column.  The form
+        is unique for a given space and column order, so two
+        parametrizations of one space give equal canonical forms."""
+        n = len(self.particular)
+        # RREF with the columns reversed pivots on the trailing positions
+        rows = [row[::-1] for row in self.basis]
+        pivots = _rref(rows, n)
+        free = [n - 1 - c for c in reversed(pivots)]
+        basis = [row[::-1] for row in reversed(rows[: len(pivots)])]
+        particular = list(self.particular)
+        for fc, vec in zip(free, basis):
+            t = particular[fc]
+            if t:
+                particular = [p - t * v for p, v in zip(particular, vec)]
+        return ParamSolution(list(self.names), particular, basis)
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce `rows` in place to reduced row echelon form, pivoting on the
+    first `ncols` columns only (later columns, such as a right-hand side,
+    are carried along).  Returns the pivot columns; row i holds pivot i.
+
+    Only the nonzero entries of the pivot row are scaled and subtracted:
+    v - f*0 is v, so skipping them leaves every Fraction unchanged."""
+    m = len(rows)
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        nz = [j for j in range(c, len(prow)) if prow[j] != 0]
+        pv = prow[c]
+        for j in nz:
+            prow[j] /= pv
+        for i in range(m):
+            row = rows[i]
+            f = row[c]
+            if i != r and f != 0:
+                for j in nz:
+                    row[j] -= f * prow[j]
+        pivot_cols.append(c)
+        r += 1
+    return pivot_cols
+
 
 def solve_linear_exact(
     matrix: Sequence[Sequence[Fraction]],
@@ -71,25 +128,9 @@ def solve_linear_exact(
         raise ValueError("names length mismatch")
 
     rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if rows[i][n] != 0:
+    pivot_cols = _rref(rows, n)
+    for row in rows[len(pivot_cols):]:
+        if row[n] != 0:
             return None  # 0 = nonzero row: infeasible
 
     free_cols = [c for c in range(n) if c not in pivot_cols]

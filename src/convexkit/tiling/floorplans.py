@@ -96,6 +96,9 @@ def enumerate_floorplans(n: int) -> List[Floorplan]:
                 rooms[r][3] = s
 
     rec(2, 2)
+    # rec holds itself through its closure cell; breaking that cycle lets
+    # reference counting free the cells (and with them `out`) at once.
+    del rec
     return out
 
 

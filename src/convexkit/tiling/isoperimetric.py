@@ -1,13 +1,16 @@
 """Tilings by rectangles of equal semiperimeter and distinct areas.
 
 For a fixed floorplan, requiring every room to have semiperimeter 1
-(any other value is a rescaling) gives a linear system in the segment
-coordinates and room dimensions.  We solve it exactly, look for a point
-with all dimensions positive, and then decide whether some pair of rooms
-is forced to share its area on the whole solution space.  Room areas are
-w*(1-w), so rooms i and j share area iff w_i = w_j or w_i + w_j = 1;
-on an affine solution space that happens identically iff one of the two
-linear forms vanishes identically on the space.
+(any other value is a rescaling) gives a linear system.  Its only free
+unknowns are the n+3 segment coordinates: a room's width and height are
+differences of two of them.  We solve that small system exactly, lift its
+solution space to the room dimensions, and write the space in the unique
+RREF form over (x..., y..., w0, h0, ...).  Then we look for a point with
+all dimensions positive, and decide whether some pair of rooms is forced
+to share its area on the whole solution space.  Room areas are w*(1-w),
+so rooms i and j share area iff w_i = w_j or w_i + w_j = 1; on an affine
+solution space that happens identically iff one of the two linear forms
+vanishes identically on the space.
 """
 
 from __future__ import annotations
@@ -29,54 +32,69 @@ from .tiles import Layout, Placement, Tile, TileSet, verify_layout
 PERTURB_ATTEMPTS = 10_000
 
 
-def build_isoperimetric_system(fp: Floorplan):
-    """Equations over (x_0..x_{nv-1}, y_0..y_{nh-1}, w_0, h_0, ..., w_{n-1}, h_{n-1}):
-    walls pinned at 0, room dimensions consistent with their segments, and
-    every semiperimeter w_i + h_i equal to 1."""
-    nv, nh, n = fp.num_vsegs, fp.num_hsegs, fp.n
-    names = (
-        [f"x{i}" for i in range(nv)]
-        + [f"y{i}" for i in range(nh)]
-        + [v for i in range(n) for v in (f"w{i}", f"h{i}")]
+def _coordinate_names(fp: Floorplan) -> List[str]:
+    return (
+        [f"x{i}" for i in range(fp.num_vsegs)]
+        + [f"y{i}" for i in range(fp.num_hsegs)]
+        + [v for i in range(fp.n) for v in (f"w{i}", f"h{i}")]
     )
-    nvars = len(names)
 
-    def xi(i):
-        return i
 
-    def yi(i):
-        return nv + i
-
-    def wi(i):
-        return nv + nh + 2 * i
-
-    def hi(i):
-        return nv + nh + 2 * i + 1
-
+def build_isoperimetric_system(fp: Floorplan):
+    """Unit-semiperimeter equations over the segment coordinates
+    (x_0..x_{nv-1}, y_0..y_{nh-1}): the left and bottom walls pinned at 0,
+    and x_r - x_l + y_t - y_b = 1 for every room (l, r, b, t).  That is n+2
+    equations in nv+nh = n+3 unknowns.  A room's width and height are the
+    differences w = x_r - x_l and h = y_t - y_b, so they take no unknowns
+    of their own.  Returns (rows, rhs, names)."""
+    nv, nh = fp.num_vsegs, fp.num_hsegs
+    nvars = nv + nh
     rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
 
-    def add(coeffs, b):
+    def add(*coeffs):
         row = [Fraction(0)] * nvars
         for idx, c in coeffs:
-            row[idx] += Fraction(c)
+            row[idx] += c
         rows.append(row)
-        rhs.append(Fraction(b))
 
-    add([(xi(0), 1)], 0)
-    add([(yi(0), 1)], 0)
-    for i, (l, r, b, t) in enumerate(fp.rooms):
-        add([(xi(r), 1), (xi(l), -1), (wi(i), -1)], 0)
-        add([(yi(t), 1), (yi(b), -1), (hi(i), -1)], 0)
-        add([(wi(i), 1), (hi(i), 1)], 1)
-    return rows, rhs, names
+    add((0, 1))
+    add((nv, 1))
+    for l, r, b, t in fp.rooms:
+        add((r, 1), (l, -1), (nv + t, 1), (nv + b, -1))
+    rhs = [Fraction(0), Fraction(0)] + [Fraction(1)] * fp.n
+    return rows, rhs, _coordinate_names(fp)[:nvars]
+
+
+def _lift(fp: Floorplan, v: List[Fraction]) -> List[Fraction]:
+    """Append every room's (w, h) = (x_r - x_l, y_t - y_b) to a vector over
+    the segment coordinates."""
+    nv = fp.num_vsegs
+    out = list(v)
+    for l, r, b, t in fp.rooms:
+        out += (v[r] - v[l], v[nv + t] - v[nv + b])
+    return out
 
 
 def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
-    """Exact solution space of the unit-semiperimeter system, or None when
-    the floorplan admits no such assignment at all (signs ignored)."""
+    """Exact solution space over (x..., y..., w0, h0, ...), or None when
+    the floorplan admits no unit-semiperimeter assignment at all (signs
+    ignored).
+
+    The segment-coordinate system is solved, and its particular point and
+    basis are lifted by w = x_r - x_l, h = y_t - y_b.  The lift maps that
+    space one to one onto the space of the full system that keeps every
+    w_i and h_i as unknowns.  The lifted space is then put in canonical
+    form, the one an RREF solve of the full system returns, so the result
+    does not depend on which system was solved."""
     rows, rhs, names = build_isoperimetric_system(fp)
-    return solve_linear_exact(rows, rhs, names)
+    seg = solve_linear_exact(rows, rhs, names)
+    if seg is None:
+        return None
+    return ParamSolution(
+        _coordinate_names(fp),
+        _lift(fp, seg.particular),
+        [_lift(fp, v) for v in seg.basis],
+    ).canonical()
 
 
 def _linear_form_on_space(sol: ParamSolution, coeffs) -> Tuple[Fraction, Tuple[Fraction, ...]]:
@@ -123,6 +141,11 @@ class IsoSearchResult:
     (exact elimination certificate), or two rooms are forced to equal areas
     identically on the solution space.  inconclusive lists the floorplans
     that resisted certification.
+
+    Every examined floorplan has one of five outcomes: `infeasible` (no
+    unit-semiperimeter assignment), `certified_empty` (no all-positive
+    point), `forced` (a forced equal-area pair), `residual` or
+    `witnesses`.  The single floorplan of n = 1 has none of them.
     """
 
     n: int
@@ -131,6 +154,8 @@ class IsoSearchResult:
     forced: Tuple[Tuple[Floorplan, ForcedPair], ...]
     residual: Tuple[Floorplan, ...]
     examined: int
+    infeasible: int
+    certified_empty: int
 
 
 def forced_equal_pair(sol: ParamSolution, fp: Floorplan) -> Optional[ForcedPair]:
@@ -211,11 +236,12 @@ def search_isoperimetric(
     witnesses: List[IsoWitness] = []
     forced: List[Tuple[Floorplan, ForcedPair]] = []
     residual: List[Floorplan] = []
-    examined = 0
+    examined = infeasible = certified_empty = 0
     for fp in enumerate_floorplans(n):
         examined += 1
         sol = solve_isoperimetric(fp)
         if sol is None:
+            infeasible += 1
             continue
         if n == 1:
             # One room of semiperimeter 1 always exists; the distinct-areas
@@ -228,6 +254,7 @@ def search_isoperimetric(
             continue
         pp = positive_point(sol, pos_idx, seed=seed)
         if pp.certified_empty:
+            certified_empty += 1
             continue
         if pp.point is None:
             residual.append(fp)
@@ -250,5 +277,6 @@ def search_isoperimetric(
     else:
         status = "exhausted-no-solution"
     return IsoSearchResult(
-        n, status, tuple(witnesses), tuple(forced), tuple(residual), examined
+        n, status, tuple(witnesses), tuple(forced), tuple(residual), examined,
+        infeasible, certified_empty,
     )

@@ -9,7 +9,8 @@ import os
 
 import pytest
 
-from convexkit.cli import main
+from convexkit.cli import _sector_ring, main, svg_outlines
+from convexkit.extremal import interpolate_constant_width
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")
@@ -104,11 +105,15 @@ def test_tiling_enumerate_empty_is_exit_one(tmp_path):
     assert rc2 == 0
 
 
-def test_tiling_search_iso_small_n(tmp_path):
+def test_tiling_search_iso_small_n(tmp_path, capsys):
     rc, report, _ = run(tmp_path, "tiling", "search-iso", "--n", "3")
     assert rc == 1
     assert report["status"] == "exhausted-no-solution"
     assert report["examined_floorplans"] == 6
+    assert (
+        "(6 floorplans, 0 witness(es), 6 forced-equal, 0 residual, "
+        "0 infeasible, 0 certified empty)" in capsys.readouterr().out
+    )
     rc2 = main(
         ["tiling", "search-iso", "--n", "3", "--expect-infeasible",
          "--out", str(tmp_path / "o2")]
@@ -279,9 +284,18 @@ def test_shapes_maxdiam(tmp_path):
 
 
 def test_shapes_mindiam_regimes(tmp_path):
-    rc, report, _ = run(tmp_path, "shapes", "mindiam", "--area", "0.71")
+    rc, report, out = run(tmp_path, "shapes", "mindiam", "--area", "0.71", "--svg")
     assert rc == 0
     assert report["best"]["family"] == "constant-width"
+    # the outline is drawn from the interpolant at the reported t
+    rings = []
+    for c in report["candidates"]:
+        if c["family"] == "sector":
+            rings.append(_sector_ring(float(c["radius"]), float(c["phi"])))
+        else:
+            body = interpolate_constant_width(float(c["t"]), float(report["width"]))
+            rings.append([tuple(p) for p in body.boundary_points()])
+    assert (out / "outline.svg").read_text() == svg_outlines(rings)
     rc2, report2, _ = run(tmp_path, "shapes", "mindiam", "--area", "0.65", name="o2")
     assert rc2 == 1
     assert report2["feasible"] is True

@@ -26,6 +26,7 @@ from convexkit.extremal import (
     lens_metrics,
     max_diameter_shape,
     min_diameter_explore,
+    min_diameter_survey,
     reuleaux_metrics,
     reuleaux_support,
     sector_metrics,
@@ -293,6 +294,20 @@ def test_min_diameter_explore_regimes():
     assert rep["feasible"]
     assert rep["candidates"] == []
     assert "no surveyed family" in rep["reason"]
+
+
+@pytest.mark.parametrize("area", [0.71, 0.40, 0.82])
+def test_min_diameter_survey_hands_over_the_measured_body(area):
+    rep, body = min_diameter_survey(area)
+    assert rep == min_diameter_explore(area)
+    cw = [c for c in rep["candidates"] if c["family"] == "constant-width"]
+    if not cw:
+        assert body is None
+        return
+    # the very body the candidate was measured on: the interpolant at its t
+    assert support_body_metrics(body)["area"] == cw[0]["area"]
+    rebuilt = interpolate_constant_width(cw[0]["t"], rep["width"])
+    assert (body.boundary_points() == rebuilt.boundary_points()).all()
 
 
 def test_crossover_scan_reports_knee_and_conjecture():

@@ -10,6 +10,7 @@ contains 2-41-3 when positions a < b, b+1 < c satisfy
 p[b+1] < p[a] < p[c] < p[b], and 3-14-2 when p[b] < p[c] < p[a] < p[b+1].
 """
 
+import gc
 from itertools import permutations
 
 import pytest
@@ -159,3 +160,17 @@ def test_enumerate_bounds():
         enumerate_floorplans(0)
     with pytest.raises(ValueError):
         enumerate_floorplans(9)
+
+
+def test_enumeration_leaves_no_garbage():
+    """The result list is freed by reference counting alone: no cycle
+    (such as a self-referencing closure) keeps it for the cyclic GC."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        enumerate_floorplans(6)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

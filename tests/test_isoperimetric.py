@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from convexkit.kernel import solve_linear_exact
 from convexkit.tiling import (
     Floorplan,
+    enumerate_floorplans,
     load_layout,
     load_tileset,
     search_isoperimetric,
@@ -27,6 +29,67 @@ def test_small_counts_are_certified_impossible(n, examined):
     assert result.examined == examined
     assert not result.witnesses
     assert not result.residual
+    if n > 1:
+        # every floorplan has exactly one of the five outcomes
+        assert result.infeasible + result.certified_empty + len(result.forced) == examined
+
+
+def full_system(fp):
+    """Reference system over (x..., y..., w0, h0, ...) with every w_i, h_i
+    an unknown: walls pinned at 0, w_i = x_r - x_l, h_i = y_t - y_b and
+    w_i + h_i = 1, so (3n+2) equations in 3n+3 unknowns."""
+    nv, nh, n = fp.num_vsegs, fp.num_hsegs, fp.n
+    names = (
+        [f"x{i}" for i in range(nv)]
+        + [f"y{i}" for i in range(nh)]
+        + [v for i in range(n) for v in (f"w{i}", f"h{i}")]
+    )
+    rows, rhs = [], []
+
+    def add(coeffs, b):
+        row = [Fraction(0)] * len(names)
+        for idx, c in coeffs:
+            row[idx] += c
+        rows.append(row)
+        rhs.append(Fraction(b))
+
+    add([(0, 1)], 0)
+    add([(nv, 1)], 0)
+    for i, (l, r, b, t) in enumerate(fp.rooms):
+        w = nv + nh + 2 * i
+        add([(r, 1), (l, -1), (w, -1)], 0)
+        add([(nv + t, 1), (nv + b, -1), (w + 1, -1)], 0)
+        add([(w, 1), (w + 1, 1)], 1)
+    return rows, rhs, names
+
+
+@pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 10)])
+def test_segment_solve_equals_full_system(n, step):
+    """Solving over segment coordinates and lifting gives, Fraction for
+    Fraction, the space an RREF solve of the full system returns."""
+    for fp in enumerate_floorplans(n)[::step]:
+        got = solve_isoperimetric(fp)
+        want = solve_linear_exact(*full_system(fp))
+        if want is None:
+            assert got is None
+        else:
+            assert (got.names, got.particular, got.basis) == (
+                want.names, want.particular, want.basis
+            )
+
+
+def test_seven_room_census():
+    result = search_isoperimetric(7)
+    assert result.status == "witnesses"
+    assert result.examined == 2074
+    assert len(result.witnesses) == 8
+    assert len(result.forced) == 1824
+    assert len(result.residual) == 0
+    assert result.certified_empty == 242
+    assert result.infeasible == 0
+    for w in result.witnesses:
+        assert verify_layout(w.tileset, w.layout) is None
+        assert len(set(w.areas)) == 7
 
 
 def test_two_rooms_forced_equal_widths():

@@ -107,3 +107,84 @@ def test_param_solution_names_survive():
     sol = solve_linear_exact([[F(1), F(1)]], [F(2)], names=["w0", "h0"])
     assert isinstance(sol, ParamSolution)
     assert sol.names == ["w0", "h0"]
+
+
+def dense_solve(matrix, rhs):
+    """Reference Gauss-Jordan solve that updates every entry, zeros too."""
+    m, n = len(matrix), len(matrix[0])
+    rows = [[F(v) for v in row] + [F(b)] for row, b in zip(matrix, rhs)]
+    pivots, r = [], 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [v - f * p for v, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    if any(row[n] != 0 for row in rows[r:]):
+        return None
+    particular = [F(0)] * n
+    for i, c in enumerate(pivots):
+        particular[c] = rows[i][n]
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [F(0)] * n
+        vec[fc] = F(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][fc]
+        basis.append(vec)
+    return particular, basis
+
+
+def random_sparse_system(rng, m, n):
+    matrix = [
+        [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.3 else F(0)
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+    return matrix, [F(rng.randint(-5, 5)) for _ in range(m)]
+
+
+def test_sparse_solve_matches_dense_reference():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(300):
+        matrix, rhs = random_sparse_system(rng, rng.randint(1, 7), rng.randint(1, 8))
+        sol = solve_linear_exact(matrix, rhs)
+        ref = dense_solve(matrix, rhs)
+        outcomes.add(sol is None)
+        if ref is None:
+            assert sol is None
+        else:
+            assert (sol.particular, sol.basis) == ref
+    assert outcomes == {True, False}
+
+
+def test_canonical_form_is_unique():
+    """Any parametrization of a solved space canonicalizes back to the
+    solver's own form, which is canonical already."""
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(200):
+        matrix, rhs = random_sparse_system(rng, rng.randint(1, 5), rng.randint(2, 8))
+        sol = solve_linear_exact(matrix, rhs)
+        if sol is None or sol.dim == 0:
+            continue
+        assert sol.canonical() == sol
+        mix = [[F(rng.randint(-4, 4)) for _ in range(sol.dim)] for _ in range(sol.dim + 1)]
+        basis = [[sum((c * b[j] for c, b in zip(cs, sol.basis)), F(0))
+                  for j in range(len(sol.particular))] for cs in mix]
+        particular = sol.point([F(rng.randint(-9, 9), 7) for _ in range(sol.dim)])
+        other = ParamSolution(sol.names, particular, basis)
+        if other.canonical().dim < sol.dim:
+            continue  # the random mix lost rank: another space
+        assert other.canonical() == sol
+        checked += 1
+    assert checked > 50
