@@ -13,7 +13,7 @@ from convexkit.extremal import (
     interpolate_constant_width,
     lens_metrics,
     max_diameter_shape,
-    min_diameter_explore,
+    min_diameter_survey,
     reuleaux_metrics,
 )
 from convexkit.kernel import ConvexPolygon, convex_hull, diameter, support_body_metrics
@@ -56,7 +56,7 @@ print("every member has diameter perimeter/pi; areas sweep Reuleaux .. disc")
 print()
 print("== below the Reuleaux area: sectors take over ==")
 for a in (0.71, 0.65, 0.55, 0.40):
-    rep = min_diameter_explore(a)
+    rep, _ = min_diameter_survey(a)
     if not rep["feasible"]:
         print(f"  area {a}: infeasible ({rep['reason']})")
     elif rep["candidates"]:

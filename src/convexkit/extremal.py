@@ -209,20 +209,17 @@ def interpolant_with_area(
     return t, reuleaux.combine(disc, t)
 
 
-def min_diameter_explore(area: float, perimeter: float = math.pi) -> dict:
-    """Survey the known small-diameter families at the given area and
-    perimeter.  Constant-width bodies cover areas between the Reuleaux and
-    disc values (diameter exactly perimeter/pi); sectors reach lower areas
-    with larger diameters.  Areas above the disc bound are infeasible."""
-    return min_diameter_survey(area, perimeter)[0]
-
-
 def min_diameter_survey(
     area: float, perimeter: float = math.pi
 ) -> Tuple[dict, Optional[SupportBody]]:
-    """`min_diameter_explore`'s report together with the constant-width
-    body its "constant-width" candidate was measured on (None when there
-    is no such candidate), for callers that draw it."""
+    """Survey the known small-diameter families at the given area and
+    perimeter.  Constant-width bodies cover areas between the Reuleaux and
+    disc values (diameter exactly perimeter/pi); sectors reach lower areas
+    with larger diameters.  Areas above the disc bound are infeasible.
+
+    Returns the report together with the constant-width body its
+    "constant-width" candidate was measured on (None when there is no
+    such candidate), for callers that draw it."""
     if area <= 0 or perimeter <= 0:
         raise ValueError("area and perimeter must be positive")
     w = perimeter / math.pi

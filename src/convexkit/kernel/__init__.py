@@ -4,7 +4,6 @@ and the root finders of the float solves."""
 
 from .linsolve import (
     MAX_FREE_DIMS,
-    EliminationOverflow,
     ParamSolution,
     PositivePoint,
     positive_point,
@@ -19,13 +18,12 @@ from .polygon import (
     rectangle,
     regular_ngon,
 )
-from .rational import Rational, format_rational, parse_rational, rational_arith
+from .rational import Rational, format_rational, parse_rational
 from .roots import bisect_root, rising_quadratic_root
 from .support import DEFAULT_SAMPLES, SupportBody, support_body_metrics
 
 __all__ = [
     "MAX_FREE_DIMS",
-    "EliminationOverflow",
     "ParamSolution",
     "PositivePoint",
     "positive_point",
@@ -40,7 +38,6 @@ __all__ = [
     "Rational",
     "format_rational",
     "parse_rational",
-    "rational_arith",
     "bisect_root",
     "rising_quadratic_root",
     "DEFAULT_SAMPLES",

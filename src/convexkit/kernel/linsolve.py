@@ -5,20 +5,20 @@ elimination routine here): each pivot row is scaled and subtracted only at
 its nonzero entries, so a sparse system costs what its nonzeros cost.  The
 solution space comes back in reduced row echelon form, which is unique for
 a given solution set and column order.  The module also searches affine
-solution spaces for points whose chosen coordinates are all strictly
-positive. The positivity search runs Fourier-Motzkin elimination,
-which doubles as an exact emptiness certificate for the open polytope.
+solution spaces of dimension at most one, points or lines, for a point
+whose chosen coordinates are all strictly positive.  On a line each such
+coordinate is positive on an open half-line of the parameter, so the
+search is one exact interval intersection, and an empty intersection is
+an exact emptiness certificate.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-MAX_FREE_DIMS = 8
-_FM_CONSTRAINT_CAP = 50_000
+MAX_FREE_DIMS = 1
 
 
 @dataclass
@@ -151,9 +151,10 @@ def solve_linear_exact(
 class PositivePoint:
     """Outcome of a strict-positivity search over a solution space.
 
-    `point` is a full coordinate vector when found. When absent,
-    `certified_empty` says whether emptiness was proven exactly (elimination
-    completed) or the search merely gave up (sampling fallback).
+    `point` is a full coordinate vector, with its parameters in `params`,
+    when one exists.  Otherwise `certified_empty` is True: the interval
+    test proved exactly that no such point exists.  `attempts` counts
+    sampled tries and is always 0, since the test samples nothing.
     """
 
     point: Optional[list[Fraction]]
@@ -162,113 +163,42 @@ class PositivePoint:
     params: Optional[list[Fraction]] = None
 
 
-class EliminationOverflow(RuntimeError):
-    pass
-
-
-def _fm_feasible_point(constraints: list[tuple[tuple[Fraction, ...], Fraction]],
-                       dim: int) -> Optional[list[Fraction]]:
-    """Fourier-Motzkin over strict inequalities coeffs.t + const > 0.
-
-    Returns a satisfying t, or None when the system is (exactly) infeasible.
-    Raises EliminationOverflow if intermediate systems blow past the cap.
-    """
-    def normalized(cs):
-        seen = {}
-        for coeffs, const in cs:
-            lead = next((c for c in coeffs if c != 0), None)
-            scale = abs(lead) if lead is not None else (abs(const) or Fraction(1))
-            key = (tuple(c / scale for c in coeffs), const / scale)
-            seen[key] = (coeffs, const)
-        return list(seen.values())
-
-    levels = []  # per eliminated dim: (dim index, lowers, uppers) for back-substitution
-    current = normalized(constraints)
-    for d in range(dim - 1, -1, -1):
-        pos, neg, rest = [], [], []
-        for coeffs, const in current:
-            a = coeffs[d]
-            if a > 0:
-                pos.append((coeffs, const))
-            elif a < 0:
-                neg.append((coeffs, const))
-            else:
-                rest.append((coeffs, const))
-        for pc, pk in pos:
-            for nc, nk in neg:
-                # (-nc[d]) * p + pc[d] * n eliminates t_d; both multipliers > 0
-                mp, mn = -nc[d], pc[d]
-                coeffs = tuple(mp * a + mn * b for a, b in zip(pc, nc))
-                rest.append((coeffs, mp * pk + mn * nk))
-        current = normalized(rest)
-        if len(current) > _FM_CONSTRAINT_CAP:
-            raise EliminationOverflow(f"{len(current)} constraints at dim {d}")
-        levels.append((d, pos, neg))
-
-    for coeffs, const in current:
-        if const <= 0:
-            return None  # exact infeasibility certificate
-
-    t = [Fraction(0)] * dim
-    for d, pos, neg in reversed(levels):
-        lowers = []
-        uppers = []
-        for coeffs, const in pos:  # a t_d + rest > 0, a > 0 -> t_d > -(rest)/a
-            restval = const + sum(coeffs[j] * t[j] for j in range(dim) if j != d)
-            lowers.append(-restval / coeffs[d])
-        for coeffs, const in neg:
-            restval = const + sum(coeffs[j] * t[j] for j in range(dim) if j != d)
-            uppers.append(-restval / coeffs[d])
-        lo = max(lowers) if lowers else None
-        hi = min(uppers) if uppers else None
-        if lo is None and hi is None:
-            t[d] = Fraction(0)
-        elif lo is None:
-            t[d] = hi - 1
-        elif hi is None:
-            t[d] = lo + 1
-        else:
-            t[d] = (lo + hi) / 2
-    return t
-
-
-def positive_point(
-    solution: ParamSolution,
-    positive_indices: Sequence[int],
-    max_attempts: int = 100_000,
-    seed: int = 0,
-) -> PositivePoint:
+def positive_point(solution: ParamSolution, positive_indices: Sequence[int]) -> PositivePoint:
     """Find a point in the space with the chosen coordinates all > 0.
 
-    Dimension above MAX_FREE_DIMS is an unsupported instance and raises.
-    The elimination path is exact; only the rare blowup fallback samples.
+    On a line point(t), coordinate c + a*t is positive exactly on
+    t > -c/a (a > 0), on t < -c/a (a < 0), or everywhere when a = 0 and
+    c > 0.  The open interval (max lower, min upper) is the exact answer.
+    Its witness t is the midpoint when both ends are finite, one past the
+    finite end of a half-line, and 0 when nothing bounds t.  Dimension
+    above MAX_FREE_DIMS is an unsupported instance and raises.
     """
     dim = solution.dim
     if dim > MAX_FREE_DIMS:
         raise ValueError(f"solution space dimension {dim} exceeds {MAX_FREE_DIMS}")
 
-    constraints = []
+    lows: list[Fraction] = []
+    highs: list[Fraction] = []
     for idx in positive_indices:
         const, coeffs = solution.coordinate_form(idx)
-        constraints.append((tuple(coeffs), const))
+        a = coeffs[0] if coeffs else 0
+        if a == 0:
+            if const <= 0:
+                return PositivePoint(None, certified_empty=True)
+        else:
+            (lows if a > 0 else highs).append(-const / a)
 
-    if dim == 0:
-        ok = all(const > 0 for _, const in constraints)
-        pt = solution.point([]) if ok else None
-        return PositivePoint(pt, certified_empty=not ok)
-
-    try:
-        t = _fm_feasible_point(constraints, dim)
-    except EliminationOverflow:
-        rng = random.Random(seed)
-        for attempt in range(1, max_attempts + 1):
-            cand = [Fraction(rng.randint(-10_000, 10_000), rng.randint(1, 1_000))
-                    for _ in range(dim)]
-            if all(const + sum(c * v for c, v in zip(coeffs, cand)) > 0
-                   for coeffs, const in constraints):
-                return PositivePoint(solution.point(cand), attempts=attempt, params=cand)
-        return PositivePoint(None, certified_empty=False, attempts=max_attempts)
-
-    if t is None:
+    lo, hi = max(lows, default=None), min(highs, default=None)
+    if lo is not None and hi is not None and lo >= hi:
         return PositivePoint(None, certified_empty=True)
+    if dim == 0:
+        t = []
+    elif lo is None and hi is None:
+        t = [Fraction(0)]
+    elif hi is None:
+        t = [lo + 1]
+    elif lo is None:
+        t = [hi - 1]
+    else:
+        t = [(lo + hi) / 2]
     return PositivePoint(solution.point(t), params=t)

@@ -1,4 +1,4 @@
-"""Exact rational scalars: parsing, formatting, arithmetic.
+"""Exact rational scalars: parsing and formatting.
 
 All tile dimensions, layout coordinates, and linear-system entries are
 `fractions.Fraction` values, so every comparison downstream is exact.
@@ -35,15 +35,3 @@ def format_rational(value: Fraction) -> str:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
-
-def rational_arith(a: Fraction, op: str, b: Fraction) -> Fraction:
-    """Apply one of '+', '-', '*', '/' exactly. Division by zero raises."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b  # Fraction raises ZeroDivisionError on b == 0
-    raise ValueError(f"unknown operator {op!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,40 +120,45 @@ def build_hcn_tileset(ctx: HcnContext) -> TileSet:
 
 def _partition_widths(counts: List[int], i: int, target: int) -> Optional[List[List[int]]]:
     """Split the width multiset {w: counts[w]} into groups each summing to
-    `target`.  Greedy-plus-backtracking: fill one group at a time, widest
-    tile first, never leaving a remainder the remaining widths cannot make."""
+    `target`.  Depth-first backtracking: fill one group at a time, each
+    group's widths non-increasing, the widest available tile tried first.
+    The search keeps its own stack of choices, one entry per tile, so its
+    depth is not bounded by the interpreter's recursion limit."""
     total = sum(w * c for w, c in enumerate(counts))
     if total == 0:
         return []
     if any(counts[w] > 0 for w in range(target + 1, len(counts))):
         return None
-    groups: List[List[int]] = []
-
-    def fill(group: List[int], room: int, max_w: int) -> bool:
-        if room == 0:
-            groups.append(group[:])
-            rest = fill_next()
-            if rest:
-                return True
-            groups.pop()
-            return False
-        for w in range(min(max_w, room), 0, -1):
-            if counts[w] == 0:
-                continue
+    # chosen[k] = (width taken, room left in its group before, its width cap)
+    chosen: List[Tuple[int, int, int]] = []
+    room, max_w = target, i
+    w = min(max_w, room)
+    while True:
+        while w > 0 and counts[w] == 0:
+            w -= 1
+        if w > 0:
             counts[w] -= 1
-            group.append(w)
-            if fill(group, room - w, w):
-                return True
-            group.pop()
+            chosen.append((w, room, max_w))
+            room, max_w = room - w, w
+            if room == 0:
+                if not any(counts):
+                    break
+                room, max_w = target, i
+            w = min(max_w, room)
+        elif chosen:
+            w, room, max_w = chosen.pop()
             counts[w] += 1
-        return False
-
-    def fill_next() -> bool:
-        if all(c == 0 for c in counts):
-            return True
-        return fill([], target, i)
-
-    return groups if fill_next() else None
+            w -= 1
+        else:
+            return None
+    groups: List[List[int]] = []
+    group: List[int] = []
+    for w, room, _ in chosen:
+        group.append(w)
+        if room == w:  # this tile closed its group
+            groups.append(group)
+            group = []
+    return groups
 
 
 def construct_width_layout(ctx: HcnContext, F: int) -> Optional[Layout]:
@@ -190,10 +195,6 @@ def hcn_layout_census(ctx: HcnContext) -> Dict[int, Optional[Layout]]:
     """Feasibility of every divisor width of h, ascending: width -> witness
     layout or None.  The number of feasible widths is the object of study."""
     return {F: construct_width_layout(ctx, F) for F in divisors(ctx.h)}
-
-
-def census_count(census: Dict[int, Optional[Layout]]) -> int:
-    return sum(1 for v in census.values() if v is not None)
 
 
 def hcn_split_census(ctx: HcnContext):

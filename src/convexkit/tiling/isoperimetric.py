@@ -97,24 +97,6 @@ def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
     ).canonical()
 
 
-def _linear_form_on_space(sol: ParamSolution, coeffs) -> Tuple[Fraction, Tuple[Fraction, ...]]:
-    """Restrict sum(c_i * var_i) + const to the parameter space."""
-    const = Fraction(0)
-    grad = [Fraction(0)] * sol.dim
-    for idx, c in coeffs[0]:
-        k, ks = sol.coordinate_form(idx)
-        const += c * k
-        for d in range(sol.dim):
-            grad[d] += c * ks[d]
-    const += coeffs[1]
-    return const, tuple(grad)
-
-
-def _is_identically_zero(sol: ParamSolution, coeffs, shift) -> bool:
-    const, grad = _linear_form_on_space(sol, (coeffs, Fraction(shift)))
-    return const == 0 and all(g == 0 for g in grad)
-
-
 @dataclass(frozen=True)
 class ForcedPair:
     room_i: int
@@ -138,14 +120,15 @@ class IsoSearchResult:
 
     exhausted-no-solution means every floorplan was certified impossible:
     either its linear system is infeasible, no all-positive point exists
-    (exact elimination certificate), or two rooms are forced to equal areas
-    identically on the solution space.  inconclusive lists the floorplans
-    that resisted certification.
+    (an exact interval certificate on the solution line), or two rooms are
+    forced to equal areas identically on the solution space.  inconclusive
+    lists the floorplans that resisted certification: a solution space of
+    dimension above one, or no distinct-area point found near a positive
+    one.
 
-    Every examined floorplan has one of five outcomes: `infeasible` (no
-    unit-semiperimeter assignment), `certified_empty` (no all-positive
-    point), `forced` (a forced equal-area pair), `residual` or
-    `witnesses`.  The single floorplan of n = 1 has none of them.
+    Every examined floorplan has exactly one of five outcomes: `infeasible`
+    (no unit-semiperimeter assignment), `certified_empty` (no all-positive
+    point), `forced` (a forced equal-area pair), `residual` or `witnesses`.
     """
 
     n: int
@@ -162,18 +145,18 @@ def forced_equal_pair(sol: ParamSolution, fp: Floorplan) -> Optional[ForcedPair]
     """A pair of rooms whose areas agree identically on the solution space,
     if any.  Area equality a_i = a_j factors as (w_i - w_j)(1 - w_i - w_j) = 0;
     the space is irreducible (affine), so identical equality forces one factor
-    to vanish identically."""
-    nv, nh = fp.num_vsegs, fp.num_hsegs
-
-    def wi(i):
-        return nv + nh + 2 * i
-
-    n = fp.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _is_identically_zero(sol, [(wi(i), Fraction(1)), (wi(j), Fraction(-1))], 0):
+    to vanish identically.  With each w as an affine form (const, coeffs)
+    over the parameters, w_i - w_j vanishes identically iff the two forms
+    are equal, and w_i + w_j - 1 iff the constants sum to 1 and the
+    coefficients to 0."""
+    base = fp.num_vsegs + fp.num_hsegs
+    forms = [sol.coordinate_form(base + 2 * i) for i in range(fp.n)]
+    for i, (ci, ai) in enumerate(forms):
+        for j in range(i + 1, fp.n):
+            cj, aj = forms[j]
+            if (ci, ai) == (cj, aj):
                 return ForcedPair(i, j, f"w{i} = w{j}")
-            if _is_identically_zero(sol, [(wi(i), Fraction(1)), (wi(j), Fraction(1))], -1):
+            if ci + cj == 1 and all(x + y == 0 for x, y in zip(ai, aj)):
                 return ForcedPair(i, j, f"w{i} + w{j} = 1")
     return None
 
@@ -228,11 +211,10 @@ def search_isoperimetric(
 ) -> IsoSearchResult:
     """Search every n-room floorplan for a tiling by rectangles of equal
     semiperimeter and pairwise distinct areas.  Stops after `limit`
-    witnesses when given.  n = 1 is impossible by definition (a lone room
-    has nothing to differ from, and the census question needs >= 2 rooms),
-    so it reports exhausted-no-solution over the single floorplan."""
-    if not (1 <= n <= MAX_ROOMS):
-        raise ValueError(f"n must be in 1..{MAX_ROOMS}, got {n}")
+    witnesses when given.  n starts at 2: pairwise distinct areas need a
+    pair of rooms."""
+    if not (2 <= n <= MAX_ROOMS):
+        raise ValueError(f"n must be in 2..{MAX_ROOMS}, got {n}")
     witnesses: List[IsoWitness] = []
     forced: List[Tuple[Floorplan, ForcedPair]] = []
     residual: List[Floorplan] = []
@@ -243,21 +225,14 @@ def search_isoperimetric(
         if sol is None:
             infeasible += 1
             continue
-        if n == 1:
-            # One room of semiperimeter 1 always exists; the distinct-areas
-            # question is vacuous and counted as having no solution.
-            continue
         nv, nh = fp.num_vsegs, fp.num_hsegs
         pos_idx = list(range(nv + nh, nv + nh + 2 * n))
         if sol.dim > MAX_FREE_DIMS:
             residual.append(fp)
             continue
-        pp = positive_point(sol, pos_idx, seed=seed)
+        pp = positive_point(sol, pos_idx)
         if pp.certified_empty:
             certified_empty += 1
-            continue
-        if pp.point is None:
-            residual.append(fp)
             continue
         pair = forced_equal_pair(sol, fp)
         if pair is not None:

@@ -25,7 +25,6 @@ from convexkit.extremal import (
     interpolate_constant_width,
     lens_metrics,
     max_diameter_shape,
-    min_diameter_explore,
     min_diameter_survey,
     reuleaux_metrics,
     reuleaux_support,
@@ -270,27 +269,27 @@ def test_sector_peak_is_phi_two():
 # --- survey and reconciliation ---
 
 
-def test_min_diameter_explore_regimes():
+def test_min_diameter_survey_regimes():
     # constant-width window: both families could answer, CW diameter 1 wins
-    rep = min_diameter_explore(0.71)
+    rep = min_diameter_survey(0.71)[0]
     fams = {c["family"] for c in rep["candidates"]}
     assert "constant-width" in fams
     assert rep["best"]["family"] == "constant-width"
     assert abs(rep["best"]["diameter"] - 1.0) <= 1e-12
 
     # below the Reuleaux floor only sectors reach
-    rep = min_diameter_explore(0.40)
+    rep = min_diameter_survey(0.40)[0]
     assert all(c["family"] == "sector" for c in rep["candidates"])
     assert abs(rep["best"]["diameter"] - 1.25107) <= 1e-4
 
     # above the disc bound nothing fits
-    rep = min_diameter_explore(0.82)
+    rep = min_diameter_survey(0.82)[0]
     assert not rep["feasible"]
     assert "disc bound" in rep["reason"]
 
     # gap between the sector peak u = 1/16 and the Reuleaux floor:
     # feasible, but neither surveyed family reaches
-    rep = min_diameter_explore(0.65)
+    rep = min_diameter_survey(0.65)[0]
     assert rep["feasible"]
     assert rep["candidates"] == []
     assert "no surveyed family" in rep["reason"]
@@ -299,7 +298,7 @@ def test_min_diameter_explore_regimes():
 @pytest.mark.parametrize("area", [0.71, 0.40, 0.82])
 def test_min_diameter_survey_hands_over_the_measured_body(area):
     rep, body = min_diameter_survey(area)
-    assert rep == min_diameter_explore(area)
+    assert rep == min_diameter_survey(area)[0]
     cw = [c for c in rep["candidates"] if c["family"] == "constant-width"]
     if not cw:
         assert body is None

@@ -8,7 +8,6 @@ import pytest
 from convexkit.tiling import (
     HcnContext,
     build_hcn_tileset,
-    census_count,
     construct_width_layout,
     divisor_count,
     divisor_sieve,
@@ -112,7 +111,7 @@ def test_all_unit_tiles_census():
     # 60 unit-width tiles pack every one of the 12 divisor widths
     ctx = hcn_context(60, 1, 1)
     census = hcn_layout_census(ctx)
-    assert census_count(census) == 12
+    assert len(census_widths(census)) == 12
     assert census_widths(census) == divisors(60)
 
 
@@ -120,7 +119,7 @@ def test_three_width_census():
     # {20 of width 1, 2, 3} reaches every divisor of 120 except 1 and 2
     ctx = hcn_context(120, 3, 20)
     census = hcn_layout_census(ctx)
-    assert census_count(census) == 14
+    assert len(census_widths(census)) == 14
     assert census_widths(census) == [d for d in divisors(120) if d >= 3]
 
 
@@ -129,6 +128,18 @@ def test_five_width_census():
     census = hcn_layout_census(ctx)
     assert census_widths(census) == [5, 6, 10, 12, 15, 20, 30, 60]
     assert [F for F, lay in census.items() if lay is None] == [1, 2, 3, 4]
+
+
+def test_census_of_720_tiles_needs_no_deep_recursion():
+    # 120 tiles of each width 1..6: one row search over 720 tiles
+    ctx = hcn_context(2520, 6, 4)
+    census = hcn_layout_census(ctx)
+    widths = census_widths(census)
+    assert widths == [d for d in divisors(2520) if d >= 6]
+    assert len(widths) == 43
+    ts = build_hcn_tileset(ctx)
+    for F in (6, 2520):
+        assert verify_layout(ts, census[F]) is None
 
 
 def test_census_layouts_verify_exactly():

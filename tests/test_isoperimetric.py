@@ -21,7 +21,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 @pytest.mark.parametrize(
     "n,examined",
-    [(1, 1), (2, 2), (3, 6), (4, 22), (5, 92)],
+    [(2, 2), (3, 6), (4, 22), (5, 92)],
 )
 def test_small_counts_are_certified_impossible(n, examined):
     result = search_isoperimetric(n)
@@ -29,9 +29,8 @@ def test_small_counts_are_certified_impossible(n, examined):
     assert result.examined == examined
     assert not result.witnesses
     assert not result.residual
-    if n > 1:
-        # every floorplan has exactly one of the five outcomes
-        assert result.infeasible + result.certified_empty + len(result.forced) == examined
+    # every floorplan has exactly one of the five outcomes
+    assert result.infeasible + result.certified_empty + len(result.forced) == examined
 
 
 def full_system(fp):
@@ -73,6 +72,7 @@ def test_segment_solve_equals_full_system(n, step):
         if want is None:
             assert got is None
         else:
+            assert got.dim == 1
             assert (got.names, got.particular, got.basis) == (
                 want.names, want.particular, want.basis
             )
@@ -90,6 +90,22 @@ def test_seven_room_census():
     for w in result.witnesses:
         assert verify_layout(w.tileset, w.layout) is None
         assert len(set(w.areas)) == 7
+
+
+def test_eight_room_census():
+    """Every eight-room floorplan is decided by the exact tests: its
+    solution space is a line, so none is left residual."""
+    result = search_isoperimetric(8)
+    assert result.status == "witnesses"
+    assert result.examined == 10754
+    assert len(result.witnesses) == 48
+    assert len(result.forced) == 8268
+    assert result.certified_empty == 2438
+    assert len(result.residual) == 0
+    assert result.infeasible == 0
+    for w in result.witnesses:
+        assert verify_layout(w.tileset, w.layout) is None
+        assert len(set(w.areas)) == 8
 
 
 def test_two_rooms_forced_equal_widths():
@@ -128,6 +144,8 @@ def test_witness_search_is_deterministic():
 def test_search_bounds():
     with pytest.raises(ValueError):
         search_isoperimetric(0)
+    with pytest.raises(ValueError):
+        search_isoperimetric(1)
     with pytest.raises(ValueError):
         search_isoperimetric(9)
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexkit.kernel.linsolve import (
     MAX_FREE_DIMS,
@@ -93,6 +95,70 @@ def test_positive_point_zero_dim():
     bad = solve_linear_exact([[F(1), F(0)], [F(0), F(1)]], [F(2), F(-3)])
     res2 = positive_point(bad, [0, 1])
     assert res2.point is None and res2.certified_empty
+
+
+def test_positive_point_parameter_rule():
+    """The witness parameter: the midpoint of a bounded interval, one past
+    the finite end of a half-line, and 0 when nothing bounds it."""
+    line = ParamSolution(["a", "b", "c"], [F(2), F(3), F(4)], [[F(1), F(-1), F(0)]])
+    cases = [
+        ([0, 1], F(1, 2)),  # -2 < t < 3
+        ([0], F(-1)),       # t > -2
+        ([1], F(2)),        # t < 3
+        ([2], F(0)),        # c = 4 does not involve t
+    ]
+    for indices, t in cases:
+        res = positive_point(line, indices)
+        assert (res.params, res.certified_empty, res.attempts) == ([t], False, 0)
+        assert res.point == line.point([t])
+    # an empty interval, and a constant coordinate that is not positive
+    shifted = ParamSolution(["a", "b", "c"], [F(1), F(-1), F(0)], [[F(1), F(-1), F(0)]])
+    for indices in ([0, 1], [2]):
+        res = positive_point(shifted, indices)
+        assert (res.point, res.params, res.certified_empty) == (None, None, True)
+
+
+small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def spaces_of_dim_at_most_one(draw):
+    k = draw(st.integers(1, 6))
+    particular = draw(st.lists(small_fractions, min_size=k, max_size=k))
+    dim = draw(st.integers(0, 1))
+    basis = [draw(st.lists(small_fractions, min_size=k, max_size=k)) for _ in range(dim)]
+    indices = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
+    return ParamSolution([f"x{i}" for i in range(k)], particular, basis), indices
+
+
+def oracle_has_positive_point(sol, indices):
+    """Exhaustive check over the parameters where the sign pattern can
+    change: between consecutive breakpoints -c/a, and beyond both ends."""
+    forms = [sol.coordinate_form(i) for i in indices]
+    if sol.dim == 0:
+        return all(c > 0 for c, _ in forms)
+    breaks = sorted({-c / a[0] for c, a in forms if a[0] != 0})
+    if breaks:
+        candidates = [breaks[0] - 1, breaks[-1] + 1]
+        candidates += [(x + y) / 2 for x, y in zip(breaks, breaks[1:])]
+    else:
+        candidates = [F(0)]
+    return any(all(c + a[0] * t > 0 for c, a in forms) for t in candidates)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(spaces_of_dim_at_most_one())
+def test_positive_point_is_exact_on_points_and_lines(case):
+    sol, indices = case
+    res = positive_point(sol, indices)
+    assert res.attempts == 0
+    if res.certified_empty:
+        assert res.point is None
+        assert not oracle_has_positive_point(sol, indices)
+    else:
+        assert res.point == sol.point(res.params)
+        assert sol.contains(res.point)
+        assert all(res.point[i] > 0 for i in indices)
 
 
 def test_dimension_cap_enforced():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from convexkit.kernel.rational import format_rational, parse_rational, rational_arith
+from convexkit.kernel.rational import format_rational, parse_rational
 
 
 def test_parse_plain_integer():
@@ -36,17 +36,3 @@ def test_format_roundtrip():
 def test_format_integer_has_no_denominator():
     assert format_rational(Fraction(8, 4)) == "2"
 
-
-def test_arith_ops():
-    a, b = Fraction(1, 3), Fraction(1, 6)
-    assert rational_arith(a, "+", b) == Fraction(1, 2)
-    assert rational_arith(a, "-", b) == Fraction(1, 6)
-    assert rational_arith(a, "*", b) == Fraction(1, 18)
-    assert rational_arith(a, "/", b) == Fraction(2)
-
-
-def test_arith_rejects_unknown_op_and_zero_division():
-    with pytest.raises(ValueError):
-        rational_arith(Fraction(1), "%", Fraction(2))
-    with pytest.raises(ZeroDivisionError):
-        rational_arith(Fraction(1), "/", Fraction(0))
