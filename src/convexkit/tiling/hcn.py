@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .tiles import Layout, Placement, Tile, TileSet, split_extension
 
 
@@ -45,30 +43,43 @@ def divisors(v: int) -> List[int]:
     return small + large
 
 
-def divisor_sieve(limit: int) -> np.ndarray:
-    """d[v] = number of divisors of v for v in 0..limit (d[0] unused)."""
+def hcn_up_to(limit: int) -> List[int]:
+    """All record-setters for the divisor count in 1..limit, ascending.
+
+    Moving the prime exponents of any n, largest first, onto the smallest
+    primes gives some m <= n with d(m) = d(n), so every record-setter has
+    non-increasing exponents on the first primes (Ramanujan 1915).  Only those candidates
+    are generated, each with d(n) = prod(e_k + 1), so the cost follows
+    their number (32,749 up to 10**18), not the limit.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    d = np.zeros(limit + 1, dtype=np.uint16)
-    for i in range(1, limit + 1):
-        d[i::i] += 1
-    return d
-
-
-def hcn_up_to(limit: int) -> List[int]:
-    """All record-setters for the divisor count in 1..limit, ascending."""
-    d = divisor_sieve(limit)
-    body = d[1:].astype(np.int64)
-    prev_best = np.concatenate(([0], np.maximum.accumulate(body)[:-1]))
-    return (np.nonzero(body > prev_best)[0] + 1).tolist()
+    candidates = [(1, 1)]
+    # Candidates on the first k primes: (n, d(n), exponent of the k-th prime).
+    level, p = [(1, 1, limit.bit_length())], 1
+    while level:
+        p += 1
+        while divisor_count(p) != 2:
+            p += 1
+        nxt = []
+        for n, d, cap in level:
+            e, v = 1, n * p
+            while v <= limit and e <= cap:
+                nxt.append((v, d * (e + 1), e))
+                e, v = e + 1, v * p
+        candidates.extend((n, d) for n, d, _ in nxt)
+        level = nxt
+    records, best = [], 0
+    for n, d in sorted(candidates):
+        if d > best:
+            records.append(n)
+            best = d
+    return records
 
 
 def is_hcn(v: int) -> bool:
-    if v < 1:
-        return False
-    d = divisor_sieve(v)
-    target = d[v]
-    return bool((d[1:v] < target).all())
+    """Whether v is a divisor-count record-setter; as cheap as hcn_up_to(v)."""
+    return v >= 1 and hcn_up_to(v)[-1] == v
 
 
 def triangular(i: int) -> int:
@@ -174,21 +185,17 @@ def construct_width_layout(ctx: HcnContext, F: int) -> Optional[Layout]:
     if groups is None:
         return None
 
-    # Pools of tile ids per width, handed out in id order.
-    ts = build_hcn_tileset(ctx)
-    pools: Dict[int, List[int]] = {}
-    for t in ts:
-        pools.setdefault(int(t.width), []).append(t.id)
+    # Tile ids of width w run (w-1)*d + 1 .. w*d; hand them out in order.
+    next_id = [(w - 1) * ctx.d + 1 for w in range(ctx.i + 1)]
     placements = []
-    y = Fraction(0)
-    for group in groups:
-        x = Fraction(0)
+    for row, group in enumerate(groups):
+        y = row * ctx.L
+        x = 0
         for w in sorted(group):
-            tid = pools[w].pop(0)
-            placements.append(Placement(tid, x, y, False))
+            placements.append(Placement(next_id[w], Fraction(x), y, False))
+            next_id[w] += 1
             x += w
-        y += ctx.L
-    return Layout(Fraction(F), y, tuple(placements))
+    return Layout(Fraction(F), len(groups) * ctx.L, tuple(placements))
 
 
 def hcn_layout_census(ctx: HcnContext) -> Dict[int, Optional[Layout]]:

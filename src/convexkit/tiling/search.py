@@ -38,20 +38,40 @@ def _integer_scale(ts: TileSet) -> int:
 
 
 def _side_sums(choices: List[Tuple[int, ...]], limit: int) -> set:
-    """Subset sums where each tile contributes 0 or one of its `choices`.
-    Any edge of any tiling is partitioned by placed tile sides, so valid
-    target sides must live in this set.  Bitset dynamic programming."""
+    """Subset sums in 1..limit where each tile contributes 0 or one of its
+    `choices`.  Any edge of any tiling is partitioned by placed tile sides,
+    so valid target sides must live in this set.  A sum never exceeds the
+    sum of each tile's largest choice, so the shift-or bitset holds that
+    many bits, whatever `limit` is, and its set bits are read off in one
+    pass over its binary digits."""
+    limit = min(limit, sum(max(opts) for opts in choices))
     mask = 1
-    keep = (1 << (limit + 1)) - 1
     for opts in choices:
         nxt = mask
         for v in set(opts):
             nxt |= mask << v
-        mask = nxt & keep
+        mask = nxt
+    bits = bin(mask)[:1:-1]  # bits[s] is bit s
     out = set()
-    for s in range(1, limit + 1):
-        if (mask >> s) & 1:
-            out.add(s)
+    s = bits.find("1", 1, limit + 1)
+    while s >= 0:
+        out.add(s)
+        s = bits.find("1", s + 1, limit + 1)
+    return out
+
+
+def _raise_run(runs: List[Tuple[int, int, int]], k: int, width: int, rise: int) -> List[Tuple[int, int, int]]:
+    """The skyline after a tile `width` wide and `rise` tall is placed at
+    the left end of run k, merged back into maximal runs."""
+    x, run, y = runs[k]
+    out = runs[:k]
+    for r in [(x, width, y + rise), (x + width, run - width, y)] + runs[k + 1 :]:
+        if r[1] == 0:
+            continue
+        if out and out[-1][2] == r[2]:
+            out[-1] = (out[-1][0], out[-1][1] + r[1], r[2])
+        else:
+            out.append(r)
     return out
 
 
@@ -67,21 +87,18 @@ def _search_fill(
 
     Always fills the lowest-leftmost uncovered cell; the tile covering that
     cell must have its bottom-left corner there, so trying every distinct
-    tile dimension in each orientation is exhaustive.  The covered region
-    stays a histogram of column heights.
+    tile dimension in each orientation is exhaustive.  The covered region's
+    top edge is kept as maximal runs (x, width, height) of equal height,
+    so each step costs time in the number of runs (at most one per placed
+    tile, plus one), not in W.
     """
-    skyline = [0] * W
     placed: List[Tuple[int, int, int, bool]] = []
-    remaining = sum(counts)
 
-    def rec(remaining: int) -> bool:
+    def rec(runs: List[Tuple[int, int, int]], remaining: int) -> bool:
         if remaining == 0:
             return True
-        y = min(skyline)
-        x = skyline.index(y)
-        run = 0
-        while x + run < W and skyline[x + run] == y:
-            run += 1
+        k = min(range(len(runs)), key=lambda j: runs[j][2])
+        x, run, y = runs[k]
         free_h = H - y
         for i, (w, h) in enumerate(dims):
             if counts[i] == 0:
@@ -93,18 +110,14 @@ def _search_fill(
                 if pw > run or ph > free_h:
                     continue
                 counts[i] -= 1
-                for c in range(x, x + pw):
-                    skyline[c] = y + ph
                 placed.append((i, x, y, rot))
-                if rec(remaining - 1):
+                if rec(_raise_run(runs, k, pw, ph), remaining - 1):
                     return True
                 placed.pop()
-                for c in range(x, x + pw):
-                    skyline[c] = y
                 counts[i] += 1
         return False
 
-    return placed if rec(remaining) else None
+    return placed if rec([(0, W, 0)], sum(counts)) else None
 
 
 def enumerate_layouts(

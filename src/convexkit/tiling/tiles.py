@@ -44,18 +44,19 @@ class Tile:
 class TileSet:
     """Immutable collection of tiles with unique ids."""
 
-    __slots__ = ("tiles",)
+    __slots__ = ("tiles", "_by_id")
 
     def __init__(self, tiles: Iterable[Tile]):
         tiles = tuple(tiles)
         if not tiles:
             raise ValueError("a tile set needs at least one tile")
-        seen = set()
+        index = {}
         for t in tiles:
-            if t.id in seen:
+            if t.id in index:
                 raise ValueError(f"duplicate tile id {t.id}")
-            seen.add(t.id)
+            index[t.id] = t
         self.tiles = tiles
+        self._by_id = index
 
     def __len__(self):
         return len(self.tiles)
@@ -67,10 +68,7 @@ class TileSet:
         return self.tiles[i]
 
     def by_id(self, tile_id: int) -> Tile:
-        for t in self.tiles:
-            if t.id == tile_id:
-                return t
-        raise KeyError(tile_id)
+        return self._by_id[tile_id]
 
     @property
     def total_area(self) -> Rational:

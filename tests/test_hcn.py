@@ -1,16 +1,19 @@
 """Divisor-count record-setters and the strip-packing censuses they drive."""
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from convexkit.tiling import hcn as hcn_module
 from convexkit.tiling import (
     HcnContext,
     build_hcn_tileset,
     construct_width_layout,
     divisor_count,
-    divisor_sieve,
     divisors,
     hcn_context,
     hcn_layout_census,
@@ -35,8 +38,63 @@ RECORD_DIVISOR_COUNTS = [
 ]
 
 
+def divisor_sieve(limit: int) -> np.ndarray:
+    """Oracle: d[v] = number of divisors of v for v in 0..limit (d[0] unused)."""
+    d = np.zeros(limit + 1, dtype=np.uint16)
+    for i in range(1, limit + 1):
+        d[i::i] += 1
+    return d
+
+
+def sieve_records(d: np.ndarray) -> list:
+    body = d[1:].astype(np.int64)
+    prev_best = np.concatenate(([0], np.maximum.accumulate(body)[:-1]))
+    return (np.nonzero(body > prev_best)[0] + 1).tolist()
+
+
 def test_records_up_to_one_and_a_half_million():
     assert hcn_up_to(1_500_000) == RECORDS
+    assert sieve_records(divisor_sieve(1_500_000)) == RECORDS
+
+
+def test_records_match_the_sieve_at_every_small_limit():
+    d = divisor_sieve(5_000)
+    records = sieve_records(d)
+    for v in range(1, 5_001):
+        assert is_hcn(v) == (v in records)
+    for limit in (1, 2, 3, 5, 6, 7, 11, 12, 13, 100, 719, 720, 721, 5_000):
+        assert hcn_up_to(limit) == [n for n in records if n <= limit]
+
+
+def test_records_up_to_ten_to_the_eighteenth():
+    start = time.perf_counter()
+    records = hcn_up_to(10**18)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert len(records) == 156
+    assert records[: len(RECORDS)] == RECORDS
+    counts = [divisor_count(n) for n in records]
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+def test_is_hcn_needs_no_sieve():
+    assert not hasattr(hcn_module, "divisor_sieve")
+    tracemalloc.start()
+    try:
+        assert is_hcn(735134400)
+        assert not is_hcn(735134401)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert divisor_count(735134400) == 1344
+
+
+def test_records_need_a_positive_limit():
+    for limit in (0, -5):
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            hcn_up_to(limit)
+    assert not is_hcn(0)
 
 
 def test_record_divisor_counts():

@@ -1,9 +1,13 @@
 """Exhaustive tiling enumeration: known counts, witnesses, determinism."""
 
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexkit.tiling import (
     Tile,
@@ -13,6 +17,7 @@ from convexkit.tiling import (
     parse_tileset,
     verify_layout,
 )
+from convexkit.tiling.search import _search_fill
 
 
 def dims_of(results):
@@ -102,3 +107,105 @@ def test_enumeration_is_deterministic():
     a = enumerate_layouts(ts)
     b = enumerate_layouts(ts)
     assert a == b
+
+
+sides = st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(sides, sides), min_size=1, max_size=5),
+    st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
+    st.booleans(),
+)
+def test_scaling_the_tiles_scales_every_result(dims, q, allow_rotation):
+    ts = TileSet([Tile(k + 1, w, h) for k, (w, h) in enumerate(dims)])
+    scaled = TileSet([Tile(k + 1, w * q, h * q) for k, (w, h) in enumerate(dims)])
+    base = enumerate_layouts(ts, allow_rotation)
+    grown = enumerate_layouts(scaled, allow_rotation)
+    assert len(grown) == len(base)
+    for a, b in zip(base, grown):
+        assert (b.width, b.height) == (a.width * q, a.height * q)
+        assert b.layout.target_width == b.width and b.layout.target_height == b.height
+        assert [(p.tile_id, p.rotated) for p in b.layout.placements] == [
+            (p.tile_id, p.rotated) for p in a.layout.placements
+        ]
+        assert [(p.x, p.y) for p in b.layout.placements] == [
+            (p.x * q, p.y * q) for p in a.layout.placements
+        ]
+        assert verify_layout(scaled, b.layout) is None
+
+
+def test_pair_near_one_thousand_answers_at_once():
+    # lcm of the denominators is 988,027: the scaled area is about 2e9 and
+    # the width about 1e6 grid units.
+    ts = parse_tileset("1/997 1\n1 1/991\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        results = enumerate_layouts(ts)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dims_of(results) == [(1, Fraction(1988, 988027))]
+    assert verify_layout(ts, results[0].layout) is None
+    assert elapsed < 1.0
+    assert peak < 16 << 20
+
+
+def grid_search_fill(dims, counts, W, H, allow_rotation):
+    """Reference: the skyline as one height per grid column."""
+    skyline = [0] * W
+    placed = []
+
+    def rec(remaining):
+        if remaining == 0:
+            return True
+        y = min(skyline)
+        x = skyline.index(y)
+        run = 0
+        while x + run < W and skyline[x + run] == y:
+            run += 1
+        free_h = H - y
+        for i, (w, h) in enumerate(dims):
+            if counts[i] == 0:
+                continue
+            for rot in (False, True):
+                if rot and (not allow_rotation or w == h):
+                    continue
+                pw, ph = (h, w) if rot else (w, h)
+                if pw > run or ph > free_h:
+                    continue
+                counts[i] -= 1
+                for c in range(x, x + pw):
+                    skyline[c] = y + ph
+                placed.append((i, x, y, rot))
+                if rec(remaining - 1):
+                    return True
+                placed.pop()
+                for c in range(x, x + pw):
+                    skyline[c] = y
+                counts[i] += 1
+        return False
+
+    return placed if rec(sum(counts)) else None
+
+
+def test_run_skyline_places_like_the_grid_skyline():
+    rng = random.Random(11)
+    compared = found = 0
+    for _ in range(300):
+        dims = sorted({(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))})
+        counts = [rng.randint(1, 2) for _ in dims]
+        area = sum(c * w * h for c, (w, h) in zip(counts, dims))
+        for W in range(1, area + 1):
+            if area % W:
+                continue
+            for rotation in (False, True):
+                want = grid_search_fill(dims, list(counts), W, area // W, rotation)
+                got = _search_fill(dims, list(counts), W, area // W, rotation)
+                assert got == want
+                compared += 1
+                found += want is not None
+    assert compared > 2000 and found > 500

@@ -103,6 +103,15 @@ def test_tileset_rejects_duplicate_ids():
         TileSet([Tile(1, Fraction(1), Fraction(1)), Tile(1, Fraction(2), Fraction(1))])
 
 
+def test_tileset_by_id():
+    tiles = [Tile(tid, Fraction(tid), Fraction(1)) for tid in (7, 3, 12)]
+    ts = TileSet(tiles)
+    assert [ts.by_id(tid) for tid in (3, 7, 12)] == [tiles[1], tiles[0], tiles[2]]
+    with pytest.raises(KeyError) as err:
+        ts.by_id(4)
+    assert err.value.args == (4,)
+
+
 def two_units():
     return TileSet([Tile(1, Fraction(1), Fraction(1)), Tile(2, Fraction(1), Fraction(1))])
 
