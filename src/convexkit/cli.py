@@ -190,6 +190,15 @@ def ratio_arg(text: str) -> RatioTarget:
         raise UsageError(str(e)) from None
 
 
+def check_grid(args, least: int) -> None:
+    """--samples below `least`, or a --tol that is not positive, is a usage
+    error: the solvers would answer from an empty or degenerate grid."""
+    if args.samples < least:
+        raise UsageError(f"--samples must be at least {least}, got {args.samples}")
+    if hasattr(args, "tol") and not args.tol > 0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
+
+
 # ---------------------------------------------------------------- handlers
 
 Handler = Tuple[bool, dict, Dict[str, str], List[str]]
@@ -362,6 +371,7 @@ def cmd_tiling_split(args) -> Handler:
 
 
 def cmd_fairpart_profile(args) -> Handler:
+    check_grid(args, 4)
     poly = parse_shape(args.shape)
     target = ratio_arg(args.ratio)
     profile = perimeter_ratio_profile(poly, target, samples=args.samples)
@@ -388,6 +398,7 @@ def cmd_fairpart_profile(args) -> Handler:
 
 
 def cmd_fairpart_solve(args) -> Handler:
+    check_grid(args, 4)
     poly = parse_shape(args.shape)
     target = ratio_arg(args.ratio)
     res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples)
@@ -425,6 +436,9 @@ def cmd_fairpart_solve(args) -> Handler:
 
 
 def cmd_fairpart_disc(args) -> Handler:
+    check_grid(args, 4)
+    if args.ngon and args.ngon < 3:
+        raise UsageError(f"--ngon must be 0 (skip) or at least 3, got {args.ngon}")
     target = ratio_arg(args.ratio)
     chord = disc_chord_analysis(target)
     report = {
@@ -456,6 +470,7 @@ def cmd_fairpart_disc(args) -> Handler:
 
 
 def cmd_fairpart_band(args) -> Handler:
+    check_grid(args, 1)
     w, h = parse_rect(args.shape)
     target = ratio_arg(args.ratio)
     res = solve_band(float(w), float(h), target, tol=args.tol, samples=args.samples)

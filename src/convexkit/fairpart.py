@@ -8,6 +8,14 @@ ratio of the two pieces becomes a continuous function of theta.  A scaled
 fair cut is an angle where that ratio hits sqrt(a/b), the value forced when
 the two pieces are similar.
 
+Costs for an m-vertex polygon: `split` is O(m) and the single-angle
+`solve_offset_for_area` O(m log m).  `perimeter_ratio_profile`,
+`find_scaled_fair_cut` and `equal_fair_cut` sample K angles with one chord
+sweep, which carries the cut's two boundary edges from angle to angle:
+O(m) set-up, then O(m + K) for the whole grid, in O(m) memory.  Each
+bisection step of a refinement walks from its bracket's left end, O(1)
+when the grid is fine against m.
+
 The band family at the end is an explicit one-parameter family of
 non-straight partitions of a rectangle: piece one is the set of points
 within distance t of a boundary arc of length s * perimeter that starts
@@ -18,7 +26,6 @@ meet the area target.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -208,17 +215,163 @@ class ProfilePoint:
     rho: float
 
 
-def _profile_point(c: ConvexPolygon, target: RatioTarget, theta: float) -> ProfilePoint:
-    cut = solve_offset_for_area(c, theta, target.fraction)
-    V = np.asarray(c.vertices, dtype=float)
-    area_a, perim_a, chord = _cut_metrics(V, np.array(cut.normal), cut.offset)
-    total_a, total_p = c.area, c.perimeter
-    area_b = total_a - area_a
-    perim_b = total_p - perim_a + 2.0 * chord
-    return ProfilePoint(
-        cut.theta, cut.offset, area_a, area_b, perim_a, perim_b, chord,
-        perim_a / perim_b,
-    )
+class _ChordSweep:
+    """The cut holding a fixed area fraction of one convex polygon, at
+    increasing angles.
+
+    The boundary below the cut is the arc v[i+1..j]: edge i enters it
+    (falling) and edge j leaves it (rising).  For a fixed arc, the area
+    below a level is a prefix difference of shoelace terms plus the two end
+    triangles and the chord term, and the boundary length is a prefix
+    difference plus the two partial edges: O(1) per level.  As theta grows
+    both ends of the cut move counterclockwise around the boundary (two
+    nearby chords of equal area cross), so i and j are carried from angle
+    to angle, stepping along the two monotone chains from the lowest vertex
+    b to the highest t.  The final bracket [max(u_i+1, u_j), min(u_i, u_j+1)]
+    is the pair of consecutive vertex levels that `solve_offset_for_area`
+    finds by bisection, and the same three-point quadratic gives the offset.
+
+    K increasing angles cost O(m + K) after O(m) set-up, in O(m) memory.
+    `state` is (b, t, i, j) at the last angle; assigning an earlier state
+    walks the next angle from there.
+    """
+
+    def __init__(self, c: ConvexPolygon, fraction: float):
+        V = list(c.vertices)
+        m = len(V)
+        ring = V + V + V[:1]
+        self.m = m
+        self.xs = [p[0] for p in V]
+        self.ys = [p[1] for p in V]
+        self.edges = [math.dist(p, q) for p, q in zip(V, ring[1:])]
+        # prefix sums of the shoelace terms and the edge lengths, over the
+        # ring doubled once so that every arc is one difference
+        self.cross = [0.0]
+        self.length = [0.0]
+        for k, (p, q) in enumerate(zip(ring, ring[1:])):
+            self.cross.append(self.cross[-1] + (p[0] * q[1] - p[1] * q[0]))
+            self.length.append(self.length[-1] + self.edges[k % m])
+        self.want = fraction * c.area
+        self.area = c.area
+        self.perimeter = c.perimeter
+        self.state: Optional[Tuple[int, int, int, int]] = None
+
+    def _cut(self, i: int, j: int, ui, ui1, uj, uj1, level: float):
+        """Area, boundary length and chord of the part below `level`, when
+        v[i+1..j] is the part of the boundary below it; ui .. uj1 are the
+        levels of v_i, v_i+1, v_j, v_j+1."""
+        m, xs, ys = self.m, self.xs, self.ys
+        p, q, r, s = i % m, (i + 1) % m, j % m, (j + 1) % m
+        # the shares of edges i and j below the level; a flat end edge lies
+        # on the level, so either end of it closes the same area
+        share_in = (level - ui1) / (ui - ui1) if ui > ui1 else 0.0
+        share_out = (level - uj) / (uj1 - uj) if uj1 > uj else 0.0
+        ex = xs[q] + share_in * (xs[p] - xs[q])
+        ey = ys[q] + share_in * (ys[p] - ys[q])
+        fx = xs[r] + share_out * (xs[s] - xs[r])
+        fy = ys[r] + share_out * (ys[s] - ys[r])
+        # the arc's edges i+1 .. j-1, read off the doubled ring
+        start = q
+        stop = start + (j - i - 1)
+        area = 0.5 * (
+            self.cross[stop] - self.cross[start]
+            + (ex * ys[q] - ey * xs[q]) + (xs[r] * fy - ys[r] * fx) + (fx * ey - fy * ex)
+        )
+        chord = math.hypot(fx - ex, fy - ey)
+        perim = (
+            self.length[stop] - self.length[start]
+            + share_in * self.edges[p] + share_out * self.edges[r] + chord
+        )
+        return area, perim, chord
+
+    def point(self, theta: float) -> ProfilePoint:
+        """The profile point at theta, walked from `state`, whose angle must
+        lie less than a half turn below theta."""
+        m, xs, ys, want = self.m, self.xs, self.ys, self.want
+        n0, n1 = -math.sin(theta), math.cos(theta)
+
+        def u(k: int) -> float:
+            k %= m
+            return xs[k] * n0 + ys[k] * n1
+
+        if self.state is None:
+            b = min(range(m), key=u)
+            t = max(range(b, b + m), key=u)
+            i, j = b - 1, b
+        else:
+            b, t, i, j = self.state
+            while u(t + 1) > u(t):
+                t += 1
+            while u(b + 1) < u(b):
+                b += 1
+            # keep the arc's ends on the chains t-m..b and b..t
+            j, i = max(j, b), max(i, t - m)
+            # turning lifts the arc's left end against the right chain
+            while u(j + 1) < u(i + 1):
+                j += 1
+            while j > b and u(j) > u(i):
+                j -= 1
+
+        def cut(level: float):
+            return self._cut(i, j, u(i), u(i + 1), u(j), u(j + 1), level)
+
+        # drop the higher arc end while the area below it reaches the
+        # target, then take the lower outside vertex while it falls short
+        while j > i + 1:
+            if cut(max(u(i + 1), u(j)))[0] < want:
+                break
+            if u(j) >= u(i + 1):
+                j -= 1
+            else:
+                i += 1
+        while j - i < m - 1:
+            if cut(min(u(i), u(j + 1)))[0] >= want:
+                break
+            if u(j + 1) <= u(i):
+                j += 1
+            else:
+                i -= 1
+
+        lo, hi = max(u(i + 1), u(j)), min(u(i), u(j + 1))
+        area_lo = cut(lo)[0]
+        offset = lo
+        # when two vertex levels tie (a diagonal through two vertices), the
+        # area at lo may round up to the target: the cut then runs at lo
+        if area_lo < want:
+            x = rising_quadratic_root(area_lo, cut(0.5 * (lo + hi))[0], cut(hi)[0], want)
+            offset = lo + x * (hi - lo)
+        area_a, perim_a, chord = cut(offset)
+        if b >= m:
+            b, t, i, j = b - m, t - m, i - m, j - m
+        self.state = (b, t, i, j)
+        perim_b = self.perimeter - perim_a + 2.0 * chord
+        return ProfilePoint(
+            theta, offset, area_a, self.area - area_a, perim_a, perim_b, chord,
+            perim_a / perim_b,
+        )
+
+    def scan(self, thetas: List[float]) -> Tuple[List[ProfilePoint], list]:
+        """The points at increasing angles, and the state after each."""
+        points, states = [], []
+        for theta in thetas:
+            points.append(self.point(theta))
+            states.append(self.state)
+        return points, states
+
+    def walker(self, state):
+        """theta -> the point at theta, each walked from the given state."""
+
+        def at(theta: float) -> ProfilePoint:
+            self.state = state
+            return self.point(theta)
+
+        return at
+
+
+def _angle_grid(samples: int) -> List[float]:
+    if samples < 4:
+        raise ValueError("need at least 4 angle samples")
+    return [j * math.pi / samples for j in range(samples)]
 
 
 def perimeter_ratio_profile(
@@ -226,12 +379,11 @@ def perimeter_ratio_profile(
 ) -> List[ProfilePoint]:
     """rho(theta) on the uniform angle grid j*pi/samples, j = 0..samples-1.
     Piece a always carries the smaller area share, so rho is continuous
-    and pi-periodic in theta."""
-    if samples < 4:
-        raise ValueError("need at least 4 angle samples")
-    return [
-        _profile_point(c, target, j * math.pi / samples) for j in range(samples)
-    ]
+    on [0, pi).  Towards pi, piece a becomes the share on the other side of
+    the theta = 0 cut, so rho tends to rho(0) only for a centrally
+    symmetric region (to 1/rho(0) when a = b).  One chord sweep: O(m + samples) for m vertices, in
+    O(m) memory."""
+    return _ChordSweep(c, target.fraction).scan(_angle_grid(samples))[0]
 
 
 @dataclass(frozen=True)
@@ -256,7 +408,12 @@ def find_scaled_fair_cut(
     tol: float = 1e-9,
     samples: int = 720,
 ) -> FairCutResult:
-    prof = perimeter_ratio_profile(c, target, samples)
+    """Sample rho on the grid of `perimeter_ratio_profile` and bisect the
+    first sign change of rho - sqrt(a/b).  The scan is one chord sweep,
+    O(m + samples); each bisection step walks from the bracket's left end,
+    O(1) when the grid is fine against the vertex count."""
+    sweep = _ChordSweep(c, target.fraction)
+    prof, states = sweep.scan(_angle_grid(samples))
     rhos = [p.rho for p in prof]
     want = target.rho
     rho_min, rho_max = min(rhos), max(rhos)
@@ -273,11 +430,11 @@ def find_scaled_fair_cut(
         if g0 == 0.0 or g0 * g1 >= 0:
             continue
         sign = 1.0 if g0 < 0 else -1.0
-        point = functools.cache(lambda theta: _profile_point(c, target, theta))
+        point = sweep.walker(states[j])
         theta = bisect_root(
             lambda t: sign * (point(t).rho - want), j * step, (j + 1) * step, ftol=tol
         )
-        pm = point(theta)  # a cache hit when a midpoint met tol
+        pm = point(theta)
         if abs(pm.rho - want) <= tol:
             return FairCutResult(
                 True, LineCut(pm.theta, pm.offset), pm.rho, rho_min, rho_max, pm.theta
@@ -314,27 +471,28 @@ def equal_fair_cut(c: ConvexPolygon, samples: int = 720, tol: float = 1e-9) -> L
     """A straight cut that halves the area and the perimeter simultaneously.
     At the area-halving offset the perimeter difference g(theta) flips sign
     between theta and theta + pi (same line, swapped labels), so a zero of g
-    exists in [0, pi]; scan then bisect."""
-    half = RatioTarget(1, 1)
-
-    def g(theta: float) -> float:
-        p = _profile_point(c, half, theta)
-        return p.perimeter_a - p.perimeter_b
-
-    scale = c.perimeter
+    exists in [0, pi]; scan then bisect.  The scan is one chord sweep at
+    fraction 1/2, O(m + samples); each bisection step walks from the
+    bracket's left end."""
+    sweep = _ChordSweep(c, 0.5)
     thetas = [j * math.pi / samples for j in range(samples + 1)]
-    vals = [g(t) for t in thetas]
-    for v, t in zip(vals, thetas):
+    points, states = sweep.scan(thetas)
+    vals = [p.perimeter_a - p.perimeter_b for p in points]
+    scale = c.perimeter
+    for v, p in zip(vals, points):
         if abs(v) <= tol * scale:
-            p = _profile_point(c, half, t)
             return LineCut(p.theta, p.offset)
     for j in range(samples):
         if vals[j] * vals[j + 1] < 0:
             sign = 1.0 if vals[j] < 0 else -1.0
-            theta = bisect_root(
-                lambda t: sign * g(t), thetas[j], thetas[j + 1], ftol=tol * scale
-            )
-            p = _profile_point(c, half, theta)
+            point = sweep.walker(states[j])
+
+            def g(theta: float) -> float:
+                p = point(theta)
+                return sign * (p.perimeter_a - p.perimeter_b)
+
+            theta = bisect_root(g, thetas[j], thetas[j + 1], ftol=tol * scale)
+            p = point(theta)
             return LineCut(p.theta, p.offset)
     raise ArithmeticError("no sign change found; perimeter difference not continuous?")
 

@@ -200,14 +200,24 @@ def verify_layout(ts: TileSet, layout: Layout) -> Optional[DefectReport]:
         return DefectReport("area-mismatch", f"tile area {total} != target area {W * H}")
 
     # Plane sweep over x: between consecutive edge abscissas every tile either
-    # spans the whole slab or misses it, so the y-intervals must partition [0, H].
+    # spans the whole slab or misses it, so the y-intervals must partition
+    # [0, H].  The tiles spanning a slab are those begun at or before its left
+    # end and not ended there; the active set follows the tiles sorted by
+    # start and by end, so each slab costs the sort of its own spans, not a
+    # scan of every tile.
     xs = sorted({Fraction(0), W, *(r[1] for r in rects), *(r[3] for r in rects)})
+    starts = sorted(rects, key=lambda r: r[1])
+    ends = sorted(rects, key=lambda r: r[3])
+    active = set()
+    k = e = 0
     for x0, x1 in zip(xs, xs[1:]):
-        if x0 == x1:
-            continue
-        spans = sorted(
-            (r[2], r[4], r[0]) for r in rects if r[1] <= x0 and r[3] >= x1
-        )
+        while k < len(starts) and starts[k][1] <= x0:
+            active.add((starts[k][2], starts[k][4], starts[k][0]))
+            k += 1
+        while e < len(ends) and ends[e][3] <= x0:
+            active.discard((ends[e][2], ends[e][4], ends[e][0]))
+            e += 1
+        spans = sorted(active)
         cur = Fraction(0)
         prev_id = None
         for y0, y1, tid in spans:

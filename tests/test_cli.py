@@ -221,6 +221,34 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fairpart", "disc", "--ratio", "1:3", "--ngon", "2"], "--ngon must be 0"),
+        (["fairpart", "disc", "--ratio", "1:3", "--ngon", "-5"], "--ngon must be 0"),
+        (["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--samples", "0"],
+         "--samples must be at least 1"),
+        (["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--tol", "-1"],
+         "--tol must be positive"),
+        (["fairpart", "disc", "--ratio", "1:3", "--tol", "0"], "--tol must be positive"),
+        (["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--tol", "nan"],
+         "--tol must be positive"),
+        (["fairpart", "profile", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
+         "--samples must be at least 4"),
+        (["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
+         "--samples must be at least 4"),
+        (["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--samples", "3"],
+         "--samples must be at least 4"),
+    ],
+)
+def test_fairpart_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
+    # exit 2 even under --expect-infeasible: a bad input is no negative answer
+    for extra in ([], ["--expect-infeasible"]):
+        assert main(argv + extra + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_fairpart_disc(tmp_path):
     rc, report, _ = run(tmp_path, "fairpart", "disc", "--ratio", "1:3")
     assert rc == 1

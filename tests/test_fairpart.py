@@ -8,11 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel import ConvexPolygon, convex_hull, rectangle, regular_ngon
+import convexkit.fairpart as fairpart
+from convexkit.kernel import ConvexPolygon, convex_hull, diameter, rectangle, regular_ngon
 from convexkit.fairpart import (
     LineCut,
     RatioTarget,
-    _profile_point,
+    _ChordSweep,
+    _angle_grid,
     disc_chord_analysis,
     equal_fair_cut,
     find_scaled_fair_cut,
@@ -183,19 +185,39 @@ def test_solve_offset_rejects_degenerate_fraction():
             solve_offset_for_area(rect, 0.0, bad)
 
 
+def _check_sweep_point(c, fraction, p):
+    """The sweep's point p matches the oracle: the offset that
+    solve_offset_for_area solves, and the pieces that split builds from
+    it."""
+    cut = solve_offset_for_area(c, p.theta, fraction)
+    sr = split(c, cut)
+    assert abs(p.offset - cut.offset) <= 1e-12 * diameter(c)
+    assert abs(p.perimeter_a - sr.perimeter_a) <= 1e-12 * c.perimeter
+    assert abs(p.perimeter_b - sr.perimeter_b) <= 1e-12 * c.perimeter
+    assert abs(p.cut_length - sr.cut_length) <= 1e-12 * c.perimeter
+
+
 def _check_exact_cut(c, target, theta):
-    """The solved cut holds the target area, and the profile point's
-    perimeters and chord match the pieces that split builds."""
+    """The solved cut holds the target area, and the sweep's point at theta
+    matches it, both when the sweep starts at theta and when it walks there
+    from earlier angles."""
     with np.errstate(all="raise"):
         cut = solve_offset_for_area(c, theta, target.fraction)
         sr = split(c, cut)
-        p = _profile_point(c, target, theta)
+        points = []
+        for lead in (0.0, 0.01, 0.5, 3.0):
+            sweep = _ChordSweep(c, target.fraction)
+            if lead:
+                sweep.point(theta - lead)
+            points.append(sweep.point(theta))
     assert abs(sr.area_a - target.fraction * c.area) <= 1e-12 * c.area
-    assert abs(p.perimeter_a - sr.perimeter_a) <= 1e-12
-    assert abs(p.perimeter_b - sr.perimeter_b) <= 1e-12
     chord = 0.5 * (sr.perimeter_a + sr.perimeter_b - c.perimeter)
-    assert abs(p.cut_length - chord) <= 1e-12
     assert abs(sr.cut_length - chord) <= 1e-12
+    for p in points:
+        assert abs(p.offset - cut.offset) <= 1e-12 * diameter(c)
+        assert abs(p.perimeter_a - sr.perimeter_a) <= 1e-12
+        assert abs(p.perimeter_b - sr.perimeter_b) <= 1e-12
+        assert abs(p.cut_length - chord) <= 1e-12
 
 
 @pytest.mark.parametrize("target", [RatioTarget(1, 3), RatioTarget(1, 1)])
@@ -218,6 +240,15 @@ def test_exact_cut_through_a_vertex():
     assert solve_offset_for_area(triangle, math.pi / 2, 0.5).offset == pytest.approx(-1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [4, 26, 30])
+def test_exact_cut_along_diagonals_of_even_ngons(n):
+    # at 1:1 the cut at an even multiple of pi/n runs through two opposite
+    # vertices, whose levels tie up to rounding
+    c = regular_ngon(n)
+    for k in range(n):
+        _check_exact_cut(c, RatioTarget(1, 1), k * math.pi / n)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     polar=st.lists(
@@ -238,6 +269,62 @@ def test_exact_cut_holds_the_area_on_random_polygons(polar, theta, fraction):
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         sr = split(c, solve_offset_for_area(c, theta, fraction))
     assert abs(sr.area_a - fraction * c.area) <= 1e-12 * c.area
+
+
+def _grid_shapes():
+    rect = st.builds(rectangle, st.floats(0.05, 20.0), st.floats(0.05, 20.0))
+    ngon = st.builds(
+        regular_ngon, st.one_of(st.integers(3, 40), st.sampled_from([64, 255, 1024, 4096]))
+    )
+    hull = st.lists(
+        st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.5, 3.0)), min_size=3, max_size=40
+    ).map(lambda polar: convex_hull([(r * math.cos(a), r * math.sin(a)) for a, r in polar]))
+    return st.one_of(rect, ngon, hull)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    shape=_grid_shapes(),
+    target=st.one_of(
+        st.sampled_from([RatioTarget(1, 1), RatioTarget(1, 3)]),
+        st.builds(RatioTarget, st.integers(1, 20), st.integers(1, 20)),
+    ),
+    samples=st.integers(4, 40),
+)
+def test_sweep_matches_the_offset_oracle_at_every_grid_angle(shape, target, samples):
+    if isinstance(shape, ConvexPolygon):
+        c = shape
+    else:
+        assume(len(shape) >= 3)
+        try:
+            c = ConvexPolygon(shape)
+        except ValueError:
+            assume(False)
+        assume(c.area >= 0.05)
+    points, _ = _ChordSweep(c, target.fraction).scan(_angle_grid(samples))
+    for p in points:
+        _check_sweep_point(c, target.fraction, p)
+
+
+def test_profile_and_fair_cuts_make_at_most_one_offset_solve(monkeypatch):
+    calls = []
+    oracle = fairpart.solve_offset_for_area
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(fairpart, "solve_offset_for_area", counted)
+    rect, target = rectangle(4, 1), RatioTarget(1, 3)
+    for run in (
+        lambda: perimeter_ratio_profile(rect, target),
+        lambda: find_scaled_fair_cut(rect, target),  # found by bisection
+        lambda: find_scaled_fair_cut(regular_ngon(256), target),
+        lambda: equal_fair_cut(ConvexPolygon([(0, 0), (4, 0), (0, 3)])),
+    ):
+        calls.clear()
+        run()
+        assert len(calls) <= 1
 
 
 def test_profile_is_sampled_lipschitz():

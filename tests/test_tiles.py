@@ -1,11 +1,15 @@
 """Tile file parsing, exact layout verification, and split extensions."""
 
 import os
+import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from convexkit.tiling import (
+    DefectReport,
     Layout,
     Placement,
     Tile,
@@ -263,3 +267,96 @@ def test_layout_json_rotated_must_be_boolean():
         again = layout_from_json(layout_to_json(layout))
         assert again == layout
         assert again.placements[0].rotated is flag
+
+
+def verify_by_full_scan(ts, layout):
+    """The verifier's bounds check and its former plane sweep, which scans
+    every tile for every slab: the oracle for the active-set sweep on
+    layouts that use every tile once and match the target area."""
+    W, H = layout.target_width, layout.target_height
+    rects = []
+    for p in layout.placements:
+        x0, y0, x1, y1 = layout.placed_rect(ts, p)
+        if x0 < 0 or y0 < 0 or x1 > W or y1 > H:
+            return DefectReport(
+                "out-of-bounds",
+                f"tile {p.tile_id} occupies [{x0},{x1}]x[{y0},{y1}] outside {W}x{H}",
+            )
+        rects.append((p.tile_id, x0, y0, x1, y1))
+    xs = sorted({Fraction(0), W, *(r[1] for r in rects), *(r[3] for r in rects)})
+    for x0, x1 in zip(xs, xs[1:]):
+        spans = sorted((r[2], r[4], r[0]) for r in rects if r[1] <= x0 and r[3] >= x1)
+        cur = Fraction(0)
+        prev_id = None
+        for y0, y1, tid in spans:
+            if y0 > cur:
+                return DefectReport(
+                    "gap", f"uncovered region near x in ({x0},{x1}), y in ({cur},{y0})"
+                )
+            if y0 < cur:
+                return DefectReport(
+                    "overlap",
+                    f"tiles {prev_id} and {tid} overlap near x in ({x0},{x1}), y={y0}",
+                )
+            cur, prev_id = y1, tid
+        if cur != H:
+            return DefectReport(
+                "gap", f"uncovered region near x in ({x0},{x1}), y in ({cur},{H})"
+            )
+    return None
+
+
+def guillotine_layout(rng, pieces):
+    """A random perfect tiling: cut rectangles along a grid of step q until
+    there are `pieces` of them (or none can be cut), then place each piece
+    as a tile, some rotated."""
+    q = Fraction(1, rng.choice([1, 2, 3]))
+    W, H = Fraction(rng.randint(4, 12)), Fraction(rng.randint(4, 12))
+    rects = [(Fraction(0), Fraction(0), W, H)]
+    for _ in range(pieces - 1):
+        x0, y0, x1, y1 = rects.pop(rng.randrange(len(rects)))
+        nx, ny = int((x1 - x0) / q), int((y1 - y0) / q)
+        if nx > 1 and (ny == 1 or rng.random() < 0.5):
+            cut = x0 + q * rng.randint(1, nx - 1)
+            rects += [(x0, y0, cut, y1), (cut, y0, x1, y1)]
+        elif ny > 1:
+            cut = y0 + q * rng.randint(1, ny - 1)
+            rects += [(x0, y0, x1, cut), (x0, cut, x1, y1)]
+        else:
+            rects.append((x0, y0, x1, y1))
+    tiles, placements = [], []
+    for tid, (x0, y0, x1, y1) in enumerate(rects, start=1):
+        rotated = rng.random() < 0.3
+        w, h = x1 - x0, y1 - y0
+        tiles.append(Tile(tid, h, w) if rotated else Tile(tid, w, h))
+        placements.append(Placement(tid, x0, y0, rotated))
+    rng.shuffle(placements)
+    return TileSet(tiles), Layout(W, H, tuple(placements))
+
+
+def test_active_set_sweep_matches_the_full_scan():
+    rng = random.Random(7)
+    kinds = Counter()
+    for _ in range(300):
+        ts, layout = guillotine_layout(rng, rng.randint(1, 25))
+        assert verify_layout(ts, layout) is None
+        assert verify_by_full_scan(ts, layout) is None
+        # move one tile: a gap and an overlap, or a tile out of bounds
+        ps = list(layout.placements)
+        k = rng.randrange(len(ps))
+        dx, dy = (Fraction(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(2))
+        ps[k] = Placement(ps[k].tile_id, ps[k].x + dx, ps[k].y + dy, ps[k].rotated)
+        moved = Layout(layout.target_width, layout.target_height, tuple(ps))
+        rep = verify_layout(ts, moved)
+        assert rep == verify_by_full_scan(ts, moved)
+        kinds[rep.kind if rep else None] += 1
+    assert {"gap", "overlap", "out-of-bounds"} <= set(kinds)
+
+
+def test_verify_a_long_row_is_fast():
+    n = 4000
+    ts = TileSet([Tile(i, Fraction(1), Fraction(1)) for i in range(1, n + 1)])
+    row = Layout(Fraction(n), Fraction(1), tuple(Placement(i, Fraction(i - 1), Fraction(0)) for i in range(1, n + 1)))
+    t0 = time.perf_counter()
+    assert verify_layout(ts, row) is None
+    assert time.perf_counter() - t0 < 1.0
