@@ -10,7 +10,7 @@ produce byte-identical files.
 
 Exit codes: 0 success, 1 the computed answer is "infeasible / not found"
 (inverted by --expect-infeasible for scripted conjecture checks), 2 usage
-or input-file errors.
+or input-file errors and instances beyond a program limit.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .polyhedra import (
 )
 from .tiling import (
     TileFileError,
+    UnsupportedInstance,
     enumerate_layouts,
     hcn_context,
     hcn_layout_census,
@@ -277,7 +278,7 @@ def cmd_tiling_enumerate(args) -> Handler:
 
 
 def cmd_tiling_search_iso(args) -> Handler:
-    res = search_isoperimetric(args.n, limit=args.limit, seed=args.seed)
+    res = search_isoperimetric(args.n, limit=args.limit)
     report = {
         "command": "tiling search-iso",
         "n": res.n,
@@ -695,14 +696,10 @@ def cmd_poly_compare(args) -> Handler:
 # ---------------------------------------------------------------- plumbing
 
 
-def _add_common(
-    p: argparse.ArgumentParser, seed: bool = False, svg: bool = False, obj: bool = False
-) -> None:
-    """The flags every subcommand takes, plus --seed, --svg and --obj on
-    the subcommands whose handler reads them."""
+def _add_common(p: argparse.ArgumentParser, svg: bool = False, obj: bool = False) -> None:
+    """The flags every subcommand takes, plus --svg and --obj on the
+    subcommands whose handler reads them."""
     p.add_argument("--out", default=".", help="directory for report.json and artifacts")
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="random seed for search loops")
     if svg:
         p.add_argument("--svg", action="store_true", help="emit SVG drawings")
     if obj:
@@ -739,7 +736,8 @@ def build_parser() -> argparse.ArgumentParser:
     ti = tsub.add_parser("search-iso", help="search unit-semiperimeter floorplans with distinct areas")
     ti.add_argument("--n", type=int, required=True)
     ti.add_argument("--limit", type=int, default=None, help="stop after this many witnesses")
-    _add_common(ti, seed=True, svg=True)
+    ti.add_argument("--seed", type=int, default=0, help="no effect; the search is deterministic")
+    _add_common(ti, svg=True)
 
     th = tsub.add_parser("hcn", help="divisor records, or the layout census of a record-number tile set")
     th.add_argument("--limit", type=int, default=None, help="list divisor records up to this bound")
@@ -865,6 +863,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except UnsupportedInstance as e:
+        print(f"unsupported instance: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         # domain rejection from a module precondition: a negative answer

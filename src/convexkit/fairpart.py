@@ -402,45 +402,47 @@ class FairCutResult:
     theta: Optional[float] = None
 
 
+def _grid_root(sweep: _ChordSweep, samples: int, value, ftol: float):
+    """Scan the closed grid j*pi/samples, j = 0..samples, with one sweep and
+    return its points and a point where |value| <= ftol, or None: the grid
+    point of least |value| below pi, or else the bisection of the first
+    sign change.  A cut at theta = pi is the theta = 0 line with its pieces
+    swapped, so the grid point pi is only ever a bracket end."""
+    points, states = sweep.scan(_angle_grid(samples) + [math.pi])
+    vals = [value(p) for p in points]
+    best = min(range(samples), key=lambda j: abs(vals[j]))
+    if abs(vals[best]) <= ftol:
+        return points, points[best]
+    for j in range(samples):
+        if vals[j] == 0.0 or vals[j] * vals[j + 1] > 0:
+            continue
+        sign = 1.0 if vals[j] < 0 else -1.0
+        point = sweep.walker(states[j])
+        theta = bisect_root(
+            lambda t: sign * value(point(t)), points[j].theta, points[j + 1].theta, ftol=ftol
+        )
+        p = point(theta)
+        return points, (p if abs(value(p)) <= ftol else None)
+    return points, None
+
+
 def find_scaled_fair_cut(
     c: ConvexPolygon,
     target: RatioTarget,
     tol: float = 1e-9,
     samples: int = 720,
 ) -> FairCutResult:
-    """Sample rho on the grid of `perimeter_ratio_profile` and bisect the
-    first sign change of rho - sqrt(a/b).  The scan is one chord sweep,
-    O(m + samples); each bisection step walks from the bracket's left end,
-    O(1) when the grid is fine against the vertex count."""
-    sweep = _ChordSweep(c, target.fraction)
-    prof, states = sweep.scan(_angle_grid(samples))
-    rhos = [p.rho for p in prof]
-    want = target.rho
-    rho_min, rho_max = min(rhos), max(rhos)
-
-    best_j = min(range(samples), key=lambda j: abs(rhos[j] - want))
-    if abs(rhos[best_j] - want) <= tol:
-        p = prof[best_j]
-        return FairCutResult(True, LineCut(p.theta, p.offset), p.rho, rho_min, rho_max, p.theta)
-
-    step = math.pi / samples
-    for j in range(samples):
-        g0 = rhos[j] - want
-        g1 = rhos[(j + 1) % samples] - want
-        if g0 == 0.0 or g0 * g1 >= 0:
-            continue
-        sign = 1.0 if g0 < 0 else -1.0
-        point = sweep.walker(states[j])
-        theta = bisect_root(
-            lambda t: sign * (point(t).rho - want), j * step, (j + 1) * step, ftol=tol
-        )
-        pm = point(theta)
-        if abs(pm.rho - want) <= tol:
-            return FairCutResult(
-                True, LineCut(pm.theta, pm.offset), pm.rho, rho_min, rho_max, pm.theta
-            )
-        break
-    return FairCutResult(False, None, None, rho_min, rho_max)
+    """Sample rho on the closed grid j*pi/samples, j = 0..samples, and
+    bisect the first sign change of rho - sqrt(a/b).  rho need not return
+    to rho(0) at pi (see `perimeter_ratio_profile`), so the sweep evaluates
+    theta = pi itself to bracket the last interval.  O(m + samples)."""
+    prof, p = _grid_root(
+        _ChordSweep(c, target.fraction), samples, lambda q: q.rho - target.rho, tol
+    )
+    rhos = [q.rho for q in prof]
+    if p is None:
+        return FairCutResult(False, None, None, min(rhos), max(rhos))
+    return FairCutResult(True, LineCut(p.theta, p.offset), p.rho, min(rhos), max(rhos), p.theta)
 
 
 def disc_chord_analysis(target: RatioTarget) -> dict:
@@ -471,30 +473,14 @@ def equal_fair_cut(c: ConvexPolygon, samples: int = 720, tol: float = 1e-9) -> L
     """A straight cut that halves the area and the perimeter simultaneously.
     At the area-halving offset the perimeter difference g(theta) flips sign
     between theta and theta + pi (same line, swapped labels), so a zero of g
-    exists in [0, pi]; scan then bisect.  The scan is one chord sweep at
-    fraction 1/2, O(m + samples); each bisection step walks from the
-    bracket's left end."""
-    sweep = _ChordSweep(c, 0.5)
-    thetas = [j * math.pi / samples for j in range(samples + 1)]
-    points, states = sweep.scan(thetas)
-    vals = [p.perimeter_a - p.perimeter_b for p in points]
-    scale = c.perimeter
-    for v, p in zip(vals, points):
-        if abs(v) <= tol * scale:
-            return LineCut(p.theta, p.offset)
-    for j in range(samples):
-        if vals[j] * vals[j + 1] < 0:
-            sign = 1.0 if vals[j] < 0 else -1.0
-            point = sweep.walker(states[j])
-
-            def g(theta: float) -> float:
-                p = point(theta)
-                return sign * (p.perimeter_a - p.perimeter_b)
-
-            theta = bisect_root(g, thetas[j], thetas[j + 1], ftol=tol * scale)
-            p = point(theta)
-            return LineCut(p.theta, p.offset)
-    raise ArithmeticError("no sign change found; perimeter difference not continuous?")
+    exists in [0, pi]; scan then bisect, on one chord sweep at fraction
+    1/2, O(m + samples)."""
+    _, p = _grid_root(
+        _ChordSweep(c, 0.5), samples, lambda q: q.perimeter_a - q.perimeter_b, tol * c.perimeter
+    )
+    if p is None:
+        raise ArithmeticError("no cut meets tol; perimeter difference not continuous?")
+    return LineCut(p.theta, p.offset)
 
 
 # ---------------------------------------------------------------------------

@@ -151,16 +151,19 @@ def solve_linear_exact(
 class PositivePoint:
     """Outcome of a strict-positivity search over a solution space.
 
-    `point` is a full coordinate vector, with its parameters in `params`,
-    when one exists.  Otherwise `certified_empty` is True: the interval
-    test proved exactly that no such point exists.  `attempts` counts
-    sampled tries and is always 0, since the test samples nothing.
+    `point` is a full coordinate vector, with its parameters in `params`
+    and the open interval (lo, hi) of positive points in `interval` (None
+    for an unbounded end), when one exists.  Otherwise `certified_empty` is
+    True: the interval test proved exactly that no such point exists.
+    `attempts` counts sampled tries and is always 0, since the test samples
+    nothing.
     """
 
     point: Optional[list[Fraction]]
     certified_empty: bool = False
     attempts: int = 0
     params: Optional[list[Fraction]] = None
+    interval: Optional[tuple[Optional[Fraction], Optional[Fraction]]] = None
 
 
 def positive_point(solution: ParamSolution, positive_indices: Sequence[int]) -> PositivePoint:
@@ -201,4 +204,4 @@ def positive_point(solution: ParamSolution, positive_indices: Sequence[int]) -> 
         t = [hi - 1]
     else:
         t = [(lo + hi) / 2]
-    return PositivePoint(solution.point(t), params=t)
+    return PositivePoint(solution.point(t), params=t, interval=(lo, hi))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 MAX_ROOMS = 8
 
@@ -35,104 +35,66 @@ class Floorplan:
         return len(self.rooms)
 
 
+# one room fills the rectangle and is alone on the left and the top wall
+_ROOT = (Floorplan(((0, 1, 0, 1),), 2, 2, ()), (0,), (0,))
+
+
+def _insert(fp: Floorplan, left, top, move: str, j: int):
+    """One insertion step.  `left` lists the rooms on the left wall (top to
+    bottom) and `top` those on the top wall (left to right).  A vertical
+    move ("V", j) gives the new room the top-left block down to the bottom
+    edge of the j-th left-wall room, and that prefix of rooms now starts at
+    a new vertical segment; a horizontal move ("H", j) does the same with
+    the top wall.  Returns the new (fp, left, top)."""
+    rooms = list(fp.rooms)
+    new_id = fp.n
+    nv, nh = fp.num_vsegs, fp.num_hsegs
+    if move == "V":
+        if not (1 <= j <= len(left)):
+            raise ValueError(f"V push count {j} out of range")
+        for r in left[:j]:
+            rooms[r] = (nv,) + rooms[r][1:]
+        rooms.append((0, nv, rooms[left[j - 1]][2], 1))
+        left, top = (new_id,) + left[j:], (new_id,) + top
+        nv += 1
+    elif move == "H":
+        if not (1 <= j <= len(top)):
+            raise ValueError(f"H push count {j} out of range")
+        for r in top[:j]:
+            rooms[r] = rooms[r][:3] + (nh,)
+        rooms.append((0, rooms[top[j - 1]][1], nh, 1))
+        left, top = (new_id,) + left, (new_id,) + top[j:]
+        nh += 1
+    else:
+        raise ValueError(f"unknown move {move!r}")
+    return Floorplan(tuple(rooms), nv, nh, fp.code + ((move, j),)), left, top
+
+
 def enumerate_floorplans(n: int) -> List[Floorplan]:
     """All mosaic floorplans with n rooms, in a fixed depth-first order
     (vertical insertions before horizontal, smaller push counts first)."""
     if not (1 <= n <= MAX_ROOMS):
         raise ValueError(f"n must be in 1..{MAX_ROOMS}, got {n}")
     out: List[Floorplan] = []
-
-    rooms: List[List[int]] = [[0, 1, 0, 1]]
-    left = [0]   # rooms on the left wall, top to bottom
-    top = [0]    # rooms on the top wall, left to right
-    code: List[Tuple[str, int]] = []
-
-    def snapshot(nv: int, nh: int) -> Floorplan:
-        return Floorplan(tuple(tuple(r) for r in rooms), nv, nh, tuple(code))
-
-    def rec(nv: int, nh: int):
-        if len(rooms) == n:
-            out.append(snapshot(nv, nh))
-            return
-        new_id = len(rooms)
-
-        for j in range(1, len(left) + 1):
-            # Vertical insertion: new room takes the top-left block down to
-            # the bottom edge of the j-th left-wall room; that prefix of
-            # rooms now starts at the new segment.
-            pushed = left[:j]
-            saved = [rooms[r][0] for r in pushed]
-            bottom = rooms[left[j - 1]][2]
-            for r in pushed:
-                rooms[r][0] = nv
-            rooms.append([0, nv, bottom, 1])
-            old_left, old_top = left[:], top[:]
-            left[:] = [new_id] + left[j:]
-            top[:] = [new_id] + top
-            code.append(("V", j))
-            rec(nv + 1, nh)
-            code.pop()
-            left[:], top[:] = old_left, old_top
-            rooms.pop()
-            for r, s in zip(pushed, saved):
-                rooms[r][0] = s
-
-        for j in range(1, len(top) + 1):
-            pushed = top[:j]
-            saved = [rooms[r][3] for r in pushed]
-            right = rooms[top[j - 1]][1]
-            for r in pushed:
-                rooms[r][3] = nh
-            rooms.append([0, right, nh, 1])
-            old_left, old_top = left[:], top[:]
-            top[:] = [new_id] + top[j:]
-            left[:] = [new_id] + left
-            code.append(("H", j))
-            rec(nv, nh + 1)
-            code.pop()
-            left[:], top[:] = old_left, old_top
-            rooms.pop()
-            for r, s in zip(pushed, saved):
-                rooms[r][3] = s
-
-    rec(2, 2)
-    # rec holds itself through its closure cell; breaking that cycle lets
-    # reference counting free the cells (and with them `out`) at once.
-    del rec
+    stack = [_ROOT]
+    while stack:
+        fp, left, top = state = stack.pop()
+        if fp.n == n:
+            out.append(fp)
+            continue
+        moves = [("V", j) for j in range(1, len(left) + 1)]
+        moves += [("H", j) for j in range(1, len(top) + 1)]
+        # pushed last, popped first: the children come out in `moves` order
+        stack += [_insert(*state, move, j) for move, j in reversed(moves)]
     return out
 
 
 def floorplan_from_code(code) -> Floorplan:
     """Rebuild the floorplan for one insertion code."""
-    rooms: List[List[int]] = [[0, 1, 0, 1]]
-    left = [0]
-    top = [0]
-    nv = nh = 2
+    state = _ROOT
     for move, j in code:
-        new_id = len(rooms)
-        if move == "V":
-            if not (1 <= j <= len(left)):
-                raise ValueError(f"V push count {j} out of range")
-            bottom = rooms[left[j - 1]][2]
-            for r in left[:j]:
-                rooms[r][0] = nv
-            rooms.append([0, nv, bottom, 1])
-            left = [new_id] + left[j:]
-            top = [new_id] + top
-            nv += 1
-        elif move == "H":
-            if not (1 <= j <= len(top)):
-                raise ValueError(f"H push count {j} out of range")
-            right = rooms[top[j - 1]][1]
-            for r in top[:j]:
-                rooms[r][3] = nh
-            rooms.append([0, right, nh, 1])
-            top = [new_id] + top[j:]
-            left = [new_id] + left
-            nh += 1
-        else:
-            raise ValueError(f"unknown move {move!r}")
-    return Floorplan(tuple(tuple(r) for r in rooms), nv, nh, tuple(code))
+        state = _insert(*state, move, j)
+    return state[0]
 
 
 def is_baxter(perm) -> bool:

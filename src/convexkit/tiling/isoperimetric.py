@@ -10,26 +10,28 @@ all dimensions positive, and decide whether some pair of rooms is forced
 to share its area on the whole solution space.  Room areas are w*(1-w),
 so rooms i and j share area iff w_i = w_j or w_i + w_j = 1; on an affine
 solution space that happens identically iff one of the two linear forms
-vanishes identically on the space.
+vanishes identically on the space.  On a line, a pair that is not forced
+shares its area at two values of the parameter at most, so a point with
+pairwise distinct areas is chosen exactly, away from those values.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from itertools import combinations
+from typing import FrozenSet, List, Optional, Tuple, Union
 
 from ..kernel import (
     MAX_FREE_DIMS,
     ParamSolution,
+    PositivePoint,
     positive_point,
     solve_linear_exact,
 )
 from .floorplans import MAX_ROOMS, Floorplan, enumerate_floorplans
+from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, verify_layout
-
-PERTURB_ATTEMPTS = 10_000
 
 
 def _coordinate_names(fp: Floorplan) -> List[str]:
@@ -121,10 +123,11 @@ class IsoSearchResult:
     exhausted-no-solution means every floorplan was certified impossible:
     either its linear system is infeasible, no all-positive point exists
     (an exact interval certificate on the solution line), or two rooms are
-    forced to equal areas identically on the solution space.  inconclusive
-    lists the floorplans that resisted certification: a solution space of
-    dimension above one, or no distinct-area point found near a positive
-    one.
+    forced to equal areas identically on the solution space.  Every other
+    floorplan with a solution space of dimension at most one yields a
+    witness, chosen exactly.  inconclusive lists the floorplans that
+    resisted certification: those whose solution space has dimension above
+    MAX_FREE_DIMS; no floorplan with n <= MAX_ROOMS has one.
 
     Every examined floorplan has exactly one of five outcomes: `infeasible`
     (no unit-semiperimeter assignment), `certified_empty` (no all-positive
@@ -141,79 +144,84 @@ class IsoSearchResult:
     certified_empty: int
 
 
-def forced_equal_pair(sol: ParamSolution, fp: Floorplan) -> Optional[ForcedPair]:
+def forced_equal_pair(
+    sol: ParamSolution, fp: Floorplan
+) -> Union[ForcedPair, FrozenSet[Fraction]]:
     """A pair of rooms whose areas agree identically on the solution space,
-    if any.  Area equality a_i = a_j factors as (w_i - w_j)(1 - w_i - w_j) = 0;
-    the space is irreducible (affine), so identical equality forces one factor
-    to vanish identically.  With each w as an affine form (const, coeffs)
-    over the parameters, w_i - w_j vanishes identically iff the two forms
-    are equal, and w_i + w_j - 1 iff the constants sum to 1 and the
-    coefficients to 0."""
+    or else the finite set of line parameters t at which some two areas
+    agree (empty on a point).  Area equality factors as
+    (w_i - w_j)(1 - w_i - w_j) = 0, and on a point or a line each factor is
+    affine in t: it vanishes identically, forcing the pair, or at one t at
+    most.  Raises on a space of dimension above MAX_FREE_DIMS."""
+    if sol.dim > MAX_FREE_DIMS:
+        raise ValueError(f"solution space dimension {sol.dim} exceeds {MAX_FREE_DIMS}")
     base = fp.num_vsegs + fp.num_hsegs
     forms = [sol.coordinate_form(base + 2 * i) for i in range(fp.n)]
-    for i, (ci, ai) in enumerate(forms):
-        for j in range(i + 1, fp.n):
-            cj, aj = forms[j]
-            if (ci, ai) == (cj, aj):
-                return ForcedPair(i, j, f"w{i} = w{j}")
-            if ci + cj == 1 and all(x + y == 0 for x, y in zip(ai, aj)):
-                return ForcedPair(i, j, f"w{i} + w{j} = 1")
-    return None
+    forms = [(c, a[0] if a else 0) for c, a in forms]  # w_i = c + a*t
+    pairs = list(combinations(range(fp.n), 2))
+    for i, j in pairs:
+        (ci, ai), (cj, aj) = forms[i], forms[j]
+        if (ci, ai) == (cj, aj):
+            return ForcedPair(i, j, f"w{i} = w{j}")
+        if ai == -aj and ci + cj == 1:
+            return ForcedPair(i, j, f"w{i} + w{j} = 1")
+    # no factor vanishes identically, so each vanishes at one t at most
+    excluded = set()
+    for i, j in pairs:
+        (ci, ai), (cj, aj) = forms[i], forms[j]
+        if ai != aj:
+            excluded.add((cj - ci) / (ai - aj))
+        if ai != -aj:
+            excluded.add((1 - ci - cj) / (ai + aj))
+    return frozenset(excluded)
 
 
-def _witness_from_point(fp: Floorplan, sol: ParamSolution, point) -> Optional[IsoWitness]:
+def distinct_area_params(pp: PositivePoint, excluded: FrozenSet[Fraction]) -> List[Fraction]:
+    """The parameters of a positive point at which no two areas agree.
+
+    `pp` is the positive point of a line or a point, and `excluded` the
+    parameters at which two areas agree.  `positive_point`'s own t is kept
+    when it is not excluded.  Otherwise the midpoint of t and the nearest
+    larger value among the excluded ones and the interval's upper end
+    (t + 2 when that end is unbounded) lies inside the positivity interval
+    and excludes nothing."""
+    if not pp.params or pp.params[0] not in excluded:
+        return pp.params
+    t = pp.params[0]
+    hi = pp.interval[1]
+    bound = t + 2 if hi is None else hi
+    nearest = min([e for e in excluded if e > t] + [bound])
+    return [(t + nearest) / 2]
+
+
+def _witness(fp: Floorplan, sol: ParamSolution, params) -> IsoWitness:
+    point = sol.point(params)
     nv, nh, n = fp.num_vsegs, fp.num_hsegs, fp.n
     xs = point[:nv]
     ys = point[nv : nv + nh]
     dims = [(point[nv + nh + 2 * i], point[nv + nh + 2 * i + 1]) for i in range(n)]
-    if any(w <= 0 or h <= 0 for w, h in dims):
-        return None
     areas = tuple(w * h for w, h in dims)
-    if len(set(areas)) != n:
-        return None
     tiles = TileSet([Tile(i + 1, w, h) for i, (w, h) in enumerate(dims)])
     placements = tuple(
         Placement(i + 1, xs[l], ys[b], False)
         for i, (l, r, b, t) in enumerate(fp.rooms)
     )
     layout = Layout(xs[1], ys[1], placements)
-    if verify_layout(tiles, layout) is not None:
-        return None
+    defect = verify_layout(tiles, layout)
+    if defect is not None or len(set(areas)) != n:
+        raise RuntimeError(f"witness for floorplan {fp.code} does not verify: {defect}")
     values = dict(zip(sol.names, point))
     return IsoWitness(fp, sol, values, layout, tiles, areas)
 
 
-def _distinct_area_point(fp: Floorplan, sol: ParamSolution, start_params, seed: int):
-    """Perturb the parameters of a known positive point, looking for all
-    dimensions positive and all areas pairwise distinct.  Distinctness is
-    a finite union of hyperplane complements, so a generic nearby rational
-    point works; shrink the step when positivity keeps failing."""
-    rng = random.Random(seed)
-    base = list(start_params)
-    w = _witness_from_point(fp, sol, sol.point(base))
-    if w is not None:
-        return w
-    for attempt in range(PERTURB_ATTEMPTS):
-        scale = Fraction(1, 2 ** (2 + attempt * 12 // PERTURB_ATTEMPTS))
-        params = [
-            b + Fraction(rng.randint(-999, 999), 999) * scale for b in base
-        ]
-        w = _witness_from_point(fp, sol, sol.point(params))
-        if w is not None:
-            return w
-    return None
-
-
-def search_isoperimetric(
-    n: int,
-    limit: Optional[int] = None,
-    seed: int = 0,
-) -> IsoSearchResult:
+def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult:
     """Search every n-room floorplan for a tiling by rectangles of equal
     semiperimeter and pairwise distinct areas.  Stops after `limit`
     witnesses when given.  n starts at 2: pairwise distinct areas need a
-    pair of rooms."""
-    if not (2 <= n <= MAX_ROOMS):
+    pair of rooms.  n above MAX_ROOMS is an unsupported instance."""
+    if n > MAX_ROOMS:
+        raise UnsupportedInstance(f"n = {n} exceeds the floorplan cap of {MAX_ROOMS} rooms")
+    if n < 2:
         raise ValueError(f"n must be in 2..{MAX_ROOMS}, got {n}")
     witnesses: List[IsoWitness] = []
     forced: List[Tuple[Floorplan, ForcedPair]] = []
@@ -225,24 +233,19 @@ def search_isoperimetric(
         if sol is None:
             infeasible += 1
             continue
-        nv, nh = fp.num_vsegs, fp.num_hsegs
-        pos_idx = list(range(nv + nh, nv + nh + 2 * n))
         if sol.dim > MAX_FREE_DIMS:
             residual.append(fp)
             continue
-        pp = positive_point(sol, pos_idx)
+        base = fp.num_vsegs + fp.num_hsegs
+        pp = positive_point(sol, range(base, base + 2 * n))
         if pp.certified_empty:
             certified_empty += 1
             continue
-        pair = forced_equal_pair(sol, fp)
-        if pair is not None:
-            forced.append((fp, pair))
+        equal = forced_equal_pair(sol, fp)
+        if isinstance(equal, ForcedPair):
+            forced.append((fp, equal))
             continue
-        witness = _distinct_area_point(fp, sol, pp.params, seed)
-        if witness is None:
-            residual.append(fp)
-            continue
-        witnesses.append(witness)
+        witnesses.append(_witness(fp, sol, distinct_area_params(pp, equal)))
         if limit is not None and len(witnesses) >= limit:
             break
     if witnesses:

@@ -121,6 +121,26 @@ def test_tiling_search_iso_small_n(tmp_path, capsys):
     assert rc2 == 0
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tiling", "search-iso", "--n", "9"], "floorplan cap of 8 rooms"),
+        (["tiling", "enumerate", "--cap", "3"], "exhaustive-search cap of 3"),
+    ],
+)
+def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, message):
+    """A program limit is no answer: --expect-infeasible must not turn it
+    into exit 0, and no report is written."""
+    tiles = tmp_path / "four.tiles"
+    tiles.write_text("1 1\n1 1\n1 1\n1 1\n")
+    if argv[1] == "enumerate":
+        argv = argv + ["--tiles", str(tiles)]
+    out = tmp_path / "out"
+    assert main(argv + ["--expect-infeasible", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_tiling_search_iso_witness(tmp_path):
     rc, report, out = run(
         tmp_path, "tiling", "search-iso", "--n", "7", "--limit", "1", "--svg"

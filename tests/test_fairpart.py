@@ -106,6 +106,25 @@ def test_scaled_fair_cut_on_long_rectangle():
     assert is_convex_ring(sr.piece_b.vertices)
 
 
+def test_scaled_fair_cut_in_the_last_grid_interval():
+    """rho(pi) differs from rho(0) on a triangle, so the last interval
+    [theta_719, pi] is bracketed by the sweep's own value at pi: here rho
+    crosses sqrt(3/7) only in that interval."""
+    tri = ConvexPolygon([
+        (0.17051226352769544, 0.16654942515408322),
+        (0.3436857195336044, 0.5938322423279928),
+        (0.7342038623794209, 0.3484322175385567),
+    ])
+    target = RatioTarget(3, 7)
+    res = find_scaled_fair_cut(tri, target)
+    assert res.found
+    assert 719 * math.pi / 720 < res.cut.theta < math.pi
+    sr = split(tri, res.cut)
+    assert abs(sr.area_a / sr.area_b - 3 / 7) <= 1e-9
+    assert abs(sr.perimeter_a / sr.perimeter_b - target.rho) <= 1e-9
+    assert res.rho_min < target.rho
+
+
 def test_disc_one_to_three_is_out_of_reach():
     disc = regular_ngon(4096)
     res = find_scaled_fair_cut(disc, RatioTarget(1, 3))

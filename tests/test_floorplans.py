@@ -123,6 +123,19 @@ def test_codes_are_distinct_and_replayable():
             assert floorplan_from_code(fp.code) == fp
 
 
+def test_enumeration_order_is_pinned():
+    """Depth first, vertical insertions before horizontal, smaller push
+    counts first: the recorded search-iso reports depend on this order."""
+    assert [fp.code for fp in enumerate_floorplans(3)] == [
+        (("V", 1), ("V", 1)),
+        (("V", 1), ("H", 1)),
+        (("V", 1), ("H", 2)),
+        (("H", 1), ("V", 1)),
+        (("H", 1), ("V", 2)),
+        (("H", 1), ("H", 1)),
+    ]
+
+
 def test_replay_rejects_bad_codes():
     with pytest.raises(ValueError):
         floorplan_from_code((("X", 1),))

@@ -4,11 +4,17 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convexkit.kernel import solve_linear_exact
+from convexkit.kernel import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from convexkit.tiling import (
     Floorplan,
+    ForcedPair,
+    UnsupportedInstance,
+    distinct_area_params,
     enumerate_floorplans,
+    forced_equal_pair,
     load_layout,
     load_tileset,
     search_isoperimetric,
@@ -119,6 +125,8 @@ def test_two_rooms_forced_equal_widths():
 def test_seven_rooms_has_witness():
     result = search_isoperimetric(7, limit=1)
     assert result.status == "witnesses"
+    # the 241st floorplan in enumeration order is the first witness
+    assert result.examined == 241
     assert len(result.witnesses) == 1
     w = result.witnesses[0]
     assert (w.layout.target_width, w.layout.target_height) == (
@@ -146,8 +154,90 @@ def test_search_bounds():
         search_isoperimetric(0)
     with pytest.raises(ValueError):
         search_isoperimetric(1)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedInstance):
         search_isoperimetric(9)
+
+
+def width_line(consts, slopes):
+    """The line w_i = consts[i] + slopes[i] * t, h_i = 1 - w_i over
+    (w0, h0, w1, h1, ...), with a floorplan stand-in that has no segment
+    coordinates: `forced_equal_pair` reads only the room count and where
+    the widths start."""
+    n = len(consts)
+    names = [v for i in range(n) for v in (f"w{i}", f"h{i}")]
+    particular = [v for c in consts for v in (Fraction(c), 1 - Fraction(c))]
+    basis = [[v for a in slopes for v in (Fraction(a), -Fraction(a))]]
+    fp = Floorplan(((0, 1, 0, 1),) * n, 0, 0, ())
+    return ParamSolution(names, particular, basis), fp
+
+
+def areas_at(sol, params):
+    point = sol.point(params)
+    return [w * h for w, h in zip(point[::2], point[1::2])]
+
+
+def test_distinct_area_choice_moves_off_an_excluded_t():
+    """w0 = t, w1 = 5/12, w2 = 2t - 1/3 is positive on (1/6, 2/3), whose
+    midpoint 5/12 makes w0 = w1.  The next excluded value above it is
+    4/9 (w0 + w2 = 1), so the witness is their midpoint 31/72."""
+    sol, fp = width_line([0, Fraction(5, 12), Fraction(-1, 3)], [1, 0, 2])
+    pp = positive_point(sol, range(6))
+    assert (pp.params, pp.interval) == ([Fraction(5, 12)], (Fraction(1, 6), Fraction(2, 3)))
+    excluded = forced_equal_pair(sol, fp)
+    assert excluded == {
+        Fraction(p, q) for p, q in ((5, 12), (7, 12), (1, 3), (4, 9), (3, 8), (11, 24))
+    }
+    params = distinct_area_params(pp, excluded)
+    assert params == [Fraction(31, 72)]
+    assert len(set(areas_at(sol, params))) == 3
+    # when the excluded t is the last one, the interval end bounds the step
+    sol, fp = width_line([0, Fraction(1, 2)], [1, 0])
+    pp = positive_point(sol, range(4))
+    assert distinct_area_params(pp, forced_equal_pair(sol, fp)) == [Fraction(3, 4)]
+    # an interval unbounded above steps towards t + 2
+    free = PositivePoint([], params=[Fraction(0)], interval=(None, None))
+    assert distinct_area_params(free, {Fraction(0)}) == [Fraction(1)]
+    assert distinct_area_params(free, {Fraction(0), Fraction(1, 2)}) == [Fraction(1, 4)]
+    # positive_point's own t is kept when nothing excludes it
+    assert distinct_area_params(free, {Fraction(1)}) == [Fraction(0)]
+
+
+# widths in (0, 1) at t = 0, so the positivity interval is never empty
+consts = st.builds(Fraction, st.integers(1, 5), st.just(6))
+slopes = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6).flatmap(
+    lambda n: st.tuples(st.lists(consts, min_size=n, max_size=n),
+                        st.lists(slopes, min_size=n, max_size=n))
+))
+def test_exact_choice_on_random_lines(line):
+    """Every rational line gets either a pair of rooms whose areas agree
+    at every t, or a t inside the positivity interval at which all areas
+    w(1 - w) are positive and pairwise distinct."""
+    sol, fp = width_line(*line)
+    pp = positive_point(sol, range(2 * fp.n))
+    assert not pp.certified_empty
+    equal = forced_equal_pair(sol, fp)
+    if isinstance(equal, ForcedPair):
+        i, j = equal.room_i, equal.room_j
+        # areas are quadratic in t: agreeing at three points is identity
+        for t in (Fraction(0), Fraction(1), Fraction(-1)):
+            areas = areas_at(sol, [t])
+            assert areas[i] == areas[j]
+        return
+    params = distinct_area_params(pp, equal)
+    (t,), (lo, hi) = params, pp.interval
+    assert (lo is None or lo < t) and (hi is None or t < hi)
+    assert all(v > 0 for v in sol.point(params))
+    areas = areas_at(sol, params)
+    assert len(set(areas)) == fp.n
+    if pp.params[0] not in equal:
+        assert params == pp.params
+    # every excluded t really makes two areas agree
+    for e in equal:
+        assert len(set(areas_at(sol, [e]))) < fp.n
 
 
 def segment_ids(coords, hi):
