@@ -200,6 +200,12 @@ def check_grid(args, least: int) -> None:
         raise UsageError(f"--tol must be positive, got {args.tol}")
 
 
+def check_limit(args) -> None:
+    """A --limit below 1 is a usage error, not a negative answer."""
+    if args.limit is not None and args.limit < 1:
+        raise UsageError(f"--limit must be at least 1, got {args.limit}")
+
+
 # ---------------------------------------------------------------- handlers
 
 Handler = Tuple[bool, dict, Dict[str, str], List[str]]
@@ -278,6 +284,9 @@ def cmd_tiling_enumerate(args) -> Handler:
 
 
 def cmd_tiling_search_iso(args) -> Handler:
+    if args.n < 2:
+        raise UsageError(f"--n must be at least 2, got {args.n}")
+    check_limit(args)
     res = search_isoperimetric(args.n, limit=args.limit)
     report = {
         "command": "tiling search-iso",
@@ -310,6 +319,7 @@ def cmd_tiling_search_iso(args) -> Handler:
 
 
 def cmd_tiling_hcn(args) -> Handler:
+    check_limit(args)
     if args.limit is not None and args.h is None:
         records = hcn_up_to(args.limit)
         report = {

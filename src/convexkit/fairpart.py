@@ -101,14 +101,12 @@ class LineCut:
         return (-math.sin(self.theta), math.cos(self.theta))
 
 
-def _cut_metrics(V: np.ndarray, n: np.ndarray, offset: float) -> Tuple[float, float, float]:
-    """Area, perimeter, and chord of {p . n <= offset} within the CCW convex
-    polygon V, in one numpy pass.  In the frame s = p . t, u = p . n, with t
-    the cut direction (n turned clockwise), edge i -> i+1 keeps the part of
-    its level range [u_i, u_i+1] below the offset: that share of its length,
-    and that trapezoid of the area integral of s du.  An edge parallel to
-    the cut adds no area and keeps all or none of its length.  The chord,
-    parallel to the cut, closes the kept parts."""
+def _cut_area(V: np.ndarray, n: np.ndarray, offset: float) -> float:
+    """Area of {p . n <= offset} within the CCW convex polygon V, in one
+    numpy pass.  In the frame s = p . t, u = p . n, with t the cut direction
+    (n turned clockwise), edge i -> i+1 keeps the part of its level range
+    [u_i, u_i+1] below the offset, and adds that trapezoid of the area
+    integral of s du.  An edge parallel to the cut adds no area."""
     u = V @ n
     s = V @ np.array((n[1], -n[0]))
     un = np.roll(u, -1)
@@ -116,10 +114,7 @@ def _cut_metrics(V: np.ndarray, n: np.ndarray, offset: float) -> Tuple[float, fl
     # the edge's level range, clipped to the offset
     u0, u1 = np.minimum(u, offset), np.minimum(un, offset)
     share = np.divide(u1 - u0, du, out=(u <= offset).astype(float), where=du != 0)
-    area = float(((u1 - u0) * s + ds * share * (0.5 * (u0 + u1) - u)).sum())
-    chord = abs(float((ds * share).sum()))
-    perim = float((np.hypot(du, ds) * share).sum()) + chord
-    return area, perim, chord
+    return float(((u1 - u0) * s + ds * share * (0.5 * (u0 + u1) - u)).sum())
 
 
 @dataclass(frozen=True)
@@ -158,6 +153,7 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
 
     side_a: List[Tuple[float, float]] = []
     side_b: List[Tuple[float, float]] = []
+    on_cut: List[Tuple[float, float]] = []  # the chord's two ends
     m = len(V)
     for i in range(m):
         p, dp = V[i], d[i]
@@ -166,17 +162,20 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
             side_a.append((p[0], p[1]))
         if dp >= cut.offset:
             side_b.append((p[0], p[1]))
+        if dp == cut.offset:
+            on_cut.append((p[0], p[1]))
         if (dp - cut.offset) * (dq - cut.offset) < 0:
             t = (cut.offset - dp) / (dq - dp)
             x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
             side_a.append(x)
             side_b.append(x)
+            on_cut.append(x)
     try:
         pa = ConvexPolygon(side_a)
         pb = ConvexPolygon(side_b)
     except ValueError:
         return None
-    return SplitResult(pa, pb, _cut_metrics(V, n, cut.offset)[2])
+    return SplitResult(pa, pb, math.dist(on_cut[0], on_cut[-1]))
 
 
 def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> LineCut:
@@ -194,7 +193,7 @@ def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> Li
     want = fraction * c.area
 
     def area(o: float) -> float:
-        return _cut_metrics(V, n, o)[0]
+        return _cut_area(V, n, o)
 
     # area(levels[0]) = 0 < want, and the last level holds the whole area
     k = bisect.bisect_left(levels, want, lo=1, hi=len(levels) - 1, key=area)

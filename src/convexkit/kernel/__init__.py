@@ -3,7 +3,6 @@ solving, float convex polygons and point rings, sampled support bodies,
 and the root finders of the float solves."""
 
 from .linsolve import (
-    MAX_FREE_DIMS,
     ParamSolution,
     PositivePoint,
     positive_point,
@@ -23,7 +22,6 @@ from .roots import bisect_root, rising_quadratic_root
 from .support import DEFAULT_SAMPLES, SupportBody, support_body_metrics
 
 __all__ = [
-    "MAX_FREE_DIMS",
     "ParamSolution",
     "PositivePoint",
     "positive_point",

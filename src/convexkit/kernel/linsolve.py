@@ -4,12 +4,11 @@ Solves A x = b by Gauss-Jordan elimination over Fraction (`_rref`, the one
 elimination routine here): each pivot row is scaled and subtracted only at
 its nonzero entries, so a sparse system costs what its nonzeros cost.  The
 solution space comes back in reduced row echelon form, which is unique for
-a given solution set and column order.  The module also searches affine
-solution spaces of dimension at most one, points or lines, for a point
-whose chosen coordinates are all strictly positive.  On a line each such
-coordinate is positive on an open half-line of the parameter, so the
-search is one exact interval intersection, and an empty intersection is
-an exact emptiness certificate.
+a given solution set and column order.  The module also searches a line
+for a parameter t at which given affine forms c + a*t are all strictly
+positive.  Each form is positive on an open half-line of t, everywhere or
+nowhere, so the search is one exact interval intersection, and an empty
+intersection is an exact emptiness certificate.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-MAX_FREE_DIMS = 1
 
 
 @dataclass
@@ -55,27 +52,6 @@ class ParamSolution:
         # Some t solves basis^T t = rhs exactly when that system is consistent.
         basis_t = [[row[j] for row in self.basis] for j in range(len(rhs))]
         return solve_linear_exact(basis_t, rhs) is not None
-
-    def canonical(self) -> "ParamSolution":
-        """The same space in the form `solve_linear_exact` returns for it.
-
-        Free columns are the trailing nonzero positions of the direction
-        space; basis vector k is 1 at free column k and 0 at the other free
-        columns; the particular point is 0 on every free column.  The form
-        is unique for a given space and column order, so two
-        parametrizations of one space give equal canonical forms."""
-        n = len(self.particular)
-        # RREF with the columns reversed pivots on the trailing positions
-        rows = [row[::-1] for row in self.basis]
-        pivots = _rref(rows, n)
-        free = [n - 1 - c for c in reversed(pivots)]
-        basis = [row[::-1] for row in reversed(rows[: len(pivots)])]
-        particular = list(self.particular)
-        for fc, vec in zip(free, basis):
-            t = particular[fc]
-            if t:
-                particular = [p - t * v for p, v in zip(particular, vec)]
-        return ParamSolution(list(self.names), particular, basis)
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
@@ -149,59 +125,44 @@ def solve_linear_exact(
 
 @dataclass
 class PositivePoint:
-    """Outcome of a strict-positivity search over a solution space.
+    """Outcome of a strict-positivity search on a line.
 
-    `point` is a full coordinate vector, with its parameters in `params`
-    and the open interval (lo, hi) of positive points in `interval` (None
-    for an unbounded end), when one exists.  Otherwise `certified_empty` is
-    True: the interval test proved exactly that no such point exists.
-    `attempts` counts sampled tries and is always 0, since the test samples
-    nothing.
+    `t` is a parameter at which every form is positive, and `interval` the
+    open interval (lo, hi) of all such parameters (None for an unbounded
+    end), when one exists.  Otherwise `certified_empty` is True: the
+    interval test proved exactly that no such parameter exists.  `attempts`
+    counts sampled tries and is always 0, since the test samples nothing.
     """
 
-    point: Optional[list[Fraction]]
+    t: Optional[Fraction]
     certified_empty: bool = False
     attempts: int = 0
-    params: Optional[list[Fraction]] = None
     interval: Optional[tuple[Optional[Fraction], Optional[Fraction]]] = None
 
 
-def positive_point(solution: ParamSolution, positive_indices: Sequence[int]) -> PositivePoint:
-    """Find a point in the space with the chosen coordinates all > 0.
+def positive_point(forms: Sequence[tuple[Fraction, Fraction]]) -> PositivePoint:
+    """Find a parameter t at which every affine form c + a*t is > 0.
 
-    On a line point(t), coordinate c + a*t is positive exactly on
-    t > -c/a (a > 0), on t < -c/a (a < 0), or everywhere when a = 0 and
-    c > 0.  The open interval (max lower, min upper) is the exact answer.
-    Its witness t is the midpoint when both ends are finite, one past the
-    finite end of a half-line, and 0 when nothing bounds t.  Dimension
-    above MAX_FREE_DIMS is an unsupported instance and raises.
+    Form (c, a) is positive exactly on t > -c/a (a > 0), on t < -c/a
+    (a < 0), or everywhere when a = 0 and c > 0.  The open interval (max
+    lower, min upper) is the exact answer.  Its witness t is the midpoint
+    when both ends are finite, one past the finite end of a half-line, and
+    0 when nothing bounds t.
     """
-    dim = solution.dim
-    if dim > MAX_FREE_DIMS:
-        raise ValueError(f"solution space dimension {dim} exceeds {MAX_FREE_DIMS}")
-
     lows: list[Fraction] = []
     highs: list[Fraction] = []
-    for idx in positive_indices:
-        const, coeffs = solution.coordinate_form(idx)
-        a = coeffs[0] if coeffs else 0
+    for c, a in forms:
         if a == 0:
-            if const <= 0:
+            if c <= 0:
                 return PositivePoint(None, certified_empty=True)
         else:
-            (lows if a > 0 else highs).append(-const / a)
+            (lows if a > 0 else highs).append(-c / a)
 
     lo, hi = max(lows, default=None), min(highs, default=None)
     if lo is not None and hi is not None and lo >= hi:
         return PositivePoint(None, certified_empty=True)
-    if dim == 0:
-        t = []
-    elif lo is None and hi is None:
-        t = [Fraction(0)]
-    elif hi is None:
-        t = [lo + 1]
-    elif lo is None:
-        t = [hi - 1]
+    if lo is None:
+        t = Fraction(0) if hi is None else hi - 1
     else:
-        t = [(lo + hi) / 2]
-    return PositivePoint(solution.point(t), params=t, interval=(lo, hi))
+        t = lo + 1 if hi is None else (lo + hi) / 2
+    return PositivePoint(t, interval=(lo, hi))

@@ -15,7 +15,7 @@ wall and 1 the right wall; horizontal segment 0 is the bottom wall and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from math import comb
 from typing import List, Tuple
 
 MAX_ROOMS = 8
@@ -97,44 +97,12 @@ def floorplan_from_code(code) -> Floorplan:
     return state[0]
 
 
-def is_baxter(perm) -> bool:
-    """True iff the permutation avoids the vincular patterns 2-41-3 and
-    3-14-2 (adjacent middle pair).  O(n^2): for each adjacent descent check
-    for a smaller left value under a larger right value inside the gap, and
-    symmetrically for ascents."""
-    p = tuple(perm)
-    n = len(p)
-    if sorted(p) != list(range(1, n + 1)):
-        raise ValueError("expected a permutation of 1..n")
-    for j in range(n - 1):
-        a, b = p[j], p[j + 1]
-        if a > b:
-            lo, hi = b, a
-            best_left = None
-            for i in range(j):
-                if lo < p[i] < hi and (best_left is None or p[i] < best_left):
-                    best_left = p[i]
-            if best_left is None:
-                continue
-            for k in range(j + 2, n):
-                if lo < p[k] < hi and p[k] > best_left:
-                    return False
-        elif a < b:
-            lo, hi = a, b
-            best_left = None
-            for i in range(j):
-                if lo < p[i] < hi and (best_left is None or p[i] > best_left):
-                    best_left = p[i]
-            if best_left is None:
-                continue
-            for k in range(j + 2, n):
-                if lo < p[k] < hi and p[k] < best_left:
-                    return False
-    return True
-
-
 def baxter_count(n: int) -> int:
-    """Count Baxter permutations of length n by filtering all n! candidates."""
-    if not (1 <= n <= MAX_ROOMS):
-        raise ValueError(f"n must be in 1..{MAX_ROOMS}, got {n}")
-    return sum(1 for p in permutations(range(1, n + 1)) if is_baxter(p))
+    """The number of Baxter permutations of length n, which equals the
+    number of n-room mosaic floorplans, in closed form (Chung, Graham,
+    Hoggatt and Kleiman 1978):
+    B(n) = sum_k C(n+1, k-1) C(n+1, k) C(n+1, k+1) / (C(n+1, 1) C(n+1, 2))."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    terms = sum(comb(n + 1, k - 1) * comb(n + 1, k) * comb(n + 1, k + 1) for k in range(1, n + 1))
+    return terms // (comb(n + 1, 1) * comb(n + 1, 2))

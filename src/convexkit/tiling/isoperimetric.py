@@ -3,16 +3,17 @@
 For a fixed floorplan, requiring every room to have semiperimeter 1
 (any other value is a rescaling) gives a linear system.  Its only free
 unknowns are the n+3 segment coordinates: a room's width and height are
-differences of two of them.  We solve that small system exactly, lift its
-solution space to the room dimensions, and write the space in the unique
-RREF form over (x..., y..., w0, h0, ...).  Then we look for a point with
-all dimensions positive, and decide whether some pair of rooms is forced
-to share its area on the whole solution space.  Room areas are w*(1-w),
-so rooms i and j share area iff w_i = w_j or w_i + w_j = 1; on an affine
-solution space that happens identically iff one of the two linear forms
-vanishes identically on the space.  On a line, a pair that is not forced
-shares its area at two values of the parameter at most, so a point with
-pairwise distinct areas is chosen exactly, away from those values.
+differences of two of them.  That is n+2 equations in n+3 unknowns, so a
+consistent system has a solution space of dimension at least 1; every
+floorplan with n <= MAX_ROOMS gives a line.  We solve the system exactly and
+parametrize the line by t, the height of the last room whose height
+varies on it.  Each room's width is then an affine form w_i = c_i + a_i*t
+and its height 1 - w_i.  A t with every w_i and 1 - w_i positive is one
+exact interval intersection.  Room areas are w*(1-w), so rooms i and j
+share area iff w_i = w_j or w_i + w_j = 1; either factor is affine in t,
+so it vanishes identically, forcing the pair, or at one t at most.  A t
+with pairwise distinct areas is then chosen exactly, away from those
+values.
 """
 
 from __future__ import annotations
@@ -22,24 +23,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Tuple, Union
 
-from ..kernel import (
-    MAX_FREE_DIMS,
-    ParamSolution,
-    PositivePoint,
-    positive_point,
-    solve_linear_exact,
-)
+from ..kernel import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from .floorplans import MAX_ROOMS, Floorplan, enumerate_floorplans
 from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, verify_layout
-
-
-def _coordinate_names(fp: Floorplan) -> List[str]:
-    return (
-        [f"x{i}" for i in range(fp.num_vsegs)]
-        + [f"y{i}" for i in range(fp.num_hsegs)]
-        + [v for i in range(fp.n) for v in (f"w{i}", f"h{i}")]
-    )
 
 
 def build_isoperimetric_system(fp: Floorplan):
@@ -64,39 +51,33 @@ def build_isoperimetric_system(fp: Floorplan):
     for l, r, b, t in fp.rooms:
         add((r, 1), (l, -1), (nv + t, 1), (nv + b, -1))
     rhs = [Fraction(0), Fraction(0)] + [Fraction(1)] * fp.n
-    return rows, rhs, _coordinate_names(fp)[:nvars]
-
-
-def _lift(fp: Floorplan, v: List[Fraction]) -> List[Fraction]:
-    """Append every room's (w, h) = (x_r - x_l, y_t - y_b) to a vector over
-    the segment coordinates."""
-    nv = fp.num_vsegs
-    out = list(v)
-    for l, r, b, t in fp.rooms:
-        out += (v[r] - v[l], v[nv + t] - v[nv + b])
-    return out
+    names = [f"x{i}" for i in range(nv)] + [f"y{i}" for i in range(nh)]
+    return rows, rhs, names
 
 
 def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
-    """Exact solution space over (x..., y..., w0, h0, ...), or None when
-    the floorplan admits no unit-semiperimeter assignment at all (signs
-    ignored).
+    """Exact solution space over the segment coordinates (x..., y...), or
+    None when the floorplan admits no unit-semiperimeter assignment at all
+    (signs ignored).
 
-    The segment-coordinate system is solved, and its particular point and
-    basis are lifted by w = x_r - x_l, h = y_t - y_b.  The lift maps that
-    space one to one onto the space of the full system that keeps every
-    w_i and h_i as unknowns.  The lifted space is then put in canonical
-    form, the one an RREF solve of the full system returns, so the result
-    does not depend on which system was solved."""
+    A line comes back parametrized by t, the height of the last room
+    whose height varies on it: the direction is scaled so that this
+    height moves by 1, and the particular point is the one where it is 0.
+    So any two parametrizations of one line come back alike.  A space of
+    dimension 2 or more comes back as solved."""
     rows, rhs, names = build_isoperimetric_system(fp)
-    seg = solve_linear_exact(rows, rhs, names)
-    if seg is None:
-        return None
-    return ParamSolution(
-        _coordinate_names(fp),
-        _lift(fp, seg.particular),
-        [_lift(fp, v) for v in seg.basis],
-    ).canonical()
+    sol = solve_linear_exact(rows, rhs, names)
+    if sol is None or sol.dim > 1:
+        return sol
+    (d,), p, nv = sol.basis, sol.particular, fp.num_vsegs
+    heights = [(nv + b, nv + t) for _, _, b, t in fp.rooms]
+    # some height varies: with every height fixed, so is every width, and
+    # the walls pinned at 0 fix each segment through the rooms on it
+    b, t = next((b, t) for b, t in reversed(heights) if d[t] != d[b])
+    scale = d[t] - d[b]
+    d = [v / scale for v in d]
+    shift = p[t] - p[b]
+    return ParamSolution(names, [v - shift * dv for v, dv in zip(p, d)], [d])
 
 
 @dataclass(frozen=True)
@@ -123,11 +104,11 @@ class IsoSearchResult:
     exhausted-no-solution means every floorplan was certified impossible:
     either its linear system is infeasible, no all-positive point exists
     (an exact interval certificate on the solution line), or two rooms are
-    forced to equal areas identically on the solution space.  Every other
-    floorplan with a solution space of dimension at most one yields a
-    witness, chosen exactly.  inconclusive lists the floorplans that
-    resisted certification: those whose solution space has dimension above
-    MAX_FREE_DIMS; no floorplan with n <= MAX_ROOMS has one.
+    forced to equal areas identically on the solution line.  Every other
+    floorplan whose solution space is a line yields a witness, chosen
+    exactly.  inconclusive lists the floorplans that resisted
+    certification: those whose solution space has dimension 2 or more; no
+    floorplan with n <= MAX_ROOMS has one.
 
     Every examined floorplan has exactly one of five outcomes: `infeasible`
     (no unit-semiperimeter assignment), `certified_empty` (no all-positive
@@ -145,22 +126,16 @@ class IsoSearchResult:
 
 
 def forced_equal_pair(
-    sol: ParamSolution, fp: Floorplan
+    widths: List[Tuple[Fraction, Fraction]]
 ) -> Union[ForcedPair, FrozenSet[Fraction]]:
-    """A pair of rooms whose areas agree identically on the solution space,
-    or else the finite set of line parameters t at which some two areas
-    agree (empty on a point).  Area equality factors as
-    (w_i - w_j)(1 - w_i - w_j) = 0, and on a point or a line each factor is
-    affine in t: it vanishes identically, forcing the pair, or at one t at
-    most.  Raises on a space of dimension above MAX_FREE_DIMS."""
-    if sol.dim > MAX_FREE_DIMS:
-        raise ValueError(f"solution space dimension {sol.dim} exceeds {MAX_FREE_DIMS}")
-    base = fp.num_vsegs + fp.num_hsegs
-    forms = [sol.coordinate_form(base + 2 * i) for i in range(fp.n)]
-    forms = [(c, a[0] if a else 0) for c, a in forms]  # w_i = c + a*t
-    pairs = list(combinations(range(fp.n), 2))
+    """A pair of rooms whose areas agree at every t, or else the finite set
+    of parameters t at which some two areas agree.  `widths` holds each
+    room's width w_i = c + a*t as the pair (c, a).  Area equality factors
+    as (w_i - w_j)(1 - w_i - w_j) = 0, and each factor is affine in t: it
+    vanishes identically, forcing the pair, or at one t at most."""
+    pairs = list(combinations(range(len(widths)), 2))
     for i, j in pairs:
-        (ci, ai), (cj, aj) = forms[i], forms[j]
+        (ci, ai), (cj, aj) = widths[i], widths[j]
         if (ci, ai) == (cj, aj):
             return ForcedPair(i, j, f"w{i} = w{j}")
         if ai == -aj and ci + cj == 1:
@@ -168,7 +143,7 @@ def forced_equal_pair(
     # no factor vanishes identically, so each vanishes at one t at most
     excluded = set()
     for i, j in pairs:
-        (ci, ai), (cj, aj) = forms[i], forms[j]
+        (ci, ai), (cj, aj) = widths[i], widths[j]
         if ai != aj:
             excluded.add((cj - ci) / (ai - aj))
         if ai != -aj:
@@ -176,42 +151,38 @@ def forced_equal_pair(
     return frozenset(excluded)
 
 
-def distinct_area_params(pp: PositivePoint, excluded: FrozenSet[Fraction]) -> List[Fraction]:
-    """The parameters of a positive point at which no two areas agree.
+def distinct_area_param(pp: PositivePoint, excluded: FrozenSet[Fraction]) -> Fraction:
+    """A parameter of the positivity interval at which no two areas agree.
 
-    `pp` is the positive point of a line or a point, and `excluded` the
-    parameters at which two areas agree.  `positive_point`'s own t is kept
-    when it is not excluded.  Otherwise the midpoint of t and the nearest
-    larger value among the excluded ones and the interval's upper end
-    (t + 2 when that end is unbounded) lies inside the positivity interval
-    and excludes nothing."""
-    if not pp.params or pp.params[0] not in excluded:
-        return pp.params
-    t = pp.params[0]
+    `pp` is the positive point of the line, and `excluded` the parameters
+    at which two areas agree.  `positive_point`'s own t is kept when it is
+    not excluded.  Otherwise the midpoint of t and the nearest larger value
+    among the excluded ones and the interval's upper end (t + 2 when that
+    end is unbounded) lies inside the interval and excludes nothing."""
+    t = pp.t
+    if t not in excluded:
+        return t
     hi = pp.interval[1]
     bound = t + 2 if hi is None else hi
-    nearest = min([e for e in excluded if e > t] + [bound])
-    return [(t + nearest) / 2]
+    return (t + min([e for e in excluded if e > t] + [bound])) / 2
 
 
-def _witness(fp: Floorplan, sol: ParamSolution, params) -> IsoWitness:
-    point = sol.point(params)
-    nv, nh, n = fp.num_vsegs, fp.num_hsegs, fp.n
-    xs = point[:nv]
-    ys = point[nv : nv + nh]
-    dims = [(point[nv + nh + 2 * i], point[nv + nh + 2 * i + 1]) for i in range(n)]
+def _witness(fp: Floorplan, line: ParamSolution, t: Fraction) -> IsoWitness:
+    point = line.point([t])
+    xs, ys = point[: fp.num_vsegs], point[fp.num_vsegs :]
+    dims = [(xs[r] - xs[l], ys[top] - ys[b]) for l, r, b, top in fp.rooms]
     areas = tuple(w * h for w, h in dims)
     tiles = TileSet([Tile(i + 1, w, h) for i, (w, h) in enumerate(dims)])
     placements = tuple(
         Placement(i + 1, xs[l], ys[b], False)
-        for i, (l, r, b, t) in enumerate(fp.rooms)
+        for i, (l, r, b, top) in enumerate(fp.rooms)
     )
     layout = Layout(xs[1], ys[1], placements)
     defect = verify_layout(tiles, layout)
-    if defect is not None or len(set(areas)) != n:
+    if defect is not None or len(set(areas)) != fp.n:
         raise RuntimeError(f"witness for floorplan {fp.code} does not verify: {defect}")
-    values = dict(zip(sol.names, point))
-    return IsoWitness(fp, sol, values, layout, tiles, areas)
+    values = dict(zip(line.names, point))
+    return IsoWitness(fp, line, values, layout, tiles, areas)
 
 
 def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult:
@@ -223,6 +194,8 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
         raise UnsupportedInstance(f"n = {n} exceeds the floorplan cap of {MAX_ROOMS} rooms")
     if n < 2:
         raise ValueError(f"n must be in 2..{MAX_ROOMS}, got {n}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     witnesses: List[IsoWitness] = []
     forced: List[Tuple[Floorplan, ForcedPair]] = []
     residual: List[Floorplan] = []
@@ -233,19 +206,21 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
         if sol is None:
             infeasible += 1
             continue
-        if sol.dim > MAX_FREE_DIMS:
+        if sol.dim > 1:
             residual.append(fp)
             continue
-        base = fp.num_vsegs + fp.num_hsegs
-        pp = positive_point(sol, range(base, base + 2 * n))
+        # room i's width x_r - x_l as the affine form (c, a): w_i = c + a*t
+        (d,), p = sol.basis, sol.particular
+        widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
+        pp = positive_point(widths + [(1 - c, -a) for c, a in widths])
         if pp.certified_empty:
             certified_empty += 1
             continue
-        equal = forced_equal_pair(sol, fp)
+        equal = forced_equal_pair(widths)
         if isinstance(equal, ForcedPair):
             forced.append((fp, equal))
             continue
-        witnesses.append(_witness(fp, sol, distinct_area_params(pp, equal)))
+        witnesses.append(_witness(fp, sol, distinct_area_param(pp, equal)))
         if limit is not None and len(witnesses) >= limit:
             break
     if witnesses:

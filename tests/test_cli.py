@@ -126,11 +126,15 @@ def test_tiling_search_iso_small_n(tmp_path, capsys):
     [
         (["tiling", "search-iso", "--n", "9"], "floorplan cap of 8 rooms"),
         (["tiling", "enumerate", "--cap", "3"], "exhaustive-search cap of 3"),
+        (["tiling", "search-iso", "--n", "1"], "--n must be at least 2"),
+        (["tiling", "search-iso", "--n", "7", "--limit", "0"], "--limit must be at least 1"),
+        (["tiling", "hcn", "--limit", "0"], "--limit must be at least 1"),
     ],
 )
 def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, message):
-    """A program limit is no answer: --expect-infeasible must not turn it
-    into exit 0, and no report is written."""
+    """A program limit or an out-of-range flag is no answer:
+    --expect-infeasible must not turn it into exit 0, and no report is
+    written."""
     tiles = tmp_path / "four.tiles"
     tiles.write_text("1 1\n1 1\n1 1\n1 1\n")
     if argv[1] == "enumerate":

@@ -19,7 +19,6 @@ from convexkit.tiling import (
     baxter_count,
     enumerate_floorplans,
     floorplan_from_code,
-    is_baxter,
 )
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 92, 6: 422, 7: 2074, 8: 10754}
@@ -90,28 +89,20 @@ def test_known_counts(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_counts_match_baxter_filter(n):
-    assert len(enumerate_floorplans(n)) == baxter_count(n)
-
-
-def test_is_baxter_agrees_with_literal_patterns():
-    for n in range(1, 7):
-        for p in permutations(range(1, n + 1)):
-            assert is_baxter(p) == brute_is_baxter(p), p
+    """The closed-form Baxter count against the literal pattern filter
+    over all n! permutations, and the enumeration against both."""
+    brute = sum(1 for p in permutations(range(1, n + 1)) if brute_is_baxter(p))
+    assert len(enumerate_floorplans(n)) == baxter_count(n) == brute
 
 
 def test_is_baxter_known_cases():
-    assert not is_baxter((2, 4, 1, 3))
-    assert not is_baxter((3, 1, 4, 2))
-    assert is_baxter((2, 1, 4, 3))
-    assert is_baxter((1, 2, 3, 4))
-    assert is_baxter((1,))
-
-
-def test_is_baxter_rejects_non_permutations():
-    with pytest.raises(ValueError):
-        is_baxter((1, 1, 3))
-    with pytest.raises(ValueError):
-        is_baxter((0, 1))
+    """The literal filter on the two forbidden patterns of length four and
+    on three Baxter permutations."""
+    assert not brute_is_baxter((2, 4, 1, 3))
+    assert not brute_is_baxter((3, 1, 4, 2))
+    assert brute_is_baxter((2, 1, 4, 3))
+    assert brute_is_baxter((1, 2, 3, 4))
+    assert brute_is_baxter((1,))
 
 
 def test_codes_are_distinct_and_replayable():
@@ -173,6 +164,8 @@ def test_enumerate_bounds():
         enumerate_floorplans(0)
     with pytest.raises(ValueError):
         enumerate_floorplans(9)
+    with pytest.raises(ValueError):
+        baxter_count(0)
 
 
 def test_enumeration_leaves_no_garbage():

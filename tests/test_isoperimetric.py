@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel import ParamSolution, PositivePoint, positive_point, solve_linear_exact
+import convexkit.tiling.isoperimetric as isoperimetric
+from convexkit.kernel import PositivePoint, positive_point, solve_linear_exact
 from convexkit.tiling import (
     Floorplan,
     ForcedPair,
     UnsupportedInstance,
-    distinct_area_params,
+    build_isoperimetric_system,
+    distinct_area_param,
     enumerate_floorplans,
     forced_equal_pair,
     load_layout,
@@ -68,20 +70,48 @@ def full_system(fp):
     return rows, rhs, names
 
 
-@pytest.mark.parametrize("n,step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 10)])
-def test_segment_solve_equals_full_system(n, step):
-    """Solving over segment coordinates and lifting gives, Fraction for
-    Fraction, the space an RREF solve of the full system returns."""
-    for fp in enumerate_floorplans(n)[::step]:
+def lift(fp, v):
+    """Append every room's (w, h) = (x_r - x_l, y_t - y_b) to a vector over
+    the segment coordinates."""
+    nv = fp.num_vsegs
+    return list(v) + [d for l, r, b, t in fp.rooms for d in (v[r] - v[l], v[nv + t] - v[nv + b])]
+
+
+# every floorplan with n <= 7 solves to a line
+@pytest.mark.parametrize("n,dim", [(n, 1) for n in range(1, 8)])
+def test_segment_solve_equals_full_system(n, dim):
+    """The segment line, lifted to the room dimensions, is Fraction for
+    Fraction the space an RREF solve of the full system returns, and its
+    parameter t is the height of the last room whose height varies."""
+    for fp in enumerate_floorplans(n):
         got = solve_isoperimetric(fp)
         want = solve_linear_exact(*full_system(fp))
         if want is None:
             assert got is None
-        else:
-            assert got.dim == 1
-            assert (got.names, got.particular, got.basis) == (
-                want.names, want.particular, want.basis
-            )
+            continue
+        assert got.dim == want.dim == dim
+        assert got.names == want.names[: len(got.names)]
+        assert [lift(fp, got.particular), lift(fp, got.basis[0])] == [
+            want.particular, want.basis[0]
+        ]
+        heights = [(fp.num_vsegs + b, fp.num_vsegs + t) for _, _, b, t in fp.rooms]
+        b, t = [(b, t) for b, t in heights if got.basis[0][t] != got.basis[0][b]][-1]
+        for s in (Fraction(0), Fraction(1), Fraction(-2, 3)):
+            point = got.point([s])
+            assert point[t] - point[b] == s
+
+
+def test_plane_solution_space_counts_as_residual(monkeypatch):
+    """A vertical segment that no room touches is free, so the solution
+    space is a plane: it comes back as solved, and the search counts the
+    floorplan as residual instead of deciding it."""
+    spare = Floorplan(((0, 1, 0, 1), (0, 1, 0, 1)), 3, 2, ())
+    sol = solve_isoperimetric(spare)
+    assert sol.dim == 2
+    assert sol == solve_linear_exact(*build_isoperimetric_system(spare))
+    monkeypatch.setattr(isoperimetric, "enumerate_floorplans", lambda n: [spare])
+    result = search_isoperimetric(2)
+    assert (result.status, result.residual, result.examined) == ("inconclusive", (spare,), 1)
 
 
 def test_seven_room_census():
@@ -156,50 +186,48 @@ def test_search_bounds():
         search_isoperimetric(1)
     with pytest.raises(UnsupportedInstance):
         search_isoperimetric(9)
+    with pytest.raises(ValueError):
+        search_isoperimetric(7, limit=0)
 
 
-def width_line(consts, slopes):
-    """The line w_i = consts[i] + slopes[i] * t, h_i = 1 - w_i over
-    (w0, h0, w1, h1, ...), with a floorplan stand-in that has no segment
-    coordinates: `forced_equal_pair` reads only the room count and where
-    the widths start."""
-    n = len(consts)
-    names = [v for i in range(n) for v in (f"w{i}", f"h{i}")]
-    particular = [v for c in consts for v in (Fraction(c), 1 - Fraction(c))]
-    basis = [[v for a in slopes for v in (Fraction(a), -Fraction(a))]]
-    fp = Floorplan(((0, 1, 0, 1),) * n, 0, 0, ())
-    return ParamSolution(names, particular, basis), fp
+def width_forms(consts, slopes):
+    """Room widths w_i = consts[i] + slopes[i] * t as affine forms (c, a)."""
+    return [(Fraction(c), Fraction(a)) for c, a in zip(consts, slopes)]
 
 
-def areas_at(sol, params):
-    point = sol.point(params)
-    return [w * h for w, h in zip(point[::2], point[1::2])]
+def positive_widths(widths):
+    """`positive_point` on every width w_i and height 1 - w_i, as the
+    search calls it."""
+    return positive_point(widths + [(1 - c, -a) for c, a in widths])
+
+
+def areas_at(widths, t):
+    return [w * (1 - w) for w in (c + a * t for c, a in widths)]
 
 
 def test_distinct_area_choice_moves_off_an_excluded_t():
     """w0 = t, w1 = 5/12, w2 = 2t - 1/3 is positive on (1/6, 2/3), whose
     midpoint 5/12 makes w0 = w1.  The next excluded value above it is
     4/9 (w0 + w2 = 1), so the witness is their midpoint 31/72."""
-    sol, fp = width_line([0, Fraction(5, 12), Fraction(-1, 3)], [1, 0, 2])
-    pp = positive_point(sol, range(6))
-    assert (pp.params, pp.interval) == ([Fraction(5, 12)], (Fraction(1, 6), Fraction(2, 3)))
-    excluded = forced_equal_pair(sol, fp)
+    widths = width_forms([0, Fraction(5, 12), Fraction(-1, 3)], [1, 0, 2])
+    pp = positive_widths(widths)
+    assert (pp.t, pp.interval) == (Fraction(5, 12), (Fraction(1, 6), Fraction(2, 3)))
+    excluded = forced_equal_pair(widths)
     assert excluded == {
         Fraction(p, q) for p, q in ((5, 12), (7, 12), (1, 3), (4, 9), (3, 8), (11, 24))
     }
-    params = distinct_area_params(pp, excluded)
-    assert params == [Fraction(31, 72)]
-    assert len(set(areas_at(sol, params))) == 3
+    t = distinct_area_param(pp, excluded)
+    assert t == Fraction(31, 72)
+    assert len(set(areas_at(widths, t))) == 3
     # when the excluded t is the last one, the interval end bounds the step
-    sol, fp = width_line([0, Fraction(1, 2)], [1, 0])
-    pp = positive_point(sol, range(4))
-    assert distinct_area_params(pp, forced_equal_pair(sol, fp)) == [Fraction(3, 4)]
+    widths = width_forms([0, Fraction(1, 2)], [1, 0])
+    assert distinct_area_param(positive_widths(widths), forced_equal_pair(widths)) == Fraction(3, 4)
     # an interval unbounded above steps towards t + 2
-    free = PositivePoint([], params=[Fraction(0)], interval=(None, None))
-    assert distinct_area_params(free, {Fraction(0)}) == [Fraction(1)]
-    assert distinct_area_params(free, {Fraction(0), Fraction(1, 2)}) == [Fraction(1, 4)]
+    free = PositivePoint(Fraction(0), interval=(None, None))
+    assert distinct_area_param(free, {Fraction(0)}) == Fraction(1)
+    assert distinct_area_param(free, {Fraction(0), Fraction(1, 2)}) == Fraction(1, 4)
     # positive_point's own t is kept when nothing excludes it
-    assert distinct_area_params(free, {Fraction(1)}) == [Fraction(0)]
+    assert distinct_area_param(free, {Fraction(1)}) == Fraction(0)
 
 
 # widths in (0, 1) at t = 0, so the positivity interval is never empty
@@ -216,28 +244,27 @@ def test_exact_choice_on_random_lines(line):
     """Every rational line gets either a pair of rooms whose areas agree
     at every t, or a t inside the positivity interval at which all areas
     w(1 - w) are positive and pairwise distinct."""
-    sol, fp = width_line(*line)
-    pp = positive_point(sol, range(2 * fp.n))
+    widths = width_forms(*line)
+    pp = positive_widths(widths)
     assert not pp.certified_empty
-    equal = forced_equal_pair(sol, fp)
+    equal = forced_equal_pair(widths)
     if isinstance(equal, ForcedPair):
         i, j = equal.room_i, equal.room_j
         # areas are quadratic in t: agreeing at three points is identity
         for t in (Fraction(0), Fraction(1), Fraction(-1)):
-            areas = areas_at(sol, [t])
+            areas = areas_at(widths, t)
             assert areas[i] == areas[j]
         return
-    params = distinct_area_params(pp, equal)
-    (t,), (lo, hi) = params, pp.interval
+    t = distinct_area_param(pp, equal)
+    lo, hi = pp.interval
     assert (lo is None or lo < t) and (hi is None or t < hi)
-    assert all(v > 0 for v in sol.point(params))
-    areas = areas_at(sol, params)
-    assert len(set(areas)) == fp.n
-    if pp.params[0] not in equal:
-        assert params == pp.params
+    assert all(0 < c + a * t < 1 for c, a in widths)
+    assert len(set(areas_at(widths, t))) == len(widths)
+    if pp.t not in equal:
+        assert t == pp.t
     # every excluded t really makes two areas agree
     for e in equal:
-        assert len(set(areas_at(sol, [e]))) < fp.n
+        assert len(set(areas_at(widths, e))) < len(widths)
 
 
 def segment_ids(coords, hi):
@@ -273,6 +300,4 @@ def test_seven_tile_fixture_solves_after_rescaling():
     inv_h = {v: c for c, v in hmap.items()}
     point = [inv_v[i] * scale for i in range(len(vmap))]
     point += [inv_h[i] * scale for i in range(len(hmap))]
-    for x0, y0, x1, y1 in rects:
-        point += [(x1 - x0) * scale, (y1 - y0) * scale]
     assert sol.contains(point)

@@ -1,16 +1,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel.linsolve import (
-    MAX_FREE_DIMS,
-    ParamSolution,
-    positive_point,
-    solve_linear_exact,
-)
+from convexkit.kernel.linsolve import ParamSolution, positive_point, solve_linear_exact
 
 F = Fraction
 
@@ -71,102 +65,88 @@ def test_random_consistent_systems_solve_exactly():
         assert sol.contains(target)
 
 
+def line_forms(sol):
+    """Every coordinate of a solved line as an affine form (c, a): c + a*t."""
+    return [(c, a[0]) for c, a in map(sol.coordinate_form, range(len(sol.particular)))]
+
+
 def test_positive_point_found_on_open_region():
     # x + y = 1 with both positive: plenty of room
     sol = solve_linear_exact([[F(1), F(1)]], [F(1)])
-    res = positive_point(sol, [0, 1])
-    assert res.point is not None
-    assert all(v > 0 for v in res.point)
-    assert sol.contains(res.point)
+    res = positive_point(line_forms(sol))
+    assert res.t is not None
+    point = sol.point([res.t])
+    assert all(v > 0 for v in point)
+    assert sol.contains(point)
 
 
 def test_positive_point_certifies_empty():
     # x + y = 0 forces opposite signs
     sol = solve_linear_exact([[F(1), F(1)]], [F(0)])
-    res = positive_point(sol, [0, 1])
-    assert res.point is None
+    res = positive_point(line_forms(sol))
+    assert res.t is None
     assert res.certified_empty
 
 
 def test_positive_point_zero_dim():
-    sol = solve_linear_exact([[F(1), F(0)], [F(0), F(1)]], [F(2), F(3)])
-    res = positive_point(sol, [0, 1])
-    assert res.point == [F(2), F(3)]
-    bad = solve_linear_exact([[F(1), F(0)], [F(0), F(1)]], [F(2), F(-3)])
-    res2 = positive_point(bad, [0, 1])
-    assert res2.point is None and res2.certified_empty
+    """Forms that do not move with t, as on a single point, are decided
+    by their constants alone."""
+    res = positive_point([(F(2), F(0)), (F(3), F(0))])
+    assert (res.t, res.interval, res.certified_empty) == (F(0), (None, None), False)
+    res2 = positive_point([(F(2), F(0)), (F(-3), F(0))])
+    assert res2.t is None and res2.certified_empty
+    assert positive_point([]).t == 0
 
 
 def test_positive_point_parameter_rule():
     """The witness parameter: the midpoint of a bounded interval, one past
     the finite end of a half-line, and 0 when nothing bounds it."""
-    line = ParamSolution(["a", "b", "c"], [F(2), F(3), F(4)], [[F(1), F(-1), F(0)]])
+    rising, falling, const = (F(2), F(1)), (F(3), F(-1)), (F(4), F(0))
     cases = [
-        ([0, 1], F(1, 2)),  # -2 < t < 3
-        ([0], F(-1)),       # t > -2
-        ([1], F(2)),        # t < 3
-        ([2], F(0)),        # c = 4 does not involve t
+        ([rising, falling], F(1, 2)),  # -2 < t < 3
+        ([rising], F(-1)),             # t > -2
+        ([falling], F(2)),             # t < 3
+        ([const], F(0)),               # 4 does not involve t
     ]
-    for indices, t in cases:
-        res = positive_point(line, indices)
-        assert (res.params, res.certified_empty, res.attempts) == ([t], False, 0)
-        assert res.point == line.point([t])
-    # an empty interval, and a constant coordinate that is not positive
-    shifted = ParamSolution(["a", "b", "c"], [F(1), F(-1), F(0)], [[F(1), F(-1), F(0)]])
-    for indices in ([0, 1], [2]):
-        res = positive_point(shifted, indices)
-        assert (res.point, res.params, res.certified_empty) == (None, None, True)
+    for forms, t in cases:
+        res = positive_point(forms)
+        assert (res.t, res.certified_empty, res.attempts) == (t, False, 0)
+        assert all(c + a * t > 0 for c, a in forms)
+    # an empty interval, and a constant form that is not positive
+    for forms in ([(F(1), F(1)), (F(-1), F(-1))], [(F(0), F(0))]):
+        res = positive_point(forms)
+        assert (res.t, res.interval, res.certified_empty) == (None, None, True)
 
 
 small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+# a slope of 0 half the time, so constant forms mix with moving ones
+slopes = st.one_of(st.just(F(0)), small_fractions)
 
 
-@st.composite
-def spaces_of_dim_at_most_one(draw):
-    k = draw(st.integers(1, 6))
-    particular = draw(st.lists(small_fractions, min_size=k, max_size=k))
-    dim = draw(st.integers(0, 1))
-    basis = [draw(st.lists(small_fractions, min_size=k, max_size=k)) for _ in range(dim)]
-    indices = draw(st.lists(st.integers(0, k - 1), unique=True, max_size=k))
-    return ParamSolution([f"x{i}" for i in range(k)], particular, basis), indices
-
-
-def oracle_has_positive_point(sol, indices):
+def oracle_has_positive_point(forms):
     """Exhaustive check over the parameters where the sign pattern can
     change: between consecutive breakpoints -c/a, and beyond both ends."""
-    forms = [sol.coordinate_form(i) for i in indices]
-    if sol.dim == 0:
-        return all(c > 0 for c, _ in forms)
-    breaks = sorted({-c / a[0] for c, a in forms if a[0] != 0})
+    breaks = sorted({-c / a for c, a in forms if a != 0})
     if breaks:
         candidates = [breaks[0] - 1, breaks[-1] + 1]
         candidates += [(x + y) / 2 for x, y in zip(breaks, breaks[1:])]
     else:
         candidates = [F(0)]
-    return any(all(c + a[0] * t > 0 for c, a in forms) for t in candidates)
+    return any(all(c + a * t > 0 for c, a in forms) for t in candidates)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(spaces_of_dim_at_most_one())
-def test_positive_point_is_exact_on_points_and_lines(case):
-    sol, indices = case
-    res = positive_point(sol, indices)
+@given(st.lists(st.tuples(small_fractions, slopes), max_size=6))
+def test_positive_point_is_exact_on_points_and_lines(forms):
+    res = positive_point(forms)
     assert res.attempts == 0
     if res.certified_empty:
-        assert res.point is None
-        assert not oracle_has_positive_point(sol, indices)
+        assert res.t is None
+        assert not oracle_has_positive_point(forms)
     else:
-        assert res.point == sol.point(res.params)
-        assert sol.contains(res.point)
-        assert all(res.point[i] > 0 for i in indices)
-
-
-def test_dimension_cap_enforced():
-    n = MAX_FREE_DIMS + 2
-    sol = solve_linear_exact([[F(1)] * n], [F(1)])
-    assert sol.dim == n - 1 > MAX_FREE_DIMS
-    with pytest.raises(ValueError):
-        positive_point(sol, list(range(n)))
+        lo, hi = res.interval
+        assert (lo is None or lo < res.t) and (hi is None or res.t < hi)
+        assert all(c + a * res.t > 0 for c, a in forms)
 
 
 def test_param_solution_names_survive():
@@ -231,26 +211,3 @@ def test_sparse_solve_matches_dense_reference():
         else:
             assert (sol.particular, sol.basis) == ref
     assert outcomes == {True, False}
-
-
-def test_canonical_form_is_unique():
-    """Any parametrization of a solved space canonicalizes back to the
-    solver's own form, which is canonical already."""
-    rng = random.Random(13)
-    checked = 0
-    for _ in range(200):
-        matrix, rhs = random_sparse_system(rng, rng.randint(1, 5), rng.randint(2, 8))
-        sol = solve_linear_exact(matrix, rhs)
-        if sol is None or sol.dim == 0:
-            continue
-        assert sol.canonical() == sol
-        mix = [[F(rng.randint(-4, 4)) for _ in range(sol.dim)] for _ in range(sol.dim + 1)]
-        basis = [[sum((c * b[j] for c, b in zip(cs, sol.basis)), F(0))
-                  for j in range(len(sol.particular))] for cs in mix]
-        particular = sol.point([F(rng.randint(-9, 9), 7) for _ in range(sol.dim)])
-        other = ParamSolution(sol.names, particular, basis)
-        if other.canonical().dim < sol.dim:
-            continue  # the random mix lost rank: another space
-        assert other.canonical() == sol
-        checked += 1
-    assert checked > 50
