@@ -8,9 +8,13 @@ drawings and meshes.  All numbers in reports are serialized as strings
 (rationals as p/q, floats with 17 significant digits) so identical runs
 produce byte-identical files.
 
-Exit codes: 0 success, 1 the computed answer is "infeasible / not found"
-(inverted by --expect-infeasible for scripted conjecture checks), 2 usage
-or input-file errors and instances beyond a program limit.
+Exit codes: 0 success; 1 the computed answer is "infeasible / not found",
+or the requested solid does not exist (`NoSuchSolid`, with a "rejected"
+report); 2 a flag argparse rejects, or any other `ValueError` or `OSError`
+(a bad input file, a value the library rejects, an instance beyond a
+program limit), printed as `error: ...` on stderr with no report written.
+--expect-infeasible swaps 0 and 1 for scripted conjecture checks and
+leaves 2 alone.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .extremal import (
     reuleaux_metrics,
 )
 from .fairpart import (
-    RatioTarget,
     disc_chord_analysis,
     find_scaled_fair_cut,
     parse_ratio,
@@ -46,6 +49,7 @@ from .kernel import ConvexPolygon, rectangle, regular_ngon, support_body_metrics
 from .kernel.rational import format_rational, parse_rational
 from .polyhedra import (
     Mesh,
+    NoSuchSolid,
     build_cube_with_pyramids,
     build_decagonal_dipyramidal_antiprism,
     build_icosagonal_dipyramid,
@@ -57,14 +61,12 @@ from .polyhedra import (
     mesh_to_obj,
 )
 from .tiling import (
-    TileFileError,
-    UnsupportedInstance,
     enumerate_layouts,
     hcn_context,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
-    layout_to_json,
+    layout_to_dict,
     load_layout,
     load_tileset,
     search_isoperimetric,
@@ -79,10 +81,6 @@ PALETTE = [
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
 ]
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------- reports
@@ -161,58 +159,41 @@ def svg_outlines(rings: List[List[Tuple[float, float]]]) -> str:
 
 def parse_shape(spec: str) -> ConvexPolygon:
     """rect:WxH (exact sides) or ngon:N (regular N-gon, circumradius 1)."""
-    try:
-        kind, _, rest = spec.partition(":")
-        if kind == "rect":
-            w_s, _, h_s = rest.partition("x")
-            return rectangle(parse_rational(w_s), parse_rational(h_s))
-        if kind == "ngon":
-            return regular_ngon(int(rest))
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad shape {spec!r}: {e}") from None
-    raise UsageError(f"unknown shape {spec!r}; use rect:WxH or ngon:N")
+    kind, _, rest = spec.partition(":")
+    if kind == "rect":
+        return rectangle(*parse_rect(spec))
+    if kind == "ngon":
+        return regular_ngon(int(rest))
+    raise ValueError(f"unknown shape {spec!r}; use rect:WxH or ngon:N")
 
 
 def parse_rect(spec: str) -> Tuple[Fraction, Fraction]:
     kind, _, rest = spec.partition(":")
     if kind != "rect":
-        raise UsageError("this command needs a rectangle shape rect:WxH")
-    try:
-        w_s, _, h_s = rest.partition("x")
-        return parse_rational(w_s), parse_rational(h_s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise UsageError(f"bad shape {spec!r}: {e}") from None
+        raise ValueError("this command needs a rectangle shape rect:WxH")
+    w_s, _, h_s = rest.partition("x")
+    return parse_rational(w_s), parse_rational(h_s)
 
 
-def ratio_arg(text: str) -> RatioTarget:
-    try:
-        return parse_ratio(text)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+def positive_float(text: str) -> float:
+    """argparse type for a float flag that may reach no library call."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
-def check_grid(args, least: int) -> None:
-    """--samples below `least`, or a --tol that is not positive, is a usage
-    error: the solvers would answer from an empty or degenerate grid."""
-    if args.samples < least:
-        raise UsageError(f"--samples must be at least {least}, got {args.samples}")
-    if hasattr(args, "tol") and not args.tol > 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
-
-
-def check_limit(args) -> None:
-    """A --limit below 1 is a usage error, not a negative answer."""
-    if args.limit is not None and args.limit < 1:
-        raise UsageError(f"--limit must be at least 1, got {args.limit}")
+def angle_samples(text: str) -> int:
+    """argparse type for an angle-grid size that may reach no library call."""
+    value = int(text)
+    if value < 4:
+        raise argparse.ArgumentTypeError(f"must be at least 4, got {text}")
+    return value
 
 
 # ---------------------------------------------------------------- handlers
 
 Handler = Tuple[bool, dict, Dict[str, str], List[str]]
-
-
-def _layout_json(layout) -> dict:
-    return json.loads(layout_to_json(layout))
 
 
 def cmd_tiling_verify(args) -> Handler:
@@ -270,7 +251,7 @@ def cmd_tiling_enumerate(args) -> Handler:
             {
                 "width": r.width,
                 "height": r.height,
-                "placements": _layout_json(r.layout)["placements"],
+                "placements": layout_to_dict(r.layout)["placements"],
             }
             for r in results
         ],
@@ -284,9 +265,6 @@ def cmd_tiling_enumerate(args) -> Handler:
 
 
 def cmd_tiling_search_iso(args) -> Handler:
-    if args.n < 2:
-        raise UsageError(f"--n must be at least 2, got {args.n}")
-    check_limit(args)
     res = search_isoperimetric(args.n, limit=args.limit)
     report = {
         "command": "tiling search-iso",
@@ -301,7 +279,7 @@ def cmd_tiling_search_iso(args) -> Handler:
                 "target": [w.layout.target_width, w.layout.target_height],
                 "areas": list(w.areas),
                 "tiles": serialize_tileset(w.tileset),
-                "layout": _layout_json(w.layout),
+                "layout": layout_to_dict(w.layout),
             }
             for w in res.witnesses
         ],
@@ -319,8 +297,10 @@ def cmd_tiling_search_iso(args) -> Handler:
 
 
 def cmd_tiling_hcn(args) -> Handler:
-    check_limit(args)
-    if args.limit is not None and args.h is None:
+    census_flags = (args.h, args.i, args.length)
+    if args.limit is not None:
+        if census_flags != (None, None, None):
+            raise ValueError("hcn takes either --limit or --h --i --length, not both")
         records = hcn_up_to(args.limit)
         report = {
             "command": "tiling hcn",
@@ -329,8 +309,8 @@ def cmd_tiling_hcn(args) -> Handler:
             "records": [{"n": n, "divisors": divisor_count(n)} for n in records],
         }
         return True, report, {}, [f"{len(records)} divisor records up to {args.limit}"]
-    if args.h is None or args.i is None or args.length is None:
-        raise UsageError("hcn needs either --limit or all of --h --i --length")
+    if None in census_flags:
+        raise ValueError("hcn needs either --limit or all of --h --i --length")
     ctx = hcn_context(args.h, args.i, parse_rational(args.length))
     census = hcn_layout_census(ctx)
     feasible = sorted(w for w, lay in census.items() if lay is not None)
@@ -382,9 +362,8 @@ def cmd_tiling_split(args) -> Handler:
 
 
 def cmd_fairpart_profile(args) -> Handler:
-    check_grid(args, 4)
     poly = parse_shape(args.shape)
-    target = ratio_arg(args.ratio)
+    target = parse_ratio(args.ratio)
     profile = perimeter_ratio_profile(poly, target, samples=args.samples)
     rhos = [p.rho for p in profile]
     i_min = min(range(len(rhos)), key=rhos.__getitem__)
@@ -409,9 +388,8 @@ def cmd_fairpart_profile(args) -> Handler:
 
 
 def cmd_fairpart_solve(args) -> Handler:
-    check_grid(args, 4)
     poly = parse_shape(args.shape)
-    target = ratio_arg(args.ratio)
+    target = parse_ratio(args.ratio)
     res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples)
     report = {
         "command": "fairpart solve",
@@ -447,10 +425,7 @@ def cmd_fairpart_solve(args) -> Handler:
 
 
 def cmd_fairpart_disc(args) -> Handler:
-    check_grid(args, 4)
-    if args.ngon and args.ngon < 3:
-        raise UsageError(f"--ngon must be 0 (skip) or at least 3, got {args.ngon}")
-    target = ratio_arg(args.ratio)
+    target = parse_ratio(args.ratio)
     chord = disc_chord_analysis(target)
     report = {
         "command": "fairpart disc",
@@ -481,9 +456,8 @@ def cmd_fairpart_disc(args) -> Handler:
 
 
 def cmd_fairpart_band(args) -> Handler:
-    check_grid(args, 1)
     w, h = parse_rect(args.shape)
-    target = ratio_arg(args.ratio)
+    target = parse_ratio(args.ratio)
     res = solve_band(float(w), float(h), target, tol=args.tol, samples=args.samples)
     report = {
         "command": "fairpart band",
@@ -663,7 +637,7 @@ SOLID_BUILDERS = {
 
 def _build_solid(name: str, args) -> Mesh:
     if name not in SOLID_BUILDERS:
-        raise UsageError(f"unknown solid {name!r}; choose from {sorted(SOLID_BUILDERS)}")
+        raise ValueError(f"unknown solid {name!r}; choose from {sorted(SOLID_BUILDERS)}")
     return SOLID_BUILDERS[name](args)
 
 
@@ -683,8 +657,6 @@ def cmd_poly_build(args) -> Handler:
 
 def cmd_poly_compare(args) -> Handler:
     names = [s.strip() for s in args.solids.split(",") if s.strip()]
-    if len(names) < 2:
-        raise UsageError("poly compare needs at least two solids (comma-separated)")
     meshes = [_build_solid(n, args) for n in names]
     rep = compare_report(meshes, names)
     report = {"command": "poly compare", **rep}
@@ -781,8 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
     fdi = fsub.add_parser("disc", help="chord analysis of the disc, optionally cross-checked on an n-gon")
     fdi.add_argument("--ratio", required=True)
     fdi.add_argument("--ngon", type=int, default=0, help="polygon vertices for the cross-check (0 = skip)")
-    fdi.add_argument("--tol", type=float, default=1e-9)
-    fdi.add_argument("--samples", type=int, default=720)
+    fdi.add_argument("--tol", type=positive_float, default=1e-9)
+    fdi.add_argument("--samples", type=angle_samples, default=720)
     _add_common(fdi)
 
     fba = fsub.add_parser("band", help="boundary-band partition of a rectangle")
@@ -818,20 +790,18 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("poly", help="polyhedra with matching face multisets")
     psub = po.add_subparsers(dest="cmd", required=True)
 
-    pb = psub.add_parser("build", help="build one solid and report its invariants")
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--a", type=float, default=1.0, help="cube side")
+    dims.add_argument("--h", type=float, default=0.3, help="pyramid height")
+    dims.add_argument("--s", type=float, default=1.0, help="triangle base edge")
+    dims.add_argument("--l", type=float, default=3.5, help="triangle lateral edge")
+
+    pb = psub.add_parser("build", parents=[dims], help="build one solid and report its invariants")
     pb.add_argument("--solid", required=True)
-    pb.add_argument("--a", type=float, default=1.0, help="cube side")
-    pb.add_argument("--h", type=float, default=0.3, help="pyramid height")
-    pb.add_argument("--s", type=float, default=1.0, help="triangle base edge")
-    pb.add_argument("--l", type=float, default=3.5, help="triangle lateral edge")
     _add_common(pb, obj=True)
 
-    pc = psub.add_parser("compare", help="compare invariants across solids")
+    pc = psub.add_parser("compare", parents=[dims], help="compare invariants across solids")
     pc.add_argument("--solids", required=True, help="comma-separated solid names")
-    pc.add_argument("--a", type=float, default=1.0)
-    pc.add_argument("--h", type=float, default=0.3)
-    pc.add_argument("--s", type=float, default=1.0)
-    pc.add_argument("--l", type=float, default=3.5)
     _add_common(pc, obj=True)
 
     return p
@@ -865,28 +835,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         ok, report, files, lines = HANDLERS[(args.family, args.cmd)](args)
-    except UsageError as e:
+    except NoSuchSolid as e:
+        ok, files, lines = False, {}, [f"rejected: {e}"]
+        report = {"command": f"{args.family} {args.cmd}", "feasible": False, "error": str(e)}
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except TileFileError as e:
-        print(f"tile file error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except UnsupportedInstance as e:
-        print(f"unsupported instance: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        # domain rejection from a module precondition: a negative answer
-        ok = False
-        report = {
-            "command": f"{args.family} {args.cmd}",
-            "feasible": False,
-            "error": str(e),
-        }
-        files = {}
-        lines = [f"rejected: {e}"]
 
     os.makedirs(args.out, exist_ok=True)
     rendered = render_report(report)

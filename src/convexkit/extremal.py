@@ -80,7 +80,7 @@ def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
     """The lens with the given area and perimeter, or None when no convex
     shape fits (area above the disc bound p^2/4pi).  At the bound the disc
     itself comes back, as the alpha = pi/2 lens."""
-    if area <= 0 or perimeter <= 0:
+    if not (area > 0 and perimeter > 0):
         raise ValueError("area and perimeter must be positive")
     u = area / (perimeter * perimeter)
     u_disc = 1.0 / (4.0 * math.pi)
@@ -97,7 +97,7 @@ def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
 def reuleaux_metrics(width: float) -> dict:
     """Closed-form Reuleaux triangle values: area (pi - sqrt(3))/2 * w^2,
     perimeter pi w, diameter w."""
-    if width <= 0:
+    if not width > 0:
         raise ValueError("width must be positive")
     return {
         "area": REULEAUX_AREA_COEFF * width * width,
@@ -129,7 +129,7 @@ def solve_sector(area: float, perimeter: float) -> List[Tuple[float, float]]:
     come from the cancellation-free forms below; zero, one, or two of them
     lie in (0, pi].  A discriminant within rounding of 0 is the peak
     itself, answered by the single root phi = 2."""
-    if area <= 0 or perimeter <= 0:
+    if not (area > 0 and perimeter > 0):
         raise ValueError("area and perimeter must be positive")
     u = area / (perimeter * perimeter)
     disc = 1.0 - 16.0 * u
@@ -169,7 +169,7 @@ def _reuleaux_support_fn(width: float):
 
 
 def reuleaux_support(width: float = 1.0, samples: int = CW_SAMPLES) -> SupportBody:
-    if width <= 0:
+    if not width > 0:
         raise ValueError("width must be positive")
     return SupportBody.from_function(_reuleaux_support_fn(width), samples)
 
@@ -220,7 +220,7 @@ def min_diameter_survey(
     Returns the report together with the constant-width body its
     "constant-width" candidate was measured on (None when there is no
     such candidate), for callers that draw it."""
-    if area <= 0 or perimeter <= 0:
+    if not (area > 0 and perimeter > 0):
         raise ValueError("area and perimeter must be positive")
     w = perimeter / math.pi
     disc_area = 0.25 * math.pi * w * w
@@ -283,7 +283,7 @@ def crossover_scan(perimeter: float = math.pi) -> dict:
     phi = pi/3 (radius equals far chord there); the scan reports that knee,
     the recorded conjecture scaled to this perimeter, and the sectors that
     actually meet the conjectured area."""
-    if perimeter <= 0:
+    if not perimeter > 0:
         raise ValueError("perimeter must be positive")
     scale = perimeter / math.pi
 

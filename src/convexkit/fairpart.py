@@ -367,9 +367,14 @@ class _ChordSweep:
         return at
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
 def _angle_grid(samples: int) -> List[float]:
     if samples < 4:
-        raise ValueError("need at least 4 angle samples")
+        raise ValueError(f"need at least 4 angle samples, got {samples}")
     return [j * math.pi / samples for j in range(samples)]
 
 
@@ -435,6 +440,7 @@ def find_scaled_fair_cut(
     bisect the first sign change of rho - sqrt(a/b).  rho need not return
     to rho(0) at pi (see `perimeter_ratio_profile`), so the sweep evaluates
     theta = pi itself to bracket the last interval.  O(m + samples)."""
+    _check_tol(tol)
     prof, p = _grid_root(
         _ChordSweep(c, target.fraction), samples, lambda q: q.rho - target.rho, tol
     )
@@ -474,6 +480,7 @@ def equal_fair_cut(c: ConvexPolygon, samples: int = 720, tol: float = 1e-9) -> L
     between theta and theta + pi (same line, swapped labels), so a zero of g
     exists in [0, pi]; scan then bisect, on one chord sweep at fraction
     1/2, O(m + samples)."""
+    _check_tol(tol)
     _, p = _grid_root(
         _ChordSweep(c, 0.5), samples, lambda q: q.perimeter_a - q.perimeter_b, tol * c.perimeter
     )
@@ -634,6 +641,9 @@ def solve_band(
     grid over (0, 1/2], brackets a sign change inside a feasible run, and
     bisects.  When no bracket exists the result reports the rho ranges the
     family actually attains, as evidence the target falls in a gap."""
+    _check_tol(tol)
+    if samples < 1:
+        raise ValueError(f"need at least 1 arc sample, got {samples}")
     want = target.rho
     grid = [j / (2.0 * samples) for j in range(1, samples + 1)]
     evals = [nonconvex_band_partition(width, height, target, s) for s in grid]

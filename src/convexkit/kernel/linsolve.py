@@ -40,10 +40,6 @@ class ParamSolution:
                     out[j] += t * rj
         return out
 
-    def coordinate_form(self, index: int) -> tuple[Fraction, list[Fraction]]:
-        """Coordinate `index` as an affine form (const, coeffs over params)."""
-        return self.particular[index], [row[index] for row in self.basis]
-
     def contains(self, point: Sequence[Fraction]) -> bool:
         """Exact membership test: does some parameter choice hit `point`?"""
         if len(point) != len(self.particular):

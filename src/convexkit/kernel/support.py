@@ -55,7 +55,7 @@ class SupportBody:
 
     @classmethod
     def disc(cls, width: float = 2.0, n: int = DEFAULT_SAMPLES) -> "SupportBody":
-        if width <= 0:
+        if not width > 0:
             raise ValueError("width must be positive")
         return cls(np.full(n, width / 2.0))
 

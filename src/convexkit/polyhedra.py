@@ -31,6 +31,11 @@ CONVEXITY_TOL = 1e-9
 SIGNATURE_QUANTUM = 1e-6
 
 
+class NoSuchSolid(ValueError):
+    """The requested solid provably does not exist at these parameters: a
+    negative answer about the solid, not a malformed request."""
+
+
 def _newell_normal(pts: np.ndarray) -> np.ndarray:
     nxt = np.roll(pts, -1, axis=0)
     n = np.zeros(3)
@@ -235,14 +240,15 @@ def build_cube_with_pyramids(
     """Cube of side a with square pyramids of height h erected on two
     faces: opposite (top and bottom) or adjacent (top and one side).  Both
     modes leave the same face multiset, 4 squares and 8 isosceles
-    triangles.  h >= a/2 loses convexity in the adjacent mode and is
-    rejected unless allow_nonconvex is set."""
+    triangles.  h >= a/2 loses convexity in the adjacent mode, which then
+    raises NoSuchSolid unless allow_nonconvex is set; the opposite mode is
+    convex at every height."""
     if mode not in ("opposite", "adjacent"):
         raise ValueError("mode must be 'opposite' or 'adjacent'")
     if not (a > 0 and h > 0):
         raise ValueError("side and height must be positive")
-    if h >= a / 2 and not allow_nonconvex:
-        raise ValueError("pyramid height must satisfy h < a/2 to keep convexity")
+    if mode == "adjacent" and h >= a / 2 and not allow_nonconvex:
+        raise NoSuchSolid("pyramid height must satisfy h < a/2 to keep convexity")
     verts: List[Point3] = [
         (0, 0, 0), (a, 0, 0), (a, a, 0), (0, a, 0),
         (0, 0, a), (a, 0, a), (a, a, a), (0, a, a),
@@ -338,7 +344,7 @@ def _height_for_edge(edge: float, radial: float, what: str) -> float:
     """Height z with z^2 + radial^2 = edge^2, in the closed form
     sqrt((edge - radial)(edge + radial)); edge <= radial has no height."""
     if edge <= radial:
-        raise ValueError(
+        raise NoSuchSolid(
             f"lateral edge {edge:g} too short: {what} needs edge > {radial:.9g}"
         )
     return math.sqrt((edge - radial) * (edge + radial))

@@ -268,9 +268,9 @@ def split_extension(ts: TileSet, tile_id: int, axis: str, position) -> TileSet:
     return TileSet(out)
 
 
-def layout_to_json(layout: Layout) -> str:
-    """Serialize a layout; all numbers as exact p/q strings."""
-    doc = {
+def layout_to_dict(layout: Layout) -> dict:
+    """The layout document: all numbers as exact p/q strings."""
+    return {
         "target": [format_rational(layout.target_width), format_rational(layout.target_height)],
         "placements": [
             {
@@ -282,7 +282,11 @@ def layout_to_json(layout: Layout) -> str:
             for p in layout.placements
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def layout_to_json(layout: Layout) -> str:
+    """Serialize a layout; all numbers as exact p/q strings."""
+    return json.dumps(layout_to_dict(layout), indent=2, sort_keys=True) + "\n"
 
 
 def _rotated_flag(p: dict) -> bool:
@@ -294,8 +298,8 @@ def _rotated_flag(p: dict) -> bool:
 
 
 def layout_from_json(text: str) -> Layout:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         tw = parse_rational(str(doc["target"][0]))
         th = parse_rational(str(doc["target"][1]))
         placements = tuple(
@@ -307,7 +311,7 @@ def layout_from_json(text: str) -> Layout:
             )
             for p in doc["placements"]
         )
-    except (KeyError, IndexError, TypeError) as e:
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ValueError(f"malformed layout document: {e}") from None
     return Layout(tw, th, placements)
 

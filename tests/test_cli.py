@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from convexkit import cli
 from convexkit.cli import _sector_ring, main, svg_outlines
 from convexkit.extremal import interpolate_constant_width
 
@@ -70,7 +71,7 @@ def test_tiling_verify_malformed_tile_file(tmp_path, capsys):
     )
     assert rc == 2
     err = capsys.readouterr().err
-    assert "tile file error" in err
+    assert "error: line 2" in err
     assert "line 2" in err
 
 
@@ -121,15 +122,29 @@ def test_tiling_search_iso_small_n(tmp_path, capsys):
     assert rc2 == 0
 
 
+def case_ids(cases):
+    """Name each case by the rule its input breaks, so a case keeps its
+    name when the wording of the error changes."""
+    return [f"argv{i}-{rule}" for i, (rule, _, _) in enumerate(cases)]
+
+
+# (rule the input breaks, argv, wording on stderr)
+PROGRAM_LIMITS = [
+    ("floorplan cap of 8 rooms", ["tiling", "search-iso", "--n", "9"], "floorplan cap of 8 rooms"),
+    ("exhaustive-search cap of 3", ["tiling", "enumerate", "--cap", "3"],
+     "exhaustive-search cap of 3"),
+    ("--n must be at least 2", ["tiling", "search-iso", "--n", "1"], "n must be in 2..8, got 1"),
+    ("--limit must be at least 1", ["tiling", "search-iso", "--n", "7", "--limit", "0"],
+     "limit must be >= 1, got 0"),
+    ("--limit must be at least 1", ["tiling", "hcn", "--limit", "0"], "limit must be >= 1"),
+    ("--limit excludes a census",
+     ["tiling", "hcn", "--limit", "10", "--h", "60", "--i", "5", "--length", "4"], "not both"),
+    ("--limit excludes a census", ["tiling", "hcn", "--limit", "10", "--length", "4"], "not both"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["tiling", "search-iso", "--n", "9"], "floorplan cap of 8 rooms"),
-        (["tiling", "enumerate", "--cap", "3"], "exhaustive-search cap of 3"),
-        (["tiling", "search-iso", "--n", "1"], "--n must be at least 2"),
-        (["tiling", "search-iso", "--n", "7", "--limit", "0"], "--limit must be at least 1"),
-        (["tiling", "hcn", "--limit", "0"], "--limit must be at least 1"),
-    ],
+    "argv,message", [case[1:] for case in PROGRAM_LIMITS], ids=case_ids(PROGRAM_LIMITS)
 )
 def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, message):
     """A program limit or an out-of-range flag is no answer:
@@ -140,9 +155,51 @@ def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, messag
     if argv[1] == "enumerate":
         argv = argv + ["--tiles", str(tiles)]
     out = tmp_path / "out"
-    assert main(argv + ["--expect-infeasible", "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    for extra in ([], ["--expect-infeasible"]):
+        assert main(argv + extra + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tiling", "verify", "--tiles", SEVEN_TILES, "--layout", "TRUNCATED"],
+        ["shapes", "maxdiam", "--area", "-1", "--perimeter", "3"],
+        ["shapes", "interp", "--t", "2"],
+        ["shapes", "interp", "--t", "0.5", "--samples", "7"],
+        ["tiling", "hcn", "--h", "61", "--i", "5", "--length", "4"],
+        ["tiling", "split", "--h", "60", "--i", "7", "--length", "4"],
+        # NaN fails every comparison, so only a check written as
+        # "not x > 0" rejects it
+        ["shapes", "maxdiam", "--area", "nan", "--perimeter", "3"],
+        ["shapes", "mindiam", "--area", "nan"],
+        ["shapes", "interp", "--t", "0.5", "--width", "nan"],
+        ["shapes", "crossover", "--perimeter", "nan"],
+    ],
+)
+def test_inputs_the_library_rejects_exit_two(tmp_path, capsys, argv):
+    """A ValueError from the library is a bad input, never a negative
+    answer, whichever command raised it."""
+    truncated = tmp_path / "truncated.json"
+    with open(SEVEN_LAYOUT) as fh:
+        truncated.write_text(fh.read()[:40])
+    argv = [str(truncated) if a == "TRUNCATED" else a for a in argv]
+    out = tmp_path / "out"
+    for extra in ([], ["--expect-infeasible"]):
+        assert main(argv + extra + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "report.json").exists()
+
+
+def test_a_fault_in_a_handler_propagates(tmp_path, monkeypatch):
+    def broken(args):
+        raise RuntimeError("witness does not verify")
+
+    monkeypatch.setitem(cli.HANDLERS, ("shapes", "crossover"), broken)
+    with pytest.raises(RuntimeError, match="does not verify"):
+        main(["shapes", "crossover", "--expect-infeasible", "--out", str(tmp_path)])
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_tiling_search_iso_witness(tmp_path):
@@ -245,25 +302,39 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv):
     assert not (tmp_path / "report.json").exists()
 
 
+BAD_FAIRPART_NUMBERS = [
+    ("--ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "2"], "need n >= 3"),
+    ("--ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "-5"], "need n >= 3"),
+    ("--samples must be at least 1",
+     ["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--samples", "0"],
+     "need at least 1 arc sample, got 0"),
+    ("--tol must be positive",
+     ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--tol", "-1"],
+     "tol must be positive, got -1"),
+    ("--tol must be positive", ["fairpart", "disc", "--ratio", "1:3", "--tol", "0"],
+     "--tol: must be positive, got 0"),
+    ("--tol must be positive",
+     ["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--tol", "nan"],
+     "tol must be positive, got nan"),
+    ("--samples must be at least 4",
+     ["fairpart", "profile", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
+     "need at least 4 angle samples, got 3"),
+    ("--samples must be at least 4",
+     ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
+     "need at least 4 angle samples, got 3"),
+    ("--samples must be at least 4",
+     ["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--samples", "3"],
+     "--samples: must be at least 4, got 3"),
+    # --samples without --ngon reaches no library call
+    ("--samples must be at least 4", ["fairpart", "disc", "--ratio", "1:3", "--samples", "3"],
+     "--samples: must be at least 4, got 3"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, message",
-    [
-        (["fairpart", "disc", "--ratio", "1:3", "--ngon", "2"], "--ngon must be 0"),
-        (["fairpart", "disc", "--ratio", "1:3", "--ngon", "-5"], "--ngon must be 0"),
-        (["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--samples", "0"],
-         "--samples must be at least 1"),
-        (["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--tol", "-1"],
-         "--tol must be positive"),
-        (["fairpart", "disc", "--ratio", "1:3", "--tol", "0"], "--tol must be positive"),
-        (["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--tol", "nan"],
-         "--tol must be positive"),
-        (["fairpart", "profile", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
-         "--samples must be at least 4"),
-        (["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
-         "--samples must be at least 4"),
-        (["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--samples", "3"],
-         "--samples must be at least 4"),
-    ],
+    [case[1:] for case in BAD_FAIRPART_NUMBERS],
+    ids=case_ids(BAD_FAIRPART_NUMBERS),
 )
 def test_fairpart_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     # exit 2 even under --expect-infeasible: a bad input is no negative answer
@@ -390,6 +461,25 @@ def test_poly_build_domain_rejection(tmp_path, capsys):
     assert report["feasible"] is False
     assert "too short" in report["error"]
     assert "rejected" in capsys.readouterr().out
+
+
+def test_poly_build_adjacent_pyramids_too_tall(tmp_path, capsys):
+    # the adjacent pyramids of height a/2 or more make no convex solid: an
+    # answer (exit 1 with its report), not a usage error
+    rc, report, _ = run(
+        tmp_path, "poly", "build", "--solid", "cube-pyr-adjacent", "--h", "0.6"
+    )
+    assert rc == 1
+    assert report == {
+        "command": "poly build",
+        "error": "pyramid height must satisfy h < a/2 to keep convexity",
+        "feasible": False,
+    }
+    assert "rejected" in capsys.readouterr().out
+    rc, report, _ = run(
+        tmp_path, "poly", "build", "--solid", "cube-pyr-opposite", "--h", "0.6", name="o2"
+    )
+    assert rc == 0 and report["convex"] is True
 
 
 def test_poly_build_unknown_solid(tmp_path, capsys):

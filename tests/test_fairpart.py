@@ -483,3 +483,22 @@ def test_band_rejects_bad_arguments():
         nonconvex_band_partition(1.0, 1.0, RatioTarget(1, 3), 0.6)
     with pytest.raises(ValueError):
         nonconvex_band_partition(0.0, 1.0, RatioTarget(1, 3), 0.3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_solvers_reject_a_tolerance_that_is_not_positive(tol):
+    # no solver may answer "not found" because nothing can meet tol
+    square = rectangle(1, 1)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_scaled_fair_cut(square, RatioTarget(1, 3), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        equal_fair_cut(square, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_band(1.0, 1.0, RatioTarget(1, 3), tol=tol)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_band_solver_rejects_an_empty_grid(samples):
+    with pytest.raises(ValueError, match="at least 1 arc sample"):
+        solve_band(1.0, 1.0, RatioTarget(1, 3), samples=samples)
+    assert solve_band(1.0, 1.0, RatioTarget(1, 3), samples=1).runs

@@ -41,17 +41,6 @@ def test_underdetermined_space_contains_its_points():
     assert not sol.contains([F(1), F(1), F(1)])
 
 
-def test_coordinate_form_reconstructs_coordinates():
-    sol = solve_linear_exact([[F(1), F(2), F(0)], [F(0), F(0), F(1)]], [F(4), F(5)])
-    rng = random.Random(1)
-    for _ in range(20):
-        params = [F(rng.randint(-20, 20)) for _ in range(sol.dim)]
-        pt = sol.point(params)
-        for i in range(3):
-            const, coeffs = sol.coordinate_form(i)
-            assert const + sum(c * p for c, p in zip(coeffs, params)) == pt[i]
-
-
 def test_random_consistent_systems_solve_exactly():
     rng = random.Random(7)
     for _ in range(40):
@@ -67,7 +56,7 @@ def test_random_consistent_systems_solve_exactly():
 
 def line_forms(sol):
     """Every coordinate of a solved line as an affine form (c, a): c + a*t."""
-    return [(c, a[0]) for c, a in map(sol.coordinate_form, range(len(sol.particular)))]
+    return list(zip(sol.particular, sol.basis[0]))
 
 
 def test_positive_point_found_on_open_region():

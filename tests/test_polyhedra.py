@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from convexkit.polyhedra import (
     Mesh,
+    NoSuchSolid,
     apply_rigid_motion,
     build_cube_with_pyramids,
     build_decagonal_dipyramidal_antiprism,
@@ -127,8 +128,10 @@ def test_cube_pyramids_pair():
 def test_cube_pyramids_convexity_guard():
     assert is_convex(build_cube_with_pyramids(h=0.49, mode="adjacent"))
     for h in (0.5, 0.6):
-        with pytest.raises(ValueError, match="convexity"):
+        with pytest.raises(NoSuchSolid, match="convexity"):
             build_cube_with_pyramids(h=h, mode="adjacent")
+        # opposite pyramids never meet, so every height stays convex
+        assert is_convex(build_cube_with_pyramids(h=h, mode="opposite"))
     tall = build_cube_with_pyramids(h=0.6, mode="adjacent", allow_nonconvex=True)
     assert not is_convex(tall)
     assert abs(volume(tall) - 1.4) <= 1e-9
@@ -180,7 +183,7 @@ def test_forty_triangles_have_lateral_edge_l(s, stretch):
 
 
 def test_dipyramid_lateral_edge_floor():
-    with pytest.raises(ValueError, match="too short"):
+    with pytest.raises(NoSuchSolid, match="too short"):
         build_icosagonal_dipyramid(s=1.0, l=3.0)
     with pytest.raises(ValueError, match="positive"):
         build_decagonal_dipyramidal_antiprism(s=-1.0)
