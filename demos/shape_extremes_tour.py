@@ -2,7 +2,9 @@
 once its area and perimeter are both fixed?
 
 The longest shape is a two-arc lens.  The short end is open; we survey
-the two families with the smallest known diameters.
+the two families with the smallest known diameters.  Every shape is an
+exact ArcPolygon (circular arcs and segments), so its area, perimeter and
+widths are closed forms.
 """
 
 import math
@@ -16,7 +18,7 @@ from convexkit.extremal import (
     min_diameter_survey,
     reuleaux_metrics,
 )
-from convexkit.kernel import ConvexPolygon, convex_hull, diameter, support_body_metrics
+from convexkit.kernel import ArcPolygon, ConvexPolygon, convex_hull, diameter
 
 print("== the longest shape: a lens ==")
 area, perimeter = 0.5, 4.0
@@ -25,6 +27,9 @@ m = lens_metrics(lens)
 print(f"area {area}, perimeter {perimeter} -> lens with diameter {lens.diameter:.9f}")
 print(f"  half-angle {lens.alpha:.6f}, check: area {m['area']:.12f}, "
       f"perimeter {m['perimeter']:.12f}")
+shape = ArcPolygon.lens(lens.diameter, lens.alpha)
+print(f"  as arcs: area {shape.area:.12f}, perimeter {shape.perimeter:.12f}, "
+      f"diameter {shape.widths()[1]:.12f}")
 
 # no random polygon with the same area and perimeter beats it
 rng = random.Random(1)
@@ -49,8 +54,9 @@ m = reuleaux_metrics(1.0)
 print(f"Reuleaux triangle, width 1: area {m['area']:.9f}, perimeter {m['perimeter']:.9f}")
 for t in (0.0, 0.5, 1.0):
     body = interpolate_constant_width(t)
-    bm = support_body_metrics(body)
-    print(f"  interpolant t={t}: area {bm['area']:.9f}, diameter {bm['diameter']:.6f}")
+    w_min, w_max = body.widths()
+    print(f"  interpolant t={t}: {len(body.pieces)} pieces, area {body.area:.12f}, "
+          f"widths {w_min:.12f} .. {w_max:.12f}")
 print("every member has diameter perimeter/pi; areas sweep Reuleaux .. disc")
 
 print()

@@ -45,7 +45,9 @@ from .fairpart import (
     solve_band,
     split,
 )
-from .kernel import ConvexPolygon, rectangle, regular_ngon, support_body_metrics
+from .kernel import (
+    ArcPolygon, ConvexPolygon, SupportBody, rectangle, regular_ngon, support_body_metrics
+)
 from .kernel.rational import format_rational, parse_rational
 from .polyhedra import (
     Mesh,
@@ -123,35 +125,49 @@ def svg_document(width_px: float, height_px: float, body: List[str]) -> str:
     return "\n".join([head] + body + ["</svg>"]) + "\n"
 
 
-def _svg_rings(rings: List[List[Tuple[float, float]]], pad_share: float, style: str) -> str:
-    """Each ring as an SVG polygon drawn in `style` (with {color} filled in
-    from the palette), framed by the bounding box widened by pad_share of
-    its larger side."""
-    xs = [p[0] for ring in rings for p in ring]
-    ys = [p[1] for ring in rings for p in ring]
-    pad = pad_share * max(max(xs) - min(xs), max(ys) - min(ys))
-    x0, y1 = min(xs) - pad, max(ys) + pad
-    W = (max(xs) - x0 + pad) * PX_PER_UNIT
-    H = (y1 - min(ys) + pad) * PX_PER_UNIT
-    body = []
-    for idx, ring in enumerate(rings):
-        pts = " ".join(
-            f"{_fmt((x - x0) * PX_PER_UNIT)},{_fmt((y1 - y) * PX_PER_UNIT)}"
-            for x, y in ring
-        )
-        color = PALETTE[idx % len(PALETTE)]
-        body.append(f'<polygon points="{pts}" ' + style.format(color=color) + "/>")
-    return svg_document(W, H, body)
+def _framed(x_lo: float, y_lo: float, x_hi: float, y_hi: float, pad_share: float):
+    """The page of a drawing: the bounding box widened by pad_share of its
+    larger side, as (page width, page height, map from plane point to the
+    "x,y" of its pixel, y pointing down)."""
+    pad = pad_share * max(x_hi - x_lo, y_hi - y_lo)
+    x0, y1 = x_lo - pad, y_hi + pad
+
+    def px(x: float, y: float) -> str:
+        return f"{_fmt((x - x0) * PX_PER_UNIT)},{_fmt((y1 - y) * PX_PER_UNIT)}"
+
+    return (x_hi - x0 + pad) * PX_PER_UNIT, (y1 - y_lo + pad) * PX_PER_UNIT, px
 
 
 def svg_polygons(rings: List[List[Tuple[float, float]]]) -> str:
-    return _svg_rings(
-        rings, 0.0, 'fill="{color}" fill-opacity="0.6" stroke="#333333" stroke-width="1"'
-    )
+    """Each ring as a filled SVG polygon, in palette order."""
+    xs = [p[0] for ring in rings for p in ring]
+    ys = [p[1] for ring in rings for p in ring]
+    W, H, px = _framed(min(xs), min(ys), max(xs), max(ys), 0.0)
+    body = [
+        f'<polygon points="{" ".join(px(x, y) for x, y in ring)}" fill="{PALETTE[i % len(PALETTE)]}" '
+        'fill-opacity="0.6" stroke="#333333" stroke-width="1"/>'
+        for i, ring in enumerate(rings)
+    ]
+    return svg_document(W, H, body)
 
 
-def svg_outlines(rings: List[List[Tuple[float, float]]]) -> str:
-    return _svg_rings(rings, 0.05, 'fill="none" stroke="{color}" stroke-width="1.5"')
+def svg_outlines(shapes: List[ArcPolygon]) -> str:
+    """Each shape's exact outline as an SVG path of segments and arcs, in
+    palette order.  The page flips y, so a counterclockwise arc is drawn
+    with sweep flag 0."""
+    x_lo, y_lo, x_hi, y_hi = zip(*(s.bounds() for s in shapes))
+    W, H, px = _framed(min(x_lo), min(y_lo), max(x_hi), max(y_hi), 0.05)
+    body = []
+    for i, shape in enumerate(shapes):
+        start, steps = shape.outline()
+        d = [f"M {px(*start)}"] + [
+            f"A {_fmt(r * PX_PER_UNIT)},{_fmt(r * PX_PER_UNIT)} 0 0 0 {px(x, y)}" if r
+            else f"L {px(x, y)}"
+            for x, y, r in steps
+        ]
+        body.append(f'<path d="{" ".join(d)} Z" fill="none" stroke="{PALETTE[i % len(PALETTE)]}" '
+                    'stroke-width="1.5"/>')
+    return svg_document(W, H, body)
 
 
 # ---------------------------------------------------------------- parsing
@@ -163,8 +179,12 @@ def parse_shape(spec: str) -> ConvexPolygon:
     if kind == "rect":
         return rectangle(*parse_rect(spec))
     if kind == "ngon":
-        return regular_ngon(int(rest))
-    raise ValueError(f"unknown shape {spec!r}; use rect:WxH or ngon:N")
+        try:
+            n = int(rest)
+        except ValueError:
+            raise ValueError(f"--shape {spec!r}: N in ngon:N must be an integer") from None
+        return regular_ngon(n)
+    raise ValueError(f"--shape {spec!r}: unknown shape; use rect:WxH or ngon:N")
 
 
 def parse_rect(spec: str) -> Tuple[Fraction, Fraction]:
@@ -529,29 +549,8 @@ def cmd_shapes_maxdiam(args) -> Handler:
         f"arc radius={lens.arc_radius:.9f}"
     )
     if args.svg:
-        files["outline.svg"] = svg_outlines([_lens_ring(lens)])
+        files["outline.svg"] = svg_outlines([ArcPolygon.lens(lens.diameter, lens.alpha)])
     return True, report, files, lines
-
-
-def _lens_ring(lens, n: int = 256) -> List[Tuple[float, float]]:
-    r = lens.arc_radius
-    c = r * math.cos(lens.alpha)
-    ring = []
-    for k in range(n + 1):
-        t = -lens.alpha + (2 * lens.alpha) * k / n
-        ring.append((r * math.sin(t), r * math.cos(t) - c))
-    for k in range(n + 1):
-        t = lens.alpha - (2 * lens.alpha) * k / n
-        ring.append((r * math.sin(t), c - r * math.cos(t)))
-    return ring
-
-
-def _sector_ring(radius: float, phi: float, n: int = 256) -> List[Tuple[float, float]]:
-    ring = [(0.0, 0.0)]
-    for k in range(n + 1):
-        t = -phi / 2 + phi * k / n
-        ring.append((radius * math.cos(t), radius * math.sin(t)))
-    return ring
 
 
 def cmd_shapes_mindiam(args) -> Handler:
@@ -568,42 +567,49 @@ def cmd_shapes_mindiam(args) -> Handler:
             f"best of surveyed families: {best['family']} with diameter {best['diameter']:.9f}"
         )
         if args.svg:
-            rings = []
-            for c in report["candidates"]:
-                if c["family"] == "sector":
-                    rings.append(_sector_ring(c["radius"], c["phi"]))
-                else:
-                    rings.append([tuple(p) for p in cw_body.boundary_points()])
-            files["outline.svg"] = svg_outlines(rings)
+            files["outline.svg"] = svg_outlines([
+                ArcPolygon.sector(c["radius"], c["phi"]) if c["family"] == "sector" else cw_body
+                for c in report["candidates"]
+            ])
     else:
         lines.append(f"no candidate: {report['reason']}")
     return bool(report["candidates"]), report, files, lines
 
 
 def cmd_shapes_interp(args) -> Handler:
-    body = interpolate_constant_width(args.t, args.width, args.samples)
-    m = support_body_metrics(body)
-    widths = body.widths()
+    body = interpolate_constant_width(args.t, args.width)
+    min_width, diameter = body.widths()
     report = {
         "command": "shapes interp",
         "t": args.t,
         "width": args.width,
-        "samples": args.samples,
-        "area": m["area"],
-        "perimeter": m["perimeter"],
-        "mean_width": m["mean_width"],
-        "diameter": m["diameter"],
-        "width_spread": float(widths.max() - widths.min()),
+        "area": body.area,
+        "perimeter": body.perimeter,
+        "mean_width": body.perimeter / math.pi,
+        "diameter": diameter,
+        "width_spread": diameter - min_width,
         "reuleaux_area": reuleaux_metrics(args.width)["area"],
         "disc_area": 0.25 * math.pi * args.width * args.width,
     }
     lines = [
-        f"t={args.t}: area={m['area']:.9f}, perimeter={m['perimeter']:.9f}, "
+        f"t={args.t}: area={body.area:.9f}, perimeter={body.perimeter:.9f}, "
         f"width spread={report['width_spread']:.3g}"
     ]
+    if args.samples is not None:
+        # a cross-check of the exact values, never the answer
+        sampled = SupportBody.from_function(body.support, args.samples)
+        m, widths = support_body_metrics(sampled), sampled.widths()
+        report["sampled"] = {
+            "samples": args.samples,
+            "area": m["area"],
+            "perimeter": m["perimeter"],
+            "width_spread": float(widths.max() - widths.min()),
+        }
+        lines.append(f"{args.samples}-sample cross-check: area={m['area']:.9f}, "
+                     f"perimeter={m['perimeter']:.9f}")
     files = {}
     if args.svg:
-        files["outline.svg"] = svg_outlines([[tuple(p) for p in body.boundary_points()]])
+        files["outline.svg"] = svg_outlines([body])
     return True, report, files, lines
 
 
@@ -625,24 +631,37 @@ def cmd_shapes_crossover(args) -> Handler:
     return True, report, {}, lines
 
 
+# The dimension flags and their values when not given.
+SOLID_DIMS = {"a": 1.0, "h": 0.3, "s": 1.0, "l": 3.5}
+
+# solid -> (the dimension flags it reads, its builder taking them in order).
+# The lambdas look the builders up at call time, so a wrapped name is seen.
 SOLID_BUILDERS = {
-    "cube-pyr-opposite": lambda a: build_cube_with_pyramids(a.a, a.h, "opposite"),
-    "cube-pyr-adjacent": lambda a: build_cube_with_pyramids(a.a, a.h, "adjacent"),
-    "rco": lambda a: build_rhombicuboctahedron(),
-    "pseudo-rco": lambda a: build_pseudorhombicuboctahedron(),
-    "icosa-dipyramid": lambda a: build_icosagonal_dipyramid(a.s, a.l),
-    "deca-antiprism": lambda a: build_decagonal_dipyramidal_antiprism(a.s, a.l),
+    "cube-pyr-opposite": ("ah", lambda a, h: build_cube_with_pyramids(a, h, "opposite")),
+    "cube-pyr-adjacent": ("ah", lambda a, h: build_cube_with_pyramids(a, h, "adjacent")),
+    "rco": ("", lambda: build_rhombicuboctahedron()),
+    "pseudo-rco": ("", lambda: build_pseudorhombicuboctahedron()),
+    "icosa-dipyramid": ("sl", lambda s, l: build_icosagonal_dipyramid(s, l)),
+    "deca-antiprism": ("sl", lambda s, l: build_decagonal_dipyramidal_antiprism(s, l)),
 }
 
 
-def _build_solid(name: str, args) -> Mesh:
-    if name not in SOLID_BUILDERS:
-        raise ValueError(f"unknown solid {name!r}; choose from {sorted(SOLID_BUILDERS)}")
-    return SOLID_BUILDERS[name](args)
+def _build_solids(names: List[str], args) -> List[Mesh]:
+    """The named solids, after rejecting an unknown name and any dimension
+    flag that none of them reads."""
+    for name in names:
+        if name not in SOLID_BUILDERS:
+            raise ValueError(f"unknown solid {name!r}; choose from {sorted(SOLID_BUILDERS)}")
+    read = "".join(SOLID_BUILDERS[n][0] for n in names)
+    for flag in SOLID_DIMS:
+        if getattr(args, flag) is not None and flag not in read:
+            raise ValueError(f"--{flag} is read by none of the solids {', '.join(names)}")
+    dims = {f: SOLID_DIMS[f] if getattr(args, f) is None else getattr(args, f) for f in SOLID_DIMS}
+    return [build(*(dims[f] for f in flags)) for flags, build in (SOLID_BUILDERS[n] for n in names)]
 
 
 def cmd_poly_build(args) -> Handler:
-    mesh = _build_solid(args.solid, args)
+    (mesh,) = _build_solids([args.solid], args)
     summary = mesh_summary(mesh, face_multiset(mesh))
     report = {"command": "poly build", "solid": args.solid, **summary}
     lines = [
@@ -657,7 +676,7 @@ def cmd_poly_build(args) -> Handler:
 
 def cmd_poly_compare(args) -> Handler:
     names = [s.strip() for s in args.solids.split(",") if s.strip()]
-    meshes = [_build_solid(n, args) for n in names]
+    meshes = _build_solids(names, args)
     rep = compare_report(meshes, names)
     report = {"command": "poly compare", **rep}
     lines = []
@@ -780,7 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     sip = ssub.add_parser("interp", help="constant-width interpolant between Reuleaux and disc")
     sip.add_argument("--t", type=float, required=True)
     sip.add_argument("--width", type=float, default=1.0)
-    sip.add_argument("--samples", type=int, default=14400)
+    sip.add_argument("--samples", type=int, default=None,
+                     help="also measure an N-sample support body of the shape, as a cross-check")
     _add_common(sip, svg=True)
 
     scr = ssub.add_parser("crossover", help="sector crossover: conjectured vs recomputed")
@@ -791,10 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
     psub = po.add_subparsers(dest="cmd", required=True)
 
     dims = argparse.ArgumentParser(add_help=False)
-    dims.add_argument("--a", type=float, default=1.0, help="cube side")
-    dims.add_argument("--h", type=float, default=0.3, help="pyramid height")
-    dims.add_argument("--s", type=float, default=1.0, help="triangle base edge")
-    dims.add_argument("--l", type=float, default=3.5, help="triangle lateral edge")
+    for flag, what in (("a", "cube side"), ("h", "pyramid height"), ("s", "triangle base edge"),
+                       ("l", "triangle lateral edge")):
+        dims.add_argument(f"--{flag}", type=float, default=None,
+                          help=f"{what} (default {SOLID_DIMS[flag]}), for the solids that read it")
 
     pb = psub.add_parser("build", parents=[dims], help="build one solid and report its invariants")
     pb.add_argument("--solid", required=True)

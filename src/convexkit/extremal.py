@@ -8,7 +8,9 @@ checked numerically at import rather than assumed.
 Lower end: no closed-form minimizer is known.  We explore two families
 with small diameter: constant-width bodies interpolating Reuleaux triangle
 to disc (all of diameter p/pi), and circular sectors, which extend below
-the constant-width area floor at the cost of a growing diameter.
+the constant-width area floor at the cost of a growing diameter.  Every
+shape is an exact `ArcPolygon`; nothing here is sampled.  Lengths and areas
+must be positive and finite: NaN and infinity raise ValueError.
 """
 
 from __future__ import annotations
@@ -19,15 +21,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .kernel import (
-    DEFAULT_SAMPLES, SupportBody, bisect_root, rising_quadratic_root, support_body_metrics
-)
-
-EPS = 1e-9
-
-# Dense grids keep the trapezoid area error of the Reuleaux body near 6e-8,
-# an order below the 1e-6 contract on constant-width areas.
-CW_SAMPLES = 14400
+from .kernel import ArcPolygon, bisect_root
 
 REULEAUX_AREA_COEFF = 0.5 * (math.pi - math.sqrt(3.0))
 
@@ -49,6 +43,12 @@ class Lens:
     @property
     def arc_radius(self) -> float:
         return self.diameter / (2.0 * math.sin(self.alpha))
+
+
+def _check_lengths(**values: float) -> None:
+    for name, v in values.items():
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def lens_metrics(lens: Lens) -> dict:
@@ -80,8 +80,7 @@ def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
     """The lens with the given area and perimeter, or None when no convex
     shape fits (area above the disc bound p^2/4pi).  At the bound the disc
     itself comes back, as the alpha = pi/2 lens."""
-    if not (area > 0 and perimeter > 0):
-        raise ValueError("area and perimeter must be positive")
+    _check_lengths(area=area, perimeter=perimeter)
     u = area / (perimeter * perimeter)
     u_disc = 1.0 / (4.0 * math.pi)
     if u > u_disc * (1.0 + 1e-12):
@@ -97,8 +96,7 @@ def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
 def reuleaux_metrics(width: float) -> dict:
     """Closed-form Reuleaux triangle values: area (pi - sqrt(3))/2 * w^2,
     perimeter pi w, diameter w."""
-    if not width > 0:
-        raise ValueError("width must be positive")
+    _check_lengths(width=width)
     return {
         "area": REULEAUX_AREA_COEFF * width * width,
         "perimeter": math.pi * width,
@@ -110,8 +108,7 @@ def sector_metrics(radius: float, phi: float) -> dict:
     """Circular sector of radius r and opening angle phi in (0, pi].
     Perimeter counts the two radii; diameter is the radius up to phi = pi/3,
     the far chord beyond."""
-    if radius <= 0:
-        raise ValueError("sector radius must be positive")
+    _check_lengths(radius=radius)
     if not (0.0 < phi <= math.pi + 1e-12):
         raise ValueError("sector angle must lie in (0, pi]")
     return {
@@ -129,8 +126,7 @@ def solve_sector(area: float, perimeter: float) -> List[Tuple[float, float]]:
     come from the cancellation-free forms below; zero, one, or two of them
     lie in (0, pi].  A discriminant within rounding of 0 is the peak
     itself, answered by the single root phi = 2."""
-    if not (area > 0 and perimeter > 0):
-        raise ValueError("area and perimeter must be positive")
+    _check_lengths(area=area, perimeter=perimeter)
     u = area / (perimeter * perimeter)
     disc = 1.0 - 16.0 * u
     if disc < -1e-14:
@@ -143,75 +139,35 @@ def solve_sector(area: float, perimeter: float) -> List[Tuple[float, float]]:
     return [(perimeter / (2.0 + phi), phi) for phi in phis if 0.0 < phi <= math.pi]
 
 
-def _reuleaux_support_fn(width: float):
-    """Support function of the Reuleaux triangle, width w, centered at the
-    circumcenter of the generating equilateral triangle (side w, vertices
-    at angles 90, 210, 330 degrees).  In directions within pi/6 of the
-    outward normal opposite a vertex the boundary is the arc of radius w
-    about that vertex; elsewhere the support comes from the vertices."""
-    rc = width / math.sqrt(3.0)
-    verts = [
-        (rc * math.cos(a), rc * math.sin(a))
-        for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
-    ]
-
-    def h(theta: float) -> float:
-        u = (math.cos(theta), math.sin(theta))
-        best = max(v[0] * u[0] + v[1] * u[1] for v in verts)
-        for v in verts:
-            away = math.atan2(-v[1], -v[0])
-            delta = (theta - away + math.pi) % (2 * math.pi) - math.pi
-            if abs(delta) <= math.pi / 6 + 1e-15:
-                best = max(best, v[0] * u[0] + v[1] * u[1] + width)
-        return best
-
-    return h
-
-
-def reuleaux_support(width: float = 1.0, samples: int = CW_SAMPLES) -> SupportBody:
-    if not width > 0:
-        raise ValueError("width must be positive")
-    return SupportBody.from_function(_reuleaux_support_fn(width), samples)
-
-
-def interpolate_constant_width(
-    t: float, width: float = 1.0, samples: int = CW_SAMPLES
-) -> SupportBody:
-    """Minkowski interpolation (1-t) Reuleaux + t disc; every member has
-    constant width `width`, hence perimeter pi * width."""
+def interpolate_constant_width(t: float, width: float = 1.0) -> ArcPolygon:
+    """Minkowski interpolation (1-t) Reuleaux + t disc: six arcs, every
+    member of constant width `width`, hence perimeter pi * width."""
     if not (0.0 <= t <= 1.0):
         raise ValueError("interpolation parameter must lie in [0, 1]")
-    reuleaux = reuleaux_support(width, samples)
-    disc = SupportBody.disc(width, samples)
-    return reuleaux.combine(disc, t)
+    _check_lengths(width=width)
+    return ArcPolygon.reuleaux(width).combine(ArcPolygon.disc(width), t)
 
 
-def interpolant_with_area(
-    area: float, width: float = 1.0, samples: int = CW_SAMPLES
-) -> Tuple[float, SupportBody]:
-    """The interpolation parameter whose body has the given area.  combine
-    is linear in t and the sampled area is a quadratic form in the samples,
-    so the sampled area is an exact quadratic a + b t + c t^2 in t; it is
-    read off the bodies at t = 0, 1/2, 1 and solved for its root in [0, 1]
-    (the area rises from the Reuleaux value to the disc value there)."""
+def interpolant_with_area(area: float, width: float = 1.0) -> Tuple[float, ArcPolygon]:
+    """The interpolation parameter whose body has the given area, and that
+    body.  The mixed area of a body with a disc of radius r is r p / 2, which
+    for the Reuleaux triangle of width w and the disc of diameter w is the
+    disc's own area; so the area is A_D - (1-t)^2 (A_D - A_R), solved for t
+    in closed form (clamped to [0, 1])."""
+    _check_lengths(area=area, width=width)
     lo_a = REULEAUX_AREA_COEFF * width * width
     hi_a = 0.25 * math.pi * width * width
     if not (lo_a - 1e-9 <= area <= hi_a + 1e-9):
         raise ValueError(
             f"area {area:.6g} outside the constant-width range [{lo_a:.6g}, {hi_a:.6g}]"
         )
-    reuleaux = reuleaux_support(width, samples)
-    disc = SupportBody.disc(width, samples)
-    a0 = support_body_metrics(reuleaux)["area"]
-    ah = support_body_metrics(reuleaux.combine(disc, 0.5))["area"]
-    a1 = support_body_metrics(disc)["area"]
-    t = rising_quadratic_root(a0, ah, a1, area)
-    return t, reuleaux.combine(disc, t)
+    t = min(max(1.0 - math.sqrt(max(hi_a - area, 0.0) / (hi_a - lo_a)), 0.0), 1.0)
+    return t, interpolate_constant_width(t, width)
 
 
 def min_diameter_survey(
     area: float, perimeter: float = math.pi
-) -> Tuple[dict, Optional[SupportBody]]:
+) -> Tuple[dict, Optional[ArcPolygon]]:
     """Survey the known small-diameter families at the given area and
     perimeter.  Constant-width bodies cover areas between the Reuleaux and
     disc values (diameter exactly perimeter/pi); sectors reach lower areas
@@ -219,9 +175,9 @@ def min_diameter_survey(
 
     Returns the report together with the constant-width body its
     "constant-width" candidate was measured on (None when there is no
-    such candidate), for callers that draw it."""
-    if not (area > 0 and perimeter > 0):
-        raise ValueError("area and perimeter must be positive")
+    such candidate), for callers that draw it.  That candidate's diameter
+    is w = perimeter/pi exactly; its area and perimeter are the body's."""
+    _check_lengths(area=area, perimeter=perimeter)
     w = perimeter / math.pi
     disc_area = 0.25 * math.pi * w * w
     reuleaux_area = REULEAUX_AREA_COEFF * w * w
@@ -241,14 +197,13 @@ def min_diameter_survey(
 
     if reuleaux_area - 1e-12 <= area:
         t, body = interpolant_with_area(min(area, disc_area), w)
-        m = support_body_metrics(body)
         report["candidates"].append(
             {
                 "family": "constant-width",
                 "diameter": w,
                 "t": t,
-                "area": m["area"],
-                "perimeter": m["perimeter"],
+                "area": body.area,
+                "perimeter": body.perimeter,
             }
         )
     for r, phi in solve_sector(area, perimeter):
@@ -283,8 +238,7 @@ def crossover_scan(perimeter: float = math.pi) -> dict:
     phi = pi/3 (radius equals far chord there); the scan reports that knee,
     the recorded conjecture scaled to this perimeter, and the sectors that
     actually meet the conjectured area."""
-    if not perimeter > 0:
-        raise ValueError("perimeter must be positive")
+    _check_lengths(perimeter=perimeter)
     scale = perimeter / math.pi
 
     knee_phi = math.pi / 3

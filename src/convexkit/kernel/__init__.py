@@ -1,7 +1,8 @@
 """Shared numeric and geometric primitives: exact rationals, exact linear
-solving, float convex polygons and point rings, sampled support bodies,
-and the root finders of the float solves."""
+solving, float convex polygons and point rings, exact arc polygons, sampled
+support bodies, and the root finders of the float solves."""
 
+from .arcs import ArcPolygon
 from .linsolve import (
     ParamSolution,
     PositivePoint,
@@ -22,6 +23,7 @@ from .roots import bisect_root, rising_quadratic_root
 from .support import DEFAULT_SAMPLES, SupportBody, support_body_metrics
 
 __all__ = [
+    "ArcPolygon",
     "ParamSolution",
     "PositivePoint",
     "positive_point",

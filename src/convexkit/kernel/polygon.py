@@ -1,4 +1,4 @@
-"""Convex polygons in the float kernel: metrics, calipers, clipping helpers.
+"""Convex polygons in the float kernel: metrics, widths, clipping helpers.
 
 Vertices are stored counterclockwise with the lexicographically smallest
 vertex first. Construction cleans duplicate and collinear points at 1e-12
@@ -12,6 +12,8 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .arcs import ArcPolygon
 
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
@@ -153,43 +155,13 @@ def is_convex_ring(pts: Sequence[Point], eps: float) -> bool:
 
 
 def diameter(poly: ConvexPolygon) -> float:
-    """Largest vertex-to-vertex distance, by rotating calipers.
-
-    Walks antipodal pairs along the hull in O(n); vertices are already
-    convex and ordered, so no re-hulling is needed.
-    """
-    v = poly.vertices
-    n = len(v)
-    if n == 3:
-        return max(math.dist(v[0], v[1]), math.dist(v[1], v[2]), math.dist(v[2], v[0]))
-    best = 0.0
-    j = 1
-    for i in range(n):
-        ni = (i + 1) % n
-        # advance j while the next vertex is farther from edge (i, i+1)
-        while True:
-            nj = (j + 1) % n
-            adv = _cross(v[i], v[ni], v[nj]) - _cross(v[i], v[ni], v[j])
-            if adv > 0:
-                j = nj
-            else:
-                break
-        best = max(best, math.dist(v[i], v[j]), math.dist(v[ni], v[j]))
-    return best
+    """Largest vertex-to-vertex distance: the largest width."""
+    return ArcPolygon.polygon(poly.vertices).widths()[1]
 
 
 def min_width(poly: ConvexPolygon) -> float:
     """Smallest width over all directions; attained normal to some edge."""
-    v = np.asarray(poly.vertices)
-    n = len(v)
-    edges = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(edges, axis=1)
-    best = math.inf
-    for i in range(n):
-        normal = np.array([-edges[i, 1], edges[i, 0]]) / lengths[i]
-        d = (v - v[i]) @ normal
-        best = min(best, float(d.max()))
-    return best
+    return ArcPolygon.polygon(poly.vertices).widths()[0]
 
 
 def rectangle(width: float, height: float) -> ConvexPolygon:

@@ -3,9 +3,11 @@
 `bisect_root` serves every transcendental solve in the toolkit (lens
 half-angle, disc chord, fair-cut angle, equal cut): each is a sign change of
 a continuous function on a known bracket.  `rising_quadratic_root` serves
-the solves whose function is an exact quadratic on a known bracket (cut
-offset between two vertex levels, constant-width interpolant area): three
-values fix the quadratic, and its rising root is read off in closed form.
+the fair-cut offset solves, whose area is an exact quadratic between two
+vertex levels: three values fix the quadratic, and its rising root is read
+off in closed form.  The constant-width interpolant area does not use it:
+A_D - (1-t)^2 (A_D - A_R) is solved for t directly in
+`extremal.interpolant_with_area`.
 """
 
 from __future__ import annotations

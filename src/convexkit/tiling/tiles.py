@@ -15,11 +15,13 @@ from ..kernel import Rational, format_rational, parse_rational
 
 
 class TileFileError(ValueError):
-    """Malformed tile file; carries the 1-based line number."""
+    """Malformed tile file; carries the 1-based line number, and the file's
+    path when the text came from a file."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path: str = ""):
+        super().__init__(f"line {line_no}{f' of {path}' if path else ''}: {message}")
         self.line_no = line_no
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -122,7 +124,11 @@ def serialize_tileset(ts: TileSet) -> str:
 
 def load_tileset(path: str) -> TileSet:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_tileset(f.read())
+        text = f.read()
+    try:
+        return parse_tileset(text)
+    except TileFileError as e:
+        raise TileFileError(e.line_no, e.message, path) from None
 
 
 @dataclass(frozen=True)
@@ -317,5 +323,11 @@ def layout_from_json(text: str) -> Layout:
 
 
 def load_layout(path: str) -> Layout:
+    """The layout in the JSON file at path; a malformed document's message
+    names the file (and, for bad JSON, the line)."""
     with open(path, "r", encoding="utf-8") as f:
-        return layout_from_json(f.read())
+        text = f.read()
+    try:
+        return layout_from_json(text)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

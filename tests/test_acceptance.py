@@ -14,11 +14,10 @@ from fractions import Fraction
 
 from convexkit.cli import main
 from convexkit.extremal import (
-    CW_SAMPLES,
     REULEAUX_AREA_COEFF,
     crossover_scan,
+    interpolate_constant_width,
     max_diameter_shape,
-    reuleaux_support,
 )
 from convexkit.fairpart import (
     RatioTarget,
@@ -29,6 +28,7 @@ from convexkit.fairpart import (
     solve_band,
 )
 from convexkit.kernel import (
+    ArcPolygon,
     ConvexPolygon,
     SupportBody,
     convex_hull,
@@ -248,25 +248,30 @@ def test_criterion_07_band_demo():
 
 @criterion(8, 30, "constant-width family: areas, widths, continuous sweep")
 def test_criterion_08_constant_width_suite():
-    reuleaux = reuleaux_support(1.0)
-    m = support_body_metrics(reuleaux)
-    assert abs(m["area"] - REULEAUX_AREA_COEFF) <= 1e-6
-    disc = SupportBody.disc(1.0, CW_SAMPLES)
-    assert abs(support_body_metrics(disc)["area"] - math.pi / 4) <= 1e-6
+    reuleaux = ArcPolygon.reuleaux(1.0)
+    assert abs(reuleaux.area - REULEAUX_AREA_COEFF) <= 1e-6
+    disc = ArcPolygon.disc(1.0)
+    assert abs(disc.area - math.pi / 4) <= 1e-6
 
-    r720 = reuleaux_support(1.0, 720)
-    d720 = SupportBody.disc(1.0, 720)
     areas = []
     for k in range(1000):
-        body = r720.combine(d720, k / 999)
-        w = body.widths()
-        assert float(w.max() - w.min()) < 1e-9
-        mm = support_body_metrics(body)
-        assert abs(mm["perimeter"] - math.pi) <= 1e-6
-        areas.append(mm["area"])
+        body = interpolate_constant_width(k / 999)
+        w_min, w_max = body.widths()
+        assert w_max - w_min < 1e-9
+        assert abs(body.perimeter - math.pi) <= 1e-6
+        areas.append(body.area)
     assert abs(areas[0] - REULEAUX_AREA_COEFF) <= 1e-3
     assert abs(areas[-1] - math.pi / 4) <= 1e-3
     assert max(abs(b - a) for a, b in zip(areas, areas[1:])) < 1e-3
+
+    # a 720-sample support body of the midpoint shape agrees with the exact values
+    mid = interpolate_constant_width(0.5)
+    sampled = SupportBody.from_function(mid.support, 720)
+    m = support_body_metrics(sampled)
+    w = sampled.widths()
+    assert float(w.max() - w.min()) < 1e-9
+    assert abs(m["perimeter"] - mid.perimeter) <= 1e-6
+    assert abs(m["area"] - mid.area) <= 1e-3
 
 
 @criterion(9, 60, "lens diameter dominates 500 random convex polygons")

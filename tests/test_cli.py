@@ -6,12 +6,14 @@ into a fresh tmp directory and the tests read it back.
 
 import json
 import os
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from convexkit import cli
-from convexkit.cli import _sector_ring, main, svg_outlines
+from convexkit.cli import main, svg_outlines
 from convexkit.extremal import interpolate_constant_width
+from convexkit.kernel import ArcPolygon, SupportBody
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")
@@ -73,6 +75,20 @@ def test_tiling_verify_malformed_tile_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: line 2" in err
     assert "line 2" in err
+    assert str(bad) in err
+
+
+def test_tiling_verify_malformed_layout_file_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    with open(SEVEN_LAYOUT) as fh:
+        bad.write_text(fh.read()[:40])
+    rc = main(
+        ["tiling", "verify", "--tiles", SEVEN_TILES, "--layout", str(bad),
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "line " in err
 
 
 def test_tiling_verify_missing_file(tmp_path):
@@ -176,6 +192,10 @@ def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, messag
         ["shapes", "mindiam", "--area", "nan"],
         ["shapes", "interp", "--t", "0.5", "--width", "nan"],
         ["shapes", "crossover", "--perimeter", "nan"],
+        # an infinite length has no shape either
+        ["shapes", "maxdiam", "--area", "1", "--perimeter", "inf"],
+        ["shapes", "mindiam", "--area", "0.7", "--perimeter", "inf"],
+        ["shapes", "interp", "--t", "0.5", "--width", "inf"],
     ],
 )
 def test_inputs_the_library_rejects_exit_two(tmp_path, capsys, argv):
@@ -392,6 +412,17 @@ def test_bad_shape_is_usage_error(tmp_path, capsys):
     assert "unknown shape" in capsys.readouterr().err
 
 
+def test_bad_ngon_names_the_flag_and_value(tmp_path, capsys):
+    rc = main(
+        ["fairpart", "solve", "--shape", "ngon:abc", "--ratio", "1:3",
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--shape" in err and "ngon:abc" in err
+    assert "int()" not in err
+
+
 def test_shapes_maxdiam(tmp_path):
     rc, report, out = run(
         tmp_path, "shapes", "maxdiam", "--area", "0.5", "--perimeter", "4", "--svg"
@@ -411,14 +442,13 @@ def test_shapes_mindiam_regimes(tmp_path):
     assert rc == 0
     assert report["best"]["family"] == "constant-width"
     # the outline is drawn from the interpolant at the reported t
-    rings = []
+    shapes = []
     for c in report["candidates"]:
         if c["family"] == "sector":
-            rings.append(_sector_ring(float(c["radius"]), float(c["phi"])))
+            shapes.append(ArcPolygon.sector(float(c["radius"]), float(c["phi"])))
         else:
-            body = interpolate_constant_width(float(c["t"]), float(report["width"]))
-            rings.append([tuple(p) for p in body.boundary_points()])
-    assert (out / "outline.svg").read_text() == svg_outlines(rings)
+            shapes.append(interpolate_constant_width(float(c["t"]), float(report["width"])))
+    assert (out / "outline.svg").read_text() == svg_outlines(shapes)
     rc2, report2, _ = run(tmp_path, "shapes", "mindiam", "--area", "0.65", name="o2")
     assert rc2 == 1
     assert report2["feasible"] is True
@@ -432,6 +462,36 @@ def test_shapes_interp(tmp_path):
     assert rc == 0
     assert float(report["width_spread"]) <= 1e-9
     assert abs(float(report["perimeter"]) - 3.14159265) <= 1e-4
+    # --samples adds a sampled cross-check beside the exact answer
+    sampled = report["sampled"]
+    assert sampled["samples"] == 720
+    assert abs(float(sampled["area"]) - float(report["area"])) <= 1e-4
+    assert float(sampled["width_spread"]) <= 1e-9
+    rc, report, _ = run(tmp_path, "shapes", "interp", "--t", "0.5", name="o2")
+    assert rc == 0 and "sampled" not in report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shapes", "maxdiam", "--area", "0.5", "--perimeter", "4"],
+        ["shapes", "mindiam", "--area", "0.71"],
+        ["shapes", "mindiam", "--area", "0.55"],
+        ["shapes", "interp", "--t", "0.37"],
+    ],
+)
+def test_shape_outlines_are_a_few_arcs(tmp_path, monkeypatch, argv):
+    # nothing is sampled: no support body is built
+    def no_sampling(*args):
+        raise AssertionError("a shapes command built a SupportBody")
+
+    monkeypatch.setattr(SupportBody, "__init__", no_sampling)
+    rc, _, out = run(tmp_path, *argv, "--svg")
+    assert rc == 0
+    paths = ET.parse(out / "outline.svg").getroot().findall("{http://www.w3.org/2000/svg}path")
+    assert len(paths) == 1
+    d = paths[0].get("d")
+    assert " A " in d and d.count(",") <= 24
 
 
 def test_shapes_crossover_prints_both_sides(tmp_path, capsys):
@@ -486,6 +546,26 @@ def test_poly_build_unknown_solid(tmp_path, capsys):
     rc = main(["poly", "build", "--solid", "blob", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unknown solid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["build", "--solid", "rco", "--a", "-1"], False),
+        (["build", "--solid", "icosa-dipyramid", "--h", "0.2"], False),
+        (["compare", "--solids", "rco,pseudo-rco", "--s", "2"], False),
+        (["compare", "--solids", "cube-pyr-opposite,rco", "--a", "1.5"], True),
+        (["build", "--solid", "cube-pyr-adjacent", "--a", "1.5", "--h", "0.3"], True),
+    ],
+)
+def test_poly_dimension_flags_must_be_read(tmp_path, capsys, argv, accepted):
+    rc = main(["poly"] + argv + ["--out", str(tmp_path)])
+    if accepted:
+        assert rc == 0
+    else:
+        assert rc == 2
+        assert "read by none of the solids" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_poly_compare(tmp_path):

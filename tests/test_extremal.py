@@ -1,6 +1,5 @@
 """Diameter extremizers: lens upper bound, constant-width and sector lower end."""
 
-import functools
 import math
 import random
 
@@ -9,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convexkit.kernel import (
+    ArcPolygon,
     ConvexPolygon,
     SupportBody,
     convex_hull,
@@ -17,7 +17,6 @@ from convexkit.kernel import (
 )
 from convexkit.extremal import (
     CONJECTURED_CROSSOVER,
-    CW_SAMPLES,
     REULEAUX_AREA_COEFF,
     Lens,
     crossover_scan,
@@ -27,7 +26,6 @@ from convexkit.extremal import (
     max_diameter_shape,
     min_diameter_survey,
     reuleaux_metrics,
-    reuleaux_support,
     sector_metrics,
     solve_sector,
 )
@@ -123,7 +121,11 @@ def test_reuleaux_closed_form():
 
 
 def test_reuleaux_support_body_matches_closed_form():
-    body = reuleaux_support(1.0)
+    # the exact body, and a 14,400-sample body of its support function
+    exact = ArcPolygon.reuleaux(1.0)
+    assert abs(exact.area - REULEAUX_AREA_COEFF) <= 1e-15
+    assert abs(exact.perimeter - math.pi) <= 1e-14
+    body = SupportBody.from_function(exact.support, 14400)
     m = support_body_metrics(body)
     assert abs(m["area"] - REULEAUX_AREA_COEFF) <= 1e-6
     assert abs(m["perimeter"] - math.pi) <= 1e-6
@@ -134,11 +136,10 @@ def test_reuleaux_support_body_matches_closed_form():
 def test_interpolants_keep_width_and_perimeter():
     for t in (0.0, 0.3, 0.7, 1.0):
         body = interpolate_constant_width(t)
-        w = body.widths()
-        assert float(w.max() - w.min()) <= 1e-9
-        m = support_body_metrics(body)
-        assert abs(m["perimeter"] - math.pi) <= 1e-6
-        assert abs(m["diameter"] - 1.0) <= 1e-9
+        w_min, w_max = body.widths()
+        assert w_max - w_min <= 1e-9
+        assert abs(body.perimeter - math.pi) <= 1e-6
+        assert abs(w_max - 1.0) <= 1e-9
     with pytest.raises(ValueError):
         interpolate_constant_width(1.5)
 
@@ -146,22 +147,11 @@ def test_interpolants_keep_width_and_perimeter():
 def test_interpolant_area_sweep_is_continuous():
     lo = REULEAUX_AREA_COEFF
     hi = 0.25 * math.pi
-    areas = []
-    for k in range(0, 1001):
-        body = interpolate_constant_width(k / 1000, samples=720)
-        areas.append(support_body_metrics(body)["area"])
+    areas = [interpolate_constant_width(k / 1000).area for k in range(0, 1001)]
     assert abs(areas[0] - lo) <= 1e-3
     assert abs(areas[-1] - hi) <= 1e-3
     assert all(b > a for a, b in zip(areas, areas[1:]))
     assert max(b - a for a, b in zip(areas, areas[1:])) < 1e-3
-
-
-@functools.cache
-def sampled_constant_width_range():
-    """Sampled areas of the Reuleaux triangle and the disc of width 1."""
-    lo = support_body_metrics(reuleaux_support(1.0))["area"]
-    hi = support_body_metrics(SupportBody.disc(1.0, CW_SAMPLES))["area"]
-    return lo, hi
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -169,25 +159,27 @@ def sampled_constant_width_range():
 @example(share=0.0)
 @example(share=1.0)
 def test_interpolant_hits_every_sampled_area(share):
-    lo, hi = sampled_constant_width_range()
+    # every area of the exact constant-width range, ends included
+    lo, hi = REULEAUX_AREA_COEFF, 0.25 * math.pi
     target = lo + share * (hi - lo)
     t, body = interpolant_with_area(target)
     assert 0.0 <= t <= 1.0
-    assert abs(support_body_metrics(body)["area"] - target) <= 1e-9
+    assert abs(body.area - target) <= 1e-9
 
 
 def test_interpolant_clamps_to_the_reuleaux_end():
-    # the closed-form Reuleaux area sits just below the sampled one
+    # at the closed-form Reuleaux area the body is the Reuleaux triangle itself
     t, body = interpolant_with_area(REULEAUX_AREA_COEFF)
     assert t == 0.0
-    assert support_body_metrics(body)["area"] == sampled_constant_width_range()[0]
+    assert body.pieces == ArcPolygon.reuleaux(1.0).pieces
+    assert abs(body.area - REULEAUX_AREA_COEFF) <= 1e-15
 
 
 def test_interpolant_with_area_solves():
     target = 0.72
     t, body = interpolant_with_area(target)
     assert 0.0 < t < 1.0
-    assert abs(support_body_metrics(body)["area"] - target) <= 1e-9
+    assert abs(body.area - target) <= 1e-9
     with pytest.raises(ValueError):
         interpolant_with_area(0.5)  # below the Reuleaux floor
     with pytest.raises(ValueError):
@@ -304,9 +296,9 @@ def test_min_diameter_survey_hands_over_the_measured_body(area):
         assert body is None
         return
     # the very body the candidate was measured on: the interpolant at its t
-    assert support_body_metrics(body)["area"] == cw[0]["area"]
+    assert body.area == cw[0]["area"]
     rebuilt = interpolate_constant_width(cw[0]["t"], rep["width"])
-    assert (body.boundary_points() == rebuilt.boundary_points()).all()
+    assert body.pieces == rebuilt.pieces
 
 
 def test_crossover_scan_reports_knee_and_conjecture():
