@@ -2,8 +2,8 @@
 perimeters like sqrt(a):sqrt(b).
 
 A straight cut can do it on a long rectangle but not on a disc; dropping
-convexity of one piece, a boundary band reaches the scaled ratio on any
-rectangle.
+convexity of one piece, a boundary band reaches the scaled ratio on many
+rectangles, and its exact feasible runs show where it cannot.
 """
 
 import math
@@ -59,14 +59,16 @@ for s in (0.125, 0.25, 0.3, 0.45):
     else:
         print(f"  s={s:5.3f}: infeasible ({e.reason})")
 res = solve_band(1.0, 1.0, target)
-print(f"solved: s*={res.sample.s:.9f} gives rho={res.sample.rho:.9f} "
-      f"(target {math.sqrt(1 / 3):.9f})")
+print(f"solved in closed form: s*={res.sample.s:.12f} gives rho={res.sample.rho:.12f} "
+      f"(target {math.sqrt(1 / 3):.12f})")
 
 print()
 print("== but not every ratio is reachable ==")
+# the feasible runs are exact intervals of s, so the gap is a certificate;
+# a run of one point is a band whose arc ends on a corner
 res = solve_band(1.0, 1.0, RatioTarget(16, 25))
-print(f"16:25 wants rho=0.8; attained ranges on the square:")
+print("16:25 wants rho=0.8; the exact feasible runs on the square:")
 for run in res.runs:
-    print(f"  s in [{run.s_lo:.4f}, {run.s_hi:.4f}] -> "
-          f"rho in [{run.rho_min:.4f}, {run.rho_max:.4f}]")
+    print(f"  s in [{run.s_lo:.6f}, {run.s_hi:.6f}] -> "
+          f"rho in [{run.rho_min:.6f}, {run.rho_max:.6f}]")
 print(f"found: {res.found}")

@@ -33,7 +33,7 @@ print(f"  as arcs: area {shape.area:.12f}, perimeter {shape.perimeter:.12f}, "
 
 # no random polygon with the same area and perimeter beats it
 rng = random.Random(1)
-worst = 0.0
+worst = -math.inf
 for _ in range(200):
     pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(3, 30))]
     hull = convex_hull(pts)

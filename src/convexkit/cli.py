@@ -63,6 +63,7 @@ from .polyhedra import (
     mesh_to_obj,
 )
 from .tiling import (
+    UnsupportedInstance,
     enumerate_layouts,
     hcn_context,
     hcn_layout_census,
@@ -93,9 +94,7 @@ def jsonable(x):
         return x
     if isinstance(x, Fraction):
         return format_rational(x)
-    if isinstance(x, float):
-        return format(x, ".17g")
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     if isinstance(x, (int, np.integer)):
         return int(x)
@@ -478,7 +477,7 @@ def cmd_fairpart_disc(args) -> Handler:
 def cmd_fairpart_band(args) -> Handler:
     w, h = parse_rect(args.shape)
     target = parse_ratio(args.ratio)
-    res = solve_band(float(w), float(h), target, tol=args.tol, samples=args.samples)
+    res = solve_band(float(w), float(h), target, tol=args.tol)
     report = {
         "command": "fairpart band",
         "shape": args.shape,
@@ -516,7 +515,7 @@ def cmd_fairpart_band(args) -> Handler:
             files["pieces.svg"] = svg_polygons([list(s.piece_small), list(s.piece_big)])
     else:
         lines.append(
-            f"no band reaches rho={res.target_rho:.9f}; attained "
+            f"no band reaches rho={res.target_rho:.9f}; its exact runs reach "
             + ", ".join(f"[{r.rho_min:.6f}, {r.rho_max:.6f}]" for r in res.runs)
         )
     return res.found, report, files, lines
@@ -576,6 +575,10 @@ def cmd_shapes_mindiam(args) -> Handler:
     return bool(report["candidates"]), report, files, lines
 
 
+# the cross-check body takes time and memory linear in its samples
+MAX_CROSSCHECK_SAMPLES = 100_000
+
+
 def cmd_shapes_interp(args) -> Handler:
     body = interpolate_constant_width(args.t, args.width)
     min_width, diameter = body.widths()
@@ -597,6 +600,9 @@ def cmd_shapes_interp(args) -> Handler:
     ]
     if args.samples is not None:
         # a cross-check of the exact values, never the answer
+        if args.samples > MAX_CROSSCHECK_SAMPLES:
+            raise UnsupportedInstance(f"--samples {args.samples} exceeds the cross-check cap "
+                                      f"of {MAX_CROSSCHECK_SAMPLES} samples")
         sampled = SupportBody.from_function(body.support, args.samples)
         m, widths = support_body_metrics(sampled), sampled.widths()
         report["sampled"] = {
@@ -780,7 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
     fba.add_argument("--shape", required=True, help="rect:WxH")
     fba.add_argument("--ratio", required=True)
     fba.add_argument("--tol", type=float, default=1e-6)
-    fba.add_argument("--samples", type=int, default=2000)
+    fba.add_argument("--samples", type=int, default=None,
+                     help="no effect; the band is solved in closed form")
     _add_common(fba, svg=True)
 
     sh = sub.add_parser("shapes", help="diameter extremizers at fixed area and perimeter")
@@ -800,7 +807,8 @@ def build_parser() -> argparse.ArgumentParser:
     sip.add_argument("--t", type=float, required=True)
     sip.add_argument("--width", type=float, default=1.0)
     sip.add_argument("--samples", type=int, default=None,
-                     help="also measure an N-sample support body of the shape, as a cross-check")
+                     help="also measure an N-sample support body of the shape, as a cross-check "
+                     f"(at most {MAX_CROSSCHECK_SAMPLES})")
     _add_common(sip, svg=True)
 
     scr = ssub.add_parser("crossover", help="sector crossover: conjectured vs recomputed")

@@ -16,11 +16,11 @@ O(m) set-up, then O(m + K) for the whole grid, in O(m) memory.  Each
 bisection step of a refinement walks from its bracket's left end, O(1)
 when the grid is fine against m.
 
-The band family at the end is an explicit one-parameter family of
-non-straight partitions of a rectangle: piece one is the set of points
-within distance t of a boundary arc of length s * perimeter that starts
-at the bottom edge midpoint and grows counterclockwise, with t chosen to
-meet the area target.
+The band family at the end partitions a rectangle without a straight
+cut: piece one is the set of points within distance t of a boundary arc
+of length s * perimeter from the bottom edge midpoint, counterclockwise,
+with t meeting the area target.  Its feasible runs in s, their rho ranges
+and the bands with rho = sqrt(a/b) are closed forms, not samples.
 """
 
 from __future__ import annotations
@@ -357,15 +357,6 @@ class _ChordSweep:
             states.append(self.state)
         return points, states
 
-    def walker(self, state):
-        """theta -> the point at theta, each walked from the given state."""
-
-        def at(theta: float) -> ProfilePoint:
-            self.state = state
-            return self.point(theta)
-
-        return at
-
 
 def _check_tol(tol: float) -> None:
     if not tol > 0:
@@ -403,7 +394,6 @@ class FairCutResult:
     rho: Optional[float]
     rho_min: float
     rho_max: float
-    theta: Optional[float] = None
 
 
 def _grid_root(sweep: _ChordSweep, samples: int, value, ftol: float):
@@ -421,7 +411,11 @@ def _grid_root(sweep: _ChordSweep, samples: int, value, ftol: float):
         if vals[j] == 0.0 or vals[j] * vals[j + 1] > 0:
             continue
         sign = 1.0 if vals[j] < 0 else -1.0
-        point = sweep.walker(states[j])
+
+        def point(theta: float) -> ProfilePoint:
+            sweep.state = states[j]  # each step walks from the bracket's left end
+            return sweep.point(theta)
+
         theta = bisect_root(
             lambda t: sign * value(point(t)), points[j].theta, points[j + 1].theta, ftol=ftol
         )
@@ -431,10 +425,7 @@ def _grid_root(sweep: _ChordSweep, samples: int, value, ftol: float):
 
 
 def find_scaled_fair_cut(
-    c: ConvexPolygon,
-    target: RatioTarget,
-    tol: float = 1e-9,
-    samples: int = 720,
+    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720
 ) -> FairCutResult:
     """Sample rho on the closed grid j*pi/samples, j = 0..samples, and
     bisect the first sign change of rho - sqrt(a/b).  rho need not return
@@ -447,7 +438,7 @@ def find_scaled_fair_cut(
     rhos = [q.rho for q in prof]
     if p is None:
         return FairCutResult(False, None, None, min(rhos), max(rhos))
-    return FairCutResult(True, LineCut(p.theta, p.offset), p.rho, min(rhos), max(rhos), p.theta)
+    return FairCutResult(True, LineCut(p.theta, p.offset), p.rho, min(rhos), max(rhos))
 
 
 def disc_chord_analysis(target: RatioTarget) -> dict:
@@ -610,8 +601,10 @@ def nonconvex_band_partition(
 
 @dataclass(frozen=True)
 class BandRun:
-    """A maximal run of consecutive feasible samples: the rho values the
-    family realizes on [s_lo, s_hi]."""
+    """An exact interval [s_lo, s_hi] where the band over a fixed number of
+    corners is feasible, with rho at its ends and its extremes over it.  An
+    arc ending on a corner lays the end cap along the boundary and rho jumps
+    there: rho_hi is then the limit, and the band at s_hi is a run of its own."""
 
     s_lo: float
     s_hi: float
@@ -623,6 +616,10 @@ class BandRun:
 
 @dataclass(frozen=True)
 class BandSolveResult:
+    """found: `sample` is a feasible band with rho within tol of sqrt(a/b).
+    The runs are closed forms, so a "not found" is a certificate up to
+    float rounding; `infeasible_reasons` name the checks between runs."""
+
     found: bool
     sample: Optional[BandSample]
     target_rho: float
@@ -630,73 +627,75 @@ class BandSolveResult:
     infeasible_reasons: Tuple[str, ...]
 
 
+def _band_runs(W: float, H: float, target: RatioTarget) -> Tuple[List[BandRun], List[str]]:
+    """The runs of each corner count k, and the reasons for the gaps.  For ell = s*p in
+    (c_k, c_k+1], t is the smaller root of ell*t - k*t^2 = A, so ell = A/t + k*t falls as t
+    grows, and each check of `nonconvex_band_partition`, in its order, caps t and so floors
+    ell: t <= sqrt(A/k) (a real root), t <= min(W,H)/2, and arm = ell - c_k >= t, i.e.
+    t <= A/c_1 (k = 1) or the smaller root of t^2 - c_2 t + A (k = 2).  On a run, with
+    m = 1 - k, rho = (2 ell + 2m t) / (p + 2m t) is stationary only at
+    t* = (2mA + sqrt(4m^2A^2 + p^2A)) / p."""
+    p, A = 2.0 * (W + H), target.fraction * W * H
+    c = (0.0, 0.5 * W, 0.5 * W + H, W + H)
+    d = c[2] * c[2] - 4.0 * A
+    arm_cap = (math.inf, A / c[1], 2.0 * A / (c[2] + math.sqrt(d)) if d >= 0 else math.inf)
+
+    def rho(k: int, ell: float) -> float:
+        t = 2.0 * A / (ell + math.sqrt(max(ell * ell - 4.0 * k * A, 0.0)))
+        return (2.0 * ell + 2.0 * (1 - k) * t) / (p + 2.0 * (1 - k) * t)
+
+    checks = ("area equation has no real thickness", "thickness exceeds min(W,H)/2",
+              "arm past the last corner is shorter than the thickness")
+    runs, reasons = [], []
+    for k in range(3):
+        t_real = math.sqrt(A / k) if k else math.inf
+        floor, end = c[k], c[k + 1]
+        for reason, cap in zip(checks, (t_real, 0.5 * min(W, H), arm_cap[k])):
+            t = min(cap, t_real)
+            if t < math.inf and A / t + k * t > floor:
+                if floor < end and reason not in reasons:
+                    reasons.append(reason)
+                floor = A / t + k * t
+        # with nonconvex_band_partition's 1e-12 slack for rounding: a run that
+        # starts within 1e-12 p of its end, or just past it, is the band there
+        if floor > end * (1.0 + 1e-12):
+            continue
+        if floor < end - 1e-12 * p:
+            t_star = (2.0 * (1 - k) * A + math.sqrt(4.0 * (1 - k) ** 2 * A * A + p * p * A)) / p
+            ell_star = A / t_star + k * t_star
+            rhos = [rho(k, floor), rho(k, end)]
+            rhos += [rho(k, ell_star)] if floor < ell_star < end else []
+            runs.append(BandRun(floor / p, end / p, rhos[0], rhos[1], min(rhos), max(rhos)))
+        e = nonconvex_band_partition(W, H, target, min(0.5, end / p))
+        if (k < 2 or floor >= end - 1e-12 * p) and e.feasible:
+            runs.append(BandRun(e.s, e.s, e.rho, e.rho, e.rho, e.rho))
+    return runs, reasons
+
+
 def solve_band(
-    width: float,
-    height: float,
-    target: RatioTarget,
-    tol: float = 1e-6,
-    samples: int = 2000,
+    width: float, height: float, target: RatioTarget, tol: float = 1e-6
 ) -> BandSolveResult:
-    """Search the band family for rho = sqrt(a/b).  Scans s on a uniform
-    grid over (0, 1/2], brackets a sign change inside a feasible run, and
-    bisects.  When no bracket exists the result reports the rho ranges the
-    family actually attains, as evidence the target falls in a gap."""
+    """The band of smallest s with rho = sqrt(a/b), in closed form.  Put
+    ell = A/t + k*t into rho: one quadratic in t per corner count k,
+    2(1 - rho(1-k)) t^2 - rho p t + 2A = 0, whose roots map to s = ell/p (at
+    most 1/2).  With the one-point runs, those `nonconvex_band_partition`
+    finds feasible and within tol are kept.  A negative discriminant counts
+    as zero, so a target within tol of a run's extreme still finds a band."""
     _check_tol(tol)
-    if samples < 1:
-        raise ValueError(f"need at least 1 arc sample, got {samples}")
-    want = target.rho
-    grid = [j / (2.0 * samples) for j in range(1, samples + 1)]
-    evals = [nonconvex_band_partition(width, height, target, s) for s in grid]
+    W, H = float(width), float(height)
+    if not (1e-75 < W < 1e75 and 1e-75 < H < 1e75):  # keeps p^2 A a normal float
+        raise ValueError("rectangle dimensions must be positive and in (1e-75, 1e75)")
+    want, p, A = target.rho, 2.0 * (W + H), target.fraction * W * H
+    runs, reasons = _band_runs(W, H, target)
 
-    runs: List[BandRun] = []
-    reasons: List[str] = []
-    i = 0
-    while i < len(evals):
-        if not evals[i].feasible:
-            if evals[i].reason and evals[i].reason not in reasons:
-                reasons.append(evals[i].reason)
-            i += 1
-            continue
-        j = i
-        while j + 1 < len(evals) and evals[j + 1].feasible:
-            j += 1
-        seg = [e.rho for e in evals[i : j + 1]]
-        runs.append(
-            BandRun(grid[i], grid[j], seg[0], seg[-1], min(seg), max(seg))
-        )
-        i = j + 1
+    def roots(k: int) -> List[float]:
+        a2 = 2.0 * (1.0 - want * (1 - k))
+        q = 0.5 * (want * p + math.sqrt(max((want * p) ** 2 - 8.0 * a2 * A, 0.0)))
+        return [2.0 * A / q] + ([q / a2] if a2 > 0 else [])
 
-    best = None
-    for e in evals:
-        if e.feasible and abs(e.rho - want) <= tol:
-            best = e
-            break
-    if best is not None:
-        return BandSolveResult(True, best, want, tuple(runs), tuple(reasons))
-
-    for i in range(len(evals) - 1):
-        e0, e1 = evals[i], evals[i + 1]
-        if not (e0.feasible and e1.feasible):
-            continue
-        g0, g1 = e0.rho - want, e1.rho - want
-        if g0 * g1 >= 0:
-            continue
-        lo, hi, glo = grid[i], grid[i + 1], g0
-        hit = None
-        # not bisect_root: an infeasible midpoint abandons this bracket for the next
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            em = nonconvex_band_partition(width, height, target, mid)
-            if not em.feasible:
-                break
-            gm = em.rho - want
-            if abs(gm) <= tol:
-                hit = em
-                break
-            if glo * gm < 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        if hit is not None:
-            return BandSolveResult(True, hit, want, tuple(runs), tuple(reasons))
-    return BandSolveResult(False, None, want, tuple(runs), tuple(reasons))
+    arcs = [min(0.5, (A / t + k * t) / p) for k in range(3) for t in roots(k)]
+    arcs += [r.s_lo for r in runs if r.s_lo == r.s_hi]
+    bands = [nonconvex_band_partition(W, H, target, s) for s in arcs]
+    hits = [e for e in bands if e.feasible and abs(e.rho - want) <= tol]
+    best = min(hits, key=lambda e: e.s, default=None)
+    return BandSolveResult(best is not None, best, want, tuple(runs), tuple(reasons))

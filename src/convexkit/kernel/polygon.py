@@ -103,23 +103,11 @@ class ConvexPolygon:
 def ring_area(pts: Sequence[Point]) -> float:
     """Signed shoelace area of a closed ring, convex or not; positive when
     the ring runs counterclockwise."""
-    s = 0.0
-    m = len(pts)
-    for i in range(m):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % m]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * s
+    return 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
 
 
 def ring_perimeter(pts: Sequence[Point]) -> float:
-    s = 0.0
-    m = len(pts)
-    for i in range(m):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % m]
-        s += math.hypot(x1 - x0, y1 - y0)
-    return s
+    return sum(math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
 
 
 def dedupe_ring(pts: Iterable[Point], eps: float) -> list[Point]:
@@ -170,13 +158,11 @@ def rectangle(width: float, height: float) -> ConvexPolygon:
     return ConvexPolygon([(0.0, 0.0), (width, 0.0), (width, height), (0.0, height)])
 
 
-def regular_ngon(n: int, circumradius: float = 1.0,
-                 center: Point = (0.0, 0.0)) -> ConvexPolygon:
+def regular_ngon(n: int) -> ConvexPolygon:
+    """The regular n-gon inscribed in the unit circle, a vertex at (1, 0)."""
     if n < 3:
         raise ValueError("need n >= 3")
-    cx, cy = center
-    pts = [(cx + circumradius * math.cos(2 * math.pi * k / n),
-            cy + circumradius * math.sin(2 * math.pi * k / n)) for k in range(n)]
+    pts = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     return ConvexPolygon(pts)
 
 

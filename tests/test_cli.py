@@ -5,6 +5,7 @@ into a fresh tmp directory and the tests read it back.
 """
 
 import json
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -196,6 +197,8 @@ def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, messag
         ["shapes", "maxdiam", "--area", "1", "--perimeter", "inf"],
         ["shapes", "mindiam", "--area", "0.7", "--perimeter", "inf"],
         ["shapes", "interp", "--t", "0.5", "--width", "inf"],
+        # a cross-check body past the sample cap would run for minutes
+        ["shapes", "interp", "--t", "0.5", "--samples", "100002"],
     ],
 )
 def test_inputs_the_library_rejects_exit_two(tmp_path, capsys, argv):
@@ -325,9 +328,9 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv):
 BAD_FAIRPART_NUMBERS = [
     ("--ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "2"], "need n >= 3"),
     ("--ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "-5"], "need n >= 3"),
-    ("--samples must be at least 1",
-     ["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--samples", "0"],
-     "need at least 1 arc sample, got 0"),
+    ("--shape sides must be positive",
+     ["fairpart", "band", "--shape", "rect:0x1", "--ratio", "1:3"],
+     "rectangle dimensions must be positive"),
     ("--tol must be positive",
      ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--tol", "-1"],
      "tol must be positive, got -1"),
@@ -382,6 +385,22 @@ def test_fairpart_band_solution(tmp_path):
     sol = report["solution"]
     assert abs(float(sol["rho"]) - (1 / 3) ** 0.5) <= 1e-6
     assert (out / "pieces.svg").read_text().count("<polygon") == 2
+
+
+def test_fairpart_band_finds_a_band_just_inside_its_run(tmp_path):
+    rc, report, _ = run(
+        tmp_path, "fairpart", "band", "--shape", "rect:2x1/4", "--ratio", "3:4"
+    )
+    assert rc == 0
+    assert abs(float(report["solution"]["rho"]) - math.sqrt(3 / 4)) <= 1e-9
+
+
+def test_fairpart_band_samples_flag_has_no_effect(tmp_path):
+    argv = ["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert main(argv + ["--samples", "200", "--out", str(tmp_path / "b")]) == 0
+    a, b = (tmp_path / name / "report.json" for name in "ab")
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_fairpart_band_gap(tmp_path):

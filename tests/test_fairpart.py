@@ -497,8 +497,139 @@ def test_solvers_reject_a_tolerance_that_is_not_positive(tol):
         solve_band(1.0, 1.0, RatioTarget(1, 3), tol=tol)
 
 
-@pytest.mark.parametrize("samples", [0, -3])
-def test_band_solver_rejects_an_empty_grid(samples):
-    with pytest.raises(ValueError, match="at least 1 arc sample"):
-        solve_band(1.0, 1.0, RatioTarget(1, 3), samples=samples)
-    assert solve_band(1.0, 1.0, RatioTarget(1, 3), samples=1).runs
+def test_band_solver_rejects_sides_out_of_range():
+    # sides outside (1e-75, 1e75) would over- or underflow the closed forms
+    for w, h in [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan), (1e-200, 1e-200),
+                 (1e200, 1e200)]:
+        with pytest.raises(ValueError, match="rectangle dimensions must be positive"):
+            solve_band(w, h, RatioTarget(1, 3))
+
+
+# --- band family in closed form ---
+
+SIDES = st.floats(0.2, 5.0)
+RATIOS = st.integers(1, 12).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, 12)))
+
+
+def ends_on_corner(W, H, e):
+    return any(abs(e.arc_length - c) <= 1e-12 * 2 * (W + H) for c in (W / 2, W / 2 + H))
+
+
+def band_rho(W, H, e):
+    """rho of a feasible band from its arc length, thickness and corner
+    count alone: the small piece has perimeter 2 ell + 2(1-k) t and the big
+    one p + 2(1-k) t, less the end cap 2t when the arc ends on a corner."""
+    p, ell, k, t = 2 * (W + H), e.arc_length, e.corners_covered, e.thickness
+    return (2 * ell + 2 * (1 - k) * t) / (p + 2 * (1 - k) * t - 2 * t * ends_on_corner(W, H, e))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(SIDES, SIDES, RATIOS, st.lists(st.floats(0.0, 0.5, exclude_min=True), max_size=20))
+def test_band_rho_has_a_closed_form(W, H, ratio, arcs):
+    corners = [W / 2 / (2 * (W + H)), (W / 2 + H) / (2 * (W + H))]
+    for s in arcs + corners:
+        e = nonconvex_band_partition(W, H, RatioTarget(*ratio), s)
+        if e.feasible:
+            assert abs(band_rho(W, H, e) - e.rho) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(SIDES, SIDES, RATIOS)
+def test_every_found_band_verifies(W, H, ratio):
+    target = RatioTarget(*ratio)
+    res = solve_band(W, H, target)
+    assert res.runs  # s = 1/2 always halves the boundary
+    if res.found:
+        e = res.sample
+        assert e.feasible
+        assert abs(e.area_small / e.area_big - target.a / target.b) <= 1e-9 * target.a / target.b
+        assert abs(e.rho - target.rho) <= 1e-6
+        assert any(r.s_lo - 1e-12 <= e.s <= r.s_hi + 1e-12 for r in res.runs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(SIDES, SIDES, RATIOS, st.floats(0.01, 100.0))
+def test_band_solve_is_scale_invariant(W, H, ratio, c):
+    target = RatioTarget(*ratio)
+    res, scaled = solve_band(W, H, target), solve_band(c * W, c * H, target)
+    assert scaled.found == res.found
+    if res.found:
+        assert abs(scaled.sample.s - res.sample.s) <= 1e-9
+        assert abs(scaled.sample.rho - res.sample.rho) <= 1e-12
+    assert len(scaled.runs) == len(res.runs)
+    for r, q in zip(res.runs, scaled.runs):
+        assert abs(r.s_lo - q.s_lo) <= 1e-9 and abs(r.s_hi - q.s_hi) <= 1e-9
+        assert abs(r.rho_min - q.rho_min) <= 1e-9 and abs(r.rho_max - q.rho_max) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(SIDES, SIDES, RATIOS)
+def test_band_runs_agree_with_a_grid_of_partition_samples(W, H, ratio):
+    # the oracle: nonconvex_band_partition at s = j/400, j = 1..200
+    target = RatioTarget(*ratio)
+    res = solve_band(W, H, target)
+    grid = [nonconvex_band_partition(W, H, target, j / 400) for j in range(1, 201)]
+    for e in grid:
+        if e.feasible:
+            assert any(
+                r.s_lo - 1e-12 <= e.s <= r.s_hi + 1e-12
+                and r.rho_min - 1e-12 <= e.rho <= r.rho_max + 1e-12
+                for r in res.runs
+            )
+        else:
+            assert e.reason in res.infeasible_reasons
+    # a feasible bracket of the target within one corner count holds a
+    # root; rho jumps where the arc ends on a corner
+    if any(
+        e0.feasible and e1.feasible and e0.corners_covered == e1.corners_covered
+        and not ends_on_corner(W, H, e1)
+        and (e0.rho - target.rho) * (e1.rho - target.rho) <= 0
+        for e0, e1 in zip(grid, grid[1:])
+    ):
+        assert res.found
+    # and every run is feasible from end to end, up to rounding at s_lo
+    for r in res.runs:
+        start = r.s_lo * (1 + 1e-12) if r.s_lo < r.s_hi else r.s_lo
+        for s in (start, (r.s_lo + r.s_hi) / 2, r.s_hi):
+            assert nonconvex_band_partition(W, H, target, s).feasible
+
+
+def test_band_runs_on_the_square_at_sixteen_to_twenty_five():
+    res = solve_band(1.0, 1.0, RatioTarget(16, 25))
+    one_corner = [r for r in res.runs if r.s_lo < r.s_hi == 0.375]
+    assert len(one_corner) == 1
+    assert abs(one_corner[0].rho_max - 0.75) <= 1e-12
+    # at s = 3/8 itself the arc ends on a corner: a band of its own
+    assert any(r.s_lo == r.s_hi == 0.375 and r.rho_min > 0.9 for r in res.runs)
+
+
+def test_band_run_reaches_its_interior_minimum():
+    # on the unit square at 1:29 the strip's rho = 2(A/t + t) / (4 + 2t)
+    # dips to 1/6 at t = 1/5, s = 1/24, below both ends of its run
+    target = RatioTarget(1, 29)
+    res = solve_band(1.0, 1.0, target)
+    strip = res.runs[0]
+    assert strip.s_lo < 1 / 24 < strip.s_hi
+    assert abs(strip.rho_min - 1 / 6) <= 1e-12
+    assert min(strip.rho_lo, strip.rho_hi) > 0.2
+    assert abs(nonconvex_band_partition(1.0, 1.0, target, 1 / 24).rho - 1 / 6) <= 1e-12
+    # sqrt(1/29) is crossed twice in the dip; the answer is the first crossing
+    assert res.found and res.sample.s < 1 / 24
+
+
+def test_band_solver_finds_a_band_just_inside_its_run():
+    # the two-corner run starts at s = 0.43651, rho = 0.86555, and reaches
+    # sqrt(3/4) only 2.2e-4 later in s
+    res = solve_band(2.0, 0.25, RatioTarget(3, 4))
+    assert res.found
+    assert abs(res.sample.rho - math.sqrt(3 / 4)) <= 1e-12
+    assert res.sample.corners_covered == 2
+
+
+@pytest.mark.parametrize("W, H", [(0.346, 2.323), (1.0, 1.0), (3.0, 0.5)])
+def test_band_at_one_to_one_sits_on_the_thickness_cap(W, H):
+    # at s = 1/2 the band is the half rectangle, t = min(W,H)/2 exactly:
+    # rounding may put t a hair above the cap, within the partition's slack
+    res = solve_band(W, H, RatioTarget(6, 6))
+    assert res.found and abs(res.sample.rho - 1.0) <= 1e-12
+    assert any(r.s_hi == 0.5 for r in res.runs)
