@@ -27,8 +27,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .extremal import (
     crossover_scan,
     interpolate_constant_width,
@@ -94,10 +92,8 @@ def jsonable(x):
         return x
     if isinstance(x, Fraction):
         return format_rational(x)
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    if isinstance(x, (int, np.integer)):
-        return int(x)
+    if isinstance(x, float):
+        return format(x, ".17g")
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -609,7 +605,7 @@ def cmd_shapes_interp(args) -> Handler:
             "samples": args.samples,
             "area": m["area"],
             "perimeter": m["perimeter"],
-            "width_spread": float(widths.max() - widths.min()),
+            "width_spread": max(widths) - min(widths),
         }
         lines.append(f"{args.samples}-sample cross-check: area={m['area']:.9f}, "
                      f"perimeter={m['perimeter']:.9f}")

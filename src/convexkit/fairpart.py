@@ -28,9 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence, Tuple
 
 from .kernel import ConvexPolygon, bisect_root, rising_quadratic_root
 from .kernel.polygon import dedupe_ring, is_convex_ring, ring_area, ring_perimeter
@@ -101,20 +99,21 @@ class LineCut:
         return (-math.sin(self.theta), math.cos(self.theta))
 
 
-def _cut_area(V: np.ndarray, n: np.ndarray, offset: float) -> float:
+def _cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
     """Area of {p . n <= offset} within the CCW convex polygon V, in one
-    numpy pass.  In the frame s = p . t, u = p . n, with t the cut direction
-    (n turned clockwise), edge i -> i+1 keeps the part of its level range
-    [u_i, u_i+1] below the offset, and adds that trapezoid of the area
+    pass over its edges.  In the frame s = p . t, u = p . n, with t the cut
+    direction (n turned clockwise), edge i -> i+1 keeps the part of its level
+    range [u_i, u_i+1] below the offset, and adds that trapezoid of the area
     integral of s du.  An edge parallel to the cut adds no area."""
-    u = V @ n
-    s = V @ np.array((n[1], -n[0]))
-    un = np.roll(u, -1)
-    du, ds = un - u, np.roll(s, -1) - s
-    # the edge's level range, clipped to the offset
-    u0, u1 = np.minimum(u, offset), np.minimum(un, offset)
-    share = np.divide(u1 - u0, du, out=(u <= offset).astype(float), where=du != 0)
-    return float(((u1 - u0) * s + ds * share * (0.5 * (u0 + u1) - u)).sum())
+    u = [x * n[0] + y * n[1] for x, y in V]
+    s = [x * n[1] - y * n[0] for x, y in V]
+    total = 0.0
+    for ui, un, si, sn in zip(u, u[1:] + u[:1], s, s[1:] + s[:1]):
+        # the edge's level range, clipped to the offset
+        u0, u1 = min(ui, offset), min(un, offset)
+        share = (u1 - u0) / (un - ui) if un != ui else float(ui <= offset)
+        total += (u1 - u0) * si + (sn - si) * share * (0.5 * (u0 + u1) - ui)
+    return total
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,10 @@ class SplitResult:
 def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
     """Cut the polygon along the line.  None when the line misses the
     interior (one piece would be empty or degenerate)."""
-    n = np.array(cut.normal)
-    V = np.asarray(c.vertices, dtype=float)
-    d = V @ n
-    lo, hi = float(d.min()), float(d.max())
+    n = cut.normal
+    V = c.vertices
+    d = [x * n[0] + y * n[1] for x, y in V]
+    lo, hi = min(d), max(d)
     margin = EPS * max(1.0, hi - lo)
     if cut.offset <= lo + margin or cut.offset >= hi - margin:
         return None
@@ -187,9 +186,9 @@ def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> Li
     if not (0.0 < fraction < 1.0):
         raise ValueError("area fraction must be strictly between 0 and 1")
     theta = theta % math.pi
-    n = np.array((-math.sin(theta), math.cos(theta)))
-    V = np.asarray(c.vertices, dtype=float)
-    levels = np.unique(V @ n).tolist()
+    n = (-math.sin(theta), math.cos(theta))
+    V = c.vertices
+    levels = sorted({x * n[0] + y * n[1] for x, y in V})
     want = fraction * c.area
 
     def area(o: float) -> float:
@@ -536,10 +535,11 @@ def nonconvex_band_partition(
     if k == 0:
         t = want / ell
     else:
+        # a discriminant within rounding of 0 is the double root
         disc = ell * ell - 4.0 * k * want
-        if disc < 0.0:
+        if disc < -1e-12 * ell * ell:
             return BandSample(s, False, "area equation has no real thickness", ell, k)
-        t = (ell - math.sqrt(disc)) / (2.0 * k)
+        t = (ell - math.sqrt(max(disc, 0.0))) / (2.0 * k)
     arm = ell - covered[-1][0] if covered else None
     if t > tmax * (1.0 + 1e-12):
         return BandSample(
@@ -657,7 +657,10 @@ def _band_runs(W: float, H: float, target: RatioTarget) -> Tuple[List[BandRun], 
                     reasons.append(reason)
                 floor = A / t + k * t
         # with nonconvex_band_partition's 1e-12 slack for rounding: a run that
-        # starts within 1e-12 p of its end, or just past it, is the band there
+        # starts within 1e-12 p of its end, or just past it, is the band there.
+        # The floor meets the end at a double root (1:1, the half rectangle)
+        # and lands a few ulps either side of it, so exact comparisons would
+        # drop that band or add a run of zero length, by the scale alone.
         if floor > end * (1.0 + 1e-12):
             continue
         if floor < end - 1e-12 * p:

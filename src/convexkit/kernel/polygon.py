@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .arcs import ArcPolygon
 
 EPS = 1e-9
@@ -78,16 +76,13 @@ class ConvexPolygon:
     @property
     def area(self) -> float:
         if self._area is None:
-            v = np.asarray(self.vertices)
-            x, y = v[:, 0], v[:, 1]
-            self._area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+            self._area = ring_area(self.vertices)
         return self._area
 
     @property
     def perimeter(self) -> float:
         if self._perimeter is None:
-            v = np.asarray(self.vertices)
-            self._perimeter = float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+            self._perimeter = ring_perimeter(self.vertices)
         return self._perimeter
 
     def contains(self, p: Sequence[float], tol: float = EPS) -> bool:

@@ -1,7 +1,7 @@
 """Convex bodies given by sampled support functions.
 
 A body is stored as N samples h(theta_k), theta_k = 2*pi*k/N. Minkowski
-combination of bodies is pointwise addition of the sample arrays, which is
+combination of bodies is pointwise addition of the samples, which is
 what makes constant-width interpolation a one-liner downstream.
 
 Metrics follow the classical support-function integrals:
@@ -15,10 +15,16 @@ separately for tests that want a non-circular check.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 DEFAULT_SAMPLES = 3600
+
+
+def _derivative(h: Sequence[float]) -> List[float]:
+    """h' at every sample by centered differences on the periodic grid."""
+    n = len(h)
+    step = 2 * (2 * math.pi / n)
+    return [(h[(k + 1) % n] - h[k - 1]) / step for k in range(n)]
 
 
 class SupportBody:
@@ -28,36 +34,33 @@ class SupportBody:
     positive and the discrete convexity condition
         h(k-1) + h(k+1) >= 2 h(k) cos(2*pi/N)
     must hold (up to float slack). N must be even so antipodal samples
-    pair up exactly.
+    pair up exactly.  The samples are kept as an immutable tuple.
     """
 
     __slots__ = ("samples",)
 
     def __init__(self, samples):
-        h = np.asarray(samples, dtype=float)
-        if h.ndim != 1 or len(h) < 8 or len(h) % 2 != 0:
-            raise ValueError("need an even number (>= 8) of support samples")
+        h = tuple(float(v) for v in samples)
         n = len(h)
-        widths = h + np.roll(h, -(n // 2))
-        if widths.min() <= 0:
+        if n < 8 or n % 2 != 0:
+            raise ValueError("need an even number (>= 8) of support samples")
+        if not all(h[k] + h[(k + n // 2) % n] > 0 for k in range(n)):
             raise ValueError("support samples give a nonpositive width")
-        slack = 1e-9 * max(1.0, float(np.abs(h).max()))
-        bend = np.roll(h, 1) + np.roll(h, -1) - 2.0 * h * math.cos(2 * math.pi / n)
-        if bend.min() < -slack:
+        slack = 1e-9 * max(1.0, max(abs(v) for v in h))
+        c = math.cos(2 * math.pi / n)
+        if not all(h[k - 1] + h[(k + 1) % n] - 2.0 * h[k] * c >= -slack for k in range(n)):
             raise ValueError("support samples fail the discrete convexity check")
         self.samples = h
-        self.samples.setflags(write=False)
 
     @classmethod
     def from_function(cls, fn, n: int = DEFAULT_SAMPLES) -> "SupportBody":
-        thetas = 2 * math.pi * np.arange(n) / n
-        return cls(np.array([fn(t) for t in thetas], dtype=float))
+        return cls([fn(2 * math.pi * k / n) for k in range(n)])
 
     @classmethod
     def disc(cls, width: float = 2.0, n: int = DEFAULT_SAMPLES) -> "SupportBody":
         if not width > 0:
             raise ValueError("width must be positive")
-        return cls(np.full(n, width / 2.0))
+        return cls([width / 2.0] * n)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -66,29 +69,27 @@ class SupportBody:
         return f"SupportBody({len(self.samples)} samples)"
 
     @property
-    def thetas(self) -> np.ndarray:
+    def thetas(self) -> List[float]:
         n = len(self.samples)
-        return 2 * math.pi * np.arange(n) / n
+        return [2 * math.pi * k / n for k in range(n)]
 
-    def widths(self) -> np.ndarray:
-        n = len(self.samples)
-        return self.samples + np.roll(self.samples, -(n // 2))
+    def widths(self) -> List[float]:
+        h = self.samples
+        n = len(h)
+        return [h[k] + h[(k + n // 2) % n] for k in range(n)]
 
     def combine(self, other: "SupportBody", t: float) -> "SupportBody":
         """(1-t)*self + t*other as a Minkowski combination."""
         if len(other.samples) != len(self.samples):
             raise ValueError("sample grids differ")
-        return SupportBody((1.0 - t) * self.samples + t * other.samples)
+        return SupportBody([(1.0 - t) * a + t * b for a, b in zip(self.samples, other.samples)])
 
-    def boundary_points(self) -> np.ndarray:
+    def boundary_points(self) -> List[Tuple[float, float]]:
         """Reconstruct boundary: x(theta) = h*u + h'*u_perp."""
-        h = self.samples
-        n = len(h)
-        dtheta = 2 * math.pi / n
-        hp = (np.roll(h, -1) - np.roll(h, 1)) / (2 * dtheta)
-        th = self.thetas
-        return np.stack([h * np.cos(th) - hp * np.sin(th),
-                         h * np.sin(th) + hp * np.cos(th)], axis=1)
+        return [
+            (h * math.cos(th) - hp * math.sin(th), h * math.sin(th) + hp * math.cos(th))
+            for h, hp, th in zip(self.samples, _derivative(self.samples), self.thetas)
+        ]
 
 
 def support_body_metrics(body: SupportBody) -> dict[str, float]:
@@ -96,18 +97,16 @@ def support_body_metrics(body: SupportBody) -> dict[str, float]:
 
     diameter is taken as the maximum sampled width; that equals the true
     diameter for the centrally symmetric and constant-width families this
-    toolkit builds, and is documented as such (general polygons go through
-    the calipers path instead).
+    toolkit builds, and is documented as such (exact bodies give their
+    widths through `ArcPolygon.widths` instead).
     """
     h = body.samples
-    n = len(h)
-    dtheta = 2 * math.pi / n
-    hp = (np.roll(h, -1) - np.roll(h, 1)) / (2 * dtheta)
-    perimeter = float(h.sum() * dtheta)
-    area = 0.5 * float(((h * h - hp * hp).sum()) * dtheta)
+    dtheta = 2 * math.pi / len(h)
+    perimeter = math.fsum(h) * dtheta
+    area = 0.5 * math.fsum(v * v - d * d for v, d in zip(h, _derivative(h))) * dtheta
     return {
         "area": area,
         "perimeter": perimeter,
         "mean_width": perimeter / math.pi,
-        "diameter": float(body.widths().max()),
+        "diameter": max(body.widths()),
     }

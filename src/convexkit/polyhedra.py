@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 Point3 = Tuple[float, float, float]
 
@@ -36,32 +35,54 @@ class NoSuchSolid(ValueError):
     negative answer about the solid, not a malformed request."""
 
 
-def _newell_normal(pts: np.ndarray) -> np.ndarray:
-    nxt = np.roll(pts, -1, axis=0)
-    n = np.zeros(3)
-    n[0] = np.sum((pts[:, 1] - nxt[:, 1]) * (pts[:, 2] + nxt[:, 2]))
-    n[1] = np.sum((pts[:, 2] - nxt[:, 2]) * (pts[:, 0] + nxt[:, 0]))
-    n[2] = np.sum((pts[:, 0] - nxt[:, 0]) * (pts[:, 1] + nxt[:, 1]))
-    return n
+def _sub(a: Point3, b: Point3) -> Point3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a: Point3, b: Point3) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: Point3, b: Point3) -> Point3:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _centroid(pts: Sequence[Point3]) -> Point3:
+    return tuple(sum(c) / len(pts) for c in zip(*pts))
+
+
+def _diagonal(pts: Sequence[Point3]) -> float:
+    """Length of the bounding box diagonal."""
+    return math.dist([max(c) for c in zip(*pts)], [min(c) for c in zip(*pts)])
+
+
+def _newell_normal(pts: List[Point3]) -> Point3:
+    nx = ny = nz = 0.0
+    for (x0, y0, z0), (x1, y1, z1) in zip(pts, pts[1:] + pts[:1]):
+        nx += (y0 - y1) * (z0 + z1)
+        ny += (z0 - z1) * (x0 + x1)
+        nz += (x0 - x1) * (y0 + y1)
+    return (nx, ny, nz)
 
 
 @dataclass(frozen=True)
 class Mesh:
     """Closed oriented polyhedral surface.  Faces are outward vertex-index
     cycles; validation enforces planar faces, each undirected edge shared
-    by exactly two faces in opposite directions, and V - E + F = 2."""
+    by exactly two faces in opposite directions, and V - E + F = 2.
+    Vertex coordinates are stored as floats."""
 
     vertices: Tuple[Point3, ...]
     faces: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) < 4:
+        verts = tuple(tuple(map(float, v)) for v in self.vertices)
+        if len(verts) < 4 or any(len(v) != 3 for v in verts):
             raise ValueError("mesh needs at least four 3D vertices")
+        object.__setattr__(self, "vertices", verts)
         if len(self.faces) < 4:
             raise ValueError("mesh needs at least four faces")
-        diag = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-        tol = PLANARITY_TOL * max(1.0, diag)
+        tol = PLANARITY_TOL * max(1.0, _diagonal(verts))
 
         directed: Dict[Tuple[int, int], int] = {}
         for face in self.faces:
@@ -71,13 +92,13 @@ class Mesh:
                 raise ValueError("face repeats a vertex")
             if any(not (0 <= i < len(verts)) for i in face):
                 raise ValueError("face references a missing vertex")
-            pts = verts[list(face)]
+            pts = [verts[i] for i in face]
             n = _newell_normal(pts)
-            norm = np.linalg.norm(n)
+            norm = math.hypot(*n)
             if norm <= tol:
                 raise ValueError("degenerate face (zero normal)")
-            centroid = pts.mean(axis=0)
-            dev = np.abs((pts - centroid) @ (n / norm)).max()
+            centroid = _centroid(pts)
+            dev = max(abs(_dot(_sub(p, centroid), n)) for p in pts) / norm
             if dev > tol:
                 raise ValueError(f"non-planar face: deviation {dev:.3g} exceeds {tol:.3g}")
             for a, b in zip(face, face[1:] + face[:1]):
@@ -107,29 +128,24 @@ class Mesh:
     def num_faces(self) -> int:
         return len(self.faces)
 
-    def points(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
-
     def mean_edge_length(self) -> float:
-        verts = self.points()
-        total, count = 0.0, 0
-        for face in self.faces:
-            pts = verts[list(face)]
-            total += float(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1).sum())
-            count += len(face)
-        return total / count  # every edge counted twice in both terms
+        verts = self.vertices
+        total = sum(
+            math.dist(verts[a], verts[b])
+            for face in self.faces for a, b in zip(face, face[1:] + face[:1])
+        )
+        return total / sum(len(f) for f in self.faces)  # every edge counted twice in both terms
 
 
 def volume(m: Mesh) -> float:
     """Divergence-theorem volume over fan-triangulated faces; positive for
     an outward orientation, otherwise the mesh is rejected."""
-    verts = m.points()
+    verts = m.vertices
     total = 0.0
     for face in m.faces:
         v0 = verts[face[0]]
         for i in range(1, len(face) - 1):
-            v1, v2 = verts[face[i]], verts[face[i + 1]]
-            total += float(np.dot(v0, np.cross(v1, v2)))
+            total += _dot(v0, _cross(verts[face[i]], verts[face[i + 1]]))
     total /= 6.0
     if total <= 0.0:
         raise ValueError("nonpositive volume: faces are not outward-oriented")
@@ -137,24 +153,23 @@ def volume(m: Mesh) -> float:
 
 
 def surface_area(m: Mesh) -> float:
-    verts = m.points()
     return sum(
-        0.5 * float(np.linalg.norm(_newell_normal(verts[list(face)]))) for face in m.faces
+        0.5 * math.hypot(*_newell_normal([m.vertices[i] for i in face])) for face in m.faces
     )
 
 
 def is_convex(m: Mesh) -> bool:
     """True iff every vertex lies on the non-positive side of every face
     plane, within 1e-9 of the bounding-box diagonal."""
-    verts = m.points()
-    diag = float(np.linalg.norm(verts.max(axis=0) - verts.min(axis=0)))
-    tol = CONVEXITY_TOL * max(1.0, diag)
+    verts = m.vertices
+    tol = CONVEXITY_TOL * max(1.0, _diagonal(verts))
     for face in m.faces:
-        pts = verts[list(face)]
+        pts = [verts[i] for i in face]
         n = _newell_normal(pts)
-        n = n / np.linalg.norm(n)
-        offset = float(n @ pts.mean(axis=0))
-        if (verts @ n).max() > offset + tol:
+        norm = math.hypot(*n)
+        n = (n[0] / norm, n[1] / norm, n[2] / norm)
+        offset = _dot(n, _centroid(pts))
+        if max(_dot(v, n) for v in verts) > offset + tol:
             return False
     return True
 
@@ -166,17 +181,14 @@ def face_signature(m: Mesh, face: Sequence[int], edge_quantum: float) -> FaceSig
     """Canonical cyclic (edge, angle) sequence of one face, quantized and
     minimized over rotations and both traversal directions, so congruent
     faces (allowing reflection) hash identically."""
-    verts = m.points()
-    pts = verts[list(face)]
+    pts = [m.vertices[i] for i in face]
     k = len(pts)
-    edges = [float(np.linalg.norm(pts[(i + 1) % k] - pts[i])) for i in range(k)]
+    edges = [math.dist(pts[(i + 1) % k], pts[i]) for i in range(k)]
     angles = []
     for i in range(k):
-        a = pts[(i - 1) % k] - pts[i]
-        b = pts[(i + 1) % k] - pts[i]
-        cross = float(np.linalg.norm(np.cross(a, b)))
-        dot = float(np.dot(a, b))
-        angles.append(math.atan2(cross, dot))
+        a = _sub(pts[i - 1], pts[i])
+        b = _sub(pts[(i + 1) % k], pts[i])
+        angles.append(math.atan2(math.hypot(*_cross(a, b)), _dot(a, b)))
     qe = [round(e / edge_quantum) for e in edges]
     qa = [round(a / SIGNATURE_QUANTUM) for a in angles]
     forward = [(qe[i], qa[i]) for i in range(k)]
@@ -199,33 +211,30 @@ def distance_multiset(m: Mesh) -> Tuple[int, ...]:
     """Sorted quantized pairwise vertex distances.  Equal multisets are
     necessary for congruence, so a difference certifies non-congruence;
     a match is only 'possibly congruent'."""
-    verts = m.points()
     quantum = SIGNATURE_QUANTUM * m.mean_edge_length()
-    diffs = verts[:, None, :] - verts[None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    iu = np.triu_indices(len(verts), k=1)
-    return tuple(sorted(int(round(d / quantum)) for d in dists[iu]))
+    return tuple(sorted(round(math.dist(p, q) / quantum) for p, q in combinations(m.vertices, 2)))
 
 
 def apply_rigid_motion(
-    m: Mesh, rotation: np.ndarray, translation: Sequence[float]
+    m: Mesh, rotation: Sequence[Sequence[float]], translation: Sequence[float]
 ) -> Mesh:
-    verts = m.points() @ np.asarray(rotation, dtype=float).T + np.asarray(
-        translation, dtype=float
+    """The mesh moved by p -> rotation p + translation, for any 3x3
+    sequence of rows."""
+    verts = tuple(
+        tuple(_dot(row, p) + shift for row, shift in zip(rotation, translation))
+        for p in m.vertices
     )
-    return Mesh(tuple(map(tuple, verts)), m.faces)
+    return Mesh(verts, m.faces)
 
 
 def _oriented(verts: List[Point3], faces: Iterable[Sequence[int]]) -> Mesh:
     """Flip each face cycle so its normal points away from the vertex
     centroid.  Valid for the star-shaped solids built here."""
-    pts = np.asarray(verts, dtype=float)
-    center = pts.mean(axis=0)
+    center = _centroid(verts)
     fixed = []
     for face in faces:
-        fpts = pts[list(face)]
-        n = _newell_normal(fpts)
-        if float(n @ (fpts.mean(axis=0) - center)) < 0:
+        fpts = [verts[i] for i in face]
+        if _dot(_newell_normal(fpts), _sub(_centroid(fpts), center)) < 0:
             face = list(reversed(face))
         fixed.append(tuple(face))
     return Mesh(tuple(map(tuple, verts)), tuple(fixed))

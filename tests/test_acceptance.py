@@ -269,7 +269,7 @@ def test_criterion_08_constant_width_suite():
     sampled = SupportBody.from_function(mid.support, 720)
     m = support_body_metrics(sampled)
     w = sampled.widths()
-    assert float(w.max() - w.min()) < 1e-9
+    assert max(w) - min(w) < 1e-9
     assert abs(m["perimeter"] - mid.perimeter) <= 1e-6
     assert abs(m["area"] - mid.area) <= 1e-3
 

@@ -80,8 +80,8 @@ def test_exact_metrics_match_a_dense_support_body(shape, dx, dy):
     w = body.widths()
     w_min, w_max = shape.widths()
     slack = 1e-12 * w_max
-    assert w_min - slack <= float(w.min()) <= w_min + width_err
-    assert w_max - width_err <= float(w.max()) <= w_max + slack
+    assert w_min - slack <= min(w) <= w_min + width_err
+    assert w_max - width_err <= max(w) <= w_max + slack
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.7, 1.2, math.pi / 2])

@@ -1,12 +1,15 @@
 """End-to-end runs of the command-line interface.
 
-Everything goes through main(argv) in-process; each run writes report.json
-into a fresh tmp directory and the tests read it back.
+Everything goes through main(argv) in-process, except the check that no
+command imports numpy, which needs a fresh interpreter; each run writes
+report.json into a fresh tmp directory and the tests read it back.
 """
 
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -619,3 +622,25 @@ def test_reports_are_byte_identical_across_runs(tmp_path, argv):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(argv + ["--out", str(a)]) == main(argv + ["--out", str(b)])
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+def test_one_command_of_each_family_runs_without_numpy(tmp_path):
+    # convexkit has no runtime dependency; a fresh interpreter shows what a
+    # command imports, where this test process has numpy loaded already
+    runs = [
+        (["tiling", "search-iso", "--n", "4"], 1),
+        (["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--svg"], 0),
+        (["shapes", "interp", "--t", "0.5", "--samples", "720", "--svg"], 0),
+        (["poly", "compare", "--solids", "rco,pseudo-rco"], 0),
+    ]
+    script = "\n".join([
+        "import sys",
+        "from convexkit.cli import main",
+        f"for argv, rc in {runs!r}:",
+        f"    assert main(argv + ['--out', {str(tmp_path)!r}]) == rc, argv",
+        "assert 'numpy' not in sys.modules, 'a command imported numpy'",
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -19,6 +19,7 @@ from convexkit.extremal import (
     CONJECTURED_CROSSOVER,
     REULEAUX_AREA_COEFF,
     Lens,
+    _lens_ratio,
     crossover_scan,
     interpolant_with_area,
     interpolate_constant_width,
@@ -50,6 +51,16 @@ def test_lens_validation():
         Lens(0.0, 1.0)
     with pytest.raises(ValueError):
         Lens(1.0, 2.0)  # half-angle beyond pi/2
+
+
+def test_lens_ratio_rises_with_the_half_angle():
+    # max_diameter_shape inverts area/perimeter^2 of the lens by bisection in
+    # the half-angle, which needs the ratio to rise on (0, pi/2]
+    n = 10_000
+    step = (math.pi / 2 - 1e-4) / (n - 1)
+    alphas = [1e-4 + k * step for k in range(n - 1)] + [math.pi / 2]
+    ratios = [_lens_ratio(a) for a in alphas]
+    assert all(u0 < u1 for u0, u1 in zip(ratios, ratios[1:]))
 
 
 def test_lens_disc_limit():
@@ -130,7 +141,7 @@ def test_reuleaux_support_body_matches_closed_form():
     assert abs(m["area"] - REULEAUX_AREA_COEFF) <= 1e-6
     assert abs(m["perimeter"] - math.pi) <= 1e-6
     w = body.widths()
-    assert float(w.max() - w.min()) <= 1e-9
+    assert max(w) - min(w) <= 1e-9
 
 
 def test_interpolants_keep_width_and_perimeter():

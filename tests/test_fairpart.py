@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -216,19 +215,29 @@ def _check_sweep_point(c, fraction, p):
     assert abs(p.cut_length - sr.cut_length) <= 1e-12 * c.perimeter
 
 
+def _assert_finite(offset, pieces):
+    """An offset, and the areas, perimeters and chord of the pieces it cuts,
+    are finite numbers."""
+    values = (offset, pieces.area_a, pieces.area_b, pieces.perimeter_a, pieces.perimeter_b,
+              pieces.cut_length)
+    assert all(math.isfinite(v) for v in values), values
+
+
 def _check_exact_cut(c, target, theta):
     """The solved cut holds the target area, and the sweep's point at theta
     matches it, both when the sweep starts at theta and when it walks there
     from earlier angles."""
-    with np.errstate(all="raise"):
-        cut = solve_offset_for_area(c, theta, target.fraction)
-        sr = split(c, cut)
-        points = []
-        for lead in (0.0, 0.01, 0.5, 3.0):
-            sweep = _ChordSweep(c, target.fraction)
-            if lead:
-                sweep.point(theta - lead)
-            points.append(sweep.point(theta))
+    cut = solve_offset_for_area(c, theta, target.fraction)
+    sr = split(c, cut)
+    _assert_finite(cut.offset, sr)
+    points = []
+    for lead in (0.0, 0.01, 0.5, 3.0):
+        sweep = _ChordSweep(c, target.fraction)
+        if lead:
+            sweep.point(theta - lead)
+        points.append(sweep.point(theta))
+    for p in points:
+        _assert_finite(p.offset, p)
     assert abs(sr.area_a - target.fraction * c.area) <= 1e-12 * c.area
     chord = 0.5 * (sr.perimeter_a + sr.perimeter_b - c.perimeter)
     assert abs(sr.cut_length - chord) <= 1e-12
@@ -284,9 +293,9 @@ def test_exact_cut_holds_the_area_on_random_polygons(polar, theta, fraction):
     except ValueError:
         assume(False)
     assume(c.area >= 0.05)
-    # underflow is harmless here: a subnormal angle makes subnormal coordinates
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        sr = split(c, solve_offset_for_area(c, theta, fraction))
+    cut = solve_offset_for_area(c, theta, fraction)
+    sr = split(c, cut)
+    _assert_finite(cut.offset, sr)
     assert abs(sr.area_a - fraction * c.area) <= 1e-12 * c.area
 
 
@@ -416,6 +425,20 @@ def test_band_square_half_and_half():
     assert abs(e.thickness - 0.5) <= 1e-12
     assert e.small_convex  # the band degenerates to the right half
     assert abs(e.area_small - 0.5) <= 1e-12
+
+
+def test_band_just_below_half_is_the_half_band():
+    # at 1:1 the two-corner area equation has a double root at s = 1/2, so
+    # just below it the discriminant is 0 up to rounding, not negative
+    target = RatioTarget(1, 1)
+    e = nonconvex_band_partition(1.4777, 1.4777, target, 0.49999999999999994)
+    half = nonconvex_band_partition(1.4777, 1.4777, target, 0.5)
+    assert e.feasible and half.feasible
+    for field in ("thickness", "area_small", "area_big", "perimeter_small", "perimeter_big", "rho"):
+        assert abs(getattr(e, field) - getattr(half, field)) <= 1e-12, field
+    assert len(e.piece_small) == len(half.piece_small)
+    for p, q in zip(e.piece_small, half.piece_small):
+        assert math.dist(p, q) <= 1e-12
 
 
 def test_band_one_corner_regime_has_rho_two_s():

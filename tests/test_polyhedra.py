@@ -176,9 +176,9 @@ def test_forty_triangles_have_lateral_edge_l(s, stretch):
     # l above the 20-gon circumradius suits both builders
     l = stretch * s / (2.0 * math.sin(math.pi / 20))
     for mesh in (build_icosagonal_dipyramid(s, l), build_decagonal_dipyramidal_antiprism(s, l)):
-        pts = mesh.points()
+        pts = mesh.vertices
         for face in mesh.faces:
-            sides = sorted(float(np.linalg.norm(pts[face[i]] - pts[face[i - 1]])) for i in range(3))
+            sides = sorted(math.dist(pts[face[i]], pts[face[i - 1]]) for i in range(3))
             assert sides == pytest.approx([s, l, l], rel=1e-9)
 
 
