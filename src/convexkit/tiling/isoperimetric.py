@@ -5,15 +5,15 @@ For a fixed floorplan, requiring every room to have semiperimeter 1
 unknowns are the n+3 segment coordinates: a room's width and height are
 differences of two of them.  That is n+2 equations in n+3 unknowns, so a
 consistent system has a solution space of dimension at least 1; every
-floorplan with n <= MAX_ROOMS gives a line.  We solve the system exactly and
-parametrize the line by t, the height of the last room whose height
-varies on it.  Each room's width is then an affine form w_i = c_i + a_i*t
-and its height 1 - w_i.  A t with every w_i and 1 - w_i positive is one
-exact interval intersection.  Room areas are w*(1-w), so rooms i and j
-share area iff w_i = w_j or w_i + w_j = 1; either factor is affine in t,
-so it vanishes identically, forcing the pair, or at one t at most.  A t
-with pairwise distinct areas is then chosen exactly, away from those
-values.
+floorplan with n <= MAX_ROOMS gives a line.  We solve the system exactly
+in integers and parametrize the line by t, the height of the last room
+whose height varies on it.  Each room's width is then an integer form
+w_i = (C_i + A_i*t) / E over one E > 0, and its height 1 - w_i.  A t with
+every w_i and 1 - w_i positive is one exact interval intersection.  Room
+areas are w*(1-w), so rooms i and j share area iff w_i = w_j or
+w_i + w_j = 1; either factor is affine in t, so it vanishes identically,
+forcing the pair, or at one t at most.  A t with pairwise distinct areas
+is then chosen exactly, away from those values.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ def build_isoperimetric_system(fp: Floorplan):
     and x_r - x_l + y_t - y_b = 1 for every room (l, r, b, t).  That is n+2
     equations in nv+nh = n+3 unknowns.  A room's width and height are the
     differences w = x_r - x_l and h = y_t - y_b, so they take no unknowns
-    of their own.  Returns (rows, rhs, names)."""
+    of their own.  Returns (rows, rhs, names), all coefficients ints."""
     nv, nh = fp.num_vsegs, fp.num_hsegs
     nvars = nv + nh
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
 
     def add(*coeffs):
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         for idx, c in coeffs:
             row[idx] += c
         rows.append(row)
@@ -50,7 +50,7 @@ def build_isoperimetric_system(fp: Floorplan):
     add((nv, 1))
     for l, r, b, t in fp.rooms:
         add((r, 1), (l, -1), (nv + t, 1), (nv + b, -1))
-    rhs = [Fraction(0), Fraction(0)] + [Fraction(1)] * fp.n
+    rhs = [0, 0] + [1] * fp.n
     names = [f"x{i}" for i in range(nv)] + [f"y{i}" for i in range(nh)]
     return rows, rhs, names
 
@@ -64,20 +64,21 @@ def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
     whose height varies on it: the direction is scaled so that this
     height moves by 1, and the particular point is the one where it is 0.
     So any two parametrizations of one line come back alike.  A space of
-    dimension 2 or more comes back as solved."""
+    dimension 2 or more comes back as solved.  In ints: the solved line is
+    (P + s*Dv) / d, so with S = Dv[t] - Dv[b] and H = P[t] - P[b] the point
+    is (P*S - H*Dv) / (d*S) and the direction d*Dv / (d*S)."""
     rows, rhs, names = build_isoperimetric_system(fp)
     sol = solve_linear_exact(rows, rhs, names)
     if sol is None or sol.dim > 1:
         return sol
-    (d,), p, nv = sol.basis, sol.particular, fp.num_vsegs
+    (p, dv), d, nv = sol.nums, sol.den, fp.num_vsegs
     heights = [(nv + b, nv + t) for _, _, b, t in fp.rooms]
     # some height varies: with every height fixed, so is every width, and
     # the walls pinned at 0 fix each segment through the rooms on it
-    b, t = next((b, t) for b, t in reversed(heights) if d[t] != d[b])
-    scale = d[t] - d[b]
-    d = [v / scale for v in d]
-    shift = p[t] - p[b]
-    return ParamSolution(names, [v - shift * dv for v, dv in zip(p, d)], [d])
+    b, t = next((b, t) for b, t in reversed(heights) if dv[t] != dv[b])
+    s, h = dv[t] - dv[b], p[t] - p[b]
+    point = [v * s - h * w for v, w in zip(p, dv)]
+    return ParamSolution(names, [point, [d * w for w in dv]], d * s)
 
 
 @dataclass(frozen=True)
@@ -126,28 +127,29 @@ class IsoSearchResult:
 
 
 def forced_equal_pair(
-    widths: List[Tuple[Fraction, Fraction]]
+    widths: List[Tuple[int, int]], den: int
 ) -> Union[ForcedPair, FrozenSet[Fraction]]:
     """A pair of rooms whose areas agree at every t, or else the finite set
     of parameters t at which some two areas agree.  `widths` holds each
-    room's width w_i = c + a*t as the pair (c, a).  Area equality factors
-    as (w_i - w_j)(1 - w_i - w_j) = 0, and each factor is affine in t: it
-    vanishes identically, forcing the pair, or at one t at most."""
+    room's width w_i = (c + a*t) / den as the pair (c, a), den > 0.  Area
+    equality factors as (w_i - w_j)(1 - w_i - w_j) = 0, and each factor is
+    affine in t: it vanishes identically, forcing the pair, or at one t at
+    most, which does not depend on den."""
     pairs = list(combinations(range(len(widths)), 2))
     for i, j in pairs:
         (ci, ai), (cj, aj) = widths[i], widths[j]
         if (ci, ai) == (cj, aj):
             return ForcedPair(i, j, f"w{i} = w{j}")
-        if ai == -aj and ci + cj == 1:
+        if ai == -aj and ci + cj == den:
             return ForcedPair(i, j, f"w{i} + w{j} = 1")
     # no factor vanishes identically, so each vanishes at one t at most
     excluded = set()
     for i, j in pairs:
         (ci, ai), (cj, aj) = widths[i], widths[j]
         if ai != aj:
-            excluded.add((cj - ci) / (ai - aj))
+            excluded.add(Fraction(cj - ci, ai - aj))
         if ai != -aj:
-            excluded.add((1 - ci - cj) / (ai + aj))
+            excluded.add(Fraction(den - ci - cj, ai + aj))
     return frozenset(excluded)
 
 
@@ -209,14 +211,14 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
         if sol.dim > 1:
             residual.append(fp)
             continue
-        # room i's width x_r - x_l as the affine form (c, a): w_i = c + a*t
-        (d,), p = sol.basis, sol.particular
+        # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
+        (p, d), e = sol.nums, sol.den
         widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
-        pp = positive_point(widths + [(1 - c, -a) for c, a in widths])
+        pp = positive_point(widths + [(e - c, -a) for c, a in widths])
         if pp.certified_empty:
             certified_empty += 1
             continue
-        equal = forced_equal_pair(widths)
+        equal = forced_equal_pair(widths, e)
         if isinstance(equal, ForcedPair):
             forced.append((fp, equal))
             continue

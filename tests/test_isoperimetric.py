@@ -1,7 +1,9 @@
 """Equal-semiperimeter, distinct-area tilings: impossibility and witnesses."""
 
+import hashlib
 import os
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,15 @@ def test_eight_room_census():
     for w in result.witnesses:
         assert verify_layout(w.tileset, w.layout) is None
         assert len(set(w.areas)) == 8
+    # the exact answers, not just their count: each witness's floorplan
+    # code and room areas, in search order
+    canon = "\n".join(
+        f"{[list(move) for move in w.floorplan.code]} {[str(a) for a in w.areas]}"
+        for w in result.witnesses
+    )
+    assert hashlib.sha256(canon.encode()).hexdigest() == (
+        "31eb994cf40352c94b6b7b82d6863fe3255e397f22ea7a76a66004623b59c8a1"
+    )
 
 
 def test_two_rooms_forced_equal_widths():
@@ -212,7 +223,7 @@ def test_distinct_area_choice_moves_off_an_excluded_t():
     widths = width_forms([0, Fraction(5, 12), Fraction(-1, 3)], [1, 0, 2])
     pp = positive_widths(widths)
     assert (pp.t, pp.interval) == (Fraction(5, 12), (Fraction(1, 6), Fraction(2, 3)))
-    excluded = forced_equal_pair(widths)
+    excluded = forced_equal_pair(widths, 1)
     assert excluded == {
         Fraction(p, q) for p, q in ((5, 12), (7, 12), (1, 3), (4, 9), (3, 8), (11, 24))
     }
@@ -221,7 +232,7 @@ def test_distinct_area_choice_moves_off_an_excluded_t():
     assert len(set(areas_at(widths, t))) == 3
     # when the excluded t is the last one, the interval end bounds the step
     widths = width_forms([0, Fraction(1, 2)], [1, 0])
-    assert distinct_area_param(positive_widths(widths), forced_equal_pair(widths)) == Fraction(3, 4)
+    assert distinct_area_param(positive_widths(widths), forced_equal_pair(widths, 1)) == Fraction(3, 4)
     # an interval unbounded above steps towards t + 2
     free = PositivePoint(Fraction(0), interval=(None, None))
     assert distinct_area_param(free, {Fraction(0)}) == Fraction(1)
@@ -233,13 +244,14 @@ def test_distinct_area_choice_moves_off_an_excluded_t():
 # widths in (0, 1) at t = 0, so the positivity interval is never empty
 consts = st.builds(Fraction, st.integers(1, 5), st.just(6))
 slopes = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+lines = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(st.lists(consts, min_size=n, max_size=n),
+                        st.lists(slopes, min_size=n, max_size=n))
+)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(2, 6).flatmap(
-    lambda n: st.tuples(st.lists(consts, min_size=n, max_size=n),
-                        st.lists(slopes, min_size=n, max_size=n))
-))
+@given(lines)
 def test_exact_choice_on_random_lines(line):
     """Every rational line gets either a pair of rooms whose areas agree
     at every t, or a t inside the positivity interval at which all areas
@@ -247,7 +259,7 @@ def test_exact_choice_on_random_lines(line):
     widths = width_forms(*line)
     pp = positive_widths(widths)
     assert not pp.certified_empty
-    equal = forced_equal_pair(widths)
+    equal = forced_equal_pair(widths, 1)
     if isinstance(equal, ForcedPair):
         i, j = equal.room_i, equal.room_j
         # areas are quadratic in t: agreeing at three points is identity
@@ -265,6 +277,23 @@ def test_exact_choice_on_random_lines(line):
     # every excluded t really makes two areas agree
     for e in equal:
         assert len(set(areas_at(widths, e))) < len(widths)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines, st.booleans(), st.integers(1, 10**6))
+def test_integer_widths_answer_as_their_fractions(line, complement, k):
+    """Widths given as integer numerators over one denominator, as the
+    search passes them, get the same forced pair or excluded parameters
+    and the same positivity interval as the Fraction widths.  A width
+    complementary to w0 forces a pair w0 + w_j = 1 when nothing else does."""
+    widths = width_forms(*line)
+    if complement:
+        c, a = widths[0]
+        widths.append((1 - c, -a))
+    den = k * lcm(*[v.denominator for form in widths for v in form])
+    ints = [(int(c * den), int(a * den)) for c, a in widths]
+    assert forced_equal_pair(ints, den) == forced_equal_pair(widths, 1)
+    assert positive_point(ints + [(den - c, -a) for c, a in ints]) == positive_widths(widths)
 
 
 def segment_ids(coords, hi):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,3 +201,86 @@ def test_sparse_solve_matches_dense_reference():
         else:
             assert (sol.particular, sol.basis) == ref
     assert outcomes == {True, False}
+
+
+entries = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.builds(F, st.integers(-3, 3), st.integers(1, 4)),
+    st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**20)),
+)
+
+
+@st.composite
+def systems(draw):
+    """Rows of ints and Fractions, some with large denominators.  Half of
+    the systems get one more row: a rational combination of two others,
+    which makes them rank-deficient, and inconsistent when its right-hand
+    side is then shifted."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = [draw(st.lists(entries, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        a, b = draw(small_fractions), draw(small_fractions)
+        row = [a * u + b * v for u, v in zip(rows[i], rows[j])]
+        row[-1] += draw(st.sampled_from([0, 1, F(-1, 10**9)]))
+        rows.insert(draw(st.integers(0, m)), row)
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(systems())
+def test_integer_solve_matches_dense_reference(system):
+    """The fraction-free solve returns, Fraction for Fraction, the RREF
+    space of the dense Fraction reference, or None exactly when it does."""
+    matrix, rhs = system
+    sol = solve_linear_exact(matrix, rhs)
+    ref = dense_solve(matrix, rhs)
+    if ref is None:
+        assert sol is None
+    else:
+        assert (sol.particular, sol.basis) == ref
+        assert all(type(v) is int for row in sol.nums for v in row)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(systems(), st.data())
+def test_same_solution_space_compares_equal(system, data):
+    """Permuting the rows, or scaling one row by a nonzero rational, keeps
+    the solution space, so the solves compare equal as ParamSolutions."""
+    matrix, rhs = system
+    sol = solve_linear_exact(matrix, rhs)
+    order = data.draw(st.permutations(range(len(matrix))))
+    assert solve_linear_exact([matrix[i] for i in order], [rhs[i] for i in order]) == sol
+    k = data.draw(st.integers(0, len(matrix) - 1))
+    f = data.draw(small_fractions.filter(bool))
+    scaled = [[f * v for v in row] if i == k else row for i, row in enumerate(matrix)]
+    scaled_rhs = [f * b if i == k else b for i, b in enumerate(rhs)]
+    assert solve_linear_exact(scaled, scaled_rhs) == sol
+
+
+def test_param_solution_is_kept_in_lowest_terms():
+    """Numerators and denominator are divided by their common gcd and the
+    denominator made positive, so equal spaces have equal fields."""
+    sol = ParamSolution(["x", "y"], [[2, -4], [6, 0]], -8)
+    assert (sol.nums, sol.den) == ([[-1, 2], [-3, 0]], 4)
+    assert sol == ParamSolution(["x", "y"], [[-1, 2], [-3, 0]], 4)
+    assert sol.particular == [F(-1, 4), F(1, 2)]
+    assert sol.basis == [[F(-3, 4), F(0)]]
+    assert sol.point([F(1, 3)]) == [F(-1, 2), F(1, 2)]
+    assert sol.contains([F(-1, 2), F(1, 2)]) and not sol.contains([F(0), F(0)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(small_fractions, slopes), max_size=6), st.integers(1, 10**12))
+def test_positive_point_ignores_a_common_positive_scale(forms, k):
+    """Multiplying every form by one positive integer moves no end of the
+    positivity interval, and int forms answer as their Fraction equals."""
+    res = positive_point(forms)
+    key = (res.interval, res.t, res.certified_empty)
+    scaled = positive_point([(k * c, k * a) for c, a in forms])
+    assert (scaled.interval, scaled.t, scaled.certified_empty) == key
+    den = lcm(*[v.denominator for form in forms for v in form])
+    ints = [(int(c * den), int(a * den)) for c, a in forms]
+    assert (positive_point(ints).interval, positive_point(ints).t) == key[:2]
+    assert positive_point(ints) == positive_point([(F(c), F(a)) for c, a in ints])
