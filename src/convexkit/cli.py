@@ -56,7 +56,6 @@ from .polyhedra import (
     build_pseudorhombicuboctahedron,
     build_rhombicuboctahedron,
     compare_report,
-    face_multiset,
     mesh_summary,
     mesh_to_obj,
 )
@@ -664,7 +663,7 @@ def _build_solids(names: List[str], args) -> List[Mesh]:
 
 def cmd_poly_build(args) -> Handler:
     (mesh,) = _build_solids([args.solid], args)
-    summary = mesh_summary(mesh, face_multiset(mesh))
+    summary = mesh_summary(mesh)
     report = {"command": "poly build", "solid": args.solid, **summary}
     lines = [
         f"{args.solid}: V={mesh.num_vertices} E={mesh.num_edges} F={mesh.num_faces}, "

@@ -1,8 +1,9 @@
 """Convex polygons in the float kernel: metrics, widths, clipping helpers.
 
 Vertices are stored counterclockwise with the lexicographically smallest
-vertex first. Construction cleans duplicate and collinear points at 1e-12
-relative tolerance; everything else runs at the 1e-9 tolerance used across
+vertex first. Construction drops points within 1e-12 (relative to the
+coordinate scale) of their predecessor, and middle points whose turn sine
+is at most 1e-12; everything else runs at the 1e-9 tolerance used across
 the floating-point paths.
 """
 
@@ -53,14 +54,17 @@ class ConvexPolygon:
     @staticmethod
     def _cleanup(pts: list[Point], scale: float) -> list[Point]:
         out = dedupe_ring(pts, _CLEAN_EPS * scale)
-        # drop collinear middles; cross product scales like scale^2
+        # drop middles whose turn sine, cross / (|a - o| |b - a|), is <= 1e-12:
+        # unlike the bare cross product, it does not shrink as n grows
         changed = True
         while changed and len(out) >= 3:
             changed = False
             kept = []
             n = len(out)
             for i in range(n):
-                if abs(_cross(out[i - 1], out[i], out[(i + 1) % n])) > _CLEAN_EPS * scale * scale:
+                (ox, oy), (ax, ay), (bx, by) = out[i - 1], out[i], out[(i + 1) % n]
+                ux, uy, vx, vy = ax - ox, ay - oy, bx - ax, by - ay
+                if abs(ux * vy - uy * vx) > _CLEAN_EPS * math.hypot(ux, uy) * math.hypot(vx, vy):
                     kept.append(out[i])
                 else:
                     changed = True

@@ -244,19 +244,17 @@ def build_cube_with_pyramids(
     a: float = 1.0,
     h: float = 0.3,
     mode: str = "opposite",
-    allow_nonconvex: bool = False,
 ) -> Mesh:
     """Cube of side a with square pyramids of height h erected on two
     faces: opposite (top and bottom) or adjacent (top and one side).  Both
     modes leave the same face multiset, 4 squares and 8 isosceles
     triangles.  h >= a/2 loses convexity in the adjacent mode, which then
-    raises NoSuchSolid unless allow_nonconvex is set; the opposite mode is
-    convex at every height."""
+    raises NoSuchSolid; the opposite mode is convex at every height."""
     if mode not in ("opposite", "adjacent"):
         raise ValueError("mode must be 'opposite' or 'adjacent'")
     if not (a > 0 and h > 0):
         raise ValueError("side and height must be positive")
-    if mode == "adjacent" and h >= a / 2 and not allow_nonconvex:
+    if mode == "adjacent" and h >= a / 2:
         raise NoSuchSolid("pyramid height must satisfy h < a/2 to keep convexity")
     verts: List[Point3] = [
         (0, 0, 0), (a, 0, 0), (a, a, 0), (0, a, 0),
@@ -418,10 +416,10 @@ def build_decagonal_dipyramidal_antiprism(s: float = 1.0, l: float = 3.5) -> Mes
     return _oriented(verts, faces)
 
 
-def mesh_summary(m: Mesh, multiset: Counter) -> dict:
+def mesh_summary(m: Mesh) -> dict:
     """Counts, convexity, volume, surface area, and faces by side count of
-    one mesh, given its face multiset."""
-    counts = Counter(len(sig) for sig in multiset.elements())
+    one mesh."""
+    counts = Counter(len(f) for f in m.faces)
     return {
         "vertices": m.num_vertices,
         "edges": m.num_edges,
@@ -461,7 +459,7 @@ def compare_report(meshes: Sequence[Mesh], names: Optional[Sequence[str]] = None
         return groups
 
     entries = [
-        {"name": name, **mesh_summary(m, ms), "distinct_face_shapes": len(ms)}
+        {"name": name, **mesh_summary(m), "distinct_face_shapes": len(ms)}
         for name, m, ms in zip(names, meshes, multisets)
     ]
     return {

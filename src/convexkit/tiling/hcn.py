@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, split_extension
+
+CENSUS_PLACEMENT_CAP = 500_000  # i*d tiles times divisor_count(h) widths
 
 
 def divisor_count(v: int) -> int:
@@ -94,27 +97,28 @@ class HcnContext:
     L the common tile height."""
 
     h: int
-    m: int
     i: int
-    d: int
     L: Fraction
 
     def __post_init__(self):
-        if self.m != triangular(self.i):
-            raise ValueError(f"m = {self.m} is not the {self.i}-th triangular number")
-        if self.h % self.m != 0 or self.d != self.h // self.m:
-            raise ValueError(f"need d = h/m exactly, got h={self.h} m={self.m} d={self.d}")
+        if self.h % self.m != 0:
+            raise ValueError(f"triangular(i) = {self.m} does not divide h = {self.h}")
         if self.L <= 0:
             raise ValueError("tile height L must be positive")
         if not is_hcn(self.h):
             raise ValueError(f"{self.h} is not a divisor-count record-setter")
 
+    @property
+    def m(self) -> int:
+        return triangular(self.i)
+
+    @property
+    def d(self) -> int:
+        return self.h // self.m
+
 
 def hcn_context(h: int, i: int, L) -> HcnContext:
-    m = triangular(i)
-    if h % m != 0:
-        raise ValueError(f"triangular(i) = {m} does not divide h = {h}")
-    return HcnContext(h, m, i, h // m, Fraction(L))
+    return HcnContext(h, i, Fraction(L))
 
 
 def build_hcn_tileset(ctx: HcnContext) -> TileSet:
@@ -200,7 +204,14 @@ def construct_width_layout(ctx: HcnContext, F: int) -> Optional[Layout]:
 
 def hcn_layout_census(ctx: HcnContext) -> Dict[int, Optional[Layout]]:
     """Feasibility of every divisor width of h, ascending: width -> witness
-    layout or None.  The number of feasible widths is the object of study."""
+    layout or None.  The number of feasible widths is the object of study.
+    Raises UnsupportedInstance, before any width is tried, when placing all
+    i*d tiles once per divisor width exceeds CENSUS_PLACEMENT_CAP."""
+    placements = ctx.i * ctx.d * divisor_count(ctx.h)
+    if placements > CENSUS_PLACEMENT_CAP:
+        raise UnsupportedInstance(
+            f"census would place {placements:,} tiles, over the census cap of {CENSUS_PLACEMENT_CAP:,}"
+        )
     return {F: construct_width_layout(ctx, F) for F in divisors(ctx.h)}
 
 

@@ -4,6 +4,9 @@ Given a finite tile set, enumerate every target rectangle (up to the
 W >= H symmetry) that the full set tiles exactly, with one witness layout
 per target.  Dimensions are rescaled to integers by the lcm of the input
 denominators, so the backtracking search is exact integer arithmetic.
+Candidate sides come from the set of reachable side sums, whose size
+follows the number of distinct sums, not the scaled magnitudes, so tiles
+with large denominators cost no more memory than integer ones.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .tiles import Layout, Placement, Tile, TileSet
+from .tiles import Layout, Placement, TileSet
 
 DEFAULT_TILE_CAP = 24
 
@@ -29,35 +32,18 @@ class TilingResult:
     layout: Layout
 
 
-def _integer_scale(ts: TileSet) -> int:
-    denom = 1
-    for t in ts:
-        denom = denom * t.width.denominator // math.gcd(denom, t.width.denominator)
-        denom = denom * t.height.denominator // math.gcd(denom, t.height.denominator)
-    return denom
-
-
 def _side_sums(choices: List[Tuple[int, ...]], limit: int) -> set:
-    """Subset sums in 1..limit where each tile contributes 0 or one of its
+    """Sums in 1..limit where each tile contributes 0 or one of its
     `choices`.  Any edge of any tiling is partitioned by placed tile sides,
-    so valid target sides must live in this set.  A sum never exceeds the
-    sum of each tile's largest choice, so the shift-or bitset holds that
-    many bits, whatever `limit` is, and its set bits are read off in one
-    pass over its binary digits."""
-    limit = min(limit, sum(max(opts) for opts in choices))
-    mask = 1
+    so valid target sides must live in this set.  The set grows one tile
+    at a time from {0}, keeping only sums <= limit, so its cost follows
+    the number of distinct sums (at most min(3^k, limit) for k tiles), not
+    the size of the sides."""
+    sums = {0}
     for opts in choices:
-        nxt = mask
-        for v in set(opts):
-            nxt |= mask << v
-        mask = nxt
-    bits = bin(mask)[:1:-1]  # bits[s] is bit s
-    out = set()
-    s = bits.find("1", 1, limit + 1)
-    while s >= 0:
-        out.add(s)
-        s = bits.find("1", s + 1, limit + 1)
-    return out
+        sums |= {s + v for s in sums for v in opts if s + v <= limit}
+    sums.discard(0)
+    return sums
 
 
 def _raise_run(runs: List[Tuple[int, int, int]], k: int, width: int, rise: int) -> List[Tuple[int, int, int]]:
@@ -134,7 +120,7 @@ def enumerate_layouts(
         raise UnsupportedInstance(
             f"{len(ts)} tiles exceeds the exhaustive-search cap of {cap}"
         )
-    scale = _integer_scale(ts)
+    scale = math.lcm(*(side.denominator for t in ts for side in (t.width, t.height)))
     sides = []
     for t in ts:
         sides.append((int(t.width * scale), int(t.height * scale)))

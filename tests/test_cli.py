@@ -160,6 +160,10 @@ PROGRAM_LIMITS = [
     ("--limit excludes a census",
      ["tiling", "hcn", "--limit", "10", "--h", "60", "--i", "5", "--length", "4"], "not both"),
     ("--limit excludes a census", ["tiling", "hcn", "--limit", "10", "--length", "4"], "not both"),
+    ("census placement cap", ["tiling", "hcn", "--h", "55440", "--i", "3", "--length", "4"],
+     "census cap of 500,000"),
+    ("census placement cap", ["tiling", "split", "--h", "55440", "--i", "3", "--length", "4"],
+     "census cap of 500,000"),
 ]
 
 

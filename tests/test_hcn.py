@@ -11,6 +11,7 @@ import pytest
 from convexkit.tiling import hcn as hcn_module
 from convexkit.tiling import (
     HcnContext,
+    UnsupportedInstance,
     build_hcn_tileset,
     construct_width_layout,
     divisor_count,
@@ -138,6 +139,7 @@ def test_triangular():
 def test_context_construction():
     ctx = hcn_context(60, 5, 4)
     assert (ctx.h, ctx.m, ctx.i, ctx.d, ctx.L) == (60, 15, 5, 4, Fraction(4))
+    assert ctx == HcnContext(60, 5, Fraction(4))
 
 
 def test_context_rejects_bad_inputs():
@@ -145,8 +147,6 @@ def test_context_rejects_bad_inputs():
         hcn_context(60, 7, 1)  # triangular(7) = 28 does not divide 60
     with pytest.raises(ValueError):
         hcn_context(50, 4, 1)  # 50 is not a record-setter
-    with pytest.raises(ValueError):
-        HcnContext(60, 14, 5, 4, Fraction(1))  # m is not triangular(5)
     with pytest.raises(ValueError):
         hcn_context(60, 5, 0)  # height must be positive
 
@@ -210,6 +210,25 @@ def test_census_layouts_verify_exactly():
             assert layout.target_width == F
             assert layout.target_height == Fraction(h, F) * ctx.L
             assert verify_layout(ts, layout) is None
+
+
+def test_census_past_the_placement_cap_is_refused_at_once():
+    # 27,720 tiles times 120 divisor widths: 3,326,400 placements
+    ctx = hcn_context(55440, 3, 4)
+    assert ctx.i * ctx.d * divisor_count(ctx.h) > hcn_module.CENSUS_PLACEMENT_CAP
+    start = time.perf_counter()
+    for census in (hcn_layout_census, hcn_split_census):
+        with pytest.raises(UnsupportedInstance, match="census cap"):
+            census(ctx)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_census_just_under_the_placement_cap_answers():
+    # 2,520 tiles times 60 divisor widths: 151,200 placements
+    ctx = hcn_context(5040, 3, 4)
+    assert ctx.i * ctx.d * divisor_count(ctx.h) <= hcn_module.CENSUS_PLACEMENT_CAP
+    census = hcn_layout_census(ctx)
+    assert census_widths(census) == [d for d in divisors(5040) if d >= 3]
 
 
 def test_construct_width_layout_requires_divisor():

@@ -72,9 +72,17 @@ def test_nonconvex_input_rejected():
 
 
 def test_collinear_vertices_rejected_or_dropped():
-    # midpoint on an edge is not a corner
-    p = ConvexPolygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
-    assert len(p) == 4
+    # midpoint on an edge is not a corner, at any scale
+    for s in (1e-6, 1.0, 1e6):
+        p = ConvexPolygon([(0, 0), (s, 0), (2 * s, 0), (2 * s, 2 * s), (0, 2 * s)])
+        assert len(p) == 4
+        assert (s, 0.0) not in p.vertices
+
+
+def test_fine_regular_polygon_keeps_every_vertex():
+    # each vertex turns by a sine near 6.3e-5, far above the 1e-12 cut,
+    # though its cross product (about 2.5e-13) is below 1e-12 * scale^2
+    assert len(regular_ngon(100_000)) == 100_000
 
 
 def test_contains():

@@ -132,7 +132,9 @@ def test_cube_pyramids_convexity_guard():
             build_cube_with_pyramids(h=h, mode="adjacent")
         # opposite pyramids never meet, so every height stays convex
         assert is_convex(build_cube_with_pyramids(h=h, mode="opposite"))
-    tall = build_cube_with_pyramids(h=0.6, mode="adjacent", allow_nonconvex=True)
+    # the same solid with both apexes raised to h = 0.6 is no longer convex
+    low = build_cube_with_pyramids(h=0.49, mode="adjacent")
+    tall = Mesh(low.vertices[:8] + ((0.5, 0.5, 1.6), (1.6, 0.5, 0.5)), low.faces)
     assert not is_convex(tall)
     assert abs(volume(tall) - 1.4) <= 1e-9
     with pytest.raises(ValueError, match="mode"):

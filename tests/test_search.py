@@ -1,5 +1,6 @@
 """Exhaustive tiling enumeration: known counts, witnesses, determinism."""
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -17,7 +18,7 @@ from convexkit.tiling import (
     parse_tileset,
     verify_layout,
 )
-from convexkit.tiling.search import _search_fill
+from convexkit.tiling.search import _search_fill, _side_sums
 
 
 def dims_of(results):
@@ -136,10 +137,8 @@ def test_scaling_the_tiles_scales_every_result(dims, q, allow_rotation):
         assert verify_layout(scaled, b.layout) is None
 
 
-def test_pair_near_one_thousand_answers_at_once():
-    # lcm of the denominators is 988,027: the scaled area is about 2e9 and
-    # the width about 1e6 grid units.
-    ts = parse_tileset("1/997 1\n1 1/991\n")
+def enumerate_measured(ts):
+    """enumerate_layouts(ts), its wall time and its traced peak memory."""
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -148,10 +147,50 @@ def test_pair_near_one_thousand_answers_at_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return results, elapsed, peak
+
+
+def test_pair_near_one_thousand_answers_at_once():
+    # lcm of the denominators is 988,027: the scaled area is about 2e9 and
+    # the width about 1e6 grid units.
+    ts = parse_tileset("1/997 1\n1 1/991\n")
+    results, elapsed, peak = enumerate_measured(ts)
     assert dims_of(results) == [(1, Fraction(1988, 988027))]
     assert verify_layout(ts, results[0].layout) is None
     assert elapsed < 1.0
     assert peak < 16 << 20
+
+
+def test_pair_near_one_hundred_thousand_answers_at_once():
+    # lcm of the denominators is 9,999,399,973: one bit per unit of the
+    # scaled sides would take gigabytes; the set of sums holds seven
+    ts = parse_tileset("1/100003 1\n1 1/99991\n")
+    results, elapsed, peak = enumerate_measured(ts)
+    assert dims_of(results) == [(1, Fraction(199994, 9999399973))]
+    assert verify_layout(ts, results[0].layout) is None
+    assert elapsed < 1.0
+    assert peak < 16 << 20
+
+
+def brute_side_sums(choices, limit):
+    """Reference: every pick of 0 or one choice per tile, summed."""
+    picks = itertools.product(*[(0,) + opts for opts in choices])
+    return {s for s in map(sum, picks) if 0 < s <= limit}
+
+
+side = st.one_of(st.integers(1, 12), st.integers(1, 10**15))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(side), min_size=1, max_size=8),
+        st.lists(st.tuples(side, side), min_size=1, max_size=8),
+    ),
+    st.one_of(st.integers(-1, 100), st.integers(0, 10**16)),
+)
+def test_side_sums_equal_every_pick(choices, limit):
+    assert _side_sums(choices, limit) == brute_side_sums(choices, limit)
 
 
 def grid_search_fill(dims, counts, W, H, allow_rotation):
