@@ -68,7 +68,7 @@ print(f"  h=60, widths 1..5, height 4: {len(feasible)} of {divisor_count(60)} "
 
 # halving one unit-width tile recovers a width when L = 2(h-1)
 ctx = hcn_context(60, 5, Fraction(118))
-_, split_census = hcn_split_census(ctx)
+split_census = hcn_split_census(ctx)
 print(f"  after halving one 1 x 118 tile: widths {sorted(split_census)}")
 
 section("equal semiperimeter, all areas distinct")

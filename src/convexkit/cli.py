@@ -61,6 +61,8 @@ from .polyhedra import (
 )
 from .tiling import (
     UnsupportedInstance,
+    build_hcn_tileset,
+    construct_width_layout,
     enumerate_layouts,
     hcn_context,
     hcn_layout_census,
@@ -73,7 +75,7 @@ from .tiling import (
     serialize_tileset,
     verify_layout,
 )
-from .tiling.hcn import divisor_count
+from .tiling.hcn import construct_split_layout, divisor_count
 
 PX_PER_UNIT = 20.0
 
@@ -327,7 +329,7 @@ def cmd_tiling_hcn(args) -> Handler:
         raise ValueError("hcn needs either --limit or all of --h --i --length")
     ctx = hcn_context(args.h, args.i, parse_rational(args.length))
     census = hcn_layout_census(ctx)
-    feasible = sorted(w for w, lay in census.items() if lay is not None)
+    feasible = [w for w, height in census.items() if height is not None]
     report = {
         "command": "tiling hcn",
         "h": ctx.h,
@@ -337,41 +339,37 @@ def cmd_tiling_hcn(args) -> Handler:
         "length": ctx.L,
         "tile_count": ctx.i * ctx.d,
         "feasible_widths": feasible,
-        "infeasible_widths": sorted(w for w, lay in census.items() if lay is None),
+        "infeasible_widths": [w for w, height in census.items() if height is None],
         "count": len(feasible),
-        "targets": {
-            str(w): [lay.target_width, lay.target_height]
-            for w, lay in census.items()
-            if lay is not None
-        },
+        "targets": {str(w): [Fraction(w), census[w]] for w in feasible},
     }
     lines = [f"h={ctx.h} i={ctx.i} L={ctx.L}: {len(feasible)} layout widths {feasible}"]
     files = {}
     if args.svg and feasible:
-        from .tiling import build_hcn_tileset
-
-        files["layout.svg"] = _layout_svg(build_hcn_tileset(ctx), census[feasible[0]])
+        layout = construct_width_layout(ctx, feasible[0])
+        files["layout.svg"] = _layout_svg(build_hcn_tileset(ctx), layout)
     return len(feasible) > 0, report, files, lines
 
 
 def cmd_tiling_split(args) -> Handler:
     ctx = hcn_context(args.h, args.i, parse_rational(args.length))
-    ts2, census = hcn_split_census(ctx)
-    widths = sorted(census)
+    census = hcn_split_census(ctx)
+    widths = list(census)
     report = {
         "command": "tiling split",
         "h": ctx.h,
         "i": ctx.i,
         "length": ctx.L,
-        "tile_count": len(ts2.tiles),
+        "tile_count": ctx.i * ctx.d + 1,
         "feasible_widths": widths,
         "count": len(widths),
-        "targets": {str(w): [lay.target_width, lay.target_height] for w, lay in census.items()},
+        "targets": {str(w): [Fraction(w), height] for w, height in census.items()},
     }
     lines = [f"after split: {len(widths)} layout widths {widths}"]
     files = {}
     if args.svg and widths:
-        files["layout.svg"] = _layout_svg(ts2, census[widths[0]])
+        # h/2 is always feasible, so widths[0] is a base width, never h-1
+        files["layout.svg"] = _layout_svg(*construct_split_layout(ctx, widths[0]))
     return len(widths) > 0, report, files, lines
 
 

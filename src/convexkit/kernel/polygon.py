@@ -16,6 +16,7 @@ from .arcs import ArcPolygon
 
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
+MAX_NGON_VERTICES = 100_000  # each fair-cut command costs O(n) per angle
 
 Point = tuple[float, float]
 
@@ -161,6 +162,8 @@ def regular_ngon(n: int) -> ConvexPolygon:
     """The regular n-gon inscribed in the unit circle, a vertex at (1, 0)."""
     if n < 3:
         raise ValueError("need n >= 3")
+    if n > MAX_NGON_VERTICES:
+        raise ValueError(f"n = {n:,} is over the polygon cap of {MAX_NGON_VERTICES:,} vertices")
     pts = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     return ConvexPolygon(pts)
 

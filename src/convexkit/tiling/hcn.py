@@ -3,29 +3,30 @@
 A record-setter (highly composite number) is a positive integer with more
 divisors than every smaller positive integer.  When h is such a number and
 m = 1 + 2 + ... + i divides h with quotient d, the multiset holding d tiles
-of each width 1..i (all of height L) has total width-sum h, and it packs a
-strip of width F for every divisor F of h with F >= i.  Counting feasible
-strip widths over all divisors links the divisor count of h to the number
-of distinct packings.
+of each width 1..i (all of height L) has width-sum h.  The census asks which
+divisor widths F of h it packs in rows.  For every record-setter up to 10**7
+with i < 80 the answer is exactly F >= i: observed, not proven (Chen, Fu,
+Wang and Zhou 2005 prove it for d = 1), so each answer carries a certificate:
+a feasible divisor of F, the width-i tile overhanging F, or an exact search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from math import gcd, prod
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, split_extension
 
-CENSUS_PLACEMENT_CAP = 500_000  # i*d tiles times divisor_count(h) widths
+CENSUS_PLACEMENT_CAP = 500_000  # tiles in one drawn layout or one all-copies search
 
 
-def divisor_count(v: int) -> int:
-    """Exact number of divisors by trial-division factorization."""
+def _factorize(v: int) -> Iterator[Tuple[int, int]]:
+    """(prime, exponent) pairs of v, ascending, by trial division."""
     if v <= 0:
-        raise ValueError("divisor_count needs a positive integer")
-    count = 1
+        raise ValueError(f"need a positive integer, got {v}")
     p = 2
     while p * p <= v:
         if v % p == 0:
@@ -33,17 +34,23 @@ def divisor_count(v: int) -> int:
             while v % p == 0:
                 v //= p
                 e += 1
-            count *= e + 1
+            yield p, e
         p += 1 if p == 2 else 2
     if v > 1:
-        count *= 2
-    return count
+        yield v, 1
+
+
+def divisor_count(v: int) -> int:
+    """Exact number of divisors, prod(e + 1) over the prime factorization."""
+    return prod(e + 1 for _, e in _factorize(v))
 
 
 def divisors(v: int) -> List[int]:
-    small = [d for d in range(1, int(v**0.5) + 1) if v % d == 0]
-    large = [v // d for d in reversed(small) if d * d != v]
-    return small + large
+    """All divisors of v, ascending, built from its prime factorization."""
+    ds = [1]
+    for p, e in _factorize(v):
+        ds = [d * p**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
 
 
 def hcn_up_to(limit: int) -> List[int]:
@@ -124,13 +131,8 @@ def hcn_context(h: int, i: int, L) -> HcnContext:
 def build_hcn_tileset(ctx: HcnContext) -> TileSet:
     """d tiles of each width 1..i, all of height L, ids 1..(i*d) with
     widths ascending."""
-    tiles = []
-    next_id = 1
-    for w in range(1, ctx.i + 1):
-        for _ in range(ctx.d):
-            tiles.append(Tile(next_id, Fraction(w), ctx.L))
-            next_id += 1
-    return TileSet(tiles)
+    widths = (Fraction(w) for w in range(1, ctx.i + 1) for _ in range(ctx.d))
+    return TileSet([Tile(k, w, ctx.L) for k, w in enumerate(widths, 1)])
 
 
 def _partition_widths(counts: List[int], i: int, target: int) -> Optional[List[List[int]]]:
@@ -139,9 +141,6 @@ def _partition_widths(counts: List[int], i: int, target: int) -> Optional[List[L
     group's widths non-increasing, the widest available tile tried first.
     The search keeps its own stack of choices, one entry per tile, so its
     depth is not bounded by the interpreter's recursion limit."""
-    total = sum(w * c for w, c in enumerate(counts))
-    if total == 0:
-        return []
     if any(counts[w] > 0 for w in range(target + 1, len(counts))):
         return None
     # chosen[k] = (width taken, room left in its group before, its width cap)
@@ -176,85 +175,85 @@ def _partition_widths(counts: List[int], i: int, target: int) -> Optional[List[L
     return groups
 
 
+def _check_cap(i: int, d: int, what: str) -> None:
+    cap = CENSUS_PLACEMENT_CAP
+    if i * d > cap:
+        raise UnsupportedInstance(f"{what}: {i * d:,} tiles, over the census cap of {cap:,}")
+
+
+def _width_rows(i: int, d: int, F: int) -> Optional[Tuple[int, List[List[int]]]]:
+    """(c, rows): rows of width F packing c copies of the widths 1..i, with
+    c dividing d, so the rows repeated d/c times pack all d copies.  c is
+    first the fewest copies whose width-sum F divides, F / gcd(F, m), and
+    then d itself, so None means no packing of the d copies exists."""
+    for c in dict.fromkeys((F // gcd(F, triangular(i)), d)):
+        if c == d:
+            _check_cap(i, d, f"searching width {F}")
+        rows = _partition_widths([0] + [c] * i, i, F)
+        if rows is not None:
+            return c, rows
+    return None
+
+
+def hcn_layout_census(ctx: HcnContext) -> Dict[int, Optional[Fraction]]:
+    """Every divisor width F of h, ascending: F -> strip height (h/F)*L, or
+    None when the tile family packs no strip of width F.  F is feasible when
+    F/p is, for a prime p (lay p rows of width F/p side by side); else
+    infeasible when F < i (the width-i tile overhangs); else as _width_rows
+    decides.  No tile is placed; construct_width_layout draws one width."""
+    primes = [p for p, _ in _factorize(ctx.h)]
+    heights: Dict[int, Optional[Fraction]] = {}
+    for F in divisors(ctx.h):
+        feasible = any(F % p == 0 and heights[F // p] for p in primes) or (
+            F >= ctx.i and _width_rows(ctx.i, ctx.d, F) is not None
+        )
+        heights[F] = Fraction(ctx.h, F) * ctx.L if feasible else None
+    return heights
+
+
 def construct_width_layout(ctx: HcnContext, F: int) -> Optional[Layout]:
-    """A packing of the full tile family into an F x (h/F)*L rectangle,
-    or None when width F is infeasible.  F must divide h; each row is one
-    group of tiles whose widths sum to F."""
+    """A packing of the full tile family into an F x (h/F)*L rectangle, or
+    None when width F is infeasible.  F must divide h; each row is one group
+    of _width_rows.  Raises UnsupportedInstance, before any tile is placed,
+    when the family has more than CENSUS_PLACEMENT_CAP tiles."""
     if ctx.h % F != 0:
         raise ValueError(f"width {F} does not divide h = {ctx.h}")
-    counts = [0] * (ctx.i + 1)
-    for w in range(1, ctx.i + 1):
-        counts[w] = ctx.d
-    groups = _partition_widths(counts, ctx.i, F)
-    if groups is None:
+    _check_cap(ctx.i, ctx.d, f"drawing width {F}")
+    found = _width_rows(ctx.i, ctx.d, F)
+    if found is None:
         return None
+    copies, groups = found
 
     # Tile ids of width w run (w-1)*d + 1 .. w*d; hand them out in order.
     next_id = [(w - 1) * ctx.d + 1 for w in range(ctx.i + 1)]
     placements = []
-    for row, group in enumerate(groups):
-        y = row * ctx.L
+    for row, group in enumerate(groups * (ctx.d // copies)):
         x = 0
         for w in sorted(group):
-            placements.append(Placement(next_id[w], Fraction(x), y, False))
+            placements.append(Placement(next_id[w], Fraction(x), row * ctx.L, False))
             next_id[w] += 1
             x += w
-    return Layout(Fraction(F), len(groups) * ctx.L, tuple(placements))
+    return Layout(Fraction(F), Fraction(ctx.h, F) * ctx.L, tuple(placements))
 
 
-def hcn_layout_census(ctx: HcnContext) -> Dict[int, Optional[Layout]]:
-    """Feasibility of every divisor width of h, ascending: width -> witness
-    layout or None.  The number of feasible widths is the object of study.
-    Raises UnsupportedInstance, before any width is tried, when placing all
-    i*d tiles once per divisor width exceeds CENSUS_PLACEMENT_CAP."""
-    placements = ctx.i * ctx.d * divisor_count(ctx.h)
-    if placements > CENSUS_PLACEMENT_CAP:
-        raise UnsupportedInstance(
-            f"census would place {placements:,} tiles, over the census cap of {CENSUS_PLACEMENT_CAP:,}"
-        )
-    return {F: construct_width_layout(ctx, F) for F in divisors(ctx.h)}
+def hcn_split_census(ctx: HcnContext) -> Dict[int, Fraction]:
+    """Feasible widths after halving one width-1 tile: width -> strip height.
+    Every base width stays (stack the halves where the tile stood).  When
+    L = 2(h-1), width h-1 joins at height L + 2: the unsplit tiles side by
+    side, and the two 1 x L/2 halves rotated on top as full-width rows."""
+    out = {F: H for F, H in hcn_layout_census(ctx).items() if H is not None}
+    if ctx.L == 2 * (ctx.h - 1):
+        out.setdefault(ctx.h - 1, ctx.L + 2)
+    return dict(sorted(out.items()))
 
 
-def hcn_split_census(ctx: HcnContext):
-    """Census after halving one width-1 tile.
-
-    The split tile set still packs every feasible width of the base census
-    (stack the two halves where the original tile stood).  When L = 2(h-1)
-    one extra width appears: all unsplit tiles side by side make an
-    (h-1) x L block, and the two 1 x L/2 halves, rotated, stack on top as
-    full-width rows.  Returns (tileset, {width -> layout}).
-    """
-    base = hcn_layout_census(ctx)
-    ts = build_hcn_tileset(ctx)
-    split_id = next(t.id for t in ts if t.width == 1)
+def construct_split_layout(ctx: HcnContext, F: int) -> Tuple[TileSet, Layout]:
+    """The split tile set (tile 1 cut at height L/2) and its packing of a
+    feasible base width F: construct_width_layout with the new half,
+    tile i*d + 1, stacked on tile 1."""
+    layout = construct_width_layout(ctx, F)
     half = ctx.L / 2
-    ts2 = split_extension(ts, split_id, "h", half)
-    new_id = max(t.id for t in ts2)
-
-    out: Dict[int, Optional[Layout]] = {}
-    for F, layout in base.items():
-        if layout is None:
-            continue
-        placements = []
-        for p in layout.placements:
-            if p.tile_id == split_id:
-                placements.append(Placement(split_id, p.x, p.y, False))
-                placements.append(Placement(new_id, p.x, p.y + half, False))
-            else:
-                placements.append(p)
-        out[F] = Layout(layout.target_width, layout.target_height, tuple(placements))
-
-    extra = ctx.h - 1
-    if ctx.L == 2 * (ctx.h - 1) and extra not in out:
-        placements = []
-        x = Fraction(0)
-        for t in ts2:
-            if t.id in (split_id, new_id):
-                continue
-            placements.append(Placement(t.id, x, Fraction(0), False))
-            x += t.width
-        # Two rotated halves lie flat across the top, each L/2 = h-1 wide.
-        placements.append(Placement(split_id, Fraction(0), ctx.L, True))
-        placements.append(Placement(new_id, Fraction(0), ctx.L + 1, True))
-        out[extra] = Layout(Fraction(extra), ctx.L + 2, tuple(placements))
-    return ts2, dict(sorted(out.items()))
+    top = [Placement(ctx.i * ctx.d + 1, p.x, p.y + half, False)
+           for p in layout.placements if p.tile_id == 1]
+    return (split_extension(build_hcn_tileset(ctx), 1, "h", half),
+            Layout(layout.target_width, layout.target_height, layout.placements + tuple(top)))

@@ -135,7 +135,7 @@ def test_criterion_03_hcn_censuses():
     feasible = sorted(w for w, lay in census.items() if lay is not None)
     assert feasible == [5, 6, 10, 12, 15, 20, 30, 60]
 
-    _, split_census = hcn_split_census(hcn_context(60, 5, 118))
+    split_census = hcn_split_census(hcn_context(60, 5, 118))
     assert len(split_census) == 9
     assert 59 in split_census
 

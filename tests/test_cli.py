@@ -160,10 +160,17 @@ PROGRAM_LIMITS = [
     ("--limit excludes a census",
      ["tiling", "hcn", "--limit", "10", "--h", "60", "--i", "5", "--length", "4"], "not both"),
     ("--limit excludes a census", ["tiling", "hcn", "--limit", "10", "--length", "4"], "not both"),
-    ("census placement cap", ["tiling", "hcn", "--h", "55440", "--i", "3", "--length", "4"],
+    ("census placement cap",
+     ["tiling", "hcn", "--h", "720720", "--i", "1", "--length", "4", "--svg"],
      "census cap of 500,000"),
-    ("census placement cap", ["tiling", "split", "--h", "55440", "--i", "3", "--length", "4"],
+    ("census placement cap",
+     ["tiling", "split", "--h", "720720", "--i", "1", "--length", "4", "--svg"],
      "census cap of 500,000"),
+    ("polygon cap of 100,000 vertices",
+     ["fairpart", "profile", "--shape", "ngon:100001", "--ratio", "1:3"],
+     "polygon cap of 100,000 vertices"),
+    ("polygon cap of 100,000 vertices", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "100001"],
+     "polygon cap of 100,000 vertices"),
 ]
 
 
@@ -267,6 +274,24 @@ def test_tiling_hcn_needs_arguments(tmp_path, capsys):
     rc = main(["tiling", "hcn", "--h", "60", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,length,rects", [("hcn", "4", 20), ("split", "118", 21)])
+def test_census_drawing_places_every_tile(tmp_path, command, length, rects):
+    rc, report, out = run(
+        tmp_path, "tiling", command, "--h", "60", "--i", "5", "--length", length, "--svg"
+    )
+    assert rc == 0
+    assert report["tile_count"] == rects
+    assert (out / "layout.svg").read_text().count("<rect") == rects
+
+
+@pytest.mark.parametrize("command", ["hcn", "split"])
+def test_census_of_27720_tiles_answers(tmp_path, command):
+    rc, report, _ = run(tmp_path, "tiling", command, "--h", "55440", "--i", "3", "--length", "4")
+    assert rc == 0
+    assert report["count"] == 118
+    assert report["feasible_widths"][:2] == [3, 4]
 
 
 def test_tiling_split_magic_length(tmp_path):

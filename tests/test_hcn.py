@@ -3,14 +3,21 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexkit.tiling import hcn as hcn_module
 from convexkit.tiling import (
     HcnContext,
+    Layout,
+    Placement,
     UnsupportedInstance,
     build_hcn_tileset,
     construct_width_layout,
@@ -21,9 +28,11 @@ from convexkit.tiling import (
     hcn_split_census,
     hcn_up_to,
     is_hcn,
+    split_extension,
     triangular,
     verify_layout,
 )
+from convexkit.tiling.hcn import _partition_widths, construct_split_layout
 
 # Record-setters up to 1,500,000 and their divisor counts.
 RECORDS = [
@@ -112,11 +121,21 @@ def test_divisors_listing():
     rng = random.Random(1)
     for _ in range(50):
         v = rng.randint(1, 100_000)
-        ds = divisors(v)
-        assert ds == sorted(ds)
-        assert all(v % d == 0 for d in ds)
-        assert len(ds) == divisor_count(v)
+        assert divisors(v) == [k for k in range(1, v + 1) if v % k == 0]
     assert divisors(60) == [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
+    for v in (0, -6):
+        with pytest.raises(ValueError, match="positive"):
+            divisors(v)
+
+
+def test_divisors_of_a_large_record_cost_its_divisor_count():
+    # trial division up to the square root took 0.85 s here
+    h = 97_821_761_637_600
+    start = time.perf_counter()
+    ds = divisors(h)
+    assert time.perf_counter() - start < 0.1
+    assert len(ds) == divisor_count(h)
+    assert ds[-3:] == [h // 3, h // 2, h] and all(h % d == 0 for d in ds)
 
 
 def test_is_hcn():
@@ -197,38 +216,85 @@ def test_census_of_720_tiles_needs_no_deep_recursion():
     assert len(widths) == 43
     ts = build_hcn_tileset(ctx)
     for F in (6, 2520):
-        assert verify_layout(ts, census[F]) is None
+        assert verify_layout(ts, construct_width_layout(ctx, F)) is None
 
 
 def test_census_layouts_verify_exactly():
-    for (h, i, L) in [(60, 1, 1), (120, 3, 20), (60, 5, 4)]:
+    for (h, i, L) in [(60, 1, 1), (120, 3, 20), (60, 5, 4), (720, 5, Fraction(1, 3))]:
         ctx = hcn_context(h, i, L)
         ts = build_hcn_tileset(ctx)
-        for F, layout in hcn_layout_census(ctx).items():
+        for F, height in hcn_layout_census(ctx).items():
+            layout = construct_width_layout(ctx, F)
+            assert (layout is None) == (height is None)
             if layout is None:
                 continue
-            assert layout.target_width == F
-            assert layout.target_height == Fraction(h, F) * ctx.L
+            assert height == Fraction(h, F) * ctx.L
+            assert (layout.target_width, layout.target_height) == (F, height)
             assert verify_layout(ts, layout) is None
 
 
-def test_census_past_the_placement_cap_is_refused_at_once():
-    # 27,720 tiles times 120 divisor widths: 3,326,400 placements
+def test_feasible_widths_are_the_divisors_from_i_up_without_a_full_search(monkeypatch):
+    calls = []
+
+    def counted(counts, i, target):
+        calls.append((counts[1], target))
+        return _partition_widths(counts, i, target)
+
+    monkeypatch.setattr(hcn_module, "_partition_widths", counted)
+    cases = 0
+    for h in hcn_up_to(200_000):
+        for i in range(1, 40):
+            m = triangular(i)
+            if h % m:
+                continue
+            del calls[:]
+            census = hcn_layout_census(hcn_context(h, i, 1))
+            assert census_widths(census) == [F for F in divisors(h) if F >= i]
+            cases += len(census)
+            # one search per width, on the fewest copies whose sum it divides
+            searched = [target for _, target in calls]
+            assert len(searched) == len(set(searched))
+            assert all(c == F // gcd(F, m) for c, F in calls)
+    assert cases == 22_812
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(i=st.integers(1, 7), d=st.integers(1, 12))
+def test_few_copy_rows_repeat_into_a_packing_of_every_copy(i, d):
+    # d * m need not be a record-setter, which HcnContext insists on
+    m = triangular(i)
+    census = hcn_layout_census(SimpleNamespace(h=d * m, i=i, d=d, L=Fraction(1)))
+    assert list(census) == divisors(d * m)
+    for F, height in census.items():
+        assert (height is None) == (_partition_widths([0] + [d] * i, i, F) is None)
+        k = F // gcd(F, m)
+        assert d % k == 0
+        rows = _partition_widths([0] + [k] * i, i, F)
+        if rows is not None:
+            repeated = rows * (d // k)
+            assert all(sum(row) == F for row in repeated)
+            assert Counter(w for row in repeated for w in row) == {w: d for w in range(1, i + 1)}
+
+
+def test_census_of_27720_tiles_answers_at_once():
+    # 27,720 tiles, 120 divisor widths: the census places no tile
     ctx = hcn_context(55440, 3, 4)
-    assert ctx.i * ctx.d * divisor_count(ctx.h) > hcn_module.CENSUS_PLACEMENT_CAP
     start = time.perf_counter()
-    for census in (hcn_layout_census, hcn_split_census):
-        with pytest.raises(UnsupportedInstance, match="census cap"):
-            census(ctx)
+    for census in (hcn_layout_census(ctx), hcn_split_census(ctx)):
+        assert census_widths(census) == [d for d in divisors(55440) if d >= 3]
+        assert len(census_widths(census)) == 118
     assert time.perf_counter() - start < 0.5
 
 
-def test_census_just_under_the_placement_cap_answers():
-    # 2,520 tiles times 60 divisor widths: 151,200 placements
-    ctx = hcn_context(5040, 3, 4)
-    assert ctx.i * ctx.d * divisor_count(ctx.h) <= hcn_module.CENSUS_PLACEMENT_CAP
-    census = hcn_layout_census(ctx)
-    assert census_widths(census) == [d for d in divisors(5040) if d >= 3]
+def test_drawing_past_the_census_cap_is_refused_at_once():
+    # 720,720 unit tiles: refused before the tile set is built
+    ctx = hcn_context(720720, 1, 4)
+    assert ctx.i * ctx.d > hcn_module.CENSUS_PLACEMENT_CAP
+    start = time.perf_counter()
+    for draw in (construct_width_layout, construct_split_layout):
+        with pytest.raises(UnsupportedInstance, match="census cap"):
+            draw(ctx, 1)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_construct_width_layout_requires_divisor():
@@ -239,19 +305,35 @@ def test_construct_width_layout_requires_divisor():
 
 def test_split_census_adds_width_59():
     ctx = hcn_context(60, 5, 118)  # L = 118 = 2 * (60 - 1)
-    ts2, census = hcn_split_census(ctx)
+    census = hcn_split_census(ctx)
+    assert list(census) == [5, 6, 10, 12, 15, 20, 30, 59, 60]
+    assert census[59] == 120
+    # the witness: every unsplit tile side by side in a 59 x 118 block,
+    # the two 1 x 59 halves of tile 1 rotated on top as full-width rows
+    ts2 = split_extension(build_hcn_tileset(ctx), 1, "h", 59)
     assert len(ts2) == 21
-    assert sorted(census) == [5, 6, 10, 12, 15, 20, 30, 59, 60]
-    for F, layout in census.items():
-        assert verify_layout(ts2, layout) is None
-    assert census[59].target_width == 59
-    assert census[59].target_height == 120
+    placements, x = [], 0
+    for t in ts2:
+        if t.id not in (1, 21):
+            placements.append(Placement(t.id, Fraction(x), Fraction(0), False))
+            x += t.width
+    placements.append(Placement(1, Fraction(0), Fraction(118), True))
+    placements.append(Placement(21, Fraction(0), Fraction(119), True))
+    assert verify_layout(ts2, Layout(Fraction(59), census[59], tuple(placements))) is None
+    for F in census:
+        if F != 59:
+            ts2, layout = construct_split_layout(ctx, F)
+            assert verify_layout(ts2, layout) is None
+            assert layout.target_height == census[F]
 
 
 def test_split_census_without_magic_height():
-    # any other height keeps exactly the base widths
+    # any other height keeps exactly the base widths and heights
     ctx = hcn_context(60, 5, 4)
-    ts2, census = hcn_split_census(ctx)
-    assert sorted(census) == [5, 6, 10, 12, 15, 20, 30, 60]
-    for layout in census.values():
+    census = hcn_split_census(ctx)
+    base = hcn_layout_census(ctx)
+    assert census == {F: height for F, height in base.items() if height is not None}
+    assert list(census) == [5, 6, 10, 12, 15, 20, 30, 60]
+    for F in census:
+        ts2, layout = construct_split_layout(ctx, F)
         assert verify_layout(ts2, layout) is None
