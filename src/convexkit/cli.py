@@ -20,6 +20,7 @@ leaves 2 alone.  Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -712,7 +713,10 @@ def _add_common(p: argparse.ArgumentParser, svg: bool = False, obj: bool = False
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and kept for
+    the process; each parse_args call fills a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="convexkit",
         description="geometry exploration toolkit: tilings, fair cuts, extremal shapes, polyhedra",

@@ -12,8 +12,6 @@ from .linsolve import (
 from .polygon import (
     ConvexPolygon,
     convex_hull,
-    diameter,
-    min_width,
     random_convex_polygon,
     rectangle,
     regular_ngon,
@@ -30,8 +28,6 @@ __all__ = [
     "solve_linear_exact",
     "ConvexPolygon",
     "convex_hull",
-    "diameter",
-    "min_width",
     "random_convex_polygon",
     "rectangle",
     "regular_ngon",

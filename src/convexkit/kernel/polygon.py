@@ -1,18 +1,17 @@
-"""Convex polygons in the float kernel: metrics, widths, clipping helpers.
+"""Convex polygons in the float kernel: metrics and clipping helpers.
 
 Vertices are stored counterclockwise with the lexicographically smallest
 vertex first. Construction drops points within 1e-12 (relative to the
 coordinate scale) of their predecessor, and middle points whose turn sine
 is at most 1e-12; everything else runs at the 1e-9 tolerance used across
-the floating-point paths.
+the floating-point paths.  The minimum width and the diameter are
+`ArcPolygon.polygon(vertices).widths()`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Sequence
-
-from .arcs import ArcPolygon
 
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
@@ -140,16 +139,6 @@ def is_convex_ring(pts: Sequence[Point], eps: float) -> bool:
         elif s != sign:
             return False
     return True
-
-
-def diameter(poly: ConvexPolygon) -> float:
-    """Largest vertex-to-vertex distance: the largest width."""
-    return ArcPolygon.polygon(poly.vertices).widths()[1]
-
-
-def min_width(poly: ConvexPolygon) -> float:
-    """Smallest width over all directions; attained normal to some edge."""
-    return ArcPolygon.polygon(poly.vertices).widths()[0]
 
 
 def rectangle(width: float, height: float) -> ConvexPolygon:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -74,6 +74,8 @@ class Mesh:
 
     vertices: Tuple[Point3, ...]
     faces: Tuple[Tuple[int, ...], ...]
+    # each face's (Newell normal, centroid), in face order, kept from validation
+    planes: Tuple[Tuple[Point3, Point3], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(tuple(map(float, v)) for v in self.vertices)
@@ -85,6 +87,7 @@ class Mesh:
         tol = PLANARITY_TOL * max(1.0, _diagonal(verts))
 
         directed: Dict[Tuple[int, int], int] = {}
+        planes = []
         for face in self.faces:
             if len(face) < 3:
                 raise ValueError("face with fewer than three vertices")
@@ -101,6 +104,7 @@ class Mesh:
             dev = max(abs(_dot(_sub(p, centroid), n)) for p in pts) / norm
             if dev > tol:
                 raise ValueError(f"non-planar face: deviation {dev:.3g} exceeds {tol:.3g}")
+            planes.append((n, centroid))
             for a, b in zip(face, face[1:] + face[:1]):
                 if (a, b) in directed:
                     raise ValueError(f"directed edge {(a, b)} used twice")
@@ -111,6 +115,7 @@ class Mesh:
                     f"edge {(a, b)} lacks an oppositely oriented partner; "
                     "surface not closed or orientation inconsistent"
                 )
+        object.__setattr__(self, "planes", tuple(planes))
         n_edges = len(directed) // 2
         euler = len(verts) - n_edges + len(self.faces)
         if euler != 2:
@@ -153,9 +158,7 @@ def volume(m: Mesh) -> float:
 
 
 def surface_area(m: Mesh) -> float:
-    return sum(
-        0.5 * math.hypot(*_newell_normal([m.vertices[i] for i in face])) for face in m.faces
-    )
+    return sum(0.5 * math.hypot(*n) for n, _ in m.planes)
 
 
 def is_convex(m: Mesh) -> bool:
@@ -163,13 +166,11 @@ def is_convex(m: Mesh) -> bool:
     plane, within 1e-9 of the bounding-box diagonal."""
     verts = m.vertices
     tol = CONVEXITY_TOL * max(1.0, _diagonal(verts))
-    for face in m.faces:
-        pts = [verts[i] for i in face]
-        n = _newell_normal(pts)
-        norm = math.hypot(*n)
-        n = (n[0] / norm, n[1] / norm, n[2] / norm)
-        offset = _dot(n, _centroid(pts))
-        if max(_dot(v, n) for v in verts) > offset + tol:
+    for (nx, ny, nz), (cx, cy, cz) in m.planes:
+        norm = math.hypot(nx, ny, nz)
+        nx, ny, nz = nx / norm, ny / norm, nz / norm
+        offset = nx * cx + ny * cy + nz * cz
+        if max(nx * x + ny * y + nz * z for x, y, z in verts) > offset + tol:
             return False
     return True
 

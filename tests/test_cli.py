@@ -2,9 +2,12 @@
 
 Everything goes through main(argv) in-process, except the check that no
 command imports numpy, which needs a fresh interpreter; each run writes
-report.json into a fresh tmp directory and the tests read it back.
+report.json into a fresh tmp directory and the tests read it back.  One
+parser serves every main call of the process.
 """
 
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -22,6 +25,10 @@ from convexkit.kernel import ArcPolygon, SupportBody
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")
 SEVEN_LAYOUT = os.path.join(DATA, "seven.json")
+# stdout, stderr and exit code of --help and of usage errors, as printed by
+# a parser built afresh for each call, at COLUMNS=80
+with open(os.path.join(DATA, "cli_usage.json")) as _fh:
+    USAGE = json.load(_fh)
 
 
 def run(tmp_path, *argv, name="out"):
@@ -673,3 +680,73 @@ def test_one_command_of_each_family_runs_without_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(c["argv"]) or "no-arguments" for c in USAGE])
+def test_help_and_usage_errors_print_the_recorded_bytes(capsys, monkeypatch, case):
+    # the second call runs on the parser the first one left behind
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        assert main(list(case["argv"])) == case["exit"]
+        assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    calls = [
+        (["shapes", "interp", "--t", "0.5", "--svg"], 0),
+        (["shapes", "interp", "--t", "0.5"], 0),
+        (["shapes", "maxdiam", "--area", "1", "--perimeter", "3", "--expect-infeasible"], 0),
+        (["shapes", "maxdiam", "--area", "1", "--perimeter", "3"], 1),
+        (["poly", "build", "--solid", "cube-pyr-adjacent", "--h", "0.2"], 0),
+        # a leaked --h would be refused: rco reads no dimension
+        (["poly", "build", "--solid", "rco"], 0),
+        (["fairpart", "disc", "--ratio", "1:1", "--tol", "-1"], 2),
+        (["fairpart", "disc", "--ratio", "1:1"], 0),
+    ]
+    built_after = []
+    for k, (argv, rc) in enumerate(calls):
+        assert main(argv + ["--out", str(tmp_path / str(k))]) == rc, argv
+        built_after.append(len(built))
+    assert built_after[0] > 0 and set(built_after) == {built_after[0]}
+    assert (tmp_path / "0" / "outline.svg").exists()
+    assert not (tmp_path / "1" / "outline.svg").exists()
+    assert not (tmp_path / "6").exists()
+
+
+# sha256 of report.json, recorded when each Mesh query still computed its
+# own face normals and centroids
+POLY_REPORTS = [
+    (["build", "--solid", "cube-pyr-opposite"],
+     "d1777b676fa69081d3701538f682a1507b617118ed89e228ece09caf97fdd7e1"),
+    (["build", "--solid", "cube-pyr-adjacent"],
+     "bb3ffc5f0913f67f6949cfa4bb941e729aa19efc341801348c26150d2750f5ec"),
+    (["build", "--solid", "rco"],
+     "1ca865a168b7058569ed13a5b909a9331740efbd77bc30d3522109efbb57479d"),
+    (["build", "--solid", "pseudo-rco"],
+     "bbb9c58095890d66b6134bc3f7e5444454eb7c9ac4deb734735c9927967a2ed3"),
+    (["build", "--solid", "icosa-dipyramid"],
+     "cb8b8b76799c4e1bf246d4fe0d28a556821e8d7a3e1bc41b1c8218c9a3546e8b"),
+    (["build", "--solid", "deca-antiprism"],
+     "13408808d1250e9d8b389364c435aa327b25abc31300df97d2b20688d52c317f"),
+    (["compare", "--solids", "cube-pyr-opposite,cube-pyr-adjacent"],
+     "a4771ff0a3bc5014cfaf2a88fd67cc2e7f8197eaef34290c2f5bc72fa34541f1"),
+    (["compare", "--solids", "rco,pseudo-rco"],
+     "b156b1dad41618dfeb30da00361341262bfc204a754f11f6bf4c6681ef57dede"),
+    (["compare", "--solids", "icosa-dipyramid,deca-antiprism"],
+     "d76db292883d7456653b92faac99031389173def1328c1a714ebd0c9d62049a9"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", POLY_REPORTS, ids=[a[-1] for a, _ in POLY_REPORTS])
+def test_poly_reports_are_pinned(tmp_path, argv, digest):
+    assert main(["poly"] + argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import convexkit.fairpart as fairpart
-from convexkit.kernel import ConvexPolygon, convex_hull, diameter, rectangle, regular_ngon
+from convexkit.kernel import ArcPolygon, ConvexPolygon, convex_hull, rectangle, regular_ngon
 from convexkit.fairpart import (
     LineCut,
     RatioTarget,
@@ -203,13 +203,17 @@ def test_solve_offset_rejects_degenerate_fraction():
             solve_offset_for_area(rect, 0.0, bad)
 
 
+def _diameter(c):
+    return ArcPolygon.polygon(c.vertices).widths()[1]
+
+
 def _check_sweep_point(c, fraction, p):
     """The sweep's point p matches the oracle: the offset that
     solve_offset_for_area solves, and the pieces that split builds from
     it."""
     cut = solve_offset_for_area(c, p.theta, fraction)
     sr = split(c, cut)
-    assert abs(p.offset - cut.offset) <= 1e-12 * diameter(c)
+    assert abs(p.offset - cut.offset) <= 1e-12 * _diameter(c)
     assert abs(p.perimeter_a - sr.perimeter_a) <= 1e-12 * c.perimeter
     assert abs(p.perimeter_b - sr.perimeter_b) <= 1e-12 * c.perimeter
     assert abs(p.cut_length - sr.cut_length) <= 1e-12 * c.perimeter
@@ -242,7 +246,7 @@ def _check_exact_cut(c, target, theta):
     chord = 0.5 * (sr.perimeter_a + sr.perimeter_b - c.perimeter)
     assert abs(sr.cut_length - chord) <= 1e-12
     for p in points:
-        assert abs(p.offset - cut.offset) <= 1e-12 * diameter(c)
+        assert abs(p.offset - cut.offset) <= 1e-12 * _diameter(c)
         assert abs(p.perimeter_a - sr.perimeter_a) <= 1e-12
         assert abs(p.perimeter_b - sr.perimeter_b) <= 1e-12
         assert abs(p.cut_length - chord) <= 1e-12
