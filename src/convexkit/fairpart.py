@@ -11,10 +11,10 @@ the two pieces are similar.
 Costs for an m-vertex polygon: `split` is O(m) and the single-angle
 `solve_offset_for_area` O(m log m).  `perimeter_ratio_profile`,
 `find_scaled_fair_cut` and `equal_fair_cut` sample K angles with one chord
-sweep, which carries the cut's two boundary edges from angle to angle:
-O(m) set-up, then O(m + K) for the whole grid, in O(m) memory.  Each
-bisection step of a refinement walks from its bracket's left end, O(1)
-when the grid is fine against m.
+sweep, which carries the cut's two boundary edges from angle to angle and
+solves each offset in closed form: O(m) set-up, then O(m + K) for the whole
+grid, in O(m) memory.  Each bisection step of a refinement walks from its
+bracket's left end, O(1) when the grid is fine against m.
 
 The band family at the end partitions a rectangle without a straight
 cut: piece one is the set of points within distance t of a boundary arc
@@ -146,7 +146,7 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
     V = c.vertices
     d = [x * n[0] + y * n[1] for x, y in V]
     lo, hi = min(d), max(d)
-    margin = EPS * max(1.0, hi - lo)
+    margin = EPS * (hi - lo)
     if cut.offset <= lo + margin or cut.offset >= hi - margin:
         return None
 
@@ -163,7 +163,7 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
             side_b.append((p[0], p[1]))
         if dp == cut.offset:
             on_cut.append((p[0], p[1]))
-        if (dp - cut.offset) * (dq - cut.offset) < 0:
+        if min(dp, dq) < cut.offset < max(dp, dq):
             t = (cut.offset - dp) / (dq - dp)
             x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
             side_a.append(x)
@@ -227,7 +227,9 @@ class _ChordSweep:
     to angle, stepping along the two monotone chains from the lowest vertex
     b to the highest t.  The final bracket [max(u_i+1, u_j), min(u_i, u_j+1)]
     is the pair of consecutive vertex levels that `solve_offset_for_area`
-    finds by bisection, and the same three-point quadratic gives the offset.
+    finds by bisection.  On it the chord length w and the boundary length are
+    linear in the level and the area is the integral of w, so the walk's last
+    probes at both ends give the offset from the trapezoid values of w.
 
     K increasing angles cost O(m + K) after O(m) set-up, in O(m) memory.
     `state` is (b, t, i, j) at the last angle; assigning an earlier state
@@ -314,31 +316,41 @@ class _ChordSweep:
             return self._cut(i, j, u(i), u(i + 1), u(j), u(j + 1), level)
 
         # drop the higher arc end while the area below it reaches the
-        # target, then take the lower outside vertex while it falls short
+        # target, then take the lower outside vertex while it falls short;
+        # below and above keep each loop's last probe, at lo and at hi, until
+        # i or j move again
+        below = above = None
         while j > i + 1:
-            if cut(max(u(i + 1), u(j)))[0] < want:
+            if (below := cut(max(u(i + 1), u(j))))[0] < want:
                 break
+            below = None
             if u(j) >= u(i + 1):
                 j -= 1
             else:
                 i += 1
         while j - i < m - 1:
-            if cut(min(u(i), u(j + 1)))[0] >= want:
+            if (above := cut(min(u(i), u(j + 1))))[0] >= want:
                 break
+            above = below = None
             if u(j + 1) <= u(i):
                 j += 1
             else:
                 i -= 1
 
         lo, hi = max(u(i + 1), u(j)), min(u(i), u(j + 1))
-        area_lo = cut(lo)[0]
+        area_a, perim_a, chord = below or cut(lo)
         offset = lo
         # when two vertex levels tie (a diagonal through two vertices), the
         # area at lo may round up to the target: the cut then runs at lo
-        if area_lo < want:
-            x = rising_quadratic_root(area_lo, cut(0.5 * (lo + hi))[0], cut(hi)[0], want)
-            offset = lo + x * (hi - lo)
-        area_a, perim_a, chord = cut(offset)
+        if area_a < want:
+            _, perim_hi, chord_hi = above or cut(hi)
+            h, dw = hi - lo, chord_hi - chord
+            f1 = area_a + 0.5 * h * (chord + chord_hi)
+            x = rising_quadratic_root(area_a, area_a + h * (3.0 * chord + chord_hi) / 8.0, f1, want)
+            offset = lo + x * h
+            area_a += h * x * (chord + 0.5 * dw * x)
+            perim_a += x * (perim_hi - perim_a)
+            chord += x * dw
         if b >= m:
             b, t, i, j = b - m, t - m, i - m, j - m
         self.state = (b, t, i, j)

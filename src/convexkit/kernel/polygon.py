@@ -1,11 +1,11 @@
 """Convex polygons in the float kernel: metrics and clipping helpers.
 
 Vertices are stored counterclockwise with the lexicographically smallest
-vertex first. Construction drops points within 1e-12 (relative to the
-coordinate scale) of their predecessor, and middle points whose turn sine
-is at most 1e-12; everything else runs at the 1e-9 tolerance used across
-the floating-point paths.  The minimum width and the diameter are
-`ArcPolygon.polygon(vertices).widths()`.
+vertex first. Construction rejects an area that is 0 or not a finite float,
+drops points within 1e-12 (relative to the coordinate scale) of their
+predecessor, and middle points whose turn sine is at most 1e-12; everything
+else runs at the 1e-9 tolerance used across the floating-point paths.  The
+minimum width and the diameter are `ArcPolygon.polygon(vertices).widths()`.
 """
 
 from __future__ import annotations
@@ -27,48 +27,53 @@ def _cross(o: Point, a: Point, b: Point) -> float:
 class ConvexPolygon:
     """Immutable convex polygon; raises ValueError on degenerate input."""
 
-    __slots__ = ("vertices", "_area", "_perimeter")
+    __slots__ = ("vertices", "area", "perimeter")
 
     def __init__(self, points: Iterable[Sequence[float]]):
         pts = [(float(x), float(y)) for x, y in points]
         if len(pts) < 3:
             raise ValueError("need at least 3 vertices")
+        # signed area decides orientation; flip clockwise input.  An inf or
+        # nan coordinate makes it inf or nan; one that rounds to 0 has no inside
+        area = ring_area(pts)
+        if not (math.isfinite(area) and area != 0.0):
+            raise ValueError(f"polygon has a non-finite coordinate, or an area of {area}")
         scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
-
-        # signed area decides orientation; flip clockwise input
-        if ring_area(pts) < 0:
+        if area < 0:
             pts.reverse()
 
         pts = self._cleanup(pts, scale)
         if len(pts) < 3:
             raise ValueError("degenerate polygon after cleanup")
-        for i in range(len(pts)):
-            if _cross(pts[i], pts[(i + 1) % len(pts)], pts[(i + 2) % len(pts)]) <= 0:
-                raise ValueError("vertices are not strictly convex counterclockwise")
 
         start = min(range(len(pts)), key=lambda i: pts[i])
         self.vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
-        self._area: float | None = None
-        self._perimeter: float | None = None
+        self.area = ring_area(self.vertices)
+        self.perimeter = ring_perimeter(self.vertices)
 
     @staticmethod
     def _cleanup(pts: list[Point], scale: float) -> list[Point]:
         out = dedupe_ring(pts, _CLEAN_EPS * scale)
         # drop middles whose turn sine, cross / (|a - o| |b - a|), is <= 1e-12:
-        # unlike the bare cross product, it does not shrink as n grows
+        # unlike the bare cross product, it does not shrink as n grows.  The
+        # pass that drops nothing also checks that every kept turn is a left one
         changed = True
         while changed and len(out) >= 3:
-            changed = False
+            changed = reflex = False
             kept = []
             n = len(out)
             for i in range(n):
                 (ox, oy), (ax, ay), (bx, by) = out[i - 1], out[i], out[(i + 1) % n]
                 ux, uy, vx, vy = ax - ox, ay - oy, bx - ax, by - ay
-                if abs(ux * vy - uy * vx) > _CLEAN_EPS * math.hypot(ux, uy) * math.hypot(vx, vy):
+                cross = ux * vy - uy * vx
+                if abs(cross) > _CLEAN_EPS * math.hypot(ux, uy) * math.hypot(vx, vy):
                     kept.append(out[i])
+                    reflex = reflex or cross < 0
                 else:
                     changed = True
             out = kept
+        if len(out) >= 3 and reflex:
+            raise ValueError("vertices are not strictly convex counterclockwise")
         return out
 
     def __len__(self) -> int:
@@ -76,18 +81,6 @@ class ConvexPolygon:
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.6g})"
-
-    @property
-    def area(self) -> float:
-        if self._area is None:
-            self._area = ring_area(self.vertices)
-        return self._area
-
-    @property
-    def perimeter(self) -> float:
-        if self._perimeter is None:
-            self._perimeter = ring_perimeter(self.vertices)
-        return self._perimeter
 
     def contains(self, p: Sequence[float], tol: float = EPS) -> bool:
         px, py = float(p[0]), float(p[1])

@@ -390,6 +390,13 @@ BAD_FAIRPART_NUMBERS = [
     # --samples without --ngon reaches no library call
     ("--samples must be at least 4", ["fairpart", "disc", "--ratio", "1:3", "--samples", "3"],
      "--samples: must be at least 4, got 3"),
+    # the area of these squares overflows a float
+    ("--shape area must be finite",
+     ["fairpart", "profile", "--shape", "rect:1e160x1e160", "--ratio", "1:3"],
+     "an area of inf"),
+    ("--shape area must be finite",
+     ["fairpart", "solve", "--shape", "rect:1e200x1e200", "--ratio", "1:3"],
+     "an area of inf"),
 ]
 
 
@@ -404,6 +411,25 @@ def test_fairpart_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
         assert main(argv + extra + ["--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "square, long",
+    [("1e-100x1e-100", "4e-100x1e-100"), ("1/1000000000x1/1000000000", "4/1000000000x1/1000000000"),
+     ("1x1", "4x1"), ("1e76x1e76", "4e76x1e76"), ("1e78x1e78", "4e78x1e78"),
+     ("1e100x1e100", "4e100x1e100")],
+)
+def test_fairpart_solve_answers_the_same_at_every_scale(tmp_path, square, long):
+    """A 4:1 rectangle has a 1:3 fair cut and the square has none, in any unit."""
+    rc, report, _ = run(
+        tmp_path, "fairpart", "solve", "--shape", f"rect:{square}", "--ratio", "1:3"
+    )
+    assert (rc, report["found"]) == (1, False)
+    assert float(report["rho_min"]) == pytest.approx(0.673273103, abs=1e-9)
+    rc, report, _ = run(
+        tmp_path, "fairpart", "solve", "--shape", f"rect:{long}", "--ratio", "1:3", name="o2"
+    )
+    assert (rc, report["found"]) == (0, True)
 
 
 def test_fairpart_disc(tmp_path):

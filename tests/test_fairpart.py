@@ -214,6 +214,8 @@ def _check_sweep_point(c, fraction, p):
     cut = solve_offset_for_area(c, p.theta, fraction)
     sr = split(c, cut)
     assert abs(p.offset - cut.offset) <= 1e-12 * _diameter(c)
+    assert abs(p.area_a - sr.area_a) <= 1e-12 * c.area
+    assert abs(p.area_b - sr.area_b) <= 1e-12 * c.area
     assert abs(p.perimeter_a - sr.perimeter_a) <= 1e-12 * c.perimeter
     assert abs(p.perimeter_b - sr.perimeter_b) <= 1e-12 * c.perimeter
     assert abs(p.cut_length - sr.cut_length) <= 1e-12 * c.perimeter
@@ -357,6 +359,62 @@ def test_profile_and_fair_cuts_make_at_most_one_offset_solve(monkeypatch):
         calls.clear()
         run()
         assert len(calls) <= 1
+
+
+def test_sweep_makes_about_two_boundary_evaluations_per_angle(monkeypatch):
+    """The offset at each angle comes from the walk's own probes at the two
+    ends of its bracket, with no midpoint or final evaluation."""
+    calls = []
+    cut = _ChordSweep._cut
+
+    def counted(self, *args):
+        calls.append(args)
+        return cut(self, *args)
+
+    monkeypatch.setattr(_ChordSweep, "_cut", counted)
+    for c, most in ((rectangle(4, 1), 1450), (regular_ngon(64), 1600)):
+        calls.clear()
+        perimeter_ratio_profile(c, RatioTarget(1, 3), samples=720)
+        assert len(calls) <= most
+
+
+def _scaled(c, k):
+    f = 10.0 ** k
+    return ConvexPolygon([(x * f, y * f) for x, y in c.vertices])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.one_of(
+        st.builds(rectangle, st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+        st.builds(regular_ngon, st.integers(3, 12)),
+        st.lists(
+            st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.5, 3.0)), min_size=3, max_size=12
+        ).map(lambda polar: convex_hull([(r * math.cos(a), r * math.sin(a)) for a, r in polar])),
+    ),
+    target=st.sampled_from([RatioTarget(1, 3), RatioTarget(1, 1), RatioTarget(2, 5)]),
+    k=st.integers(-100, 100),
+)
+def test_fair_cut_answers_do_not_depend_on_scale(shape, target, k):
+    """Scaling the polygon by 10^k keeps the found flag and the sampled rho
+    range, and a found cut still splits the area a:b."""
+    if not isinstance(shape, ConvexPolygon):
+        assume(len(shape) >= 3)
+        try:
+            shape = ConvexPolygon(shape)
+        except ValueError:
+            assume(False)
+        assume(shape.area >= 0.05)
+    shape_k = _scaled(shape, k)
+    res, res_k = (find_scaled_fair_cut(c, target, samples=90) for c in (shape, shape_k))
+    assert res_k.found == res.found
+    assert res_k.rho_min == pytest.approx(res.rho_min, rel=1e-12)
+    assert res_k.rho_max == pytest.approx(res.rho_max, rel=1e-12)
+    if res_k.found:
+        pieces = (split(shape, res.cut), split(shape_k, res_k.cut))
+        ratios = [sr.area_a / sr.area_b for sr in pieces]
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+        assert ratios[0] == pytest.approx(target.a / target.b, rel=1e-9)
 
 
 def test_profile_is_sampled_lipschitz():

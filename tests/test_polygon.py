@@ -75,6 +75,24 @@ def test_nonconvex_input_rejected():
         ConvexPolygon([(0, 0), (1, 0)])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, bad)])
+
+
+@pytest.mark.parametrize("side", [1e160, 1e200, 1e300])
+def test_overflowing_area_rejected(side):
+    with pytest.raises(ValueError, match="an area of inf"):
+        rectangle(side, side)
+
+
+def test_area_lost_to_rounding_rejected():
+    # far from the origin the shoelace terms cancel to an area of exactly 0
+    with pytest.raises(ValueError, match="an area of 0.0"):
+        ConvexPolygon([(1e10, 1e10), (1e10 + 4, 1e10), (1e10 + 4, 1e10 + 1), (1e10, 1e10 + 1)])
+
+
 def test_collinear_vertices_rejected_or_dropped():
     # midpoint on an edge is not a corner, at any scale
     for s in (1e-6, 1.0, 1e6):

@@ -69,3 +69,13 @@ def test_rising_quadratic_root_inverts_a_rising_quadratic(a, b, bend, x):
         return a + b * t + c * t * t
 
     assert abs(rising_quadratic_root(q(0.0), q(0.5), q(1.0), q(x)) - x) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300])
+def test_rising_quadratic_root_does_not_depend_on_scale(scale):
+    # areas at 1e200 square to 1e400 and at 1e-200 to 1e-400: the root must
+    # not form such products
+    f0, fh, f1, want = (v * scale for v in (0.0, 0.25, 1.0, 0.49))
+    assert rising_quadratic_root(f0, fh, f1, want) == pytest.approx(0.7, abs=1e-15)
+    # a flat bracket has no rising root: its left end is the answer
+    assert rising_quadratic_root(f1, f1, f1, 2.0 * f1) == 0.0
