@@ -6,8 +6,8 @@ Run as a script; each section prints what it computes.
 from fractions import Fraction
 
 from convexkit.tiling import (
+    HcnContext,
     enumerate_layouts,
-    hcn_context,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
@@ -54,20 +54,20 @@ for r in enumerate_layouts(parse_tileset("4 1 2\n2 1 2\n")):
 section("divisor records and their tile censuses")
 records = hcn_up_to(200)
 print(f"  records up to 200: {records}")
-ctx = hcn_context(60, 1, 1)
+ctx = HcnContext(60, 1, 1)
 census = hcn_layout_census(ctx)
 feasible = [w for w, lay in census.items() if lay is not None]
 print(f"  60 unit tiles tile a width-F strip for every divisor F of 60: "
       f"{len(feasible)} widths (divisor count {divisor_count(60)})")
 
-ctx = hcn_context(60, 5, 4)
+ctx = HcnContext(60, 5, 4)
 census = hcn_layout_census(ctx)
 feasible = [w for w, lay in census.items() if lay is not None]
 print(f"  h=60, widths 1..5, height 4: {len(feasible)} of {divisor_count(60)} "
       f"divisor widths remain: {feasible}")
 
 # halving one unit-width tile recovers a width when L = 2(h-1)
-ctx = hcn_context(60, 5, Fraction(118))
+ctx = HcnContext(60, 5, Fraction(118))
 split_census = hcn_split_census(ctx)
 print(f"  after halving one 1 x 118 tile: widths {sorted(split_census)}")
 

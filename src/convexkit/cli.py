@@ -61,11 +61,11 @@ from .polyhedra import (
     mesh_to_obj,
 )
 from .tiling import (
+    HcnContext,
     UnsupportedInstance,
     build_hcn_tileset,
     construct_width_layout,
     enumerate_layouts,
-    hcn_context,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
@@ -218,7 +218,6 @@ def cmd_tiling_verify(args) -> Handler:
     layout = load_layout(args.layout)
     defect = verify_layout(ts, layout)
     report = {
-        "command": "tiling verify",
         "tiles": args.tiles,
         "layout": args.layout,
         "target": [layout.target_width, layout.target_height],
@@ -260,7 +259,6 @@ def cmd_tiling_enumerate(args) -> Handler:
     ts = load_tileset(args.tiles)
     results = enumerate_layouts(ts, allow_rotation=not args.no_rotation, cap=args.cap)
     report = {
-        "command": "tiling enumerate",
         "tiles": args.tiles,
         "allow_rotation": not args.no_rotation,
         "count": len(results),
@@ -284,7 +282,6 @@ def cmd_tiling_enumerate(args) -> Handler:
 def cmd_tiling_search_iso(args) -> Handler:
     res = search_isoperimetric(args.n, limit=args.limit)
     report = {
-        "command": "tiling search-iso",
         "n": res.n,
         "status": res.status,
         "examined_floorplans": res.examined,
@@ -320,7 +317,6 @@ def cmd_tiling_hcn(args) -> Handler:
             raise ValueError("hcn takes either --limit or --h --i --length, not both")
         records = hcn_up_to(args.limit)
         report = {
-            "command": "tiling hcn",
             "limit": args.limit,
             "count": len(records),
             "records": [{"n": n, "divisors": divisor_count(n)} for n in records],
@@ -328,11 +324,10 @@ def cmd_tiling_hcn(args) -> Handler:
         return True, report, {}, [f"{len(records)} divisor records up to {args.limit}"]
     if None in census_flags:
         raise ValueError("hcn needs either --limit or all of --h --i --length")
-    ctx = hcn_context(args.h, args.i, parse_rational(args.length))
+    ctx = HcnContext(args.h, args.i, parse_rational(args.length))
     census = hcn_layout_census(ctx)
     feasible = [w for w, height in census.items() if height is not None]
     report = {
-        "command": "tiling hcn",
         "h": ctx.h,
         "m": ctx.m,
         "i": ctx.i,
@@ -353,11 +348,10 @@ def cmd_tiling_hcn(args) -> Handler:
 
 
 def cmd_tiling_split(args) -> Handler:
-    ctx = hcn_context(args.h, args.i, parse_rational(args.length))
+    ctx = HcnContext(args.h, args.i, parse_rational(args.length))
     census = hcn_split_census(ctx)
     widths = list(census)
     report = {
-        "command": "tiling split",
         "h": ctx.h,
         "i": ctx.i,
         "length": ctx.L,
@@ -382,7 +376,6 @@ def cmd_fairpart_profile(args) -> Handler:
     i_min = min(range(len(rhos)), key=rhos.__getitem__)
     i_max = max(range(len(rhos)), key=rhos.__getitem__)
     report = {
-        "command": "fairpart profile",
         "shape": args.shape,
         "ratio": str(target),
         "target_rho": target.rho,
@@ -405,7 +398,6 @@ def cmd_fairpart_solve(args) -> Handler:
     target = parse_ratio(args.ratio)
     res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples)
     report = {
-        "command": "fairpart solve",
         "shape": args.shape,
         "ratio": str(target),
         "target_rho": target.rho,
@@ -441,7 +433,6 @@ def cmd_fairpart_disc(args) -> Handler:
     target = parse_ratio(args.ratio)
     chord = disc_chord_analysis(target)
     report = {
-        "command": "fairpart disc",
         "ratio": str(target),
         "chord_solve": chord,
     }
@@ -473,7 +464,6 @@ def cmd_fairpart_band(args) -> Handler:
     target = parse_ratio(args.ratio)
     res = solve_band(float(w), float(h), target, tol=args.tol)
     report = {
-        "command": "fairpart band",
         "shape": args.shape,
         "ratio": str(target),
         "target_rho": res.target_rho,
@@ -518,7 +508,6 @@ def cmd_fairpart_band(args) -> Handler:
 def cmd_shapes_maxdiam(args) -> Handler:
     lens = max_diameter_shape(args.area, args.perimeter)
     report = {
-        "command": "shapes maxdiam",
         "area": args.area,
         "perimeter": args.perimeter,
         "feasible": lens is not None,
@@ -548,7 +537,6 @@ def cmd_shapes_maxdiam(args) -> Handler:
 
 def cmd_shapes_mindiam(args) -> Handler:
     report, cw_body = min_diameter_survey(args.area, args.perimeter)
-    report = {"command": "shapes mindiam", **report}
     lines = []
     files = {}
     if not report["feasible"]:
@@ -577,7 +565,6 @@ def cmd_shapes_interp(args) -> Handler:
     body = interpolate_constant_width(args.t, args.width)
     min_width, diameter = body.widths()
     report = {
-        "command": "shapes interp",
         "t": args.t,
         "width": args.width,
         "area": body.area,
@@ -614,16 +601,15 @@ def cmd_shapes_interp(args) -> Handler:
 
 
 def cmd_shapes_crossover(args) -> Handler:
-    scan = crossover_scan(args.perimeter)
-    report = {"command": "shapes crossover", **scan}
-    c = scan["crossover"]
-    conj = scan["conjectured"]
+    report = crossover_scan(args.perimeter)
+    c = report["crossover"]
+    conj = report["conjectured"]
     lines = [
         f"conjectured crossover: diameter {conj['diameter']:.9f}, area {conj['area']:.9f}",
         f"recomputed sector knee (phi=pi/3): r={c['radius']:.9f}, area={c['area']:.9f}, "
         f"diameter={c['diameter']:.9f}",
     ]
-    for s in scan["sectors_at_conjectured_area"]:
+    for s in report["sectors_at_conjectured_area"]:
         lines.append(
             f"sector at conjectured area: r={s['radius']:.9f}, phi={s['phi']:.9f}, "
             f"diameter={s['diameter']:.9f}"
@@ -663,7 +649,7 @@ def _build_solids(names: List[str], args) -> List[Mesh]:
 def cmd_poly_build(args) -> Handler:
     (mesh,) = _build_solids([args.solid], args)
     summary = mesh_summary(mesh)
-    report = {"command": "poly build", "solid": args.solid, **summary}
+    report = {"solid": args.solid, **summary}
     lines = [
         f"{args.solid}: V={mesh.num_vertices} E={mesh.num_edges} F={mesh.num_faces}, "
         f"volume={summary['volume']:.9f}, convex={summary['convex']}"
@@ -677,16 +663,15 @@ def cmd_poly_build(args) -> Handler:
 def cmd_poly_compare(args) -> Handler:
     names = [s.strip() for s in args.solids.split(",") if s.strip()]
     meshes = _build_solids(names, args)
-    rep = compare_report(meshes, names)
-    report = {"command": "poly compare", **rep}
+    report = compare_report(meshes, names)
     lines = []
-    for e in rep["meshes"]:
+    for e in report["meshes"]:
         lines.append(
             f"{e['name']}: convex={e['convex']}, volume={e['volume']:.9f}, "
             f"faces {e['faces_by_side_count']}"
         )
-    lines.append(f"face-multiset classes: {rep['multiset_classes']}")
-    lines.append(f"congruence classes: {rep['congruence_classes']}")
+    lines.append(f"face-multiset classes: {report['multiset_classes']}")
+    lines.append(f"congruence classes: {report['congruence_classes']}")
     files = {}
     if args.obj:
         for n, m in zip(names, meshes):
@@ -862,10 +847,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ok, report, files, lines = HANDLERS[(args.family, args.cmd)](args)
     except NoSuchSolid as e:
         ok, files, lines = False, {}, [f"rejected: {e}"]
-        report = {"command": f"{args.family} {args.cmd}", "feasible": False, "error": str(e)}
+        report = {"feasible": False, "error": str(e)}
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    report["command"] = f"{args.family} {args.cmd}"
 
     os.makedirs(args.out, exist_ok=True)
     rendered = render_report(report)

@@ -8,13 +8,15 @@ ratio of the two pieces becomes a continuous function of theta.  A scaled
 fair cut is an angle where that ratio hits sqrt(a/b), the value forced when
 the two pieces are similar.
 
-Costs for an m-vertex polygon: `split` is O(m) and the single-angle
-`solve_offset_for_area` O(m log m).  `perimeter_ratio_profile`,
-`find_scaled_fair_cut` and `equal_fair_cut` sample K angles with one chord
-sweep, which carries the cut's two boundary edges from angle to angle and
-solves each offset in closed form: O(m) set-up, then O(m + K) for the whole
-grid, in O(m) memory.  Each bisection step of a refinement walks from its
-bracket's left end, O(1) when the grid is fine against m.
+Costs for an m-vertex polygon: `split` is O(m).  `perimeter_ratio_profile`
+and `find_scaled_fair_cut` sample K angles with one chord sweep, which
+carries the cut's two boundary edges from angle to angle and solves each
+offset in closed form: O(m) set-up, then O(m + K) for the whole grid, in
+O(m) memory.  Each bisection step of a refinement walks from its bracket's
+left end, O(1) when the grid is fine against m.  The cut that halves both
+the area and the perimeter is `find_scaled_fair_cut` at 1:1, which always
+finds one.  Levels and shoelace terms are measured from the polygon's first
+vertex, so a cut does not depend on where the polygon sits.
 
 The band family at the end partitions a rectangle without a straight
 cut: piece one is the set of points within distance t of a boundary arc
@@ -25,15 +27,12 @@ and the bands with rho = sqrt(a/b) are closed forms, not samples.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .kernel import ConvexPolygon, bisect_root, rising_quadratic_root
-from .kernel.polygon import dedupe_ring, is_convex_ring, ring_area, ring_perimeter
-
-EPS = 1e-9
+from .kernel.polygon import EPS, dedupe_ring, is_convex_ring, ring_area, ring_perimeter
 
 
 @dataclass(frozen=True)
@@ -99,23 +98,6 @@ class LineCut:
         return (-math.sin(self.theta), math.cos(self.theta))
 
 
-def _cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
-    """Area of {p . n <= offset} within the CCW convex polygon V, in one
-    pass over its edges.  In the frame s = p . t, u = p . n, with t the cut
-    direction (n turned clockwise), edge i -> i+1 keeps the part of its level
-    range [u_i, u_i+1] below the offset, and adds that trapezoid of the area
-    integral of s du.  An edge parallel to the cut adds no area."""
-    u = [x * n[0] + y * n[1] for x, y in V]
-    s = [x * n[1] - y * n[0] for x, y in V]
-    total = 0.0
-    for ui, un, si, sn in zip(u, u[1:] + u[:1], s, s[1:] + s[:1]):
-        # the edge's level range, clipped to the offset
-        u0, u1 = min(ui, offset), min(un, offset)
-        share = (u1 - u0) / (un - ui) if un != ui else float(ui <= offset)
-        total += (u1 - u0) * si + (sn - si) * share * (0.5 * (u0 + u1) - ui)
-    return total
-
-
 @dataclass(frozen=True)
 class SplitResult:
     piece_a: ConvexPolygon
@@ -144,10 +126,13 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
     interior (one piece would be empty or degenerate)."""
     n = cut.normal
     V = c.vertices
-    d = [x * n[0] + y * n[1] for x, y in V]
+    # levels measured from the first vertex, as the sweep measures them
+    x0, y0 = V[0]
+    d = [(x - x0) * n[0] + (y - y0) * n[1] for x, y in V]
+    offset = cut.offset - (x0 * n[0] + y0 * n[1])
     lo, hi = min(d), max(d)
     margin = EPS * (hi - lo)
-    if cut.offset <= lo + margin or cut.offset >= hi - margin:
+    if offset <= lo + margin or offset >= hi - margin:
         return None
 
     side_a: List[Tuple[float, float]] = []
@@ -157,14 +142,14 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
     for i in range(m):
         p, dp = V[i], d[i]
         q, dq = V[(i + 1) % m], d[(i + 1) % m]
-        if dp <= cut.offset:
+        if dp <= offset:
             side_a.append((p[0], p[1]))
-        if dp >= cut.offset:
+        if dp >= offset:
             side_b.append((p[0], p[1]))
-        if dp == cut.offset:
+        if dp == offset:
             on_cut.append((p[0], p[1]))
-        if min(dp, dq) < cut.offset < max(dp, dq):
-            t = (cut.offset - dp) / (dq - dp)
+        if min(dp, dq) < offset < max(dp, dq):
+            t = (offset - dp) / (dq - dp)
             x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
             side_a.append(x)
             side_b.append(x)
@@ -175,30 +160,6 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
     except ValueError:
         return None
     return SplitResult(pa, pb, math.dist(on_cut[0], on_cut[-1]))
-
-
-def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> LineCut:
-    """The unique offset where piece a holds the given area fraction.
-    Between consecutive vertex levels the clipped area is an exact quadratic
-    in the offset, rising with it; a bisection over the sorted levels finds
-    the pair that brackets the target, and the quadratic through the area at
-    the pair's ends and midpoint is solved for it."""
-    if not (0.0 < fraction < 1.0):
-        raise ValueError("area fraction must be strictly between 0 and 1")
-    theta = theta % math.pi
-    n = (-math.sin(theta), math.cos(theta))
-    V = c.vertices
-    levels = sorted({x * n[0] + y * n[1] for x, y in V})
-    want = fraction * c.area
-
-    def area(o: float) -> float:
-        return _cut_area(V, n, o)
-
-    # area(levels[0]) = 0 < want, and the last level holds the whole area
-    k = bisect.bisect_left(levels, want, lo=1, hi=len(levels) - 1, key=area)
-    lo, hi = levels[k - 1], levels[k]
-    x = rising_quadratic_root(area(lo), area(0.5 * (lo + hi)), area(hi), want)
-    return LineCut(theta, lo + x * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -226,10 +187,12 @@ class _ChordSweep:
     nearby chords of equal area cross), so i and j are carried from angle
     to angle, stepping along the two monotone chains from the lowest vertex
     b to the highest t.  The final bracket [max(u_i+1, u_j), min(u_i, u_j+1)]
-    is the pair of consecutive vertex levels that `solve_offset_for_area`
-    finds by bisection.  On it the chord length w and the boundary length are
-    linear in the level and the area is the integral of w, so the walk's last
-    probes at both ends give the offset from the trapezoid values of w.
+    is the pair of consecutive vertex levels around the cut.  On it the chord
+    length w and the boundary length are linear in the level and the area is
+    the integral of w, so the walk's last probes at both ends give the offset
+    from the trapezoid values of w.  Coordinates are measured from the first
+    vertex, so no shoelace term or level cancels far from the origin; the
+    first vertex's level is added back to the reported offset.
 
     K increasing angles cost O(m + K) after O(m) set-up, in O(m) memory.
     `state` is (b, t, i, j) at the last angle; assigning an earlier state
@@ -237,7 +200,8 @@ class _ChordSweep:
     """
 
     def __init__(self, c: ConvexPolygon, fraction: float):
-        V = list(c.vertices)
+        self.origin = x0, y0 = c.vertices[0]
+        V = [(x - x0, y - y0) for x, y in c.vertices]
         m = len(V)
         ring = V + V + V[:1]
         self.m = m
@@ -355,9 +319,10 @@ class _ChordSweep:
             b, t, i, j = b - m, t - m, i - m, j - m
         self.state = (b, t, i, j)
         perim_b = self.perimeter - perim_a + 2.0 * chord
+        x0, y0 = self.origin
         return ProfilePoint(
-            theta, offset, area_a, self.area - area_a, perim_a, perim_b, chord,
-            perim_a / perim_b,
+            theta, offset + (x0 * n0 + y0 * n1), area_a, self.area - area_a, perim_a, perim_b,
+            chord, perim_a / perim_b,
         )
 
     def scan(self, thetas: List[float]) -> Tuple[List[ProfilePoint], list]:
@@ -407,46 +372,40 @@ class FairCutResult:
     rho_max: float
 
 
-def _grid_root(sweep: _ChordSweep, samples: int, value, ftol: float):
-    """Scan the closed grid j*pi/samples, j = 0..samples, with one sweep and
-    return its points and a point where |value| <= ftol, or None: the grid
-    point of least |value| below pi, or else the bisection of the first
-    sign change.  A cut at theta = pi is the theta = 0 line with its pieces
-    swapped, so the grid point pi is only ever a bracket end."""
+def find_scaled_fair_cut(
+    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720
+) -> FairCutResult:
+    """Sample rho on the closed grid j*pi/samples, j = 0..samples, with one
+    sweep.  The answer is the grid point below pi nearest sqrt(a/b) when it
+    is within tol, or else the bisection of the first sign change of
+    rho - sqrt(a/b).  rho need not return to rho(0) at pi (see
+    `perimeter_ratio_profile`), so the sweep evaluates theta = pi itself to
+    bracket the last interval; a cut at pi is the theta = 0 line with its
+    pieces swapped, so pi is only ever a bracket end.  At 1:1, rho(pi) is
+    1/rho(0), so a sign change always exists.  O(m + samples)."""
+    _check_tol(tol)
+    sweep = _ChordSweep(c, target.fraction)
     points, states = sweep.scan(_angle_grid(samples) + [math.pi])
-    vals = [value(p) for p in points]
-    best = min(range(samples), key=lambda j: abs(vals[j]))
-    if abs(vals[best]) <= ftol:
-        return points, points[best]
-    for j in range(samples):
-        if vals[j] == 0.0 or vals[j] * vals[j + 1] > 0:
-            continue
-        sign = 1.0 if vals[j] < 0 else -1.0
+    rhos = [p.rho for p in points]
+    gaps = [rho - target.rho for rho in rhos]
+    best = min(range(samples), key=lambda j: abs(gaps[j]))
+    p = points[best] if abs(gaps[best]) <= tol else None
+    # every gap below pi then exceeds tol > 0, so a product <= 0 is a sign change
+    crossings = (j for j in range(samples) if gaps[j] * gaps[j + 1] <= 0)
+    j = None if p is not None else next(crossings, None)
+    if j is not None:
+        sign = 1.0 if gaps[j] < 0 else -1.0
 
         def point(theta: float) -> ProfilePoint:
             sweep.state = states[j]  # each step walks from the bracket's left end
             return sweep.point(theta)
 
         theta = bisect_root(
-            lambda t: sign * value(point(t)), points[j].theta, points[j + 1].theta, ftol=ftol
+            lambda t: sign * (point(t).rho - target.rho), points[j].theta, points[j + 1].theta,
+            ftol=tol,
         )
-        p = point(theta)
-        return points, (p if abs(value(p)) <= ftol else None)
-    return points, None
-
-
-def find_scaled_fair_cut(
-    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720
-) -> FairCutResult:
-    """Sample rho on the closed grid j*pi/samples, j = 0..samples, and
-    bisect the first sign change of rho - sqrt(a/b).  rho need not return
-    to rho(0) at pi (see `perimeter_ratio_profile`), so the sweep evaluates
-    theta = pi itself to bracket the last interval.  O(m + samples)."""
-    _check_tol(tol)
-    prof, p = _grid_root(
-        _ChordSweep(c, target.fraction), samples, lambda q: q.rho - target.rho, tol
-    )
-    rhos = [q.rho for q in prof]
+        q = point(theta)
+        p = q if abs(q.rho - target.rho) <= tol else None
     if p is None:
         return FairCutResult(False, None, None, min(rhos), max(rhos))
     return FairCutResult(True, LineCut(p.theta, p.offset), p.rho, min(rhos), max(rhos))
@@ -474,21 +433,6 @@ def disc_chord_analysis(target: RatioTarget) -> dict:
         "achievable": abs(rho - target.rho) <= EPS,
         "gap": rho - target.rho,
     }
-
-
-def equal_fair_cut(c: ConvexPolygon, samples: int = 720, tol: float = 1e-9) -> LineCut:
-    """A straight cut that halves the area and the perimeter simultaneously.
-    At the area-halving offset the perimeter difference g(theta) flips sign
-    between theta and theta + pi (same line, swapped labels), so a zero of g
-    exists in [0, pi]; scan then bisect, on one chord sweep at fraction
-    1/2, O(m + samples)."""
-    _check_tol(tol)
-    _, p = _grid_root(
-        _ChordSweep(c, 0.5), samples, lambda q: q.perimeter_a - q.perimeter_b, tol * c.perimeter
-    )
-    if p is None:
-        raise ArithmeticError("no cut meets tol; perimeter difference not continuous?")
-    return LineCut(p.theta, p.offset)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from .linsolve import (
 from .polygon import (
     ConvexPolygon,
     convex_hull,
-    random_convex_polygon,
     rectangle,
     regular_ngon,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "solve_linear_exact",
     "ConvexPolygon",
     "convex_hull",
-    "random_convex_polygon",
     "rectangle",
     "regular_ngon",
     "Rational",

@@ -82,20 +82,16 @@ class ConvexPolygon:
     def __repr__(self) -> str:
         return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.6g})"
 
-    def contains(self, p: Sequence[float], tol: float = EPS) -> bool:
-        px, py = float(p[0]), float(p[1])
-        n = len(self.vertices)
-        for i in range(n):
-            a, b = self.vertices[i], self.vertices[(i + 1) % n]
-            if (b[0] - a[0]) * (py - a[1]) - (b[1] - a[1]) * (px - a[0]) < -tol:
-                return False
-        return True
-
 
 def ring_area(pts: Sequence[Point]) -> float:
     """Signed shoelace area of a closed ring, convex or not; positive when
-    the ring runs counterclockwise."""
-    return 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+    the ring runs counterclockwise.  Coordinates are measured from the first
+    point, so the terms do not cancel when the ring lies far from the origin."""
+    ox, oy = pts[0]
+    return 0.5 * sum(
+        (x0 - ox) * (y1 - oy) - (x1 - ox) * (y0 - oy)
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1])
+    )
 
 
 def ring_perimeter(pts: Sequence[Point]) -> float:
@@ -148,20 +144,6 @@ def regular_ngon(n: int) -> ConvexPolygon:
         raise ValueError(f"n = {n:,} is over the polygon cap of {MAX_NGON_VERTICES:,} vertices")
     pts = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     return ConvexPolygon(pts)
-
-
-def random_convex_polygon(rng, max_vertices: int = 12) -> ConvexPolygon:
-    """Hull of random points; useful for seeded property sweeps."""
-    while True:
-        k = rng.randint(4, max(4, max_vertices + 2))
-        pts = [(rng.uniform(-1, 1) * rng.uniform(0.5, 3.0),
-                rng.uniform(-1, 1) * rng.uniform(0.5, 3.0)) for _ in range(k)]
-        hull = convex_hull(pts)
-        if len(hull) >= 3:
-            try:
-                return ConvexPolygon(hull)
-            except ValueError:
-                continue
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:

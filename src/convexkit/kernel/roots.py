@@ -1,7 +1,7 @@
 """The two root finders of the float paths.
 
 `bisect_root` serves every transcendental solve in the toolkit (lens
-half-angle, disc chord, fair-cut angle, equal cut): each is a sign change of
+half-angle, disc chord, fair-cut angle): each is a sign change of
 a continuous function on a known bracket.  `rising_quadratic_root` serves
 the fair-cut offset solves, whose area is an exact quadratic between two
 vertex levels: its values at the ends and the midpoint fix it, and its rising
@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+MAX_HALVINGS = 200
+
 
 def bisect_root(
     f: Callable[[float], float],
@@ -23,13 +25,12 @@ def bisect_root(
     hi: float,
     ftol: float = 0.0,
     xtol: float = 0.0,
-    max_iter: int = 200,
 ) -> float:
     """A root of f in [lo, hi], given f(lo) < 0 <= f(hi); a caller with the
     other orientation passes -f.  Returns the first midpoint with
     |f| <= ftol, or the bracket midpoint once the bracket is no wider than
-    xtol or max_iter halvings are spent."""
-    for _ in range(max_iter):
+    xtol or MAX_HALVINGS halvings are spent."""
+    for _ in range(MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if abs(fm) <= ftol:

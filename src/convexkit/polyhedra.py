@@ -216,18 +216,6 @@ def distance_multiset(m: Mesh) -> Tuple[int, ...]:
     return tuple(sorted(round(math.dist(p, q) / quantum) for p, q in combinations(m.vertices, 2)))
 
 
-def apply_rigid_motion(
-    m: Mesh, rotation: Sequence[Sequence[float]], translation: Sequence[float]
-) -> Mesh:
-    """The mesh moved by p -> rotation p + translation, for any 3x3
-    sequence of rows."""
-    verts = tuple(
-        tuple(_dot(row, p) + shift for row, shift in zip(rotation, translation))
-        for p in m.vertices
-    )
-    return Mesh(verts, m.faces)
-
-
 def _oriented(verts: List[Point3], faces: Iterable[Sequence[int]]) -> Mesh:
     """Flip each face cycle so its normal points away from the vertex
     centroid.  Valid for the star-shaped solids built here."""

@@ -101,13 +101,14 @@ def triangular(i: int) -> int:
 @dataclass(frozen=True)
 class HcnContext:
     """h highly composite, m = triangular(i) dividing h, d = h / m,
-    L the common tile height."""
+    L the common tile height, kept as a Fraction."""
 
     h: int
     i: int
     L: Fraction
 
     def __post_init__(self):
+        object.__setattr__(self, "L", Fraction(self.L))
         if self.h % self.m != 0:
             raise ValueError(f"triangular(i) = {self.m} does not divide h = {self.h}")
         if self.L <= 0:
@@ -122,10 +123,6 @@ class HcnContext:
     @property
     def d(self) -> int:
         return self.h // self.m
-
-
-def hcn_context(h: int, i: int, L) -> HcnContext:
-    return HcnContext(h, i, Fraction(L))
 
 
 def build_hcn_tileset(ctx: HcnContext) -> TileSet:

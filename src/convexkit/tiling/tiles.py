@@ -76,10 +76,6 @@ class TileSet:
     def total_area(self) -> Rational:
         return sum((t.area for t in self.tiles), Fraction(0))
 
-    def dims_multiset(self):
-        """Sorted (width, height) pairs, ignoring ids."""
-        return tuple(sorted((t.width, t.height) for t in self.tiles))
-
 
 def parse_tileset(text: str) -> TileSet:
     """Parse the plain-text tile format: one `WIDTH HEIGHT [COUNT]` per line.
@@ -201,7 +197,7 @@ def verify_layout(ts: TileSet, layout: Layout) -> Optional[DefectReport]:
             )
         rects.append((p.tile_id, x0, y0, x1, y1))
 
-    total = sum((t.area for t in ts), Fraction(0))
+    total = ts.total_area
     if total != W * H:
         return DefectReport("area-mismatch", f"tile area {total} != target area {W * H}")
 

@@ -47,8 +47,8 @@ from convexkit.polyhedra import (
     volume,
 )
 from convexkit.tiling import (
+    HcnContext,
     enumerate_floorplans,
-    hcn_context,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
@@ -127,14 +127,14 @@ def test_criterion_03_hcn_censuses():
     def count(census):
         return sum(1 for v in census.values() if v is not None)
 
-    assert count(hcn_layout_census(hcn_context(60, 1, 1))) == 12
-    assert count(hcn_layout_census(hcn_context(120, 3, 20))) == 14
+    assert count(hcn_layout_census(HcnContext(60, 1, 1))) == 12
+    assert count(hcn_layout_census(HcnContext(120, 3, 20))) == 14
 
-    census = hcn_layout_census(hcn_context(60, 5, 4))
+    census = hcn_layout_census(HcnContext(60, 5, 4))
     feasible = sorted(w for w, lay in census.items() if lay is not None)
     assert feasible == [5, 6, 10, 12, 15, 20, 30, 60]
 
-    split_census = hcn_split_census(hcn_context(60, 5, 118))
+    split_census = hcn_split_census(HcnContext(60, 5, 118))
     assert len(split_census) == 9
     assert 59 in split_census
 

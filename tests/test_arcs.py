@@ -22,9 +22,9 @@ from convexkit.extremal import (
 from convexkit.kernel import (
     ArcPolygon,
     SupportBody,
-    random_convex_polygon,
     support_body_metrics,
 )
+from reference import random_convex_polygon
 
 SAMPLES = 28800
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import convexkit.fairpart as fairpart
 from convexkit.kernel import ArcPolygon, ConvexPolygon, convex_hull, rectangle, regular_ngon
 from convexkit.fairpart import (
     LineCut,
@@ -15,15 +14,14 @@ from convexkit.fairpart import (
     _ChordSweep,
     _angle_grid,
     disc_chord_analysis,
-    equal_fair_cut,
     find_scaled_fair_cut,
     nonconvex_band_partition,
     parse_ratio,
     perimeter_ratio_profile,
     solve_band,
-    solve_offset_for_area,
     split,
 )
+from reference import solve_offset_for_area
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 
@@ -340,27 +338,6 @@ def test_sweep_matches_the_offset_oracle_at_every_grid_angle(shape, target, samp
         _check_sweep_point(c, target.fraction, p)
 
 
-def test_profile_and_fair_cuts_make_at_most_one_offset_solve(monkeypatch):
-    calls = []
-    oracle = fairpart.solve_offset_for_area
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return oracle(*args, **kwargs)
-
-    monkeypatch.setattr(fairpart, "solve_offset_for_area", counted)
-    rect, target = rectangle(4, 1), RatioTarget(1, 3)
-    for run in (
-        lambda: perimeter_ratio_profile(rect, target),
-        lambda: find_scaled_fair_cut(rect, target),  # found by bisection
-        lambda: find_scaled_fair_cut(regular_ngon(256), target),
-        lambda: equal_fair_cut(ConvexPolygon([(0, 0), (4, 0), (0, 3)])),
-    ):
-        calls.clear()
-        run()
-        assert len(calls) <= 1
-
-
 def test_sweep_makes_about_two_boundary_evaluations_per_angle(monkeypatch):
     """The offset at each angle comes from the walk's own probes at the two
     ends of its bracket, with no midpoint or final evaluation."""
@@ -417,6 +394,50 @@ def test_fair_cut_answers_do_not_depend_on_scale(shape, target, k):
         assert ratios[0] == pytest.approx(target.a / target.b, rel=1e-9)
 
 
+def _moved(c, dx, dy):
+    return ConvexPolygon([(x + dx, y + dy) for x, y in c.vertices])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.one_of(
+        st.builds(rectangle, st.integers(1, 64).map(lambda k: k / 8),
+                  st.integers(1, 64).map(lambda k: k / 8)),
+        st.lists(
+            st.tuples(st.integers(-256, 256), st.integers(-256, 256)), min_size=3, max_size=12
+        ).map(lambda pts: convex_hull([(x / 64, y / 64) for x, y in pts])),
+    ),
+    target=st.sampled_from([RatioTarget(1, 3), RatioTarget(1, 1), RatioTarget(2, 5)]),
+    dx=st.integers(-2**27, 2**27),
+    dy=st.integers(-2**27, 2**27),
+)
+def test_fair_cut_answers_do_not_depend_on_position(shape, target, dx, dy):
+    """Moving a polygon with dyadic coordinates by integers up to 2^27 is
+    exact, and keeps the found flag and the sampled rho range; a found cut
+    still splits the moved polygon a:b, up to the rounding of its offset."""
+    if not isinstance(shape, ConvexPolygon):
+        assume(len(shape) >= 3)
+        try:
+            shape = ConvexPolygon(shape)
+        except ValueError:
+            assume(False)
+        assume(shape.area >= 0.05)
+    moved = _moved(shape, dx, dy)
+    assert moved.area == pytest.approx(shape.area, rel=1e-12)
+    res, res_moved = (find_scaled_fair_cut(c, target, samples=90) for c in (shape, moved))
+    assert res_moved.found == res.found
+    assert res_moved.rho_min == pytest.approx(res.rho_min, rel=1e-12)
+    assert res_moved.rho_max == pytest.approx(res.rho_max, rel=1e-12)
+    if res_moved.found:
+        # the reported offset is a level of the moved plane: adding the first
+        # vertex's level, and taking it off again in split, each round it by
+        # up to 2^-53 (|dx| + |dy| + 8); the chord, shorter than half the
+        # perimeter, turns that into area
+        sr = split(moved, res_moved.cut)
+        slack = 2.0 ** -52 * (abs(dx) + abs(dy) + 8) * moved.perimeter
+        assert abs(sr.area_a - target.fraction * moved.area) <= slack + 1e-9 * moved.area
+
+
 def test_profile_is_sampled_lipschitz():
     """|rho(theta + delta) - rho(theta)| <= K * delta at delta = 1e-4.
     Measured K stays below 1 on unit-scale polygons; 5 is a safe ceiling."""
@@ -444,30 +465,30 @@ def test_profile_is_sampled_lipschitz():
             assert jump <= 5.0 * delta
 
 
+def _check_equal_fair_cut(c):
+    """The 1:1 cut always exists: at the halving offset rho(pi) = 1/rho(0),
+    so rho - 1 changes sign on [0, pi].  Its pieces have equal areas and
+    equal perimeters."""
+    res = find_scaled_fair_cut(c, RatioTarget(1, 1))
+    assert res.found
+    sr = split(c, res.cut)
+    assert abs(sr.area_a - sr.area_b) <= 1e-9 * c.area
+    assert abs(sr.perimeter_a - sr.perimeter_b) <= 1e-9 * c.perimeter
+
+
 def test_equal_fair_cut_rectangle():
-    rect = rectangle(4, 1)
-    cut = equal_fair_cut(rect)
-    sr = split(rect, cut)
-    assert abs(sr.area_a - sr.area_b) <= 1e-9 * rect.area
-    assert abs(sr.perimeter_a - sr.perimeter_b) <= 1e-9 * rect.perimeter
+    _check_equal_fair_cut(rectangle(4, 1))
 
 
 def test_equal_fair_cut_right_triangle():
-    tri = ConvexPolygon([(0, 0), (4, 0), (0, 3)])
-    cut = equal_fair_cut(tri)
-    sr = split(tri, cut)
-    assert abs(sr.area_a - sr.area_b) <= 1e-9 * tri.area
-    assert abs(sr.perimeter_a - sr.perimeter_b) <= 1e-9 * tri.perimeter
+    _check_equal_fair_cut(ConvexPolygon([(0, 0), (4, 0), (0, 3)]))
 
 
 def test_equal_fair_cut_random_polygons():
     rng = random.Random(17)
-    for _ in range(3):
-        c = random_polygon(rng, 20)
-        cut = equal_fair_cut(c)
-        sr = split(c, cut)
-        assert abs(sr.area_a - sr.area_b) <= 1e-9 * c.area
-        assert abs(sr.perimeter_a - sr.perimeter_b) <= 1e-9 * c.perimeter
+    _check_equal_fair_cut(regular_ngon(7))
+    for _ in range(100):
+        _check_equal_fair_cut(random_polygon(rng, rng.randint(3, 30)))
 
 
 # --- band family ---
@@ -576,8 +597,6 @@ def test_solvers_reject_a_tolerance_that_is_not_positive(tol):
     square = rectangle(1, 1)
     with pytest.raises(ValueError, match="tol must be positive"):
         find_scaled_fair_cut(square, RatioTarget(1, 3), tol=tol)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        equal_fair_cut(square, tol=tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         solve_band(1.0, 1.0, RatioTarget(1, 3), tol=tol)
 

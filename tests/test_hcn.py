@@ -23,7 +23,6 @@ from convexkit.tiling import (
     construct_width_layout,
     divisor_count,
     divisors,
-    hcn_context,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
@@ -156,22 +155,23 @@ def test_triangular():
 
 
 def test_context_construction():
-    ctx = hcn_context(60, 5, 4)
+    ctx = HcnContext(60, 5, 4)
     assert (ctx.h, ctx.m, ctx.i, ctx.d, ctx.L) == (60, 15, 5, 4, Fraction(4))
+    assert isinstance(ctx.L, Fraction)
     assert ctx == HcnContext(60, 5, Fraction(4))
 
 
 def test_context_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        hcn_context(60, 7, 1)  # triangular(7) = 28 does not divide 60
+        HcnContext(60, 7, 1)  # triangular(7) = 28 does not divide 60
     with pytest.raises(ValueError):
-        hcn_context(50, 4, 1)  # 50 is not a record-setter
+        HcnContext(50, 4, 1)  # 50 is not a record-setter
     with pytest.raises(ValueError):
-        hcn_context(60, 5, 0)  # height must be positive
+        HcnContext(60, 5, 0)  # height must be positive
 
 
 def test_tileset_shape():
-    ts = build_hcn_tileset(hcn_context(60, 5, 4))
+    ts = build_hcn_tileset(HcnContext(60, 5, 4))
     assert len(ts) == 20
     widths = [int(t.width) for t in ts]
     assert widths == sorted(widths)
@@ -186,7 +186,7 @@ def census_widths(census):
 
 def test_all_unit_tiles_census():
     # 60 unit-width tiles pack every one of the 12 divisor widths
-    ctx = hcn_context(60, 1, 1)
+    ctx = HcnContext(60, 1, 1)
     census = hcn_layout_census(ctx)
     assert len(census_widths(census)) == 12
     assert census_widths(census) == divisors(60)
@@ -194,14 +194,14 @@ def test_all_unit_tiles_census():
 
 def test_three_width_census():
     # {20 of width 1, 2, 3} reaches every divisor of 120 except 1 and 2
-    ctx = hcn_context(120, 3, 20)
+    ctx = HcnContext(120, 3, 20)
     census = hcn_layout_census(ctx)
     assert len(census_widths(census)) == 14
     assert census_widths(census) == [d for d in divisors(120) if d >= 3]
 
 
 def test_five_width_census():
-    ctx = hcn_context(60, 5, 4)
+    ctx = HcnContext(60, 5, 4)
     census = hcn_layout_census(ctx)
     assert census_widths(census) == [5, 6, 10, 12, 15, 20, 30, 60]
     assert [F for F, lay in census.items() if lay is None] == [1, 2, 3, 4]
@@ -209,7 +209,7 @@ def test_five_width_census():
 
 def test_census_of_720_tiles_needs_no_deep_recursion():
     # 120 tiles of each width 1..6: one row search over 720 tiles
-    ctx = hcn_context(2520, 6, 4)
+    ctx = HcnContext(2520, 6, 4)
     census = hcn_layout_census(ctx)
     widths = census_widths(census)
     assert widths == [d for d in divisors(2520) if d >= 6]
@@ -221,7 +221,7 @@ def test_census_of_720_tiles_needs_no_deep_recursion():
 
 def test_census_layouts_verify_exactly():
     for (h, i, L) in [(60, 1, 1), (120, 3, 20), (60, 5, 4), (720, 5, Fraction(1, 3))]:
-        ctx = hcn_context(h, i, L)
+        ctx = HcnContext(h, i, L)
         ts = build_hcn_tileset(ctx)
         for F, height in hcn_layout_census(ctx).items():
             layout = construct_width_layout(ctx, F)
@@ -248,7 +248,7 @@ def test_feasible_widths_are_the_divisors_from_i_up_without_a_full_search(monkey
             if h % m:
                 continue
             del calls[:]
-            census = hcn_layout_census(hcn_context(h, i, 1))
+            census = hcn_layout_census(HcnContext(h, i, 1))
             assert census_widths(census) == [F for F in divisors(h) if F >= i]
             cases += len(census)
             # one search per width, on the fewest copies whose sum it divides
@@ -278,7 +278,7 @@ def test_few_copy_rows_repeat_into_a_packing_of_every_copy(i, d):
 
 def test_census_of_27720_tiles_answers_at_once():
     # 27,720 tiles, 120 divisor widths: the census places no tile
-    ctx = hcn_context(55440, 3, 4)
+    ctx = HcnContext(55440, 3, 4)
     start = time.perf_counter()
     for census in (hcn_layout_census(ctx), hcn_split_census(ctx)):
         assert census_widths(census) == [d for d in divisors(55440) if d >= 3]
@@ -288,7 +288,7 @@ def test_census_of_27720_tiles_answers_at_once():
 
 def test_drawing_past_the_census_cap_is_refused_at_once():
     # 720,720 unit tiles: refused before the tile set is built
-    ctx = hcn_context(720720, 1, 4)
+    ctx = HcnContext(720720, 1, 4)
     assert ctx.i * ctx.d > hcn_module.CENSUS_PLACEMENT_CAP
     start = time.perf_counter()
     for draw in (construct_width_layout, construct_split_layout):
@@ -298,13 +298,13 @@ def test_drawing_past_the_census_cap_is_refused_at_once():
 
 
 def test_construct_width_layout_requires_divisor():
-    ctx = hcn_context(60, 5, 4)
+    ctx = HcnContext(60, 5, 4)
     with pytest.raises(ValueError):
         construct_width_layout(ctx, 7)
 
 
 def test_split_census_adds_width_59():
-    ctx = hcn_context(60, 5, 118)  # L = 118 = 2 * (60 - 1)
+    ctx = HcnContext(60, 5, 118)  # L = 118 = 2 * (60 - 1)
     census = hcn_split_census(ctx)
     assert list(census) == [5, 6, 10, 12, 15, 20, 30, 59, 60]
     assert census[59] == 120
@@ -329,7 +329,7 @@ def test_split_census_adds_width_59():
 
 def test_split_census_without_magic_height():
     # any other height keeps exactly the base widths and heights
-    ctx = hcn_context(60, 5, 4)
+    ctx = HcnContext(60, 5, 4)
     census = hcn_split_census(ctx)
     base = hcn_layout_census(ctx)
     assert census == {F: height for F, height in base.items() if height is not None}

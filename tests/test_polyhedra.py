@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from convexkit.polyhedra import (
     Mesh,
     NoSuchSolid,
-    apply_rigid_motion,
     build_cube_with_pyramids,
     build_decagonal_dipyramidal_antiprism,
     build_icosagonal_dipyramid,
@@ -40,6 +39,17 @@ def box_mesh(a=1.0, b=1.0, c=1.0):
         (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
     ]
     return Mesh(tuple(verts), tuple(faces))
+
+
+def apply_rigid_motion(m, rotation, translation):
+    """The mesh moved by p -> rotation p + translation, for any 3x3
+    sequence of rows."""
+    verts = tuple(
+        tuple(row[0] * p[0] + row[1] * p[1] + row[2] * p[2] + shift
+              for row, shift in zip(rotation, translation))
+        for p in m.vertices
+    )
+    return Mesh(verts, m.faces)
 
 
 def random_rotation(rng):

@@ -34,8 +34,9 @@ def test_bisect_root_orientation_and_stops():
     x = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, ftol=1e-3)
     assert abs(x * x - 2.0) <= 1e-3
     assert bisect_root(lambda x: x - 1.0, 0.0, 2.0) == 1.0
-    # one halving of [0, 1] leaves [0, 1/2]
-    assert bisect_root(lambda x: x - 0.3, 0.0, 1.0, max_iter=1) == 0.25
+    # xtol stops once the bracket is that narrow: one halving of [0, 1]
+    # leaves [0, 1/2]
+    assert bisect_root(lambda x: x - 0.3, 0.0, 1.0, xtol=0.5) == 0.25
 
 
 def test_rising_quadratic_root_is_exact_and_clamps():
