@@ -18,7 +18,7 @@ from convexkit.extremal import (
     min_diameter_survey,
     reuleaux_metrics,
 )
-from convexkit.kernel import ArcPolygon, ConvexPolygon, convex_hull
+from convexkit.kernel import ArcPolygon, ConvexPolygon
 
 print("== the longest shape: a lens ==")
 area, perimeter = 0.5, 4.0
@@ -31,16 +31,17 @@ shape = ArcPolygon.lens(lens.diameter, lens.alpha)
 print(f"  as arcs: area {shape.area:.12f}, perimeter {shape.perimeter:.12f}, "
       f"diameter {shape.widths()[1]:.12f}")
 
-# no random polygon with the same area and perimeter beats it
+# no random polygon with the same area and perimeter beats it; each one is
+# inscribed in a random ellipse, so its vertices in angle order are convex
 rng = random.Random(1)
 worst = -math.inf
 for _ in range(200):
-    pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(3, 30))]
-    hull = convex_hull(pts)
-    if len(hull) < 3:
-        continue
+    a, b, turn = rng.uniform(0.1, 2), rng.uniform(0.1, 2), rng.uniform(0, math.pi)
+    angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(rng.randint(3, 30)))
+    pts = [(a * math.cos(t) * math.cos(turn) - b * math.sin(t) * math.sin(turn),
+            a * math.cos(t) * math.sin(turn) + b * math.sin(t) * math.cos(turn)) for t in angles]
     try:
-        poly = ConvexPolygon(hull)
+        poly = ConvexPolygon(pts)
     except ValueError:
         continue
     rival = max_diameter_shape(poly.area, poly.perimeter)

@@ -11,7 +11,6 @@ from .linsolve import (
 )
 from .polygon import (
     ConvexPolygon,
-    convex_hull,
     rectangle,
     regular_ngon,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "positive_point",
     "solve_linear_exact",
     "ConvexPolygon",
-    "convex_hull",
     "rectangle",
     "regular_ngon",
     "Rational",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -30,6 +31,11 @@ class ParamSolution:
     den: int
 
     def __post_init__(self):
+        self.reduce()
+
+    def reduce(self) -> None:
+        """Bring the fields to lowest terms with den > 0, as on construction
+        (for a caller that reassigned them)."""
         g = gcd(self.den, *(v for row in self.nums for v in row))
         g = -g if self.den < 0 else g
         self.nums = [[v // g for v in row] for row in self.nums]
@@ -135,32 +141,55 @@ def solve_linear_exact(
     return ParamSolution(var_names, [particular, *basis], d)
 
 
-@dataclass
+@dataclass(eq=False)
 class PositivePoint:
     """Outcome of a strict-positivity search on a line.
 
-    `t` is a parameter at which every form is positive, and `interval` the
-    open interval (lo, hi) of all such parameters (None for an unbounded
-    end), when one exists.  Otherwise `certified_empty` is True: the
-    interval test proved exactly that no such parameter exists.  `attempts`
-    counts sampled tries and is always 0, since the test samples nothing.
-    """
+    `lo` and `hi` are the ends of the open interval of all parameters at
+    which every form is positive, each as a pair (num, den) with den > 0
+    (None for an unbounded end), when one exists.  Otherwise
+    `certified_empty` is True: the interval test proved exactly that no
+    such parameter exists.  `interval` and a parameter `t` inside it are
+    their Fraction views, built on first use.  `attempts` counts sampled
+    tries and is always 0, since the test samples nothing.  Two outcomes
+    are equal when they have the same interval."""
 
-    t: Optional[Fraction]
+    lo: Optional[tuple] = None
+    hi: Optional[tuple] = None
     certified_empty: bool = False
     attempts: int = 0
-    interval: Optional[tuple[Optional[Fraction], Optional[Fraction]]] = None
+
+    @cached_property
+    def interval(self) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
+        if self.certified_empty:
+            return None
+        return tuple(None if end is None else Fraction(*end) for end in (self.lo, self.hi))
+
+    @cached_property
+    def t(self) -> Optional[Fraction]:
+        """The midpoint when both ends are finite, one past the finite end
+        of a half-line, and 0 when nothing bounds t."""
+        if self.certified_empty:
+            return None
+        lo, hi = self.interval
+        if lo is None:
+            return Fraction(0) if hi is None else hi - 1
+        return lo + 1 if hi is None else (lo + hi) / 2
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PositivePoint):
+            return NotImplemented
+        return (self.interval, self.attempts) == (other.interval, other.attempts)
 
 
 def positive_point(forms: Sequence[tuple[Fraction, Fraction]]) -> PositivePoint:
-    """Find a parameter t at which every affine form c + a*t is > 0.
+    """Find the parameters t at which every affine form c + a*t is > 0.
 
     Form (c, a) is positive exactly on t > -c/a (a > 0), on t < -c/a
     (a < 0), or everywhere when a = 0 and c > 0.  The open interval (max
-    lower, min upper) is the exact answer.  Its witness t is the midpoint
-    when both ends are finite, one past the finite end of a half-line, and
-    0 when nothing bounds t.  Ends are compared by cross-multiplying, so
-    int forms need no Fraction until the two ends and t are built."""
+    lower, min upper) is the exact answer.  Ends are compared by
+    cross-multiplying, so int forms build no Fraction unless the caller
+    reads `interval` or `t`."""
     lo = hi = None  # the tightest ends so far, each as (num, den) with den > 0
     for c, a in forms:
         if a > 0:
@@ -170,13 +199,7 @@ def positive_point(forms: Sequence[tuple[Fraction, Fraction]]) -> PositivePoint:
             if hi is None or c * hi[1] < hi[0] * -a:
                 hi = (c, -a)
         elif c <= 0:
-            return PositivePoint(None, certified_empty=True)
-
+            return PositivePoint(certified_empty=True)
     if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
-        return PositivePoint(None, certified_empty=True)
-    lo, hi = (None if end is None else Fraction(*end) for end in (lo, hi))
-    if lo is None:
-        t = Fraction(0) if hi is None else hi - 1
-    else:
-        t = lo + 1 if hi is None else (lo + hi) / 2
-    return PositivePoint(t, interval=(lo, hi))
+        return PositivePoint(certified_empty=True)
+    return PositivePoint(lo, hi)

@@ -20,10 +20,6 @@ MAX_NGON_VERTICES = 100_000  # each fair-cut command costs O(n) per angle
 Point = tuple[float, float]
 
 
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 class ConvexPolygon:
     """Immutable convex polygon; raises ValueError on degenerate input."""
 
@@ -145,20 +141,3 @@ def regular_ngon(n: int) -> ConvexPolygon:
     pts = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
     return ConvexPolygon(pts)
 
-
-def convex_hull(points: Sequence[Point]) -> list[Point]:
-    """Monotone chain; returns counterclockwise hull without repetition."""
-    pts = sorted(set((float(x), float(y)) for x, y in points))
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
-MAX_ROOMS = 8
+MAX_ROOMS = 9
 
 
 @dataclass(frozen=True)
@@ -70,23 +70,37 @@ def _insert(fp: Floorplan, left, top, move: str, j: int):
     return Floorplan(tuple(rooms), nv, nh, fp.code + ((move, j),)), left, top
 
 
-def enumerate_floorplans(n: int) -> List[Floorplan]:
-    """All mosaic floorplans with n rooms, in a fixed depth-first order
-    (vertical insertions before horizontal, smaller push counts first)."""
+def iter_floorplans(n: int, grow=None, root=None) -> Iterator[Tuple[Floorplan, object]]:
+    """Every n-room floorplan, each with a value carried down the insertion
+    tree, in a fixed depth-first order (vertical insertions before
+    horizontal, smaller push counts first).  The walk is lazy: a consumer
+    that stops early builds no more of the tree than it has seen, plus the
+    siblings of the nodes on its path.
+
+    `root` is the one-room floorplan's value.  `grow(value, fp, left, top,
+    leaf)` returns the values of fp's children, one per move in the order
+    ("V", 1..len(left)), then ("H", 1..len(top)); `left` and `top` are as
+    in `_insert`, and `leaf` says the children have n rooms.  Without
+    `grow` every value is None."""
     if not (1 <= n <= MAX_ROOMS):
         raise ValueError(f"n must be in 1..{MAX_ROOMS}, got {n}")
-    out: List[Floorplan] = []
-    stack = [_ROOT]
+    stack = [(_ROOT, root)]
     while stack:
-        fp, left, top = state = stack.pop()
+        state, value = stack.pop()
+        fp, left, top = state
         if fp.n == n:
-            out.append(fp)
+            yield fp, value
             continue
         moves = [("V", j) for j in range(1, len(left) + 1)]
         moves += [("H", j) for j in range(1, len(top) + 1)]
+        values = grow(value, *state, fp.n + 1 == n) if grow else [None] * len(moves)
         # pushed last, popped first: the children come out in `moves` order
-        stack += [_insert(*state, move, j) for move, j in reversed(moves)]
-    return out
+        stack += [(_insert(*state, *move), v) for move, v in zip(moves[::-1], values[::-1])]
+
+
+def enumerate_floorplans(n: int) -> List[Floorplan]:
+    """All mosaic floorplans with n rooms, in `iter_floorplans` order."""
+    return [fp for fp, _ in iter_floorplans(n)]
 
 
 def floorplan_from_code(code) -> Floorplan:

@@ -5,8 +5,20 @@ For a fixed floorplan, requiring every room to have semiperimeter 1
 unknowns are the n+3 segment coordinates: a room's width and height are
 differences of two of them.  That is n+2 equations in n+3 unknowns, so a
 consistent system has a solution space of dimension at least 1; every
-floorplan with n <= MAX_ROOMS gives a line.  We solve the system exactly
-in integers and parametrize the line by t, the height of the last room
+floorplan with n <= MAX_ROOMS gives a line.
+
+The search solves no system per floorplan.  It walks the insertion tree
+once (`iter_floorplans`) and derives each child's line from its parent's:
+a node keeps its particular point, its direction and a unit solution for
+each room on its left and top walls, all as ints over one denominator.
+An insertion pushes some wall rooms off their wall by the new room's
+extent, which moves their right-hand sides by that extent, and adds the
+new room's row: one equation in two parameters (`_grow_lines`).  So an
+internal node costs O(n^2) and a leaf O(n), not an (n+2) x (n+3)
+elimination.  A degenerate update, which no floorplan with n <= 9 meets,
+leaves its subtree to the fresh elimination of `solve_isoperimetric`.
+
+Either way the line is parametrized by t, the height of the last room
 whose height varies on it.  Each room's width is then an integer form
 w_i = (C_i + A_i*t) / E over one E > 0, and its height 1 - w_i.  A t with
 every w_i and 1 - w_i positive is one exact interval intersection.  Room
@@ -14,19 +26,28 @@ areas are w*(1-w), so rooms i and j share area iff w_i = w_j or
 w_i + w_j = 1; either factor is affine in t, so it vanishes identically,
 forcing the pair, or at one t at most.  A t with pairwise distinct areas
 is then chosen exactly, away from those values.
+
+The nine-room census examines 58,202 floorplans: 104 witnesses, 19,802
+certified empty, 38,296 forced pairs, none infeasible or residual.  It
+takes about 3 s on a 2-core machine (Python 3.11).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 from typing import FrozenSet, List, Optional, Tuple, Union
 
 from ..kernel import ParamSolution, PositivePoint, positive_point, solve_linear_exact
-from .floorplans import MAX_ROOMS, Floorplan, enumerate_floorplans
+from .floorplans import MAX_ROOMS, Floorplan, iter_floorplans
 from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, verify_layout
+
+
+def _segment_names(fp: Floorplan) -> List[str]:
+    return [f"x{i}" for i in range(fp.num_vsegs)] + [f"y{i}" for i in range(fp.num_hsegs)]
 
 
 def build_isoperimetric_system(fp: Floorplan):
@@ -51,34 +72,128 @@ def build_isoperimetric_system(fp: Floorplan):
     for l, r, b, t in fp.rooms:
         add((r, 1), (l, -1), (nv + t, 1), (nv + b, -1))
     rhs = [0, 0] + [1] * fp.n
-    names = [f"x{i}" for i in range(nv)] + [f"y{i}" for i in range(nh)]
-    return rows, rhs, names
+    return rows, rhs, _segment_names(fp)
+
+
+def _canonical(fp: Floorplan, den: int, point: List[int], direction: List[int]):
+    """The line (point + s*direction) / den, den > 0, parametrized by t, the
+    height of the last room whose height varies on it: the direction is
+    scaled so that this height moves by 1, and the point is the one where
+    it is 0.  With S = D[t] - D[b] > 0 (orienting D) and H = P[t] - P[b],
+    that is the point (P*S - H*D) / (den*S) and the direction den*D /
+    (den*S), returned as (point, direction, den*S) in ints."""
+    nv = fp.num_vsegs
+    # some height varies: with every height fixed, so is every width, and
+    # the walls pinned at 0 fix each segment through the rooms on it
+    b, t = next((nv + b, nv + t) for _, _, b, t in reversed(fp.rooms) if direction[nv + t] != direction[nv + b])
+    s, h = direction[t] - direction[b], point[t] - point[b]
+    if s < 0:
+        s, direction = -s, [-w for w in direction]
+    return [v * s - h * w for v, w in zip(point, direction)], [den * w for w in direction], den * s
 
 
 def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
     """Exact solution space over the segment coordinates (x..., y...), or
     None when the floorplan admits no unit-semiperimeter assignment at all
-    (signs ignored).
+    (signs ignored), by one elimination of the whole system.
 
-    A line comes back parametrized by t, the height of the last room
-    whose height varies on it: the direction is scaled so that this
-    height moves by 1, and the particular point is the one where it is 0.
-    So any two parametrizations of one line come back alike.  A space of
-    dimension 2 or more comes back as solved.  In ints: the solved line is
-    (P + s*Dv) / d, so with S = Dv[t] - Dv[b] and H = P[t] - P[b] the point
-    is (P*S - H*Dv) / (d*S) and the direction d*Dv / (d*S)."""
+    A line comes back in the `_canonical` parametrization, so any two
+    parametrizations of one line come back alike; the solver's own line is
+    reparametrized in place.  A space of dimension 2 or more comes back as
+    solved."""
     rows, rhs, names = build_isoperimetric_system(fp)
     sol = solve_linear_exact(rows, rhs, names)
     if sol is None or sol.dim > 1:
         return sol
-    (p, dv), d, nv = sol.nums, sol.den, fp.num_vsegs
-    heights = [(nv + b, nv + t) for _, _, b, t in fp.rooms]
-    # some height varies: with every height fixed, so is every width, and
-    # the walls pinned at 0 fix each segment through the rooms on it
-    b, t = next((b, t) for b, t in reversed(heights) if dv[t] != dv[b])
-    s, h = dv[t] - dv[b], p[t] - p[b]
-    point = [v * s - h * w for v, w in zip(p, dv)]
-    return ParamSolution(names, [point, [d * w for w in dv]], d * s)
+    point, direction, sol.den = _canonical(fp, sol.den, *sol.nums)
+    sol.nums = [point, direction]
+    sol.reduce()
+    return sol
+
+
+# The line of the one-room floorplan over (x0, x1, y0, y1), as the walk
+# carries it: (den, point, direction, units), the point and each unit
+# solution as int numerators over den > 0.  units[r] solves the system with
+# right-hand side e_r (1 in room r's row, 0 elsewhere), for each room r on
+# the left and top walls.  x1 + y1 = 1.
+_ROOT_LINE = (1, [0, 1, 0, 0], [0, 1, 0, -1], {0: [0, 1, 0, 0]})
+
+
+def _grow_lines(line, fp: Floorplan, left, top, leaf: bool):
+    """The lines of fp's children from fp's own, for `iter_floorplans`, or
+    None for a child whose update is degenerate (its subtree is solved
+    afresh).
+
+    A move pushes the rooms R (a prefix of a wall) off that wall by the
+    new room's extent sigma along the push: x_s for a V move, y_1 - y_s for
+    an H move, where s is the new segment.  In fp's unknowns the pushed
+    rooms' rows then read A*v = b + sigma*1_R, solved by every
+    v = P + sigma*W + tau*Dir with W = the sum of the units of R.  The new
+    room's row g*v + sigma = 1 (g*v = y_1 - y_b for a V move over the
+    pushed block's bottom b, x_r for an H move over its right r) is one
+    more equation alpha*sigma + beta*tau = c in the two parameters, and the
+    child's point, direction and units are its solutions.  A child costs
+    O(n) per unit it keeps, and a leaf keeps none; alpha = beta = 0 is the
+    degenerate update."""
+    if line is None:
+        return [None] * (len(left) + len(top))
+    rooms, nv, units = fp.rooms, fp.num_vsegs, line[3]
+    out = []
+    for move, wall in (("V", left), ("H", top)):
+        w = [0] * len(line[1])
+        for j, r in enumerate(wall, 1):
+            w = [a + b for a, b in zip(w, units[r])]
+            # the new room's row, g*v = v[gi] - v[gk]; x0 is pinned at 0
+            gi, gk = (nv + 1, nv + rooms[r][2]) if move == "V" else (rooms[r][1], 0)
+            keep = None if leaf else (wall[j:] + top if move == "V" else left + wall[j:])
+            out.append(_child_line(line, w, gi, gk, move, nv, keep, fp.n))
+    return out
+
+
+def _child_line(line, w, gi, gk, move, nv, keep, new):
+    """One child's line (see `_grow_lines`): fp's `line`, the summed units
+    `w` of the pushed rooms, the new row g*v = v[gi] - v[gk], the move, and
+    fp's count nv of x segments.  `keep` lists the old rooms whose units the
+    child needs, the new room `new` getting one too; None (a leaf) keeps no
+    units, and leaves the line unreduced."""
+    den, point, direction, units = line
+    # the new row in (sigma, tau), times den: alpha*sigma + beta*den*tau = c,
+    # with c = den - g*point for the point, -g*units[r] for an old
+    # room's unit and den for the new room's (its base is 0)
+    alpha = den + w[gi] - w[gk]
+    beta = direction[gi] - direction[gk]
+    # one solution per right-hand side, as numerators over k*den > 0:
+    # tau = 0 when alpha != 0, else sigma = 0
+    if alpha:
+        k, along, sig = alpha, w, den
+    elif beta:
+        k, along, sig = beta, direction, 0
+    else:
+        return None
+    if k < 0:
+        k, along, sig = -k, [-v for v in along], -sig
+
+    def lift(v, sigma):
+        # the new unknown: x_s = sigma (V, after the x segments) or
+        # y_s = y_1 - sigma (H, after the y segments)
+        return v[:nv] + [sigma] + v[nv:] if move == "V" else v + [v[nv + 1] - sigma]
+
+    def solve(base, c):
+        return lift([k * b + c * a for b, a in zip(base, along)], c * sig)
+
+    p = solve(point, den - point[gi] + point[gk])
+    d = lift([beta * a - alpha * b for a, b in zip(w, direction)], beta * den)
+    if keep is None:
+        return k * den, p, d, None
+    u = {r: solve(units[r], units[r][gk] - units[r][gi]) for r in keep}
+    u[new] = solve([0] * len(w), den)
+    den *= k
+    g = gcd(den, *p, *chain.from_iterable(u.values()))
+    if g > 1:
+        den, p = den // g, [v // g for v in p]
+        u = {r: [v // g for v in vec] for r, vec in u.items()}
+    g = gcd(*d)
+    return den, p, [v // g for v in d], u
 
 
 @dataclass(frozen=True)
@@ -202,17 +317,21 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
     forced: List[Tuple[Floorplan, ForcedPair]] = []
     residual: List[Floorplan] = []
     examined = infeasible = certified_empty = 0
-    for fp in enumerate_floorplans(n):
+    for fp, line in iter_floorplans(n, _grow_lines, _ROOT_LINE):
         examined += 1
-        sol = solve_isoperimetric(fp)
-        if sol is None:
-            infeasible += 1
-            continue
-        if sol.dim > 1:
-            residual.append(fp)
-            continue
+        if line is None:  # a degenerate update: solve this floorplan afresh
+            sol = solve_isoperimetric(fp)
+            if sol is None:
+                infeasible += 1
+                continue
+            if sol.dim > 1:
+                residual.append(fp)
+                continue
+            (p, d), e = sol.nums, sol.den
+        else:
+            sol = None
+            p, d, e = _canonical(fp, *line[:3])
         # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
-        (p, d), e = sol.nums, sol.den
         widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
         pp = positive_point(widths + [(e - c, -a) for c, a in widths])
         if pp.certified_empty:
@@ -222,6 +341,8 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
         if isinstance(equal, ForcedPair):
             forced.append((fp, equal))
             continue
+        if sol is None:
+            sol = ParamSolution(_segment_names(fp), [p, d], e)
         witnesses.append(_witness(fp, sol, distinct_area_param(pp, equal)))
         if limit is not None and len(witnesses) >= limit:
             break

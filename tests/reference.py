@@ -2,8 +2,9 @@
 
 `solve_offset_for_area` is the oracle of `fairpart._ChordSweep`: it solves
 one angle's offset by bisection over the vertex levels, with no state
-carried between angles.  `random_convex_polygon` draws seeded hulls for the
-polygon and arc-kernel sweeps.
+carried between angles.  `convex_hull` is the monotone chain that the
+tests and `random_convex_polygon` build their polygons with; the latter
+draws seeded hulls for the polygon and arc-kernel sweeps.
 """
 
 import bisect
@@ -11,7 +12,7 @@ import math
 from typing import Sequence, Tuple
 
 from convexkit.fairpart import LineCut
-from convexkit.kernel import ConvexPolygon, convex_hull, rising_quadratic_root
+from convexkit.kernel import ConvexPolygon, rising_quadratic_root
 
 
 def cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
@@ -55,6 +56,28 @@ def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> Li
     return LineCut(theta, lo + x * (hi - lo))
 
 
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull(points: Sequence) -> list:
+    """Monotone chain; returns counterclockwise hull without repetition."""
+    pts = sorted(set((float(x), float(y)) for x, y in points))
+    if len(pts) <= 2:
+        return pts
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
 def random_convex_polygon(rng, max_vertices: int = 12) -> ConvexPolygon:
     """Hull of random points; useful for seeded property sweeps."""
     while True:
@@ -67,3 +90,4 @@ def random_convex_polygon(rng, max_vertices: int = 12) -> ConvexPolygon:
                 return ConvexPolygon(hull)
             except ValueError:
                 continue
+

@@ -31,7 +31,6 @@ from convexkit.kernel import (
     ArcPolygon,
     ConvexPolygon,
     SupportBody,
-    convex_hull,
     rectangle,
     regular_ngon,
     support_body_metrics,
@@ -58,6 +57,7 @@ from convexkit.tiling import (
     verify_layout,
 )
 from convexkit.tiling.hcn import divisor_count
+from reference import convex_hull
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")

@@ -157,10 +157,10 @@ def case_ids(cases):
 
 # (rule the input breaks, argv, wording on stderr)
 PROGRAM_LIMITS = [
-    ("floorplan cap of 8 rooms", ["tiling", "search-iso", "--n", "9"], "floorplan cap of 8 rooms"),
+    ("floorplan cap of 9 rooms", ["tiling", "search-iso", "--n", "10"], "floorplan cap of 9 rooms"),
     ("exhaustive-search cap of 3", ["tiling", "enumerate", "--cap", "3"],
      "exhaustive-search cap of 3"),
-    ("--n must be at least 2", ["tiling", "search-iso", "--n", "1"], "n must be in 2..8, got 1"),
+    ("--n must be at least 2", ["tiling", "search-iso", "--n", "1"], "n must be in 2..9, got 1"),
     ("--limit must be at least 1", ["tiling", "search-iso", "--n", "7", "--limit", "0"],
      "limit must be >= 1, got 0"),
     ("--limit must be at least 1", ["tiling", "hcn", "--limit", "0"], "limit must be >= 1"),

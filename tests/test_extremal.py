@@ -11,7 +11,6 @@ from convexkit.kernel import (
     ArcPolygon,
     ConvexPolygon,
     SupportBody,
-    convex_hull,
     support_body_metrics,
 )
 from convexkit.extremal import (
@@ -29,6 +28,7 @@ from convexkit.extremal import (
     sector_metrics,
     solve_sector,
 )
+from reference import convex_hull
 
 
 def random_polygon(rng, npts):

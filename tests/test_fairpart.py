@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel import ArcPolygon, ConvexPolygon, convex_hull, rectangle, regular_ngon
+from convexkit.kernel import ArcPolygon, ConvexPolygon, rectangle, regular_ngon
 from convexkit.fairpart import (
     LineCut,
     RatioTarget,
@@ -21,7 +21,7 @@ from convexkit.fairpart import (
     solve_band,
     split,
 )
-from reference import solve_offset_for_area
+from reference import convex_hull, solve_offset_for_area
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 

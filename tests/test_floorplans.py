@@ -19,9 +19,10 @@ from convexkit.tiling import (
     baxter_count,
     enumerate_floorplans,
     floorplan_from_code,
+    iter_floorplans,
 )
 
-KNOWN_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 92, 6: 422, 7: 2074, 8: 10754}
+KNOWN_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 92, 6: 422, 7: 2074, 8: 10754, 9: 58202}
 
 
 def count_diagonal_rectangulations(n: int) -> int:
@@ -127,6 +128,23 @@ def test_enumeration_order_is_pinned():
     ]
 
 
+def test_walk_yields_the_pinned_order_with_each_value_on_its_child():
+    """`iter_floorplans` is the walk behind `enumerate_floorplans`, and a
+    value grown down the tree reaches the leaf it was made for: growing
+    each child's insertion code gives every leaf its own code."""
+
+    def grow(code, fp, left, top, leaf):
+        assert code == fp.code
+        moves = [("V", j) for j in range(1, len(left) + 1)] + [("H", j) for j in range(1, len(top) + 1)]
+        return [code + (move,) for move in moves]
+
+    for n in range(1, 7):
+        walked = list(iter_floorplans(n, grow, ()))
+        assert [fp for fp, _ in walked] == enumerate_floorplans(n)
+        assert all(code == fp.code for fp, code in walked)
+        assert all(value is None for _, value in iter_floorplans(n))
+
+
 def test_replay_rejects_bad_codes():
     with pytest.raises(ValueError):
         floorplan_from_code((("X", 1),))
@@ -163,9 +181,31 @@ def test_enumerate_bounds():
     with pytest.raises(ValueError):
         enumerate_floorplans(0)
     with pytest.raises(ValueError):
-        enumerate_floorplans(9)
+        enumerate_floorplans(10)
     with pytest.raises(ValueError):
         baxter_count(0)
+
+
+def test_stopped_walk_leaves_no_garbage():
+    """A walk dropped part way, with its carried values, is freed by
+    reference counting alone, as is one run to the end."""
+    from convexkit.tiling import isoperimetric
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        walk = iter_floorplans(6, isoperimetric._grow_lines, isoperimetric._ROOT_LINE)
+        for _ in zip(range(100), walk):
+            pass
+        del walk
+        for _ in iter_floorplans(6, isoperimetric._grow_lines, isoperimetric._ROOT_LINE):
+            pass
+        isoperimetric.search_isoperimetric(7, limit=1)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_enumeration_leaves_no_garbage():

@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convexkit.tiling.floorplans as floorplans
 import convexkit.tiling.isoperimetric as isoperimetric
-from convexkit.kernel import PositivePoint, positive_point, solve_linear_exact
+from convexkit.kernel import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from convexkit.tiling import (
     Floorplan,
     ForcedPair,
     UnsupportedInstance,
+    baxter_count,
     build_isoperimetric_system,
     distinct_area_param,
     enumerate_floorplans,
     forced_equal_pair,
+    iter_floorplans,
     load_layout,
     load_tileset,
     search_isoperimetric,
@@ -103,15 +106,74 @@ def test_segment_solve_equals_full_system(n, dim):
             assert point[t] - point[b] == s
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_walk_line_equals_the_fresh_solve(n):
+    """The line the insertion walk carries to each floorplan, put in the
+    canonical parametrization, is the fresh elimination's line: the same
+    ints over the same denominator once reduced."""
+    count = 0
+    for fp, line in iter_floorplans(n, isoperimetric._grow_lines, isoperimetric._ROOT_LINE):
+        assert line is not None  # no floorplan with n <= 9 meets a degenerate update
+        point, direction, den = isoperimetric._canonical(fp, *line[:3])
+        names = build_isoperimetric_system(fp)[2]
+        assert ParamSolution(names, [point, direction], den) == solve_isoperimetric(fp)
+        count += 1
+    assert count == baxter_count(n)
+
+
+def result_key(result):
+    return (
+        result.status, result.examined, result.infeasible, result.certified_empty,
+        [(fp.code, pair) for fp, pair in result.forced], result.residual,
+        [(w.floorplan.code, w.solution, w.values, w.areas, w.layout) for w in result.witnesses],
+    )
+
+
+def test_degenerate_updates_fall_back_to_the_fresh_solve(monkeypatch):
+    """A child update with alpha = beta = 0 gives no line, and a leaf
+    without a line is solved afresh: with no line at the root every leaf
+    is, and the search answers as the walk does, witnesses included."""
+    line = (1, [0, 0, 0, 0], [0, 0, 0, 0], {0: [0, 0, 0, 0]})
+    assert isoperimetric._child_line(line, [0, -1, 0, 0], 1, 0, "H", 2, None, 1) is None
+    assert isoperimetric._grow_lines(None, *floorplans._ROOT, True) == [None, None]
+    walked = [result_key(search_isoperimetric(n)) for n in (5, 6)]
+    walked.append(result_key(search_isoperimetric(7, limit=2)))
+    monkeypatch.setattr(isoperimetric, "_ROOT_LINE", None)
+    fresh = [result_key(search_isoperimetric(n)) for n in (5, 6)]
+    fresh.append(result_key(search_isoperimetric(7, limit=2)))
+    assert fresh == walked
+
+
+def test_limit_stops_the_walk(monkeypatch):
+    """The search consumes the walk as a stream: a limit of one witness
+    builds fewer floorplans than the 2,618 insertions of the whole n = 7
+    tree, and the unlimited search builds exactly those."""
+    calls = []
+    insert = floorplans._insert
+
+    def counting(*args):
+        calls.append(args)
+        return insert(*args)
+
+    monkeypatch.setattr(floorplans, "_insert", counting)
+    search_isoperimetric(7)
+    assert len(calls) == sum(baxter_count(k) for k in range(2, 8)) == 2618
+    calls.clear()
+    assert search_isoperimetric(7, limit=1).examined == 241
+    assert 241 <= len(calls) < 2618 // 2  # 308
+
+
 def test_plane_solution_space_counts_as_residual(monkeypatch):
     """A vertical segment that no room touches is free, so the solution
     space is a plane: it comes back as solved, and the search counts the
-    floorplan as residual instead of deciding it."""
+    floorplan as residual instead of deciding it.  No insertion reaches
+    such a floorplan, so the walk hands it over as a leaf without a line,
+    as after a degenerate update, and the search solves it afresh."""
     spare = Floorplan(((0, 1, 0, 1), (0, 1, 0, 1)), 3, 2, ())
     sol = solve_isoperimetric(spare)
     assert sol.dim == 2
     assert sol == solve_linear_exact(*build_isoperimetric_system(spare))
-    monkeypatch.setattr(isoperimetric, "enumerate_floorplans", lambda n: [spare])
+    monkeypatch.setattr(isoperimetric, "iter_floorplans", lambda n, grow, root: iter([(spare, None)]))
     result = search_isoperimetric(2)
     assert (result.status, result.residual, result.examined) == ("inconclusive", (spare,), 1)
 
@@ -155,6 +217,22 @@ def test_eight_room_census():
     )
 
 
+def test_nine_room_census():
+    """The nine-room census, the largest under the floorplan cap: every
+    floorplan is decided, 104 of them with a witness."""
+    result = search_isoperimetric(9)
+    assert result.status == "witnesses"
+    assert result.examined == 58202
+    assert len(result.witnesses) == 104
+    assert result.certified_empty == 19802
+    assert len(result.forced) == 38296
+    assert result.infeasible == 0
+    assert len(result.residual) == 0
+    for w in result.witnesses:
+        assert verify_layout(w.tileset, w.layout) is None
+        assert len(set(w.areas)) == 9
+
+
 def test_two_rooms_forced_equal_widths():
     result = search_isoperimetric(2)
     assert len(result.forced) == 2
@@ -196,7 +274,7 @@ def test_search_bounds():
     with pytest.raises(ValueError):
         search_isoperimetric(1)
     with pytest.raises(UnsupportedInstance):
-        search_isoperimetric(9)
+        search_isoperimetric(10)
     with pytest.raises(ValueError):
         search_isoperimetric(7, limit=0)
 
@@ -234,7 +312,7 @@ def test_distinct_area_choice_moves_off_an_excluded_t():
     widths = width_forms([0, Fraction(1, 2)], [1, 0])
     assert distinct_area_param(positive_widths(widths), forced_equal_pair(widths, 1)) == Fraction(3, 4)
     # an interval unbounded above steps towards t + 2
-    free = PositivePoint(Fraction(0), interval=(None, None))
+    free = PositivePoint()
     assert distinct_area_param(free, {Fraction(0)}) == Fraction(1)
     assert distinct_area_param(free, {Fraction(0), Fraction(1, 2)}) == Fraction(1, 4)
     # positive_point's own t is kept when nothing excludes it

@@ -88,6 +88,15 @@ def test_positive_point_zero_dim():
     assert positive_point([]).t == 0
 
 
+def test_positive_point_builds_fractions_only_when_read():
+    """Int forms leave the interval's ends as int pairs; the Fraction
+    interval and t are built when first read, as only a witness does."""
+    res = positive_point([(2, 1), (3, -1), (8, 2)])
+    assert (res.lo, res.hi, res.certified_empty) == ((-2, 1), (3, 1), False)
+    assert "interval" not in vars(res) and "t" not in vars(res)
+    assert (res.interval, res.t) == ((F(-2), F(3)), F(1, 2))
+
+
 def test_positive_point_parameter_rule():
     """The witness parameter: the midpoint of a bounded interval, one past
     the finite end of a half-line, and 0 when nothing bounds it."""

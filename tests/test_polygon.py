@@ -7,11 +7,10 @@ import pytest
 from convexkit.kernel import ArcPolygon
 from convexkit.kernel.polygon import (
     ConvexPolygon,
-    convex_hull,
     rectangle,
     regular_ngon,
 )
-from reference import random_convex_polygon
+from reference import convex_hull, random_convex_polygon
 
 
 def widths(poly: ConvexPolygon):
