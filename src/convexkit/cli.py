@@ -373,23 +373,22 @@ def cmd_fairpart_profile(args) -> Handler:
     target = parse_ratio(args.ratio)
     profile = perimeter_ratio_profile(poly, target, samples=args.samples)
     rhos = [p.rho for p in profile]
-    i_min = min(range(len(rhos)), key=rhos.__getitem__)
-    i_max = max(range(len(rhos)), key=rhos.__getitem__)
+    lo, hi = min(rhos), max(rhos)
+    # the first angle of each extreme up to rounding: rho repeats on n-gons
+    i_min = next(k for k, rho in enumerate(rhos) if rho <= lo + 1e-12 * lo)
+    i_max = next(k for k, rho in enumerate(rhos) if rho >= hi - 1e-12 * hi)
     report = {
         "shape": args.shape,
         "ratio": str(target),
         "target_rho": target.rho,
         "samples": args.samples,
-        "rho_min": rhos[i_min],
+        "rho_min": lo,
         "theta_at_min": profile[i_min].theta,
-        "rho_max": rhos[i_max],
+        "rho_max": hi,
         "theta_at_max": profile[i_max].theta,
         "rho_at_theta0": rhos[0],
     }
-    lines = [
-        f"rho over {args.samples} directions: [{rhos[i_min]:.9f}, {rhos[i_max]:.9f}], "
-        f"target {target.rho:.9f}"
-    ]
+    lines = [f"rho over {args.samples} directions: [{lo:.9f}, {hi:.9f}], target {target.rho:.9f}"]
     return True, report, {}, lines
 
 

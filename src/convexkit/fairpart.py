@@ -10,13 +10,15 @@ the two pieces are similar.
 
 Costs for an m-vertex polygon: `split` is O(m).  `perimeter_ratio_profile`
 and `find_scaled_fair_cut` sample K angles with one chord sweep, which
-carries the cut's two boundary edges from angle to angle and solves each
-offset in closed form: O(m) set-up, then O(m + K) for the whole grid, in
-O(m) memory.  Each bisection step of a refinement walks from its bracket's
-left end, O(1) when the grid is fine against m.  The cut that halves both
-the area and the perimeter is `find_scaled_fair_cut` at 1:1, which always
-finds one.  Levels and shoelace terms are measured from the polygon's first
-vertex, so a cut does not depend on where the polygon sits.
+keeps the cut's two boundary edges, changes them only at vertex events (an
+end of the cut passing a vertex, O(1) each, about m over a half turn), and
+solves each angle's offset in one closed-form evaluation: O(m + K) in all,
+with no per-angle walk, in O(m) memory.  Each bisection step of a
+refinement walks the events from its bracket's left end.  The cut that
+halves both the area and the perimeter is `find_scaled_fair_cut` at 1:1,
+which always finds one.  Levels and shoelace terms are measured from the
+polygon's first vertex, and a found cut carries its offset from there to
+`split`, so a cut does not depend on where the polygon sits.
 
 The band family at the end partitions a rectangle without a straight
 cut: piece one is the set of points within distance t of a boundary arc
@@ -29,7 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import mul, neg, sub
+from typing import List, NamedTuple, Optional, Tuple
 
 from .kernel import ConvexPolygon, bisect_root, rising_quadratic_root
 from .kernel.polygon import EPS, dedupe_ring, is_convex_ring, ring_area, ring_perimeter
@@ -78,20 +83,25 @@ def parse_ratio(text: str) -> RatioTarget:
 @dataclass(frozen=True)
 class LineCut:
     """theta normalized to [0, pi); the line is {p . n = offset} with
-    n = (-sin theta, cos theta).  Piece a is the side p . n <= offset."""
+    n = (-sin theta, cos theta).  Piece a is the side p . n <= offset.  A cut
+    solved on a polygon keeps its offset from the first vertex, `origin`, as
+    `level`, which `split` uses: far from the origin offsets round."""
 
     theta: float
     offset: float
+    origin: Optional[Tuple[float, float]] = None
+    level: float = 0.0
 
     def __post_init__(self):
         t = self.theta % math.pi
         k = round((self.theta - t) / math.pi)
         if t != self.theta:
             object.__setattr__(self, "theta", t)
-            # An odd multiple of pi flips the normal; negate the offset so
+            # An odd multiple of pi flips the normal; negate the offsets so
             # the normalized cut describes the same line.
             if k % 2 != 0:
                 object.__setattr__(self, "offset", -self.offset)
+                object.__setattr__(self, "level", -self.level)
 
     @property
     def normal(self) -> Tuple[float, float]:
@@ -100,36 +110,27 @@ class LineCut:
 
 @dataclass(frozen=True)
 class SplitResult:
+    """Areas and perimeters are measured before the pieces' vertices move
+    back from the first vertex, so they hold wherever the polygon sits."""
+
     piece_a: ConvexPolygon
     piece_b: ConvexPolygon
     cut_length: float
-
-    @property
-    def area_a(self):
-        return self.piece_a.area
-
-    @property
-    def area_b(self):
-        return self.piece_b.area
-
-    @property
-    def perimeter_a(self):
-        return self.piece_a.perimeter
-
-    @property
-    def perimeter_b(self):
-        return self.piece_b.perimeter
+    area_a: float
+    area_b: float
+    perimeter_a: float
+    perimeter_b: float
 
 
 def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
     """Cut the polygon along the line.  None when the line misses the
-    interior (one piece would be empty or degenerate)."""
-    n = cut.normal
-    V = c.vertices
-    # levels measured from the first vertex, as the sweep measures them
-    x0, y0 = V[0]
-    d = [(x - x0) * n[0] + (y - y0) * n[1] for x, y in V]
-    offset = cut.offset - (x0 * n[0] + y0 * n[1])
+    interior (one piece would be empty or degenerate).  Coordinates and
+    levels are measured from the first vertex, as the sweep measures them."""
+    n0, n1 = cut.normal
+    x0, y0 = c.vertices[0]
+    V = [(x - x0, y - y0) for x, y in c.vertices]
+    d = [x * n0 + y * n1 for x, y in V]
+    offset = cut.level if cut.origin == (x0, y0) else cut.offset - (x0 * n0 + y0 * n1)
     lo, hi = min(d), max(d)
     margin = EPS * (hi - lo)
     if offset <= lo + margin or offset >= hi - margin:
@@ -138,32 +139,28 @@ def split(c: ConvexPolygon, cut: LineCut) -> Optional[SplitResult]:
     side_a: List[Tuple[float, float]] = []
     side_b: List[Tuple[float, float]] = []
     on_cut: List[Tuple[float, float]] = []  # the chord's two ends
-    m = len(V)
-    for i in range(m):
-        p, dp = V[i], d[i]
-        q, dq = V[(i + 1) % m], d[(i + 1) % m]
+    for p, q, dp, dq in zip(V, V[1:] + V[:1], d, d[1:] + d[:1]):
         if dp <= offset:
-            side_a.append((p[0], p[1]))
+            side_a.append(p)
         if dp >= offset:
-            side_b.append((p[0], p[1]))
+            side_b.append(p)
         if dp == offset:
-            on_cut.append((p[0], p[1]))
-        if min(dp, dq) < offset < max(dp, dq):
+            on_cut.append(p)
+        if dp < offset < dq or dq < offset < dp:
             t = (offset - dp) / (dq - dp)
             x = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
             side_a.append(x)
             side_b.append(x)
             on_cut.append(x)
     try:
-        pa = ConvexPolygon(side_a)
-        pb = ConvexPolygon(side_b)
+        pa, pb = (ConvexPolygon([(x + x0, y + y0) for x, y in side]) for side in (side_a, side_b))
     except ValueError:
         return None
-    return SplitResult(pa, pb, math.dist(on_cut[0], on_cut[-1]))
+    return SplitResult(pa, pb, math.dist(on_cut[0], on_cut[-1]), ring_area(side_a),
+                       ring_area(side_b), ring_perimeter(side_a), ring_perimeter(side_b))
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(NamedTuple):
     theta: float
     offset: float
     area_a: float
@@ -172,6 +169,7 @@ class ProfilePoint:
     perimeter_b: float
     cut_length: float
     rho: float
+    level: float  # the offset measured from the polygon's first vertex
 
 
 class _ChordSweep:
@@ -179,151 +177,150 @@ class _ChordSweep:
     increasing angles.
 
     The boundary below the cut is the arc v[i+1..j]: edge i enters it
-    (falling) and edge j leaves it (rising).  For a fixed arc, the area
-    below a level is a prefix difference of shoelace terms plus the two end
-    triangles and the chord term, and the boundary length is a prefix
-    difference plus the two partial edges: O(1) per level.  As theta grows
-    both ends of the cut move counterclockwise around the boundary (two
-    nearby chords of equal area cross), so i and j are carried from angle
-    to angle, stepping along the two monotone chains from the lowest vertex
-    b to the highest t.  The final bracket [max(u_i+1, u_j), min(u_i, u_j+1)]
-    is the pair of consecutive vertex levels around the cut.  On it the chord
-    length w and the boundary length are linear in the level and the area is
-    the integral of w, so the walk's last probes at both ends give the offset
-    from the trapezoid values of w.  Coordinates are measured from the first
-    vertex, so no shoelace term or level cancels far from the origin; the
-    first vertex's level is added back to the reported offset.
+    (falling) and edge j leaves it (rising).  As theta grows both ends of the
+    cut move counterclockwise (two nearby chords of equal area cross), so
+    (i, j) changes only at vertex events, where an end passes a vertex.  With
+    P = v[i+1], Q = v[j], R = v[j+1], the end on edge i reaches P first when
+    the arc P..R holds the target area, and the other end then solves one
+    linear equation on edge j; otherwise the end on edge j reaches R first,
+    and the end on edge i solves one.  So each event is O(1) from prefix sums
+    of the shoelace terms, at the angle of its chord, and events are walked
+    only up to the angle asked for.  At an angle, (i, j) fixes the pair of
+    vertex levels around the cut, [max(u_i+1, u_j), min(u_i, u_j+1)]; on it
+    the chord length w and the boundary length are linear in the level and
+    the area is the integral of w, so one closed-form evaluation from w at
+    both ends gives the offset.  Coordinates are measured from the first
+    vertex, so no shoelace term or level cancels far from the origin.
 
-    K increasing angles cost O(m + K) after O(m) set-up, in O(m) memory.
-    `state` is (b, t, i, j) at the last angle; assigning an earlier state
-    walks the next angle from there.
+    K increasing angles within a half turn cost O(m + K) in O(m) memory, with
+    no per-angle walk.  `state` is (i, j, the angle of the next event, whether
+    the end on edge i makes it); assigning an earlier state walks the next
+    angle from there.
     """
 
     def __init__(self, c: ConvexPolygon, fraction: float):
         self.origin = x0, y0 = c.vertices[0]
-        V = [(x - x0, y - y0) for x, y in c.vertices]
-        m = len(V)
-        ring = V + V + V[:1]
-        self.m = m
-        self.xs = [p[0] for p in V]
-        self.ys = [p[1] for p in V]
-        self.edges = [math.dist(p, q) for p, q in zip(V, ring[1:])]
-        # prefix sums of the shoelace terms and the edge lengths, over the
-        # ring doubled once so that every arc is one difference
-        self.cross = [0.0]
-        self.length = [0.0]
-        for k, (p, q) in enumerate(zip(ring, ring[1:])):
-            self.cross.append(self.cross[-1] + (p[0] * q[1] - p[1] * q[0]))
-            self.length.append(self.length[-1] + self.edges[k % m])
+        self.m = m = len(c.vertices)
+        # the ring doubled, so that every arc of fewer than m vertices is a
+        # difference of prefix sums of the shoelace terms and edge lengths
+        self.xs = xs = [x - x0 for x, _ in c.vertices] * 2
+        self.ys = ys = [y - y0 for _, y in c.vertices] * 2
+        ax, ay, bx, by = xs[:m], ys[:m], xs[1:m + 1], ys[1:m + 1]
+        self.edges = list(map(math.hypot, map(sub, bx, ax), map(sub, by, ay))) * 2
+        self.cross = list(accumulate(list(map(sub, map(mul, ax, by), map(mul, ay, bx))) * 2,
+                                     initial=0.0))
+        self.length = list(accumulate(self.edges, initial=0.0))
         self.want = fraction * c.area
-        self.area = c.area
-        self.perimeter = c.perimeter
-        self.state: Optional[Tuple[int, int, int, int]] = None
+        self.area, self.perimeter = c.area, c.perimeter
+        self.state: Optional[Tuple[int, int, float, bool]] = None
 
-    def _cut(self, i: int, j: int, ui, ui1, uj, uj1, level: float):
-        """Area, boundary length and chord of the part below `level`, when
-        v[i+1..j] is the part of the boundary below it; ui .. uj1 are the
-        levels of v_i, v_i+1, v_j, v_j+1."""
-        m, xs, ys = self.m, self.xs, self.ys
-        p, q, r, s = i % m, (i + 1) % m, j % m, (j + 1) % m
-        # the shares of edges i and j below the level; a flat end edge lies
-        # on the level, so either end of it closes the same area
-        share_in = (level - ui1) / (ui - ui1) if ui > ui1 else 0.0
-        share_out = (level - uj) / (uj1 - uj) if uj1 > uj else 0.0
-        ex = xs[q] + share_in * (xs[p] - xs[q])
-        ey = ys[q] + share_in * (ys[p] - ys[q])
-        fx = xs[r] + share_out * (xs[s] - xs[r])
-        fy = ys[r] + share_out * (ys[s] - ys[r])
-        # the arc's edges i+1 .. j-1, read off the doubled ring
-        start = q
-        stop = start + (j - i - 1)
-        area = 0.5 * (
-            self.cross[stop] - self.cross[start]
-            + (ex * ys[q] - ey * xs[q]) + (xs[r] * fy - ys[r] * fx) + (fx * ey - fy * ex)
-        )
-        chord = math.hypot(fx - ex, fy - ey)
-        perim = (
-            self.length[stop] - self.length[start]
-            + share_in * self.edges[p] + share_out * self.edges[r] + chord
-        )
-        return area, perim, chord
+    def _below(self, i: int, j: int, ui, ui1, uj, uj1, level: float):
+        """Area, shares of edges i and j and chord below `level`, when the arc
+        v[i+1..j] is below it; ui .. uj1 are the levels of v_i .. v_j+1."""
+        xs, ys = self.xs, self.ys
+        # a flat end edge lies on the level: either end of it closes the area
+        a = (level - ui1) / (ui - ui1) if ui > ui1 else 0.0
+        b = (level - uj) / (uj1 - uj) if uj1 > uj else 0.0
+        px, py, qx, qy = xs[i + 1], ys[i + 1], xs[j], ys[j]
+        ex, ey = px + a * (xs[i] - px), py + a * (ys[i] - py)
+        fx, fy = qx + b * (xs[j + 1] - qx), qy + b * (ys[j + 1] - qy)
+        area = 0.5 * (self.cross[j] - self.cross[i + 1] + (ex * py - ey * px)
+                      + (qx * fy - qy * fx) + (fx * ey - fy * ex))
+        return area, a, b, math.hypot(fx - ex, fy - ey)
+
+    def _start(self, theta: float) -> Tuple[int, int]:
+        """(i, j) at theta, from one pass over the levels: the arc holds the
+        vertices below the lowest vertex level whose cut holds the target.
+        Levels rise along b..t, from the lowest vertex to the highest, and
+        fall along t..b+m, so bisections find that level and the arc."""
+        m, n0, n1 = self.m, -math.sin(theta), math.cos(theta)
+        u = [x * n0 + y * n1 for x, y in zip(self.xs[:m], self.ys[:m])]
+        b = min(range(m), key=u.__getitem__)
+        u += u
+        t = max(range(b, b + m), key=u.__getitem__)
+
+        def arc(level: float, strict: bool) -> Tuple[int, int]:
+            # the edges out of the vertices below the level (or at it)
+            j = (bisect_left if strict else bisect_right)(u, level, b, t) - 1
+            i = (bisect_right if strict else bisect_left)(u, -level, t + 1, b + m + 1, key=neg) - 1
+            return (i - m, j) if i >= m else (i, j + m)
+
+        def holds(k: int) -> bool:
+            i, j = arc(u[k], False)
+            return self._below(i, j, u[i], u[i + 1], u[j], u[j + 1], u[k])[0] >= self.want
+
+        rising = b + bisect_left(range(b, t + 1), True, key=holds)
+        falling = t - 1 + bisect_left(range(t, b + m + 1), True, key=lambda k: not holds(k))
+        return arc(min(u[rising], u[falling]), True)
+
+    def _next_event(self, i: int, j: int, theta: float) -> Tuple[float, bool]:
+        """The angle of the first event after theta from (i, j), and whether
+        the end on edge i makes it (else the end on edge j)."""
+        xs, ys, twice = self.xs, self.ys, 2.0 * self.want
+        px, py, qx, qy, rx, ry = xs[i + 1], ys[i + 1], xs[j], ys[j], xs[j + 1], ys[j + 1]
+        # twice the area of the arc P..R closed by its chord
+        arc = self.cross[j + 1] - self.cross[i + 1] + (rx * py - ry * px)
+        falling = arc >= twice
+        if falling:
+            # the chord from P ends short of R by the share of the triangle
+            # PQR that the arc holds beyond the target
+            s = (arc - twice) / ((qx - px) * (ry - qy) - (qy - py) * (rx - qx))
+            dx, dy = rx - s * (rx - qx) - px, ry - s * (ry - qy) - py
+        else:
+            # the chord to R starts on edge i, adding the triangle E P R
+            ix, iy = xs[i], ys[i]
+            s = (twice - arc) / ((rx - px) * (iy - py) - (ry - py) * (ix - px))
+            dx, dy = rx - px - s * (ix - px), ry - py - s * (iy - py)
+        # the chord's angle, unwrapped to lie within a half turn of theta
+        return theta + (math.atan2(dy, dx) - theta + math.pi) % math.tau - math.pi, falling
 
     def point(self, theta: float) -> ProfilePoint:
-        """The profile point at theta, walked from `state`, whose angle must
-        lie less than a half turn below theta."""
-        m, xs, ys, want = self.m, self.xs, self.ys, self.want
-        n0, n1 = -math.sin(theta), math.cos(theta)
-
-        def u(k: int) -> float:
-            k %= m
-            return xs[k] * n0 + ys[k] * n1
-
+        """The profile point at theta, walked from `state`, which must come
+        from an angle less than a half turn below theta."""
         if self.state is None:
-            b = min(range(m), key=u)
-            t = max(range(b, b + m), key=u)
-            i, j = b - 1, b
-        else:
-            b, t, i, j = self.state
-            while u(t + 1) > u(t):
-                t += 1
-            while u(b + 1) < u(b):
-                b += 1
-            # keep the arc's ends on the chains t-m..b and b..t
-            j, i = max(j, b), max(i, t - m)
-            # turning lifts the arc's left end against the right chain
-            while u(j + 1) < u(i + 1):
-                j += 1
-            while j > b and u(j) > u(i):
-                j -= 1
+            i, j = self._start(theta)
+            self.state = (i, j, *self._next_event(i, j, theta))
+        i, j, ahead, falling = self.state
+        while ahead <= theta:
+            i, j = (i + 1, j) if falling else (i, j + 1)
+            if i == self.m:
+                i, j = 0, j - self.m
+            ahead, falling = self._next_event(i, j, ahead)
+        self.state = (i, j, ahead, falling)
+        return self._evaluate(i, j, theta)
 
-        def cut(level: float):
-            return self._cut(i, j, u(i), u(i + 1), u(j), u(j + 1), level)
-
-        # drop the higher arc end while the area below it reaches the
-        # target, then take the lower outside vertex while it falls short;
-        # below and above keep each loop's last probe, at lo and at hi, until
-        # i or j move again
-        below = above = None
-        while j > i + 1:
-            if (below := cut(max(u(i + 1), u(j))))[0] < want:
-                break
-            below = None
-            if u(j) >= u(i + 1):
-                j -= 1
-            else:
-                i += 1
-        while j - i < m - 1:
-            if (above := cut(min(u(i), u(j + 1))))[0] >= want:
-                break
-            above = below = None
-            if u(j + 1) <= u(i):
-                j += 1
-            else:
-                i -= 1
-
-        lo, hi = max(u(i + 1), u(j)), min(u(i), u(j + 1))
-        area_a, perim_a, chord = below or cut(lo)
-        offset = lo
+    def _evaluate(self, i: int, j: int, theta: float) -> ProfilePoint:
+        """The closed-form point at theta, when edges i and j hold the cut."""
+        xs, ys, want = self.xs, self.ys, self.want
+        n0, n1 = -math.sin(theta), math.cos(theta)
+        ix, iy, px, py = xs[i], ys[i], xs[i + 1], ys[i + 1]
+        qx, qy, rx, ry = xs[j], ys[j], xs[j + 1], ys[j + 1]
+        ui, ui1 = ix * n0 + iy * n1, px * n0 + py * n1
+        uj, uj1 = qx * n0 + qy * n1, rx * n0 + ry * n1
+        lo, hi = max(ui1, uj), min(ui, uj1)
+        area_a, a, b, chord = self._below(i, j, ui, ui1, uj, uj1, lo)
+        level = lo
         # when two vertex levels tie (a diagonal through two vertices), the
         # area at lo may round up to the target: the cut then runs at lo
         if area_a < want:
-            _, perim_hi, chord_hi = above or cut(hi)
+            a_hi = (hi - ui1) / (ui - ui1) if ui > ui1 else 0.0
+            b_hi = (hi - uj) / (uj1 - uj) if uj1 > uj else 0.0
+            chord_hi = math.hypot(qx + b_hi * (rx - qx) - px - a_hi * (ix - px),
+                                  qy + b_hi * (ry - qy) - py - a_hi * (iy - py))
             h, dw = hi - lo, chord_hi - chord
             f1 = area_a + 0.5 * h * (chord + chord_hi)
             x = rising_quadratic_root(area_a, area_a + h * (3.0 * chord + chord_hi) / 8.0, f1, want)
-            offset = lo + x * h
+            level = lo + x * h
             area_a += h * x * (chord + 0.5 * dw * x)
-            perim_a += x * (perim_hi - perim_a)
+            a += x * (a_hi - a)
+            b += x * (b_hi - b)
             chord += x * dw
-        if b >= m:
-            b, t, i, j = b - m, t - m, i - m, j - m
-        self.state = (b, t, i, j)
+        perim_a = (self.length[j] - self.length[i + 1]
+                   + a * self.edges[i] + b * self.edges[j] + chord)
         perim_b = self.perimeter - perim_a + 2.0 * chord
-        x0, y0 = self.origin
-        return ProfilePoint(
-            theta, offset + (x0 * n0 + y0 * n1), area_a, self.area - area_a, perim_a, perim_b,
-            chord, perim_a / perim_b,
-        )
+        offset = level + (self.origin[0] * n0 + self.origin[1] * n1)
+        return ProfilePoint(theta, offset, area_a, self.area - area_a, perim_a, perim_b, chord,
+                            perim_a / perim_b, level)
 
     def scan(self, thetas: List[float]) -> Tuple[List[ProfilePoint], list]:
         """The points at increasing angles, and the state after each."""
@@ -352,8 +349,8 @@ def perimeter_ratio_profile(
     Piece a always carries the smaller area share, so rho is continuous
     on [0, pi).  Towards pi, piece a becomes the share on the other side of
     the theta = 0 cut, so rho tends to rho(0) only for a centrally
-    symmetric region (to 1/rho(0) when a = b).  One chord sweep: O(m + samples) for m vertices, in
-    O(m) memory."""
+    symmetric region (to 1/rho(0) when a = b).  One chord sweep: O(m +
+    samples) for m vertices, in O(m) memory."""
     return _ChordSweep(c, target.fraction).scan(_angle_grid(samples))[0]
 
 
@@ -382,7 +379,8 @@ def find_scaled_fair_cut(
     `perimeter_ratio_profile`), so the sweep evaluates theta = pi itself to
     bracket the last interval; a cut at pi is the theta = 0 line with its
     pieces swapped, so pi is only ever a bracket end.  At 1:1, rho(pi) is
-    1/rho(0), so a sign change always exists.  O(m + samples)."""
+    1/rho(0), so a sign change always exists.  O(m + samples) for the grid;
+    each bisection step walks the events from its bracket's left end."""
     _check_tol(tol)
     sweep = _ChordSweep(c, target.fraction)
     points, states = sweep.scan(_angle_grid(samples) + [math.pi])
@@ -397,7 +395,7 @@ def find_scaled_fair_cut(
         sign = 1.0 if gaps[j] < 0 else -1.0
 
         def point(theta: float) -> ProfilePoint:
-            sweep.state = states[j]  # each step walks from the bracket's left end
+            sweep.state = states[j]  # each step walks the events from the bracket's left end
             return sweep.point(theta)
 
         theta = bisect_root(
@@ -408,7 +406,8 @@ def find_scaled_fair_cut(
         p = q if abs(q.rho - target.rho) <= tol else None
     if p is None:
         return FairCutResult(False, None, None, min(rhos), max(rhos))
-    return FairCutResult(True, LineCut(p.theta, p.offset), p.rho, min(rhos), max(rhos))
+    cut = LineCut(p.theta, p.offset, sweep.origin, p.level)
+    return FairCutResult(True, cut, p.rho, min(rhos), max(rhos))
 
 
 def disc_chord_analysis(target: RatioTarget) -> dict:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
-MAX_NGON_VERTICES = 100_000  # each fair-cut command costs O(n) per angle
+MAX_NGON_VERTICES = 100_000  # a fair-cut command over K angles costs O(n + K)
 
 Point = tuple[float, float]
 

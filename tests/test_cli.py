@@ -20,7 +20,8 @@ import pytest
 from convexkit import cli
 from convexkit.cli import main, svg_outlines
 from convexkit.extremal import interpolate_constant_width
-from convexkit.kernel import ArcPolygon, SupportBody
+from convexkit.fairpart import RatioTarget, perimeter_ratio_profile
+from convexkit.kernel import ArcPolygon, SupportBody, regular_ngon
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")
@@ -320,6 +321,21 @@ def test_fairpart_profile(tmp_path):
     assert abs(float(report["rho_min"]) - 0.5) <= 1e-9
     assert float(report["rho_max"]) >= 17 / 19 - 1e-9
     assert_no_raw_floats(report)
+
+
+def test_fairpart_profile_names_the_first_angle_of_each_extreme(tmp_path):
+    """On a regular 64-gon rho repeats every 2 pi / 64, so each extreme is
+    reached at several grid angles, equal up to rounding; the report names
+    the first of them, in the first period, whatever the summation order."""
+    rc, report, _ = run(tmp_path, "fairpart", "profile", "--shape", "ngon:64", "--ratio", "1:3")
+    assert rc == 0
+    rhos = [p.rho for p in perimeter_ratio_profile(regular_ngon(64), RatioTarget(1, 3), 720)]
+    for key, extreme in (("theta_at_min", min(rhos)), ("theta_at_max", max(rhos))):
+        ties = [k for k, rho in enumerate(rhos) if abs(rho - extreme) <= 1e-12 * extreme]
+        assert len(ties) > 1
+        theta = float(report[key])
+        assert theta == ties[0] * math.pi / 720
+        assert 0.0 <= theta < 2 * math.pi / 64
 
 
 def test_fairpart_solve_with_svg(tmp_path):

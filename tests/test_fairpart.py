@@ -21,7 +21,7 @@ from convexkit.fairpart import (
     solve_band,
     split,
 )
-from reference import convex_hull, solve_offset_for_area
+from reference import convex_hull, cut_area, solve_offset_for_area
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
 
@@ -303,11 +303,9 @@ def test_exact_cut_holds_the_area_on_random_polygons(polar, theta, fraction):
     assert abs(sr.area_a - fraction * c.area) <= 1e-12 * c.area
 
 
-def _grid_shapes():
+def _grid_shapes(large=(64, 255, 1024, 4096)):
     rect = st.builds(rectangle, st.floats(0.05, 20.0), st.floats(0.05, 20.0))
-    ngon = st.builds(
-        regular_ngon, st.one_of(st.integers(3, 40), st.sampled_from([64, 255, 1024, 4096]))
-    )
+    ngon = st.builds(regular_ngon, st.one_of(st.integers(3, 40), st.sampled_from(large)))
     hull = st.lists(
         st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.5, 3.0)), min_size=3, max_size=40
     ).map(lambda polar: convex_hull([(r * math.cos(a), r * math.sin(a)) for a, r in polar]))
@@ -324,35 +322,71 @@ def _grid_shapes():
     samples=st.integers(4, 40),
 )
 def test_sweep_matches_the_offset_oracle_at_every_grid_angle(shape, target, samples):
-    if isinstance(shape, ConvexPolygon):
-        c = shape
-    else:
-        assume(len(shape) >= 3)
-        try:
-            c = ConvexPolygon(shape)
-        except ValueError:
-            assume(False)
-        assume(c.area >= 0.05)
+    c = _grid_polygon(shape)
     points, _ = _ChordSweep(c, target.fraction).scan(_angle_grid(samples))
     for p in points:
         _check_sweep_point(c, target.fraction, p)
 
 
-def test_sweep_makes_about_two_boundary_evaluations_per_angle(monkeypatch):
-    """The offset at each angle comes from the walk's own probes at the two
-    ends of its bracket, with no midpoint or final evaluation."""
-    calls = []
-    cut = _ChordSweep._cut
+def _grid_polygon(shape):
+    """The polygon of a `_grid_shapes` draw, or a rejected draw."""
+    if isinstance(shape, ConvexPolygon):
+        return shape
+    assume(len(shape) >= 3)
+    try:
+        c = ConvexPolygon(shape)
+    except ValueError:
+        assume(False)
+    assume(c.area >= 0.05)
+    return c
 
-    def counted(self, *args):
-        calls.append(args)
-        return cut(self, *args)
 
-    monkeypatch.setattr(_ChordSweep, "_cut", counted)
-    for c, most in ((rectangle(4, 1), 1450), (regular_ngon(64), 1600)):
-        calls.clear()
-        perimeter_ratio_profile(c, RatioTarget(1, 3), samples=720)
-        assert len(calls) <= most
+class _LoggedSweep(_ChordSweep):
+    """A sweep that counts its closed-form evaluations and logs its events
+    as (angle, index of the vertex an end of the cut passes there)."""
+
+    def __init__(self, c, fraction):
+        super().__init__(c, fraction)
+        self.evaluations, self.events = 0, []
+
+    def _evaluate(self, i, j, theta):
+        self.evaluations += 1
+        return super()._evaluate(i, j, theta)
+
+    def _next_event(self, i, j, theta):
+        angle, falling = super()._next_event(i, j, theta)
+        self.events.append((angle, (i + 1 if falling else j + 1) % self.m))
+        return angle, falling
+
+
+def test_sweep_makes_one_evaluation_per_angle_and_few_events():
+    """Each grid angle is one closed-form evaluation, with no walk; between
+    angles the sweep takes only the events where an end of the cut passes a
+    vertex, at most 2m of them over [0, pi]."""
+    for shape, events in ((rectangle(4, 1), 4), (regular_ngon(64), 64)):
+        sweep = _LoggedSweep(shape, RatioTarget(1, 3).fraction)
+        sweep.scan(_angle_grid(720) + [math.pi])
+        assert sweep.evaluations == 721
+        # the last event logged is the first one past pi
+        taken = [angle for angle, _ in sweep.events if angle <= math.pi]
+        assert len(taken) == len(sweep.events) - 1 == events <= 2 * len(shape)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shape=_grid_shapes(large=(64, 255)), fraction=st.floats(0.02, 0.5),
+       samples=st.integers(4, 40))
+def test_every_event_chord_holds_the_target_area(shape, fraction, samples):
+    """At each event, the cut through the vertex that an end passes there
+    holds the target area.  Each check is O(m), so the n-gons stop at 255."""
+    c = _grid_polygon(shape)
+    sweep = _LoggedSweep(c, fraction)
+    sweep.scan(_angle_grid(samples) + [math.pi])
+    assert sweep.events
+    for angle, k in sweep.events:
+        n = (-math.sin(angle), math.cos(angle))
+        x, y = c.vertices[k]
+        area = cut_area(c.vertices, n, x * n[0] + y * n[1])
+        assert abs(area - fraction * c.area) <= 1e-12 * c.area
 
 
 def _scaled(c, k):
@@ -414,7 +448,7 @@ def _moved(c, dx, dy):
 def test_fair_cut_answers_do_not_depend_on_position(shape, target, dx, dy):
     """Moving a polygon with dyadic coordinates by integers up to 2^27 is
     exact, and keeps the found flag and the sampled rho range; a found cut
-    still splits the moved polygon a:b, up to the rounding of its offset."""
+    still splits the moved polygon a:b."""
     if not isinstance(shape, ConvexPolygon):
         assume(len(shape) >= 3)
         try:
@@ -429,13 +463,10 @@ def test_fair_cut_answers_do_not_depend_on_position(shape, target, dx, dy):
     assert res_moved.rho_min == pytest.approx(res.rho_min, rel=1e-12)
     assert res_moved.rho_max == pytest.approx(res.rho_max, rel=1e-12)
     if res_moved.found:
-        # the reported offset is a level of the moved plane: adding the first
-        # vertex's level, and taking it off again in split, each round it by
-        # up to 2^-53 (|dx| + |dy| + 8); the chord, shorter than half the
-        # perimeter, turns that into area
+        # split takes the cut's offset from the first vertex, as the sweep
+        # solved it, so no level of the moved plane is rounded
         sr = split(moved, res_moved.cut)
-        slack = 2.0 ** -52 * (abs(dx) + abs(dy) + 8) * moved.perimeter
-        assert abs(sr.area_a - target.fraction * moved.area) <= slack + 1e-9 * moved.area
+        assert abs(sr.area_a - target.fraction * moved.area) <= 1e-12 * moved.area
 
 
 def test_profile_is_sampled_lipschitz():
