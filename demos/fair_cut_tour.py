@@ -17,7 +17,7 @@ from convexkit.fairpart import (
     solve_band,
     split,
 )
-from convexkit.kernel import rectangle, regular_ngon
+from convexkit.kernel.polygon import rectangle, regular_ngon
 
 target = RatioTarget(1, 3)
 print(f"target: areas {target}, perimeters sqrt(1/3) = {target.rho:.9f}")

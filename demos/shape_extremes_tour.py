@@ -18,7 +18,8 @@ from convexkit.extremal import (
     min_diameter_survey,
     reuleaux_metrics,
 )
-from convexkit.kernel import ArcPolygon, ConvexPolygon
+from convexkit.kernel.arcs import ArcPolygon
+from convexkit.kernel.polygon import ConvexPolygon
 
 print("== the longest shape: a lens ==")
 area, perimeter = 0.5, 4.0

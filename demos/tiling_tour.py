@@ -5,17 +5,16 @@ Run as a script; each section prints what it computes.
 
 from fractions import Fraction
 
-from convexkit.tiling import (
+from convexkit.tiling.hcn import (
     HcnContext,
-    enumerate_layouts,
+    divisor_count,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
-    parse_tileset,
-    search_isoperimetric,
-    verify_layout,
 )
-from convexkit.tiling.hcn import divisor_count
+from convexkit.tiling.isoperimetric import search_isoperimetric
+from convexkit.tiling.search import enumerate_layouts
+from convexkit.tiling.tiles import parse_tileset, verify_layout
 
 SEVEN = """\
 10 19/2

@@ -9,36 +9,10 @@ metric geometry.
 - extremal: diameter extremizers at fixed area and perimeter (lens
   maximizer, constant-width and sector families at the low end)
 - polyhedra: distinct convex solids sharing one face multiset
+- kernel: the primitives they share; cli: the `convexkit` command
 
 Exact layers use fractions.Fraction; float layers pin tolerances per
-operation.
+operation.  Every name is imported from the module that defines it (for
+example `from convexkit.kernel.polygon import rectangle`); the packages
+re-export nothing, so importing one subsystem loads only what it uses.
 """
-
-from . import extremal, fairpart, kernel, polyhedra, tiling
-from .kernel import (
-    ConvexPolygon,
-    ParamSolution,
-    Rational,
-    SupportBody,
-    rectangle,
-    regular_ngon,
-    support_body_metrics,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConvexPolygon",
-    "ParamSolution",
-    "Rational",
-    "SupportBody",
-    "extremal",
-    "fairpart",
-    "kernel",
-    "polyhedra",
-    "rectangle",
-    "regular_ngon",
-    "support_body_metrics",
-    "tiling",
-    "__version__",
-]

@@ -44,10 +44,10 @@ from .fairpart import (
     solve_band,
     split,
 )
-from .kernel import (
-    ArcPolygon, ConvexPolygon, SupportBody, rectangle, regular_ngon, support_body_metrics
-)
+from .kernel.arcs import ArcPolygon
+from .kernel.polygon import ConvexPolygon, rectangle, regular_ngon
 from .kernel.rational import format_rational, parse_rational
+from .kernel.support import SupportBody, support_body_metrics
 from .polyhedra import (
     Mesh,
     NoSuchSolid,
@@ -60,23 +60,19 @@ from .polyhedra import (
     mesh_summary,
     mesh_to_obj,
 )
-from .tiling import (
+from .tiling.hcn import (
     HcnContext,
-    UnsupportedInstance,
     build_hcn_tileset,
+    construct_split_layout,
     construct_width_layout,
-    enumerate_layouts,
+    divisor_count,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
-    layout_to_dict,
-    load_layout,
-    load_tileset,
-    search_isoperimetric,
-    serialize_tileset,
-    verify_layout,
 )
-from .tiling.hcn import construct_split_layout, divisor_count
+from .tiling.isoperimetric import search_isoperimetric
+from .tiling.search import UnsupportedInstance, enumerate_layouts
+from .tiling.tiles import layout_to_dict, load_layout, load_tileset, serialize_tileset, verify_layout
 
 PX_PER_UNIT = 20.0
 

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .kernel import ArcPolygon, bisect_root
+from .kernel.arcs import ArcPolygon
+from .kernel.roots import bisect_root
 
 REULEAUX_AREA_COEFF = 0.5 * (math.pi - math.sqrt(3.0))
 

@@ -36,8 +36,10 @@ from itertools import accumulate
 from operator import mul, neg, sub
 from typing import List, NamedTuple, Optional, Tuple
 
-from .kernel import ConvexPolygon, bisect_root, rising_quadratic_root
-from .kernel.polygon import EPS, dedupe_ring, is_convex_ring, ring_area, ring_perimeter
+from .kernel.polygon import (
+    EPS, ConvexPolygon, dedupe_ring, is_convex_ring, ring_area, ring_perimeter
+)
+from .kernel.roots import bisect_root, rising_quadratic_root
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,12 @@
 
 Vertices are stored counterclockwise with the lexicographically smallest
 vertex first. Construction rejects an area that is 0 or not a finite float,
-drops points within 1e-12 (relative to the coordinate scale) of their
-predecessor, and middle points whose turn sine is at most 1e-12; everything
-else runs at the 1e-9 tolerance used across the floating-point paths.  The
-minimum width and the diameter are `ArcPolygon.polygon(vertices).widths()`.
+drops points within 1e-12 times the polygon's extent (the longer side of
+its bounding box, so the tolerance does not grow with the distance from the
+origin) of their predecessor, and middle points whose turn sine is at most
+1e-12; everything else runs at the 1e-9 tolerance used across the
+floating-point paths.  The minimum width and the diameter are
+`ArcPolygon.polygon(vertices).widths()`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ class ConvexPolygon:
         area = ring_area(pts)
         if not (math.isfinite(area) and area != 0.0):
             raise ValueError(f"polygon has a non-finite coordinate, or an area of {area}")
-        scale = max(max(abs(x), abs(y)) for x, y in pts) or 1.0
+        xs, ys = zip(*pts)
+        scale = max(max(xs) - min(xs), max(ys) - min(ys))
         if area < 0:
             pts.reverse()
 

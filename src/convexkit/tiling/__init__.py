@@ -1,102 +1,4 @@
-"""Rectangle tilings: exact verification, exhaustive search, floorplan
-combinatorics, equal-semiperimeter census, and divisor-record families."""
-
-from .tiles import (
-    DefectReport,
-    Layout,
-    Placement,
-    Tile,
-    TileFileError,
-    TileSet,
-    layout_from_json,
-    layout_to_dict,
-    layout_to_json,
-    load_layout,
-    load_tileset,
-    parse_tileset,
-    serialize_tileset,
-    split_extension,
-    verify_layout,
-)
-from .search import (
-    DEFAULT_TILE_CAP,
-    TilingResult,
-    UnsupportedInstance,
-    enumerate_layouts,
-)
-from .floorplans import (
-    MAX_ROOMS,
-    Floorplan,
-    baxter_count,
-    enumerate_floorplans,
-    floorplan_from_code,
-    iter_floorplans,
-)
-from .isoperimetric import (
-    ForcedPair,
-    IsoSearchResult,
-    IsoWitness,
-    build_isoperimetric_system,
-    distinct_area_param,
-    forced_equal_pair,
-    search_isoperimetric,
-    solve_isoperimetric,
-)
-from .hcn import (
-    HcnContext,
-    build_hcn_tileset,
-    construct_width_layout,
-    divisor_count,
-    divisors,
-    hcn_layout_census,
-    hcn_split_census,
-    hcn_up_to,
-    is_hcn,
-    triangular,
-)
-
-__all__ = [
-    "DefectReport",
-    "Layout",
-    "Placement",
-    "Tile",
-    "TileFileError",
-    "TileSet",
-    "layout_from_json",
-    "layout_to_dict",
-    "layout_to_json",
-    "load_layout",
-    "load_tileset",
-    "parse_tileset",
-    "serialize_tileset",
-    "split_extension",
-    "verify_layout",
-    "DEFAULT_TILE_CAP",
-    "TilingResult",
-    "UnsupportedInstance",
-    "enumerate_layouts",
-    "MAX_ROOMS",
-    "Floorplan",
-    "baxter_count",
-    "enumerate_floorplans",
-    "floorplan_from_code",
-    "iter_floorplans",
-    "ForcedPair",
-    "IsoSearchResult",
-    "IsoWitness",
-    "build_isoperimetric_system",
-    "distinct_area_param",
-    "forced_equal_pair",
-    "search_isoperimetric",
-    "solve_isoperimetric",
-    "HcnContext",
-    "build_hcn_tileset",
-    "construct_width_layout",
-    "divisor_count",
-    "divisors",
-    "hcn_layout_census",
-    "hcn_split_census",
-    "hcn_up_to",
-    "is_hcn",
-    "triangular",
-]
+"""Rectangle tilings: `tiles` (exact verification and tile files), `search`
+(exhaustive search), `floorplans` (floorplan combinatorics),
+`isoperimetric` (equal-semiperimeter census) and `hcn` (divisor-record
+families)."""

@@ -40,7 +40,7 @@ from itertools import chain, combinations
 from math import gcd
 from typing import FrozenSet, List, Optional, Tuple, Union
 
-from ..kernel import ParamSolution, PositivePoint, positive_point, solve_linear_exact
+from ..kernel.linsolve import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from .floorplans import MAX_ROOMS, Floorplan, iter_floorplans
 from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, verify_layout

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ..kernel import Rational, format_rational, parse_rational
+from ..kernel.rational import Rational, format_rational, parse_rational
 
 
 class TileFileError(ValueError):

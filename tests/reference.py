@@ -12,7 +12,8 @@ import math
 from typing import Sequence, Tuple
 
 from convexkit.fairpart import LineCut
-from convexkit.kernel import ConvexPolygon, rising_quadratic_root
+from convexkit.kernel.polygon import ConvexPolygon
+from convexkit.kernel.roots import rising_quadratic_root
 
 
 def cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:

@@ -27,14 +27,9 @@ from convexkit.fairpart import (
     perimeter_ratio_profile,
     solve_band,
 )
-from convexkit.kernel import (
-    ArcPolygon,
-    ConvexPolygon,
-    SupportBody,
-    rectangle,
-    regular_ngon,
-    support_body_metrics,
-)
+from convexkit.kernel.arcs import ArcPolygon
+from convexkit.kernel.polygon import ConvexPolygon, rectangle, regular_ngon
+from convexkit.kernel.support import SupportBody, support_body_metrics
 from convexkit.polyhedra import (
     build_cube_with_pyramids,
     build_decagonal_dipyramidal_antiprism,
@@ -45,18 +40,16 @@ from convexkit.polyhedra import (
     face_multiset,
     volume,
 )
-from convexkit.tiling import (
+from convexkit.tiling.floorplans import enumerate_floorplans
+from convexkit.tiling.hcn import (
     HcnContext,
-    enumerate_floorplans,
+    divisor_count,
     hcn_layout_census,
     hcn_split_census,
     hcn_up_to,
-    load_tileset,
-    parse_tileset,
-    search_isoperimetric,
-    verify_layout,
 )
-from convexkit.tiling.hcn import divisor_count
+from convexkit.tiling.isoperimetric import search_isoperimetric
+from convexkit.tiling.tiles import load_tileset, parse_tileset, verify_layout
 from reference import convex_hull
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -102,7 +95,7 @@ def test_criterion_01_seven_tile_example(tmp_path):
     assert any(
         (r["width"], r["height"]) == ("24", "18") for r in report["layouts"]
     )
-    from convexkit.tiling import enumerate_layouts
+    from convexkit.tiling.search import enumerate_layouts
 
     results = enumerate_layouts(ts)
     hit = [r for r in results if (r.width, r.height) == (24, 18)]
@@ -112,7 +105,7 @@ def test_criterion_01_seven_tile_example(tmp_path):
 @criterion(2, 1, "layout counts for the two reference tile multisets")
 def test_criterion_02_layout_counts():
     squares = parse_tileset("1 1 4\n")
-    from convexkit.tiling import enumerate_layouts
+    from convexkit.tiling.search import enumerate_layouts
 
     results = enumerate_layouts(squares)
     assert len(results) == 2

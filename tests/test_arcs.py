@@ -19,11 +19,8 @@ from convexkit.extremal import (
     lens_metrics,
     sector_metrics,
 )
-from convexkit.kernel import (
-    ArcPolygon,
-    SupportBody,
-    support_body_metrics,
-)
+from convexkit.kernel.arcs import ArcPolygon
+from convexkit.kernel.support import SupportBody, support_body_metrics
 from reference import random_convex_polygon
 
 SAMPLES = 28800

@@ -17,11 +17,13 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from convexkit import cli
+import convexkit.cli as cli
 from convexkit.cli import main, svg_outlines
 from convexkit.extremal import interpolate_constant_width
 from convexkit.fairpart import RatioTarget, perimeter_ratio_profile
-from convexkit.kernel import ArcPolygon, SupportBody, regular_ngon
+from convexkit.kernel.arcs import ArcPolygon
+from convexkit.kernel.polygon import regular_ngon
+from convexkit.kernel.support import SupportBody
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")
@@ -150,40 +152,42 @@ def test_tiling_search_iso_small_n(tmp_path, capsys):
     assert rc2 == 0
 
 
-def case_ids(cases):
-    """Name each case by the rule its input breaks, so a case keeps its
-    name when the wording of the error changes."""
-    return [f"argv{i}-{rule}" for i, (rule, _, _) in enumerate(cases)]
-
-
-# (rule the input breaks, argv, wording on stderr)
+# (test id, argv, wording on stderr).  Each id is written out and names the
+# rule the input breaks, so no id changes when a case is deleted or an
+# error is reworded; the argvN prefixes are part of the names, not positions.
 PROGRAM_LIMITS = [
-    ("floorplan cap of 9 rooms", ["tiling", "search-iso", "--n", "10"], "floorplan cap of 9 rooms"),
-    ("exhaustive-search cap of 3", ["tiling", "enumerate", "--cap", "3"],
+    ("argv0-floorplan cap of 9 rooms", ["tiling", "search-iso", "--n", "10"],
+     "floorplan cap of 9 rooms"),
+    ("argv1-exhaustive-search cap of 3", ["tiling", "enumerate", "--cap", "3"],
      "exhaustive-search cap of 3"),
-    ("--n must be at least 2", ["tiling", "search-iso", "--n", "1"], "n must be in 2..9, got 1"),
-    ("--limit must be at least 1", ["tiling", "search-iso", "--n", "7", "--limit", "0"],
+    ("argv2---n must be at least 2", ["tiling", "search-iso", "--n", "1"],
+     "n must be in 2..9, got 1"),
+    ("argv3---limit must be at least 1", ["tiling", "search-iso", "--n", "7", "--limit", "0"],
      "limit must be >= 1, got 0"),
-    ("--limit must be at least 1", ["tiling", "hcn", "--limit", "0"], "limit must be >= 1"),
-    ("--limit excludes a census",
+    ("argv4---limit must be at least 1", ["tiling", "hcn", "--limit", "0"], "limit must be >= 1"),
+    ("argv5---limit excludes a census",
      ["tiling", "hcn", "--limit", "10", "--h", "60", "--i", "5", "--length", "4"], "not both"),
-    ("--limit excludes a census", ["tiling", "hcn", "--limit", "10", "--length", "4"], "not both"),
-    ("census placement cap",
+    ("argv6---limit excludes a census", ["tiling", "hcn", "--limit", "10", "--length", "4"],
+     "not both"),
+    ("argv7-census placement cap",
      ["tiling", "hcn", "--h", "720720", "--i", "1", "--length", "4", "--svg"],
      "census cap of 500,000"),
-    ("census placement cap",
+    ("argv8-census placement cap",
      ["tiling", "split", "--h", "720720", "--i", "1", "--length", "4", "--svg"],
      "census cap of 500,000"),
-    ("polygon cap of 100,000 vertices",
+    ("argv9-polygon cap of 100,000 vertices",
      ["fairpart", "profile", "--shape", "ngon:100001", "--ratio", "1:3"],
      "polygon cap of 100,000 vertices"),
-    ("polygon cap of 100,000 vertices", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "100001"],
+    ("argv10-polygon cap of 100,000 vertices",
+     ["fairpart", "disc", "--ratio", "1:3", "--ngon", "100001"],
      "polygon cap of 100,000 vertices"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,message", [case[1:] for case in PROGRAM_LIMITS], ids=case_ids(PROGRAM_LIMITS)
+    "argv,message",
+    [case[1:] for case in PROGRAM_LIMITS],
+    ids=[case[0] for case in PROGRAM_LIMITS],
 )
 def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, message):
     """A program limit or an out-of-range flag is no answer:
@@ -380,37 +384,41 @@ def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv):
     assert not (tmp_path / "report.json").exists()
 
 
+# (test id, argv, wording on stderr), ids written out as in PROGRAM_LIMITS
 BAD_FAIRPART_NUMBERS = [
-    ("--ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "2"], "need n >= 3"),
-    ("--ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "-5"], "need n >= 3"),
-    ("--shape sides must be positive",
+    ("argv0---ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "2"],
+     "need n >= 3"),
+    ("argv1---ngon must be 0", ["fairpart", "disc", "--ratio", "1:3", "--ngon", "-5"],
+     "need n >= 3"),
+    ("argv2---shape sides must be positive",
      ["fairpart", "band", "--shape", "rect:0x1", "--ratio", "1:3"],
      "rectangle dimensions must be positive"),
-    ("--tol must be positive",
+    ("argv3---tol must be positive",
      ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--tol", "-1"],
      "tol must be positive, got -1"),
-    ("--tol must be positive", ["fairpart", "disc", "--ratio", "1:3", "--tol", "0"],
+    ("argv4---tol must be positive", ["fairpart", "disc", "--ratio", "1:3", "--tol", "0"],
      "--tol: must be positive, got 0"),
-    ("--tol must be positive",
+    ("argv5---tol must be positive",
      ["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3", "--tol", "nan"],
      "tol must be positive, got nan"),
-    ("--samples must be at least 4",
+    ("argv6---samples must be at least 4",
      ["fairpart", "profile", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
      "need at least 4 angle samples, got 3"),
-    ("--samples must be at least 4",
+    ("argv7---samples must be at least 4",
      ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "3"],
      "need at least 4 angle samples, got 3"),
-    ("--samples must be at least 4",
+    ("argv8---samples must be at least 4",
      ["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--samples", "3"],
      "--samples: must be at least 4, got 3"),
     # --samples without --ngon reaches no library call
-    ("--samples must be at least 4", ["fairpart", "disc", "--ratio", "1:3", "--samples", "3"],
+    ("argv9---samples must be at least 4",
+     ["fairpart", "disc", "--ratio", "1:3", "--samples", "3"],
      "--samples: must be at least 4, got 3"),
     # the area of these squares overflows a float
-    ("--shape area must be finite",
+    ("argv10---shape area must be finite",
      ["fairpart", "profile", "--shape", "rect:1e160x1e160", "--ratio", "1:3"],
      "an area of inf"),
-    ("--shape area must be finite",
+    ("argv11---shape area must be finite",
      ["fairpart", "solve", "--shape", "rect:1e200x1e200", "--ratio", "1:3"],
      "an area of inf"),
 ]
@@ -419,7 +427,7 @@ BAD_FAIRPART_NUMBERS = [
 @pytest.mark.parametrize(
     "argv, message",
     [case[1:] for case in BAD_FAIRPART_NUMBERS],
-    ids=case_ids(BAD_FAIRPART_NUMBERS),
+    ids=[case[0] for case in BAD_FAIRPART_NUMBERS],
 )
 def test_fairpart_bad_numbers_are_usage_errors(tmp_path, capsys, argv, message):
     # exit 2 even under --expect-infeasible: a bad input is no negative answer

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel import (
-    ArcPolygon,
-    ConvexPolygon,
-    SupportBody,
-    support_body_metrics,
-)
+from convexkit.kernel.arcs import ArcPolygon
+from convexkit.kernel.polygon import ConvexPolygon
+from convexkit.kernel.support import SupportBody, support_body_metrics
 from convexkit.extremal import (
     CONJECTURED_CROSSOVER,
     REULEAUX_AREA_COEFF,

@@ -4,10 +4,11 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel import ArcPolygon, ConvexPolygon, rectangle, regular_ngon
+from convexkit.kernel.arcs import ArcPolygon
+from convexkit.kernel.polygon import ConvexPolygon, rectangle, regular_ngon
 from convexkit.fairpart import (
     LineCut,
     RatioTarget,
@@ -445,10 +446,12 @@ def _moved(c, dx, dy):
     dx=st.integers(-2**27, 2**27),
     dy=st.integers(-2**27, 2**27),
 )
+@example(shape=rectangle(1, 1), target=RatioTarget(1, 1), dx=2**27, dy=2**27)
 def test_fair_cut_answers_do_not_depend_on_position(shape, target, dx, dy):
     """Moving a polygon with dyadic coordinates by integers up to 2^27 is
     exact, and keeps the found flag and the sampled rho range; a found cut
-    still splits the moved polygon a:b."""
+    still splits the moved polygon a:b, and a cut just above the lowest
+    vertex cuts off the same thin piece."""
     if not isinstance(shape, ConvexPolygon):
         assume(len(shape) >= 3)
         try:
@@ -467,6 +470,12 @@ def test_fair_cut_answers_do_not_depend_on_position(shape, target, dx, dy):
         # solved it, so no level of the moved plane is rounded
         sr = split(moved, res_moved.cut)
         assert abs(sr.area_a - target.fraction * moved.area) <= 1e-12 * moved.area
+    # 2^-17 of the height, so the moved level is exact too
+    ys = [y for _, y in shape.vertices]
+    low = min(ys) + (max(ys) - min(ys)) / 2**17
+    thin, thin_moved = split(shape, LineCut(0.0, low)), split(moved, LineCut(0.0, low + dy))
+    assert thin is not None and thin_moved is not None
+    assert thin_moved.area_a == thin.area_a
 
 
 def test_profile_is_sampled_lipschitz():

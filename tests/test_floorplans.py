@@ -15,7 +15,7 @@ from itertools import permutations
 
 import pytest
 
-from convexkit.tiling import (
+from convexkit.tiling.floorplans import (
     baxter_count,
     enumerate_floorplans,
     floorplan_from_code,
@@ -189,7 +189,7 @@ def test_enumerate_bounds():
 def test_stopped_walk_leaves_no_garbage():
     """A walk dropped part way, with its carried values, is freed by
     reference counting alone, as is one run to the end."""
-    from convexkit.tiling import isoperimetric
+    import convexkit.tiling.isoperimetric as isoperimetric
 
     gc.collect()
     was_enabled = gc.isenabled()

@@ -13,13 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit.tiling import hcn as hcn_module
-from convexkit.tiling import (
+import convexkit.tiling.hcn as hcn_module
+from convexkit.tiling.hcn import (
     HcnContext,
-    Layout,
-    Placement,
-    UnsupportedInstance,
+    _partition_widths,
     build_hcn_tileset,
+    construct_split_layout,
     construct_width_layout,
     divisor_count,
     divisors,
@@ -27,11 +26,10 @@ from convexkit.tiling import (
     hcn_split_census,
     hcn_up_to,
     is_hcn,
-    split_extension,
     triangular,
-    verify_layout,
 )
-from convexkit.tiling.hcn import _partition_widths, construct_split_layout
+from convexkit.tiling.search import UnsupportedInstance
+from convexkit.tiling.tiles import Layout, Placement, split_extension, verify_layout
 
 # Record-setters up to 1,500,000 and their divisor counts.
 RECORDS = [

@@ -11,23 +11,29 @@ from hypothesis import strategies as st
 
 import convexkit.tiling.floorplans as floorplans
 import convexkit.tiling.isoperimetric as isoperimetric
-from convexkit.kernel import ParamSolution, PositivePoint, positive_point, solve_linear_exact
-from convexkit.tiling import (
+from convexkit.kernel.linsolve import (
+    ParamSolution,
+    PositivePoint,
+    positive_point,
+    solve_linear_exact,
+)
+from convexkit.tiling.floorplans import (
     Floorplan,
-    ForcedPair,
-    UnsupportedInstance,
     baxter_count,
+    enumerate_floorplans,
+    floorplan_from_code,
+    iter_floorplans,
+)
+from convexkit.tiling.isoperimetric import (
+    ForcedPair,
     build_isoperimetric_system,
     distinct_area_param,
-    enumerate_floorplans,
     forced_equal_pair,
-    iter_floorplans,
-    load_layout,
-    load_tileset,
     search_isoperimetric,
     solve_isoperimetric,
-    verify_layout,
 )
+from convexkit.tiling.search import UnsupportedInstance
+from convexkit.tiling.tiles import load_layout, load_tileset, verify_layout
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -119,6 +125,28 @@ def test_walk_line_equals_the_fresh_solve(n):
         assert ParamSolution(names, [point, direction], den) == solve_isoperimetric(fp)
         count += 1
     assert count == baxter_count(n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from("VH"), st.integers(0, 2**16)), min_size=9, max_size=29))
+def test_large_floorplans_solve_to_a_line(picks):
+    """The n room rows and the two pins are independent past the walk's
+    n <= 9 too: a random floorplan with 10 to 30 rooms solves to a line.
+    Each pick is a move and, modulo the length of the wall it pushes, its
+    push count, so every code is valid."""
+    code, left, top = [], 1, 1  # rooms on the left and top walls
+    for move, k in picks:
+        if move == "V":
+            j = 1 + k % left
+            left, top = 1 + left - j, top + 1
+        else:
+            j = 1 + k % top
+            left, top = left + 1, 1 + top - j
+        code.append((move, j))
+    fp = floorplan_from_code(code)
+    assert fp.n == len(picks) + 1
+    sol = solve_isoperimetric(fp)
+    assert sol is not None and sol.dim == 1
 
 
 def result_key(result):

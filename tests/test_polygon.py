@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from convexkit.kernel import ArcPolygon
+from convexkit.kernel.arcs import ArcPolygon
 from convexkit.kernel.polygon import (
     ConvexPolygon,
     rectangle,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit.kernel import bisect_root, rising_quadratic_root
+from convexkit.kernel.roots import bisect_root, rising_quadratic_root
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

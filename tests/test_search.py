@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexkit.tiling import (
-    Tile,
-    TileSet,
+from convexkit.tiling.search import (
     UnsupportedInstance,
+    _search_fill,
+    _side_sums,
     enumerate_layouts,
-    parse_tileset,
-    verify_layout,
 )
-from convexkit.tiling.search import _search_fill, _side_sums
+from convexkit.tiling.tiles import Tile, TileSet, parse_tileset, verify_layout
 
 
 def dims_of(results):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from convexkit.tiling import (
+from convexkit.tiling.tiles import (
     DefectReport,
     Layout,
     Placement,
