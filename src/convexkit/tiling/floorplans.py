@@ -103,12 +103,16 @@ def enumerate_floorplans(n: int) -> List[Floorplan]:
     return [fp for fp, _ in iter_floorplans(n)]
 
 
-def floorplan_from_code(code) -> Floorplan:
-    """Rebuild the floorplan for one insertion code."""
-    state = _ROOT
+def descend(code, grow=None, root=None) -> Tuple[Floorplan, object]:
+    """The floorplan of one insertion code, with the value that
+    `iter_floorplans(len(code) + 1, grow, root)` carries to it."""
+    state, value = _ROOT, root
     for move, j in code:
-        state = _insert(*state, move, j)
-    return state[0]
+        state, parent = _insert(*state, move, j), state
+        if grow:  # the value of the child on the code's path, in move order
+            k = j - 1 + (len(parent[1]) if move == "H" else 0)
+            value = grow(value, *parent, parent[0].n == len(code))[k]
+    return state[0], value
 
 
 def baxter_count(n: int) -> int:

@@ -5,15 +5,33 @@ one angle's offset by bisection over the vertex levels, with no state
 carried between angles.  `convex_hull` is the monotone chain that the
 tests and `random_convex_polygon` build their polygons with; the latter
 draws seeded hulls for the polygon and arc-kernel sweeps.
+`search_isoperimetric_full_walk` is the oracle of `search_isoperimetric`:
+it walks the whole insertion tree and decides every floorplan, with no
+mirror half.
 """
 
 import bisect
 import math
-from typing import Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from convexkit.fairpart import LineCut
+from convexkit.kernel.linsolve import ParamSolution, positive_point
 from convexkit.kernel.polygon import ConvexPolygon
 from convexkit.kernel.roots import rising_quadratic_root
+from convexkit.tiling.floorplans import Floorplan, iter_floorplans
+from convexkit.tiling.isoperimetric import (
+    _ROOT_LINE,
+    ForcedPair,
+    IsoSearchResult,
+    IsoWitness,
+    _canonical,
+    _grow_lines,
+    _segment_names,
+    _witness,
+    distinct_area_param,
+    forced_equal_pair,
+    solve_isoperimetric,
+)
 
 
 def cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
@@ -92,3 +110,51 @@ def random_convex_polygon(rng, max_vertices: int = 12) -> ConvexPolygon:
             except ValueError:
                 continue
 
+
+def search_isoperimetric_full_walk(n: int, limit: Optional[int] = None) -> IsoSearchResult:
+    """`search_isoperimetric` over the whole insertion tree: every floorplan
+    is decided on its walked line in the canonical parametrization, and
+    `forced` lists the pairs in walk order."""
+    witnesses: List[IsoWitness] = []
+    forced: List[ForcedPair] = []
+    residual: List[Floorplan] = []
+    examined = infeasible = certified_empty = 0
+    for fp, line in iter_floorplans(n, _grow_lines, _ROOT_LINE):
+        examined += 1
+        if line is None:  # a degenerate update: solve this floorplan afresh
+            sol = solve_isoperimetric(fp)
+            if sol is None:
+                infeasible += 1
+                continue
+            if sol.dim > 1:
+                residual.append(fp)
+                continue
+            (p, d), e = sol.nums, sol.den
+        else:
+            sol = None
+            p, d, e = _canonical(fp, *line[:3])
+        # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
+        widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
+        pp = positive_point(widths + [(e - c, -a) for c, a in widths])
+        if pp.certified_empty:
+            certified_empty += 1
+            continue
+        equal = forced_equal_pair(widths, e)
+        if isinstance(equal, ForcedPair):
+            forced.append(equal)
+            continue
+        if sol is None:
+            sol = ParamSolution(_segment_names(fp), [p, d], e)
+        witnesses.append(_witness(fp, sol, distinct_area_param(pp, equal)))
+        if limit is not None and len(witnesses) >= limit:
+            break
+    if witnesses:
+        status = "witnesses"
+    elif residual:
+        status = "inconclusive"
+    else:
+        status = "exhausted-no-solution"
+    return IsoSearchResult(
+        n, status, tuple(witnesses), tuple(forced), tuple(residual), examined,
+        infeasible, certified_empty,
+    )

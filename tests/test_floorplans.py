@@ -17,8 +17,8 @@ import pytest
 
 from convexkit.tiling.floorplans import (
     baxter_count,
+    descend,
     enumerate_floorplans,
-    floorplan_from_code,
     iter_floorplans,
 )
 
@@ -112,7 +112,7 @@ def test_codes_are_distinct_and_replayable():
         codes = {fp.code for fp in plans}
         assert len(codes) == len(plans)
         for fp in plans:
-            assert floorplan_from_code(fp.code) == fp
+            assert descend(fp.code) == (fp, None)
 
 
 def test_enumeration_order_is_pinned():
@@ -131,10 +131,11 @@ def test_enumeration_order_is_pinned():
 def test_walk_yields_the_pinned_order_with_each_value_on_its_child():
     """`iter_floorplans` is the walk behind `enumerate_floorplans`, and a
     value grown down the tree reaches the leaf it was made for: growing
-    each child's insertion code gives every leaf its own code."""
+    each child's insertion code gives every leaf its own code, on the walk
+    and on `descend`'s one path to the leaf."""
 
     def grow(code, fp, left, top, leaf):
-        assert code == fp.code
+        assert code == fp.code and leaf == (fp.n + 1 == n)
         moves = [("V", j) for j in range(1, len(left) + 1)] + [("H", j) for j in range(1, len(top) + 1)]
         return [code + (move,) for move in moves]
 
@@ -142,16 +143,17 @@ def test_walk_yields_the_pinned_order_with_each_value_on_its_child():
         walked = list(iter_floorplans(n, grow, ()))
         assert [fp for fp, _ in walked] == enumerate_floorplans(n)
         assert all(code == fp.code for fp, code in walked)
+        assert all(descend(fp.code, grow, ()) == (fp, code) for fp, code in walked)
         assert all(value is None for _, value in iter_floorplans(n))
 
 
 def test_replay_rejects_bad_codes():
     with pytest.raises(ValueError):
-        floorplan_from_code((("X", 1),))
+        descend((("X", 1),))
     with pytest.raises(ValueError):
-        floorplan_from_code((("V", 2),))
+        descend((("V", 2),))
     with pytest.raises(ValueError):
-        floorplan_from_code((("H", 0),))
+        descend((("H", 0),))
 
 
 def test_room_segment_structure():

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -20,8 +21,8 @@ from convexkit.kernel.linsolve import (
 from convexkit.tiling.floorplans import (
     Floorplan,
     baxter_count,
+    descend,
     enumerate_floorplans,
-    floorplan_from_code,
     iter_floorplans,
 )
 from convexkit.tiling.isoperimetric import (
@@ -34,13 +35,14 @@ from convexkit.tiling.isoperimetric import (
 )
 from convexkit.tiling.search import UnsupportedInstance
 from convexkit.tiling.tiles import load_layout, load_tileset, verify_layout
+from reference import search_isoperimetric_full_walk
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.mark.parametrize(
     "n,examined",
-    [(2, 2), (3, 6), (4, 22), (5, 92)],
+    [(2, 2), (3, 6), (4, 22), (5, 92), (6, 422)],
 )
 def test_small_counts_are_certified_impossible(n, examined):
     result = search_isoperimetric(n)
@@ -50,6 +52,9 @@ def test_small_counts_are_certified_impossible(n, examined):
     assert not result.residual
     # every floorplan has exactly one of the five outcomes
     assert result.infeasible + result.certified_empty + len(result.forced) == examined
+    # up to n = 5 every floorplan forces a pair; at n = 6, 20 have no
+    # all-positive point and 402 force a pair
+    assert (result.infeasible, result.certified_empty) == (0, 20 if n == 6 else 0)
 
 
 def full_system(fp):
@@ -127,13 +132,12 @@ def test_walk_line_equals_the_fresh_solve(n):
     assert count == baxter_count(n)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.sampled_from("VH"), st.integers(0, 2**16)), min_size=9, max_size=29))
-def test_large_floorplans_solve_to_a_line(picks):
-    """The n room rows and the two pins are independent past the walk's
-    n <= 9 too: a random floorplan with 10 to 30 rooms solves to a line.
-    Each pick is a move and, modulo the length of the wall it pushes, its
-    push count, so every code is valid."""
+# a random code with 10 to 30 rooms: each pick is a move and, modulo the
+# length of the wall it pushes, its push count, so every code is valid
+large_codes = st.lists(st.tuples(st.sampled_from("VH"), st.integers(0, 2**16)), min_size=9, max_size=29)
+
+
+def code_from_picks(picks):
     code, left, top = [], 1, 1  # rooms on the left and top walls
     for move, k in picks:
         if move == "V":
@@ -143,16 +147,73 @@ def test_large_floorplans_solve_to_a_line(picks):
             j = 1 + k % top
             left, top = left + 1, 1 + top - j
         code.append((move, j))
-    fp = floorplan_from_code(code)
+    return code
+
+
+def mirror(code):
+    return [("H" if move == "V" else "V", j) for move, j in code]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(large_codes)
+def test_large_floorplans_solve_to_a_line(picks):
+    """The n room rows and the two pins are independent past the walk's
+    n <= 9 too: a random floorplan with 10 to 30 rooms solves to a line."""
+    fp = descend(code_from_picks(picks))[0]
     assert fp.n == len(picks) + 1
     sol = solve_isoperimetric(fp)
     assert sol is not None and sol.dim == 1
 
 
+def line_outcome(fp):
+    """Whether fp's line has no all-positive point, and the pair of rooms
+    forced to equal areas on it (None when no pair is forced)."""
+    sol = solve_isoperimetric(fp)
+    (p, d), e = sol.nums, sol.den
+    widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
+    empty = positive_point(widths + [(e - c, -a) for c, a in widths]).certified_empty
+    equal = forced_equal_pair(widths, e)
+    return empty, equal if isinstance(equal, ForcedPair) else None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(large_codes)
+def test_mirror_code_has_the_same_outcome(picks):
+    """Swapping V and H in a code reflects the floorplan in the diagonal
+    through the top-left corner, which swaps each room's width and height:
+    past the walk's n <= 9 too, the mirror has an all-positive point iff
+    the floorplan has, and forces the same pair by the same relation."""
+    code = code_from_picks(picks)
+    fp, image = descend(code)[0], descend(mirror(code))[0]
+    assert line_outcome(image) == line_outcome(fp)
+
+
+def witness_key(w):
+    return (w.floorplan, w.solution, w.values, w.layout, w.tileset.tiles, w.areas)
+
+
+@pytest.mark.parametrize(
+    "n,limit", [(n, None) for n in range(2, 9)] + [(n, k) for n in (7, 8) for k in (1, 2, 5, 100)]
+)
+def test_search_equals_the_full_walk(n, limit):
+    """The search, which takes the ("H", 1) half of the tree from its
+    mirror image when it may, answers as the walk of the whole tree: the
+    same status, counts and residual floorplans, the same witnesses field
+    by field in walk order, and the same forced pairs as a multiset (the
+    mirror half repeats the walked half's pairs in the walked half's
+    order).  A limit of 5 at n = 7 and 8 runs past the ("V", 1) half."""
+    got, want = search_isoperimetric(n, limit), search_isoperimetric_full_walk(n, limit)
+    assert (got.status, got.examined, got.infeasible, got.certified_empty, got.residual) == (
+        want.status, want.examined, want.infeasible, want.certified_empty, want.residual
+    )
+    assert [witness_key(w) for w in got.witnesses] == [witness_key(w) for w in want.witnesses]
+    assert Counter(got.forced) == Counter(want.forced)
+
+
 def result_key(result):
     return (
         result.status, result.examined, result.infeasible, result.certified_empty,
-        [(fp.code, pair) for fp, pair in result.forced], result.residual,
+        result.forced, result.residual,
         [(w.floorplan.code, w.solution, w.values, w.areas, w.layout) for w in result.witnesses],
     )
 
@@ -175,7 +236,11 @@ def test_degenerate_updates_fall_back_to_the_fresh_solve(monkeypatch):
 def test_limit_stops_the_walk(monkeypatch):
     """The search consumes the walk as a stream: a limit of one witness
     builds fewer floorplans than the 2,618 insertions of the whole n = 7
-    tree, and the unlimited search builds exactly those."""
+    tree.  The unlimited search walks the ("V", 1) half (1,309
+    insertions), then builds the ("H", 1) child of the root and the path to
+    its first leaf with the siblings on it (3 + 4 + 5 + 6 + 7), where it
+    stops; carrying each of the 4 mirrored witnesses' lines down its code
+    takes 6 more."""
     calls = []
     insert = floorplans._insert
 
@@ -185,7 +250,8 @@ def test_limit_stops_the_walk(monkeypatch):
 
     monkeypatch.setattr(floorplans, "_insert", counting)
     search_isoperimetric(7)
-    assert len(calls) == sum(baxter_count(k) for k in range(2, 8)) == 2618
+    whole = sum(baxter_count(k) for k in range(2, 8))
+    assert len(calls) == whole // 2 + 1 + sum(range(3, 8)) + 4 * 6 == 1359
     calls.clear()
     assert search_isoperimetric(7, limit=1).examined == 241
     assert 241 <= len(calls) < 2618 // 2  # 308
@@ -264,7 +330,7 @@ def test_nine_room_census():
 def test_two_rooms_forced_equal_widths():
     result = search_isoperimetric(2)
     assert len(result.forced) == 2
-    for fp, pair in result.forced:
+    for pair in result.forced:
         assert (pair.room_i, pair.room_j) == (0, 1)
         assert pair.relation == "w0 = w1"
 
