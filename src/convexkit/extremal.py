@@ -50,11 +50,20 @@ def _check_lengths(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
+def _segment_over_cube(alpha: float) -> float:
+    """(alpha - sin(alpha) cos(alpha)) / alpha^3, the circular segment of
+    radius 1 and half-angle alpha over alpha^3, falling from 2/3 at 0 to
+    4/pi^2 at pi/2.  Below 0.1 it is a Taylor series, free of cancellation
+    and underflow; above, the difference loses less than 1e-13."""
+    if alpha >= 0.1:
+        return (alpha - math.sin(alpha) * math.cos(alpha)) / (alpha * alpha * alpha)
+    return sum((-4.0 * alpha * alpha) ** k * 4.0 / math.factorial(2 * k + 3) for k in range(6))
+
+
 def lens_metrics(lens: Lens) -> dict:
-    r = lens.arc_radius
-    a = lens.alpha
+    r, a = lens.arc_radius, lens.alpha
     return {
-        "area": 2.0 * r * r * (a - math.sin(a) * math.cos(a)),
+        "area": 2.0 * (r * a) ** 2 * a * _segment_over_cube(a),
         "perimeter": 4.0 * a * r,
         "diameter": lens.diameter,
     }
@@ -62,7 +71,7 @@ def lens_metrics(lens: Lens) -> dict:
 
 def _lens_ratio(alpha: float) -> float:
     """area / perimeter^2 of the lens with half-angle alpha; scale-free."""
-    return (alpha - math.sin(alpha) * math.cos(alpha)) / (8.0 * alpha * alpha)
+    return alpha * _segment_over_cube(alpha) / 8.0
 
 
 def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
@@ -77,7 +86,11 @@ def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
     if u >= u_disc:
         alpha = math.pi / 2
     else:
-        alpha = bisect_root(lambda a: _lens_ratio(a) - u, 1e-12, math.pi / 2, xtol=1e-15)
+        # the ratio is alpha/8 times 4/pi^2 to 2/3, so 12 u <= alpha <= 20 u
+        hi = min(20.0 * u, math.pi / 2)
+        alpha = bisect_root(lambda a: _lens_ratio(a) - u, 12.0 * u, hi, xtol=1.2e-14 * u)
+    if not math.isfinite(perimeter / alpha):  # the arc radius is p / (4 alpha)
+        raise ValueError(f"area / perimeter^2 = {u:.3g} is too small: the lens's arc radius overflows")
     d = perimeter * math.sin(alpha) / (2.0 * alpha)
     return Lens(d, alpha)
 

@@ -3,9 +3,29 @@
 For a fixed floorplan, requiring every room to have semiperimeter 1
 (any other value is a rescaling) gives a linear system.  Its only free
 unknowns are the n+3 segment coordinates: a room's width and height are
-differences of two of them.  That is n+2 equations in n+3 unknowns, so a
-consistent system has a solution space of dimension at least 1; every
-floorplan with n <= MAX_ROOMS gives a line.
+differences of two of them.  That is n+2 equations in n+3 unknowns.
+
+Theorem: the system of every mosaic floorplan has rank n+2, so its
+solutions form a line.  Proof, in the network view of Brooks, Smith, Stone
+and Tutte (Duke Math. J. 1940): (1) with the walls pinned at 0, the
+homogeneous system says h = -w for each room.  (2) The rooms just above an
+interior horizontal segment s lie side by side from its left end to its
+right end, and so do the rooms just below: for any x both width sums
+telescope to its length.  With h = -w the heights above and below then sum
+alike, so y is harmonic, with unit weights, at s: the sum of y_t - y_s
+over the rooms above equals that of y_s - y_b below.  So is x at each
+interior vertical segment.  (3) So y = Y*phi and x = X*psi, for the
+harmonic phi and psi that are 0 on the bottom and left walls and 1 on the
+top and right ones.  From any interior segment rooms lead strictly down to
+the bottom wall and strictly up to the top (left and right for x), and a
+harmonic function is constant along such a path from an inner extremum: by
+this strong maximum principle 0 < phi, psi < 1 inside.  (4) A top-wall
+room with bottom b has h = Y*(1 - phi_b) = -w, and 1 - phi_b > 0, so X
+fixes Y, and Y = 0 would zero every w and so X: the null space is one
+line, with X, Y != 0 on it.  With T-junctions only, each insertion adds
+one room and one segment (a cross would merge two: the 2 x 2 grid's rows
+are dependent), so the n+3 unknowns have rank n+2, the full row rank, and
+every system is consistent.
 
 The search solves no system per floorplan.  It walks the insertion tree
 once (`iter_floorplans`) and derives each child's line from its parent's:
@@ -15,11 +35,10 @@ An insertion pushes some wall rooms off their wall by the new room's
 extent, which moves their right-hand sides by that extent, and adds the
 new room's row: one equation in two parameters (`_grow_lines`).  So an
 internal node costs O(n^2) and a leaf O(n), not an (n+2) x (n+3)
-elimination.  A degenerate update, which no floorplan with n <= 9 meets,
-leaves its subtree to the fresh elimination of `solve_isoperimetric`.
+elimination, and by (3) and (4) no update is degenerate.
 
-Either way the line is parametrized by t, the height of the last room
-whose height varies on it.  Each room's width is then an integer form
+The line is parametrized by t, the height of the last room whose height
+varies on it.  Each room's width is then an integer form
 w_i = (C_i + A_i*t) / E over one E > 0, and its height 1 - w_i.  A t with
 every w_i and 1 - w_i positive is one exact interval intersection.  Room
 areas are w*(1-w), so rooms i and j share area iff w_i = w_j or
@@ -41,8 +60,8 @@ search stops at the first ("H", 1) leaf, doubles its counts, repeats its
 forced pairs and decides each mirrored witness on its own line.
 
 The nine-room census examines 58,202 floorplans: 104 witnesses, 19,802
-certified empty, 38,296 forced pairs, none infeasible or residual.  It
-takes about 0.9 s at 20 MiB peak RSS on a 2-core machine (Python 3.11).
+certified empty and 38,296 forced pairs.  It takes about 0.9 s at 20 MiB
+peak RSS on a 2-core machine (Python 3.11).
 """
 
 from __future__ import annotations
@@ -106,14 +125,12 @@ def _canonical(fp: Floorplan, den: int, point: List[int], direction: List[int]):
 
 
 def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
-    """Exact solution space over the segment coordinates (x..., y...), or
-    None when the floorplan admits no unit-semiperimeter assignment at all
-    (signs ignored), by one elimination of the whole system.
-
-    A line comes back in the `_canonical` parametrization, so any two
-    parametrizations of one line come back alike; the solver's own line is
-    reparametrized in place.  A space of dimension 2 or more comes back as
-    solved."""
+    """The exact solution space over the segment coordinates (x..., y...)
+    by one elimination of the whole system: the walk's oracle.  A line, as
+    every mosaic floorplan gives, comes back in the `_canonical`
+    parametrization, so any two parametrizations of one line come back
+    alike.  Another floorplan may give None (no solution) or a space of
+    dimension 2 or more, returned as solved."""
     rows, rhs, names = build_isoperimetric_system(fp)
     sol = solve_linear_exact(rows, rhs, names)
     if sol is None or sol.dim > 1:
@@ -133,9 +150,7 @@ _ROOT_LINE = (1, [0, 1, 0, 0], [0, 1, 0, -1], {0: [0, 1, 0, 0]})
 
 
 def _grow_lines(line, fp: Floorplan, left, top, leaf: bool):
-    """The lines of fp's children from fp's own, for `iter_floorplans`, or
-    None for a child whose update is degenerate (its subtree is solved
-    afresh).
+    """The lines of fp's children from fp's own, for `iter_floorplans`.
 
     A move pushes the rooms R (a prefix of a wall) off that wall by the
     new room's extent sigma along the push: x_s for a V move, y_1 - y_s for
@@ -145,11 +160,10 @@ def _grow_lines(line, fp: Floorplan, left, top, leaf: bool):
     room's row g*v + sigma = 1 (g*v = y_1 - y_b for a V move over the
     pushed block's bottom b, x_r for an H move over its right r) is one
     more equation alpha*sigma + beta*tau = c in the two parameters, and the
-    child's point, direction and units are its solutions.  A child costs
-    O(n) per unit it keeps, and a leaf keeps none; alpha = beta = 0 is the
-    degenerate update."""
-    if line is None:
-        return [None] * (len(left) + len(top))
+    child's point, direction and units are its solutions.  beta is the new
+    room's height change along fp's direction, Y*(1 - phi_b), for a V move
+    and its width change X*psi_r for an H move, nonzero by the theorem.  A
+    child costs O(n) per unit it keeps, and a leaf keeps none."""
     rooms, nv, units = fp.rooms, fp.num_vsegs, line[3]
     out = []
     for move, wall in (("V", left), ("H", top)):
@@ -175,16 +189,10 @@ def _child_line(line, w, gi, gk, move, nv, keep, new):
     # room's unit and den for the new room's (its base is 0)
     alpha = den + w[gi] - w[gk]
     beta = direction[gi] - direction[gk]
-    # one solution per right-hand side, as numerators over k*den > 0:
-    # tau = 0 when alpha != 0, else sigma = 0
-    if alpha:
-        k, along, sig = alpha, w, den
-    elif beta:
-        k, along, sig = beta, direction, 0
-    else:
-        return None
-    if k < 0:
-        k, along, sig = -k, [-v for v in along], -sig
+    if not beta:
+        raise RuntimeError(f"degenerate update (beta = 0) by {move}: the system lost rank")
+    # one solution per right-hand side, sigma = 0, as numerators over k*den > 0
+    k, along = (beta, direction) if beta > 0 else (-beta, [-v for v in direction])
 
     def lift(v, sigma):
         # the new unknown: x_s = sigma (V, after the x segments) or
@@ -192,7 +200,7 @@ def _child_line(line, w, gi, gk, move, nv, keep, new):
         return v[:nv] + [sigma] + v[nv:] if move == "V" else v + [v[nv + 1] - sigma]
 
     def solve(base, c):
-        return lift([k * b + c * a for b, a in zip(base, along)], c * sig)
+        return lift([k * b + c * a for b, a in zip(base, along)], 0)
 
     p = solve(point, den - point[gi] + point[gk])
     d = lift([beta * a - alpha * b for a, b in zip(w, direction)], beta * den)
@@ -228,15 +236,16 @@ class IsoWitness:
 
 @dataclass(frozen=True)
 class IsoSearchResult:
-    """status: "witnesses", "exhausted-no-solution" (every floorplan
-    certified impossible) or "inconclusive" (some floorplan residual).
+    """status: "witnesses" or "exhausted-no-solution" (each floorplan certified impossible).
 
-    Each examined floorplan has one of five outcomes: `infeasible` (no
-    unit-semiperimeter assignment), `certified_empty` (an exact interval
-    certificate that no point of the line is all-positive), `forced` (its
-    pair of rooms with identically equal areas; a mirrored half repeats the
-    walked half's), `residual` (a solution space of dimension 2 or more,
-    which no floorplan with n <= MAX_ROOMS has) or `witnesses`.
+    Each examined floorplan has one of three outcomes: `certified_empty`
+    (an exact interval certificate that no point of the line is
+    all-positive), `forced` (its pair of rooms with identically equal
+    areas; a mirrored half repeats the walked half's) or `witnesses`.
+    By the theorem no floorplan is infeasible or left with a plane, so
+    `residual` is always () and `infeasible` always 0; they stay because
+    the pinned report key `residual_floorplans`, the pinned CLI line and
+    the benchmark's tracer read them.
     """
 
     n: int
@@ -311,14 +320,9 @@ def _witness(fp: Floorplan, line: ParamSolution, t: Fraction) -> IsoWitness:
 
 
 def _decide(fp: Floorplan, line):
-    """fp's outcome from the line the walk carries to it: "infeasible",
-    "residual", "certified_empty", its ForcedPair or its IsoWitness."""
-    sol = None
-    if line is None:  # a degenerate update: solve this floorplan afresh
-        sol = solve_isoperimetric(fp)
-        if sol is None or sol.dim > 1:
-            return "infeasible" if sol is None else "residual"
-    e, p, d = line[:3] if sol is None else (sol.den, *sol.nums)
+    """fp's outcome from the line the walk carries to it: "certified_empty",
+    its ForcedPair or its IsoWitness."""
+    (e, p, d), sol = line[:3], None
     while True:  # on the walk's line, then for a witness on the canonical one
         # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
         widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
@@ -347,12 +351,11 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
         raise ValueError(f"limit must be >= 1, got {limit}")
     witnesses: List[IsoWitness] = []
     forced: List[ForcedPair] = []
-    residual: List[Floorplan] = []
-    examined = infeasible = certified_empty = 0
+    examined = certified_empty = 0
     for fp, line in iter_floorplans(n, _grow_lines, _ROOT_LINE):
         # the ("H", 1) half mirrors the walked half, unless a limit may stop in it
-        if fp.code[:1] == (("H", 1),) and not residual and (limit is None or not witnesses):
-            examined, infeasible, certified_empty = 2 * examined, 2 * infeasible, 2 * certified_empty
+        if fp.code[:1] == (("H", 1),) and (limit is None or not witnesses):
+            examined, certified_empty = 2 * examined, 2 * certified_empty
             forced += forced
             mirrors = [tuple(("H" if m == "V" else "V", j) for m, j in w.floorplan.code) for w in witnesses]
             mirrors.sort(key=lambda code: [(m == "H", j) for m, j in code])
@@ -366,19 +369,7 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
                 break
         elif isinstance(outcome, ForcedPair):
             forced.append(outcome)
-        elif outcome == "residual":
-            residual.append(fp)
-        elif outcome == "infeasible":
-            infeasible += 1
         else:
             certified_empty += 1
-    if witnesses:
-        status = "witnesses"
-    elif residual:
-        status = "inconclusive"
-    else:
-        status = "exhausted-no-solution"
-    return IsoSearchResult(
-        n, status, tuple(witnesses), tuple(forced), tuple(residual), examined,
-        infeasible, certified_empty,
-    )
+    status = "witnesses" if witnesses else "exhausted-no-solution"
+    return IsoSearchResult(n, status, tuple(witnesses), tuple(forced), (), examined, 0, certified_empty)

@@ -18,7 +18,7 @@ from convexkit.fairpart import LineCut
 from convexkit.kernel.linsolve import ParamSolution, positive_point
 from convexkit.kernel.polygon import ConvexPolygon
 from convexkit.kernel.roots import rising_quadratic_root
-from convexkit.tiling.floorplans import Floorplan, iter_floorplans
+from convexkit.tiling.floorplans import iter_floorplans
 from convexkit.tiling.isoperimetric import (
     _ROOT_LINE,
     ForcedPair,
@@ -30,7 +30,6 @@ from convexkit.tiling.isoperimetric import (
     _witness,
     distinct_area_param,
     forced_equal_pair,
-    solve_isoperimetric,
 )
 
 
@@ -117,22 +116,10 @@ def search_isoperimetric_full_walk(n: int, limit: Optional[int] = None) -> IsoSe
     `forced` lists the pairs in walk order."""
     witnesses: List[IsoWitness] = []
     forced: List[ForcedPair] = []
-    residual: List[Floorplan] = []
-    examined = infeasible = certified_empty = 0
+    examined = certified_empty = 0
     for fp, line in iter_floorplans(n, _grow_lines, _ROOT_LINE):
         examined += 1
-        if line is None:  # a degenerate update: solve this floorplan afresh
-            sol = solve_isoperimetric(fp)
-            if sol is None:
-                infeasible += 1
-                continue
-            if sol.dim > 1:
-                residual.append(fp)
-                continue
-            (p, d), e = sol.nums, sol.den
-        else:
-            sol = None
-            p, d, e = _canonical(fp, *line[:3])
+        p, d, e = _canonical(fp, *line[:3])
         # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
         widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
         pp = positive_point(widths + [(e - c, -a) for c, a in widths])
@@ -143,18 +130,9 @@ def search_isoperimetric_full_walk(n: int, limit: Optional[int] = None) -> IsoSe
         if isinstance(equal, ForcedPair):
             forced.append(equal)
             continue
-        if sol is None:
-            sol = ParamSolution(_segment_names(fp), [p, d], e)
+        sol = ParamSolution(_segment_names(fp), [p, d], e)
         witnesses.append(_witness(fp, sol, distinct_area_param(pp, equal)))
         if limit is not None and len(witnesses) >= limit:
             break
-    if witnesses:
-        status = "witnesses"
-    elif residual:
-        status = "inconclusive"
-    else:
-        status = "exhausted-no-solution"
-    return IsoSearchResult(
-        n, status, tuple(witnesses), tuple(forced), tuple(residual), examined,
-        infeasible, certified_empty,
-    )
+    status = "witnesses" if witnesses else "exhausted-no-solution"
+    return IsoSearchResult(n, status, tuple(witnesses), tuple(forced), (), examined, 0, certified_empty)

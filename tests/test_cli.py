@@ -181,6 +181,11 @@ PROGRAM_LIMITS = [
     ("argv10-polygon cap of 100,000 vertices",
      ["fairpart", "disc", "--ratio", "1:3", "--ngon", "100001"],
      "polygon cap of 100,000 vertices"),
+    ("argv11-divisor-record cap of 1e+30", ["tiling", "hcn", "--limit", str(10**60)],
+     "divisor records up to 1.000e+60 exceed the cap of 1e+30"),
+    ("argv12-divisor-record cap of 1e+30",
+     ["tiling", "hcn", "--h", str(10**60), "--i", "4", "--length", "4"],
+     "divisor records up to 1.000e+60 exceed the cap of 1e+30"),
 ]
 
 

@@ -79,17 +79,18 @@ def test_max_diameter_shape_round_trips():
         assert abs(m["perimeter"] - p) <= 1e-9 * p
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     p=st.floats(min_value=0.01, max_value=1000.0),
-    share=st.floats(min_value=0.01, max_value=1.0),
+    exponent=st.floats(min_value=-30.0, max_value=0.0),
 )
-def test_every_lens_verifies(p, share):
-    # share of the disc bound p^2 / 4 pi, up to the disc itself
-    a = share * p * p / (4 * math.pi)
+def test_every_lens_verifies(p, exponent):
+    # area / p^2 from 1e-30 up to the disc bound 1 / 4 pi, the disc itself;
+    # a small lens's area must not cancel away in alpha - sin(alpha) cos(alpha)
+    a = min(10.0**exponent, 1 / (4 * math.pi)) * p * p
     m = lens_metrics(max_diameter_shape(a, p))
-    assert abs(m["area"] - a) <= 1e-9 * a
-    assert abs(m["perimeter"] - p) <= 1e-9 * p
+    assert abs(m["area"] - a) <= 1e-12 * a
+    assert abs(m["perimeter"] - p) <= 1e-12 * p
 
 
 def test_max_diameter_shape_disc_bound():
@@ -102,6 +103,9 @@ def test_max_diameter_shape_disc_bound():
     assert max_diameter_shape(a_disc * 1.001, p) is None
     with pytest.raises(ValueError):
         max_diameter_shape(-1.0, p)
+    # a lens so thin that its arc radius overflows a float
+    with pytest.raises(ValueError, match="arc radius overflows"):
+        max_diameter_shape(1e-310, 1.0)
 
 
 def test_lens_dominates_random_polygons():

@@ -124,7 +124,7 @@ def test_walk_line_equals_the_fresh_solve(n):
     ints over the same denominator once reduced."""
     count = 0
     for fp, line in iter_floorplans(n, isoperimetric._grow_lines, isoperimetric._ROOT_LINE):
-        assert line is not None  # no floorplan with n <= 9 meets a degenerate update
+        assert line is not None  # the walk carries a line to every floorplan
         point, direction, den = isoperimetric._canonical(fp, *line[:3])
         names = build_isoperimetric_system(fp)[2]
         assert ParamSolution(names, [point, direction], den) == solve_isoperimetric(fp)
@@ -132,9 +132,12 @@ def test_walk_line_equals_the_fresh_solve(n):
     assert count == baxter_count(n)
 
 
-# a random code with 10 to 30 rooms: each pick is a move and, modulo the
-# length of the wall it pushes, its push count, so every code is valid
-large_codes = st.lists(st.tuples(st.sampled_from("VH"), st.integers(0, 2**16)), min_size=9, max_size=29)
+# a random code with 1 to 30 rooms (10 to 30 for large_codes): each pick is
+# a move and, modulo the length of the wall it pushes, its push count, so
+# every code is valid
+pick = st.tuples(st.sampled_from("VH"), st.integers(0, 2**16))
+codes = st.lists(pick, max_size=29)
+large_codes = st.lists(pick, min_size=9, max_size=29)
 
 
 def code_from_picks(picks):
@@ -155,14 +158,39 @@ def mirror(code):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(large_codes)
+@given(codes)
 def test_large_floorplans_solve_to_a_line(picks):
-    """The n room rows and the two pins are independent past the walk's
-    n <= 9 too: a random floorplan with 10 to 30 rooms solves to a line."""
+    """The n room rows and the two pins are independent, past the walk's
+    n <= 9 too (the theorem): a random floorplan with 1 to 30 rooms solves
+    to a line."""
     fp = descend(code_from_picks(picks))[0]
     assert fp.n == len(picks) + 1
     sol = solve_isoperimetric(fp)
     assert sol is not None and sol.dim == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(codes)
+def test_the_rank_theorem_step_by_step(picks):
+    """The steps of the proof in the `isoperimetric` docstring, along the
+    fresh solve's direction of a random floorplan with 1 to 30 rooms: each
+    room has w = -h (step 1); y is harmonic at every interior horizontal
+    segment and x at every interior vertical one (step 2); and y_s / y_1
+    and x_s / x_1 lie strictly in (0, 1) there (step 3)."""
+    fp = descend(code_from_picks(picks))[0]
+    nv = fp.num_vsegs
+    d = solve_isoperimetric(fp).basis[0]
+    x, y = d[:nv], d[nv:]
+    for l, r, b, t in fp.rooms:
+        assert x[r] - x[l] == -(y[t] - y[b])
+    # a room's (l, r, b, t): for y its low and high sides are b and t,
+    # for x they are l and r
+    for v, lo, hi in ((y, 2, 3), (x, 0, 1)):
+        for s in range(2, len(v)):
+            above = [v[room[hi]] - v[s] for room in fp.rooms if room[lo] == s]
+            below = [v[s] - v[room[lo]] for room in fp.rooms if room[hi] == s]
+            assert above and below and sum(above) == sum(below)
+            assert 0 < v[s] / v[1] < 1
 
 
 def line_outcome(fp):
@@ -210,27 +238,13 @@ def test_search_equals_the_full_walk(n, limit):
     assert Counter(got.forced) == Counter(want.forced)
 
 
-def result_key(result):
-    return (
-        result.status, result.examined, result.infeasible, result.certified_empty,
-        result.forced, result.residual,
-        [(w.floorplan.code, w.solution, w.values, w.areas, w.layout) for w in result.witnesses],
-    )
-
-
-def test_degenerate_updates_fall_back_to_the_fresh_solve(monkeypatch):
-    """A child update with alpha = beta = 0 gives no line, and a leaf
-    without a line is solved afresh: with no line at the root every leaf
-    is, and the search answers as the walk does, witnesses included."""
+def test_a_degenerate_update_raises():
+    """By the theorem every insertion has beta != 0, so a child's line is
+    solved on beta alone; an update with beta = 0 is a bug and raises,
+    even where alpha != 0 would still give a point."""
     line = (1, [0, 0, 0, 0], [0, 0, 0, 0], {0: [0, 0, 0, 0]})
-    assert isoperimetric._child_line(line, [0, -1, 0, 0], 1, 0, "H", 2, None, 1) is None
-    assert isoperimetric._grow_lines(None, *floorplans._ROOT, True) == [None, None]
-    walked = [result_key(search_isoperimetric(n)) for n in (5, 6)]
-    walked.append(result_key(search_isoperimetric(7, limit=2)))
-    monkeypatch.setattr(isoperimetric, "_ROOT_LINE", None)
-    fresh = [result_key(search_isoperimetric(n)) for n in (5, 6)]
-    fresh.append(result_key(search_isoperimetric(7, limit=2)))
-    assert fresh == walked
+    with pytest.raises(RuntimeError, match="beta = 0"):
+        isoperimetric._child_line(line, [0, 0, 0, 0], 1, 0, "H", 2, None, 1)
 
 
 def test_limit_stops_the_walk(monkeypatch):
@@ -257,19 +271,14 @@ def test_limit_stops_the_walk(monkeypatch):
     assert 241 <= len(calls) < 2618 // 2  # 308
 
 
-def test_plane_solution_space_counts_as_residual(monkeypatch):
-    """A vertical segment that no room touches is free, so the solution
-    space is a plane: it comes back as solved, and the search counts the
-    floorplan as residual instead of deciding it.  No insertion reaches
-    such a floorplan, so the walk hands it over as a leaf without a line,
-    as after a degenerate update, and the search solves it afresh."""
+def test_a_non_mosaic_floorplan_solves_to_a_plane():
+    """The theorem needs the mosaic structure: a vertical segment that no
+    room touches is free, so the solution space is a plane, and the fresh
+    solve returns it as solved.  No insertion reaches such a floorplan."""
     spare = Floorplan(((0, 1, 0, 1), (0, 1, 0, 1)), 3, 2, ())
     sol = solve_isoperimetric(spare)
     assert sol.dim == 2
     assert sol == solve_linear_exact(*build_isoperimetric_system(spare))
-    monkeypatch.setattr(isoperimetric, "iter_floorplans", lambda n, grow, root: iter([(spare, None)]))
-    result = search_isoperimetric(2)
-    assert (result.status, result.residual, result.examined) == ("inconclusive", (spare,), 1)
 
 
 def test_seven_room_census():

@@ -13,9 +13,11 @@ import convexkit.cli as cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# each run exits 0; search-iso at n = 3 certifies that no tiling exists
+# each run exits 0; search-iso at n = 3 certifies that no tiling exists,
+# and at n = 7 builds a witness on the canonical line
 COMMANDS = [
     ["tiling", "search-iso", "--n", "3", "--expect-infeasible"],
+    ["tiling", "search-iso", "--n", "7", "--limit", "1"],
     ["tiling", "hcn", "--h", "60", "--i", "5", "--length", "4"],
     ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "16"],
     ["shapes", "interp", "--t", "0.5", "--samples", "64"],
@@ -44,7 +46,7 @@ def test_tracer_installs_traces_and_uninstalls(tmp_path):
         tracer.uninstall()
     assert cli.main is main
     assert metrics["cli.calls"] == len(COMMANDS)
-    for counter in ("tiling.isoperimetric.floorplans_examined", "tiling.hcn.census_widths",
-                    "kernel.polygon.constructs", "kernel.support.bodies", "polyhedra.meshes",
-                    "cli.bytes_written"):
+    for counter in ("tiling.isoperimetric.floorplans_examined", "tiling.isoperimetric.witnesses",
+                    "tiling.hcn.census_widths", "kernel.polygon.constructs", "kernel.support.bodies",
+                    "polyhedra.meshes", "cli.bytes_written"):
         assert metrics[counter] > 0, counter
