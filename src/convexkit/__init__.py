@@ -15,4 +15,17 @@ Exact layers use fractions.Fraction; float layers pin tolerances per
 operation.  Every name is imported from the module that defines it (for
 example `from convexkit.kernel.polygon import rectangle`); the packages
 re-export nothing, so importing one subsystem loads only what it uses.
+The records are `typing.NamedTuple`s or slotted classes, so importing
+convexkit loads no `dataclasses`.
 """
+
+
+class Frozen:
+    """Base of the slotted records that are immutable once built: `__init__`
+    sets each field with `object.__setattr__`, and a later assignment
+    raises AttributeError, as on a NamedTuple."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

@@ -522,8 +522,8 @@ def cmd_shapes_maxdiam(args) -> Handler:
         "perimeter": m["perimeter"],
     }
     lines.append(
-        f"lens: diameter={lens.diameter:.9f}, half-angle={lens.alpha:.9f}, "
-        f"arc radius={lens.arc_radius:.9f}"
+        f"lens: diameter={lens.diameter:.9g}, half-angle={lens.alpha:.9g}, "
+        f"arc radius={lens.arc_radius:.9g}"
     )
     if args.svg:
         files["outline.svg"] = svg_outlines([ArcPolygon.lens(lens.diameter, lens.alpha)])

@@ -16,28 +16,28 @@ must be positive and finite: NaN and infinity raise ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from . import Frozen
 from .kernel.arcs import ArcPolygon
 from .kernel.roots import bisect_root
 
 REULEAUX_AREA_COEFF = 0.5 * (math.pi - math.sqrt(3.0))
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(Frozen):
     """Intersection of two equal discs.  diameter d is the corner-to-corner
     chord; alpha in (0, pi/2] is the half-angle of each arc, pi/2 the disc."""
 
-    diameter: float
-    alpha: float
+    __slots__ = ("diameter", "alpha")
 
-    def __post_init__(self):
-        if self.diameter <= 0:
+    def __init__(self, diameter: float, alpha: float):
+        if diameter <= 0:
             raise ValueError("lens diameter must be positive")
-        if not (0.0 < self.alpha <= math.pi / 2 + 1e-12):
+        if not (0.0 < alpha <= math.pi / 2 + 1e-12):
             raise ValueError("lens half-angle must lie in (0, pi/2]")
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def arc_radius(self) -> float:

@@ -30,32 +30,33 @@ and the bands with rho = sqrt(a/b) are closed forms, not samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import mul, neg, sub
 from typing import List, NamedTuple, Optional, Tuple
 
+from . import Frozen
 from .kernel.polygon import (
     EPS, ConvexPolygon, dedupe_ring, is_convex_ring, ring_area, ring_perimeter
 )
 from .kernel.roots import bisect_root, rising_quadratic_root
 
 
-@dataclass(frozen=True)
-class RatioTarget:
+class RatioTarget(Frozen):
     """Area ratio a:b, stored with a <= b so piece one is never the larger."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
+    def __init__(self, a: int, b: int):
+        if a < 1 or b < 1:
             raise ValueError("ratio parts must be positive integers")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        object.__setattr__(self, "a", min(a, b))
+        object.__setattr__(self, "b", max(a, b))
+
+    def __eq__(self, other):
+        if not isinstance(other, RatioTarget):
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
 
     @property
     def fraction(self) -> float:
@@ -82,36 +83,34 @@ def parse_ratio(text: str) -> RatioTarget:
     return RatioTarget(a, b)
 
 
-@dataclass(frozen=True)
-class LineCut:
+class LineCut(Frozen):
     """theta normalized to [0, pi); the line is {p . n = offset} with
     n = (-sin theta, cos theta).  Piece a is the side p . n <= offset.  A cut
     solved on a polygon keeps its offset from the first vertex, `origin`, as
     `level`, which `split` uses: far from the origin offsets round."""
 
-    theta: float
-    offset: float
-    origin: Optional[Tuple[float, float]] = None
-    level: float = 0.0
+    __slots__ = ("theta", "offset", "origin", "level")
 
-    def __post_init__(self):
-        t = self.theta % math.pi
-        k = round((self.theta - t) / math.pi)
-        if t != self.theta:
-            object.__setattr__(self, "theta", t)
+    def __init__(self, theta: float, offset: float,
+                 origin: Optional[Tuple[float, float]] = None, level: float = 0.0):
+        t = theta % math.pi
+        if t != theta:
             # An odd multiple of pi flips the normal; negate the offsets so
             # the normalized cut describes the same line.
-            if k % 2 != 0:
-                object.__setattr__(self, "offset", -self.offset)
-                object.__setattr__(self, "level", -self.level)
+            if round((theta - t) / math.pi) % 2 != 0:
+                offset, level = -offset, -level
+            theta = t
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "level", level)
 
     @property
     def normal(self) -> Tuple[float, float]:
         return (-math.sin(self.theta), math.cos(self.theta))
 
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     """Areas and perimeters are measured before the pieces' vertices move
     back from the first vertex, so they hold wherever the polygon sits."""
 
@@ -356,8 +355,7 @@ def perimeter_ratio_profile(
     return _ChordSweep(c, target.fraction).scan(_angle_grid(samples))[0]
 
 
-@dataclass(frozen=True)
-class FairCutResult:
+class FairCutResult(NamedTuple):
     """found: a cut whose pieces have area ratio a:b and perimeter ratio
     sqrt(a/b) within tol.  Otherwise rho_min/rho_max are the extremes of
     rho over the sampled angles, and the target lies outside that sampled
@@ -441,8 +439,7 @@ def disc_chord_analysis(target: RatioTarget) -> dict:
 # arc that starts at the bottom edge midpoint and grows counterclockwise.
 
 
-@dataclass(frozen=True)
-class BandSample:
+class BandSample(NamedTuple):
     s: float
     feasible: bool
     reason: Optional[str]
@@ -556,8 +553,7 @@ def nonconvex_band_partition(
     )
 
 
-@dataclass(frozen=True)
-class BandRun:
+class BandRun(NamedTuple):
     """An exact interval [s_lo, s_hi] where the band over a fixed number of
     corners is feasible, with rho at its ends and its extremes over it.  An
     arc ending on a corner lays the end cap along the boundary and rho jumps
@@ -571,8 +567,7 @@ class BandRun:
     rho_max: float
 
 
-@dataclass(frozen=True)
-class BandSolveResult:
+class BandSolveResult(NamedTuple):
     """found: `sample` is a feasible band with rho within tol of sqrt(a/b).
     The runs are closed forms, so a "not found" is a certificate up to
     float rounding; `infeasible_reasons` name the checks between runs."""

@@ -12,26 +12,30 @@ intersection, and an empty intersection is an exact emptiness certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
 
-@dataclass
 class ParamSolution:
     """Affine solution space: point(t) = particular + sum_i t_i * basis[i].
 
     Stored as ints over one denominator `den` > 0, in lowest terms, so equal
     fields mean equal spaces; `particular` and `basis` are Fraction views."""
 
-    names: list[str]
-    nums: list[list[int]]  # the particular point, then one row per free parameter
-    den: int
+    __slots__ = ("names", "nums", "den")
 
-    def __post_init__(self):
+    def __init__(self, names: list[str], nums: list[list[int]], den: int):
+        self.names = names
+        self.nums = nums  # the particular point, then one row per free parameter
+        self.den = den
         self.reduce()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParamSolution):
+            return NotImplemented
+        return (self.names, self.nums, self.den) == (other.names, other.nums, other.den)
 
     def reduce(self) -> None:
         """Bring the fields to lowest terms with den > 0, as on construction
@@ -141,7 +145,6 @@ def solve_linear_exact(
     return ParamSolution(var_names, [particular, *basis], d)
 
 
-@dataclass(eq=False)
 class PositivePoint:
     """Outcome of a strict-positivity search on a line.
 
@@ -154,10 +157,12 @@ class PositivePoint:
     tries and is always 0, since the test samples nothing.  Two outcomes
     are equal when they have the same interval."""
 
-    lo: Optional[tuple] = None
-    hi: Optional[tuple] = None
-    certified_empty: bool = False
-    attempts: int = 0
+    def __init__(self, lo: Optional[tuple] = None, hi: Optional[tuple] = None,
+                 certified_empty: bool = False, attempts: int = 0):
+        self.lo = lo
+        self.hi = hi
+        self.certified_empty = certified_empty
+        self.attempts = attempts
 
     @cached_property
     def interval(self) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:

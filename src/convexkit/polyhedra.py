@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from . import Frozen
 
 Point3 = Tuple[float, float, float]
 
@@ -65,17 +66,21 @@ def _newell_normal(pts: List[Point3]) -> Point3:
     return (nx, ny, nz)
 
 
-@dataclass(frozen=True)
-class Mesh:
+class Mesh(Frozen):
     """Closed oriented polyhedral surface.  Faces are outward vertex-index
     cycles; validation enforces planar faces, each undirected edge shared
     by exactly two faces in opposite directions, and V - E + F = 2.
-    Vertex coordinates are stored as floats."""
+    Vertex coordinates are stored as floats, and `planes` keeps each face's
+    (Newell normal, centroid), in face order, from validation."""
 
-    vertices: Tuple[Point3, ...]
-    faces: Tuple[Tuple[int, ...], ...]
-    # each face's (Newell normal, centroid), in face order, kept from validation
-    planes: Tuple[Tuple[Point3, Point3], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "faces", "planes")
+
+    def __init__(self, vertices: Sequence[Sequence[float]], faces: Tuple[Tuple[int, ...], ...]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "faces", faces)
+        # Validation keeps the name __post_init__: perfbench/tracing.py wraps
+        # it to count and time each mesh built.
+        self.__post_init__()
 
     def __post_init__(self):
         verts = tuple(tuple(map(float, v)) for v in self.vertices)

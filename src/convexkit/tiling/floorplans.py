@@ -14,15 +14,13 @@ wall and 1 the right wall; horizontal segment 0 is the bottom wall and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 MAX_ROOMS = 9
 
 
-@dataclass(frozen=True)
-class Floorplan:
+class Floorplan(NamedTuple):
     """rooms[i] = (left_vseg, right_vseg, bottom_hseg, top_hseg)."""
 
     rooms: Tuple[Tuple[int, int, int, int], ...]

@@ -12,11 +12,11 @@ a feasible divisor of F, the width-i tile overhanging F, or an exact search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from .. import Frozen
 from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, split_extension
 
@@ -102,14 +102,19 @@ def triangular(i: int) -> int:
     return i * (i + 1) // 2
 
 
-@dataclass(frozen=True)
-class HcnContext:
+class HcnContext(Frozen):
     """h highly composite, m = triangular(i) dividing h, d = h / m,
     L the common tile height, kept as a Fraction."""
 
-    h: int
-    i: int
-    L: Fraction
+    __slots__ = ("h", "i", "L")
+
+    def __init__(self, h: int, i: int, L: Fraction):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "L", L)
+        # Validation keeps the name __post_init__: perfbench/tracing.py wraps
+        # it to time each context built.
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "L", Fraction(self.L))
@@ -119,6 +124,11 @@ class HcnContext:
             raise ValueError("tile height L must be positive")
         if not is_hcn(self.h):
             raise ValueError(f"{self.h} is not a divisor-count record-setter")
+
+    def __eq__(self, other):
+        if not isinstance(other, HcnContext):
+            return NotImplemented
+        return (self.h, self.i, self.L) == (other.h, other.i, other.L)
 
     @property
     def m(self) -> int:

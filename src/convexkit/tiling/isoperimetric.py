@@ -66,11 +66,10 @@ peak RSS on a 2-core machine (Python 3.11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from math import gcd
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from ..kernel.linsolve import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from .floorplans import MAX_ROOMS, Floorplan, descend, iter_floorplans
@@ -217,15 +216,13 @@ def _child_line(line, w, gi, gk, move, nv, keep, new):
     return den, p, [v // g for v in d], u
 
 
-@dataclass(frozen=True)
-class ForcedPair:
+class ForcedPair(NamedTuple):
     room_i: int
     room_j: int
     relation: str  # "w_i = w_j" or "w_i + w_j = 1"
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     floorplan: Floorplan
     solution: ParamSolution
     values: dict
@@ -234,8 +231,7 @@ class IsoWitness:
     areas: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class IsoSearchResult:
+class IsoSearchResult(NamedTuple):
     """status: "witnesses" or "exhausted-no-solution" (each floorplan certified impossible).
 
     Each examined floorplan has one of three outcomes: `certified_empty`

@@ -12,9 +12,8 @@ with large denominators cost no more memory than integer ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .tiles import Layout, Placement, TileSet
 
@@ -25,8 +24,7 @@ class UnsupportedInstance(ValueError):
     """Instance exceeds the exhaustive-search cap."""
 
 
-@dataclass(frozen=True)
-class TilingResult:
+class TilingResult(NamedTuple):
     width: Fraction
     height: Fraction
     layout: Layout

@@ -7,10 +7,10 @@ a layout either tiles its target rectangle or it does not, with no epsilon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .. import Frozen
 from ..kernel.rational import Rational, format_rational, parse_rational
 
 
@@ -24,15 +24,20 @@ class TileFileError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Tile:
-    id: int
-    width: Rational
-    height: Rational
+class Tile(Frozen):
+    __slots__ = ("id", "width", "height")
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"tile {self.id}: dimensions must be positive")
+    def __init__(self, id: int, width: Rational, height: Rational):
+        if width <= 0 or height <= 0:
+            raise ValueError(f"tile {id}: dimensions must be positive")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tile):
+            return NotImplemented
+        return (self.id, self.width, self.height) == (other.id, other.width, other.height)
 
     @property
     def area(self) -> Rational:
@@ -127,16 +132,14 @@ def load_tileset(path: str) -> TileSet:
         raise TileFileError(e.line_no, e.message, path) from None
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     tile_id: int
     x: Rational
     y: Rational
     rotated: bool = False
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(NamedTuple):
     """A claimed tiling of a target_width x target_height rectangle."""
 
     target_width: Rational
@@ -150,8 +153,7 @@ class Layout:
         return (p.x, p.y, p.x + w, p.y + h)
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     """First defect found by verify_layout; kind is one of
     unknown-tile, duplicate-tile, unused-tile, out-of-bounds,
     area-mismatch, overlap, gap."""

@@ -550,6 +550,18 @@ def test_shapes_maxdiam(tmp_path):
     assert report2["feasible"] is False
 
 
+def test_shapes_maxdiam_prints_a_thin_lens_in_significant_digits(tmp_path, capsys):
+    """Fixed-point digits printed this lens's half-angle as 0.000000000 and
+    its arc radius with 300 digits; report.json keeps every digit."""
+    rc, report, _ = run(tmp_path, "shapes", "maxdiam", "--area", "1e-300", "--perimeter", "1")
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "lens: diameter=0.5, half-angle=1.2e-299, arc radius=2.08333333e+298"
+    )
+    assert report["lens"]["half_angle"] == "1.2000000000000004e-299"
+    assert report["lens"]["arc_radius"] == "2.0833333333333327e+298"
+
+
 def test_shapes_mindiam_regimes(tmp_path):
     rc, report, out = run(tmp_path, "shapes", "mindiam", "--area", "0.71", "--svg")
     assert rc == 0

@@ -43,10 +43,12 @@ def random_polygon(rng, npts):
 
 
 def test_lens_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lens diameter must be positive"):
         Lens(0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"lens half-angle must lie in \(0, pi/2\]"):
         Lens(1.0, 2.0)  # half-angle beyond pi/2
+    with pytest.raises(ValueError, match="half-angle"):
+        Lens(1.0, 0.0)
 
 
 def test_lens_ratio_rises_with_the_half_angle():

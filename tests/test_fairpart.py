@@ -62,6 +62,10 @@ def test_ratio_target_orders_parts():
     assert t.fraction == 2 / 7
     assert abs(t.rho - math.sqrt(2 / 5)) < 1e-15
     assert str(t) == "2:5"
+    assert t == RatioTarget(2, 5) != RatioTarget(2, 3)
+    for a, b in ((0, 1), (1, 0), (-2, 3)):
+        with pytest.raises(ValueError, match="ratio parts must be positive integers"):
+            RatioTarget(a, b)
 
 
 def test_parse_ratio():
@@ -75,6 +79,13 @@ def test_linecut_normalizes_theta():
     c = LineCut(1.5 * math.pi, 0.3)
     assert abs(c.theta - 0.5 * math.pi) < 1e-15
     assert c.offset == -0.3  # same line, flipped normal
+    # an odd number of half turns flips the normal and negates offset and
+    # level; an even number keeps them; an angle in [0, pi) is kept as given
+    for turns, sign in ((1.5, -1), (-0.5, -1), (2.5, 1), (0.5, 1)):
+        c = LineCut(turns * math.pi, 0.3, (1.0, 2.0), 0.7)
+        assert abs(c.theta - 0.5 * math.pi) < 1e-15
+        assert (c.offset, c.level, c.origin) == (sign * 0.3, sign * 0.7, (1.0, 2.0))
+    assert LineCut(0, 1).theta == 0 and type(LineCut(0, 1).theta) is int
 
 
 def test_rectangle_profile_attains_both_axis_values():

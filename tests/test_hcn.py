@@ -157,15 +157,18 @@ def test_context_construction():
     assert (ctx.h, ctx.m, ctx.i, ctx.d, ctx.L) == (60, 15, 5, 4, Fraction(4))
     assert isinstance(ctx.L, Fraction)
     assert ctx == HcnContext(60, 5, Fraction(4))
+    assert ctx != HcnContext(60, 5, 2) and ctx != HcnContext(60, 3, 4)
 
 
 def test_context_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        HcnContext(60, 7, 1)  # triangular(7) = 28 does not divide 60
-    with pytest.raises(ValueError):
-        HcnContext(50, 4, 1)  # 50 is not a record-setter
-    with pytest.raises(ValueError):
-        HcnContext(60, 5, 0)  # height must be positive
+    with pytest.raises(ValueError, match=r"triangular\(i\) = 28 does not divide h = 60"):
+        HcnContext(60, 7, 1)
+    with pytest.raises(ValueError, match="50 is not a divisor-count record-setter"):
+        HcnContext(50, 4, 1)
+    with pytest.raises(ValueError, match="tile height L must be positive"):
+        HcnContext(60, 5, 0)
+    with pytest.raises(ValueError, match="triangular index must be >= 1"):
+        HcnContext(60, 0, 1)
 
 
 def test_tileset_shape():

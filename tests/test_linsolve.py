@@ -274,6 +274,8 @@ def test_param_solution_is_kept_in_lowest_terms():
     sol = ParamSolution(["x", "y"], [[2, -4], [6, 0]], -8)
     assert (sol.nums, sol.den) == ([[-1, 2], [-3, 0]], 4)
     assert sol == ParamSolution(["x", "y"], [[-1, 2], [-3, 0]], 4)
+    assert sol != ParamSolution(["x", "z"], [[-1, 2], [-3, 0]], 4)
+    assert sol != ParamSolution(["x", "y"], [[-1, 2], [-3, 0]], 5)
     assert sol.particular == [F(-1, 4), F(1, 2)]
     assert sol.basis == [[F(-3, 4), F(0)]]
     assert sol.point([F(1, 3)]) == [F(-1, 2), F(1, 2)]

@@ -103,8 +103,15 @@ def test_serialize_roundtrip(seven):
 
 
 def test_tileset_rejects_duplicate_ids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate tile id 1"):
         TileSet([Tile(1, Fraction(1), Fraction(1)), Tile(1, Fraction(2), Fraction(1))])
+
+
+def test_tile_rejects_a_side_that_is_not_positive():
+    for w, h in ((0, 1), (1, -1)):
+        with pytest.raises(ValueError, match="tile 3: dimensions must be positive"):
+            Tile(3, Fraction(w), Fraction(h))
+    assert Tile(3, Fraction(1), Fraction(2)) == Tile(3, 1, 2) != Tile(4, 1, 2)
 
 
 def test_tileset_by_id():
