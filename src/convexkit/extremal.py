@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from . import Frozen
 from .kernel.arcs import ArcPolygon
-from .kernel.roots import bisect_root
+from .kernel.roots import bisect_root, segment_over_cube
 
 REULEAUX_AREA_COEFF = 0.5 * (math.pi - math.sqrt(3.0))
 
@@ -50,20 +50,10 @@ def _check_lengths(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
-def _segment_over_cube(alpha: float) -> float:
-    """(alpha - sin(alpha) cos(alpha)) / alpha^3, the circular segment of
-    radius 1 and half-angle alpha over alpha^3, falling from 2/3 at 0 to
-    4/pi^2 at pi/2.  Below 0.1 it is a Taylor series, free of cancellation
-    and underflow; above, the difference loses less than 1e-13."""
-    if alpha >= 0.1:
-        return (alpha - math.sin(alpha) * math.cos(alpha)) / (alpha * alpha * alpha)
-    return sum((-4.0 * alpha * alpha) ** k * 4.0 / math.factorial(2 * k + 3) for k in range(6))
-
-
 def lens_metrics(lens: Lens) -> dict:
     r, a = lens.arc_radius, lens.alpha
     return {
-        "area": 2.0 * (r * a) ** 2 * a * _segment_over_cube(a),
+        "area": 2.0 * (r * a) ** 2 * a * segment_over_cube(a),
         "perimeter": 4.0 * a * r,
         "diameter": lens.diameter,
     }
@@ -71,7 +61,7 @@ def lens_metrics(lens: Lens) -> dict:
 
 def _lens_ratio(alpha: float) -> float:
     """area / perimeter^2 of the lens with half-angle alpha; scale-free."""
-    return alpha * _segment_over_cube(alpha) / 8.0
+    return alpha * segment_over_cube(alpha) / 8.0
 
 
 def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
@@ -150,6 +140,14 @@ def interpolate_constant_width(t: float, width: float = 1.0) -> ArcPolygon:
     return ArcPolygon.reuleaux(width).combine(ArcPolygon.disc(width), t)
 
 
+def _constant_width_areas(area: float, width: float) -> Tuple[float, float, bool]:
+    """A_R and A_D, the ends of the constant-width range at this width, and
+    whether the area lies in it, up to 1e-12 of each end at every scale."""
+    lo_a = REULEAUX_AREA_COEFF * width * width
+    hi_a = 0.25 * math.pi * width * width
+    return lo_a, hi_a, lo_a * (1.0 - 1e-12) <= area <= hi_a * (1.0 + 1e-12)
+
+
 def interpolant_with_area(area: float, width: float = 1.0) -> Tuple[float, ArcPolygon]:
     """The interpolation parameter whose body has the given area, and that
     body.  The mixed area of a body with a disc of radius r is r p / 2, which
@@ -157,9 +155,8 @@ def interpolant_with_area(area: float, width: float = 1.0) -> Tuple[float, ArcPo
     disc's own area; so the area is A_D - (1-t)^2 (A_D - A_R), solved for t
     in closed form (clamped to [0, 1])."""
     _check_lengths(area=area, width=width)
-    lo_a = REULEAUX_AREA_COEFF * width * width
-    hi_a = 0.25 * math.pi * width * width
-    if not (lo_a - 1e-9 <= area <= hi_a + 1e-9):
+    lo_a, hi_a, inside = _constant_width_areas(area, width)
+    if not inside:
         raise ValueError(
             f"area {area:.6g} outside the constant-width range [{lo_a:.6g}, {hi_a:.6g}]"
         )
@@ -181,8 +178,7 @@ def min_diameter_survey(
     is w = perimeter/pi exactly; its area and perimeter are the body's."""
     _check_lengths(area=area, perimeter=perimeter)
     w = perimeter / math.pi
-    disc_area = 0.25 * math.pi * w * w
-    reuleaux_area = REULEAUX_AREA_COEFF * w * w
+    reuleaux_area, disc_area, constant_width = _constant_width_areas(area, w)
     report: dict = {
         "area": area,
         "perimeter": perimeter,
@@ -197,7 +193,7 @@ def min_diameter_survey(
         report["reason"] = "area exceeds the disc bound p^2 / 4 pi"
         return report, body
 
-    if reuleaux_area - 1e-12 <= area:
+    if constant_width:
         t, body = interpolant_with_area(min(area, disc_area), w)
         report["candidates"].append(
             {

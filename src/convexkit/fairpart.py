@@ -10,11 +10,11 @@ the two pieces are similar.
 
 Costs for an m-vertex polygon: `split` is O(m).  `perimeter_ratio_profile`
 and `find_scaled_fair_cut` sample K angles with one chord sweep, which
-keeps the cut's two boundary edges, changes them only at vertex events (an
-end of the cut passing a vertex, O(1) each, about m over a half turn), and
-solves each angle's offset in one closed-form evaluation: O(m + K) in all,
-with no per-angle walk, in O(m) memory.  Each bisection step of a
-refinement walks the events from its bracket's left end.  The cut that
+walks the vertex events over [0, pi] once (an end of the cut passing a
+vertex, O(1) each, about m in all) and keeps the cut's two boundary edges
+on each interval between them.  Each angle, and each bisection step of a
+refinement, is then a lookup of its interval plus one closed-form
+evaluation of the offset: O(m + K) in all, in O(m) memory.  The cut that
 halves both the area and the perimeter is `find_scaled_fair_cut` at 1:1,
 which always finds one.  Levels and shoelace terms are measured from the
 polygon's first vertex, and a found cut carries its offset from there to
@@ -39,7 +39,7 @@ from . import Frozen
 from .kernel.polygon import (
     EPS, ConvexPolygon, dedupe_ring, is_convex_ring, ring_area, ring_perimeter
 )
-from .kernel.roots import bisect_root, rising_quadratic_root
+from .kernel.roots import bisect_root, rising_quadratic_root, segment_over_cube
 
 
 class RatioTarget(Frozen):
@@ -174,8 +174,8 @@ class ProfilePoint(NamedTuple):
 
 
 class _ChordSweep:
-    """The cut holding a fixed area fraction of one convex polygon, at
-    increasing angles.
+    """The cut holding a fixed area fraction of one convex polygon, at any
+    angle in [0, pi].
 
     The boundary below the cut is the arc v[i+1..j]: edge i enters it
     (falling) and edge j leaves it (rising).  As theta grows both ends of the
@@ -185,18 +185,13 @@ class _ChordSweep:
     the arc P..R holds the target area, and the other end then solves one
     linear equation on edge j; otherwise the end on edge j reaches R first,
     and the end on edge i solves one.  So each event is O(1) from prefix sums
-    of the shoelace terms, at the angle of its chord, and events are walked
-    only up to the angle asked for.  At an angle, (i, j) fixes the pair of
-    vertex levels around the cut, [max(u_i+1, u_j), min(u_i, u_j+1)]; on it
-    the chord length w and the boundary length are linear in the level and
-    the area is the integral of w, so one closed-form evaluation from w at
+    of the shoelace terms, at the angle of its chord, and the events over
+    [0, pi] are walked once, on construction.  At an angle, (i, j) fixes the
+    pair of vertex levels around the cut, [max(u_i+1, u_j), min(u_i, u_j+1)];
+    on it the chord length w and the boundary length are linear in the level
+    and the area is the integral of w, so one closed-form evaluation from w at
     both ends gives the offset.  Coordinates are measured from the first
     vertex, so no shoelace term or level cancels far from the origin.
-
-    K increasing angles within a half turn cost O(m + K) in O(m) memory, with
-    no per-angle walk.  `state` is (i, j, the angle of the next event, whether
-    the end on edge i makes it); assigning an earlier state walks the next
-    angle from there.
     """
 
     def __init__(self, c: ConvexPolygon, fraction: float):
@@ -213,7 +208,19 @@ class _ChordSweep:
         self.length = list(accumulate(self.edges, initial=0.0))
         self.want = fraction * c.area
         self.area, self.perimeter = c.area, c.perimeter
-        self.state: Optional[Tuple[int, int, float, bool]] = None
+        # from angles[k] on, edges ii[k] and jj[k] hold the cut.  An angle is
+        # the running maximum of the events, as rounding may put one a hair
+        # below the one before: bisect_right then takes every event <= theta.
+        (i, j), ahead, top = self._start(), 0.0, 0.0
+        self.angles, self.ii, self.jj = [], [], []
+        step, add_angle, add_i, add_j = (self._next_event, self.angles.append, self.ii.append,
+                                         self.jj.append)
+        while ahead <= math.pi:
+            add_angle(top)
+            add_i(i)
+            add_j(j)
+            ahead, i, j = step(i, j, ahead)
+            top = ahead if ahead > top else top
 
     def _below(self, i: int, j: int, ui, ui1, uj, uj1, level: float):
         """Area, shares of edges i and j and chord below `level`, when the arc
@@ -229,13 +236,13 @@ class _ChordSweep:
                       + (qx * fy - qy * fx) + (fx * ey - fy * ex))
         return area, a, b, math.hypot(fx - ex, fy - ey)
 
-    def _start(self, theta: float) -> Tuple[int, int]:
-        """(i, j) at theta, from one pass over the levels: the arc holds the
-        vertices below the lowest vertex level whose cut holds the target.
-        Levels rise along b..t, from the lowest vertex to the highest, and
-        fall along t..b+m, so bisections find that level and the arc."""
-        m, n0, n1 = self.m, -math.sin(theta), math.cos(theta)
-        u = [x * n0 + y * n1 for x, y in zip(self.xs[:m], self.ys[:m])]
+    def _start(self) -> Tuple[int, int]:
+        """(i, j) at theta = 0, from one pass over the levels, which are the
+        y offsets there: the arc holds the vertices below the lowest vertex
+        level whose cut holds the target.  Levels rise along b..t, from the
+        lowest vertex to the highest, and fall along t..b+m, so bisections
+        find that level and the arc."""
+        m, u = self.m, self.ys[:self.m]
         b = min(range(m), key=u.__getitem__)
         u += u
         t = max(range(b, b + m), key=u.__getitem__)
@@ -254,41 +261,36 @@ class _ChordSweep:
         falling = t - 1 + bisect_left(range(t, b + m + 1), True, key=lambda k: not holds(k))
         return arc(min(u[rising], u[falling]), True)
 
-    def _next_event(self, i: int, j: int, theta: float) -> Tuple[float, bool]:
-        """The angle of the first event after theta from (i, j), and whether
-        the end on edge i makes it (else the end on edge j)."""
+    def _next_event(self, i: int, j: int, theta: float) -> Tuple[float, int, int]:
+        """The angle of the first event after theta from (i, j), and the edge
+        pair that holds the cut after it."""
         xs, ys, twice = self.xs, self.ys, 2.0 * self.want
         px, py, qx, qy, rx, ry = xs[i + 1], ys[i + 1], xs[j], ys[j], xs[j + 1], ys[j + 1]
         # twice the area of the arc P..R closed by its chord
         arc = self.cross[j + 1] - self.cross[i + 1] + (rx * py - ry * px)
-        falling = arc >= twice
-        if falling:
-            # the chord from P ends short of R by the share of the triangle
-            # PQR that the arc holds beyond the target
+        if arc >= twice:
+            # the end on edge i passes P; the chord from P ends short of R by
+            # the share of the triangle PQR that the arc holds beyond the target
             s = (arc - twice) / ((qx - px) * (ry - qy) - (qy - py) * (rx - qx))
             dx, dy = rx - s * (rx - qx) - px, ry - s * (ry - qy) - py
+            i += 1
+            if i == self.m:
+                i, j = 0, j - self.m
         else:
-            # the chord to R starts on edge i, adding the triangle E P R
+            # the end on edge j passes R; the chord to R starts on edge i, adding E P R
             ix, iy = xs[i], ys[i]
             s = (twice - arc) / ((rx - px) * (iy - py) - (ry - py) * (ix - px))
             dx, dy = rx - px - s * (ix - px), ry - py - s * (iy - py)
+            j += 1
         # the chord's angle, unwrapped to lie within a half turn of theta
-        return theta + (math.atan2(dy, dx) - theta + math.pi) % math.tau - math.pi, falling
+        return theta + (math.atan2(dy, dx) - theta + math.pi) % math.tau - math.pi, i, j
 
     def point(self, theta: float) -> ProfilePoint:
-        """The profile point at theta, walked from `state`, which must come
-        from an angle less than a half turn below theta."""
-        if self.state is None:
-            i, j = self._start(theta)
-            self.state = (i, j, *self._next_event(i, j, theta))
-        i, j, ahead, falling = self.state
-        while ahead <= theta:
-            i, j = (i + 1, j) if falling else (i, j + 1)
-            if i == self.m:
-                i, j = 0, j - self.m
-            ahead, falling = self._next_event(i, j, ahead)
-        self.state = (i, j, ahead, falling)
-        return self._evaluate(i, j, theta)
+        """The profile point at theta in [0, pi]: the edge pair of its event
+        interval, then one closed-form evaluation.  Events at theta itself
+        are taken."""
+        k = bisect_right(self.angles, theta) - 1
+        return self._evaluate(self.ii[k], self.jj[k], theta)
 
     def _evaluate(self, i: int, j: int, theta: float) -> ProfilePoint:
         """The closed-form point at theta, when edges i and j hold the cut."""
@@ -323,14 +325,6 @@ class _ChordSweep:
         return ProfilePoint(theta, offset, area_a, self.area - area_a, perim_a, perim_b, chord,
                             perim_a / perim_b, level)
 
-    def scan(self, thetas: List[float]) -> Tuple[List[ProfilePoint], list]:
-        """The points at increasing angles, and the state after each."""
-        points, states = [], []
-        for theta in thetas:
-            points.append(self.point(theta))
-            states.append(self.state)
-        return points, states
-
 
 def _check_tol(tol: float) -> None:
     if not tol > 0:
@@ -352,7 +346,7 @@ def perimeter_ratio_profile(
     the theta = 0 cut, so rho tends to rho(0) only for a centrally
     symmetric region (to 1/rho(0) when a = b).  One chord sweep: O(m +
     samples) for m vertices, in O(m) memory."""
-    return _ChordSweep(c, target.fraction).scan(_angle_grid(samples))[0]
+    return list(map(_ChordSweep(c, target.fraction).point, _angle_grid(samples)))
 
 
 class FairCutResult(NamedTuple):
@@ -379,11 +373,12 @@ def find_scaled_fair_cut(
     `perimeter_ratio_profile`), so the sweep evaluates theta = pi itself to
     bracket the last interval; a cut at pi is the theta = 0 line with its
     pieces swapped, so pi is only ever a bracket end.  At 1:1, rho(pi) is
-    1/rho(0), so a sign change always exists.  O(m + samples) for the grid;
-    each bisection step walks the events from its bracket's left end."""
+    1/rho(0), so a sign change always exists.  The sweep walks the events
+    once, in O(m); each grid angle and each bisection step is then a lookup
+    of its event interval plus one closed-form evaluation."""
     _check_tol(tol)
     sweep = _ChordSweep(c, target.fraction)
-    points, states = sweep.scan(_angle_grid(samples) + [math.pi])
+    points = list(map(sweep.point, _angle_grid(samples) + [math.pi]))
     rhos = [p.rho for p in points]
     gaps = [rho - target.rho for rho in rhos]
     best = min(range(samples), key=lambda j: abs(gaps[j]))
@@ -393,16 +388,9 @@ def find_scaled_fair_cut(
     j = None if p is not None else next(crossings, None)
     if j is not None:
         sign = 1.0 if gaps[j] < 0 else -1.0
-
-        def point(theta: float) -> ProfilePoint:
-            sweep.state = states[j]  # each step walks the events from the bracket's left end
-            return sweep.point(theta)
-
-        theta = bisect_root(
-            lambda t: sign * (point(t).rho - target.rho), points[j].theta, points[j + 1].theta,
-            ftol=tol,
-        )
-        q = point(theta)
+        theta = bisect_root(lambda t: sign * (sweep.point(t).rho - target.rho),
+                            points[j].theta, points[j + 1].theta, ftol=tol)
+        q = sweep.point(theta)
         p = q if abs(q.rho - target.rho) <= tol else None
     if p is None:
         return FairCutResult(False, None, None, min(rhos), max(rhos))
@@ -412,14 +400,14 @@ def find_scaled_fair_cut(
 
 def disc_chord_analysis(target: RatioTarget) -> dict:
     """Exact straight-chord computation on the unit disc.  The chord cutting
-    area fraction f spans half-angle u solving u - sin u cos u = pi f; the
-    piece perimeters follow in closed form.  By rotation invariance rho is
-    constant over theta, so either the single value matches sqrt(a/b) or no
-    straight cut works on the disc at this ratio."""
-    f = target.fraction
-    u = bisect_root(
-        lambda x: x - math.sin(x) * math.cos(x) - math.pi * f, 0.0, math.pi / 2, ftol=1e-15
-    )
+    area fraction f spans half-angle u solving u^3 S(u) = pi f, S being
+    `segment_over_cube` in [4/pi^2, 2/3]; the piece perimeters follow in
+    closed form.  By rotation invariance rho is constant over theta, so either
+    the single value matches sqrt(a/b) or no straight cut works on the disc
+    at this ratio."""
+    want = math.pi * target.fraction
+    lo, hi = (1.5 * want) ** (1 / 3), min((0.25 * math.pi ** 2 * want) ** (1 / 3), math.pi / 2)
+    u = bisect_root(lambda x: x ** 3 * segment_over_cube(x) - want, lo, hi, xtol=1e-15 * lo)
     chord = 2.0 * math.sin(u)
     perim_small = 2.0 * u + chord
     perim_large = 2.0 * math.pi - 2.0 * u + chord

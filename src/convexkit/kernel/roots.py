@@ -1,4 +1,4 @@
-"""The two root finders of the float paths.
+"""The two root finders of the float paths, and the segment function two solves share.
 
 `bisect_root` serves every transcendental solve in the toolkit (lens
 half-angle, disc chord, fair-cut angle): each is a sign change of
@@ -8,7 +8,8 @@ vertex levels: its values at the ends and the midpoint fix it, and its rising
 root is read off in closed form in units of its rise, the same at every scale.
 The constant-width interpolant area does not use it:
 A_D - (1-t)^2 (A_D - A_R) is solved for t directly in
-`extremal.interpolant_with_area`.
+`extremal.interpolant_with_area`.  The lens and disc chord solves bisect on
+`segment_over_cube`, free of cancellation; its bounds bracket both.
 """
 
 from __future__ import annotations
@@ -58,3 +59,13 @@ def rising_quadratic_root(f0: float, fh: float, f1: float, want: float) -> float
     b, rise = 1.0 - c, (want - f0) / s
     delta = max(b * b + 4.0 * c * rise, 0.0)
     return min(max(2.0 * rise / (b + math.sqrt(delta)), 0.0), 1.0)
+
+
+def segment_over_cube(alpha: float) -> float:
+    """(alpha - sin(alpha) cos(alpha)) / alpha^3, the circular segment of
+    radius 1 and half-angle alpha over alpha^3, falling from 2/3 at 0 to
+    4/pi^2 at pi/2.  Below 0.1 it is a Taylor series, free of cancellation
+    and underflow; above, the difference loses less than 1e-13."""
+    if alpha >= 0.1:
+        return (alpha - math.sin(alpha) * math.cos(alpha)) / (alpha * alpha * alpha)
+    return sum((-4.0 * alpha * alpha) ** k * 4.0 / math.factorial(2 * k + 3) for k in range(6))

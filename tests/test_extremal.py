@@ -314,6 +314,25 @@ def test_min_diameter_survey_hands_over_the_measured_body(area):
     assert body.pieces == rebuilt.pieces
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(share=st.floats(0.001, 1.0), perimeter=st.floats(0.1, 10.0),
+       exponent=st.floats(-6.0, 6.0))
+@example(share=1.2 / math.pi, perimeter=math.pi, exponent=-6.0)  # area 0.3 at p = pi
+def test_min_diameter_survey_does_not_depend_on_scale(share, perimeter, exponent):
+    """Scaling by c = 10^exponent, the area by c^2 and the perimeter by c,
+    keeps the candidate families and the best family, and scales every
+    diameter by c.  The area is `share` of the disc bound p^2 / 4 pi."""
+    c = 10.0 ** exponent
+    area = share * perimeter * perimeter / (4 * math.pi)
+    rep = min_diameter_survey(area, perimeter)[0]
+    rep_c = min_diameter_survey(c * c * area, c * perimeter)[0]
+    assert [d["family"] for d in rep_c["candidates"]] == [d["family"] for d in rep["candidates"]]
+    # between the sectors' peak and the Reuleaux floor no family reaches
+    assert rep_c.get("best", {}).get("family") == rep.get("best", {}).get("family")
+    for d, d_c in zip(rep["candidates"], rep_c["candidates"]):
+        assert d_c["diameter"] == pytest.approx(c * d["diameter"], rel=1e-12)
+
+
 def test_crossover_scan_reports_knee_and_conjecture():
     rep = crossover_scan()
     knee = rep["crossover"]
