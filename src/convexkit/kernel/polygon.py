@@ -55,21 +55,26 @@ class ConvexPolygon:
         out = dedupe_ring(pts, _CLEAN_EPS * scale)
         # drop middles whose turn sine, cross / (|a - o| |b - a|), is <= 1e-12:
         # unlike the bare cross product, it does not shrink as n grows.  The
-        # pass that drops nothing also checks that every kept turn is a left one
+        # pass that drops nothing also checks that every kept turn is a left
+        # one.  A vertex turns from edge u, into it, to edge v, out of it; v
+        # is the next vertex's u, so each edge is measured once
         changed = True
         while changed and len(out) >= 3:
             changed = reflex = False
             kept = []
-            n = len(out)
-            for i in range(n):
-                (ox, oy), (ax, ay), (bx, by) = out[i - 1], out[i], out[(i + 1) % n]
-                ux, uy, vx, vy = ax - ox, ay - oy, bx - ax, by - ay
+            (ox, oy), (ax, ay) = out[-1], out[0]
+            ux, uy = ax - ox, ay - oy
+            lu = math.hypot(ux, uy)
+            for a, (bx, by) in zip(out, out[1:] + out[:1]):
+                vx, vy = bx - a[0], by - a[1]
+                lv = math.hypot(vx, vy)
                 cross = ux * vy - uy * vx
-                if abs(cross) > _CLEAN_EPS * math.hypot(ux, uy) * math.hypot(vx, vy):
-                    kept.append(out[i])
+                if abs(cross) > _CLEAN_EPS * lu * lv:
+                    kept.append(a)
                     reflex = reflex or cross < 0
                 else:
                     changed = True
+                ux, uy, lu = vx, vy, lv
             out = kept
         if len(out) >= 3 and reflex:
             raise ValueError("vertices are not strictly convex counterclockwise")
@@ -141,6 +146,6 @@ def regular_ngon(n: int) -> ConvexPolygon:
         raise ValueError("need n >= 3")
     if n > MAX_NGON_VERTICES:
         raise ValueError(f"n = {n:,} is over the polygon cap of {MAX_NGON_VERTICES:,} vertices")
-    pts = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    pts = [(math.cos(a), math.sin(a)) for a in (2 * math.pi * k / n for k in range(n))]
     return ConvexPolygon(pts)
 

@@ -7,13 +7,31 @@ denominators, so the backtracking search is exact integer arithmetic.
 Candidate sides come from the set of reachable side sums, whose size
 follows the number of distinct sums, not the scaled magnitudes, so tiles
 with large denominators cost no more memory than integer ones.
+
+The same sums prune the search.  A partial tiling leaves a skyline of
+maximal runs (x, width, y) on the W x H target, and the unplaced tiles
+must fill the rest exactly, so every run obeys two rules:
+
+- height rule: H - y is 0 or a sum of one side from each of some unplaced
+  tiles.  A vertical line through the open span of the run, above y and
+  off every tile edge, crosses each unplaced tile at most once, and the
+  tiles it crosses split [y, H] by their heights;
+- well rule: a run lower than both neighbours (a wall counts as height H)
+  has a width that is such a sum.  A horizontal line just above y inside
+  the well meets placed tiles on both sides, so the tiles it crosses lie
+  inside the well and split its width by their widths.
+
+Without rotation the height rule uses tile heights and the well rule tile
+widths; with rotation either side serves both.  A skyline that breaks a
+rule has no completion, so cutting it keeps every answer and every
+witness of the unpruned search.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .tiles import Layout, Placement, TileSet
 
@@ -59,23 +77,75 @@ def _raise_run(runs: List[Tuple[int, int, int]], k: int, width: int, rise: int) 
     return out
 
 
+Reach = Callable[[Tuple[int, ...]], Tuple[set, set]]
+
+
+def _reachable(dims: List[Tuple[int, int]], allow_rotation: bool, limit: int) -> Reach:
+    """reach(counts) -> (heights, widths): the side sums in 1..limit of the
+    unplaced tiles, counts[i] of each dims[i], for the height and the well
+    rule.  Memoized per counts tuple, so one `reach` can serve every
+    target of a tile set."""
+    memo: dict = {}
+
+    def reach(counts: Tuple[int, ...]) -> Tuple[set, set]:
+        sums = memo.get(counts)
+        if sums is None:
+            tiles = [d for d, c in zip(dims, counts) for _ in range(c)]
+            if allow_rotation:
+                sums = (_side_sums(tiles, limit),) * 2
+            else:
+                sums = (_side_sums([(h,) for _, h in tiles], limit),
+                        _side_sums([(w,) for w, _ in tiles], limit))
+            memo[counts] = sums
+        return sums
+
+    return reach
+
+
+def _completable(runs: List[Tuple[int, int, int]], H: int, heights: set, widths: set) -> bool:
+    """False when some run of the skyline breaks the height rule or the
+    well rule (see the module docstring), given the side sums of the
+    unplaced tiles."""
+    left = H
+    last = len(runs) - 1
+    for j, (_, run, y) in enumerate(runs):
+        if y < H and H - y not in heights:
+            return False
+        if y < left and y < (runs[j + 1][2] if j < last else H) and run not in widths:
+            return False
+        left = y
+    return True
+
+
 def _search_fill(
     dims: List[Tuple[int, int]],
     counts: List[int],
     W: int,
     H: int,
     allow_rotation: bool,
+    reach: Optional[Reach] = None,
 ) -> Optional[List[Tuple[int, int, int, bool]]]:
     """Try to tile the W x H integer rectangle with the given multiset of
-    tile dimensions.  Returns placements (dims index, x, y, rotated) or None.
+    tile dimensions, whose areas sum to W * H.  Returns placements (dims
+    index, x, y, rotated) or None.  `reach` is a `_reachable` for these
+    dims and a limit of at least max(W, H); one is made if not given.
 
     Always fills the lowest-leftmost uncovered cell; the tile covering that
     cell must have its bottom-left corner there, so trying every distinct
     tile dimension in each orientation is exhaustive.  The covered region's
     top edge is kept as maximal runs (x, width, height) of equal height,
     so each step costs time in the number of runs (at most one per placed
-    tile, plus one), not in W.
+    tile, plus one), not in W.  A child skyline is entered only if every
+    run obeys the height rule (H - y is 0 or a side sum of the unplaced
+    tiles: a vertical line above the run crosses each of them at most
+    once) and the well rule (a run below both neighbours, walls counting
+    as H, is as wide as a side sum of the unplaced tiles: a horizontal
+    line just above it crosses only tiles inside the well).  Both are
+    necessary, so the depth-first order and the first witness are those of
+    the unpruned search.
     """
+    if reach is None:
+        reach = _reachable(dims, allow_rotation, max(W, H))
     placed: List[Tuple[int, int, int, bool]] = []
 
     def rec(runs: List[Tuple[int, int, int]], remaining: int) -> bool:
@@ -94,14 +164,26 @@ def _search_fill(
                 if pw > run or ph > free_h:
                     continue
                 counts[i] -= 1
-                placed.append((i, x, y, rot))
-                if rec(_raise_run(runs, k, pw, ph), remaining - 1):
-                    return True
-                placed.pop()
+                heights, widths = reach(tuple(counts))
+                # the tile's own column and the well it leaves beside it
+                # first, before the whole child skyline is built
+                if (
+                    (ph == free_h or free_h - ph in heights)
+                    and (pw == run or run - pw in widths)
+                ):
+                    placed.append((i, x, y, rot))
+                    child = _raise_run(runs, k, pw, ph)
+                    if _completable(child, H, heights, widths) and rec(child, remaining - 1):
+                        return True
+                    placed.pop()
                 counts[i] += 1
         return False
 
-    return placed if rec([(0, W, 0)], sum(counts)) else None
+    found = rec([(0, W, 0)], sum(counts))
+    # rec refers to itself through its closure; drop that cycle now, so
+    # the memo in `reach` is not kept alive until the cyclic collector runs
+    rec = None
+    return placed if found else None
 
 
 def enumerate_layouts(
@@ -131,11 +213,8 @@ def enumerate_layouts(
     dims = sorted(dim_ids)
     id_pools = [list(dim_ids[d]) for d in dims]
 
-    if allow_rotation:
-        wsums = hsums = _side_sums([(w, h) for w, h in sides], area)
-    else:
-        wsums = _side_sums([(w,) for w, _ in sides], area)
-        hsums = _side_sums([(h,) for _, h in sides], area)
+    full = tuple(len(pool) for pool in id_pools)
+    hsums, wsums = _reachable(dims, allow_rotation, area)(full)
 
     # Candidate targets, one per unordered dimension pair.  Without rotation
     # the two orientations of a pair differ, so both may need an attempt.
@@ -151,12 +230,14 @@ def enumerate_layouts(
         key = (max(W, H), min(W, H))
         candidates.setdefault(key, []).append((W, H))
 
+    # one memo of unplaced side sums for every target, capped at the
+    # largest candidate side
+    reach = _reachable(dims, allow_rotation, max(candidates, default=(0,))[0])
     results = []
     for key in sorted(candidates):
         witness = None
         for W, H in sorted(candidates[key], reverse=True):
-            counts = [len(pool) for pool in id_pools]
-            witness = _search_fill(dims, counts, W, H, allow_rotation)
+            witness = _search_fill(dims, list(full), W, H, allow_rotation, reach)
             if witness is not None:
                 break
         if witness is None:

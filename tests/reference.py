@@ -7,7 +7,9 @@ tests and `random_convex_polygon` build their polygons with; the latter
 draws seeded hulls for the polygon and arc-kernel sweeps.
 `search_isoperimetric_full_walk` is the oracle of `search_isoperimetric`:
 it walks the whole insertion tree and decides every floorplan, with no
-mirror half.
+mirror half.  `search_fill_unpruned` is the oracle of
+`tiling.search._search_fill`: the same depth-first skyline search with no
+side-sum rules, so it rejects a tile only when the tile does not fit.
 """
 
 import bisect
@@ -31,6 +33,7 @@ from convexkit.tiling.isoperimetric import (
     distinct_area_param,
     forced_equal_pair,
 )
+from convexkit.tiling.search import _raise_run
 
 
 def cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
@@ -136,3 +139,36 @@ def search_isoperimetric_full_walk(n: int, limit: Optional[int] = None) -> IsoSe
             break
     status = "witnesses" if witnesses else "exhausted-no-solution"
     return IsoSearchResult(n, status, tuple(witnesses), tuple(forced), (), examined, 0, certified_empty)
+
+
+def search_fill_unpruned(dims, counts, W, H, allow_rotation, reach=None):
+    """`_search_fill` without the height and well rules: placements
+    (dims index, x, y, rotated) of a tiling of the W x H rectangle, or
+    None.  Takes and ignores `reach`, so it can stand in for `_search_fill`
+    inside `enumerate_layouts`."""
+    placed = []
+
+    def rec(runs, remaining):
+        if remaining == 0:
+            return True
+        k = min(range(len(runs)), key=lambda j: runs[j][2])
+        x, run, y = runs[k]
+        free_h = H - y
+        for i, (w, h) in enumerate(dims):
+            if counts[i] == 0:
+                continue
+            for rot in (False, True):
+                if rot and (not allow_rotation or w == h):
+                    continue
+                pw, ph = (h, w) if rot else (w, h)
+                if pw > run or ph > free_h:
+                    continue
+                counts[i] -= 1
+                placed.append((i, x, y, rot))
+                if rec(_raise_run(runs, k, pw, ph), remaining - 1):
+                    return True
+                placed.pop()
+                counts[i] += 1
+        return False
+
+    return placed if rec([(0, W, 0)], sum(counts)) else None

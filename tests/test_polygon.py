@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -107,6 +108,27 @@ def test_fine_regular_polygon_keeps_every_vertex():
     # each vertex turns by a sine near 6.3e-5, far above the 1e-12 cut,
     # though its cross product (about 2.5e-13) is below 1e-12 * scale^2
     assert len(regular_ngon(100_000)) == 100_000
+
+
+# sha256 of the reprs of (vertices, area, perimeter) of the polygons below,
+# as built when the cleanup measured both edges of every turn afresh
+_BUILT_DIGEST = "76498a1ceed3316f55aab27889cb9a232f23eb050f8d922b51147a1a2b9059af"
+
+
+def test_polygons_build_bit_identically():
+    polys = [regular_ngon(4096), regular_ngon(3), regular_ngon(1000)]
+    rng = random.Random(27)
+    for _ in range(300):
+        hull = list(random_convex_polygon(rng, max_vertices=40).vertices)
+        polys.append(ConvexPolygon(hull))
+        # midpoints are straight middles and repeats are duplicates, for
+        # the cleanup to drop; reversed, the ring runs clockwise
+        ring = []
+        for p, q in zip(hull, hull[1:] + hull[:1]):
+            ring += [p, p, ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)]
+        polys.append(ConvexPolygon(ring[::-1] if rng.random() < 0.5 else ring))
+    text = "".join(repr((p.vertices, p.area, p.perimeter)) for p in polys)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BUILT_DIGEST
 
 
 def test_calipers_match_brute_force():
