@@ -16,16 +16,57 @@ operation.  Every name is imported from the module that defines it (for
 example `from convexkit.kernel.polygon import rectangle`); the packages
 re-export nothing, so importing one subsystem loads only what it uses.
 The records are `typing.NamedTuple`s or slotted classes, so importing
-convexkit loads no `dataclasses`.
+convexkit loads no `dataclasses`.  The slotted records that are immutable
+once built derive from `Frozen`, which gives them the contract of a frozen
+dataclass: positional arguments fill `__slots__` in order, then
+`__post_init__` runs, the hook where a record checks or normalizes its
+fields through `object.__setattr__`; a later assignment raises
+AttributeError.  Equality, hashing, repr, copying and pickling follow the
+fields.  `UnsupportedInstance` is the error of every program limit.
 """
 
 
+class UnsupportedInstance(ValueError):
+    """A legal instance beyond a program limit: a cap on its size, or on the
+    time or memory it would take."""
+
+
 class Frozen:
-    """Base of the slotted records that are immutable once built: `__init__`
-    sets each field with `object.__setattr__`, and a later assignment
-    raises AttributeError, as on a NamedTuple."""
+    """Base of the slotted records that are immutable once built, with the
+    semantics of a frozen dataclass whose fields are `__slots__`."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        fields = type(self).__slots__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __getstate__(self) -> tuple:
+        """The field values, in slot order."""
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setstate__(self, state):
+        for name, value in zip(type(self).__slots__, state):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")

@@ -28,6 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import UnsupportedInstance
 from .extremal import (
     crossover_scan,
     interpolate_constant_width,
@@ -71,7 +72,7 @@ from .tiling.hcn import (
     hcn_up_to,
 )
 from .tiling.isoperimetric import search_isoperimetric
-from .tiling.search import UnsupportedInstance, enumerate_layouts
+from .tiling.search import enumerate_layouts
 from .tiling.tiles import layout_to_dict, load_layout, load_tileset, serialize_tileset, verify_layout
 
 PX_PER_UNIT = 20.0
@@ -239,10 +240,10 @@ def _layout_svg(ts, layout) -> str:
     H_units = float(layout.target_height)
     body = []
     for idx, pl in enumerate(layout.placements):
-        tile = ts.by_id(pl.tile_id)
-        w, h = (tile.height, tile.width) if pl.rotated else (tile.width, tile.height)
-        x = float(pl.x) * PX_PER_UNIT
-        y = (H_units - float(pl.y) - float(h)) * PX_PER_UNIT
+        x0, y0, x1, y1 = layout.placed_rect(ts, pl)
+        w, h = x1 - x0, y1 - y0
+        x = float(x0) * PX_PER_UNIT
+        y = (H_units - float(y0) - float(h)) * PX_PER_UNIT
         body.append(
             f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(float(w) * PX_PER_UNIT)}" '
             f'height="{_fmt(float(h) * PX_PER_UNIT)}" '

@@ -31,13 +31,11 @@ class Lens(Frozen):
 
     __slots__ = ("diameter", "alpha")
 
-    def __init__(self, diameter: float, alpha: float):
-        if diameter <= 0:
+    def __post_init__(self):
+        if self.diameter <= 0:
             raise ValueError("lens diameter must be positive")
-        if not (0.0 < alpha <= math.pi / 2 + 1e-12):
+        if not (0.0 < self.alpha <= math.pi / 2 + 1e-12):
             raise ValueError("lens half-angle must lie in (0, pi/2]")
-        object.__setattr__(self, "diameter", diameter)
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def arc_radius(self) -> float:

@@ -35,11 +35,14 @@ from itertools import accumulate
 from operator import mul, neg, sub
 from typing import List, NamedTuple, Optional, Tuple
 
-from . import Frozen
+from . import Frozen, UnsupportedInstance
 from .kernel.polygon import (
     EPS, ConvexPolygon, dedupe_ring, is_convex_ring, ring_area, ring_perimeter
 )
 from .kernel.roots import bisect_root, rising_quadratic_root, segment_over_cube
+
+# a sampled profile keeps about 0.4 KB per angle, so the cap holds it near 60 MiB
+MAX_ANGLE_SAMPLES = 100_000
 
 
 class RatioTarget(Frozen):
@@ -50,13 +53,7 @@ class RatioTarget(Frozen):
     def __init__(self, a: int, b: int):
         if a < 1 or b < 1:
             raise ValueError("ratio parts must be positive integers")
-        object.__setattr__(self, "a", min(a, b))
-        object.__setattr__(self, "b", max(a, b))
-
-    def __eq__(self, other):
-        if not isinstance(other, RatioTarget):
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
+        super().__init__(min(a, b), max(a, b))
 
     @property
     def fraction(self) -> float:
@@ -100,10 +97,7 @@ class LineCut(Frozen):
             if round((theta - t) / math.pi) % 2 != 0:
                 offset, level = -offset, -level
             theta = t
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "level", level)
+        super().__init__(theta, offset, origin, level)
 
     @property
     def normal(self) -> Tuple[float, float]:
@@ -334,6 +328,8 @@ def _check_tol(tol: float) -> None:
 def _angle_grid(samples: int) -> List[float]:
     if samples < 4:
         raise ValueError(f"need at least 4 angle samples, got {samples}")
+    if samples > MAX_ANGLE_SAMPLES:
+        raise UnsupportedInstance(f"{samples:,} angles exceed the angle-sample cap of {MAX_ANGLE_SAMPLES:,}")
     return [j * math.pi / samples for j in range(samples)]
 
 

@@ -65,15 +65,6 @@ class ParamSolution:
             out = [v + t * rj for v, rj in zip(out, row)]
         return out
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        """Exact membership test: does some parameter choice hit `point`?"""
-        if len(point) != len(self.nums[0]):
-            raise ValueError("point length mismatch")
-        # Some t solves basis^T t = point - particular iff it is consistent.
-        rhs = [Fraction(p) * self.den - q for p, q in zip(point, self.nums[0])]
-        basis_t = [[row[j] for row in self.nums[1:]] for j in range(len(rhs))]
-        return solve_linear_exact(basis_t, rhs) is not None
-
 
 def _rref(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Reduce the int `rows` in place by fraction-free Gauss-Jordan

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
+from .. import UnsupportedInstance
+
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
 MAX_NGON_VERTICES = 100_000  # a fair-cut command over K angles costs O(n + K)
@@ -145,7 +147,7 @@ def regular_ngon(n: int) -> ConvexPolygon:
     if n < 3:
         raise ValueError("need n >= 3")
     if n > MAX_NGON_VERTICES:
-        raise ValueError(f"n = {n:,} is over the polygon cap of {MAX_NGON_VERTICES:,} vertices")
+        raise UnsupportedInstance(f"n = {n:,} is over the polygon cap of {MAX_NGON_VERTICES:,} vertices")
     pts = [(math.cos(a), math.sin(a)) for a in (2 * math.pi * k / n for k in range(n))]
     return ConvexPolygon(pts)
 

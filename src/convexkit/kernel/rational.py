@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact Fraction.

@@ -76,11 +76,7 @@ class Mesh(Frozen):
     __slots__ = ("vertices", "faces", "planes")
 
     def __init__(self, vertices: Sequence[Sequence[float]], faces: Tuple[Tuple[int, ...], ...]):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "faces", faces)
-        # Validation keeps the name __post_init__: perfbench/tracing.py wraps
-        # it to count and time each mesh built.
-        self.__post_init__()
+        super().__init__(vertices, faces, ())
 
     def __post_init__(self):
         verts = tuple(tuple(map(float, v)) for v in self.vertices)

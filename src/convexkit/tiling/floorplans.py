@@ -14,8 +14,7 @@ wall and 1 the right wall; horizontal segment 0 is the bottom wall and
 
 from __future__ import annotations
 
-from math import comb
-from typing import Iterator, List, NamedTuple, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 MAX_ROOMS = 9
 
@@ -96,11 +95,6 @@ def iter_floorplans(n: int, grow=None, root=None) -> Iterator[Tuple[Floorplan, o
         stack += [(_insert(*state, *move), v) for move, v in zip(moves[::-1], values[::-1])]
 
 
-def enumerate_floorplans(n: int) -> List[Floorplan]:
-    """All mosaic floorplans with n rooms, in `iter_floorplans` order."""
-    return [fp for fp, _ in iter_floorplans(n)]
-
-
 def descend(code, grow=None, root=None) -> Tuple[Floorplan, object]:
     """The floorplan of one insertion code, with the value that
     `iter_floorplans(len(code) + 1, grow, root)` carries to it."""
@@ -111,14 +105,3 @@ def descend(code, grow=None, root=None) -> Tuple[Floorplan, object]:
             k = j - 1 + (len(parent[1]) if move == "H" else 0)
             value = grow(value, *parent, parent[0].n == len(code))[k]
     return state[0], value
-
-
-def baxter_count(n: int) -> int:
-    """The number of Baxter permutations of length n, which equals the
-    number of n-room mosaic floorplans, in closed form (Chung, Graham,
-    Hoggatt and Kleiman 1978):
-    B(n) = sum_k C(n+1, k-1) C(n+1, k) C(n+1, k+1) / (C(n+1, 1) C(n+1, 2))."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    terms = sum(comb(n + 1, k - 1) * comb(n + 1, k) * comb(n + 1, k + 1) for k in range(1, n + 1))
-    return terms // (comb(n + 1, 1) * comb(n + 1, 2))

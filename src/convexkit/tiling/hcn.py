@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .. import Frozen
-from .search import UnsupportedInstance
+from .. import Frozen, UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, split_extension
 
 CENSUS_PLACEMENT_CAP = 500_000  # tiles in one drawn layout or one all-copies search
@@ -108,14 +107,6 @@ class HcnContext(Frozen):
 
     __slots__ = ("h", "i", "L")
 
-    def __init__(self, h: int, i: int, L: Fraction):
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "L", L)
-        # Validation keeps the name __post_init__: perfbench/tracing.py wraps
-        # it to time each context built.
-        self.__post_init__()
-
     def __post_init__(self):
         object.__setattr__(self, "L", Fraction(self.L))
         if self.h % self.m != 0:
@@ -124,11 +115,6 @@ class HcnContext(Frozen):
             raise ValueError("tile height L must be positive")
         if not is_hcn(self.h):
             raise ValueError(f"{self.h} is not a divisor-count record-setter")
-
-    def __eq__(self, other):
-        if not isinstance(other, HcnContext):
-            return NotImplemented
-        return (self.h, self.i, self.L) == (other.h, other.i, other.L)
 
     @property
     def m(self) -> int:

@@ -71,9 +71,9 @@ from itertools import chain, combinations
 from math import gcd
 from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
+from .. import UnsupportedInstance
 from ..kernel.linsolve import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from .floorplans import MAX_ROOMS, Floorplan, descend, iter_floorplans
-from .search import UnsupportedInstance
 from .tiles import Layout, Placement, Tile, TileSet, verify_layout
 
 

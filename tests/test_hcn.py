@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import convexkit.tiling.hcn as hcn_module
+from convexkit import UnsupportedInstance
 from convexkit.tiling.hcn import (
     HcnContext,
     _partition_widths,
@@ -28,7 +29,6 @@ from convexkit.tiling.hcn import (
     is_hcn,
     triangular,
 )
-from convexkit.tiling.search import UnsupportedInstance
 from convexkit.tiling.tiles import Layout, Placement, split_extension, verify_layout
 
 # Record-setters up to 1,500,000 and their divisor counts.

@@ -1,9 +1,12 @@
 """Importing one subsystem loads only the modules it uses: the packages
 re-export nothing, so every name comes from the module that defines it.
 The records are NamedTuples or slotted classes, not dataclasses, so start-up
-builds no dataclass, and the immutable ones reject assignment."""
+builds no dataclass; the immutable ones reject assignment and, like frozen
+dataclasses, compare, hash, print, copy and pickle by their fields."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,15 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from convexkit.extremal import max_diameter_shape
+from convexkit.extremal import Lens, max_diameter_shape
 from convexkit.fairpart import LineCut, RatioTarget, find_scaled_fair_cut, solve_band, split
 from convexkit.kernel.polygon import rectangle
-from convexkit.polyhedra import build_rhombicuboctahedron
-from convexkit.tiling.floorplans import enumerate_floorplans
+from convexkit.polyhedra import build_cube_with_pyramids, build_rhombicuboctahedron
 from convexkit.tiling.hcn import HcnContext, construct_width_layout
 from convexkit.tiling.isoperimetric import search_isoperimetric
 from convexkit.tiling.search import enumerate_layouts
 from convexkit.tiling.tiles import Layout, Placement, Tile, TileSet, verify_layout
+from reference import enumerate_floorplans
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -108,3 +111,47 @@ def test_immutable_records_reject_assignment(name, field, build):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
+
+
+def _fields(record) -> tuple:
+    return getattr(record, "_fields", None) or type(record).__slots__
+
+
+# Records holding a ConvexPolygon or a TileSet, which compare by identity:
+# their copies are compared by their pickled bytes instead.
+HOLDS_IDENTITY_FIELDS = {"SplitResult", "IsoWitness"}
+
+
+@pytest.mark.parametrize("name, field, build", FROZEN_RECORDS, ids=[r[0] for r in FROZEN_RECORDS])
+def test_records_copy_pickle_hash_and_print_by_their_fields(name, field, build):
+    record = build()
+    by_value = name not in HOLDS_IDENTITY_FIELDS
+    clones = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    for clone in clones:
+        assert type(clone) is type(record)
+        if by_value:
+            assert clone == record
+        else:
+            assert pickle.dumps(clone) == pickle.dumps(record)
+    try:
+        hash(tuple(getattr(record, f) for f in _fields(record)))
+    except TypeError:
+        pass
+    else:
+        hashes = {hash(r) for r in [record] + clones}
+        assert len(hashes) == 1 or not by_value
+    text = repr(record)
+    assert text.startswith(f"{name}(")
+    assert all(f"{f}=" in text for f in _fields(record))
+
+
+def test_frozen_records_compare_by_value_and_take_each_field():
+    assert LineCut(0.5, 0.1) == LineCut(0.5, 0.1) != LineCut(0.5, 0.2)
+    assert max_diameter_shape(0.5, 4.0) == max_diameter_shape(0.5, 4.0) != max_diameter_shape(0.5, 3.0)
+    assert build_rhombicuboctahedron() == build_rhombicuboctahedron()
+    assert build_cube_with_pyramids(mode="opposite") != build_cube_with_pyramids(mode="adjacent")
+    assert len({Tile(1, Fraction(1), Fraction(2)), Tile(1, Fraction(1), Fraction(2))}) == 1
+    for make, values in [(Tile, (1, Fraction(1))), (Tile, (1, 1, 2, 3)), (Lens, (1.0,)),
+                         (HcnContext, (60, 5))]:
+        with pytest.raises(TypeError, match="fields"):
+            make(*values)

@@ -12,19 +12,14 @@ from hypothesis import strategies as st
 
 import convexkit.tiling.floorplans as floorplans
 import convexkit.tiling.isoperimetric as isoperimetric
+from convexkit import UnsupportedInstance
 from convexkit.kernel.linsolve import (
     ParamSolution,
     PositivePoint,
     positive_point,
     solve_linear_exact,
 )
-from convexkit.tiling.floorplans import (
-    Floorplan,
-    baxter_count,
-    descend,
-    enumerate_floorplans,
-    iter_floorplans,
-)
+from convexkit.tiling.floorplans import Floorplan, descend, iter_floorplans
 from convexkit.tiling.isoperimetric import (
     ForcedPair,
     build_isoperimetric_system,
@@ -33,9 +28,8 @@ from convexkit.tiling.isoperimetric import (
     search_isoperimetric,
     solve_isoperimetric,
 )
-from convexkit.tiling.search import UnsupportedInstance
 from convexkit.tiling.tiles import load_layout, load_tileset, verify_layout
-from reference import search_isoperimetric_full_walk
+from reference import baxter_count, contains, enumerate_floorplans, search_isoperimetric_full_walk
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -510,4 +504,4 @@ def test_seven_tile_fixture_solves_after_rescaling():
     inv_h = {v: c for c, v in hmap.items()}
     point = [inv_v[i] * scale for i in range(len(vmap))]
     point += [inv_h[i] * scale for i in range(len(hmap))]
-    assert sol.contains(point)
+    assert contains(sol, point)

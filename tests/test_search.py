@@ -11,13 +11,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from convexkit import UnsupportedInstance
 from convexkit.tiling import search
-from convexkit.tiling.search import (
-    UnsupportedInstance,
-    _search_fill,
-    _side_sums,
-    enumerate_layouts,
-)
+from convexkit.tiling.search import _search_fill, _side_sums, enumerate_layouts
 from convexkit.tiling.tiles import Tile, TileSet, parse_tileset, verify_layout
 from reference import search_fill_unpruned
 

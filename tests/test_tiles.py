@@ -16,7 +16,6 @@ from convexkit.tiling.tiles import (
     TileFileError,
     TileSet,
     layout_from_json,
-    layout_to_json,
     load_layout,
     load_tileset,
     parse_tileset,
@@ -24,6 +23,7 @@ from convexkit.tiling.tiles import (
     split_extension,
     verify_layout,
 )
+from reference import layout_to_json
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
