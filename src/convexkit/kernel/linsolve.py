@@ -4,10 +4,11 @@ Solves A x = b by fraction-free (Bareiss) Gauss-Jordan elimination over the
 rows cleared of denominators (`_rref`, the one elimination routine here).
 The solution space comes back in reduced row echelon form, unique for a
 given solution set and column order, as ints over one denominator.  The
-module also searches a line for a parameter t at which given affine forms
-c + a*t are all strictly positive.  Each form is positive on an open
-half-line of t, everywhere or nowhere, so the search is one exact interval
-intersection, and an empty intersection is an exact emptiness certificate.
+module also searches a line for a parameter t at which given widths
+c + a*t and their heights den - c - a*t are all strictly positive.  Each
+such form is positive on an open half-line of t, everywhere or nowhere, so
+the search is one exact interval intersection, and an empty intersection
+is an exact emptiness certificate.
 """
 
 from __future__ import annotations
@@ -178,24 +179,33 @@ class PositivePoint:
         return (self.interval, self.attempts) == (other.interval, other.attempts)
 
 
-def positive_point(forms: Sequence[tuple[Fraction, Fraction]]) -> PositivePoint:
-    """Find the parameters t at which every affine form c + a*t is > 0.
+# the one outcome with no interval: every certified-empty answer is this instance
+_EMPTY = PositivePoint(certified_empty=True)
 
-    Form (c, a) is positive exactly on t > -c/a (a > 0), on t < -c/a
-    (a < 0), or everywhere when a = 0 and c > 0.  The open interval (max
-    lower, min upper) is the exact answer.  Ends are compared by
-    cross-multiplying, so int forms build no Fraction unless the caller
-    reads `interval` or `t`."""
+
+def positive_point(widths: Sequence[tuple[Fraction, Fraction]], den) -> PositivePoint:
+    """Find the parameters t at which every width w = c + a*t, given as
+    (c, a), and its height den - w are > 0.
+
+    The two forms of a width have opposite slopes, so with a > 0 (swap
+    the two when a < 0) the width is positive on t > -c/a and the height
+    on t < (den - c)/a; with a = 0 both are constant, and positive iff
+    0 < c < den.  The open interval (max lower, min upper) is the exact
+    answer.  Ends are compared by cross-multiplying, so int forms build no
+    Fraction unless the caller reads `interval` or `t`.  No interval comes
+    back as one shared certified-empty outcome."""
     lo = hi = None  # the tightest ends so far, each as (num, den) with den > 0
-    for c, a in forms:
-        if a > 0:
-            if lo is None or -c * lo[1] > lo[0] * a:
-                lo = (-c, a)
-        elif a < 0:
-            if hi is None or c * hi[1] < hi[0] * -a:
-                hi = (c, -a)
-        elif c <= 0:
-            return PositivePoint(certified_empty=True)
-    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
-        return PositivePoint(certified_empty=True)
+    for c, a in widths:
+        if a < 0:
+            c, a = den - c, -a
+        elif not a:
+            if 0 < c < den:
+                continue
+            return _EMPTY
+        if lo is None or -c * lo[1] > lo[0] * a:
+            lo = (-c, a)
+        if hi is None or (den - c) * hi[1] < hi[0] * a:
+            hi = (den - c, a)
+    if lo is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
+        return _EMPTY
     return PositivePoint(lo, hi)

@@ -25,7 +25,8 @@ Point = tuple[float, float]
 
 
 class ConvexPolygon:
-    """Immutable convex polygon; raises ValueError on degenerate input."""
+    """Immutable convex polygon; raises ValueError on degenerate input.
+    Two polygons are equal when they have the same vertices."""
 
     __slots__ = ("vertices", "area", "perimeter")
 
@@ -84,6 +85,14 @@ class ConvexPolygon:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash(self.vertices)
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.6g})"

@@ -67,18 +67,18 @@ def _insert(fp: Floorplan, left, top, move: str, j: int):
     return Floorplan(tuple(rooms), nv, nh, fp.code + ((move, j),)), left, top
 
 
-def iter_floorplans(n: int, grow=None, root=None) -> Iterator[Tuple[Floorplan, object]]:
-    """Every n-room floorplan, each with a value carried down the insertion
-    tree, in a fixed depth-first order (vertical insertions before
-    horizontal, smaller push counts first).  The walk is lazy: a consumer
-    that stops early builds no more of the tree than it has seen, plus the
-    siblings of the nodes on its path.
+def iter_floorplans(n: int, grow=None, root=None) -> Iterator[Tuple[Floorplan, tuple, tuple, object]]:
+    """Every n-room floorplan as (fp, left, top, value): its rooms on the
+    left and the top wall, as in `_insert`, and a value carried down the
+    insertion tree.  The order is fixed and depth first (vertical
+    insertions before horizontal, smaller push counts first).  The walk is
+    lazy: a consumer that stops early builds no more of the tree than it
+    has seen, plus the siblings of the nodes on its path.
 
-    `root` is the one-room floorplan's value.  `grow(value, fp, left, top,
-    leaf)` returns the values of fp's children, one per move in the order
-    ("V", 1..len(left)), then ("H", 1..len(top)); `left` and `top` are as
-    in `_insert`, and `leaf` says the children have n rooms.  Without
-    `grow` every value is None."""
+    `root` is the one-room floorplan's value.  `grow(value, fp, left, top)`
+    returns the values of fp's children, one per move in the order
+    ("V", 1..len(left)), then ("H", 1..len(top)).  Without `grow` every
+    value is None."""
     if not (1 <= n <= MAX_ROOMS):
         raise ValueError(f"n must be in 1..{MAX_ROOMS}, got {n}")
     stack = [(_ROOT, root)]
@@ -86,11 +86,11 @@ def iter_floorplans(n: int, grow=None, root=None) -> Iterator[Tuple[Floorplan, o
         state, value = stack.pop()
         fp, left, top = state
         if fp.n == n:
-            yield fp, value
+            yield fp, left, top, value
             continue
         moves = [("V", j) for j in range(1, len(left) + 1)]
         moves += [("H", j) for j in range(1, len(top) + 1)]
-        values = grow(value, *state, fp.n + 1 == n) if grow else [None] * len(moves)
+        values = grow(value, *state) if grow else [None] * len(moves)
         # pushed last, popped first: the children come out in `moves` order
         stack += [(_insert(*state, *move), v) for move, v in zip(moves[::-1], values[::-1])]
 
@@ -103,5 +103,5 @@ def descend(code, grow=None, root=None) -> Tuple[Floorplan, object]:
         state, parent = _insert(*state, move, j), state
         if grow:  # the value of the child on the code's path, in move order
             k = j - 1 + (len(parent[1]) if move == "H" else 0)
-            value = grow(value, *parent, parent[0].n == len(code))[k]
+            value = grow(value, *parent)[k]
     return state[0], value

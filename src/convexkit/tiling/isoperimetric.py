@@ -28,14 +28,19 @@ are dependent), so the n+3 unknowns have rank n+2, the full row rank, and
 every system is consistent.
 
 The search solves no system per floorplan.  It walks the insertion tree
-once (`iter_floorplans`) and derives each child's line from its parent's:
-a node keeps its particular point, its direction and a unit solution for
-each room on its left and top walls, all as ints over one denominator.
-An insertion pushes some wall rooms off their wall by the new room's
-extent, which moves their right-hand sides by that extent, and adds the
-new room's row: one equation in two parameters (`_grow_lines`).  So an
-internal node costs O(n^2) and a leaf O(n), not an (n+2) x (n+3)
-elimination, and by (3) and (4) no update is degenerate.
+once (`iter_floorplans`), down to n - 1 rooms, and derives each child's
+line from its parent's: a node keeps its particular point, its direction
+and a unit solution for each room on its left and top walls, all as ints
+over one denominator.  An insertion pushes some wall rooms off their wall
+by the new room's extent, which moves their right-hand sides by that
+extent, and adds the new room's row: one equation in two parameters
+(`_grow_lines`).  So an internal node costs O(n^2), not an
+(n+2) x (n+3) elimination, and by (3) and (4) no update is degenerate.
+The leaves, four in five nodes of the tree, get no floorplan and no
+line: a leaf's outcome depends on its n room widths alone, and each is a
+fixed combination of its parent's room width on the point, the direction
+and the summed units, a few multiply-adds (`_leaf_outcomes`).  Only a
+witness is built, one step from its parent.
 
 The line is parametrized by t, the height of the last room whose height
 varies on it.  Each room's width is then an integer form
@@ -56,11 +61,13 @@ first j left-wall rooms right, to ("H", j), which pushes the first j
 top-wall rooms down.  It swaps each room's w and h, keeping semiperimeters,
 areas and positivity, and w_i = w_j iff h_i = h_j, w_i + w_j = 1 iff
 h_i + h_j = 1: mirrors have one outcome and one forced pair.  So the
-search stops at the first ("H", 1) leaf, doubles its counts, repeats its
-forced pairs and decides each mirrored witness on its own line.
+search stops where its walk, one room short of the leaves, enters the
+("H", 1) half, doubles its counts, repeats its forced pairs and decides
+each mirrored witness on its own line.
 
 The nine-room census examines 58,202 floorplans: 104 witnesses, 19,802
-certified empty and 38,296 forced pairs.  It takes about 0.9 s at 20 MiB
+certified empty and 38,296 forced pairs.  `tiling search-iso --n 9`
+takes about 0.6 s (0.9 s when every leaf got its own line) at 21 MiB
 peak RSS on a 2-core machine (Python 3.11).
 """
 
@@ -73,7 +80,7 @@ from typing import FrozenSet, List, NamedTuple, Optional, Tuple, Union
 
 from .. import UnsupportedInstance
 from ..kernel.linsolve import ParamSolution, PositivePoint, positive_point, solve_linear_exact
-from .floorplans import MAX_ROOMS, Floorplan, descend, iter_floorplans
+from .floorplans import MAX_ROOMS, Floorplan, _insert, descend, iter_floorplans
 from .tiles import Layout, Placement, Tile, TileSet, verify_layout
 
 
@@ -148,7 +155,27 @@ def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
 _ROOT_LINE = (1, [0, 1, 0, 0], [0, 1, 0, -1], {0: [0, 1, 0, 0]})
 
 
-def _grow_lines(line, fp: Floorplan, left, top, leaf: bool):
+def _new_rows(line, fp: Floorplan, left, top):
+    """fp's moves in walk order, each with the new room's row (see
+    `_grow_lines`) as (move, j, w, gi, gk, alpha, beta, c): w sums the
+    units of the pushed rooms, the row is g*v = v[gi] - v[gk] = 1, and in
+    the two parameters, times den, it reads alpha*sigma + beta*den*tau = c
+    for the point."""
+    den, point, direction, units = line
+    rooms, nv = fp.rooms, fp.num_vsegs
+    for move, wall in (("V", left), ("H", top)):
+        w = [0] * len(point)
+        for j, r in enumerate(wall, 1):
+            w = [a + b for a, b in zip(w, units[r])]
+            # x0 is pinned at 0
+            gi, gk = (nv + 1, nv + rooms[r][2]) if move == "V" else (rooms[r][1], 0)
+            beta = direction[gi] - direction[gk]
+            if not beta:
+                raise RuntimeError(f"degenerate update (beta = 0) by {move}: the system lost rank")
+            yield move, j, w, gi, gk, den + w[gi] - w[gk], beta, den - point[gi] + point[gk]
+
+
+def _grow_lines(line, fp: Floorplan, left, top):
     """The lines of fp's children from fp's own, for `iter_floorplans`.
 
     A move pushes the rooms R (a prefix of a wall) off that wall by the
@@ -162,35 +189,24 @@ def _grow_lines(line, fp: Floorplan, left, top, leaf: bool):
     child's point, direction and units are its solutions.  beta is the new
     room's height change along fp's direction, Y*(1 - phi_b), for a V move
     and its width change X*psi_r for an H move, nonzero by the theorem.  A
-    child costs O(n) per unit it keeps, and a leaf keeps none."""
-    rooms, nv, units = fp.rooms, fp.num_vsegs, line[3]
+    child costs O(n) per unit it keeps."""
     out = []
-    for move, wall in (("V", left), ("H", top)):
-        w = [0] * len(line[1])
-        for j, r in enumerate(wall, 1):
-            w = [a + b for a, b in zip(w, units[r])]
-            # the new room's row, g*v = v[gi] - v[gk]; x0 is pinned at 0
-            gi, gk = (nv + 1, nv + rooms[r][2]) if move == "V" else (rooms[r][1], 0)
-            keep = None if leaf else (wall[j:] + top if move == "V" else left + wall[j:])
-            out.append(_child_line(line, w, gi, gk, move, nv, keep, fp.n))
+    for row in _new_rows(line, fp, left, top):
+        move, j = row[:2]
+        keep = left[j:] + top if move == "V" else left + top[j:]
+        out.append(_child_line(line, row, fp.num_vsegs, keep, fp.n))
     return out
 
 
-def _child_line(line, w, gi, gk, move, nv, keep, new):
-    """One child's line (see `_grow_lines`): fp's `line`, the summed units
-    `w` of the pushed rooms, the new row g*v = v[gi] - v[gk], the move, and
-    fp's count nv of x segments.  `keep` lists the old rooms whose units the
-    child needs, the new room `new` getting one too; None (a leaf) keeps no
-    units, and leaves the line unreduced."""
+def _child_line(line, row, nv, keep, new):
+    """One child's line (see `_grow_lines`): fp's `line`, the child's row
+    from `_new_rows` and fp's count nv of x segments.  `keep` lists the old
+    rooms whose units the child needs, the new room `new` getting one too."""
     den, point, direction, units = line
-    # the new row in (sigma, tau), times den: alpha*sigma + beta*den*tau = c,
-    # with c = den - g*point for the point, -g*units[r] for an old
-    # room's unit and den for the new room's (its base is 0)
-    alpha = den + w[gi] - w[gk]
-    beta = direction[gi] - direction[gk]
-    if not beta:
-        raise RuntimeError(f"degenerate update (beta = 0) by {move}: the system lost rank")
-    # one solution per right-hand side, sigma = 0, as numerators over k*den > 0
+    move, _, w, gi, gk, alpha, beta, c = row
+    # one solution per right-hand side, sigma = 0, as numerators over k*den > 0:
+    # c is den - g*point for the point, -g*units[r] for an old room's unit
+    # and den for the new room's (its base is 0)
     k, along = (beta, direction) if beta > 0 else (-beta, [-v for v in direction])
 
     def lift(v, sigma):
@@ -201,10 +217,8 @@ def _child_line(line, w, gi, gk, move, nv, keep, new):
     def solve(base, c):
         return lift([k * b + c * a for b, a in zip(base, along)], 0)
 
-    p = solve(point, den - point[gi] + point[gk])
+    p = solve(point, c)
     d = lift([beta * a - alpha * b for a, b in zip(w, direction)], beta * den)
-    if keep is None:
-        return k * den, p, d, None
     u = {r: solve(units[r], units[r][gk] - units[r][gi]) for r in keep}
     u[new] = solve([0] * len(w), den)
     den *= k
@@ -214,6 +228,46 @@ def _child_line(line, w, gi, gk, move, nv, keep, new):
         u = {r: [v // g for v in vec] for r, vec in u.items()}
     g = gcd(*d)
     return den, p, [v // g for v in d], u
+
+
+def _leaf_outcomes(fp: Floorplan, left, top, line):
+    """The outcomes of fp's children, the leaves of the walk, lazily in
+    move order, decided on their room widths alone.
+
+    By `_child_line` a child's point is k*point + c*sign(beta)*direction
+    over the denominator k*den, k = |beta|, and its direction is
+    beta*w - alpha*direction, so each old room's width form (c_i, a_i) is
+    that combination of its width on fp's point, direction and w.  A V
+    move's new segment is x_s = (0, beta*den), the new room's width, which
+    the pushed rooms lose; an H move's new room spans x_0 = 0 to the pushed
+    block's right end x_gi.  Only a witness builds its floorplan and line."""
+    den, point, direction = line[:3]
+    rooms = fp.rooms
+    points = [point[r] - point[l] for l, r, _, _ in rooms]
+    directions = [direction[r] - direction[l] for l, r, _, _ in rooms]
+    for row in _new_rows(line, fp, left, top):
+        move, j, w, gi, _, alpha, beta, c = row
+        k, c = (beta, c) if beta > 0 else (-beta, -c)
+        widths = [
+            (k * p + c * d, beta * (w[r] - w[l]) - alpha * d)
+            for (l, r, _, _), p, d in zip(rooms, points, directions)
+        ]
+        if move == "V":
+            sigma = beta * den
+            for i in left[:j]:
+                widths[i] = (widths[i][0], widths[i][1] - sigma)
+            widths.append((0, sigma))
+        else:
+            widths.append((k * point[gi] + c * direction[gi], beta * w[gi] - alpha * direction[gi]))
+        e = k * den
+        if positive_point(widths, e).certified_empty:
+            yield "certified_empty"
+            continue
+        equal = forced_equal_pair(widths, e)
+        if isinstance(equal, ForcedPair):
+            yield equal
+        else:
+            yield _decide(_insert(fp, left, top, move, j)[0], _child_line(line, row, fp.num_vsegs, (), fp.n))
 
 
 class ForcedPair(NamedTuple):
@@ -263,17 +317,15 @@ def forced_equal_pair(
     equality factors as (w_i - w_j)(1 - w_i - w_j) = 0, and each factor is
     affine in t: it vanishes identically, forcing the pair, or at one t at
     most, which does not depend on den."""
-    pairs = list(combinations(range(len(widths)), 2))
-    for i, j in pairs:
+    for i, j in combinations(range(len(widths)), 2):
         (ci, ai), (cj, aj) = widths[i], widths[j]
-        if (ci, ai) == (cj, aj):
+        if ci == cj and ai == aj:
             return ForcedPair(i, j, f"w{i} = w{j}")
         if ai == -aj and ci + cj == den:
             return ForcedPair(i, j, f"w{i} + w{j} = 1")
     # no factor vanishes identically, so each vanishes at one t at most
     excluded = set()
-    for i, j in pairs:
-        (ci, ai), (cj, aj) = widths[i], widths[j]
+    for (ci, ai), (cj, aj) in combinations(widths, 2):
         if ai != aj:
             excluded.add(Fraction(cj - ci, ai - aj))
         if ai != -aj:
@@ -316,22 +368,19 @@ def _witness(fp: Floorplan, line: ParamSolution, t: Fraction) -> IsoWitness:
 
 
 def _decide(fp: Floorplan, line):
-    """fp's outcome from the line the walk carries to it: "certified_empty",
-    its ForcedPair or its IsoWitness."""
-    (e, p, d), sol = line[:3], None
-    while True:  # on the walk's line, then for a witness on the canonical one
-        # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
-        widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
-        pp = positive_point(widths + [(e - c, -a) for c, a in widths])
-        if pp.certified_empty:
-            return "certified_empty"
-        equal = forced_equal_pair(widths, e)
-        if isinstance(equal, ForcedPair):
-            return equal
-        if sol is not None:
-            return _witness(fp, sol, distinct_area_param(pp, equal))
-        p, d, e = _canonical(fp, e, p, d)
-        sol = ParamSolution(_segment_names(fp), [p, d], e)
+    """fp's outcome on the line the walk carries to it, put in the
+    canonical parametrization that a witness needs: "certified_empty", its
+    ForcedPair or its IsoWitness."""
+    p, d, e = _canonical(fp, *line[:3])
+    # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
+    widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
+    pp = positive_point(widths, e)
+    if pp.certified_empty:
+        return "certified_empty"
+    equal = forced_equal_pair(widths, e)
+    if isinstance(equal, ForcedPair):
+        return equal
+    return _witness(fp, ParamSolution(_segment_names(fp), [p, d], e), distinct_area_param(pp, equal))
 
 
 def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult:
@@ -348,7 +397,7 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
     witnesses: List[IsoWitness] = []
     forced: List[ForcedPair] = []
     examined = certified_empty = 0
-    for fp, line in iter_floorplans(n, _grow_lines, _ROOT_LINE):
+    for fp, left, top, line in iter_floorplans(n - 1, _grow_lines, _ROOT_LINE):
         # the ("H", 1) half mirrors the walked half, unless a limit may stop in it
         if fp.code[:1] == (("H", 1),) and (limit is None or not witnesses):
             examined, certified_empty = 2 * examined, 2 * certified_empty
@@ -357,15 +406,17 @@ def search_isoperimetric(n: int, limit: Optional[int] = None) -> IsoSearchResult
             mirrors.sort(key=lambda code: [(m == "H", j) for m, j in code])
             witnesses += [_decide(*descend(code, _grow_lines, _ROOT_LINE)) for code in mirrors]
             break
-        examined += 1
-        outcome = _decide(fp, line)
-        if isinstance(outcome, IsoWitness):
-            witnesses.append(outcome)
-            if limit is not None and len(witnesses) >= limit:
-                break
-        elif isinstance(outcome, ForcedPair):
-            forced.append(outcome)
-        else:
-            certified_empty += 1
+        for outcome in _leaf_outcomes(fp, left, top, line):
+            examined += 1
+            if isinstance(outcome, IsoWitness):
+                witnesses.append(outcome)
+                if len(witnesses) == limit:
+                    break
+            elif isinstance(outcome, ForcedPair):
+                forced.append(outcome)
+            else:
+                certified_empty += 1
+        if len(witnesses) == limit:
+            break
     status = "witnesses" if witnesses else "exhausted-no-solution"
     return IsoSearchResult(n, status, tuple(witnesses), tuple(forced), (), examined, 0, certified_empty)

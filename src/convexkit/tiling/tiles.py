@@ -41,7 +41,8 @@ class Tile(Frozen):
 
 
 class TileSet:
-    """Immutable collection of tiles with unique ids."""
+    """Immutable collection of tiles with unique ids, equal to another with
+    the same tiles in the same order."""
 
     __slots__ = ("tiles", "_by_id")
 
@@ -68,6 +69,14 @@ class TileSet:
 
     def by_id(self, tile_id: int) -> Tile:
         return self._by_id[tile_id]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.tiles == other.tiles
+
+    def __hash__(self) -> int:
+        return hash(self.tiles)
 
     @property
     def total_area(self) -> Fraction:

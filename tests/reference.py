@@ -10,6 +10,8 @@ it walks the whole insertion tree and decides every floorplan, with no
 mirror half.  `search_fill_unpruned` is the oracle of
 `tiling.search._search_fill`: the same depth-first skyline search with no
 side-sum rules, so it rejects a tile only when the tile does not fit.
+`positive_forms` is the oracle of `kernel.linsolve.positive_point`: the
+positivity interval of any affine forms, each tested on its own.
 `enumerate_floorplans`, `baxter_count`, `layout_to_json` and `contains`
 (exact membership in a `ParamSolution`) serve only the tests.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from convexkit.fairpart import LineCut
-from convexkit.kernel.linsolve import ParamSolution, positive_point, solve_linear_exact
+from convexkit.kernel.linsolve import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from convexkit.kernel.polygon import ConvexPolygon
 from convexkit.kernel.roots import rising_quadratic_root
 from convexkit.tiling.floorplans import Floorplan, iter_floorplans
@@ -125,12 +127,12 @@ def search_isoperimetric_full_walk(n: int, limit: Optional[int] = None) -> IsoSe
     witnesses: List[IsoWitness] = []
     forced: List[ForcedPair] = []
     examined = certified_empty = 0
-    for fp, line in iter_floorplans(n, _grow_lines, _ROOT_LINE):
+    for fp, _, _, line in iter_floorplans(n, _grow_lines, _ROOT_LINE):
         examined += 1
         p, d, e = _canonical(fp, *line[:3])
         # room i's width x_r - x_l as the form (c, a): w_i = (c + a*t) / e
         widths = [(p[r] - p[l], d[r] - d[l]) for l, r, _, _ in fp.rooms]
-        pp = positive_point(widths + [(e - c, -a) for c, a in widths])
+        pp = positive_point(widths, e)
         if pp.certified_empty:
             certified_empty += 1
             continue
@@ -181,7 +183,7 @@ def search_fill_unpruned(dims, counts, W, H, allow_rotation, reach=None):
 
 def enumerate_floorplans(n: int) -> List[Floorplan]:
     """All mosaic floorplans with n rooms, in `iter_floorplans` order."""
-    return [fp for fp, _ in iter_floorplans(n)]
+    return [fp for fp, *_ in iter_floorplans(n)]
 
 
 def baxter_count(n: int) -> int:
@@ -209,3 +211,24 @@ def contains(sol: ParamSolution, point: Sequence[Fraction]) -> bool:
     rhs = [Fraction(p) * sol.den - q for p, q in zip(point, sol.nums[0])]
     basis_t = [[row[j] for row in sol.nums[1:]] for j in range(len(rhs))]
     return solve_linear_exact(basis_t, rhs) is not None
+
+
+def positive_forms(forms) -> PositivePoint:
+    """The parameters t at which every affine form c + a*t is > 0: form
+    (c, a) is positive exactly on t > -c/a (a > 0), on t < -c/a (a < 0),
+    or everywhere when a = 0 and c > 0, and the open interval (max lower,
+    min upper) is the answer.  `positive_point(widths, den)` answers as
+    this on the widths and their heights, 2n forms."""
+    lo = hi = None  # the tightest ends so far, each as (num, den) with den > 0
+    for c, a in forms:
+        if a > 0:
+            if lo is None or -c * lo[1] > lo[0] * a:
+                lo = (-c, a)
+        elif a < 0:
+            if hi is None or c * hi[1] < hi[0] * -a:
+                hi = (c, -a)
+        elif c <= 0:
+            return PositivePoint(certified_empty=True)
+    if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
+        return PositivePoint(certified_empty=True)
+    return PositivePoint(lo, hi)

@@ -130,17 +130,32 @@ def test_walk_yields_the_pinned_order_with_each_value_on_its_child():
     each child's insertion code gives every leaf its own code, on the walk
     and on `descend`'s one path to the leaf."""
 
-    def grow(code, fp, left, top, leaf):
-        assert code == fp.code and leaf == (fp.n + 1 == n)
+    def grow(code, fp, left, top):
+        assert code == fp.code
         moves = [("V", j) for j in range(1, len(left) + 1)] + [("H", j) for j in range(1, len(top) + 1)]
         return [code + (move,) for move in moves]
 
     for n in range(1, 7):
         walked = list(iter_floorplans(n, grow, ()))
-        assert [fp for fp, _ in walked] == enumerate_floorplans(n)
-        assert all(code == fp.code for fp, code in walked)
-        assert all(descend(fp.code, grow, ()) == (fp, code) for fp, code in walked)
-        assert all(value is None for _, value in iter_floorplans(n))
+        assert [fp for fp, *_ in walked] == enumerate_floorplans(n)
+        assert all(code == fp.code for fp, _, _, code in walked)
+        assert all(descend(fp.code, grow, ()) == (fp, code) for fp, _, _, code in walked)
+        assert all(value is None for *_, value in iter_floorplans(n))
+
+
+def test_walk_hands_out_each_floorplans_walls():
+    """The walls that come with each floorplan are its rooms on the left
+    wall from top to bottom, each above the next, and on the top wall from
+    left to right, each beside the next."""
+    for n in range(1, 7):
+        for fp, left, top, _ in iter_floorplans(n):
+            rooms = fp.rooms
+            assert sorted(left) == [i for i, room in enumerate(rooms) if room[0] == 0]
+            assert sorted(top) == [i for i, room in enumerate(rooms) if room[3] == 1]
+            assert rooms[left[0]][3] == 1 and rooms[left[-1]][2] == 0
+            assert all(rooms[a][2] == rooms[b][3] for a, b in zip(left, left[1:]))
+            assert rooms[top[0]][0] == 0 and rooms[top[-1]][1] == 1
+            assert all(rooms[a][1] == rooms[b][0] for a, b in zip(top, top[1:]))
 
 
 def test_replay_rejects_bad_codes():

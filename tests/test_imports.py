@@ -16,7 +16,7 @@ import pytest
 
 from convexkit.extremal import Lens, max_diameter_shape
 from convexkit.fairpart import LineCut, RatioTarget, find_scaled_fair_cut, solve_band, split
-from convexkit.kernel.polygon import rectangle
+from convexkit.kernel.polygon import ConvexPolygon, rectangle
 from convexkit.polyhedra import build_cube_with_pyramids, build_rhombicuboctahedron
 from convexkit.tiling.hcn import HcnContext, construct_width_layout
 from convexkit.tiling.isoperimetric import search_isoperimetric
@@ -117,32 +117,36 @@ def _fields(record) -> tuple:
     return getattr(record, "_fields", None) or type(record).__slots__
 
 
-# Records holding a ConvexPolygon or a TileSet, which compare by identity:
-# their copies are compared by their pickled bytes instead.
-HOLDS_IDENTITY_FIELDS = {"SplitResult", "IsoWitness"}
-
-
 @pytest.mark.parametrize("name, field, build", FROZEN_RECORDS, ids=[r[0] for r in FROZEN_RECORDS])
 def test_records_copy_pickle_hash_and_print_by_their_fields(name, field, build):
     record = build()
-    by_value = name not in HOLDS_IDENTITY_FIELDS
     clones = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
     for clone in clones:
         assert type(clone) is type(record)
-        if by_value:
-            assert clone == record
-        else:
-            assert pickle.dumps(clone) == pickle.dumps(record)
+        assert clone == record
     try:
         hash(tuple(getattr(record, f) for f in _fields(record)))
     except TypeError:
         pass
     else:
-        hashes = {hash(r) for r in [record] + clones}
-        assert len(hashes) == 1 or not by_value
+        assert len({hash(r) for r in [record] + clones}) == 1
     text = repr(record)
     assert text.startswith(f"{name}(")
     assert all(f"{f}=" in text for f in _fields(record))
+
+
+def test_polygons_and_tile_sets_compare_by_value():
+    """A ConvexPolygon is equal to one with the same vertices and a TileSet
+    to one with the same tiles, so the records that hold them, a split and
+    a search result with witnesses, compare by value too."""
+    assert rectangle(2, 1) == ConvexPolygon([(2, 1), (0, 1), (0, 0), (2, 0)]) != rectangle(1, 2)
+    assert len({rectangle(2, 1), rectangle(2, 1)}) == 1
+    assert _unit_squares(2) == _unit_squares(2) != _unit_squares(3)
+    assert len({_unit_squares(2), _unit_squares(2)}) == 1
+    assert _unit_squares(2) != TileSet([Tile(2, Fraction(1), Fraction(1)), Tile(1, Fraction(1), Fraction(1))])
+    cut = LineCut(0.5, 0.1)
+    assert split(rectangle(2, 1), cut) == split(rectangle(2, 1), cut)
+    assert search_isoperimetric(7, 1) == search_isoperimetric(7, 1)
 
 
 def test_frozen_records_compare_by_value_and_take_each_field():
