@@ -28,23 +28,17 @@ class ParamSolution:
     __slots__ = ("names", "nums", "den")
 
     def __init__(self, names: list[str], nums: list[list[int]], den: int):
+        g = gcd(den, *(v for row in nums for v in row))
+        g = -g if den < 0 else g
         self.names = names
-        self.nums = nums  # the particular point, then one row per free parameter
-        self.den = den
-        self.reduce()
+        # the particular point, then one row per free parameter
+        self.nums = [[v // g for v in row] for row in nums]
+        self.den = den // g
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamSolution):
             return NotImplemented
         return (self.names, self.nums, self.den) == (other.names, other.nums, other.den)
-
-    def reduce(self) -> None:
-        """Bring the fields to lowest terms with den > 0, as on construction
-        (for a caller that reassigned them)."""
-        g = gcd(self.den, *(v for row in self.nums for v in row))
-        g = -g if self.den < 0 else g
-        self.nums = [[v // g for v in row] for row in self.nums]
-        self.den //= g
 
     @property
     def dim(self) -> int:

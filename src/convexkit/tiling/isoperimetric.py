@@ -135,16 +135,14 @@ def solve_isoperimetric(fp: Floorplan) -> Optional[ParamSolution]:
     by one elimination of the whole system: the walk's oracle.  A line, as
     every mosaic floorplan gives, comes back in the `_canonical`
     parametrization, so any two parametrizations of one line come back
-    alike.  Another floorplan may give None (no solution) or a space of
-    dimension 2 or more, returned as solved."""
+    alike.  Another floorplan may give None (no solution), a single point
+    or a space of dimension 2 or more, returned as solved."""
     rows, rhs, names = build_isoperimetric_system(fp)
     sol = solve_linear_exact(rows, rhs, names)
-    if sol is None or sol.dim > 1:
+    if sol is None or sol.dim != 1:
         return sol
-    point, direction, sol.den = _canonical(fp, sol.den, *sol.nums)
-    sol.nums = [point, direction]
-    sol.reduce()
-    return sol
+    point, direction, den = _canonical(fp, sol.den, *sol.nums)
+    return ParamSolution(names, [point, direction], den)
 
 
 # The line of the one-room floorplan over (x0, x1, y0, y1), as the walk

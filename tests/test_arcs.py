@@ -63,7 +63,7 @@ def sampled_error_bounds(shape, n):
     return area, perimeter, R * d
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(shape=st.one_of(lenses, sectors, interpolants), dx=offsets, dy=offsets)
 def test_exact_metrics_match_a_dense_support_body(shape, dx, dy):
     shape = translated(shape, dx, dy)

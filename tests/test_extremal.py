@@ -81,7 +81,7 @@ def test_max_diameter_shape_round_trips():
         assert abs(m["perimeter"] - p) <= 1e-9 * p
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     p=st.floats(min_value=0.01, max_value=1000.0),
     exponent=st.floats(min_value=-30.0, max_value=0.0),
@@ -167,7 +167,7 @@ def test_interpolant_area_sweep_is_continuous():
     assert max(b - a for a, b in zip(areas, areas[1:])) < 1e-3
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(share=st.floats(min_value=0.0, max_value=1.0))
 @example(share=0.0)
 @example(share=1.0)
@@ -240,7 +240,7 @@ def test_solve_sector_branches():
 U_AT_PI = math.pi / (2.0 * (2.0 + math.pi) ** 2)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     u=st.floats(min_value=1e-200, max_value=1.0 / 16.0),
     p=st.floats(min_value=0.1, max_value=100.0),
@@ -314,7 +314,7 @@ def test_min_diameter_survey_hands_over_the_measured_body(area):
     assert body.pieces == rebuilt.pieces
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(share=st.floats(0.001, 1.0), perimeter=st.floats(0.1, 10.0),
        exponent=st.floats(-6.0, 6.0))
 @example(share=1.2 / math.pi, perimeter=math.pi, exponent=-6.0)  # area 0.3 at p = pi

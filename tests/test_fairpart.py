@@ -5,9 +5,10 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import assume, example, given, seed, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import case_named, case_table
 from convexkit.kernel.arcs import ArcPolygon
 from convexkit.kernel.polygon import ConvexPolygon, rectangle, regular_ngon
 from convexkit.fairpart import (
@@ -319,7 +320,7 @@ def test_exact_cut_along_diagonals_of_even_ngons(n):
         _check_exact_cut(c, RatioTarget(1, 1), k * math.pi / n)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     polar=st.lists(
         st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.5, 3.0)), min_size=3, max_size=24
@@ -350,28 +351,49 @@ def _grid_shapes(large=(64, 255, 1024, 4096)):
     return st.one_of(rect, ngon, hull)
 
 
-# derandomize=True seeds a test's draws from its source.  The oracle test is
-# pinned to the seed of its earlier body, which read the points from a walk,
-# so that it keeps checking the same 120 draws
-_ORACLE_DRAWS = int("5a6b963a751766e22700a0e5098dd534ca5d382bfd815c2f"
-                    "890c343b2cc252baf934ebe2f000a351c12cd4e139e3f7c1", 16)
+def _draw_oracle_case(rng):
+    """A polygon as `_grid_shapes` draws it, a hull drawn again until it is
+    a polygon of area 0.05 or more; a ratio, 1:1 or 1:3 half of the time;
+    and 4 to 40 grid angles."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        c = rectangle(rng.uniform(0.05, 20.0), rng.uniform(0.05, 20.0))
+    elif kind == 1:
+        n = rng.randint(3, 40) if rng.random() < 0.5 else rng.choice((64, 255, 1024, 4096))
+        c = regular_ngon(n)
+    else:
+        c = None
+        while c is None or c.area < 0.05:
+            polar = [(rng.uniform(0.0, 2 * math.pi), rng.uniform(0.5, 3.0))
+                     for _ in range(rng.randint(3, 40))]
+            hull = convex_hull([(r * math.cos(a), r * math.sin(a)) for a, r in polar])
+            try:
+                c = ConvexPolygon(hull) if len(hull) >= 3 else None
+            except ValueError:
+                c = None
+    if rng.random() < 0.5:
+        target = rng.choice((RatioTarget(1, 1), RatioTarget(1, 3)))
+    else:
+        target = RatioTarget(rng.randint(1, 20), rng.randint(1, 20))
+    return c, target, rng.randint(4, 40)
 
 
-@seed(_ORACLE_DRAWS)
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(
-    shape=_grid_shapes(),
-    target=st.one_of(
-        st.sampled_from([RatioTarget(1, 1), RatioTarget(1, 3)]),
-        st.builds(RatioTarget, st.integers(1, 20), st.integers(1, 20)),
-    ),
-    samples=st.integers(4, 40),
+ORACLE_CASES = case_table(
+    "test_sweep_matches_the_offset_oracle_at_every_grid_angle", 120, _draw_oracle_case,
+    first=[
+        (rectangle(1, 1), RatioTarget(1, 1), 4),
+        (rectangle(0.05, 20.0), RatioTarget(1, 20), 40),
+        (regular_ngon(3), RatioTarget(1, 3), 40),
+    ],
 )
-def test_sweep_matches_the_offset_oracle_at_every_grid_angle(shape, target, samples):
-    c = _grid_polygon(shape)
-    sweep, diameter = _ChordSweep(c, target.fraction), _diameter(c)
-    for theta in _angle_grid(samples):
-        _check_sweep_point(c, target.fraction, sweep.point(theta), diameter)
+
+
+def test_sweep_matches_the_offset_oracle_at_every_grid_angle():
+    for i, (c, target, samples) in enumerate(ORACLE_CASES):
+        with case_named(i, c, target, samples):
+            sweep, diameter = _ChordSweep(c, target.fraction), _diameter(c)
+            for theta in _angle_grid(samples):
+                _check_sweep_point(c, target.fraction, sweep.point(theta), diameter)
 
 
 def _grid_polygon(shape):
@@ -418,7 +440,7 @@ def test_sweep_makes_one_evaluation_per_angle_and_few_events():
         assert len(sweep.angles) - 1 == sweep.events - 1 == events <= 2 * len(shape)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(shape=_grid_shapes(large=(64, 255)), fraction=st.floats(0.02, 0.5))
 def test_every_event_chord_holds_the_target_area(shape, fraction):
     """At each stored event, the cut through the vertex that an end passes
@@ -437,7 +459,7 @@ def test_every_event_chord_holds_the_target_area(shape, fraction):
         assert abs(area - fraction * c.area) <= 1e-12 * c.area
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(shape=_grid_shapes(), fraction=st.floats(0.01, 0.99))
 @example(shape=regular_ngon(6), fraction=0.5)  # rounding puts one event below the one before
 def test_event_intervals_cover_the_half_turn(shape, fraction):
@@ -457,7 +479,7 @@ def test_event_intervals_cover_the_half_turn(shape, fraction):
             assert sweep.point(angle) == (ii[k], jj[k])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(shape=_grid_shapes(), fraction=st.floats(0.01, 0.99), samples=st.integers(4, 40),
        order=st.integers(0, 2**32 - 1))
 def test_sweep_points_do_not_depend_on_their_order(shape, fraction, samples, order):
@@ -478,7 +500,7 @@ def _scaled(c, k):
     return ConvexPolygon([(x * f, y * f) for x, y in c.vertices])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     shape=st.one_of(
         st.builds(rectangle, st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
@@ -516,7 +538,7 @@ def _moved(c, dx, dy):
     return ConvexPolygon([(x + dx, y + dy) for x, y in c.vertices])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     shape=st.one_of(
         st.builds(rectangle, st.integers(1, 64).map(lambda k: k / 8),
@@ -750,7 +772,7 @@ def band_rho(W, H, e):
     return (2 * ell + 2 * (1 - k) * t) / (p + 2 * (1 - k) * t - 2 * t * ends_on_corner(W, H, e))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(SIDES, SIDES, RATIOS, st.lists(st.floats(0.0, 0.5, exclude_min=True), max_size=20))
 def test_band_rho_has_a_closed_form(W, H, ratio, arcs):
     corners = [W / 2 / (2 * (W + H)), (W / 2 + H) / (2 * (W + H))]
@@ -760,7 +782,7 @@ def test_band_rho_has_a_closed_form(W, H, ratio, arcs):
             assert abs(band_rho(W, H, e) - e.rho) <= 1e-12
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(SIDES, SIDES, RATIOS)
 def test_every_found_band_verifies(W, H, ratio):
     target = RatioTarget(*ratio)
@@ -774,7 +796,7 @@ def test_every_found_band_verifies(W, H, ratio):
         assert any(r.s_lo - 1e-12 <= e.s <= r.s_hi + 1e-12 for r in res.runs)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(SIDES, SIDES, RATIOS, st.floats(0.01, 100.0))
 def test_band_solve_is_scale_invariant(W, H, ratio, c):
     target = RatioTarget(*ratio)
@@ -789,7 +811,7 @@ def test_band_solve_is_scale_invariant(W, H, ratio, c):
         assert abs(r.rho_min - q.rho_min) <= 1e-9 and abs(r.rho_max - q.rho_max) <= 1e-9
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(SIDES, SIDES, RATIOS)
 def test_band_runs_agree_with_a_grid_of_partition_samples(W, H, ratio):
     # the oracle: nonconvex_band_partition at s = j/400, j = 1..200

@@ -259,7 +259,7 @@ def test_feasible_widths_are_the_divisors_from_i_up_without_a_full_search(monkey
     assert cases == 22_812
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(i=st.integers(1, 7), d=st.integers(1, 12))
 def test_few_copy_rows_repeat_into_a_packing_of_every_copy(i, d):
     # d * m need not be a record-setter, which HcnContext insists on

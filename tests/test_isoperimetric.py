@@ -7,8 +7,6 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
 import convexkit.tiling.floorplans as floorplans
 import convexkit.tiling.isoperimetric as isoperimetric
@@ -29,24 +27,10 @@ from convexkit.tiling.isoperimetric import (
     solve_isoperimetric,
 )
 from convexkit.tiling.tiles import load_layout, load_tileset, verify_layout
+from conftest import case_named, case_table
 from reference import baxter_count, contains, enumerate_floorplans, search_isoperimetric_full_walk
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
-
-# derandomize=True seeds a test's draws from its source; each hypothesis
-# test here is pinned to the seed of its body as it stood before the
-# positivity test took width forms, so that edits to it keep its draws
-_LARGE_CODE_DRAWS = int("b9afed06165a5518ddbea582a6de7ebeafc6709f5d0794c9"
-                        "b2842a23c06fd0f8ce0a5c4c2d7e6a7a32bc9be2725550a5", 16)
-_RANK_DRAWS = int("cbd304e8e4fec53aaebac7cf26d34e765e7a0bfa565e16a1"
-                  "2ce7d6273a5b0166f4a33c72f9266c2d1e5d356dbb330ad2", 16)
-_MIRROR_DRAWS = int("4bfcaac34750b00c22fe1fbefb1224efd1987395369427c1"
-                    "346d462eb6c47c80b26d42d915abecb98dcb14a7b2f42d05", 16)
-_CHOICE_DRAWS = int("9888b081e34874c74ddee9d3d9ed37f59616d383021d5ee7"
-                    "58cac2579d98df527c2a8f5bbac4b767f09a51545ab4080b", 16)
-_INTEGER_WIDTH_DRAWS = int("cb27a7c8f5e264eecd9e5d7fa438756bb9aaa82e0e2d83b6"
-                           "071e659e8ef7304b7f48048eba10ffcbb1c048e03580dfd2", 16)
-
 
 @pytest.mark.parametrize(
     "n,examined",
@@ -140,12 +124,15 @@ def test_walk_line_equals_the_fresh_solve(n):
     assert count == baxter_count(n)
 
 
-# a random code with 1 to 30 rooms (10 to 30 for large_codes): each pick is
-# a move and, modulo the length of the wall it pushes, its push count, so
-# every code is valid
-pick = st.tuples(st.sampled_from("VH"), st.integers(0, 2**16))
-codes = st.lists(pick, max_size=29)
-large_codes = st.lists(pick, min_size=9, max_size=29)
+def draw_picks(rng, least=0):
+    """A random code with `least` + 1 to 30 rooms: each pick is a move and,
+    modulo the length of the wall it pushes, its push count, so every code
+    is valid."""
+    return [(rng.choice("VH"), rng.randint(0, 2**16)) for _ in range(rng.randint(least, 29))]
+
+
+# the one-room code, 29 moves of one kind, and 28 moves alternating
+EDGE_CODES = [[], [("V", 0)] * 29, [("H", 0)] * 29, [("V", 2**16), ("H", 2**16)] * 14]
 
 
 def code_from_picks(picks):
@@ -165,42 +152,50 @@ def mirror(code):
     return [("H" if move == "V" else "V", j) for move, j in code]
 
 
-@seed(_LARGE_CODE_DRAWS)
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(codes)
-def test_large_floorplans_solve_to_a_line(picks):
+LARGE_CODE_CASES = case_table(
+    "test_large_floorplans_solve_to_a_line", 200, draw_picks, first=EDGE_CODES
+)
+
+
+def test_large_floorplans_solve_to_a_line():
     """The n room rows and the two pins are independent, past the walk's
     n <= 9 too (the theorem): a random floorplan with 1 to 30 rooms solves
     to a line."""
-    fp = descend(code_from_picks(picks))[0]
-    assert fp.n == len(picks) + 1
-    sol = solve_isoperimetric(fp)
-    assert sol is not None and sol.dim == 1
+    for i, picks in enumerate(LARGE_CODE_CASES):
+        with case_named(i, picks):
+            fp = descend(code_from_picks(picks))[0]
+            assert fp.n == len(picks) + 1
+            sol = solve_isoperimetric(fp)
+            assert sol is not None and sol.dim == 1
 
 
-@seed(_RANK_DRAWS)
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(codes)
-def test_the_rank_theorem_step_by_step(picks):
+RANK_CASES = case_table(
+    "test_the_rank_theorem_step_by_step", 100, draw_picks, first=EDGE_CODES
+)
+
+
+def test_the_rank_theorem_step_by_step():
     """The steps of the proof in the `isoperimetric` docstring, along the
     fresh solve's direction of a random floorplan with 1 to 30 rooms: each
     room has w = -h (step 1); y is harmonic at every interior horizontal
     segment and x at every interior vertical one (step 2); and y_s / y_1
     and x_s / x_1 lie strictly in (0, 1) there (step 3)."""
-    fp = descend(code_from_picks(picks))[0]
-    nv = fp.num_vsegs
-    d = solve_isoperimetric(fp).basis[0]
-    x, y = d[:nv], d[nv:]
-    for l, r, b, t in fp.rooms:
-        assert x[r] - x[l] == -(y[t] - y[b])
-    # a room's (l, r, b, t): for y its low and high sides are b and t,
-    # for x they are l and r
-    for v, lo, hi in ((y, 2, 3), (x, 0, 1)):
-        for s in range(2, len(v)):
-            above = [v[room[hi]] - v[s] for room in fp.rooms if room[lo] == s]
-            below = [v[s] - v[room[lo]] for room in fp.rooms if room[hi] == s]
-            assert above and below and sum(above) == sum(below)
-            assert 0 < v[s] / v[1] < 1
+    for i, picks in enumerate(RANK_CASES):
+        with case_named(i, picks):
+            fp = descend(code_from_picks(picks))[0]
+            nv = fp.num_vsegs
+            d = solve_isoperimetric(fp).basis[0]
+            x, y = d[:nv], d[nv:]
+            for l, r, b, t in fp.rooms:
+                assert x[r] - x[l] == -(y[t] - y[b])
+            # a room's (l, r, b, t): for y its low and high sides are b and
+            # t, for x they are l and r
+            for v, lo, hi in ((y, 2, 3), (x, 0, 1)):
+                for s in range(2, len(v)):
+                    above = [v[room[hi]] - v[s] for room in fp.rooms if room[lo] == s]
+                    below = [v[s] - v[room[lo]] for room in fp.rooms if room[hi] == s]
+                    assert above and below and sum(above) == sum(below)
+                    assert 0 < v[s] / v[1] < 1
 
 
 def line_outcome(fp):
@@ -214,17 +209,22 @@ def line_outcome(fp):
     return empty, equal if isinstance(equal, ForcedPair) else None
 
 
-@seed(_MIRROR_DRAWS)
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(large_codes)
-def test_mirror_code_has_the_same_outcome(picks):
+MIRROR_CASES = case_table(
+    "test_mirror_code_has_the_same_outcome", 100, lambda rng: draw_picks(rng, 9),
+    first=EDGE_CODES[1:] + [[("V", 1), ("H", 1)] * 4 + [("V", 1)]],
+)
+
+
+def test_mirror_code_has_the_same_outcome():
     """Swapping V and H in a code reflects the floorplan in the diagonal
     through the top-left corner, which swaps each room's width and height:
     past the walk's n <= 9 too, the mirror has an all-positive point iff
     the floorplan has, and forces the same pair by the same relation."""
-    code = code_from_picks(picks)
-    fp, image = descend(code)[0], descend(mirror(code))[0]
-    assert line_outcome(image) == line_outcome(fp)
+    for i, picks in enumerate(MIRROR_CASES):
+        with case_named(i, picks):
+            code = code_from_picks(picks)
+            fp, image = descend(code)[0], descend(mirror(code))[0]
+            assert line_outcome(image) == line_outcome(fp)
 
 
 @pytest.mark.parametrize(
@@ -310,6 +310,17 @@ def test_a_non_mosaic_floorplan_solves_to_a_plane():
     sol = solve_isoperimetric(spare)
     assert sol.dim == 2
     assert sol == solve_linear_exact(*build_isoperimetric_system(spare))
+
+
+def test_a_non_mosaic_floorplan_solves_to_a_point():
+    """Three rooms of which one spans the other two pin every vertical
+    segment to x0 = 0, so the solution is a single point, which the fresh
+    solve returns as solved."""
+    squeezed = Floorplan(((0, 1, 0, 1), (0, 2, 0, 1), (1, 2, 0, 1)), 3, 2, ())
+    sol = solve_isoperimetric(squeezed)
+    assert sol.dim == 0
+    assert sol.point([]) == [0, 0, 0, 0, 1]
+    assert sol == solve_linear_exact(*build_isoperimetric_system(squeezed))
 
 
 def test_seven_room_census():
@@ -453,61 +464,80 @@ def test_distinct_area_choice_moves_off_an_excluded_t():
     assert distinct_area_param(free, {Fraction(1)}) == Fraction(0)
 
 
-# widths in (0, 1) at t = 0, so the positivity interval is never empty
-consts = st.builds(Fraction, st.integers(1, 5), st.just(6))
-slopes = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-lines = st.integers(2, 6).flatmap(
-    lambda n: st.tuples(st.lists(consts, min_size=n, max_size=n),
-                        st.lists(slopes, min_size=n, max_size=n))
+def draw_line(rng):
+    """Two to six widths c + a*t, with c in (0, 1) so that the positivity
+    interval is never empty: c = 1/6..5/6 and a = -6..6 over 1..4."""
+    n = rng.randint(2, 6)
+    consts = [Fraction(rng.randint(1, 5), 6) for _ in range(n)]
+    return consts, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+
+
+# the fewest widths, constant, equal, at the ends of their ranges, and
+# complementary
+EDGE_LINES = [
+    ([Fraction(1, 6)] * 2, [Fraction(0)] * 2),
+    ([Fraction(1, 6), Fraction(5, 6)], [Fraction(-6), Fraction(6)]),
+    ([Fraction(1, 2)] * 6,
+     [Fraction(6), Fraction(-6), Fraction(1, 4), Fraction(-1, 4), Fraction(0), Fraction(0)]),
+    ([Fraction(1, 6), Fraction(5, 6), Fraction(1, 2)], [Fraction(1), Fraction(-1), Fraction(0)]),
+]
+
+CHOICE_CASES = case_table(
+    "test_exact_choice_on_random_lines", 300, draw_line, first=EDGE_LINES
 )
 
 
-@seed(_CHOICE_DRAWS)
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(lines)
-def test_exact_choice_on_random_lines(line):
+def test_exact_choice_on_random_lines():
     """Every rational line gets either a pair of rooms whose areas agree
     at every t, or a t inside the positivity interval at which all areas
     w(1 - w) are positive and pairwise distinct."""
-    widths = width_forms(*line)
-    pp = positive_widths(widths)
-    assert not pp.certified_empty
-    equal = forced_equal_pair(widths, 1)
-    if isinstance(equal, ForcedPair):
-        i, j = equal.room_i, equal.room_j
-        # areas are quadratic in t: agreeing at three points is identity
-        for t in (Fraction(0), Fraction(1), Fraction(-1)):
-            areas = areas_at(widths, t)
-            assert areas[i] == areas[j]
-        return
-    t = distinct_area_param(pp, equal)
-    lo, hi = pp.interval
-    assert (lo is None or lo < t) and (hi is None or t < hi)
-    assert all(0 < c + a * t < 1 for c, a in widths)
-    assert len(set(areas_at(widths, t))) == len(widths)
-    if pp.t not in equal:
-        assert t == pp.t
-    # every excluded t really makes two areas agree
-    for e in equal:
-        assert len(set(areas_at(widths, e))) < len(widths)
+    for n, line in enumerate(CHOICE_CASES):
+        with case_named(n, line):
+            widths = width_forms(*line)
+            pp = positive_widths(widths)
+            assert not pp.certified_empty
+            equal = forced_equal_pair(widths, 1)
+            if isinstance(equal, ForcedPair):
+                i, j = equal.room_i, equal.room_j
+                # areas are quadratic in t: agreeing at three points is identity
+                for t in (Fraction(0), Fraction(1), Fraction(-1)):
+                    areas = areas_at(widths, t)
+                    assert areas[i] == areas[j]
+                continue
+            t = distinct_area_param(pp, equal)
+            lo, hi = pp.interval
+            assert (lo is None or lo < t) and (hi is None or t < hi)
+            assert all(0 < c + a * t < 1 for c, a in widths)
+            assert len(set(areas_at(widths, t))) == len(widths)
+            if pp.t not in equal:
+                assert t == pp.t
+            # every excluded t really makes two areas agree
+            for e in equal:
+                assert len(set(areas_at(widths, e))) < len(widths)
 
 
-@seed(_INTEGER_WIDTH_DRAWS)
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(lines, st.booleans(), st.integers(1, 10**6))
-def test_integer_widths_answer_as_their_fractions(line, complement, k):
+INTEGER_WIDTH_CASES = case_table(
+    "test_integer_widths_answer_as_their_fractions", 300,
+    lambda rng: (draw_line(rng), rng.random() < 0.5, rng.randint(1, 10**6)),
+    first=[(line, False, 1) for line in EDGE_LINES] + [(line, True, 10**6) for line in EDGE_LINES],
+)
+
+
+def test_integer_widths_answer_as_their_fractions():
     """Widths given as integer numerators over one denominator, as the
     search passes them, get the same forced pair or excluded parameters
     and the same positivity interval as the Fraction widths.  A width
     complementary to w0 forces a pair w0 + w_j = 1 when nothing else does."""
-    widths = width_forms(*line)
-    if complement:
-        c, a = widths[0]
-        widths.append((1 - c, -a))
-    den = k * lcm(*[v.denominator for form in widths for v in form])
-    ints = [(int(c * den), int(a * den)) for c, a in widths]
-    assert forced_equal_pair(ints, den) == forced_equal_pair(widths, 1)
-    assert positive_point(ints, den) == positive_widths(widths)
+    for i, (line, complement, k) in enumerate(INTEGER_WIDTH_CASES):
+        with case_named(i, line, complement, k):
+            widths = width_forms(*line)
+            if complement:
+                c, a = widths[0]
+                widths.append((1 - c, -a))
+            den = k * lcm(*[v.denominator for form in widths for v in form])
+            ints = [(int(c * den), int(a * den)) for c, a in widths]
+            assert forced_equal_pair(ints, den) == forced_equal_pair(widths, 1)
+            assert positive_point(ints, den) == positive_widths(widths)
 
 
 def segment_ids(coords, hi):

@@ -2,26 +2,9 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
-
+from conftest import case_named, case_table
 from convexkit.kernel.linsolve import ParamSolution, PositivePoint, positive_point, solve_linear_exact
 from reference import contains, positive_forms
-
-# derandomize=True seeds a test's draws from its source; each hypothesis
-# test here is pinned to the seed of its body as first written, or as it
-# stood before the positivity test took width forms, so that edits to it
-# keep its draws
-_EXACT_DRAWS = int("c2a5218aa147f3ead0e29db2037f25dbb7fef24036022997"
-                   "63c169c60d35e4596e0fe7d2a5e6c0cccee1411d98329ee3", 16)
-_SOLVE_DRAWS = int("38d91de1c8d79587dfac559e18381289cbdc139fb925ab2e"
-                   "117cd708682184f2e8b6778f6dbd120fb2d0d90b05374702", 16)
-_SAME_SPACE_DRAWS = int("1dfd95ab23f3109fca6da916ed5e807b4d0ef4e8e669eb76"
-                        "e3feecc86bd3ac6c03dd5c811289037e6391a516c429032f", 16)
-_ONE_PASS_DRAWS = int("ad8d85d3ab0a6cce03eef0b4a8fcde81f469d9b5113240a1"
-                      "eb58e6271b577ca81046b740d7fd9996eb5c1892e50a920c", 16)
-_SCALE_DRAWS = int("febe2e5ad04e3f6c3364dbb2414745623d33a5dbc5238b15"
-                   "7377ec2d66714e16e55e30c1279ddb0f00598fe51e1c4367", 16)
 
 F = Fraction
 
@@ -137,9 +120,29 @@ def test_positive_point_parameter_rule():
         assert (res.t, res.interval, res.certified_empty) == (None, None, True)
 
 
-small_fractions = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
-# a slope of 0 half the time, so constant forms mix with moving ones
-slopes = st.one_of(st.just(F(0)), small_fractions)
+def draw_small_fraction(rng):
+    return F(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def draw_forms(rng):
+    """Up to six forms c + a*t, with a slope of 0 half the time, so that
+    constant forms mix with moving ones."""
+    return [
+        (draw_small_fraction(rng), F(0) if rng.random() < 0.5 else draw_small_fraction(rng))
+        for _ in range(rng.randint(0, 6))
+    ]
+
+
+# no form; constant forms at 0, inside (0, 1) and at 1; and two forms whose
+# interval closes to the point t = 1/2
+EDGE_FORMS = [
+    [],
+    [(F(0), F(0))],
+    [(F(1, 2), F(0))],
+    [(F(1), F(0))],
+    [(F(0), F(2)), (F(-1), F(2))],
+    [(F(1, 2), F(0)), (F(0), F(2)), (F(3, 2), F(-2))],
+]
 
 
 def oracle_has_positive_point(forms):
@@ -154,22 +157,26 @@ def oracle_has_positive_point(forms):
     return any(all(c + a * t > 0 for c, a in forms) for t in candidates)
 
 
-@seed(_EXACT_DRAWS)
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(small_fractions, slopes), max_size=6))
-def test_positive_point_is_exact_on_points_and_lines(forms):
+EXACT_CASES = case_table(
+    "test_positive_point_is_exact_on_points_and_lines", 400, draw_forms, first=EDGE_FORMS
+)
+
+
+def test_positive_point_is_exact_on_points_and_lines():
     """The forms as widths over den = 1: the outcome is exact on all of
     them and their heights 1 - c - a*t."""
-    res = positive_point(forms, 1)
-    both = forms + [(1 - c, -a) for c, a in forms]
-    assert res.attempts == 0
-    if res.certified_empty:
-        assert res.t is None
-        assert not oracle_has_positive_point(both)
-    else:
-        lo, hi = res.interval
-        assert (lo is None or lo < res.t) and (hi is None or res.t < hi)
-        assert all(c + a * res.t > 0 for c, a in both)
+    for i, forms in enumerate(EXACT_CASES):
+        with case_named(i, forms):
+            res = positive_point(forms, 1)
+            both = forms + [(1 - c, -a) for c, a in forms]
+            assert res.attempts == 0
+            if res.certified_empty:
+                assert res.t is None
+                assert not oracle_has_positive_point(both)
+            else:
+                lo, hi = res.interval
+                assert (lo is None or lo < res.t) and (hi is None or res.t < hi)
+                assert all(c + a * res.t > 0 for c, a in both)
 
 
 def test_param_solution_names_survive():
@@ -236,62 +243,91 @@ def test_sparse_solve_matches_dense_reference():
     assert outcomes == {True, False}
 
 
-entries = st.one_of(
-    st.just(0),
-    st.integers(-3, 3),
-    st.builds(F, st.integers(-3, 3), st.integers(1, 4)),
-    st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**20)),
-)
+def draw_entry(rng):
+    """0, a small int or fraction, or a fraction of up to 20 digits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 2:
+        return F(rng.randint(-3, 3), rng.randint(1, 4))
+    return F(rng.randint(-10**20, 10**20), rng.randint(1, 10**20))
 
 
-@st.composite
-def systems(draw):
+def draw_system(rng):
     """Rows of ints and Fractions, some with large denominators.  Half of
     the systems get one more row: a rational combination of two others,
     which makes them rank-deficient, and inconsistent when its right-hand
     side is then shifted."""
-    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    rows = [draw(st.lists(entries, min_size=n + 1, max_size=n + 1)) for _ in range(m)]
-    if draw(st.booleans()):
-        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-        a, b = draw(small_fractions), draw(small_fractions)
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    rows = [[draw_entry(rng) for _ in range(n + 1)] for _ in range(m)]
+    if rng.random() < 0.5:
+        i, j = rng.randrange(m), rng.randrange(m)
+        a, b = draw_small_fraction(rng), draw_small_fraction(rng)
         row = [a * u + b * v for u, v in zip(rows[i], rows[j])]
-        row[-1] += draw(st.sampled_from([0, 1, F(-1, 10**9)]))
-        rows.insert(draw(st.integers(0, m)), row)
+        row[-1] += rng.choice([0, 1, F(-1, 10**9)])
+        rows.insert(rng.randint(0, m), row)
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
-@seed(_SOLVE_DRAWS)
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(systems())
-def test_integer_solve_matches_dense_reference(system):
+# a zero system, consistent and not; two equal rows, consistent and not;
+# and a large entry alone
+EDGE_SYSTEMS = [
+    ([[0]], [0]),
+    ([[0]], [1]),
+    ([[1, 1], [1, 1]], [2, 2]),
+    ([[1, 1], [1, 1]], [2, 2 + F(-1, 10**9)]),
+    ([[F(10**20, 3)]], [F(-1, 10**20)]),
+]
+
+SOLVE_CASES = case_table(
+    "test_integer_solve_matches_dense_reference", 400, draw_system, first=EDGE_SYSTEMS
+)
+
+
+def test_integer_solve_matches_dense_reference():
     """The fraction-free solve returns, Fraction for Fraction, the RREF
     space of the dense Fraction reference, or None exactly when it does."""
-    matrix, rhs = system
-    sol = solve_linear_exact(matrix, rhs)
-    ref = dense_solve(matrix, rhs)
-    if ref is None:
-        assert sol is None
-    else:
-        assert (sol.particular, sol.basis) == ref
-        assert all(type(v) is int for row in sol.nums for v in row)
+    for i, system in enumerate(SOLVE_CASES):
+        with case_named(i, system):
+            matrix, rhs = system
+            sol = solve_linear_exact(matrix, rhs)
+            ref = dense_solve(matrix, rhs)
+            if ref is None:
+                assert sol is None
+            else:
+                assert (sol.particular, sol.basis) == ref
+                assert all(type(v) is int for row in sol.nums for v in row)
 
 
-@seed(_SAME_SPACE_DRAWS)
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(systems(), st.data())
-def test_same_solution_space_compares_equal(system, data):
+def draw_same_space_case(rng):
+    """A system, an order of its rows, a row to scale and a nonzero scale."""
+    system = draw_system(rng)
+    m = len(system[0])
+    f = draw_small_fraction(rng)
+    while not f:
+        f = draw_small_fraction(rng)
+    return system, rng.sample(range(m), m), rng.randrange(m), f
+
+
+SAME_SPACE_CASES = case_table(
+    "test_same_solution_space_compares_equal", 200, draw_same_space_case,
+    first=[(system, list(range(len(system[0])))[::-1], 0, F(-4, 3)) for system in EDGE_SYSTEMS],
+)
+
+
+def test_same_solution_space_compares_equal():
     """Permuting the rows, or scaling one row by a nonzero rational, keeps
     the solution space, so the solves compare equal as ParamSolutions."""
-    matrix, rhs = system
-    sol = solve_linear_exact(matrix, rhs)
-    order = data.draw(st.permutations(range(len(matrix))))
-    assert solve_linear_exact([matrix[i] for i in order], [rhs[i] for i in order]) == sol
-    k = data.draw(st.integers(0, len(matrix) - 1))
-    f = data.draw(small_fractions.filter(bool))
-    scaled = [[f * v for v in row] if i == k else row for i, row in enumerate(matrix)]
-    scaled_rhs = [f * b if i == k else b for i, b in enumerate(rhs)]
-    assert solve_linear_exact(scaled, scaled_rhs) == sol
+    for n, (system, order, k, f) in enumerate(SAME_SPACE_CASES):
+        with case_named(n, system, order, k, f):
+            matrix, rhs = system
+            sol = solve_linear_exact(matrix, rhs)
+            assert solve_linear_exact([matrix[i] for i in order], [rhs[i] for i in order]) == sol
+            scaled = [[f * v for v in row] if i == k else row for i, row in enumerate(matrix)]
+            scaled_rhs = [f * b if i == k else b for i, b in enumerate(rhs)]
+            assert solve_linear_exact(scaled, scaled_rhs) == sol
 
 
 def test_param_solution_is_kept_in_lowest_terms():
@@ -308,45 +344,61 @@ def test_param_solution_is_kept_in_lowest_terms():
     assert contains(sol, [F(-1, 2), F(1, 2)]) and not contains(sol, [F(0), F(0)])
 
 
-@seed(_SCALE_DRAWS)
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(small_fractions, slopes), max_size=6), st.integers(1, 10**12))
-def test_positive_point_ignores_a_common_positive_scale(forms, k):
-    """Multiplying every width and den by one positive integer moves no end
-    of the positivity interval, and int widths answer as their Fraction
-    equals."""
-    res = positive_point(forms, 1)
-    key = (res.interval, res.t, res.certified_empty)
-    scaled = positive_point([(k * c, k * a) for c, a in forms], k)
-    assert (scaled.interval, scaled.t, scaled.certified_empty) == key
-    den = lcm(*[v.denominator for form in forms for v in form])
-    ints = [(int(c * den), int(a * den)) for c, a in forms]
-    assert (positive_point(ints, den).interval, positive_point(ints, den).t) == key[:2]
-    assert positive_point(ints, den) == positive_point([(F(c), F(a)) for c, a in ints], F(den))
-
-
-# a random integer line: den >= 2 and widths c + a*t, either any or, half
-# of the time, each between 0 and den at t = 0, so that the interval is open
-int_widths = st.integers(2, 40).flatmap(
-    lambda den: st.tuples(
-        st.just(den),
-        st.lists(st.tuples(st.integers(-2 * den, 2 * den), st.integers(-6, 6)), max_size=8)
-        | st.lists(st.tuples(st.integers(1, den - 1), st.integers(-6, 6)), max_size=8),
-    )
+SCALE_CASES = case_table(
+    "test_positive_point_ignores_a_common_positive_scale", 400,
+    lambda rng: (draw_forms(rng), rng.randint(1, 10**12)),
+    first=[(forms, k) for forms in EDGE_FORMS for k in (1, 10**12)],
 )
 
 
-@seed(_ONE_PASS_DRAWS)
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(int_widths)
-def test_one_pass_answers_as_the_widths_and_heights_as_forms(line):
+def test_positive_point_ignores_a_common_positive_scale():
+    """Multiplying every width and den by one positive integer moves no end
+    of the positivity interval, and int widths answer as their Fraction
+    equals."""
+    for i, (forms, k) in enumerate(SCALE_CASES):
+        with case_named(i, forms, k):
+            res = positive_point(forms, 1)
+            key = (res.interval, res.t, res.certified_empty)
+            scaled = positive_point([(k * c, k * a) for c, a in forms], k)
+            assert (scaled.interval, scaled.t, scaled.certified_empty) == key
+            den = lcm(*[v.denominator for form in forms for v in form])
+            ints = [(int(c * den), int(a * den)) for c, a in forms]
+            assert (positive_point(ints, den).interval, positive_point(ints, den).t) == key[:2]
+            fractions = [(F(c), F(a)) for c, a in ints]
+            assert positive_point(ints, den) == positive_point(fractions, F(den))
+
+
+def draw_int_line(rng):
+    """A random integer line: den >= 2 and up to eight widths c + a*t,
+    either any or, half of the time, each between 0 and den at t = 0, so
+    that the interval is open."""
+    den = rng.randint(2, 40)
+    low, high = (-2 * den, 2 * den) if rng.random() < 0.5 else (1, den - 1)
+    return den, [(rng.randint(low, high), rng.randint(-6, 6)) for _ in range(rng.randint(0, 8))]
+
+
+ONE_PASS_CASES = case_table(
+    "test_one_pass_answers_as_the_widths_and_heights_as_forms", 400, draw_int_line,
+    first=[
+        (2, []),
+        (2, [(1, 0)]),
+        (2, [(2, 0)]),
+        (2, [(0, 0)]),
+        (2, [(0, 2), (-2, 2)]),  # the interval closes to the point t = 1
+        (2, [(1, 1), (1, -1)]),
+    ],
+)
+
+
+def test_one_pass_answers_as_the_widths_and_heights_as_forms():
     """`positive_point(widths, den)` tests each width and its height in one
     pass; it answers as the positivity test of the 2n forms one by one:
     the same emptiness, the same ends as values, and the same t."""
-    den, widths = line
-    got = positive_point(widths, den)
-    want = positive_forms(widths + [(den - c, -a) for c, a in widths])
-    assert got.certified_empty == want.certified_empty
-    assert (got.interval, got.t, got.attempts) == (want.interval, want.t, 0)
-    if got.certified_empty:
-        assert got is positive_point([(0, 0)], 1)  # the one shared empty outcome
+    for i, (den, widths) in enumerate(ONE_PASS_CASES):
+        with case_named(i, den, widths):
+            got = positive_point(widths, den)
+            want = positive_forms(widths + [(den - c, -a) for c, a in widths])
+            assert got.certified_empty == want.certified_empty
+            assert (got.interval, got.t, got.attempts) == (want.interval, want.t, 0)
+            if got.certified_empty:
+                assert got is positive_point([(0, 0)], 1)  # the one shared empty outcome

@@ -179,7 +179,7 @@ def test_forty_triangle_pair():
     assert abs(v1 - v2) > 0.01 * max(v1, v2)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(
     s=st.floats(min_value=0.1, max_value=10.0),
     stretch=st.floats(min_value=1.01, max_value=10.0),

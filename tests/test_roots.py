@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from convexkit.kernel.roots import bisect_root, rising_quadratic_root
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     root=st.floats(min_value=-100.0, max_value=100.0),
     width=st.floats(min_value=0.1, max_value=100.0),
@@ -55,7 +55,7 @@ def test_rising_quadratic_root_is_exact_and_clamps():
     assert rising_quadratic_root(0.0, 0.25, 1.0, 0.49) == pytest.approx(0.7, abs=1e-15)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     a=st.floats(min_value=-10.0, max_value=10.0),
     b=st.floats(min_value=0.01, max_value=10.0),

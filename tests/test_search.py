@@ -8,9 +8,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
+from conftest import case_named, case_table
 from convexkit import UnsupportedInstance
 from convexkit.tiling import search
 from convexkit.tiling.search import _search_fill, _side_sums, enumerate_layouts
@@ -121,40 +120,48 @@ def test_enumeration_is_deterministic():
     assert a == b
 
 
-sides = st.fractions(min_value=Fraction(1, 6), max_value=4, max_denominator=6)
-
-# derandomize=True seeds a test's draws from its source; the two hypothesis
-# tests are pinned to the seeds of their bodies as first written, so that
-# edits to them keep their draws
-_SCALING_DRAWS = int("a45c8984eb938ef9e2152879668a91c37a8dec63d4e78b80"
-                     "dcbf78ea05f5e256fce6a4628083b9b14ac3695237c95257", 16)
-_SIDE_SUM_DRAWS = int("7b67d56d6851aa1dcb98ecfd51bc7375d4a4c9f9e8dfa528"
-                      "49cc1ca5f947d3599591027f8b0c9879732a9959431cf99f", 16)
+def draw_side(rng):
+    """A fraction in [1/6, 4] with denominator at most 6."""
+    d = rng.randint(1, 6)
+    return Fraction(rng.randint(1, 4 * d), d)
 
 
-@seed(_SCALING_DRAWS)
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    st.lists(st.tuples(sides, sides), min_size=1, max_size=5),
-    st.fractions(min_value=Fraction(1, 10), max_value=10, max_denominator=12),
-    st.booleans(),
+def draw_scaling_case(rng):
+    """One to five tiles, a scale in [1/10, 10] with denominator at most 12,
+    and whether tiles may turn."""
+    dims = [(draw_side(rng), draw_side(rng)) for _ in range(rng.randint(1, 5))]
+    d = rng.randint(1, 12)
+    q = Fraction(rng.randint(-(-d // 10), 10 * d), d)
+    return dims, q, rng.random() < 0.5
+
+
+SCALING_CASES = case_table(
+    "test_scaling_the_tiles_scales_every_result", 60, draw_scaling_case,
+    first=[
+        ([(Fraction(1, 6), Fraction(1, 6))], Fraction(1, 10), False),
+        ([(Fraction(4), Fraction(1, 6))] * 5, Fraction(10), True),
+    ],
 )
-def test_scaling_the_tiles_scales_every_result(dims, q, allow_rotation):
-    ts = TileSet([Tile(k + 1, w, h) for k, (w, h) in enumerate(dims)])
-    scaled = TileSet([Tile(k + 1, w * q, h * q) for k, (w, h) in enumerate(dims)])
-    base = enumerate_layouts(ts, allow_rotation)
-    grown = enumerate_layouts(scaled, allow_rotation)
-    assert len(grown) == len(base)
-    for a, b in zip(base, grown):
-        assert (b.width, b.height) == (a.width * q, a.height * q)
-        assert b.layout.target_width == b.width and b.layout.target_height == b.height
-        assert [(p.tile_id, p.rotated) for p in b.layout.placements] == [
-            (p.tile_id, p.rotated) for p in a.layout.placements
-        ]
-        assert [(p.x, p.y) for p in b.layout.placements] == [
-            (p.x * q, p.y * q) for p in a.layout.placements
-        ]
-        assert verify_layout(scaled, b.layout) is None
+
+
+def test_scaling_the_tiles_scales_every_result():
+    for i, (dims, q, allow_rotation) in enumerate(SCALING_CASES):
+        with case_named(i, dims, q, allow_rotation):
+            ts = TileSet([Tile(k + 1, w, h) for k, (w, h) in enumerate(dims)])
+            scaled = TileSet([Tile(k + 1, w * q, h * q) for k, (w, h) in enumerate(dims)])
+            base = enumerate_layouts(ts, allow_rotation)
+            grown = enumerate_layouts(scaled, allow_rotation)
+            assert len(grown) == len(base)
+            for a, b in zip(base, grown):
+                assert (b.width, b.height) == (a.width * q, a.height * q)
+                assert b.layout.target_width == b.width and b.layout.target_height == b.height
+                assert [(p.tile_id, p.rotated) for p in b.layout.placements] == [
+                    (p.tile_id, p.rotated) for p in a.layout.placements
+                ]
+                assert [(p.x, p.y) for p in b.layout.placements] == [
+                    (p.x * q, p.y * q) for p in a.layout.placements
+                ]
+                assert verify_layout(scaled, b.layout) is None
 
 
 def enumerate_measured(ts):
@@ -198,20 +205,33 @@ def brute_side_sums(choices, limit):
     return {s for s in map(sum, picks) if 0 < s <= limit}
 
 
-side = st.one_of(st.integers(1, 12), st.integers(1, 10**15))
+def draw_side_sum_case(rng):
+    """One to eight tiles, each with one choice of side or two, from 1..12
+    or 1..10**15, and a limit from -1..100 or 0..10**16."""
+    tops = (12, 10**15)
+    n, k = rng.randint(1, 8), rng.randint(1, 2)
+    choices = [tuple(rng.randint(1, rng.choice(tops)) for _ in range(k)) for _ in range(n)]
+    limit = rng.randint(-1, 100) if rng.random() < 0.5 else rng.randint(0, 10**16)
+    return choices, limit
 
 
-@seed(_SIDE_SUM_DRAWS)
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    st.one_of(
-        st.lists(st.tuples(side), min_size=1, max_size=8),
-        st.lists(st.tuples(side, side), min_size=1, max_size=8),
-    ),
-    st.one_of(st.integers(-1, 100), st.integers(0, 10**16)),
+SIDE_SUM_CASES = case_table(
+    "test_side_sums_equal_every_pick", 300, draw_side_sum_case,
+    first=[
+        ([(1,)], -1),
+        ([(1,)], 0),
+        ([(1,)], 1),
+        ([(3, 2), (2,), (5, 4)], 6),
+        ([(12, 12)] * 8, 100),
+        ([(10**15,), (1, 10**15)], 10**16),
+    ],
 )
-def test_side_sums_equal_every_pick(choices, limit):
-    assert _side_sums(choices, limit) == brute_side_sums(choices, limit)
+
+
+def test_side_sums_equal_every_pick():
+    for i, (choices, limit) in enumerate(SIDE_SUM_CASES):
+        with case_named(i, choices, limit):
+            assert _side_sums(choices, limit) == brute_side_sums(choices, limit)
 
 
 def grid_search_fill(dims, counts, W, H, allow_rotation):
