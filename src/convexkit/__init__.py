@@ -16,13 +16,17 @@ operation.  Every name is imported from the module that defines it (for
 example `from convexkit.kernel.polygon import rectangle`); the packages
 re-export nothing, so importing one subsystem loads only what it uses.
 The records are `typing.NamedTuple`s or slotted classes, so importing
-convexkit loads no `dataclasses`.  The slotted records that are immutable
-once built derive from `Frozen`, which gives them the contract of a frozen
-dataclass: positional arguments fill `__slots__` in order, then
-`__post_init__` runs, the hook where a record checks or normalizes its
-fields through `object.__setattr__`; a later assignment raises
-AttributeError.  Equality, hashing, repr, copying and pickling follow the
-fields.  `UnsupportedInstance` is the error of every program limit.
+convexkit loads no `dataclasses`.  Every slotted class derives from
+`Frozen`, which gives it the contract of a frozen dataclass: positional
+arguments fill `__slots__` in order, then `__post_init__` runs, the hook
+where a record checks or normalizes its fields through
+`object.__setattr__`; a later assignment or `del` raises AttributeError.
+Equality, hashing, repr, copying and pickling follow the fields.  A value
+class with its own constructor (`ConvexPolygon`, `ArcPolygon`,
+`SupportBody`, `TileSet`) ends it with `super().__init__(<its field
+values>)`.  `PositivePoint` is the one mutable value: it compares by the
+interval it denotes and builds its Fraction views on first use.
+`UnsupportedInstance` is the error of every program limit.
 """
 
 
@@ -32,8 +36,8 @@ class UnsupportedInstance(ValueError):
 
 
 class Frozen:
-    """Base of the slotted records that are immutable once built, with the
-    semantics of a frozen dataclass whose fields are `__slots__`."""
+    """Base of the slotted records and values, immutable once built, with
+    the semantics of a frozen dataclass whose fields are `__slots__`."""
 
     __slots__ = ()
 
@@ -70,3 +74,6 @@ class Frozen:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")

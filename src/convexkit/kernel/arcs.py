@@ -22,6 +22,8 @@ import math
 from bisect import bisect_right
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
+from .. import Frozen
+
 TAU = 2.0 * math.pi
 # Normal angles closer than this are one breakpoint.
 ANGLE_EPS = 1e-12
@@ -41,10 +43,11 @@ class Piece(NamedTuple):
         return self.x * math.cos(t) + self.y * math.sin(t) + self.r
 
 
-class ArcPolygon:
+class ArcPolygon(Frozen):
     """Immutable convex body bounded by arcs and segments; raises
     ValueError unless the pieces cover the normal circle once, in order,
-    with radii >= 0 and every implied segment running counterclockwise."""
+    with radii >= 0 and every implied segment running counterclockwise.
+    Two arc polygons are equal when they have the same pieces."""
 
     __slots__ = ("pieces", "_starts")
 
@@ -65,8 +68,8 @@ class ArcPolygon:
             off_line, forward = (bx - ax) * c + (by - ay) * s, (by - ay) * c - (bx - ax) * s
             if abs(off_line) > 1e-9 * size or forward < -1e-9 * size:
                 raise ValueError("arc pieces do not bound a convex body")
-        self.pieces: Tuple[Piece, ...] = tuple(p for p in ps if p.hi > p.lo)
-        self._starts = [p.lo for p in self.pieces]
+        pieces = tuple(p for p in ps if p.hi > p.lo)
+        super().__init__(pieces, tuple(p.lo for p in pieces))
 
     @classmethod
     def disc(cls, width: float) -> "ArcPolygon":

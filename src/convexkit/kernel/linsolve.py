@@ -18,27 +18,25 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .. import Frozen
 
-class ParamSolution:
+
+class ParamSolution(Frozen):
     """Affine solution space: point(t) = particular + sum_i t_i * basis[i].
 
-    Stored as ints over one denominator `den` > 0, in lowest terms, so equal
-    fields mean equal spaces; `particular` and `basis` are Fraction views."""
+    `ParamSolution(names, nums, den)`: `nums` holds the particular point,
+    then one row per free parameter, as ints over one denominator `den`.
+    They are stored in lowest terms with `den` > 0, so equal fields mean
+    equal spaces; `particular` and `basis` are Fraction views.  The fields
+    are lists, so a solution is not hashable."""
 
     __slots__ = ("names", "nums", "den")
 
-    def __init__(self, names: list[str], nums: list[list[int]], den: int):
-        g = gcd(den, *(v for row in nums for v in row))
-        g = -g if den < 0 else g
-        self.names = names
-        # the particular point, then one row per free parameter
-        self.nums = [[v // g for v in row] for row in nums]
-        self.den = den // g
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamSolution):
-            return NotImplemented
-        return (self.names, self.nums, self.den) == (other.names, other.nums, other.den)
+    def __post_init__(self):
+        g = gcd(self.den, *(v for row in self.nums for v in row))
+        g = -g if self.den < 0 else g
+        object.__setattr__(self, "nums", [[v // g for v in row] for row in self.nums])
+        object.__setattr__(self, "den", self.den // g)
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .. import UnsupportedInstance
+from .. import Frozen, UnsupportedInstance
 
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
@@ -24,7 +24,7 @@ MAX_NGON_VERTICES = 100_000  # a fair-cut command over K angles costs O(n + K)
 Point = tuple[float, float]
 
 
-class ConvexPolygon:
+class ConvexPolygon(Frozen):
     """Immutable convex polygon; raises ValueError on degenerate input.
     Two polygons are equal when they have the same vertices."""
 
@@ -49,9 +49,8 @@ class ConvexPolygon:
             raise ValueError("degenerate polygon after cleanup")
 
         start = min(range(len(pts)), key=lambda i: pts[i])
-        self.vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
-        self.area = ring_area(self.vertices)
-        self.perimeter = ring_perimeter(self.vertices)
+        vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
+        super().__init__(vertices, ring_area(vertices), ring_perimeter(vertices))
 
     @staticmethod
     def _cleanup(pts: list[Point], scale: float) -> list[Point]:
@@ -85,14 +84,6 @@ class ConvexPolygon:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.6g})"

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+from .. import Frozen
+
 DEFAULT_SAMPLES = 3600
 
 
@@ -27,14 +29,15 @@ def _derivative(h: Sequence[float]) -> List[float]:
     return [(h[(k + 1) % n] - h[k - 1]) / step for k in range(n)]
 
 
-class SupportBody:
+class SupportBody(Frozen):
     """Sampled support function of a convex planar body.
 
     Validity is checked at construction: all widths h(t)+h(t+pi) must be
     positive and the discrete convexity condition
         h(k-1) + h(k+1) >= 2 h(k) cos(2*pi/N)
     must hold (up to float slack). N must be even so antipodal samples
-    pair up exactly.  The samples are kept as an immutable tuple.
+    pair up exactly.  Immutable: the samples are kept as a tuple, and two
+    bodies are equal when they have the same samples.
     """
 
     __slots__ = ("samples",)
@@ -50,7 +53,7 @@ class SupportBody:
         c = math.cos(2 * math.pi / n)
         if not all(h[k - 1] + h[(k + 1) % n] - 2.0 * h[k] * c >= -slack for k in range(n)):
             raise ValueError("support samples fail the discrete convexity check")
-        self.samples = h
+        super().__init__(h)
 
     @classmethod
     def from_function(cls, fn, n: int = DEFAULT_SAMPLES) -> "SupportBody":

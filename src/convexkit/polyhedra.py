@@ -435,18 +435,12 @@ def compare_report(meshes: Sequence[Mesh], names: Optional[Sequence[str]] = None
     multisets = [face_multiset(m) for m in meshes]
     probes = [distance_multiset(m) for m in meshes]
 
-    def classes(keys: list) -> List[List[str]]:
-        seen: List = []
-        groups: List[List[str]] = []
+    def classes(keys: Iterable) -> List[List[str]]:
+        """The names grouped by equal keys, in first-seen order."""
+        groups: dict = {}
         for name, key in zip(names, keys):
-            for i, k in enumerate(seen):
-                if k == key:
-                    groups[i].append(name)
-                    break
-            else:
-                seen.append(key)
-                groups.append([name])
-        return groups
+            groups.setdefault(key, []).append(name)
+        return list(groups.values())
 
     entries = [
         {"name": name, **mesh_summary(m), "distinct_face_shapes": len(ms)}
@@ -454,7 +448,8 @@ def compare_report(meshes: Sequence[Mesh], names: Optional[Sequence[str]] = None
     ]
     return {
         "meshes": entries,
-        "multiset_classes": classes(multisets),
+        # the counts are >= 1, so two Counters are equal when their item sets are
+        "multiset_classes": classes(frozenset(ms.items()) for ms in multisets),
         "congruence_classes": classes(probes),
         "congruence_note": "classes by sorted vertex-distance multiset; "
         "a shared class means possibly congruent, not proven",

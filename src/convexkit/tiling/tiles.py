@@ -40,7 +40,7 @@ class Tile(Frozen):
         return self.width + self.height
 
 
-class TileSet:
+class TileSet(Frozen):
     """Immutable collection of tiles with unique ids, equal to another with
     the same tiles in the same order."""
 
@@ -55,8 +55,7 @@ class TileSet:
             if t.id in index:
                 raise ValueError(f"duplicate tile id {t.id}")
             index[t.id] = t
-        self.tiles = tiles
-        self._by_id = index
+        super().__init__(tiles, index)
 
     def __len__(self):
         return len(self.tiles)
@@ -70,13 +69,8 @@ class TileSet:
     def by_id(self, tile_id: int) -> Tile:
         return self._by_id[tile_id]
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.tiles == other.tiles
-
     def __hash__(self) -> int:
-        return hash(self.tiles)
+        return hash(self.tiles)  # the tiles only: the index is a dict
 
     @property
     def total_area(self) -> Fraction:
@@ -106,7 +100,7 @@ def parse_tileset(text: str) -> TileSet:
             raise TileFileError(line_no, str(e)) from None
         count = 1
         if len(parts) == 3:
-            if not parts[2].isdigit() or int(parts[2]) == 0:
+            if not parts[2].isdecimal() or int(parts[2]) == 0:
                 raise TileFileError(line_no, f"COUNT must be a positive integer, got {parts[2]!r}")
             count = int(parts[2])
         if w <= 0 or h <= 0:

@@ -3,8 +3,10 @@
 `solve_offset_for_area` is the oracle of `fairpart._ChordSweep`: it solves
 one angle's offset by bisection over the vertex levels, with no state
 carried between angles.  `convex_hull` is the monotone chain that the
-tests and `random_convex_polygon` build their polygons with; the latter
-draws seeded hulls for the polygon and arc-kernel sweeps.
+tests, `random_polygon` and `random_convex_polygon` build their polygons
+with; the last two draw seeded hulls for the fair-cut, extremal, polygon
+and arc-kernel sweeps.  `count_diagonal_rectangulations` is the
+floorplan counter that shares no code with `tiling.floorplans`.
 `search_isoperimetric_full_walk` is the oracle of `search_isoperimetric`:
 it walks the whole insertion tree and decides every floorplan, with no
 mirror half.  `search_fill_unpruned` is the oracle of
@@ -106,6 +108,19 @@ def convex_hull(points: Sequence) -> list:
     return lower[:-1] + upper[:-1]
 
 
+def random_polygon(rng, npts: int, span: float) -> ConvexPolygon:
+    """Hull of `npts` points drawn uniformly from [-span, span]^2, drawn
+    again until the hull is a polygon."""
+    while True:
+        pts = [(rng.uniform(-span, span), rng.uniform(-span, span)) for _ in range(npts)]
+        hull = convex_hull(pts)
+        if len(hull) >= 3:
+            try:
+                return ConvexPolygon(hull)
+            except ValueError:
+                continue
+
+
 def random_convex_polygon(rng, max_vertices: int = 12) -> ConvexPolygon:
     """Hull of random points; useful for seeded property sweeps."""
     while True:
@@ -184,6 +199,50 @@ def search_fill_unpruned(dims, counts, W, H, allow_rotation, reach=None):
 def enumerate_floorplans(n: int) -> List[Floorplan]:
     """All mosaic floorplans with n rooms, in `iter_floorplans` order."""
     return [fp for fp, *_ in iter_floorplans(n)]
+
+
+def count_diagonal_rectangulations(n: int) -> int:
+    """Tilings of the n x n grid by n rectangles that each hold exactly one
+    diagonal cell (i, i), in bijection with the mosaic floorplans of n
+    rooms; counted by backtracking over the first uncovered cell,
+    row-major order."""
+    covered = [[False] * n for _ in range(n)]
+
+    def diagonal_cells(r0, c0, r1, c1):
+        # diagonal cells (i, i) inside rows [r0, r1) x cols [c0, c1)
+        return sum(1 for i in range(max(r0, c0), min(r1, c1)))
+
+    def first_free():
+        for r in range(n):
+            for c in range(n):
+                if not covered[r][c]:
+                    return r, c
+        return None
+
+    def rec() -> int:
+        cell = first_free()
+        if cell is None:
+            return 1
+        r0, c0 = cell
+        total = 0
+        for r1 in range(r0 + 1, n + 1):
+            if any(covered[r][c0] for r in range(r0, r1)):
+                break
+            for c1 in range(c0 + 1, n + 1):
+                if any(covered[r][c1 - 1] for r in range(r0, r1)):
+                    break
+                if diagonal_cells(r0, c0, r1, c1) != 1:
+                    continue
+                for r in range(r0, r1):
+                    for c in range(c0, c1):
+                        covered[r][c] = True
+                total += rec()
+                for r in range(r0, r1):
+                    for c in range(c0, c1):
+                        covered[r][c] = False
+        return total
+
+    return rec()
 
 
 def baxter_count(n: int) -> int:

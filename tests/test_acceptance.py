@@ -49,7 +49,7 @@ from convexkit.tiling.hcn import (
 )
 from convexkit.tiling.isoperimetric import search_isoperimetric
 from convexkit.tiling.tiles import load_tileset, parse_tileset, verify_layout
-from reference import convex_hull, enumerate_floorplans
+from reference import convex_hull, count_diagonal_rectangulations, enumerate_floorplans
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")
@@ -151,47 +151,6 @@ def test_criterion_04_record_series():
     assert [divisor_count(n) for n in records] == RECORD_DIVISOR_COUNTS
 
 
-def _count_diagonal_rectangulations(n):
-    # independent oracle: n x n grid tiled by n rectangles, each holding
-    # exactly one diagonal cell
-    covered = [[False] * n for _ in range(n)]
-
-    def diagonal_cells(r0, c0, r1, c1):
-        return sum(1 for i in range(max(r0, c0), min(r1, c1)))
-
-    def first_free():
-        for r in range(n):
-            for c in range(n):
-                if not covered[r][c]:
-                    return r, c
-        return None
-
-    def rec():
-        cell = first_free()
-        if cell is None:
-            return 1
-        r0, c0 = cell
-        total = 0
-        for r1 in range(r0 + 1, n + 1):
-            if any(covered[r][c0] for r in range(r0, r1)):
-                break
-            for c1 in range(c0 + 1, n + 1):
-                if any(covered[r][c] for r in range(r0, r1) for c in range(c0, c1)):
-                    break
-                if diagonal_cells(r0, c0, r1, c1) != 1:
-                    continue
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        covered[r][c] = True
-                total += rec()
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        covered[r][c] = False
-        return total
-
-    return rec()
-
-
 @criterion(5, 300, "no equal-semiperimeter distinct-area tiling for n <= 4")
 def test_criterion_05_small_n_impossibility():
     for n in (2, 3, 4):
@@ -200,8 +159,8 @@ def test_criterion_05_small_n_impossibility():
         assert not res.witnesses
     for n in (1, 2, 3, 4):
         count = sum(1 for _ in enumerate_floorplans(n))
-        assert count == _count_diagonal_rectangulations(n)
-    assert _count_diagonal_rectangulations(4) == 22
+        assert count == count_diagonal_rectangulations(n)
+    assert count_diagonal_rectangulations(4) == 22
 
 
 @criterion(6, 60, "1x4 rectangle 1:3 fair cut; disc 1:3 out of reach")

@@ -192,17 +192,18 @@ def arc_bulges_outward(start, end, radius, large, sweep, inside):
     return side(centre) * side(inside) >= -1e-6 * radius ** 3
 
 
+# ids written beside their cases, as in test_cli.py
 @pytest.mark.parametrize(
     "argv",
     [
-        ["maxdiam", "--area", "0.5", "--perimeter", "4"],
-        ["maxdiam", "--area", "0.999", "--perimeter", "3.545"],
-        ["mindiam", "--area", "0.30"],
-        ["mindiam", "--area", "0.61"],
-        ["mindiam", "--area", "0.75"],
-        ["interp", "--t", "0.0"],
-        ["interp", "--t", "0.37"],
-        ["interp", "--t", "1.0"],
+        pytest.param(["maxdiam", "--area", "0.5", "--perimeter", "4"], id="argv0"),
+        pytest.param(["maxdiam", "--area", "0.999", "--perimeter", "3.545"], id="argv1"),
+        pytest.param(["mindiam", "--area", "0.30"], id="argv2"),
+        pytest.param(["mindiam", "--area", "0.61"], id="argv3"),
+        pytest.param(["mindiam", "--area", "0.75"], id="argv4"),
+        pytest.param(["interp", "--t", "0.0"], id="argv5"),
+        pytest.param(["interp", "--t", "0.37"], id="argv6"),
+        pytest.param(["interp", "--t", "1.0"], id="argv7"),
     ],
 )
 def test_every_outline_parses_and_bulges_outward(tmp_path, argv):

@@ -218,27 +218,30 @@ def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, messag
     assert not (out / "report.json").exists()
 
 
+# each case's id is written beside it, so deleting a case renames no other
+# test; the argvN ids are the names the cases already had
 @pytest.mark.parametrize(
     "argv",
     [
-        ["tiling", "verify", "--tiles", SEVEN_TILES, "--layout", "TRUNCATED"],
-        ["shapes", "maxdiam", "--area", "-1", "--perimeter", "3"],
-        ["shapes", "interp", "--t", "2"],
-        ["shapes", "interp", "--t", "0.5", "--samples", "7"],
-        ["tiling", "hcn", "--h", "61", "--i", "5", "--length", "4"],
-        ["tiling", "split", "--h", "60", "--i", "7", "--length", "4"],
+        pytest.param(["tiling", "verify", "--tiles", SEVEN_TILES, "--layout", "TRUNCATED"],
+                     id="argv0"),
+        pytest.param(["shapes", "maxdiam", "--area", "-1", "--perimeter", "3"], id="argv1"),
+        pytest.param(["shapes", "interp", "--t", "2"], id="argv2"),
+        pytest.param(["shapes", "interp", "--t", "0.5", "--samples", "7"], id="argv3"),
+        pytest.param(["tiling", "hcn", "--h", "61", "--i", "5", "--length", "4"], id="argv4"),
+        pytest.param(["tiling", "split", "--h", "60", "--i", "7", "--length", "4"], id="argv5"),
         # NaN fails every comparison, so only a check written as
         # "not x > 0" rejects it
-        ["shapes", "maxdiam", "--area", "nan", "--perimeter", "3"],
-        ["shapes", "mindiam", "--area", "nan"],
-        ["shapes", "interp", "--t", "0.5", "--width", "nan"],
-        ["shapes", "crossover", "--perimeter", "nan"],
+        pytest.param(["shapes", "maxdiam", "--area", "nan", "--perimeter", "3"], id="argv6"),
+        pytest.param(["shapes", "mindiam", "--area", "nan"], id="argv7"),
+        pytest.param(["shapes", "interp", "--t", "0.5", "--width", "nan"], id="argv8"),
+        pytest.param(["shapes", "crossover", "--perimeter", "nan"], id="argv9"),
         # an infinite length has no shape either
-        ["shapes", "maxdiam", "--area", "1", "--perimeter", "inf"],
-        ["shapes", "mindiam", "--area", "0.7", "--perimeter", "inf"],
-        ["shapes", "interp", "--t", "0.5", "--width", "inf"],
+        pytest.param(["shapes", "maxdiam", "--area", "1", "--perimeter", "inf"], id="argv10"),
+        pytest.param(["shapes", "mindiam", "--area", "0.7", "--perimeter", "inf"], id="argv11"),
+        pytest.param(["shapes", "interp", "--t", "0.5", "--width", "inf"], id="argv12"),
         # a cross-check body past the sample cap would run for minutes
-        ["shapes", "interp", "--t", "0.5", "--samples", "100002"],
+        pytest.param(["shapes", "interp", "--t", "0.5", "--samples", "100002"], id="argv13"),
     ],
 )
 def test_inputs_the_library_rejects_exit_two(tmp_path, capsys, argv):
@@ -386,11 +389,12 @@ def test_fairpart_solve_not_found_on_ngon(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["fairpart", "profile", "--shape", "rect:4x1", "--ratio", "1:3", "--svg"],
-        ["fairpart", "disc", "--ratio", "1:3", "--seed", "1"],
-        ["shapes", "crossover", "--obj"],
-        ["poly", "build", "--solid", "rco", "--svg"],
-        ["tiling", "enumerate", "--tiles", SEVEN_TILES, "--seed", "1"],
+        pytest.param(["fairpart", "profile", "--shape", "rect:4x1", "--ratio", "1:3", "--svg"],
+                     id="argv0"),
+        pytest.param(["fairpart", "disc", "--ratio", "1:3", "--seed", "1"], id="argv1"),
+        pytest.param(["shapes", "crossover", "--obj"], id="argv2"),
+        pytest.param(["poly", "build", "--solid", "rco", "--svg"], id="argv3"),
+        pytest.param(["tiling", "enumerate", "--tiles", SEVEN_TILES, "--seed", "1"], id="argv4"),
     ],
 )
 def test_flags_a_subcommand_ignores_are_rejected(tmp_path, argv):
@@ -608,10 +612,10 @@ def test_shapes_interp(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["shapes", "maxdiam", "--area", "0.5", "--perimeter", "4"],
-        ["shapes", "mindiam", "--area", "0.71"],
-        ["shapes", "mindiam", "--area", "0.55"],
-        ["shapes", "interp", "--t", "0.37"],
+        pytest.param(["shapes", "maxdiam", "--area", "0.5", "--perimeter", "4"], id="argv0"),
+        pytest.param(["shapes", "mindiam", "--area", "0.71"], id="argv1"),
+        pytest.param(["shapes", "mindiam", "--area", "0.55"], id="argv2"),
+        pytest.param(["shapes", "interp", "--t", "0.37"], id="argv3"),
     ],
 )
 def test_shape_outlines_are_a_few_arcs(tmp_path, monkeypatch, argv):
@@ -685,11 +689,15 @@ def test_poly_build_unknown_solid(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, accepted",
     [
-        (["build", "--solid", "rco", "--a", "-1"], False),
-        (["build", "--solid", "icosa-dipyramid", "--h", "0.2"], False),
-        (["compare", "--solids", "rco,pseudo-rco", "--s", "2"], False),
-        (["compare", "--solids", "cube-pyr-opposite,rco", "--a", "1.5"], True),
-        (["build", "--solid", "cube-pyr-adjacent", "--a", "1.5", "--h", "0.3"], True),
+        pytest.param(["build", "--solid", "rco", "--a", "-1"], False, id="argv0-False"),
+        pytest.param(["build", "--solid", "icosa-dipyramid", "--h", "0.2"], False,
+                     id="argv1-False"),
+        pytest.param(["compare", "--solids", "rco,pseudo-rco", "--s", "2"], False,
+                     id="argv2-False"),
+        pytest.param(["compare", "--solids", "cube-pyr-opposite,rco", "--a", "1.5"], True,
+                     id="argv3-True"),
+        pytest.param(["build", "--solid", "cube-pyr-adjacent", "--a", "1.5", "--h", "0.3"], True,
+                     id="argv4-True"),
     ],
 )
 def test_poly_dimension_flags_must_be_read(tmp_path, capsys, argv, accepted):
@@ -724,10 +732,11 @@ def test_json_flag_prints_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["tiling", "enumerate", "--tiles", SEVEN_TILES],
-        ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3"],
-        ["shapes", "crossover"],
-        ["poly", "compare", "--solids", "cube-pyr-opposite,cube-pyr-adjacent"],
+        pytest.param(["tiling", "enumerate", "--tiles", SEVEN_TILES], id="argv0"),
+        pytest.param(["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3"], id="argv1"),
+        pytest.param(["shapes", "crossover"], id="argv2"),
+        pytest.param(["poly", "compare", "--solids", "cube-pyr-opposite,cube-pyr-adjacent"],
+                     id="argv3"),
     ],
 )
 def test_reports_are_byte_identical_across_runs(tmp_path, argv):

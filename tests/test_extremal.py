@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from convexkit.kernel.arcs import ArcPolygon
-from convexkit.kernel.polygon import ConvexPolygon
 from convexkit.kernel.support import SupportBody, support_body_metrics
 from convexkit.extremal import (
     CONJECTURED_CROSSOVER,
@@ -25,18 +24,7 @@ from convexkit.extremal import (
     sector_metrics,
     solve_sector,
 )
-from reference import convex_hull
-
-
-def random_polygon(rng, npts):
-    while True:
-        pts = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(npts)]
-        hull = convex_hull(pts)
-        if len(hull) >= 3:
-            try:
-                return ConvexPolygon(hull)
-            except ValueError:
-                continue
+from reference import random_polygon
 
 
 # --- lens family ---
@@ -115,7 +103,7 @@ def test_lens_dominates_random_polygons():
     # the polygon itself
     rng = random.Random(9)
     for _ in range(150):
-        c = random_polygon(rng, rng.randint(3, 30))
+        c = random_polygon(rng, rng.randint(3, 30), 2)
         lens = max_diameter_shape(c.area, c.perimeter)
         assert lens is not None  # polygons sit strictly below the disc bound
         assert lens.diameter >= ArcPolygon.polygon(c.vertices).widths()[1] - 1e-9

@@ -24,20 +24,9 @@ from convexkit.fairpart import (
     solve_band,
     split,
 )
-from reference import convex_hull, cut_area, solve_offset_for_area
+from reference import convex_hull, cut_area, random_polygon, solve_offset_for_area
 
 SQRT_THIRD = math.sqrt(1.0 / 3.0)
-
-
-def random_polygon(rng, npts):
-    while True:
-        pts = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(npts)]
-        hull = convex_hull(pts)
-        if len(hull) >= 3:
-            try:
-                return ConvexPolygon(hull)
-            except ValueError:
-                continue
 
 
 def is_convex_ring(pts):
@@ -188,7 +177,7 @@ def test_split_conservation_on_random_cuts():
     rng = random.Random(0)
     done = 0
     while done < 1000:
-        c = random_polygon(rng, rng.randint(4, 24))
+        c = random_polygon(rng, rng.randint(4, 24), 3)
         theta = rng.uniform(0, math.pi)
         f = rng.uniform(0.05, 0.95)
         cut = solve_offset_for_area(c, theta, f)
@@ -206,7 +195,7 @@ def test_split_conservation_on_random_cuts():
 def test_split_pieces_are_convex():
     rng = random.Random(3)
     for _ in range(60):
-        c = random_polygon(rng, rng.randint(4, 16))
+        c = random_polygon(rng, rng.randint(4, 16), 3)
         cut = solve_offset_for_area(c, rng.uniform(0, math.pi), rng.uniform(0.1, 0.9))
         sr = split(c, cut)
         if sr is None:
@@ -224,7 +213,7 @@ def test_split_misses_exterior_line():
 def test_offset_monotone_in_fraction():
     rng = random.Random(5)
     for _ in range(10):
-        c = random_polygon(rng, rng.randint(4, 12))
+        c = random_polygon(rng, rng.randint(4, 12), 3)
         theta = rng.uniform(0, math.pi)
         fracs = [0.1 * k for k in range(1, 10)]
         cuts = [solve_offset_for_area(c, theta, f) for f in fracs]
@@ -588,7 +577,7 @@ def test_profile_is_sampled_lipschitz():
     Measured K stays below 1 on unit-scale polygons; 5 is a safe ceiling."""
     rng = random.Random(11)
     delta = 1e-4
-    shapes = [random_polygon(rng, rng.randint(5, 40)) for _ in range(4)]
+    shapes = [random_polygon(rng, rng.randint(5, 40), 3) for _ in range(4)]
     shapes.append(
         ConvexPolygon(
             [
@@ -633,7 +622,7 @@ def test_equal_fair_cut_random_polygons():
     rng = random.Random(17)
     _check_equal_fair_cut(regular_ngon(7))
     for _ in range(100):
-        _check_equal_fair_cut(random_polygon(rng, rng.randint(3, 30)))
+        _check_equal_fair_cut(random_polygon(rng, rng.randint(3, 30), 3))
 
 
 # --- band family ---

@@ -16,50 +16,9 @@ from itertools import permutations
 import pytest
 
 from convexkit.tiling.floorplans import descend, iter_floorplans
-from reference import baxter_count, enumerate_floorplans
+from reference import baxter_count, count_diagonal_rectangulations, enumerate_floorplans
 
 KNOWN_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 92, 6: 422, 7: 2074, 8: 10754, 9: 58202}
-
-
-def count_diagonal_rectangulations(n: int) -> int:
-    """Backtracking over the first uncovered cell, row-major order."""
-    covered = [[False] * n for _ in range(n)]
-
-    def diagonal_cells(r0, c0, r1, c1):
-        # diagonal cells (i, i) inside rows [r0, r1) x cols [c0, c1)
-        return sum(1 for i in range(max(r0, c0), min(r1, c1)))
-
-    def first_free():
-        for r in range(n):
-            for c in range(n):
-                if not covered[r][c]:
-                    return r, c
-        return None
-
-    def rec() -> int:
-        cell = first_free()
-        if cell is None:
-            return 1
-        r0, c0 = cell
-        total = 0
-        for r1 in range(r0 + 1, n + 1):
-            if any(covered[r][c0] for r in range(r0, r1)):
-                break
-            for c1 in range(c0 + 1, n + 1):
-                if any(covered[r][c1 - 1] for r in range(r0, r1)):
-                    break
-                if diagonal_cells(r0, c0, r1, c1) != 1:
-                    continue
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        covered[r][c] = True
-                total += rec()
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        covered[r][c] = False
-        return total
-
-    return rec()
 
 
 def brute_is_baxter(p) -> bool:

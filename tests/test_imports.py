@@ -2,7 +2,8 @@
 re-export nothing, so every name comes from the module that defines it.
 The records are NamedTuples or slotted classes, not dataclasses, so start-up
 builds no dataclass; the immutable ones reject assignment and, like frozen
-dataclasses, compare, hash, print, copy and pickle by their fields."""
+dataclasses, compare, hash, copy and pickle by their fields, and print
+them unless a field can hold thousands of numbers."""
 
 import copy
 import os
@@ -14,9 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from convexkit.extremal import Lens, max_diameter_shape
+from convexkit.extremal import (
+    Lens,
+    interpolant_with_area,
+    interpolate_constant_width,
+    max_diameter_shape,
+    min_diameter_survey,
+)
 from convexkit.fairpart import LineCut, RatioTarget, find_scaled_fair_cut, solve_band, split
-from convexkit.kernel.polygon import ConvexPolygon, rectangle
+from convexkit.kernel.polygon import ConvexPolygon, rectangle, regular_ngon
+from convexkit.kernel.support import SupportBody
 from convexkit.polyhedra import build_cube_with_pyramids, build_rhombicuboctahedron
 from convexkit.tiling.hcn import HcnContext, construct_width_layout
 from convexkit.tiling.isoperimetric import search_isoperimetric
@@ -100,16 +108,29 @@ FROZEN_RECORDS = [
     ("ForcedPair", "relation", lambda: search_isoperimetric(4).forced[0]),
     ("IsoWitness", "areas", lambda: search_isoperimetric(7, 1).witnesses[0]),
     ("IsoSearchResult", "status", lambda: search_isoperimetric(4)),
+    ("ArcPolygon", "pieces", lambda: interpolate_constant_width(0.5)),
+    ("TileSet", "tiles", lambda: _unit_squares(2)),
+    ("ParamSolution", "den", lambda: search_isoperimetric(7, 1).witnesses[0].solution),
+]
+
+# the values whose repr is a summary, since a field can hold thousands of
+# numbers
+SUMMARY_REPR_VALUES = [
+    ("ConvexPolygon", "area", lambda: regular_ngon(4096)),
+    ("SupportBody", "samples", lambda: SupportBody.disc(1.0, 8)),
 ]
 
 
-@pytest.mark.parametrize("name, field, build", FROZEN_RECORDS, ids=[r[0] for r in FROZEN_RECORDS])
+@pytest.mark.parametrize("name, field, build", FROZEN_RECORDS + SUMMARY_REPR_VALUES,
+                         ids=[r[0] for r in FROZEN_RECORDS + SUMMARY_REPR_VALUES])
 def test_immutable_records_reject_assignment(name, field, build):
     record = build()
     assert type(record).__name__ == name
     before = getattr(record, field)
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
     assert getattr(record, field) is before
 
 
@@ -133,6 +154,27 @@ def test_records_copy_pickle_hash_and_print_by_their_fields(name, field, build):
     text = repr(record)
     assert text.startswith(f"{name}(")
     assert all(f"{f}=" in text for f in _fields(record))
+
+
+@pytest.mark.parametrize("name, field, build", SUMMARY_REPR_VALUES,
+                         ids=[r[0] for r in SUMMARY_REPR_VALUES])
+def test_summary_repr_values_copy_pickle_and_hash_by_their_fields(name, field, build):
+    value = build()
+    clones = [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+    for clone in clones:
+        assert type(clone) is type(value)
+        assert clone == value
+    assert len({hash(v) for v in [value] + clones}) == 1
+    text = repr(value)
+    assert text.startswith(f"{name}(") and len(text) < 60
+
+
+def test_arc_polygons_compare_by_value():
+    """An ArcPolygon is equal to one with the same pieces, so the results
+    that hold one compare by value too."""
+    assert interpolant_with_area(0.75) == interpolant_with_area(0.75)
+    assert min_diameter_survey(0.75) == min_diameter_survey(0.75)
+    assert interpolate_constant_width(0.5) != interpolate_constant_width(0.25)
 
 
 def test_polygons_and_tile_sets_compare_by_value():

@@ -80,6 +80,8 @@ def test_parse_comments_and_blanks():
         ("1 2 3 4\n", 1),
         ("1 2\n3 4 0\n", 2),
         ("1 2\n3 4 -1\n", 2),
+        # '²'.isdigit() is true, but int('²') raises
+        ("1 1 \u00b2", 1),
         ("0 5\n", 1),
         ("5 -1\n", 1),
     ],
