@@ -39,7 +39,8 @@ print(f"  perimeters {pieces.perimeter_a:.12f} : {pieces.perimeter_b:.12f}"
 print()
 print("== disc (as a 4096-gon) ==")
 disc = regular_ngon(4096)
-res = find_scaled_fair_cut(disc, target)
+# its order-4096 rotation symmetry leaves the sweep one period of events
+res = find_scaled_fair_cut(disc, target, order=4096)
 chord = disc_chord_analysis(target)
 print(f"every direction gives the same rho (rotation symmetry): "
       f"{res.rho_min:.9f} .. {res.rho_max:.9f}")

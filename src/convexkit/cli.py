@@ -167,17 +167,19 @@ def svg_outlines(shapes: List[ArcPolygon]) -> str:
 # ---------------------------------------------------------------- parsing
 
 
-def parse_shape(spec: str) -> ConvexPolygon:
-    """rect:WxH (exact sides) or ngon:N (regular N-gon, circumradius 1)."""
+def parse_shape(spec: str) -> Tuple[ConvexPolygon, int]:
+    """rect:WxH (exact sides) or ngon:N (regular N-gon, circumradius 1), with
+    the order of rotation symmetry that the fair-cut sweep uses: N for ngon:N
+    and 1 for a rectangle, whose order 2 gains nothing over [0, pi]."""
     kind, _, rest = spec.partition(":")
     if kind == "rect":
-        return rectangle(*parse_rect(spec))
+        return rectangle(*parse_rect(spec)), 1
     if kind == "ngon":
         try:
             n = int(rest)
         except ValueError:
             raise ValueError(f"--shape {spec!r}: N in ngon:N must be an integer") from None
-        return regular_ngon(n)
+        return regular_ngon(n), n
     raise ValueError(f"--shape {spec!r}: unknown shape; use rect:WxH or ngon:N")
 
 
@@ -366,9 +368,9 @@ def cmd_tiling_split(args) -> Handler:
 
 
 def cmd_fairpart_profile(args) -> Handler:
-    poly = parse_shape(args.shape)
+    poly, order = parse_shape(args.shape)
     target = parse_ratio(args.ratio)
-    profile = perimeter_ratio_profile(poly, target, samples=args.samples)
+    profile = perimeter_ratio_profile(poly, target, samples=args.samples, order=order)
     rhos = [p.rho for p in profile]
     lo, hi = min(rhos), max(rhos)
     # the first angle of each extreme up to rounding: rho repeats on n-gons
@@ -390,9 +392,9 @@ def cmd_fairpart_profile(args) -> Handler:
 
 
 def cmd_fairpart_solve(args) -> Handler:
-    poly = parse_shape(args.shape)
+    poly, order = parse_shape(args.shape)
     target = parse_ratio(args.ratio)
-    res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples)
+    res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples, order=order)
     report = {
         "shape": args.shape,
         "ratio": str(target),
@@ -439,7 +441,8 @@ def cmd_fairpart_disc(args) -> Handler:
     ok = bool(chord["achievable"])
     if args.ngon:
         poly = regular_ngon(args.ngon)
-        res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples)
+        res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples,
+                                   order=args.ngon)
         report["ngon"] = {
             "n": args.ngon,
             "found": res.found,

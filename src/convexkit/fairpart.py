@@ -14,11 +14,14 @@ walks the vertex events over [0, pi] once (an end of the cut passing a
 vertex, O(1) each, about m in all) and keeps the cut's two boundary edges
 on each interval between them.  Each angle, and each bisection step of a
 refinement, is then a lookup of its interval plus one closed-form
-evaluation of the offset: O(m + K) in all, in O(m) memory.  The cut that
-halves both the area and the perimeter is `find_scaled_fair_cut` at 1:1,
-which always finds one.  Levels and shoelace terms are measured from the
-polygon's first vertex, and a found cut carries its offset from there to
-`split`, so a cut does not depend on where the polygon sits.
+evaluation of the offset: O(m + K) in all, in O(m) memory.  Given the
+order of a polygon's rotation symmetry, the sweep walks the events of one
+period only, O(1) of them on a regular N-gon, which costs O(N) to build
+and to sum.  The cut that halves both the area and the perimeter is
+`find_scaled_fair_cut` at 1:1, which always finds one.  Levels and
+shoelace terms are measured from the polygon's first vertex, and a found
+cut carries its offset from there to `split`, so a cut does not depend on
+where the polygon sits.
 
 The band family at the end partitions a rectangle without a straight
 cut: piece one is the set of points within distance t of a boundary arc
@@ -169,7 +172,10 @@ class ProfilePoint(NamedTuple):
 
 class _ChordSweep:
     """The cut holding a fixed area fraction of one convex polygon, at any
-    angle in [0, pi].
+    angle in [0, pi].  A polygon that a turn by 2 pi / `order` maps to itself
+    has the events of [0, 2 pi / order], shifted by m / order vertices a
+    period: the walk stops at the end of the first period (or at pi), which
+    leaves a regular N-gon of order N with O(1) events.
 
     The boundary below the cut is the arc v[i+1..j]: edge i enters it
     (falling) and edge j leaves it (rising).  As theta grows both ends of the
@@ -179,8 +185,8 @@ class _ChordSweep:
     the arc P..R holds the target area, and the other end then solves one
     linear equation on edge j; otherwise the end on edge j reaches R first,
     and the end on edge i solves one.  So each event is O(1) from prefix sums
-    of the shoelace terms, at the angle of its chord, and the events over
-    [0, pi] are walked once, on construction.  At an angle, (i, j) fixes the
+    of the shoelace terms, at the angle of its chord, and the events of one
+    period are walked once, on construction.  At an angle, (i, j) fixes the
     pair of vertex levels around the cut, [max(u_i+1, u_j), min(u_i, u_j+1)];
     on it the chord length w and the boundary length are linear in the level
     and the area is the integral of w, so one closed-form evaluation from w at
@@ -188,9 +194,12 @@ class _ChordSweep:
     vertex, so no shoelace term or level cancels far from the origin.
     """
 
-    def __init__(self, c: ConvexPolygon, fraction: float):
+    def __init__(self, c: ConvexPolygon, fraction: float, order: int = 1):
         self.origin = x0, y0 = c.vertices[0]
         self.m = m = len(c.vertices)
+        if order < 1 or m % order:
+            raise ValueError(f"a rotation order of {order} does not divide {m} vertices")
+        self.period, self.shift = math.tau / order, m // order
         # the ring doubled, so that every arc of fewer than m vertices is a
         # difference of prefix sums of the shoelace terms and edge lengths
         self.xs = xs = [x - x0 for x, _ in c.vertices] * 2
@@ -209,7 +218,8 @@ class _ChordSweep:
         self.angles, self.ii, self.jj = [], [], []
         step, add_angle, add_i, add_j = (self._next_event, self.angles.append, self.ii.append,
                                          self.jj.append)
-        while ahead <= math.pi:
+        end = min(math.pi, self.period)
+        while ahead <= end:
             add_angle(top)
             add_i(i)
             add_j(j)
@@ -281,10 +291,17 @@ class _ChordSweep:
 
     def point(self, theta: float) -> ProfilePoint:
         """The profile point at theta in [0, pi]: the edge pair of its event
-        interval, then one closed-form evaluation.  Events at theta itself
-        are taken."""
-        k = bisect_right(self.angles, theta) - 1
-        return self._evaluate(self.ii[k], self.jj[k], theta)
+        interval, q periods on, then one closed-form evaluation at theta.
+        Events at theta itself are taken."""
+        q, rest = divmod(theta, self.period)
+        k = bisect_right(self.angles, rest) - 1
+        i, j = self.ii[k], self.jj[k]
+        if q:
+            s = int(q) * self.shift
+            if i + s >= self.m:
+                s -= self.m
+            i, j = i + s, j + s
+        return self._evaluate(i, j, theta)
 
     def _evaluate(self, i: int, j: int, theta: float) -> ProfilePoint:
         """The closed-form point at theta, when edges i and j hold the cut."""
@@ -334,15 +351,16 @@ def _angle_grid(samples: int) -> List[float]:
 
 
 def perimeter_ratio_profile(
-    c: ConvexPolygon, target: RatioTarget, samples: int = 720
+    c: ConvexPolygon, target: RatioTarget, samples: int = 720, order: int = 1
 ) -> List[ProfilePoint]:
     """rho(theta) on the uniform angle grid j*pi/samples, j = 0..samples-1.
     Piece a always carries the smaller area share, so rho is continuous
     on [0, pi).  Towards pi, piece a becomes the share on the other side of
     the theta = 0 cut, so rho tends to rho(0) only for a centrally
     symmetric region (to 1/rho(0) when a = b).  One chord sweep: O(m +
-    samples) for m vertices, in O(m) memory."""
-    return list(map(_ChordSweep(c, target.fraction).point, _angle_grid(samples)))
+    samples) for m vertices, in O(m) memory.  `order` is the order of the
+    polygon's rotation symmetry, N for a regular N-gon; it must divide m."""
+    return list(map(_ChordSweep(c, target.fraction, order).point, _angle_grid(samples)))
 
 
 class FairCutResult(NamedTuple):
@@ -360,7 +378,8 @@ class FairCutResult(NamedTuple):
 
 
 def find_scaled_fair_cut(
-    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720
+    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720,
+    order: int = 1,
 ) -> FairCutResult:
     """Sample rho on the closed grid j*pi/samples, j = 0..samples, with one
     sweep.  The answer is the grid point below pi nearest sqrt(a/b) when it
@@ -371,9 +390,10 @@ def find_scaled_fair_cut(
     pieces swapped, so pi is only ever a bracket end.  At 1:1, rho(pi) is
     1/rho(0), so a sign change always exists.  The sweep walks the events
     once, in O(m); each grid angle and each bisection step is then a lookup
-    of its event interval plus one closed-form evaluation."""
+    of its event interval plus one closed-form evaluation.  `order` is as in
+    `perimeter_ratio_profile`."""
     _check_tol(tol)
-    sweep = _ChordSweep(c, target.fraction)
+    sweep = _ChordSweep(c, target.fraction, order)
     points = list(map(sweep.point, _angle_grid(samples) + [math.pi]))
     rhos = [p.rho for p in points]
     gaps = [rho - target.rho for rho in rhos]

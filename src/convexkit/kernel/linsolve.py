@@ -27,15 +27,17 @@ class ParamSolution(Frozen):
     `ParamSolution(names, nums, den)`: `nums` holds the particular point,
     then one row per free parameter, as ints over one denominator `den`.
     They are stored in lowest terms with `den` > 0, so equal fields mean
-    equal spaces; `particular` and `basis` are Fraction views.  The fields
-    are lists, so a solution is not hashable."""
+    equal spaces; `particular` and `basis` are Fraction views.  `names` and
+    `nums` are kept as tuples, so a solution is hashable and cannot change
+    in place."""
 
     __slots__ = ("names", "nums", "den")
 
     def __post_init__(self):
         g = gcd(self.den, *(v for row in self.nums for v in row))
         g = -g if self.den < 0 else g
-        object.__setattr__(self, "nums", [[v // g for v in row] for row in self.nums])
+        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "nums", tuple(tuple(v // g for v in row) for row in self.nums))
         object.__setattr__(self, "den", self.den // g)
 
     @property

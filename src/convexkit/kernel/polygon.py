@@ -19,7 +19,7 @@ from .. import Frozen, UnsupportedInstance
 
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
-MAX_NGON_VERTICES = 100_000  # a fair-cut command over K angles costs O(n + K)
+MAX_NGON_VERTICES = 100_000  # an n-gon costs O(n) to build; its sweep has O(1) events
 
 Point = tuple[float, float]
 
@@ -48,9 +48,7 @@ class ConvexPolygon(Frozen):
         if len(pts) < 3:
             raise ValueError("degenerate polygon after cleanup")
 
-        start = min(range(len(pts)), key=lambda i: pts[i])
-        vertices: tuple[Point, ...] = tuple(pts[start:] + pts[:start])
-        super().__init__(vertices, ring_area(vertices), ring_perimeter(vertices))
+        super().__init__(*_smallest_first(pts))
 
     @staticmethod
     def _cleanup(pts: list[Point], scale: float) -> list[Point]:
@@ -87,6 +85,14 @@ class ConvexPolygon(Frozen):
 
     def __repr__(self) -> str:
         return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.6g})"
+
+
+def _smallest_first(pts: list[Point]) -> tuple[tuple[Point, ...], float, float]:
+    """The fields of a clean counterclockwise ring's polygon: its vertices
+    from the lexicographically smallest, their area and perimeter."""
+    start = min(range(len(pts)), key=pts.__getitem__)
+    vertices = tuple(pts[start:] + pts[:start])
+    return vertices, ring_area(vertices), ring_perimeter(vertices)
 
 
 def ring_area(pts: Sequence[Point]) -> float:
@@ -143,11 +149,16 @@ def rectangle(width: float, height: float) -> ConvexPolygon:
 
 
 def regular_ngon(n: int) -> ConvexPolygon:
-    """The regular n-gon inscribed in the unit circle, a vertex at (1, 0)."""
+    """The regular n-gon inscribed in the unit circle, a vertex at (1, 0).
+    Its ring is counterclockwise, with no repeated point and every turn sine
+    sin(2 pi / n) >= 6e-5, far above the 1e-12 of `ConvexPolygon`'s cleanup,
+    so it is built from its ring as it stands, with the same fields."""
     if n < 3:
         raise ValueError("need n >= 3")
     if n > MAX_NGON_VERTICES:
         raise UnsupportedInstance(f"n = {n:,} is over the polygon cap of {MAX_NGON_VERTICES:,} vertices")
-    pts = [(math.cos(a), math.sin(a)) for a in (2 * math.pi * k / n for k in range(n))]
-    return ConvexPolygon(pts)
+    angles = [math.tau * k / n for k in range(n)]
+    c = ConvexPolygon.__new__(ConvexPolygon)
+    Frozen.__init__(c, *_smallest_first(list(zip(map(math.cos, angles), map(math.sin, angles)))))
+    return c
 

@@ -27,6 +27,8 @@ TABLE_DIGESTS = {
         "2afe2a22184a87eb72014ae2dc55b9eba838ab2b577c024db2de1e8bff233454",
     "test_mirror_code_has_the_same_outcome":
         "6d6e75b12d90095adcf47ac72cd5bbc3c14f2730d714d5ac67116bb6ee372885",
+    "test_one_period_sweep_matches_the_full_sweep":
+        "3067973ec8cf27da0a2d3d9b367e334dc51ef28bf67d903147cdef767420ceb6",
     "test_one_pass_answers_as_the_widths_and_heights_as_forms":
         "65cd87fda1aeccbf4500d787ec52e70852f28904dd0e67b706487066b9e7209b",
     "test_positive_point_ignores_a_common_positive_scale":

@@ -13,6 +13,7 @@ from convexkit.kernel.arcs import ArcPolygon
 from convexkit.kernel.polygon import ConvexPolygon, rectangle, regular_ngon
 from convexkit.fairpart import (
     LineCut,
+    ProfilePoint,
     RatioTarget,
     _ChordSweep,
     _angle_grid,
@@ -403,9 +404,9 @@ class _LoggedSweep(_ChordSweep):
     walks.  The events are walked on construction, so the counters are set
     first."""
 
-    def __init__(self, c, fraction):
+    def __init__(self, c, fraction, order=1):
         self.evaluations, self.events = 0, 0
-        super().__init__(c, fraction)
+        super().__init__(c, fraction, order)
 
     def _evaluate(self, i, j, theta):
         self.evaluations += 1
@@ -419,7 +420,8 @@ class _LoggedSweep(_ChordSweep):
 def test_sweep_makes_one_evaluation_per_angle_and_few_events():
     """Each grid angle is one closed-form evaluation, with no walk; the sweep
     takes only the events where an end of the cut passes a vertex, at most
-    2m of them over [0, pi]."""
+    2m of them over [0, pi], and on a regular n-gon of order n only those of
+    one period, 2 pi / n."""
     for shape, events in ((rectangle(4, 1), 4), (regular_ngon(64), 64)):
         sweep = _LoggedSweep(shape, RatioTarget(1, 3).fraction)
         points = [sweep.point(theta) for theta in _angle_grid(720) + [math.pi]]
@@ -427,6 +429,48 @@ def test_sweep_makes_one_evaluation_per_angle_and_few_events():
         # the stored intervals start at 0 and at each event up to pi; the
         # walk also found the first event past pi
         assert len(sweep.angles) - 1 == sweep.events - 1 == events <= 2 * len(shape)
+    sweep = _LoggedSweep(regular_ngon(64), RatioTarget(1, 3).fraction, 64)
+    points = [sweep.point(theta) for theta in _angle_grid(720) + [math.pi]]
+    assert sweep.evaluations == len(points) == 721
+    assert len(sweep.angles) <= 4
+
+
+def _draw_period_case(rng):
+    """A regular n-gon with n <= 5000, and an area fraction."""
+    return rng.randint(3, 5000), rng.uniform(0.01, 0.99)
+
+
+PERIOD_CASES = case_table(
+    "test_one_period_sweep_matches_the_full_sweep", 20, _draw_period_case,
+    first=[(n, f) for n in (3, 4, 5, 6, 7, 8, 64, 1050, 4096) for f in (1 / 2, 1 / 4, 1 / 7)],
+)
+
+
+def test_one_period_sweep_matches_the_full_sweep():
+    """On a regular n-gon the sweep of order n walks the events of one
+    period, 2 pi / n, and shifts their edge pairs by a vertex a period.  Its
+    points equal the full sweep's at every grid angle, at pi and at each
+    period boundary k * 2 pi / n, or, at an event angle, where the pair on
+    either side holds the cut, agree within 1e-14 relative (offsets and
+    levels within 1e-14 of the n-gon's diameter, 2)."""
+    for index, (n, fraction) in enumerate(PERIOD_CASES):
+        with case_named(index, n, fraction):
+            c = regular_ngon(n)
+            full, one = _ChordSweep(c, fraction), _ChordSweep(c, fraction, n)
+            bounds = [k * (2 * math.pi / n) for k in range(n // 2 + 1)]
+            for theta in _angle_grid(720) + [math.pi] + [t for t in bounds if t <= math.pi]:
+                p, q = full.point(theta), one.point(theta)
+                for name, x, y in zip(ProfilePoint._fields, p, q):
+                    scale = 2.0 if name in ("offset", "level") else abs(x)
+                    assert x == y or abs(x - y) <= 1e-14 * scale, (theta, name, x, y)
+
+
+def test_a_rotation_order_must_divide_the_vertex_count():
+    for c, order in ((regular_ngon(6), 4), (rectangle(4, 1), 3), (regular_ngon(5), 0)):
+        with pytest.raises(ValueError, match="does not divide"):
+            _ChordSweep(c, 0.25, order)
+    with pytest.raises(ValueError, match="does not divide"):
+        find_scaled_fair_cut(regular_ngon(64), RatioTarget(1, 3), order=48)
 
 
 @settings(max_examples=100)

@@ -337,6 +337,17 @@ def test_seven_room_census():
         assert len(set(w.areas)) == 7
 
 
+def test_a_witness_line_is_hashable_and_immutable():
+    """A witness's line holds tuples: it hashes as its fields, and its names
+    and rows cannot be changed in place."""
+    line = search_isoperimetric(7, 1).witnesses[0].solution
+    assert hash(line) == hash(ParamSolution(list(line.names), list(line.nums), line.den))
+    with pytest.raises(TypeError):
+        line.nums[0][0] = 999
+    with pytest.raises(TypeError):
+        line.names[0] = "w9"
+
+
 def test_eight_room_census():
     """Every eight-room floorplan is decided by the exact tests: its
     solution space is a line, so none is left residual."""

@@ -182,7 +182,7 @@ def test_positive_point_is_exact_on_points_and_lines():
 def test_param_solution_names_survive():
     sol = solve_linear_exact([[F(1), F(1)]], [F(2)], names=["w0", "h0"])
     assert isinstance(sol, ParamSolution)
-    assert sol.names == ["w0", "h0"]
+    assert sol.names == ("w0", "h0")
 
 
 def dense_solve(matrix, rhs):
@@ -333,11 +333,13 @@ def test_same_solution_space_compares_equal():
 def test_param_solution_is_kept_in_lowest_terms():
     """Numerators and denominator are divided by their common gcd and the
     denominator made positive, so equal spaces have equal fields."""
-    sol = ParamSolution(["x", "y"], [[2, -4], [6, 0]], -8)
-    assert (sol.nums, sol.den) == ([[-1, 2], [-3, 0]], 4)
-    assert sol == ParamSolution(["x", "y"], [[-1, 2], [-3, 0]], 4)
-    assert sol != ParamSolution(["x", "z"], [[-1, 2], [-3, 0]], 4)
-    assert sol != ParamSolution(["x", "y"], [[-1, 2], [-3, 0]], 5)
+    sol = ParamSolution(("x", "y"), ((2, -4), (6, 0)), -8)
+    assert (sol.nums, sol.den) == (((-1, 2), (-3, 0)), 4)
+    assert sol == ParamSolution(("x", "y"), ((-1, 2), (-3, 0)), 4)
+    assert sol != ParamSolution(("x", "z"), ((-1, 2), (-3, 0)), 4)
+    assert sol != ParamSolution(("x", "y"), ((-1, 2), (-3, 0)), 5)
+    # lists are kept as the tuples they hold
+    assert ParamSolution(["x", "y"], [[2, -4], [6, 0]], -8) == sol
     assert sol.particular == [F(-1, 4), F(1, 2)]
     assert sol.basis == [[F(-3, 4), F(0)]]
     assert sol.point([F(1, 3)]) == [F(-1, 2), F(1, 2)]

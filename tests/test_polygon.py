@@ -110,6 +110,18 @@ def test_fine_regular_polygon_keeps_every_vertex():
     assert len(regular_ngon(100_000)) == 100_000
 
 
+def test_regular_polygons_build_as_from_their_own_vertices():
+    """`regular_ngon` builds its ring as it stands, with no cleanup: the
+    constructor, given its vertices, keeps them, and the area and
+    perimeter agree bit for bit."""
+    rng = random.Random("test_regular_polygons_build_as_from_their_own_vertices")
+    for n in [*range(3, 65), *rng.sample(range(1000, 5001), 40), 99_999, 100_000]:
+        c = regular_ngon(n)
+        again = ConvexPolygon(c.vertices)
+        assert repr((c.vertices, c.area, c.perimeter)) == repr(
+            (again.vertices, again.area, again.perimeter)), n
+
+
 # sha256 of the reprs of (vertices, area, perimeter) of the polygons below,
 # as built when the cleanup measured both edges of every turn afresh
 _BUILT_DIGEST = "76498a1ceed3316f55aab27889cb9a232f23eb050f8d922b51147a1a2b9059af"
