@@ -72,7 +72,7 @@ from .tiling.hcn import (
     hcn_up_to,
 )
 from .tiling.isoperimetric import search_isoperimetric
-from .tiling.search import enumerate_layouts
+from .tiling.search import DEFAULT_TILE_CAP, enumerate_layouts
 from .tiling.tiles import layout_to_dict, load_layout, load_tileset, serialize_tileset, verify_layout
 
 PX_PER_UNIT = 20.0
@@ -167,19 +167,17 @@ def svg_outlines(shapes: List[ArcPolygon]) -> str:
 # ---------------------------------------------------------------- parsing
 
 
-def parse_shape(spec: str) -> Tuple[ConvexPolygon, int]:
-    """rect:WxH (exact sides) or ngon:N (regular N-gon, circumradius 1), with
-    the order of rotation symmetry that the fair-cut sweep uses: N for ngon:N
-    and 1 for a rectangle, whose order 2 gains nothing over [0, pi]."""
+def parse_shape(spec: str) -> ConvexPolygon:
+    """rect:WxH (exact sides) or ngon:N (regular N-gon, circumradius 1)."""
     kind, _, rest = spec.partition(":")
     if kind == "rect":
-        return rectangle(*parse_rect(spec)), 1
+        return rectangle(*parse_rect(spec))
     if kind == "ngon":
         try:
             n = int(rest)
         except ValueError:
             raise ValueError(f"--shape {spec!r}: N in ngon:N must be an integer") from None
-        return regular_ngon(n), n
+        return regular_ngon(n)
     raise ValueError(f"--shape {spec!r}: unknown shape; use rect:WxH or ngon:N")
 
 
@@ -368,9 +366,9 @@ def cmd_tiling_split(args) -> Handler:
 
 
 def cmd_fairpart_profile(args) -> Handler:
-    poly, order = parse_shape(args.shape)
+    poly = parse_shape(args.shape)
     target = parse_ratio(args.ratio)
-    profile = perimeter_ratio_profile(poly, target, samples=args.samples, order=order)
+    profile = perimeter_ratio_profile(poly, target, samples=args.samples)
     rhos = [p.rho for p in profile]
     lo, hi = min(rhos), max(rhos)
     # the first angle of each extreme up to rounding: rho repeats on n-gons
@@ -392,9 +390,9 @@ def cmd_fairpart_profile(args) -> Handler:
 
 
 def cmd_fairpart_solve(args) -> Handler:
-    poly, order = parse_shape(args.shape)
+    poly = parse_shape(args.shape)
     target = parse_ratio(args.ratio)
-    res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples, order=order)
+    res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples)
     report = {
         "shape": args.shape,
         "ratio": str(target),
@@ -440,9 +438,8 @@ def cmd_fairpart_disc(args) -> Handler:
     ]
     ok = bool(chord["achievable"])
     if args.ngon:
-        poly = regular_ngon(args.ngon)
-        res = find_scaled_fair_cut(poly, target, tol=args.tol, samples=args.samples,
-                                   order=args.ngon)
+        res = find_scaled_fair_cut(regular_ngon(args.ngon), target, tol=args.tol,
+                                   samples=args.samples)
         report["ngon"] = {
             "n": args.ngon,
             "found": res.found,
@@ -717,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     te = tsub.add_parser("enumerate", help="find all rectangle targets tileable by the set")
     te.add_argument("--tiles", required=True)
-    te.add_argument("--cap", type=int, default=24, help="max tiles accepted")
+    te.add_argument("--cap", type=int, default=DEFAULT_TILE_CAP, help="max tiles accepted")
     te.add_argument("--no-rotation", action="store_true")
     _add_common(te, svg=True)
 

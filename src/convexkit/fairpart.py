@@ -14,10 +14,10 @@ walks the vertex events over [0, pi] once (an end of the cut passing a
 vertex, O(1) each, about m in all) and keeps the cut's two boundary edges
 on each interval between them.  Each angle, and each bisection step of a
 refinement, is then a lookup of its interval plus one closed-form
-evaluation of the offset: O(m + K) in all, in O(m) memory.  Given the
-order of a polygon's rotation symmetry, the sweep walks the events of one
-period only, O(1) of them on a regular N-gon, which costs O(N) to build
-and to sum.  The cut that halves both the area and the perimeter is
+evaluation of the offset: O(m + K) in all, in O(m) memory.  The sweep
+walks the events of one period of the polygon's `rotation_order` only,
+O(1) of them on a regular N-gon, which costs O(N) to build and to sum.
+The cut that halves both the area and the perimeter is
 `find_scaled_fair_cut` at 1:1, which always finds one.  Levels and
 shoelace terms are measured from the polygon's first vertex, and a found
 cut carries its offset from there to `split`, so a cut does not depend on
@@ -172,10 +172,10 @@ class ProfilePoint(NamedTuple):
 
 class _ChordSweep:
     """The cut holding a fixed area fraction of one convex polygon, at any
-    angle in [0, pi].  A polygon that a turn by 2 pi / `order` maps to itself
-    has the events of [0, 2 pi / order], shifted by m / order vertices a
-    period: the walk stops at the end of the first period (or at pi), which
-    leaves a regular N-gon of order N with O(1) events.
+    angle in [0, pi].  A polygon of rotation order k repeats the events of
+    [0, 2 pi / k], shifted by m / k vertices a period: the walk stops at the
+    end of the first period (or at pi), which leaves a regular N-gon with
+    O(1) events.
 
     The boundary below the cut is the arc v[i+1..j]: edge i enters it
     (falling) and edge j leaves it (rising).  As theta grows both ends of the
@@ -194,12 +194,10 @@ class _ChordSweep:
     vertex, so no shoelace term or level cancels far from the origin.
     """
 
-    def __init__(self, c: ConvexPolygon, fraction: float, order: int = 1):
+    def __init__(self, c: ConvexPolygon, fraction: float):
         self.origin = x0, y0 = c.vertices[0]
         self.m = m = len(c.vertices)
-        if order < 1 or m % order:
-            raise ValueError(f"a rotation order of {order} does not divide {m} vertices")
-        self.period, self.shift = math.tau / order, m // order
+        self.period, self.shift = math.tau / c.rotation_order, m // c.rotation_order
         # the ring doubled, so that every arc of fewer than m vertices is a
         # difference of prefix sums of the shoelace terms and edge lengths
         self.xs = xs = [x - x0 for x, _ in c.vertices] * 2
@@ -351,16 +349,15 @@ def _angle_grid(samples: int) -> List[float]:
 
 
 def perimeter_ratio_profile(
-    c: ConvexPolygon, target: RatioTarget, samples: int = 720, order: int = 1
+    c: ConvexPolygon, target: RatioTarget, samples: int = 720
 ) -> List[ProfilePoint]:
     """rho(theta) on the uniform angle grid j*pi/samples, j = 0..samples-1.
     Piece a always carries the smaller area share, so rho is continuous
     on [0, pi).  Towards pi, piece a becomes the share on the other side of
     the theta = 0 cut, so rho tends to rho(0) only for a centrally
     symmetric region (to 1/rho(0) when a = b).  One chord sweep: O(m +
-    samples) for m vertices, in O(m) memory.  `order` is the order of the
-    polygon's rotation symmetry, N for a regular N-gon; it must divide m."""
-    return list(map(_ChordSweep(c, target.fraction, order).point, _angle_grid(samples)))
+    samples) for m vertices, in O(m) memory."""
+    return list(map(_ChordSweep(c, target.fraction).point, _angle_grid(samples)))
 
 
 class FairCutResult(NamedTuple):
@@ -378,27 +375,26 @@ class FairCutResult(NamedTuple):
 
 
 def find_scaled_fair_cut(
-    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720,
-    order: int = 1,
+    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720
 ) -> FairCutResult:
     """Sample rho on the closed grid j*pi/samples, j = 0..samples, with one
-    sweep.  The answer is the grid point below pi nearest sqrt(a/b) when it
-    is within tol, or else the bisection of the first sign change of
+    sweep.  The answer is the first grid point below pi within tol of
+    sqrt(a/b), or else the bisection of the first sign change of
     rho - sqrt(a/b).  rho need not return to rho(0) at pi (see
     `perimeter_ratio_profile`), so the sweep evaluates theta = pi itself to
     bracket the last interval; a cut at pi is the theta = 0 line with its
     pieces swapped, so pi is only ever a bracket end.  At 1:1, rho(pi) is
     1/rho(0), so a sign change always exists.  The sweep walks the events
     once, in O(m); each grid angle and each bisection step is then a lookup
-    of its event interval plus one closed-form evaluation.  `order` is as in
-    `perimeter_ratio_profile`."""
+    of its event interval plus one closed-form evaluation."""
     _check_tol(tol)
-    sweep = _ChordSweep(c, target.fraction, order)
+    sweep = _ChordSweep(c, target.fraction)
     points = list(map(sweep.point, _angle_grid(samples) + [math.pi]))
     rhos = [p.rho for p in points]
     gaps = [rho - target.rho for rho in rhos]
-    best = min(range(samples), key=lambda j: abs(gaps[j]))
-    p = points[best] if abs(gaps[best]) <= tol else None
+    # the first, not the nearest: on a symmetric polygon many angles tie
+    # within rounding, and rounding must not pick the answer
+    p = next((points[j] for j in range(samples) if abs(gaps[j]) <= tol), None)
     # every gap below pi then exceeds tol > 0, so a product <= 0 is a sign change
     crossings = (j for j in range(samples) if gaps[j] * gaps[j + 1] <= 0)
     j = None if p is not None else next(crossings, None)

@@ -19,16 +19,21 @@ from .. import Frozen, UnsupportedInstance
 
 EPS = 1e-9
 _CLEAN_EPS = 1e-12
-MAX_NGON_VERTICES = 100_000  # an n-gon costs O(n) to build; its sweep has O(1) events
+MAX_NGON_VERTICES = 100_000  # O(n) to build; its rotation order leaves its sweep O(1) events
 
 Point = tuple[float, float]
 
 
 class ConvexPolygon(Frozen):
     """Immutable convex polygon; raises ValueError on degenerate input.
-    Two polygons are equal when they have the same vertices."""
+    `rotation_order` is the order of a rotation symmetry the polygon is
+    known to have: n from `regular_ngon(n)`, 1 from the constructor.  The
+    fair-cut sweep walks the events of one period of it.  Two polygons are
+    equal when their vertices and rotation orders are, so
+    `regular_ngon(6) != ConvexPolygon(regular_ngon(6).vertices)`: equal
+    polygons give bit-identical sweeps."""
 
-    __slots__ = ("vertices", "area", "perimeter")
+    __slots__ = ("vertices", "area", "perimeter", "rotation_order")
 
     def __init__(self, points: Iterable[Sequence[float]]):
         pts = [(float(x), float(y)) for x, y in points]
@@ -48,7 +53,7 @@ class ConvexPolygon(Frozen):
         if len(pts) < 3:
             raise ValueError("degenerate polygon after cleanup")
 
-        super().__init__(*_smallest_first(pts))
+        super().__init__(*_smallest_first(pts), 1)
 
     @staticmethod
     def _cleanup(pts: list[Point], scale: float) -> list[Point]:
@@ -152,13 +157,14 @@ def regular_ngon(n: int) -> ConvexPolygon:
     """The regular n-gon inscribed in the unit circle, a vertex at (1, 0).
     Its ring is counterclockwise, with no repeated point and every turn sine
     sin(2 pi / n) >= 6e-5, far above the 1e-12 of `ConvexPolygon`'s cleanup,
-    so it is built from its ring as it stands, with the same fields."""
+    so it is built from its ring as it stands, with the same vertices, area
+    and perimeter, and a rotation order of n."""
     if n < 3:
         raise ValueError("need n >= 3")
     if n > MAX_NGON_VERTICES:
         raise UnsupportedInstance(f"n = {n:,} is over the polygon cap of {MAX_NGON_VERTICES:,} vertices")
     angles = [math.tau * k / n for k in range(n)]
     c = ConvexPolygon.__new__(ConvexPolygon)
-    Frozen.__init__(c, *_smallest_first(list(zip(map(math.cos, angles), map(math.sin, angles)))))
+    Frozen.__init__(c, *_smallest_first(list(zip(map(math.cos, angles), map(math.sin, angles)))), n)
     return c
 

@@ -1,8 +1,7 @@
 """Convex bodies given by sampled support functions.
 
 A body is stored as N samples h(theta_k), theta_k = 2*pi*k/N. Minkowski
-combination of bodies is pointwise addition of the samples, which is
-what makes constant-width interpolation a one-liner downstream.
+combination of bodies is pointwise addition of the samples.
 
 Metrics follow the classical support-function integrals:
     perimeter = integral of h

@@ -67,8 +67,7 @@ each mirrored witness on its own line.
 
 The nine-room census examines 58,202 floorplans: 104 witnesses, 19,802
 certified empty and 38,296 forced pairs.  `tiling search-iso --n 9`
-takes about 0.6 s (0.9 s when every leaf got its own line) at 21 MiB
-peak RSS on a 2-core machine (Python 3.11).
+takes about 0.6 s at 21 MiB peak RSS on a 2-core machine (Python 3.11).
 """
 
 from __future__ import annotations

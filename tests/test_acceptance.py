@@ -176,7 +176,7 @@ def test_criterion_06_fair_partition():
     assert abs(res.rho - math.sqrt(1 / 3)) <= 1e-9
 
     disc = regular_ngon(4096)
-    res = find_scaled_fair_cut(disc, target, order=4096)
+    res = find_scaled_fair_cut(disc, target)
     assert not res.found
     chord = disc_chord_analysis(target)
     assert abs(res.rho_min - chord["rho"]) <= 1e-3

@@ -22,7 +22,7 @@ from convexkit.cli import main, svg_outlines
 from convexkit.extremal import interpolate_constant_width
 from convexkit.fairpart import RatioTarget, perimeter_ratio_profile
 from convexkit.kernel.arcs import ArcPolygon
-from convexkit.kernel.polygon import regular_ngon
+from convexkit.kernel.polygon import rectangle, regular_ngon
 from convexkit.kernel.support import SupportBody
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -357,6 +357,11 @@ def test_fairpart_profile_names_the_first_angle_of_each_extreme(tmp_path):
         theta = float(report[key])
         assert theta == ties[0] * math.pi / 720
         assert 0.0 <= theta < 2 * math.pi / 64
+
+
+def test_shapes_parse_to_polygons_that_carry_their_rotation_order():
+    assert cli.parse_shape("ngon:12") == regular_ngon(12)
+    assert cli.parse_shape("rect:4x1") == rectangle(4, 1)
 
 
 def test_fairpart_solve_with_svg(tmp_path):

@@ -404,9 +404,9 @@ class _LoggedSweep(_ChordSweep):
     walks.  The events are walked on construction, so the counters are set
     first."""
 
-    def __init__(self, c, fraction, order=1):
+    def __init__(self, c, fraction):
         self.evaluations, self.events = 0, 0
-        super().__init__(c, fraction, order)
+        super().__init__(c, fraction)
 
     def _evaluate(self, i, j, theta):
         self.evaluations += 1
@@ -420,16 +420,16 @@ class _LoggedSweep(_ChordSweep):
 def test_sweep_makes_one_evaluation_per_angle_and_few_events():
     """Each grid angle is one closed-form evaluation, with no walk; the sweep
     takes only the events where an end of the cut passes a vertex, at most
-    2m of them over [0, pi], and on a regular n-gon of order n only those of
-    one period, 2 pi / n."""
-    for shape, events in ((rectangle(4, 1), 4), (regular_ngon(64), 64)):
+    2m of them over [0, pi], and on a regular n-gon only those of one
+    period, 2 pi / n; the same vertices with rotation order 1 walk all."""
+    for shape, events in ((rectangle(4, 1), 4), (ConvexPolygon(regular_ngon(64).vertices), 64)):
         sweep = _LoggedSweep(shape, RatioTarget(1, 3).fraction)
         points = [sweep.point(theta) for theta in _angle_grid(720) + [math.pi]]
         assert sweep.evaluations == len(points) == 721
         # the stored intervals start at 0 and at each event up to pi; the
         # walk also found the first event past pi
         assert len(sweep.angles) - 1 == sweep.events - 1 == events <= 2 * len(shape)
-    sweep = _LoggedSweep(regular_ngon(64), RatioTarget(1, 3).fraction, 64)
+    sweep = _LoggedSweep(regular_ngon(64), RatioTarget(1, 3).fraction)
     points = [sweep.point(theta) for theta in _angle_grid(720) + [math.pi]]
     assert sweep.evaluations == len(points) == 721
     assert len(sweep.angles) <= 4
@@ -447,16 +447,17 @@ PERIOD_CASES = case_table(
 
 
 def test_one_period_sweep_matches_the_full_sweep():
-    """On a regular n-gon the sweep of order n walks the events of one
-    period, 2 pi / n, and shifts their edge pairs by a vertex a period.  Its
-    points equal the full sweep's at every grid angle, at pi and at each
-    period boundary k * 2 pi / n, or, at an event angle, where the pair on
-    either side holds the cut, agree within 1e-14 relative (offsets and
-    levels within 1e-14 of the n-gon's diameter, 2)."""
+    """On a regular n-gon the sweep walks the events of one period, 2 pi / n,
+    and shifts their edge pairs by a vertex a period.  Its points equal those
+    of the full sweep over the same vertices with rotation order 1 at every
+    grid angle, at pi and at each period boundary k * 2 pi / n, or, at an
+    event angle, where the pair on either side holds the cut, agree within
+    1e-14 relative (offsets and levels within 1e-14 of the n-gon's
+    diameter, 2)."""
     for index, (n, fraction) in enumerate(PERIOD_CASES):
         with case_named(index, n, fraction):
             c = regular_ngon(n)
-            full, one = _ChordSweep(c, fraction), _ChordSweep(c, fraction, n)
+            full, one = _ChordSweep(ConvexPolygon(c.vertices), fraction), _ChordSweep(c, fraction)
             bounds = [k * (2 * math.pi / n) for k in range(n // 2 + 1)]
             for theta in _angle_grid(720) + [math.pi] + [t for t in bounds if t <= math.pi]:
                 p, q = full.point(theta), one.point(theta)
@@ -465,46 +466,43 @@ def test_one_period_sweep_matches_the_full_sweep():
                     assert x == y or abs(x - y) <= 1e-14 * scale, (theta, name, x, y)
 
 
-def test_a_rotation_order_must_divide_the_vertex_count():
-    for c, order in ((regular_ngon(6), 4), (rectangle(4, 1), 3), (regular_ngon(5), 0)):
-        with pytest.raises(ValueError, match="does not divide"):
-            _ChordSweep(c, 0.25, order)
-    with pytest.raises(ValueError, match="does not divide"):
-        find_scaled_fair_cut(regular_ngon(64), RatioTarget(1, 3), order=48)
-
-
 @settings(max_examples=100)
 @given(shape=_grid_shapes(large=(64, 255)), fraction=st.floats(0.02, 0.5))
 def test_every_event_chord_holds_the_target_area(shape, fraction):
     """At each stored event, the cut through the vertex that an end passes
-    there holds the target area.  Each check is O(m), so the n-gons stop at
-    255."""
+    there holds the target area: on the polygon drawn, and on its vertices
+    with rotation order 1, whose walk over [0, pi] has events even where one
+    period of an n-gon's has none.  Each check is O(m), so the n-gons stop
+    at 255."""
     c = _grid_polygon(shape)
-    sweep = _ChordSweep(c, fraction)
-    # (angle, the vertex an end passes there): the end on edge i when i changes
-    events = [(angle, (i if i != i0 else j) % sweep.m)
-              for angle, i, j, i0 in zip(sweep.angles[1:], sweep.ii[1:], sweep.jj[1:], sweep.ii)]
+    for sweep in (_ChordSweep(c, fraction), _ChordSweep(ConvexPolygon(c.vertices), fraction)):
+        # (angle, the vertex an end passes there): the end on edge i when i changes
+        events = [(angle, (i if i != i0 else j) % sweep.m) for angle, i, j, i0
+                  in zip(sweep.angles[1:], sweep.ii[1:], sweep.jj[1:], sweep.ii)]
+        for angle, k in events:
+            n = (-math.sin(angle), math.cos(angle))
+            x, y = c.vertices[k]
+            area = cut_area(c.vertices, n, x * n[0] + y * n[1])
+            assert abs(area - fraction * c.area) <= 1e-12 * c.area
     assert events
-    for angle, k in events:
-        n = (-math.sin(angle), math.cos(angle))
-        x, y = c.vertices[k]
-        area = cut_area(c.vertices, n, x * n[0] + y * n[1])
-        assert abs(area - fraction * c.area) <= 1e-12 * c.area
 
 
 @settings(max_examples=100)
 @given(shape=_grid_shapes(), fraction=st.floats(0.01, 0.99))
-@example(shape=regular_ngon(6), fraction=0.5)  # rounding puts one event below the one before
+# rounding puts one event below the one before
+@example(shape=ConvexPolygon(regular_ngon(6).vertices), fraction=0.5)
 def test_event_intervals_cover_the_half_turn(shape, fraction):
     """The stored event angles start at 0, never decrease, and the last
-    interval reaches past pi: the next event from its edge pair lies beyond.
+    interval reaches past the walk's end, pi or the end of the first period
+    if that comes first: the next event from its edge pair lies beyond.
     At an event angle the point takes every event there: the pair of the
     last interval that starts at that angle."""
     sweep = _ChordSweep(_grid_polygon(shape), fraction)
     angles, ii, jj = sweep.angles, sweep.ii, sweep.jj
     assert angles[0] == 0.0
     assert all(a <= b for a, b in zip(angles, angles[1:]))
-    assert angles[-1] <= math.pi < sweep._next_event(ii[-1], jj[-1], angles[-1])[0]
+    end = min(math.pi, sweep.period)
+    assert angles[-1] <= end < sweep._next_event(ii[-1], jj[-1], angles[-1])[0]
     assert len(angles) == len(ii) == len(jj)
     sweep._evaluate = lambda i, j, theta: (i, j)
     for k, angle in enumerate(angles):
@@ -667,6 +665,23 @@ def test_equal_fair_cut_random_polygons():
     _check_equal_fair_cut(regular_ngon(7))
     for _ in range(100):
         _check_equal_fair_cut(random_polygon(rng, rng.randint(3, 30), 3))
+
+
+@pytest.mark.parametrize("n", [9, 15, 24, 25, 27, 40, 45, 64, 465, 4096])
+def test_equal_fair_cut_on_a_regular_polygon_is_the_first_grid_angle(n):
+    """At 1:1 many grid angles of a regular n-gon give rho within rounding
+    of 1; the answer is the first of them, theta = 0, whether the sweep
+    walks one period or all of [0, pi]."""
+    c = regular_ngon(n)
+    for polygon in (c, ConvexPolygon(c.vertices)):
+        res = find_scaled_fair_cut(polygon, RatioTarget(1, 1))
+        assert res.found and res.cut.theta == 0.0
+
+
+def test_the_rotation_order_is_read_from_the_polygon():
+    for solve in (perimeter_ratio_profile, find_scaled_fair_cut):
+        with pytest.raises(TypeError):
+            solve(rectangle(4, 1), RatioTarget(1, 3), order=4)
 
 
 # --- band family ---

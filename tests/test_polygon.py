@@ -1,10 +1,13 @@
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
 
 import pytest
 
+from convexkit.fairpart import LineCut, split
 from convexkit.kernel.arcs import ArcPolygon
 from convexkit.kernel.polygon import (
     ConvexPolygon,
@@ -120,6 +123,21 @@ def test_regular_polygons_build_as_from_their_own_vertices():
         again = ConvexPolygon(c.vertices)
         assert repr((c.vertices, c.area, c.perimeter)) == repr(
             (again.vertices, again.area, again.perimeter)), n
+
+
+def test_only_regular_polygons_carry_a_rotation_order():
+    """`regular_ngon(n)` has rotation order n; the constructor, and so a
+    rectangle and the pieces of a split, give 1.  The order is a field: the
+    same vertices with order 1 are another value, and copies keep it."""
+    for n in (3, 6, 64, 4096):
+        assert regular_ngon(n).rotation_order == n
+    hexagon = regular_ngon(6)
+    plain = ConvexPolygon(hexagon.vertices)
+    pieces = split(hexagon, LineCut(0.0, 0.0))[:2]
+    assert [c.rotation_order for c in (plain, rectangle(4, 1), *pieces)] == [1, 1, 1, 1]
+    assert plain.vertices == hexagon.vertices and plain != hexagon
+    for clone in (copy.copy(hexagon), copy.deepcopy(hexagon), pickle.loads(pickle.dumps(hexagon))):
+        assert clone == hexagon and clone.rotation_order == 6
 
 
 # sha256 of the reprs of (vertices, area, perimeter) of the polygons below,

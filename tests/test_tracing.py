@@ -20,6 +20,7 @@ COMMANDS = [
     ["tiling", "search-iso", "--n", "7", "--limit", "1"],
     ["tiling", "hcn", "--h", "60", "--i", "5", "--length", "4"],
     ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "16"],
+    ["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--expect-infeasible"],
     ["shapes", "interp", "--t", "0.5", "--samples", "64"],
     ["poly", "build", "--solid", "rco"],
 ]
