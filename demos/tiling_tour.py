@@ -37,18 +37,17 @@ ts = parse_tileset(SEVEN)
 for t in ts:
     print(f"  tile {t.id}: {t.width} x {t.height}, perimeter {2 * (t.width + t.height)}, "
           f"area {t.width * t.height}")
-results = enumerate_layouts(ts)
-for r in results:
-    ok = verify_layout(ts, r.layout) is None
-    print(f"  tiles a {r.width} x {r.height} rectangle (verified: {ok})")
+for lay in enumerate_layouts(ts):
+    ok = verify_layout(ts, lay) is None
+    print(f"  tiles a {lay.target_width} x {lay.target_height} rectangle (verified: {ok})")
 
 section("how many rectangle targets can n tiles reach?")
 print("  four unit squares:")
-for r in enumerate_layouts(parse_tileset("1 1 4\n")):
-    print(f"    {r.width} x {r.height}")
+for lay in enumerate_layouts(parse_tileset("1 1 4\n")):
+    print(f"    {lay.target_width} x {lay.target_height}")
 print("  two 4x1 plus two 2x1:")
-for r in enumerate_layouts(parse_tileset("4 1 2\n2 1 2\n")):
-    print(f"    {r.width} x {r.height}")
+for lay in enumerate_layouts(parse_tileset("4 1 2\n2 1 2\n")):
+    print(f"    {lay.target_width} x {lay.target_height}")
 
 section("divisor records and their tile censuses")
 records = hcn_up_to(200)

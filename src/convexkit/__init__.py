@@ -24,8 +24,9 @@ where a record checks or normalizes its fields through
 Equality, hashing, repr, copying and pickling follow the fields.  A value
 class with its own constructor (`ConvexPolygon`, `ArcPolygon`,
 `SupportBody`, `TileSet`) ends it with `super().__init__(<its field
-values>)`.  `PositivePoint` is the one mutable value: it compares by the
-interval it denotes and builds its Fraction views on first use.
+values>)`.  No value is mutable: every class is a `NamedTuple` result
+(such as `PositivePoint`, whose views are computed on read), a `Frozen`
+value or an exception, but for the fair-cut sweep `fairpart._ChordSweep`.
 `UnsupportedInstance` is the error of every program limit.
 """
 

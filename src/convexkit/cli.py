@@ -38,6 +38,9 @@ from .extremal import (
     reuleaux_metrics,
 )
 from .fairpart import (
+    DEFAULT_ANGLE_SAMPLES,
+    DEFAULT_BAND_TOL,
+    DEFAULT_CUT_TOL,
     disc_chord_analysis,
     find_scaled_fair_cut,
     parse_ratio,
@@ -50,6 +53,7 @@ from .kernel.polygon import ConvexPolygon, rectangle, regular_ngon
 from .kernel.rational import format_rational, parse_rational
 from .kernel.support import SupportBody, support_body_metrics
 from .polyhedra import (
+    SOLID_DIMS,
     Mesh,
     NoSuchSolid,
     build_cube_with_pyramids,
@@ -254,26 +258,27 @@ def _layout_svg(ts, layout) -> str:
 
 def cmd_tiling_enumerate(args) -> Handler:
     ts = load_tileset(args.tiles)
-    results = enumerate_layouts(ts, allow_rotation=not args.no_rotation, cap=args.cap)
+    layouts = enumerate_layouts(ts, allow_rotation=not args.no_rotation, cap=args.cap)
     report = {
         "tiles": args.tiles,
         "allow_rotation": not args.no_rotation,
-        "count": len(results),
+        "count": len(layouts),
         "layouts": [
             {
-                "width": r.width,
-                "height": r.height,
-                "placements": layout_to_dict(r.layout)["placements"],
+                "width": lay.target_width,
+                "height": lay.target_height,
+                "placements": layout_to_dict(lay)["placements"],
             }
-            for r in results
+            for lay in layouts
         ],
     }
-    lines = [f"{len(results)} layout(s): " + ", ".join(f"{r.width} x {r.height}" for r in results)]
+    sizes = ", ".join(f"{lay.target_width} x {lay.target_height}" for lay in layouts)
+    lines = [f"{len(layouts)} layout(s): {sizes}"]
     files = {}
     if args.svg:
-        for i, r in enumerate(results):
-            files[f"layout-{i}.svg"] = _layout_svg(ts, r.layout)
-    return len(results) > 0, report, files, lines
+        for i, lay in enumerate(layouts):
+            files[f"layout-{i}.svg"] = _layout_svg(ts, lay)
+    return len(layouts) > 0, report, files, lines
 
 
 def cmd_tiling_search_iso(args) -> Handler:
@@ -613,9 +618,6 @@ def cmd_shapes_crossover(args) -> Handler:
     return True, report, {}, lines
 
 
-# The dimension flags and their values when not given.
-SOLID_DIMS = {"a": 1.0, "h": 0.3, "s": 1.0, "l": 3.5}
-
 # solid -> (the dimension flags it reads, its builder taking them in order).
 # The lambdas look the builders up at call time, so a wrapped name is seen.
 SOLID_BUILDERS = {
@@ -743,27 +745,27 @@ def build_parser() -> argparse.ArgumentParser:
     fpr = fsub.add_parser("profile", help="perimeter ratio across all cut directions")
     fpr.add_argument("--shape", required=True)
     fpr.add_argument("--ratio", required=True)
-    fpr.add_argument("--samples", type=int, default=720)
+    fpr.add_argument("--samples", type=int, default=DEFAULT_ANGLE_SAMPLES)
     _add_common(fpr)
 
     fso = fsub.add_parser("solve", help="find a cut with the prescribed perimeter ratio")
     fso.add_argument("--shape", required=True)
     fso.add_argument("--ratio", required=True)
-    fso.add_argument("--tol", type=float, default=1e-9)
-    fso.add_argument("--samples", type=int, default=720)
+    fso.add_argument("--tol", type=float, default=DEFAULT_CUT_TOL)
+    fso.add_argument("--samples", type=int, default=DEFAULT_ANGLE_SAMPLES)
     _add_common(fso, svg=True)
 
     fdi = fsub.add_parser("disc", help="chord analysis of the disc, optionally cross-checked on an n-gon")
     fdi.add_argument("--ratio", required=True)
     fdi.add_argument("--ngon", type=int, default=0, help="polygon vertices for the cross-check (0 = skip)")
-    fdi.add_argument("--tol", type=positive_float, default=1e-9)
-    fdi.add_argument("--samples", type=angle_samples, default=720)
+    fdi.add_argument("--tol", type=positive_float, default=DEFAULT_CUT_TOL)
+    fdi.add_argument("--samples", type=angle_samples, default=DEFAULT_ANGLE_SAMPLES)
     _add_common(fdi)
 
     fba = fsub.add_parser("band", help="boundary-band partition of a rectangle")
     fba.add_argument("--shape", required=True, help="rect:WxH")
     fba.add_argument("--ratio", required=True)
-    fba.add_argument("--tol", type=float, default=1e-6)
+    fba.add_argument("--tol", type=float, default=DEFAULT_BAND_TOL)
     fba.add_argument("--samples", type=int, default=None,
                      help="no effect; the band is solved in closed form")
     _add_common(fba, svg=True)

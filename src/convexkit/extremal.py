@@ -32,8 +32,8 @@ class Lens(Frozen):
     __slots__ = ("diameter", "alpha")
 
     def __post_init__(self):
-        if self.diameter <= 0:
-            raise ValueError("lens diameter must be positive")
+        if not 0 < self.diameter < math.inf:
+            raise ValueError("lens diameter must be positive and finite")
         if not (0.0 < self.alpha <= math.pi / 2 + 1e-12):
             raise ValueError("lens half-angle must lie in (0, pi/2]")
 

@@ -46,6 +46,9 @@ from .kernel.roots import bisect_root, rising_quadratic_root, segment_over_cube
 
 # a sampled profile keeps about 0.4 KB per angle, so the cap holds it near 60 MiB
 MAX_ANGLE_SAMPLES = 100_000
+DEFAULT_ANGLE_SAMPLES = 720
+DEFAULT_CUT_TOL = 1e-9
+DEFAULT_BAND_TOL = 1e-6
 
 
 class RatioTarget(Frozen):
@@ -349,7 +352,7 @@ def _angle_grid(samples: int) -> List[float]:
 
 
 def perimeter_ratio_profile(
-    c: ConvexPolygon, target: RatioTarget, samples: int = 720
+    c: ConvexPolygon, target: RatioTarget, samples: int = DEFAULT_ANGLE_SAMPLES
 ) -> List[ProfilePoint]:
     """rho(theta) on the uniform angle grid j*pi/samples, j = 0..samples-1.
     Piece a always carries the smaller area share, so rho is continuous
@@ -375,7 +378,8 @@ class FairCutResult(NamedTuple):
 
 
 def find_scaled_fair_cut(
-    c: ConvexPolygon, target: RatioTarget, tol: float = 1e-9, samples: int = 720
+    c: ConvexPolygon, target: RatioTarget, tol: float = DEFAULT_CUT_TOL,
+    samples: int = DEFAULT_ANGLE_SAMPLES
 ) -> FairCutResult:
     """Sample rho on the closed grid j*pi/samples, j = 0..samples, with one
     sweep.  The answer is the first grid point below pi within tol of
@@ -628,7 +632,7 @@ def _band_runs(W: float, H: float, target: RatioTarget) -> Tuple[List[BandRun], 
 
 
 def solve_band(
-    width: float, height: float, target: RatioTarget, tol: float = 1e-6
+    width: float, height: float, target: RatioTarget, tol: float = DEFAULT_BAND_TOL
 ) -> BandSolveResult:
     """The band of smallest s with rho = sqrt(a/b), in closed form.  Put
     ell = A/t + k*t into rho: one quadratic in t per corner count k,

@@ -14,9 +14,8 @@ is an exact emptiness certificate.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .. import Frozen
 
@@ -131,7 +130,7 @@ def solve_linear_exact(
     return ParamSolution(var_names, [particular, *basis], d)
 
 
-class PositivePoint:
+class PositivePoint(NamedTuple):
     """Outcome of a strict-positivity search on a line.
 
     `lo` and `hi` are the ends of the open interval of all parameters at
@@ -139,24 +138,24 @@ class PositivePoint:
     (None for an unbounded end), when one exists.  Otherwise
     `certified_empty` is True: the interval test proved exactly that no
     such parameter exists.  `interval` and a parameter `t` inside it are
-    their Fraction views, built on first use.  `attempts` counts sampled
-    tries and is always 0, since the test samples nothing.  Two outcomes
-    are equal when they have the same interval."""
+    their Fraction views, computed on each read; only a witness reads
+    them.  Two outcomes are equal when they have the same stored ends."""
 
-    def __init__(self, lo: Optional[tuple] = None, hi: Optional[tuple] = None,
-                 certified_empty: bool = False, attempts: int = 0):
-        self.lo = lo
-        self.hi = hi
-        self.certified_empty = certified_empty
-        self.attempts = attempts
+    lo: Optional[tuple] = None
+    hi: Optional[tuple] = None
+    certified_empty: bool = False
 
-    @cached_property
+    # the test samples nothing; the benchmark's tracer reads this count of
+    # sampled tries until its `sampled_fallbacks` metric is dropped
+    attempts = 0
+
+    @property
     def interval(self) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
         if self.certified_empty:
             return None
         return tuple(None if end is None else Fraction(*end) for end in (self.lo, self.hi))
 
-    @cached_property
+    @property
     def t(self) -> Optional[Fraction]:
         """The midpoint when both ends are finite, one past the finite end
         of a half-line, and 0 when nothing bounds t."""
@@ -166,11 +165,6 @@ class PositivePoint:
         if lo is None:
             return Fraction(0) if hi is None else hi - 1
         return lo + 1 if hi is None else (lo + hi) / 2
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PositivePoint):
-            return NotImplemented
-        return (self.interval, self.attempts) == (other.interval, other.attempts)
 
 
 # the one outcome with no interval: every certified-empty answer is this instance

@@ -89,7 +89,8 @@ class ConvexPolygon(Frozen):
         return len(self.vertices)
 
     def __repr__(self) -> str:
-        return f"ConvexPolygon({len(self.vertices)} vertices, area={self.area:.6g})"
+        return (f"ConvexPolygon({len(self.vertices)}-gon, area={self.area:.6g}, "
+                f"rotation_order={self.rotation_order})")
 
 
 def _smallest_first(pts: list[Point]) -> tuple[tuple[Point, ...], float, float]:

@@ -29,6 +29,9 @@ CONVEXITY_TOL = 1e-9
 # float builders carry ~1e-12 noise, genuinely different faces sit orders
 # of magnitude apart
 SIGNATURE_QUANTUM = 1e-6
+# the default sizes: cube side a, pyramid height h, and the triangle base
+# edge s and lateral edge l of the 40-triangle solids
+SOLID_DIMS = {"a": 1.0, "h": 0.3, "s": 1.0, "l": 3.5}
 
 
 class NoSuchSolid(ValueError):
@@ -68,10 +71,11 @@ def _newell_normal(pts: List[Point3]) -> Point3:
 
 class Mesh(Frozen):
     """Closed oriented polyhedral surface.  Faces are outward vertex-index
-    cycles; validation enforces planar faces, each undirected edge shared
-    by exactly two faces in opposite directions, and V - E + F = 2.
-    Vertex coordinates are stored as floats, and `planes` keeps each face's
-    (Newell normal, centroid), in face order, from validation."""
+    cycles; validation enforces finite coordinates, planar faces, each
+    undirected edge shared by exactly two faces in opposite directions, and
+    V - E + F = 2.  Vertex coordinates are stored as floats, and `planes`
+    keeps each face's (Newell normal, centroid), in face order, from
+    validation."""
 
     __slots__ = ("vertices", "faces", "planes")
 
@@ -82,6 +86,8 @@ class Mesh(Frozen):
         verts = tuple(tuple(map(float, v)) for v in self.vertices)
         if len(verts) < 4 or any(len(v) != 3 for v in verts):
             raise ValueError("mesh needs at least four 3D vertices")
+        if not all(math.isfinite(c) for v in verts for c in v):
+            raise ValueError("mesh has a non-finite vertex coordinate")
         object.__setattr__(self, "vertices", verts)
         if len(self.faces) < 4:
             raise ValueError("mesh needs at least four faces")
@@ -231,8 +237,8 @@ def _oriented(verts: List[Point3], faces: Iterable[Sequence[int]]) -> Mesh:
 
 
 def build_cube_with_pyramids(
-    a: float = 1.0,
-    h: float = 0.3,
+    a: float = SOLID_DIMS["a"],
+    h: float = SOLID_DIMS["h"],
     mode: str = "opposite",
 ) -> Mesh:
     """Cube of side a with square pyramids of height h erected on two
@@ -242,8 +248,8 @@ def build_cube_with_pyramids(
     raises NoSuchSolid; the opposite mode is convex at every height."""
     if mode not in ("opposite", "adjacent"):
         raise ValueError("mode must be 'opposite' or 'adjacent'")
-    if not (a > 0 and h > 0):
-        raise ValueError("side and height must be positive")
+    if not (0 < a < math.inf and 0 < h < math.inf):
+        raise ValueError("side and height must be positive and finite")
     if mode == "adjacent" and h >= a / 2:
         raise NoSuchSolid("pyramid height must satisfy h < a/2 to keep convexity")
     verts: List[Point3] = [
@@ -347,11 +353,11 @@ def _height_for_edge(edge: float, radial: float, what: str) -> float:
     return math.sqrt((edge - radial) * (edge + radial))
 
 
-def build_icosagonal_dipyramid(s: float = 1.0, l: float = 3.5) -> Mesh:
+def build_icosagonal_dipyramid(s: float = SOLID_DIMS["s"], l: float = SOLID_DIMS["l"]) -> Mesh:
     """Dipyramid over a regular 20-gon of side s with lateral edge l:
     40 isosceles (s, l, l) triangles."""
-    if s <= 0 or l <= 0:
-        raise ValueError("side and lateral edge must be positive")
+    if not (0 < s < math.inf and 0 < l < math.inf):
+        raise ValueError("side and lateral edge must be positive and finite")
     n = 20
     r = s / (2.0 * math.sin(math.pi / n))
     z = _height_for_edge(l, r, "dipyramid apex height")
@@ -368,12 +374,12 @@ def build_icosagonal_dipyramid(s: float = 1.0, l: float = 3.5) -> Mesh:
     return _oriented(verts, faces)
 
 
-def build_decagonal_dipyramidal_antiprism(s: float = 1.0, l: float = 3.5) -> Mesh:
+def build_decagonal_dipyramidal_antiprism(s: float = SOLID_DIMS["s"], l: float = SOLID_DIMS["l"]) -> Mesh:
     """Decagonal antiprism (side s, twist pi/10, lateral edge l) capped by
     two decagonal pyramids with the same lateral edge: 40 isosceles
     (s, l, l) triangles, same multiset as the icosagonal dipyramid."""
-    if s <= 0 or l <= 0:
-        raise ValueError("side and lateral edge must be positive")
+    if not (0 < s < math.inf and 0 < l < math.inf):
+        raise ValueError("side and lateral edge must be positive and finite")
     n = 10
     r = s / (2.0 * math.sin(math.pi / n))
     # antiprism lateral edge spans half a step of twist

@@ -274,9 +274,12 @@ class ForcedPair(NamedTuple):
 
 
 class IsoWitness(NamedTuple):
+    """A floorplan's tiling by rectangles of unit semiperimeter and
+    pairwise distinct areas: the point `solution.point([t])` of its line."""
+
     floorplan: Floorplan
     solution: ParamSolution
-    values: dict
+    t: Fraction
     layout: Layout
     tileset: TileSet
     areas: Tuple[Fraction, ...]
@@ -360,8 +363,7 @@ def _witness(fp: Floorplan, line: ParamSolution, t: Fraction) -> IsoWitness:
     defect = verify_layout(tiles, layout)
     if defect is not None or len(set(areas)) != fp.n:
         raise RuntimeError(f"witness for floorplan {fp.code} does not verify: {defect}")
-    values = dict(zip(line.names, point))
-    return IsoWitness(fp, line, values, layout, tiles, areas)
+    return IsoWitness(fp, line, t, layout, tiles, areas)
 
 
 def _decide(fp: Floorplan, line):

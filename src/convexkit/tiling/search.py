@@ -31,18 +31,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .. import UnsupportedInstance
 from .tiles import Layout, Placement, TileSet
 
 DEFAULT_TILE_CAP = 24
-
-
-class TilingResult(NamedTuple):
-    width: Fraction
-    height: Fraction
-    layout: Layout
 
 
 def _side_sums(choices: List[Tuple[int, ...]], limit: int) -> set:
@@ -187,7 +181,7 @@ def enumerate_layouts(
     ts: TileSet,
     allow_rotation: bool = True,
     cap: int = DEFAULT_TILE_CAP,
-) -> List[TilingResult]:
+) -> List[Layout]:
     """All target rectangles the tile set tiles exactly, one witness layout
     each, deduplicated up to the W x H <-> H x W symmetry (with rotation
     allowed the W >= H orientation is reported).  Exact: a target appears
@@ -247,11 +241,5 @@ def enumerate_layouts(
                 Placement(tid, Fraction(x, scale), Fraction(y, scale), rot)
             )
         placements.sort(key=lambda p: p.tile_id)
-        results.append(
-            TilingResult(
-                Fraction(W, scale),
-                Fraction(H, scale),
-                Layout(Fraction(W, scale), Fraction(H, scale), tuple(placements)),
-            )
-        )
+        results.append(Layout(Fraction(W, scale), Fraction(H, scale), tuple(placements)))
     return results

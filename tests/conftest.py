@@ -43,11 +43,12 @@ def case_table(name, count, draw, first=()):
 
 
 def case_repr(inputs):
-    """A case's inputs as text, with each polygon as its vertices."""
+    """A case's inputs as text, with each polygon as its vertices and its
+    rotation order."""
     from convexkit.kernel.polygon import ConvexPolygon
 
     if isinstance(inputs, ConvexPolygon):
-        return f"ConvexPolygon({inputs.vertices!r})"
+        return f"ConvexPolygon({inputs.vertices!r}, rotation_order={inputs.rotation_order})"
     if isinstance(inputs, list):
         return "[" + ", ".join(map(case_repr, inputs)) + "]"
     if isinstance(inputs, tuple):

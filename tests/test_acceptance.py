@@ -96,9 +96,8 @@ def test_criterion_01_seven_tile_example(tmp_path):
     )
     from convexkit.tiling.search import enumerate_layouts
 
-    results = enumerate_layouts(ts)
-    hit = [r for r in results if (r.width, r.height) == (24, 18)]
-    assert hit and verify_layout(ts, hit[0].layout) is None
+    hit = [lay for lay in enumerate_layouts(ts) if (lay.target_width, lay.target_height) == (24, 18)]
+    assert hit and verify_layout(ts, hit[0]) is None
 
 
 @criterion(2, 1, "layout counts for the two reference tile multisets")
@@ -106,11 +105,10 @@ def test_criterion_02_layout_counts():
     squares = parse_tileset("1 1 4\n")
     from convexkit.tiling.search import enumerate_layouts
 
-    results = enumerate_layouts(squares)
-    assert len(results) == 2
+    assert len(enumerate_layouts(squares)) == 2
 
     mixed = parse_tileset("4 1 2\n2 1 2\n")
-    dims = {(r.width, r.height) for r in enumerate_layouts(mixed)}
+    dims = {(lay.target_width, lay.target_height) for lay in enumerate_layouts(mixed)}
     assert {(12, 1), (4, 3), (6, 2)} <= dims
 
 

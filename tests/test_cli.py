@@ -8,6 +8,7 @@ parser serves every main call of the process.
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -20,10 +21,24 @@ import pytest
 import convexkit.cli as cli
 from convexkit.cli import main, svg_outlines
 from convexkit.extremal import interpolate_constant_width
-from convexkit.fairpart import RatioTarget, perimeter_ratio_profile
+from convexkit.fairpart import (
+    DEFAULT_ANGLE_SAMPLES,
+    DEFAULT_BAND_TOL,
+    DEFAULT_CUT_TOL,
+    RatioTarget,
+    find_scaled_fair_cut,
+    perimeter_ratio_profile,
+    solve_band,
+)
 from convexkit.kernel.arcs import ArcPolygon
 from convexkit.kernel.polygon import rectangle, regular_ngon
 from convexkit.kernel.support import SupportBody
+from convexkit.polyhedra import (
+    SOLID_DIMS,
+    build_cube_with_pyramids,
+    build_decagonal_dipyramidal_antiprism,
+    build_icosagonal_dipyramid,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 SEVEN_TILES = os.path.join(DATA, "seven.tiles")
@@ -242,6 +257,11 @@ def test_program_limits_exit_two_without_a_report(tmp_path, capsys, argv, messag
         pytest.param(["shapes", "interp", "--t", "0.5", "--width", "inf"], id="argv12"),
         # a cross-check body past the sample cap would run for minutes
         pytest.param(["shapes", "interp", "--t", "0.5", "--samples", "100002"], id="argv13"),
+        # nor has a solid of NaN or infinite size
+        pytest.param(["poly", "build", "--solid", "icosa-dipyramid", "--l", "nan"], id="argv14"),
+        pytest.param(["poly", "build", "--solid", "icosa-dipyramid", "--s", "inf"], id="argv15"),
+        pytest.param(["poly", "build", "--solid", "deca-antiprism", "--s", "nan"], id="argv16"),
+        pytest.param(["poly", "build", "--solid", "cube-pyr-adjacent", "--a", "inf"], id="argv17"),
     ],
 )
 def test_inputs_the_library_rejects_exit_two(tmp_path, capsys, argv):
@@ -362,6 +382,24 @@ def test_fairpart_profile_names_the_first_angle_of_each_extreme(tmp_path):
 def test_shapes_parse_to_polygons_that_carry_their_rotation_order():
     assert cli.parse_shape("ngon:12") == regular_ngon(12)
     assert cli.parse_shape("rect:4x1") == rectangle(4, 1)
+
+
+def test_the_cli_defaults_are_the_library_defaults():
+    """Each default is stated once, in the library, and the CLI reads it."""
+    parse = cli.build_parser().parse_args
+    shape = ["--shape", "rect:4x1", "--ratio", "1:3"]
+    cut = inspect.signature(find_scaled_fair_cut).parameters
+    assert inspect.signature(perimeter_ratio_profile).parameters["samples"].default == DEFAULT_ANGLE_SAMPLES
+    assert parse(["fairpart", "profile", *shape]).samples == DEFAULT_ANGLE_SAMPLES
+    for args in (parse(["fairpart", "solve", *shape]), parse(["fairpart", "disc", "--ratio", "1:3"])):
+        assert (args.tol, args.samples) == (cut["tol"].default, cut["samples"].default)
+        assert (args.tol, args.samples) == (DEFAULT_CUT_TOL, DEFAULT_ANGLE_SAMPLES)
+    band = parse(["fairpart", "band", *shape])
+    assert band.tol == inspect.signature(solve_band).parameters["tol"].default == DEFAULT_BAND_TOL
+    for build, flags in [(build_cube_with_pyramids, "ah"), (build_icosagonal_dipyramid, "sl"),
+                         (build_decagonal_dipyramidal_antiprism, "sl")]:
+        sizes = inspect.signature(build).parameters
+        assert all(sizes[f].default == SOLID_DIMS[f] for f in flags)
 
 
 def test_fairpart_solve_with_svg(tmp_path):

@@ -42,7 +42,7 @@ TABLE_DIGESTS = {
     "test_side_sums_equal_every_pick":
         "8b2e2ad1e61f6064eff1fc5e1ff7eb65f98548176599482367bc90af46dfc32f",
     "test_sweep_matches_the_offset_oracle_at_every_grid_angle":
-        "88233923be2a3b502ee43a11df086f8867262ca144652ca5462ad6bf0116affb",
+        "7da2a630b5a0ee3f7b411655029293abc08198974812177d3d7296d51404d4cf",
     "test_the_rank_theorem_step_by_step":
         "3772ba670d1e7a9196eeb0cb5c3da000f72d0b13fc0110e7e18fc3dcc8ae5119",
 }

@@ -31,8 +31,9 @@ from reference import random_polygon
 
 
 def test_lens_validation():
-    with pytest.raises(ValueError, match="lens diameter must be positive"):
-        Lens(0.0, 1.0)
+    for diameter in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lens diameter must be positive and finite"):
+            Lens(diameter, 1.0)
     with pytest.raises(ValueError, match=r"lens half-angle must lie in \(0, pi/2\]"):
         Lens(1.0, 2.0)  # half-angle beyond pi/2
     with pytest.raises(ValueError, match="half-angle"):

@@ -23,12 +23,12 @@ from convexkit.extremal import (
     min_diameter_survey,
 )
 from convexkit.fairpart import LineCut, RatioTarget, find_scaled_fair_cut, solve_band, split
+from convexkit.kernel.linsolve import positive_point
 from convexkit.kernel.polygon import ConvexPolygon, rectangle, regular_ngon
 from convexkit.kernel.support import SupportBody
 from convexkit.polyhedra import build_cube_with_pyramids, build_rhombicuboctahedron
 from convexkit.tiling.hcn import HcnContext, construct_width_layout
 from convexkit.tiling.isoperimetric import search_isoperimetric
-from convexkit.tiling.search import enumerate_layouts
 from convexkit.tiling.tiles import Layout, Placement, Tile, TileSet, verify_layout
 from reference import enumerate_floorplans
 
@@ -86,7 +86,7 @@ def _unit_squares(n: int) -> TileSet:
 
 
 # (record, one of its fields, a builder), for every record that was a
-# frozen dataclass
+# frozen dataclass, and the positivity outcome
 FROZEN_RECORDS = [
     ("RatioTarget", "a", lambda: RatioTarget(1, 3)),
     ("LineCut", "offset", lambda: LineCut(0.5, 0.1)),
@@ -103,7 +103,7 @@ FROZEN_RECORDS = [
     ("Layout", "placements", lambda: construct_width_layout(HcnContext(60, 5, 4), 10)),
     ("DefectReport", "kind",
      lambda: verify_layout(_unit_squares(1), Layout(Fraction(2), Fraction(1), ()))),
-    ("TilingResult", "width", lambda: enumerate_layouts(_unit_squares(2))[0]),
+    ("PositivePoint", "lo", lambda: positive_point([(2, 1), (1, -1)], 5)),
     ("Floorplan", "rooms", lambda: enumerate_floorplans(3)[0]),
     ("ForcedPair", "relation", lambda: search_isoperimetric(4).forced[0]),
     ("IsoWitness", "areas", lambda: search_isoperimetric(7, 1).witnesses[0]),

@@ -412,16 +412,17 @@ def test_seven_rooms_has_witness():
     for t in w.tileset:
         assert t.width + t.height == 1
     assert verify_layout(w.tileset, w.layout) is None
-    # values dict mirrors the solution point
-    assert w.values["x0"] == 0 and w.values["y0"] == 0
-    assert w.values["x1"] == w.layout.target_width
+    # the layout is the point of the witness's line at its t
+    coords = dict(zip(w.solution.names, w.solution.point([w.t])))
+    assert coords["x0"] == coords["y0"] == 0
+    assert (coords["x1"], coords["y1"]) == (w.layout.target_width, w.layout.target_height)
 
 
 def test_witness_search_is_deterministic():
     a = search_isoperimetric(7, limit=1)
     b = search_isoperimetric(7, limit=1)
     assert a.examined == b.examined
-    assert a.witnesses[0].values == b.witnesses[0].values
+    assert (a.witnesses[0].t, a.witnesses[0].solution) == (b.witnesses[0].t, b.witnesses[0].solution)
 
 
 def test_search_bounds():
@@ -548,7 +549,8 @@ def test_integer_widths_answer_as_their_fractions():
             den = k * lcm(*[v.denominator for form in widths for v in form])
             ints = [(int(c * den), int(a * den)) for c, a in widths]
             assert forced_equal_pair(ints, den) == forced_equal_pair(widths, 1)
-            assert positive_point(ints, den) == positive_widths(widths)
+            got, want = positive_point(ints, den), positive_widths(widths)
+            assert (got.interval, got.certified_empty) == (want.interval, want.certified_empty)
 
 
 def segment_ids(coords, hi):

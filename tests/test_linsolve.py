@@ -89,12 +89,15 @@ def test_positive_point_zero_dim():
 
 
 def test_positive_point_builds_fractions_only_when_read():
-    """Int forms leave the interval's ends as int pairs; the Fraction
-    interval and t are built when first read, as only a witness does."""
+    """Int forms leave the interval's ends as int pairs, the only fields;
+    the Fraction interval and t are computed on each read, as only a
+    witness does, and nothing is stored."""
     res = positive_point([(2, 1), (1, -1)], 5)
     assert (res.lo, res.hi, res.certified_empty) == ((-2, 1), (1, 1), False)
-    assert "interval" not in vars(res) and "t" not in vars(res)
+    assert not hasattr(res, "__dict__")
+    assert isinstance(type(res).interval, property) and isinstance(type(res).t, property)
     assert (res.interval, res.t) == ((F(-2), F(1)), F(-1, 2))
+    assert res.interval is not res.interval
 
 
 def test_positive_point_parameter_rule():

@@ -84,6 +84,11 @@ def test_mesh_validation():
     bent[6] = (1.0, 1.0, 1.1)
     with pytest.raises(ValueError, match="non-planar"):
         Mesh(tuple(bent), tuple(faces))
+    # NaN fails every comparison, so no planarity or edge test catches it
+    for bad in (math.nan, math.inf):
+        bent[6] = (1.0, 1.0, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            Mesh(tuple(bent), tuple(faces))
 
 
 def test_inverted_orientation_is_rejected():
@@ -199,6 +204,16 @@ def test_dipyramid_lateral_edge_floor():
         build_icosagonal_dipyramid(s=1.0, l=3.0)
     with pytest.raises(ValueError, match="positive"):
         build_decagonal_dipyramidal_antiprism(s=-1.0)
+
+
+def test_solid_sizes_must_be_finite():
+    """A NaN size passed `s <= 0` and built a solid of volume nan."""
+    for bad in (math.nan, math.inf):
+        for build, size in ((build_icosagonal_dipyramid, 1.0), (build_decagonal_dipyramidal_antiprism, 1.0),
+                            (build_cube_with_pyramids, 0.3)):
+            for dims in ((bad, size), (1.0, bad)):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    build(*dims)
 
 
 def test_compare_report_structure():

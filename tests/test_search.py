@@ -31,26 +31,26 @@ EIGHT_TILES = """\
 """
 
 
-def dims_of(results):
-    return [(r.width, r.height) for r in results]
+def dims_of(layouts):
+    return [(lay.target_width, lay.target_height) for lay in layouts]
 
 
 def test_four_unit_squares_two_targets():
     ts = parse_tileset("1 1 4\n")
-    results = enumerate_layouts(ts)
-    assert dims_of(results) == [(2, 2), (4, 1)]
-    for r in results:
-        assert verify_layout(ts, r.layout) is None
+    layouts = enumerate_layouts(ts)
+    assert dims_of(layouts) == [(2, 2), (4, 1)]
+    for lay in layouts:
+        assert verify_layout(ts, lay) is None
 
 
 def test_two_4x1_two_2x1_three_targets():
     ts = parse_tileset("4 1 2\n2 1 2\n")
-    results = enumerate_layouts(ts)
-    assert set(dims_of(results)) == {(12, 1), (4, 3), (6, 2)}
-    assert len(results) == 3
+    layouts = enumerate_layouts(ts)
+    assert set(dims_of(layouts)) == {(12, 1), (4, 3), (6, 2)}
+    assert len(layouts) == 3
     assert len(enumerate_layouts(ts)) == 3
-    for r in results:
-        assert verify_layout(ts, r.layout) is None
+    for lay in layouts:
+        assert verify_layout(ts, lay) is None
 
 
 def test_single_tile_orientation():
@@ -70,8 +70,8 @@ def test_rotation_off_is_subset_as_unordered_pairs():
                 for i in range(n)
             ]
         )
-        fixed = {tuple(sorted((r.width, r.height))) for r in enumerate_layouts(ts, allow_rotation=False)}
-        free = {tuple(sorted((r.width, r.height))) for r in enumerate_layouts(ts)}
+        fixed = {tuple(sorted(dims)) for dims in dims_of(enumerate_layouts(ts, allow_rotation=False))}
+        free = {tuple(sorted(dims)) for dims in dims_of(enumerate_layouts(ts))}
         assert fixed <= free
 
 
@@ -85,18 +85,16 @@ def test_random_witnesses_verify():
                 for i in range(n)
             ]
         )
-        for r in enumerate_layouts(ts):
-            assert r.layout.target_width == r.width
-            assert r.layout.target_height == r.height
-            assert verify_layout(ts, r.layout) is None
+        for lay in enumerate_layouts(ts):
+            assert verify_layout(ts, lay) is None
 
 
 def test_rational_dimensions_stay_exact():
     ts = parse_tileset("3/2 1\n1/2 1\n")
-    results = enumerate_layouts(ts)
-    assert dims_of(results) == [(2, 1)]
-    assert isinstance(results[0].width, Fraction)
-    assert verify_layout(ts, results[0].layout) is None
+    layouts = enumerate_layouts(ts)
+    assert dims_of(layouts) == [(2, 1)]
+    assert isinstance(layouts[0].target_width, Fraction)
+    assert verify_layout(ts, layouts[0]) is None
 
 
 def test_no_targets_when_area_is_prime_and_sides_do_not_fit():
@@ -109,8 +107,7 @@ def test_cap_guard():
     ts = parse_tileset("1 1 25\n")
     with pytest.raises(UnsupportedInstance):
         enumerate_layouts(ts)
-    results = enumerate_layouts(ts, cap=25)
-    assert (5, 5) in dims_of(results)
+    assert (5, 5) in dims_of(enumerate_layouts(ts, cap=25))
 
 
 def test_enumeration_is_deterministic():
@@ -153,15 +150,12 @@ def test_scaling_the_tiles_scales_every_result():
             grown = enumerate_layouts(scaled, allow_rotation)
             assert len(grown) == len(base)
             for a, b in zip(base, grown):
-                assert (b.width, b.height) == (a.width * q, a.height * q)
-                assert b.layout.target_width == b.width and b.layout.target_height == b.height
-                assert [(p.tile_id, p.rotated) for p in b.layout.placements] == [
-                    (p.tile_id, p.rotated) for p in a.layout.placements
+                assert (b.target_width, b.target_height) == (a.target_width * q, a.target_height * q)
+                assert [(p.tile_id, p.rotated) for p in b.placements] == [
+                    (p.tile_id, p.rotated) for p in a.placements
                 ]
-                assert [(p.x, p.y) for p in b.layout.placements] == [
-                    (p.x * q, p.y * q) for p in a.layout.placements
-                ]
-                assert verify_layout(scaled, b.layout) is None
+                assert [(p.x, p.y) for p in b.placements] == [(p.x * q, p.y * q) for p in a.placements]
+                assert verify_layout(scaled, b) is None
 
 
 def enumerate_measured(ts):
@@ -169,21 +163,21 @@ def enumerate_measured(ts):
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        results = enumerate_layouts(ts)
+        layouts = enumerate_layouts(ts)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return results, elapsed, peak
+    return layouts, elapsed, peak
 
 
 def test_pair_near_one_thousand_answers_at_once():
     # lcm of the denominators is 988,027: the scaled area is about 2e9 and
     # the width about 1e6 grid units.
     ts = parse_tileset("1/997 1\n1 1/991\n")
-    results, elapsed, peak = enumerate_measured(ts)
-    assert dims_of(results) == [(1, Fraction(1988, 988027))]
-    assert verify_layout(ts, results[0].layout) is None
+    layouts, elapsed, peak = enumerate_measured(ts)
+    assert dims_of(layouts) == [(1, Fraction(1988, 988027))]
+    assert verify_layout(ts, layouts[0]) is None
     assert elapsed < 1.0
     assert peak < 16 << 20
 
@@ -192,9 +186,9 @@ def test_pair_near_one_hundred_thousand_answers_at_once():
     # lcm of the denominators is 9,999,399,973: one bit per unit of the
     # scaled sides would take gigabytes; the set of sums holds seven
     ts = parse_tileset("1/100003 1\n1 1/99991\n")
-    results, elapsed, peak = enumerate_measured(ts)
-    assert dims_of(results) == [(1, Fraction(199994, 9999399973))]
-    assert verify_layout(ts, results[0].layout) is None
+    layouts, elapsed, peak = enumerate_measured(ts)
+    assert dims_of(layouts) == [(1, Fraction(199994, 9999399973))]
+    assert verify_layout(ts, layouts[0]) is None
     assert elapsed < 1.0
     assert peak < 16 << 20
 
