@@ -11,12 +11,12 @@ import math
 import random
 
 from convexkit.extremal import (
+    constant_width_range,
     crossover_scan,
     interpolate_constant_width,
     lens_metrics,
     max_diameter_shape,
     min_diameter_survey,
-    reuleaux_metrics,
 )
 from convexkit.kernel.arcs import ArcPolygon
 from convexkit.kernel.polygon import ConvexPolygon
@@ -52,8 +52,9 @@ print(f"  200 random polygons: none longer than its lens "
 
 print()
 print("== the short end: constant-width bodies ==")
-m = reuleaux_metrics(1.0)
-print(f"Reuleaux triangle, width 1: area {m['area']:.9f}, perimeter {m['perimeter']:.9f}")
+reuleaux_area, _ = constant_width_range(1.0)
+# every body of constant width 1 has perimeter pi (Barbier)
+print(f"Reuleaux triangle, width 1: area {reuleaux_area:.9f}, perimeter {math.pi:.9f}")
 for t in (0.0, 0.5, 1.0):
     body = interpolate_constant_width(t)
     w_min, w_max = body.widths()

@@ -30,12 +30,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import UnsupportedInstance
 from .extremal import (
+    DEFAULT_PERIMETER,
+    DEFAULT_WIDTH,
+    DISC_BOUND_REASON,
+    constant_width_range,
     crossover_scan,
     interpolate_constant_width,
     lens_metrics,
     max_diameter_shape,
     min_diameter_survey,
-    reuleaux_metrics,
 )
 from .fairpart import (
     DEFAULT_ANGLE_SAMPLES,
@@ -516,7 +519,7 @@ def cmd_shapes_maxdiam(args) -> Handler:
     files = {}
     lines = []
     if lens is None:
-        report["reason"] = "area exceeds the disc bound p^2 / 4 pi"
+        report["reason"] = DISC_BOUND_REASON
         lines.append("infeasible: no convex shape has this area at this perimeter")
         return False, report, files, lines
     m = lens_metrics(lens)
@@ -537,7 +540,7 @@ def cmd_shapes_maxdiam(args) -> Handler:
 
 
 def cmd_shapes_mindiam(args) -> Handler:
-    report, cw_body = min_diameter_survey(args.area, args.perimeter)
+    report, bodies = min_diameter_survey(args.area, args.perimeter)
     lines = []
     files = {}
     if not report["feasible"]:
@@ -549,10 +552,7 @@ def cmd_shapes_mindiam(args) -> Handler:
             f"best of surveyed families: {best['family']} with diameter {best['diameter']:.9f}"
         )
         if args.svg:
-            files["outline.svg"] = svg_outlines([
-                ArcPolygon.sector(c["radius"], c["phi"]) if c["family"] == "sector" else cw_body
-                for c in report["candidates"]
-            ])
+            files["outline.svg"] = svg_outlines(bodies)
     else:
         lines.append(f"no candidate: {report['reason']}")
     return bool(report["candidates"]), report, files, lines
@@ -565,6 +565,7 @@ MAX_CROSSCHECK_SAMPLES = 100_000
 def cmd_shapes_interp(args) -> Handler:
     body = interpolate_constant_width(args.t, args.width)
     min_width, diameter = body.widths()
+    reuleaux_area, disc_area = constant_width_range(args.width)
     report = {
         "t": args.t,
         "width": args.width,
@@ -573,8 +574,8 @@ def cmd_shapes_interp(args) -> Handler:
         "mean_width": body.perimeter / math.pi,
         "diameter": diameter,
         "width_spread": diameter - min_width,
-        "reuleaux_area": reuleaux_metrics(args.width)["area"],
-        "disc_area": 0.25 * math.pi * args.width * args.width,
+        "reuleaux_area": reuleaux_area,
+        "disc_area": disc_area,
     }
     lines = [
         f"t={args.t}: area={body.area:.9f}, perimeter={body.perimeter:.9f}, "
@@ -780,19 +781,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     smi = ssub.add_parser("mindiam", help="survey small-diameter families")
     smi.add_argument("--area", type=float, required=True)
-    smi.add_argument("--perimeter", type=float, default=math.pi)
+    smi.add_argument("--perimeter", type=float, default=DEFAULT_PERIMETER)
     _add_common(smi, svg=True)
 
     sip = ssub.add_parser("interp", help="constant-width interpolant between Reuleaux and disc")
     sip.add_argument("--t", type=float, required=True)
-    sip.add_argument("--width", type=float, default=1.0)
+    sip.add_argument("--width", type=float, default=DEFAULT_WIDTH)
     sip.add_argument("--samples", type=int, default=None,
                      help="also measure an N-sample support body of the shape, as a cross-check "
                      f"(at most {MAX_CROSSCHECK_SAMPLES})")
     _add_common(sip, svg=True)
 
     scr = ssub.add_parser("crossover", help="sector crossover: conjectured vs recomputed")
-    scr.add_argument("--perimeter", type=float, default=math.pi)
+    scr.add_argument("--perimeter", type=float, default=DEFAULT_PERIMETER)
     _add_common(scr)
 
     po = sub.add_parser("poly", help="polyhedra with matching face multisets")

@@ -23,6 +23,9 @@ from .kernel.arcs import ArcPolygon
 from .kernel.roots import bisect_root, segment_over_cube
 
 REULEAUX_AREA_COEFF = 0.5 * (math.pi - math.sqrt(3.0))
+DEFAULT_WIDTH = 1.0
+DEFAULT_PERIMETER = math.pi * DEFAULT_WIDTH  # the perimeter of every body of that constant width
+DISC_BOUND_REASON = "area exceeds the disc bound p^2 / 4 pi"  # the isoperimetric inequality
 
 
 class Lens(Frozen):
@@ -83,17 +86,6 @@ def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
     return Lens(d, alpha)
 
 
-def reuleaux_metrics(width: float) -> dict:
-    """Closed-form Reuleaux triangle values: area (pi - sqrt(3))/2 * w^2,
-    perimeter pi w, diameter w."""
-    _check_lengths(width=width)
-    return {
-        "area": REULEAUX_AREA_COEFF * width * width,
-        "perimeter": math.pi * width,
-        "diameter": width,
-    }
-
-
 def sector_metrics(radius: float, phi: float) -> dict:
     """Circular sector of radius r and opening angle phi in (0, pi].
     Perimeter counts the two radii; diameter is the radius up to phi = pi/3,
@@ -129,7 +121,7 @@ def solve_sector(area: float, perimeter: float) -> List[Tuple[float, float]]:
     return [(perimeter / (2.0 + phi), phi) for phi in phis if 0.0 < phi <= math.pi]
 
 
-def interpolate_constant_width(t: float, width: float = 1.0) -> ArcPolygon:
+def interpolate_constant_width(t: float, width: float = DEFAULT_WIDTH) -> ArcPolygon:
     """Minkowski interpolation (1-t) Reuleaux + t disc: six arcs, every
     member of constant width `width`, hence perimeter pi * width."""
     if not (0.0 <= t <= 1.0):
@@ -138,15 +130,20 @@ def interpolate_constant_width(t: float, width: float = 1.0) -> ArcPolygon:
     return ArcPolygon.reuleaux(width).combine(ArcPolygon.disc(width), t)
 
 
+def constant_width_range(width: float) -> Tuple[float, float]:
+    """(A_R, A_D): the areas of the Reuleaux triangle and of the disc of
+    width w, which bound every body of constant width w (Blaschke-Lebesgue)."""
+    return REULEAUX_AREA_COEFF * width * width, 0.25 * math.pi * width * width
+
+
 def _constant_width_areas(area: float, width: float) -> Tuple[float, float, bool]:
-    """A_R and A_D, the ends of the constant-width range at this width, and
-    whether the area lies in it, up to 1e-12 of each end at every scale."""
-    lo_a = REULEAUX_AREA_COEFF * width * width
-    hi_a = 0.25 * math.pi * width * width
+    """A_R and A_D, and whether the area lies in the constant-width range,
+    up to 1e-12 of each end at every scale."""
+    lo_a, hi_a = constant_width_range(width)
     return lo_a, hi_a, lo_a * (1.0 - 1e-12) <= area <= hi_a * (1.0 + 1e-12)
 
 
-def interpolant_with_area(area: float, width: float = 1.0) -> Tuple[float, ArcPolygon]:
+def interpolant_with_area(area: float, width: float = DEFAULT_WIDTH) -> Tuple[float, ArcPolygon]:
     """The interpolation parameter whose body has the given area, and that
     body.  The mixed area of a body with a disc of radius r is r p / 2, which
     for the Reuleaux triangle of width w and the disc of diameter w is the
@@ -163,17 +160,17 @@ def interpolant_with_area(area: float, width: float = 1.0) -> Tuple[float, ArcPo
 
 
 def min_diameter_survey(
-    area: float, perimeter: float = math.pi
-) -> Tuple[dict, Optional[ArcPolygon]]:
+    area: float, perimeter: float = DEFAULT_PERIMETER
+) -> Tuple[dict, List[ArcPolygon]]:
     """Survey the known small-diameter families at the given area and
     perimeter.  Constant-width bodies cover areas between the Reuleaux and
     disc values (diameter exactly perimeter/pi); sectors reach lower areas
     with larger diameters.  Areas above the disc bound are infeasible.
 
-    Returns the report together with the constant-width body its
-    "constant-width" candidate was measured on (None when there is no
-    such candidate), for callers that draw it.  That candidate's diameter
-    is w = perimeter/pi exactly; its area and perimeter are the body's."""
+    Returns (report, bodies), with one exact body per candidate, in
+    candidate order, for callers that draw them.  The constant-width
+    candidate's diameter is w = perimeter/pi exactly; its area and
+    perimeter are its body's."""
     _check_lengths(area=area, perimeter=perimeter)
     w = perimeter / math.pi
     reuleaux_area, disc_area, constant_width = _constant_width_areas(area, w)
@@ -186,10 +183,10 @@ def min_diameter_survey(
         "feasible": area <= disc_area * (1.0 + 1e-12),
         "candidates": [],
     }
-    body = None
+    bodies: List[ArcPolygon] = []
     if not report["feasible"]:
-        report["reason"] = "area exceeds the disc bound p^2 / 4 pi"
-        return report, body
+        report["reason"] = DISC_BOUND_REASON
+        return report, bodies
 
     if constant_width:
         t, body = interpolant_with_area(min(area, disc_area), w)
@@ -202,6 +199,7 @@ def min_diameter_survey(
                 "perimeter": body.perimeter,
             }
         )
+        bodies.append(body)
     for r, phi in solve_sector(area, perimeter):
         m = sector_metrics(r, phi)
         report["candidates"].append(
@@ -214,12 +212,13 @@ def min_diameter_survey(
                 "perimeter": m["perimeter"],
             }
         )
+        bodies.append(ArcPolygon.sector(r, phi))
     if report["candidates"]:
         best = min(report["candidates"], key=lambda c: c["diameter"])
         report["best"] = best
     else:
         report["reason"] = "no surveyed family reaches this area"
-    return report, body
+    return report, bodies
 
 
 # Conjectured crossover between the constant-width and sector regimes,
@@ -228,7 +227,7 @@ def min_diameter_survey(
 CONJECTURED_CROSSOVER = {"diameter": 1.045, "area": 0.57, "phi": math.pi / 3}
 
 
-def crossover_scan(perimeter: float = math.pi) -> dict:
+def crossover_scan(perimeter: float = DEFAULT_PERIMETER) -> dict:
     """Reconciliation of the conjectured sector crossover against exact
     sector algebra.  The sector family's diameter is minimized exactly at
     phi = pi/3 (radius equals far chord there); the scan reports that knee,
@@ -255,10 +254,7 @@ def crossover_scan(perimeter: float = math.pi) -> dict:
     return {
         "perimeter": perimeter,
         "constant_width_diameter": w,
-        "constant_width_area_range": (
-            REULEAUX_AREA_COEFF * w * w,
-            0.25 * math.pi * w * w,
-        ),
+        "constant_width_area_range": constant_width_range(w),
         "sector_min_diameter": knee["diameter"],
         "crossover": {
             "radius": knee_r,

@@ -443,6 +443,11 @@ def disc_chord_analysis(target: RatioTarget) -> dict:
 # arc that starts at the bottom edge midpoint and grows counterclockwise.
 
 
+# why a band fails, in the order nonconvex_band_partition checks; also why runs have gaps
+BAND_CHECKS = ("area equation has no real thickness", "thickness exceeds min(W,H)/2",
+               "arm past the last corner is shorter than the thickness")
+
+
 class BandSample(NamedTuple):
     s: float
     feasible: bool
@@ -496,18 +501,13 @@ def nonconvex_band_partition(
         # a discriminant within rounding of 0 is the double root
         disc = ell * ell - 4.0 * k * want
         if disc < -1e-12 * ell * ell:
-            return BandSample(s, False, "area equation has no real thickness", ell, k)
+            return BandSample(s, False, BAND_CHECKS[0], ell, k)
         t = (ell - math.sqrt(max(disc, 0.0))) / (2.0 * k)
     arm = ell - covered[-1][0] if covered else None
     if t > tmax * (1.0 + 1e-12):
-        return BandSample(
-            s, False, "thickness exceeds min(W,H)/2", ell, k, thickness=t, arm=arm
-        )
+        return BandSample(s, False, BAND_CHECKS[1], ell, k, thickness=t, arm=arm)
     if covered and arm < t * (1.0 - 1e-12):
-        return BandSample(
-            s, False, "arm past the last corner is shorter than the thickness",
-            ell, k, thickness=t, arm=arm,
-        )
+        return BandSample(s, False, BAND_CHECKS[2], ell, k, thickness=t, arm=arm)
 
     def outer_point(d):
         # ties resolve to the earlier edge so an arc ending exactly on a
@@ -600,13 +600,11 @@ def _band_runs(W: float, H: float, target: RatioTarget) -> Tuple[List[BandRun], 
         t = 2.0 * A / (ell + math.sqrt(max(ell * ell - 4.0 * k * A, 0.0)))
         return (2.0 * ell + 2.0 * (1 - k) * t) / (p + 2.0 * (1 - k) * t)
 
-    checks = ("area equation has no real thickness", "thickness exceeds min(W,H)/2",
-              "arm past the last corner is shorter than the thickness")
     runs, reasons = [], []
     for k in range(3):
         t_real = math.sqrt(A / k) if k else math.inf
         floor, end = c[k], c[k + 1]
-        for reason, cap in zip(checks, (t_real, 0.5 * min(W, H), arm_cap[k])):
+        for reason, cap in zip(BAND_CHECKS, (t_real, 0.5 * min(W, H), arm_cap[k])):
             t = min(cap, t_real)
             if t < math.inf and A / t + k * t > floor:
                 if floor < end and reason not in reasons:

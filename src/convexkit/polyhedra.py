@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from . import Frozen
+from . import Frozen, UnsupportedInstance
 
 Point3 = Tuple[float, float, float]
 
@@ -75,7 +75,7 @@ class Mesh(Frozen):
     undirected edge shared by exactly two faces in opposite directions, and
     V - E + F = 2.  Vertex coordinates are stored as floats, and `planes`
     keeps each face's (Newell normal, centroid), in face order, from
-    validation."""
+    validation.  A face normal past the float range is an UnsupportedInstance."""
 
     __slots__ = ("vertices", "faces", "planes")
 
@@ -105,10 +105,13 @@ class Mesh(Frozen):
             pts = [verts[i] for i in face]
             n = _newell_normal(pts)
             norm = math.hypot(*n)
+            if not math.isfinite(norm):
+                raise UnsupportedInstance("a face normal overflows the float range: the solid is too big")
             if norm <= tol:
                 raise ValueError("degenerate face (zero normal)")
             centroid = _centroid(pts)
-            dev = max(abs(_dot(_sub(p, centroid), n)) for p in pts) / norm
+            unit = (n[0] / norm, n[1] / norm, n[2] / norm)
+            dev = max(abs(_dot(_sub(p, centroid), unit)) for p in pts)
             if dev > tol:
                 raise ValueError(f"non-planar face: deviation {dev:.3g} exceeds {tol:.3g}")
             planes.append((n, centroid))
@@ -151,7 +154,8 @@ class Mesh(Frozen):
 
 def volume(m: Mesh) -> float:
     """Divergence-theorem volume over fan-triangulated faces; positive for
-    an outward orientation, otherwise the mesh is rejected."""
+    an outward orientation, otherwise the mesh is rejected; past the float
+    range, an UnsupportedInstance."""
     verts = m.vertices
     total = 0.0
     for face in m.faces:
@@ -159,6 +163,8 @@ def volume(m: Mesh) -> float:
         for i in range(1, len(face) - 1):
             total += _dot(v0, _cross(verts[face[i]], verts[face[i + 1]]))
     total /= 6.0
+    if not math.isfinite(total):
+        raise UnsupportedInstance("the volume overflows the float range: the solid is too big")
     if total <= 0.0:
         raise ValueError("nonpositive volume: faces are not outward-oriented")
     return total
@@ -427,14 +433,12 @@ def mesh_summary(m: Mesh) -> dict:
     }
 
 
-def compare_report(meshes: Sequence[Mesh], names: Optional[Sequence[str]] = None) -> dict:
-    """Side-by-side invariants for two or more meshes: convexity, face
-    multiset with equivalence classes, volume, surface area, and
+def compare_report(meshes: Sequence[Mesh], names: Sequence[str]) -> dict:
+    """Side-by-side invariants for two or more named meshes: convexity,
+    face multiset with equivalence classes, volume, surface area, and
     congruence classes by the vertex-distance probe."""
     if len(meshes) < 2:
         raise ValueError("compare_report needs at least two meshes")
-    if names is None:
-        names = [f"mesh{i}" for i in range(len(meshes))]
     if len(names) != len(meshes):
         raise ValueError("one name per mesh")
 

@@ -17,7 +17,7 @@ from math import gcd, prod
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .. import Frozen, UnsupportedInstance
-from .tiles import Layout, Placement, Tile, TileSet, split_extension
+from .tiles import Layout, Placement, Tile, TileSet
 
 CENSUS_PLACEMENT_CAP = 500_000  # tiles in one drawn layout or one all-copies search
 MAX_RECORD_LIMIT = 10**30  # hcn_up_to takes about 1.4 s and 129 MiB at 10**30, 18 s at 10**40
@@ -245,12 +245,14 @@ def hcn_split_census(ctx: HcnContext) -> Dict[int, Fraction]:
 
 
 def construct_split_layout(ctx: HcnContext, F: int) -> Tuple[TileSet, Layout]:
-    """The split tile set (tile 1 cut at height L/2) and its packing of a
-    feasible base width F: construct_width_layout with the new half,
-    tile i*d + 1, stacked on tile 1."""
+    """The split tile set and its packing of a feasible base width F.  Tile 1
+    is cut at height L/2: it keeps the lower 1 x L/2 half and the upper half
+    is the new tile i*d + 1, listed after it; construct_width_layout's
+    packing then stacks the new half on tile 1."""
     layout = construct_width_layout(ctx, F)
-    half = ctx.L / 2
-    top = [Placement(ctx.i * ctx.d + 1, p.x, p.y + half, False)
-           for p in layout.placements if p.tile_id == 1]
-    return (split_extension(build_hcn_tileset(ctx), 1, "h", half),
+    half, top_id = ctx.L / 2, ctx.i * ctx.d + 1
+    top = [Placement(top_id, p.x, p.y + half, False) for p in layout.placements if p.tile_id == 1]
+    tiles = build_hcn_tileset(ctx).tiles
+    halves = (Tile(1, tiles[0].width, half), Tile(top_id, tiles[0].width, half))
+    return (TileSet(halves + tiles[1:]),
             Layout(layout.target_width, layout.target_height, layout.placements + tuple(top)))

@@ -114,12 +114,13 @@ def _search_fill(
     W: int,
     H: int,
     allow_rotation: bool,
-    reach: Optional[Reach] = None,
+    reach: Reach,
 ) -> Optional[List[Tuple[int, int, int, bool]]]:
     """Try to tile the W x H integer rectangle with the given multiset of
     tile dimensions, whose areas sum to W * H.  Returns placements (dims
     index, x, y, rotated) or None.  `reach` is a `_reachable` for these
-    dims and a limit of at least max(W, H); one is made if not given.
+    dims and a limit of at least max(W, H), shared by every target of one
+    tile set.
 
     Always fills the lowest-leftmost uncovered cell; the tile covering that
     cell must have its bottom-left corner there, so trying every distinct
@@ -135,8 +136,6 @@ def _search_fill(
     necessary, so the depth-first order and the first witness are those of
     the unpruned search.
     """
-    if reach is None:
-        reach = _reachable(dims, allow_rotation, max(W, H))
     placed: List[Tuple[int, int, int, bool]] = []
 
     def rec(runs: List[Tuple[int, int, int]], remaining: int) -> bool:

@@ -35,10 +35,6 @@ class Tile(Frozen):
     def area(self) -> Fraction:
         return self.width * self.height
 
-    @property
-    def semiperimeter(self) -> Fraction:
-        return self.width + self.height
-
 
 class TileSet(Frozen):
     """Immutable collection of tiles with unique ids, equal to another with
@@ -235,36 +231,6 @@ def verify_layout(ts: TileSet, layout: Layout) -> Optional[DefectReport]:
                 "gap", f"uncovered region near x in ({x0},{x1}), y in ({cur},{H})"
             )
     return None
-
-
-def split_extension(ts: TileSet, tile_id: int, axis: str, position) -> TileSet:
-    """Replace one tile by the two pieces of an axis-aligned cut.
-
-    axis "w" cuts the width at `position` (two side-by-side pieces),
-    axis "h" cuts the height.  The first piece keeps the original id,
-    the second gets max id + 1.  Any tiling with the original set extends
-    to one with the split set by cutting the placed tile in place.
-    """
-    if axis not in ("w", "h"):
-        raise ValueError(f"axis must be 'w' or 'h', got {axis!r}")
-    position = Fraction(position)
-    t = ts.by_id(tile_id)
-    limit = t.width if axis == "w" else t.height
-    if not (0 < position < limit):
-        raise ValueError(f"cut position {position} not interior to (0, {limit})")
-    new_id = max(x.id for x in ts) + 1
-    out = []
-    for x in ts:
-        if x.id != tile_id:
-            out.append(x)
-            continue
-        if axis == "w":
-            out.append(Tile(tile_id, position, x.height))
-            out.append(Tile(new_id, x.width - position, x.height))
-        else:
-            out.append(Tile(tile_id, x.width, position))
-            out.append(Tile(new_id, x.width, x.height - position))
-    return TileSet(out)
 
 
 def layout_to_dict(layout: Layout) -> dict:

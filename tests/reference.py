@@ -45,21 +45,33 @@ from convexkit.tiling.search import _raise_run
 from convexkit.tiling.tiles import Layout, layout_to_dict
 
 
-def cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
-    """Area of {p . n <= offset} within the CCW convex polygon V, in one
-    pass over its edges.  In the frame s = p . t, u = p . n, with t the cut
-    direction (n turned clockwise), edge i -> i+1 keeps the part of its level
-    range [u_i, u_i+1] below the offset, and adds that trapezoid of the area
-    integral of s du.  An edge parallel to the cut adds no area."""
+def _frame_edges(V: Sequence[Tuple[float, float]], n: Tuple[float, float]) -> list:
+    """Each edge i -> i+1 of V as (u_i, u_i+1, s_i, s_i+1), in the frame
+    s = p . t, u = p . n, with t the cut direction (n turned clockwise)."""
     u = [x * n[0] + y * n[1] for x, y in V]
     s = [x * n[1] - y * n[0] for x, y in V]
+    return list(zip(u, u[1:] + u[:1], s, s[1:] + s[:1]))
+
+
+def _clipped_area(edges: list, offset: float) -> float:
+    """Area below the offset, from `_frame_edges`: each edge keeps the part
+    of its level range [u_i, u_i+1] below the offset, and adds that
+    trapezoid of the area integral of s du.  An edge parallel to the cut
+    adds no area.  Each clip is min(u, offset) written as a comparison: the
+    same float, without a call per edge and bisection step."""
     total = 0.0
-    for ui, un, si, sn in zip(u, u[1:] + u[:1], s, s[1:] + s[:1]):
-        # the edge's level range, clipped to the offset
-        u0, u1 = min(ui, offset), min(un, offset)
+    for ui, un, si, sn in edges:
+        u0 = offset if offset < ui else ui
+        u1 = offset if offset < un else un
         share = (u1 - u0) / (un - ui) if un != ui else float(ui <= offset)
         total += (u1 - u0) * si + (sn - si) * share * (0.5 * (u0 + u1) - ui)
     return total
+
+
+def cut_area(V: Sequence[Tuple[float, float]], n: Tuple[float, float], offset: float) -> float:
+    """Area of {p . n <= offset} within the CCW convex polygon V, in one
+    pass over its edges."""
+    return _clipped_area(_frame_edges(V, n), offset)
 
 
 def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> LineCut:
@@ -67,17 +79,17 @@ def solve_offset_for_area(c: ConvexPolygon, theta: float, fraction: float) -> Li
     Between consecutive vertex levels the clipped area is an exact quadratic
     in the offset, rising with it; a bisection over the sorted levels finds
     the pair that brackets the target, and the quadratic through the area at
-    the pair's ends and midpoint is solved for it.  O(m log m)."""
+    the pair's ends and midpoint is solved for it.  The frame coordinates
+    are computed once per solve.  O(m log m)."""
     if not (0.0 < fraction < 1.0):
         raise ValueError("area fraction must be strictly between 0 and 1")
     theta = theta % math.pi
-    n = (-math.sin(theta), math.cos(theta))
-    V = c.vertices
-    levels = sorted({x * n[0] + y * n[1] for x, y in V})
+    edges = _frame_edges(c.vertices, (-math.sin(theta), math.cos(theta)))
+    levels = sorted({e[0] for e in edges})
     want = fraction * c.area
 
     def area(o: float) -> float:
-        return cut_area(V, n, o)
+        return _clipped_area(edges, o)
 
     # area(levels[0]) = 0 < want, and the last level holds the whole area
     k = bisect.bisect_left(levels, want, lo=1, hi=len(levels) - 1, key=area)
@@ -163,7 +175,7 @@ def search_isoperimetric_full_walk(n: int, limit: Optional[int] = None) -> IsoSe
     return IsoSearchResult(n, status, tuple(witnesses), tuple(forced), (), examined, 0, certified_empty)
 
 
-def search_fill_unpruned(dims, counts, W, H, allow_rotation, reach=None):
+def search_fill_unpruned(dims, counts, W, H, allow_rotation, reach):
     """`_search_fill` without the height and well rules: placements
     (dims index, x, y, rotated) of a tiling of the W x H rectangle, or
     None.  Takes and ignores `reach`, so it can stand in for `_search_fill`

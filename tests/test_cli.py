@@ -20,7 +20,13 @@ import pytest
 
 import convexkit.cli as cli
 from convexkit.cli import main, svg_outlines
-from convexkit.extremal import interpolate_constant_width
+from convexkit.extremal import (
+    DEFAULT_PERIMETER,
+    DEFAULT_WIDTH,
+    crossover_scan,
+    interpolate_constant_width,
+    min_diameter_survey,
+)
 from convexkit.fairpart import (
     DEFAULT_ANGLE_SAMPLES,
     DEFAULT_BAND_TOL,
@@ -210,6 +216,23 @@ PROGRAM_LIMITS = [
     ("angle-sample cap of 100,000: disc --ngon 64 --samples 100001",
      ["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--samples", "100001"],
      "angle-sample cap of 100,000"),
+    # a solid's normals grow as its size squared and its volume as its cube
+    ("float range of a solid: build cube-pyr-opposite --a 1e110 --h 1e110",
+     ["poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e110", "--h", "1e110"],
+     "the volume overflows the float range"),
+    ("float range of a solid: build cube-pyr-opposite --a 1e120 --h 1e120",
+     ["poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e120", "--h", "1e120"],
+     "the volume overflows the float range"),
+    ("float range of a solid: build cube-pyr-opposite --a 1e150 --h 1e150",
+     ["poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e150", "--h", "1e150"],
+     "the volume overflows the float range"),
+    ("float range of a solid: build cube-pyr-opposite --a 1e200 --h 1e200",
+     ["poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e200", "--h", "1e200"],
+     "a face normal overflows the float range"),
+    ("float range of a solid: compare cube-pyr-opposite,cube-pyr-adjacent --a 1e150 --h 1e149",
+     ["poly", "compare", "--solids", "cube-pyr-opposite,cube-pyr-adjacent",
+      "--a", "1e150", "--h", "1e149"],
+     "the volume overflows the float range"),
 ]
 
 
@@ -396,6 +419,13 @@ def test_the_cli_defaults_are_the_library_defaults():
         assert (args.tol, args.samples) == (DEFAULT_CUT_TOL, DEFAULT_ANGLE_SAMPLES)
     band = parse(["fairpart", "band", *shape])
     assert band.tol == inspect.signature(solve_band).parameters["tol"].default == DEFAULT_BAND_TOL
+    for args, survey in [(parse(["shapes", "mindiam", "--area", "0.7"]), min_diameter_survey),
+                         (parse(["shapes", "crossover"]), crossover_scan)]:
+        assert args.perimeter == inspect.signature(survey).parameters["perimeter"].default
+        assert args.perimeter == DEFAULT_PERIMETER
+    interp = parse(["shapes", "interp", "--t", "0.5"])
+    width = inspect.signature(interpolate_constant_width).parameters["width"].default
+    assert interp.width == width == DEFAULT_WIDTH
     for build, flags in [(build_cube_with_pyramids, "ah"), (build_icosagonal_dipyramid, "sl"),
                          (build_decagonal_dipyramidal_antiprism, "sl")]:
         sizes = inspect.signature(build).parameters
@@ -721,6 +751,15 @@ def test_poly_build_adjacent_pyramids_too_tall(tmp_path, capsys):
         tmp_path, "poly", "build", "--solid", "cube-pyr-opposite", "--h", "0.6", name="o2"
     )
     assert rc == 0 and report["convex"] is True
+
+
+def test_a_solid_builds_up_to_the_float_range(tmp_path):
+    # at a = h = 1e100 the volume, 5/3 * 1e300, is still a float
+    rc, report, _ = run(
+        tmp_path, "poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e100", "--h", "1e100"
+    )
+    assert (rc, report["convex"]) == (0, True)
+    assert float(report["volume"]) == pytest.approx(5e300 / 3, rel=1e-12)
 
 
 def test_poly_build_unknown_solid(tmp_path, capsys):

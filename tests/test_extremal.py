@@ -14,13 +14,13 @@ from convexkit.extremal import (
     REULEAUX_AREA_COEFF,
     Lens,
     _lens_ratio,
+    constant_width_range,
     crossover_scan,
     interpolant_with_area,
     interpolate_constant_width,
     lens_metrics,
     max_diameter_shape,
     min_diameter_survey,
-    reuleaux_metrics,
     sector_metrics,
     solve_sector,
 )
@@ -113,13 +113,13 @@ def test_lens_dominates_random_polygons():
 # --- constant-width family ---
 
 
-def test_reuleaux_closed_form():
-    m = reuleaux_metrics(2.0)
-    assert abs(m["area"] - REULEAUX_AREA_COEFF * 4.0) <= 1e-12
-    assert abs(m["perimeter"] - 2 * math.pi) <= 1e-12
-    assert m["diameter"] == 2.0
-    with pytest.raises(ValueError):
-        reuleaux_metrics(0.0)
+def test_constant_width_range_runs_from_the_reuleaux_triangle_to_the_disc():
+    # the ends are the areas of the exact bodies, and scale as the width squared
+    for w in (0.5, 1.0, 2.0):
+        lo, hi = constant_width_range(w)
+        assert lo == pytest.approx(ArcPolygon.reuleaux(w).area, rel=1e-14)
+        assert hi == pytest.approx(ArcPolygon.disc(w).area, rel=1e-14)
+    assert constant_width_range(2.0) == (REULEAUX_AREA_COEFF * 4.0, math.pi)
 
 
 def test_reuleaux_support_body_matches_closed_form():
@@ -291,16 +291,20 @@ def test_min_diameter_survey_regimes():
 
 @pytest.mark.parametrize("area", [0.71, 0.40, 0.82])
 def test_min_diameter_survey_hands_over_the_measured_body(area):
-    rep, body = min_diameter_survey(area)
+    rep, bodies = min_diameter_survey(area)
     assert rep == min_diameter_survey(area)[0]
-    cw = [c for c in rep["candidates"] if c["family"] == "constant-width"]
-    if not cw:
-        assert body is None
-        return
-    # the very body the candidate was measured on: the interpolant at its t
-    assert body.area == cw[0]["area"]
-    rebuilt = interpolate_constant_width(cw[0]["t"], rep["width"])
-    assert body.pieces == rebuilt.pieces
+    # one exact body per candidate, in candidate order
+    assert len(bodies) == len(rep["candidates"])
+    for c, body in zip(rep["candidates"], bodies):
+        if c["family"] == "constant-width":
+            # the very body the candidate was measured on: the interpolant at its t
+            assert body.area == c["area"]
+            assert body == interpolate_constant_width(c["t"], rep["width"])
+        else:
+            assert body == ArcPolygon.sector(c["radius"], c["phi"])
+            assert body.area == pytest.approx(c["area"], rel=1e-12)
+            assert body.perimeter == pytest.approx(c["perimeter"], rel=1e-12)
+            assert body.widths()[1] == pytest.approx(c["diameter"], rel=1e-9)
 
 
 @settings(max_examples=200)

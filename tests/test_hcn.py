@@ -29,7 +29,7 @@ from convexkit.tiling.hcn import (
     is_hcn,
     triangular,
 )
-from convexkit.tiling.tiles import Layout, Placement, split_extension, verify_layout
+from convexkit.tiling.tiles import Layout, Placement, verify_layout
 
 # Record-setters up to 1,500,000 and their divisor counts.
 RECORDS = [
@@ -309,10 +309,14 @@ def test_split_census_adds_width_59():
     census = hcn_split_census(ctx)
     assert list(census) == [5, 6, 10, 12, 15, 20, 30, 59, 60]
     assert census[59] == 120
+    # tile 1 cut at height 59: its halves are tiles 1 and 21, and the set
+    # keeps the base set's area
+    ts2 = construct_split_layout(ctx, 60)[0]
+    assert [t.id for t in ts2] == [1, 21, *range(2, 21)]
+    assert [(t.width, t.height) for t in ts2][:2] == [(1, 59), (1, 59)]
+    assert ts2.total_area == build_hcn_tileset(ctx).total_area
     # the witness: every unsplit tile side by side in a 59 x 118 block,
     # the two 1 x 59 halves of tile 1 rotated on top as full-width rows
-    ts2 = split_extension(build_hcn_tileset(ctx), 1, "h", 59)
-    assert len(ts2) == 21
     placements, x = [], 0
     for t in ts2:
         if t.id not in (1, 21):

@@ -227,11 +227,11 @@ def test_compare_report_structure():
 
     cube = box_mesh()
     slab = box_mesh(2.0, 1.0, 1.0)
-    rep = compare_report([cube, slab])
-    assert rep["multiset_classes"] == [["mesh0"], ["mesh1"]]
+    rep = compare_report([cube, slab], ["cube", "slab"])
+    assert rep["multiset_classes"] == [["cube"], ["slab"]]
 
     with pytest.raises(ValueError):
-        compare_report([cube])
+        compare_report([cube], ["cube"])
     with pytest.raises(ValueError):
         compare_report([cube, slab], names=["only-one"])
 

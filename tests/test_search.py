@@ -12,7 +12,7 @@ import pytest
 from conftest import case_named, case_table
 from convexkit import UnsupportedInstance
 from convexkit.tiling import search
-from convexkit.tiling.search import _search_fill, _side_sums, enumerate_layouts
+from convexkit.tiling.search import _reachable, _search_fill, _side_sums, enumerate_layouts
 from convexkit.tiling.tiles import Tile, TileSet, parse_tileset, verify_layout
 from reference import search_fill_unpruned
 
@@ -276,9 +276,11 @@ def test_run_skyline_places_like_the_grid_skyline():
         for W in range(1, area + 1):
             if area % W:
                 continue
+            H = area // W
             for rotation in (False, True):
-                want = grid_search_fill(dims, list(counts), W, area // W, rotation)
-                got = _search_fill(dims, list(counts), W, area // W, rotation)
+                want = grid_search_fill(dims, list(counts), W, H, rotation)
+                reach = _reachable(dims, rotation, max(W, H))
+                got = _search_fill(dims, list(counts), W, H, rotation, reach)
                 assert got == want
                 compared += 1
                 found += want is not None

@@ -1,4 +1,4 @@
-"""Tile file parsing, exact layout verification, and split extensions."""
+"""Tile file parsing and exact layout verification."""
 
 import os
 import random
@@ -20,7 +20,6 @@ from convexkit.tiling.tiles import (
     load_tileset,
     parse_tileset,
     serialize_tileset,
-    split_extension,
     verify_layout,
 )
 from reference import layout_to_json
@@ -41,7 +40,7 @@ def seven_layout():
 def test_seven_tile_fixture_is_isoperimetric(seven):
     assert len(seven) == 7
     for t in seven:
-        assert 2 * t.semiperimeter == 39
+        assert 2 * (t.width + t.height) == 39
     areas = [t.area for t in seven]
     assert len(set(areas)) == 7
     assert seven.total_area == 432  # 24 * 18
@@ -210,38 +209,6 @@ def test_verify_mutated_fixture_catches_shift(seven, seven_layout):
     rep = verify_layout(seven, Layout(seven_layout.target_width, seven_layout.target_height, tuple(ps)))
     assert rep is not None
     assert rep.kind in ("overlap", "gap", "out-of-bounds")
-
-
-def test_split_extension_conserves_area(seven):
-    split = split_extension(seven, 1, "w", Fraction(4))
-    assert len(split) == 8
-    assert split.total_area == seven.total_area
-    assert max(t.id for t in split) == 8
-    a = split.by_id(1)
-    b = split.by_id(8)
-    assert (a.width, a.height) == (Fraction(4), Fraction(19, 2))
-    assert (b.width, b.height) == (Fraction(6), Fraction(19, 2))
-    # untouched tiles keep their dims
-    assert split.by_id(2).width == seven.by_id(2).width
-
-
-def test_split_extension_height_axis():
-    ts = TileSet([Tile(1, Fraction(3), Fraction(2))])
-    split = split_extension(ts, 1, "h", Fraction(1, 2))
-    assert split.by_id(1).height == Fraction(1, 2)
-    assert split.by_id(2).height == Fraction(3, 2)
-    assert split.by_id(2).width == 3
-
-
-@pytest.mark.parametrize("axis,pos", [("x", 1), ("w", 0), ("w", 10), ("w", 11), ("h", Fraction(19, 2))])
-def test_split_extension_rejects_bad_cuts(seven, axis, pos):
-    with pytest.raises(ValueError):
-        split_extension(seven, 1, axis, pos)
-
-
-def test_split_extension_unknown_tile(seven):
-    with pytest.raises(KeyError):
-        split_extension(seven, 42, "w", 1)
 
 
 def test_layout_json_roundtrip(seven_layout):
