@@ -34,8 +34,8 @@ class SupportBody(Frozen):
     Validity is checked at construction: all widths h(t)+h(t+pi) must be
     positive and the discrete convexity condition
         h(k-1) + h(k+1) >= 2 h(k) cos(2*pi/N)
-    must hold (up to float slack). N must be even so antipodal samples
-    pair up exactly.  Immutable: the samples are kept as a tuple, and two
+    must hold up to 1e-9 of max |h|, a slack that scales with the body.
+    N must be even so antipodal samples pair up exactly.  Immutable: the samples are kept as a tuple, and two
     bodies are equal when they have the same samples.
     """
 
@@ -48,7 +48,7 @@ class SupportBody(Frozen):
             raise ValueError("need an even number (>= 8) of support samples")
         if not all(h[k] + h[(k + n // 2) % n] > 0 for k in range(n)):
             raise ValueError("support samples give a nonpositive width")
-        slack = 1e-9 * max(1.0, max(abs(v) for v in h))
+        slack = 1e-9 * max(abs(v) for v in h)
         c = math.cos(2 * math.pi / n)
         if not all(h[k - 1] + h[(k + 1) % n] - 2.0 * h[k] * c >= -slack for k in range(n)):
             raise ValueError("support samples fail the discrete convexity check")

@@ -15,6 +15,7 @@ on construction.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -23,8 +24,8 @@ from . import Frozen, UnsupportedInstance
 
 Point3 = Tuple[float, float, float]
 
-PLANARITY_TOL = 1e-9
-CONVEXITY_TOL = 1e-9
+# the bound on each dimensionless ratio a mesh is judged by (see Mesh, is_convex)
+MESH_TOL = 1e-9
 # edge lengths quantize to 1e-6 of the mesh mean edge, angles to 1e-6 rad;
 # float builders carry ~1e-12 noise, genuinely different faces sit orders
 # of magnitude apart
@@ -73,9 +74,11 @@ class Mesh(Frozen):
     """Closed oriented polyhedral surface.  Faces are outward vertex-index
     cycles; validation enforces finite coordinates, planar faces, each
     undirected edge shared by exactly two faces in opposite directions, and
-    V - E + F = 2.  Vertex coordinates are stored as floats, and `planes`
-    keeps each face's (Newell normal, centroid), in face order, from
-    validation.  A face normal past the float range is an UnsupportedInstance."""
+    V - E + F = 2.  `planes` keeps each face's (unit normal, plane offset,
+    area), in face order.  A face is degenerate when its Newell norm over
+    size² (size: the bounding-box diagonal) is at most MESH_TOL, non-planar
+    when a vertex lies off its plane by more than MESH_TOL * size.  A size²
+    that overflows or size³ that underflows the floats is an UnsupportedInstance."""
 
     __slots__ = ("vertices", "faces", "planes")
 
@@ -91,7 +94,9 @@ class Mesh(Frozen):
         object.__setattr__(self, "vertices", verts)
         if len(self.faces) < 4:
             raise ValueError("mesh needs at least four faces")
-        tol = PLANARITY_TOL * max(1.0, _diagonal(verts))
+        size = _diagonal(verts)
+        if size * size * size < sys.float_info.min:
+            raise UnsupportedInstance("the volume underflows the float range: the solid is too small")
 
         directed: Dict[Tuple[int, int], int] = {}
         planes = []
@@ -107,14 +112,14 @@ class Mesh(Frozen):
             norm = math.hypot(*n)
             if not math.isfinite(norm):
                 raise UnsupportedInstance("a face normal overflows the float range: the solid is too big")
-            if norm <= tol:
+            if norm / size / size <= MESH_TOL:
                 raise ValueError("degenerate face (zero normal)")
             centroid = _centroid(pts)
             unit = (n[0] / norm, n[1] / norm, n[2] / norm)
-            dev = max(abs(_dot(_sub(p, centroid), unit)) for p in pts)
-            if dev > tol:
-                raise ValueError(f"non-planar face: deviation {dev:.3g} exceeds {tol:.3g}")
-            planes.append((n, centroid))
+            dev = max(abs(_dot(_sub(p, centroid), unit)) for p in pts) / size
+            if dev > MESH_TOL:
+                raise ValueError(f"non-planar face: deviation {dev:.3g} of the size exceeds {MESH_TOL:g}")
+            planes.append((unit, _dot(unit, centroid), 0.5 * norm))
             for a, b in zip(face, face[1:] + face[:1]):
                 if (a, b) in directed:
                     raise ValueError(f"directed edge {(a, b)} used twice")
@@ -171,19 +176,16 @@ def volume(m: Mesh) -> float:
 
 
 def surface_area(m: Mesh) -> float:
-    return sum(0.5 * math.hypot(*n) for n, _ in m.planes)
+    """The sum of the face areas that validation measured."""
+    return sum(area for _, _, area in m.planes)
 
 
 def is_convex(m: Mesh) -> bool:
-    """True iff every vertex lies on the non-positive side of every face
-    plane, within 1e-9 of the bounding-box diagonal."""
-    verts = m.vertices
-    tol = CONVEXITY_TOL * max(1.0, _diagonal(verts))
-    for (nx, ny, nz), (cx, cy, cz) in m.planes:
-        norm = math.hypot(nx, ny, nz)
-        nx, ny, nz = nx / norm, ny / norm, nz / norm
-        offset = nx * cx + ny * cy + nz * cz
-        if max(nx * x + ny * y + nz * z for x, y, z in verts) > offset + tol:
+    """True iff no vertex lies above a face plane by more than MESH_TOL of
+    the bounding-box diagonal."""
+    size = _diagonal(m.vertices)
+    for (ux, uy, uz), offset, _ in m.planes:
+        if (max(ux * x + uy * y + uz * z for x, y, z in m.vertices) - offset) / size > MESH_TOL:
             return False
     return True
 
@@ -207,13 +209,7 @@ def face_signature(m: Mesh, face: Sequence[int], edge_quantum: float) -> FaceSig
     qa = [round(a / SIGNATURE_QUANTUM) for a in angles]
     forward = [(qe[i], qa[i]) for i in range(k)]
     backward = [(qe[(k - 1 - j) % k], qa[(k - j) % k]) for j in range(k)]
-    best = None
-    for seq in (forward, backward):
-        for r in range(k):
-            cand = tuple(seq[r:] + seq[:r])
-            if best is None or cand < best:
-                best = cand
-    return best
+    return min(tuple(seq[r:] + seq[:r]) for seq in (forward, backward) for r in range(k))
 
 
 def face_multiset(m: Mesh) -> Counter:

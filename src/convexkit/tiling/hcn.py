@@ -244,12 +244,15 @@ def hcn_split_census(ctx: HcnContext) -> Dict[int, Fraction]:
     return dict(sorted(out.items()))
 
 
-def construct_split_layout(ctx: HcnContext, F: int) -> Tuple[TileSet, Layout]:
-    """The split tile set and its packing of a feasible base width F.  Tile 1
-    is cut at height L/2: it keeps the lower 1 x L/2 half and the upper half
-    is the new tile i*d + 1, listed after it; construct_width_layout's
-    packing then stacks the new half on tile 1."""
+def construct_split_layout(ctx: HcnContext, F: int) -> Optional[Tuple[TileSet, Layout]]:
+    """The split tile set and its packing of base width F, or None when F is
+    infeasible, as in construct_width_layout.  Tile 1 is cut at height L/2:
+    it keeps the lower 1 x L/2 half and the upper half is the new tile
+    i*d + 1, listed after it; construct_width_layout's packing then stacks
+    the new half on tile 1."""
     layout = construct_width_layout(ctx, F)
+    if layout is None:
+        return None
     half, top_id = ctx.L / 2, ctx.i * ctx.d + 1
     top = [Placement(top_id, p.x, p.y + half, False) for p in layout.placements if p.tile_id == 1]
     tiles = build_hcn_tileset(ctx).tiles

@@ -233,6 +233,10 @@ PROGRAM_LIMITS = [
      ["poly", "compare", "--solids", "cube-pyr-opposite,cube-pyr-adjacent",
       "--a", "1e150", "--h", "1e149"],
      "the volume overflows the float range"),
+    # below size 2.8e-103 the volume, size cubed, falls out of the normal floats
+    ("float range of a solid: build cube-pyr-opposite --a 1e-110 --h 1e-110",
+     ["poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e-110", "--h", "1e-110"],
+     "the volume underflows the float range: the solid is too small"),
 ]
 
 
@@ -760,6 +764,16 @@ def test_a_solid_builds_up_to_the_float_range(tmp_path):
     )
     assert (rc, report["convex"]) == (0, True)
     assert float(report["volume"]) == pytest.approx(5e300 / 3, rel=1e-12)
+
+
+def test_a_small_solid_builds(tmp_path):
+    # mesh tolerances are ratios to the solid's size, so a solid of side
+    # 1e-5 is judged as its copy of side 1 is
+    rc, report, _ = run(
+        tmp_path, "poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e-5", "--h", "1e-6"
+    )
+    assert (rc, report["convex"]) == (0, True)
+    assert float(report["volume"]) == pytest.approx(1e-15 + 2e-16 / 3, rel=1e-12)
 
 
 def test_poly_build_unknown_solid(tmp_path, capsys):

@@ -298,6 +298,14 @@ def test_drawing_past_the_census_cap_is_refused_at_once():
     assert time.perf_counter() - start < 0.5
 
 
+def test_an_infeasible_width_draws_no_layout():
+    # width 1 divides 60 but cannot hold the width-5 tiles
+    ctx = HcnContext(60, 5, 4)
+    assert hcn_layout_census(ctx)[1] is None
+    assert construct_width_layout(ctx, 1) is None
+    assert construct_split_layout(ctx, 1) is None
+
+
 def test_construct_width_layout_requires_divisor():
     ctx = HcnContext(60, 5, 4)
     with pytest.raises(ValueError):

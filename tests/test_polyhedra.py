@@ -216,6 +216,38 @@ def test_solid_sizes_must_be_finite():
                     build(*dims)
 
 
+def scaled(mesh, k):
+    """The mesh with every vertex coordinate multiplied by 2**k, exactly."""
+    return Mesh(tuple(tuple(math.ldexp(c, k) for c in v) for v in mesh.vertices), mesh.faces)
+
+
+# each pair of solids with one face multiset, built at 2**k times its sizes
+SCALED_PAIRS = [
+    lambda k: [build_cube_with_pyramids(math.ldexp(1.0, k), math.ldexp(0.3, k), mode)
+               for mode in ("opposite", "adjacent")],
+    lambda k: [scaled(build_rhombicuboctahedron(), k), scaled(build_pseudorhombicuboctahedron(), k)],
+    lambda k: [build(math.ldexp(1.0, k), math.ldexp(3.5, k))
+               for build in (build_icosagonal_dipyramid, build_decagonal_dipyramidal_antiprism)],
+]
+
+
+@pytest.mark.parametrize("k", [-300, -151, -64, -1, 0, 1, 64, 151, 300])
+def test_scaling_a_solid_by_a_power_of_two_scales_only_its_measures(k):
+    # every mesh decision is a ratio to the solid's size, and scaling by
+    # 2**k is exact in floats, so volumes and areas scale exactly and the
+    # decisions do not move
+    for pair in SCALED_PAIRS:
+        base, big = pair(0), pair(k)
+        for m0, m in zip(base, big):
+            assert volume(m) == math.ldexp(volume(m0), 3 * k)
+            assert surface_area(m) == math.ldexp(surface_area(m0), 2 * k)
+            assert is_convex(m) == is_convex(m0)
+            assert face_multiset(m) == face_multiset(m0)
+        report0, report = compare_report(base, ["a", "b"]), compare_report(big, ["a", "b"])
+        for key in ("multiset_classes", "congruence_classes"):
+            assert report[key] == report0[key]
+
+
 def test_compare_report_structure():
     opp = build_cube_with_pyramids()
     adj = build_cube_with_pyramids(mode="adjacent")

@@ -67,3 +67,12 @@ def test_boundary_points_lie_on_the_disc():
 def test_default_grid_size():
     assert DEFAULT_SAMPLES == 3600
     assert len(SupportBody.disc(1.0)) == 3600
+
+
+@pytest.mark.parametrize("scale", [1e100, 1.0, 1e-6, 1e-9, 1e-12, 1e-100])
+def test_convexity_check_does_not_depend_on_the_scale(scale):
+    # h + h'' = 1 - 2.4 cos(3t) < 0 near t = 0: no convex body has this h,
+    # at any size; a slack floored at 1e-9 let the small copies through
+    with pytest.raises(ValueError, match="convexity"):
+        SupportBody.from_function(lambda t: scale * (1.0 + 0.3 * math.cos(3 * t)), 64)
+    SupportBody.from_function(lambda t: scale * (1.0 + 0.05 * math.cos(3 * t)), 64)
