@@ -75,10 +75,11 @@ class Mesh(Frozen):
     cycles; validation enforces finite coordinates, planar faces, each
     undirected edge shared by exactly two faces in opposite directions, and
     V - E + F = 2.  `planes` keeps each face's (unit normal, plane offset,
-    area), in face order.  A face is degenerate when its Newell norm over
-    size² (size: the bounding-box diagonal) is at most MESH_TOL, non-planar
-    when a vertex lies off its plane by more than MESH_TOL * size.  A size²
-    that overflows or size³ that underflows the floats is an UnsupportedInstance."""
+    area), in face order.  A face is degenerate when its Newell norm over the
+    square of its own bounding-box diagonal is at most MESH_TOL, non-planar
+    when a vertex lies off its plane by more than MESH_TOL * size (size: the
+    solid's bounding-box diagonal).  A face normal that overflows or a
+    nonzero size³ that underflows the floats is an UnsupportedInstance."""
 
     __slots__ = ("vertices", "faces", "planes")
 
@@ -95,7 +96,7 @@ class Mesh(Frozen):
         if len(self.faces) < 4:
             raise ValueError("mesh needs at least four faces")
         size = _diagonal(verts)
-        if size * size * size < sys.float_info.min:
+        if 0 < size and size * size * size < sys.float_info.min:
             raise UnsupportedInstance("the volume underflows the float range: the solid is too small")
 
         directed: Dict[Tuple[int, int], int] = {}
@@ -112,7 +113,8 @@ class Mesh(Frozen):
             norm = math.hypot(*n)
             if not math.isfinite(norm):
                 raise UnsupportedInstance("a face normal overflows the float range: the solid is too big")
-            if norm / size / size <= MESH_TOL:
+            face_size = _diagonal(pts)
+            if not norm or norm / face_size / face_size <= MESH_TOL:
                 raise ValueError("degenerate face (zero normal)")
             centroid = _centroid(pts)
             unit = (n[0] / norm, n[1] / norm, n[2] / norm)
@@ -209,7 +211,13 @@ def face_signature(m: Mesh, face: Sequence[int], edge_quantum: float) -> FaceSig
     qa = [round(a / SIGNATURE_QUANTUM) for a in angles]
     forward = [(qe[i], qa[i]) for i in range(k)]
     backward = [(qe[(k - 1 - j) % k], qa[(k - j) % k]) for j in range(k)]
-    return min(tuple(seq[r:] + seq[:r]) for seq in (forward, backward) for r in range(k))
+    best = None
+    for seq in (forward, backward):
+        for r in range(k):
+            cand = tuple(seq[r:] + seq[:r])
+            if best is None or cand < best:
+                best = cand
+    return best
 
 
 def face_multiset(m: Mesh) -> Counter:

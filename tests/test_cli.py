@@ -776,6 +776,15 @@ def test_a_small_solid_builds(tmp_path):
     assert float(report["volume"]) == pytest.approx(1e-15 + 2e-16 / 3, rel=1e-12)
 
 
+def test_a_tall_solid_builds(tmp_path):
+    # each face is judged degenerate against its own size, so the 1 x 1 side
+    # squares of a solid 2e5 tall are ordinary faces
+    rc, report, _ = run(
+        tmp_path, "poly", "build", "--solid", "cube-pyr-opposite", "--a", "1", "--h", "1e5"
+    )
+    assert (rc, report["convex"]) == (0, True)
+
+
 def test_poly_build_unknown_solid(tmp_path, capsys):
     rc = main(["poly", "build", "--solid", "blob", "--out", str(tmp_path / "o")])
     assert rc == 2

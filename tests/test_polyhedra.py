@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexkit import UnsupportedInstance
 from convexkit.polyhedra import (
     Mesh,
     NoSuchSolid,
@@ -89,6 +90,14 @@ def test_mesh_validation():
         bent[6] = (1.0, 1.0, bad)
         with pytest.raises(ValueError, match="non-finite"):
             Mesh(tuple(bent), tuple(faces))
+
+
+def test_a_mesh_of_one_point_is_degenerate():
+    # size 0 is a malformed mesh, not a solid too small for floats
+    cube = box_mesh()
+    with pytest.raises(ValueError, match="degenerate face") as caught:
+        Mesh(((0.5, 0.5, 0.5),) * cube.num_vertices, cube.faces)
+    assert not isinstance(caught.value, UnsupportedInstance)
 
 
 def test_inverted_orientation_is_rejected():
