@@ -651,7 +651,7 @@ def cmd_poly_build(args) -> Handler:
     report = {"solid": args.solid, **summary}
     lines = [
         f"{args.solid}: V={mesh.num_vertices} E={mesh.num_edges} F={mesh.num_faces}, "
-        f"volume={summary['volume']:.9f}, convex={summary['convex']}"
+        f"volume={summary['volume']:.9g}, convex={summary['convex']}"
     ]
     files = {}
     if args.obj:
@@ -666,7 +666,7 @@ def cmd_poly_compare(args) -> Handler:
     lines = []
     for e in report["meshes"]:
         lines.append(
-            f"{e['name']}: convex={e['convex']}, volume={e['volume']:.9f}, "
+            f"{e['name']}: convex={e['convex']}, volume={e['volume']:.9g}, "
             f"faces {e['faces_by_side_count']}"
         )
     lines.append(f"face-multiset classes: {report['multiset_classes']}")

@@ -9,7 +9,8 @@ face signatures, and compares volume, surface area, and congruence.
 
 Faces are authored by the builders; there is no hull or face-detection
 step.  Meshes validate planarity, edge pairing, and the Euler relation
-on construction.
+on construction.  Each face is measured once, from the solid's first
+vertex, so volume, area and convexity do not depend on where it sits.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ def _diagonal(pts: Sequence[Point3]) -> float:
     return math.dist([max(c) for c in zip(*pts)], [min(c) for c in zip(*pts)])
 
 
+def _from_first(verts: Sequence[Point3]) -> List[Point3]:
+    """The vertices as offsets from the first one: the frame a mesh is
+    measured in, so no measure depends on where the solid sits."""
+    x0, y0, z0 = verts[0]
+    return [(x - x0, y - y0, z - z0) for x, y, z in verts]
+
+
 def _newell_normal(pts: List[Point3]) -> Point3:
     nx = ny = nz = 0.0
     for (x0, y0, z0), (x1, y1, z1) in zip(pts, pts[1:] + pts[:1]):
@@ -75,9 +83,11 @@ class Mesh(Frozen):
     cycles; validation enforces finite coordinates, planar faces, each
     undirected edge shared by exactly two faces in opposite directions, and
     V - E + F = 2.  `planes` keeps each face's (unit normal, plane offset,
-    area), in face order.  A face is degenerate when its Newell norm over the
-    square of its own bounding-box diagonal is at most MESH_TOL, non-planar
-    when a vertex lies off its plane by more than MESH_TOL * size (size: the
+    area), in face order, measured once from the coordinates relative to
+    vertices[0], so no measure loses digits to the solid's distance from
+    the origin.  A face is degenerate when its Newell norm over the square
+    of its own bounding-box diagonal is at most MESH_TOL, non-planar when a
+    vertex lies off its plane by more than MESH_TOL * size (size: the
     solid's bounding-box diagonal).  A face normal that overflows or a
     nonzero size³ that underflows the floats is an UnsupportedInstance."""
 
@@ -99,6 +109,7 @@ class Mesh(Frozen):
         if 0 < size and size * size * size < sys.float_info.min:
             raise UnsupportedInstance("the volume underflows the float range: the solid is too small")
 
+        rel = _from_first(verts)
         directed: Dict[Tuple[int, int], int] = {}
         planes = []
         for face in self.faces:
@@ -108,7 +119,7 @@ class Mesh(Frozen):
                 raise ValueError("face repeats a vertex")
             if any(not (0 <= i < len(verts)) for i in face):
                 raise ValueError("face references a missing vertex")
-            pts = [verts[i] for i in face]
+            pts = [rel[i] for i in face]
             n = _newell_normal(pts)
             norm = math.hypot(*n)
             if not math.isfinite(norm):
@@ -160,16 +171,11 @@ class Mesh(Frozen):
 
 
 def volume(m: Mesh) -> float:
-    """Divergence-theorem volume over fan-triangulated faces; positive for
-    an outward orientation, otherwise the mesh is rejected; past the float
+    """The divergence theorem on the face planes: the sum of each face's
+    area times its offset from the first vertex, over 3.  Positive for an
+    outward orientation, otherwise the mesh is rejected; past the float
     range, an UnsupportedInstance."""
-    verts = m.vertices
-    total = 0.0
-    for face in m.faces:
-        v0 = verts[face[0]]
-        for i in range(1, len(face) - 1):
-            total += _dot(v0, _cross(verts[face[i]], verts[face[i + 1]]))
-    total /= 6.0
+    total = sum(area * offset for _, offset, area in m.planes) / 3.0
     if not math.isfinite(total):
         raise UnsupportedInstance("the volume overflows the float range: the solid is too big")
     if total <= 0.0:
@@ -184,10 +190,12 @@ def surface_area(m: Mesh) -> float:
 
 def is_convex(m: Mesh) -> bool:
     """True iff no vertex lies above a face plane by more than MESH_TOL of
-    the bounding-box diagonal."""
+    the bounding-box diagonal, vertices and planes both measured from the
+    first vertex."""
     size = _diagonal(m.vertices)
+    rel = _from_first(m.vertices)
     for (ux, uy, uz), offset, _ in m.planes:
-        if (max(ux * x + uy * y + uz * z for x, y, z in m.vertices) - offset) / size > MESH_TOL:
+        if (max(ux * x + uy * y + uz * z for x, y, z in rel) - offset) / size > MESH_TOL:
             return False
     return True
 
@@ -234,13 +242,14 @@ def distance_multiset(m: Mesh) -> Tuple[int, ...]:
 
 
 def _oriented(verts: List[Point3], faces: Iterable[Sequence[int]]) -> Mesh:
-    """Flip each face cycle so its normal points away from the vertex
-    centroid.  Valid for the star-shaped solids built here."""
+    """Flip each face cycle whose first corner turns clockwise seen from the
+    vertex centroid, so its normal points away from it.  Valid for the
+    convex faces of the star-shaped solids built here."""
     center = _centroid(verts)
     fixed = []
     for face in faces:
-        fpts = [verts[i] for i in face]
-        if _dot(_newell_normal(fpts), _sub(_centroid(fpts), center)) < 0:
+        p0, p1, p2 = (_sub(verts[i], center) for i in face[:3])
+        if _dot(p0, _cross(p1, p2)) < 0:
             face = list(reversed(face))
         fixed.append(tuple(face))
     return Mesh(tuple(map(tuple, verts)), tuple(fixed))
@@ -363,63 +372,51 @@ def _height_for_edge(edge: float, radial: float, what: str) -> float:
     return math.sqrt((edge - radial) * (edge + radial))
 
 
+def _circumradius(s: float, l: float, n: int) -> float:
+    """Circumradius of the regular n-gon of side s, once the side s and the
+    lateral edge l are checked."""
+    if not (0 < s < math.inf and 0 < l < math.inf):
+        raise ValueError("side and lateral edge must be positive and finite")
+    return s / (2.0 * math.sin(math.pi / n))
+
+
+def _capped_rings(n: int, r: float, rings: List[Tuple[float, float]], zc: float) -> Mesh:
+    """Regular n-gons of circumradius r, one per (height, twist) in rings,
+    capped by apexes zc above the top one and zc below the bottom one; two
+    rings are joined by an antiprism band of triangles."""
+    verts = [
+        (r * math.cos(2 * math.pi * k / n + twist), r * math.sin(2 * math.pi * k / n + twist), z)
+        for z, twist in rings for k in range(n)
+    ]
+    b, t = range(n), range(len(verts) - n, len(verts))
+    top, bot = len(verts), len(verts) + 1
+    verts += [(0.0, 0.0, rings[-1][0] + zc), (0.0, 0.0, rings[0][0] - zc)]
+    faces = []
+    for k in range(n):
+        k1 = (k + 1) % n
+        if len(rings) == 2:
+            faces += [[b[k], b[k1], t[k]], [b[k1], t[k1], t[k]]]
+        faces += [[t[k], t[k1], top], [b[k1], b[k], bot]]
+    return _oriented(verts, faces)
+
+
 def build_icosagonal_dipyramid(s: float = SOLID_DIMS["s"], l: float = SOLID_DIMS["l"]) -> Mesh:
     """Dipyramid over a regular 20-gon of side s with lateral edge l:
     40 isosceles (s, l, l) triangles."""
-    if not (0 < s < math.inf and 0 < l < math.inf):
-        raise ValueError("side and lateral edge must be positive and finite")
-    n = 20
-    r = s / (2.0 * math.sin(math.pi / n))
-    z = _height_for_edge(l, r, "dipyramid apex height")
-    verts: List[Point3] = [
-        (r * math.cos(2 * math.pi * k / n), r * math.sin(2 * math.pi * k / n), 0.0)
-        for k in range(n)
-    ]
-    top, bot = len(verts), len(verts) + 1
-    verts += [(0.0, 0.0, z), (0.0, 0.0, -z)]
-    faces = []
-    for k in range(n):
-        faces.append([k, (k + 1) % n, top])
-        faces.append([(k + 1) % n, k, bot])
-    return _oriented(verts, faces)
+    r = _circumradius(s, l, 20)
+    return _capped_rings(20, r, [(0.0, 0.0)], _height_for_edge(l, r, "dipyramid apex height"))
 
 
 def build_decagonal_dipyramidal_antiprism(s: float = SOLID_DIMS["s"], l: float = SOLID_DIMS["l"]) -> Mesh:
     """Decagonal antiprism (side s, twist pi/10, lateral edge l) capped by
     two decagonal pyramids with the same lateral edge: 40 isosceles
     (s, l, l) triangles, same multiset as the icosagonal dipyramid."""
-    if not (0 < s < math.inf and 0 < l < math.inf):
-        raise ValueError("side and lateral edge must be positive and finite")
     n = 10
-    r = s / (2.0 * math.sin(math.pi / n))
+    r = _circumradius(s, l, n)
     # antiprism lateral edge spans half a step of twist
-    chord = 2.0 * r * math.sin(math.pi / (2 * n))
-    g = _height_for_edge(l, chord, "antiprism ring gap")
+    g = _height_for_edge(l, 2.0 * r * math.sin(math.pi / (2 * n)), "antiprism ring gap")
     zc = _height_for_edge(l, r, "cap apex height")
-    bot_ring = [
-        (r * math.cos(2 * math.pi * k / n), r * math.sin(2 * math.pi * k / n), -g / 2)
-        for k in range(n)
-    ]
-    top_ring = [
-        (
-            r * math.cos(2 * math.pi * k / n + math.pi / n),
-            r * math.sin(2 * math.pi * k / n + math.pi / n),
-            g / 2,
-        )
-        for k in range(n)
-    ]
-    verts: List[Point3] = bot_ring + top_ring
-    top, bot = len(verts), len(verts) + 1
-    verts += [(0.0, 0.0, g / 2 + zc), (0.0, 0.0, -g / 2 - zc)]
-    b = list(range(n))
-    t = list(range(n, 2 * n))
-    faces = []
-    for k in range(n):
-        faces.append([b[k], b[(k + 1) % n], t[k]])
-        faces.append([b[(k + 1) % n], t[(k + 1) % n], t[k]])
-        faces.append([t[k], t[(k + 1) % n], top])
-        faces.append([b[(k + 1) % n], b[k], bot])
-    return _oriented(verts, faces)
+    return _capped_rings(n, r, [(-g / 2, 0.0), (g / 2, math.pi / n)], zc)
 
 
 def mesh_summary(m: Mesh) -> dict:
@@ -471,6 +468,6 @@ def compare_report(meshes: Sequence[Mesh], names: Sequence[str]) -> dict:
 
 
 def mesh_to_obj(m: Mesh) -> str:
-    lines = [f"v {x:.12f} {y:.12f} {z:.12f}" for x, y, z in m.vertices]
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in m.vertices]
     lines += ["f " + " ".join(str(i + 1) for i in face) for face in m.faces]
     return "\n".join(lines) + "\n"

@@ -14,6 +14,8 @@ mirror half.  `search_fill_unpruned` is the oracle of
 side-sum rules, so it rejects a tile only when the tile does not fit.
 `positive_forms` is the oracle of `kernel.linsolve.positive_point`: the
 positivity interval of any affine forms, each tested on its own.
+`exact_volume` is the oracle of `polyhedra.volume`: the fan-triangulated
+volume of a mesh's float vertices in Fractions.
 `enumerate_floorplans`, `baxter_count`, `layout_to_json` and `contains`
 (exact membership in a `ParamSolution`) serve only the tests.
 """
@@ -303,3 +305,17 @@ def positive_forms(forms) -> PositivePoint:
     if lo is not None and hi is not None and lo[0] * hi[1] >= hi[0] * lo[1]:
         return PositivePoint(certified_empty=True)
     return PositivePoint(lo, hi)
+
+
+def exact_volume(mesh) -> Fraction:
+    """The volume of the mesh's float vertices in exact arithmetic: the
+    divergence theorem over fan-triangulated faces, in Fractions.  The
+    oracle of `polyhedra.volume`, which reads the face planes in floats."""
+    verts = [tuple(map(Fraction, v)) for v in mesh.vertices]
+    total = Fraction(0)
+    for face in mesh.faces:
+        x0, y0, z0 = verts[face[0]]
+        for i in range(1, len(face) - 1):
+            (x1, y1, z1), (x2, y2, z2) = verts[face[i]], verts[face[i + 1]]
+            total += x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2) + z0 * (x1 * y2 - y1 * x2)
+    return total / 6

@@ -766,14 +766,18 @@ def test_a_solid_builds_up_to_the_float_range(tmp_path):
     assert float(report["volume"]) == pytest.approx(5e300 / 3, rel=1e-12)
 
 
-def test_a_small_solid_builds(tmp_path):
+def test_a_small_solid_builds(tmp_path, capsys):
     # mesh tolerances are ratios to the solid's size, so a solid of side
-    # 1e-5 is judged as its copy of side 1 is
+    # 1e-5 is judged as its copy of side 1 is; its volume prints to 9
+    # significant digits, as its copy's does
     rc, report, _ = run(
         tmp_path, "poly", "build", "--solid", "cube-pyr-opposite", "--a", "1e-5", "--h", "1e-6"
     )
     assert (rc, report["convex"]) == (0, True)
     assert float(report["volume"]) == pytest.approx(1e-15 + 2e-16 / 3, rel=1e-12)
+    out = capsys.readouterr().out
+    assert f"volume={float(report['volume']):.9g}," in out
+    assert "volume=1.06666667e-15," in out
 
 
 def test_a_tall_solid_builds(tmp_path):
@@ -912,8 +916,8 @@ def test_the_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, monk
     assert not (tmp_path / "6").exists()
 
 
-# sha256 of report.json, recorded when each Mesh query still computed its
-# own face normals and centroids
+# sha256 of report.json, recorded when volume came to be read from the face
+# planes, each face measured from the solid's first vertex
 POLY_REPORTS = [
     (["build", "--solid", "cube-pyr-opposite"],
      "d1777b676fa69081d3701538f682a1507b617118ed89e228ece09caf97fdd7e1"),
@@ -922,17 +926,17 @@ POLY_REPORTS = [
     (["build", "--solid", "rco"],
      "1ca865a168b7058569ed13a5b909a9331740efbd77bc30d3522109efbb57479d"),
     (["build", "--solid", "pseudo-rco"],
-     "bbb9c58095890d66b6134bc3f7e5444454eb7c9ac4deb734735c9927967a2ed3"),
+     "1624cc238da6f0e915670c84a612a07fbb74f31609a66fa6878e4bc983aabd5c"),
     (["build", "--solid", "icosa-dipyramid"],
-     "cb8b8b76799c4e1bf246d4fe0d28a556821e8d7a3e1bc41b1c8218c9a3546e8b"),
+     "8089c9c96dbc34c01dd3196e9ff763a094ee32cdf4dc3afc49cb34f910fc4027"),
     (["build", "--solid", "deca-antiprism"],
-     "13408808d1250e9d8b389364c435aa327b25abc31300df97d2b20688d52c317f"),
+     "ec5f72a6a52288ffbaa37d2e60eb8cbded450c580be3d94e5736953fb8825bad"),
     (["compare", "--solids", "cube-pyr-opposite,cube-pyr-adjacent"],
      "a4771ff0a3bc5014cfaf2a88fd67cc2e7f8197eaef34290c2f5bc72fa34541f1"),
     (["compare", "--solids", "rco,pseudo-rco"],
-     "b156b1dad41618dfeb30da00361341262bfc204a754f11f6bf4c6681ef57dede"),
+     "b651b9fe5e0d9ffb3bdb7fc9473d069f6c5198bf3c9bbf170e87e2458ddc23f8"),
     (["compare", "--solids", "icosa-dipyramid,deca-antiprism"],
-     "d76db292883d7456653b92faac99031389173def1328c1a714ebd0c9d62049a9"),
+     "0fc839c55122b177d2f3e403392e0bb2f5f753b460fb5be8cd1e7f9df7b89225"),
 ]
 
 

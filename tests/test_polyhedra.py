@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,9 +26,20 @@ from convexkit.polyhedra import (
     surface_area,
     volume,
 )
+from reference import exact_volume
 
 RCO_VOLUME = (12 + 10 * math.sqrt(2)) / 3 * 8  # edge length 2
 RCO_SURFACE = (18 + 2 * math.sqrt(3)) * 4
+# the six solids of `poly build`, at their default sizes
+DEFAULT_SOLIDS = {
+    "cube-pyr-opposite": lambda: build_cube_with_pyramids(mode="opposite"),
+    "cube-pyr-adjacent": lambda: build_cube_with_pyramids(mode="adjacent"),
+    "rco": build_rhombicuboctahedron,
+    "pseudo-rco": build_pseudorhombicuboctahedron,
+    "icosa-dipyramid": build_icosagonal_dipyramid,
+    "deca-antiprism": build_decagonal_dipyramidal_antiprism,
+}
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def box_mesh(a=1.0, b=1.0, c=1.0):
@@ -136,6 +148,22 @@ def test_invariants_under_rigid_motion_and_relabeling():
     assert abs(volume(relabeled) - base_vol) <= 1e-12
     assert face_multiset(relabeled) == base_faces
     assert distance_multiset(relabeled) == base_dist
+
+
+@pytest.mark.parametrize("name", DEFAULT_SOLIDS)
+def test_a_solid_measures_the_same_wherever_it_sits(name):
+    # each face is measured from the solid's first vertex, so a solid moved
+    # far from the origin keeps its volume to rounding and stays planar and
+    # convex; only the rounding of its moved vertices moves its area
+    base = DEFAULT_SOLIDS[name]()
+    for shift, area_tol in ((0.0, 0.0), (1e6, 1e-9), (1e8, 1e-8)):
+        moved = apply_rigid_motion(base, IDENTITY, (shift,) * 3)
+        assert is_convex(moved)
+        exact = exact_volume(moved)
+        assert abs(Fraction(volume(moved)) - exact) <= Fraction(1e-14) * exact
+        assert abs(surface_area(moved) - surface_area(base)) <= area_tol * surface_area(base)
+        if shift <= 1e6:
+            assert face_multiset(moved) == face_multiset(base)
 
 
 def test_cube_pyramids_pair():
@@ -278,13 +306,10 @@ def test_compare_report_structure():
 
 
 def test_mesh_to_obj():
-    text = mesh_to_obj(box_mesh())
-    lines = text.strip().split("\n")
-    assert sum(1 for ln in lines if ln.startswith("v ")) == 8
-    assert sum(1 for ln in lines if ln.startswith("f ")) == 6
-    # obj indices are 1-based
-    assert all(
-        all(int(tok) >= 1 for tok in ln.split()[1:])
-        for ln in lines
-        if ln.startswith("f ")
-    )
+    # each coordinate is written as its repr, which reads back to the same
+    # float at every size; obj face indices are 1-based
+    meshes = [box_mesh(), build_cube_with_pyramids(1e-100, 1e-101)]
+    for m in meshes + [build() for build in DEFAULT_SOLIDS.values()]:
+        lines = [ln.split() for ln in mesh_to_obj(m).splitlines()]
+        assert tuple(tuple(map(float, ln[1:])) for ln in lines if ln[0] == "v") == m.vertices
+        assert tuple(tuple(int(i) - 1 for i in ln[1:]) for ln in lines if ln[0] == "f") == m.faces
