@@ -65,16 +65,21 @@ def _lens_ratio(alpha: float) -> float:
     return alpha * segment_over_cube(alpha) / 8.0
 
 
+def _within_disc_bound(area: float, perimeter: float) -> bool:
+    """A / p^2 at most 1 / 4 pi, up to 1e-12 of it: the isoperimetric
+    inequality, the one disc-bound rule of the lens and the survey."""
+    return area / (perimeter * perimeter) <= (1.0 + 1e-12) / (4.0 * math.pi)
+
+
 def max_diameter_shape(area: float, perimeter: float) -> Optional[Lens]:
     """The lens with the given area and perimeter, or None when no convex
     shape fits (area above the disc bound p^2/4pi).  At the bound the disc
     itself comes back, as the alpha = pi/2 lens."""
     _check_lengths(area=area, perimeter=perimeter)
-    u = area / (perimeter * perimeter)
-    u_disc = 1.0 / (4.0 * math.pi)
-    if u > u_disc * (1.0 + 1e-12):
+    if not _within_disc_bound(area, perimeter):
         return None
-    if u >= u_disc:
+    u = area / (perimeter * perimeter)
+    if u >= 1.0 / (4.0 * math.pi):
         alpha = math.pi / 2
     else:
         # the ratio is alpha/8 times 4/pi^2 to 2/3, so 12 u <= alpha <= 20 u
@@ -137,10 +142,10 @@ def constant_width_range(width: float) -> Tuple[float, float]:
 
 
 def _constant_width_areas(area: float, width: float) -> Tuple[float, float, bool]:
-    """A_R and A_D, and whether the area lies in the constant-width range,
-    up to 1e-12 of each end at every scale."""
+    """A_R and A_D, and whether the area is at least A_R, up to 1e-12 of it
+    at every scale.  A_D is the disc bound at perimeter pi * width."""
     lo_a, hi_a = constant_width_range(width)
-    return lo_a, hi_a, lo_a * (1.0 - 1e-12) <= area <= hi_a * (1.0 + 1e-12)
+    return lo_a, hi_a, lo_a * (1.0 - 1e-12) <= area
 
 
 def interpolant_with_area(area: float, width: float = DEFAULT_WIDTH) -> Tuple[float, ArcPolygon]:
@@ -150,8 +155,8 @@ def interpolant_with_area(area: float, width: float = DEFAULT_WIDTH) -> Tuple[fl
     disc's own area; so the area is A_D - (1-t)^2 (A_D - A_R), solved for t
     in closed form (clamped to [0, 1])."""
     _check_lengths(area=area, width=width)
-    lo_a, hi_a, inside = _constant_width_areas(area, width)
-    if not inside:
+    lo_a, hi_a, above_floor = _constant_width_areas(area, width)
+    if not (above_floor and _within_disc_bound(area, math.pi * width)):
         raise ValueError(
             f"area {area:.6g} outside the constant-width range [{lo_a:.6g}, {hi_a:.6g}]"
         )
@@ -180,7 +185,7 @@ def min_diameter_survey(
         "width": w,
         "disc_area": disc_area,
         "reuleaux_area": reuleaux_area,
-        "feasible": area <= disc_area * (1.0 + 1e-12),
+        "feasible": _within_disc_bound(area, perimeter),
         "candidates": [],
     }
     bodies: List[ArcPolygon] = []

@@ -27,7 +27,8 @@ The band family at the end partitions a rectangle without a straight
 cut: piece one is the set of points within distance t of a boundary arc
 of length s * perimeter from the bottom edge midpoint, counterclockwise,
 with t meeting the area target.  Its feasible runs in s, their rho ranges
-and the bands with rho = sqrt(a/b) are closed forms, not samples.
+and the bands with rho = sqrt(a/b) are closed forms, not samples, and so
+is every number of a band; its rings are the drawing.
 """
 
 from __future__ import annotations
@@ -443,7 +444,7 @@ def disc_chord_analysis(target: RatioTarget) -> dict:
 # arc that starts at the bottom edge midpoint and grows counterclockwise.
 
 
-# why a band fails, in the order nonconvex_band_partition checks; also why runs have gaps
+# why a band fails, in the order `_band` checks (1e-12 slack each); also why runs have gaps
 BAND_CHECKS = ("area equation has no real thickness", "thickness exceeds min(W,H)/2",
                "arm past the last corner is shorter than the thickness")
 
@@ -466,6 +467,42 @@ class BandSample(NamedTuple):
     small_convex: Optional[bool] = None
 
 
+def _thickness(A: float, k: int, ell: float) -> float:
+    """The smaller root t of ell*t - k*t^2 = A, in the form that does not
+    cancel; a negative discriminant counts as zero, the double root."""
+    return 2.0 * A / (ell + math.sqrt(max(ell * ell - 4.0 * k * A, 0.0))) if k else A / ell
+
+
+def _band(W: float, H: float, target: RatioTarget, s: float) -> Tuple[BandSample, bool]:
+    """The band over the arc of length ell = s*p from the bottom edge
+    midpoint, without its rings, and whether the arc ends on a corner.
+    s <= 1/2 keeps the arc on the first three edges, so only the two
+    right-hand corners, at arc lengths W/2 and W/2 + H, can be covered; a
+    corner within 1e-12 p of the arc's end is not covered but ends it, and
+    the arc ends on edge k.  Every number is a closed form: the band has
+    area A and perimeter 2 ell + 2(1-k) t, its complement p + 2(1-k) t, less
+    the end cap 2t that lies along the boundary when the arc ends on a corner."""
+    p = 2.0 * (W + H)
+    A, ell, eps = target.fraction * W * H, s * p, 1e-12 * p
+    corners = (0.5 * W, 0.5 * W + H)
+    k = sum(c < ell - eps for c in corners)
+    on_corner = k < 2 and abs(ell - corners[k]) <= eps
+    # a discriminant within rounding of 0 is the double root
+    if ell * ell - 4.0 * k * A < -1e-12 * ell * ell:
+        return BandSample(s, False, BAND_CHECKS[0], ell, k), on_corner
+    t = _thickness(A, k, ell)
+    arm = ell - corners[k - 1] if k else None
+    reason = (BAND_CHECKS[1] if t > 0.5 * min(W, H) * (1.0 + 1e-12)
+              else BAND_CHECKS[2] if k and arm < t * (1.0 - 1e-12) else None)
+    if reason:
+        return BandSample(s, False, reason, ell, k, thickness=t, arm=arm), on_corner
+    m = 2.0 * (1 - k) * t
+    small, big = 2.0 * ell + m, p + m - 2.0 * t * on_corner
+    return BandSample(s, True, None, ell, k, thickness=t, arm=arm, area_small=A,
+                      area_big=W * H - A, perimeter_small=small, perimeter_big=big,
+                      rho=small / big), on_corner
+
+
 def nonconvex_band_partition(
     width: float, height: float, target: RatioTarget, s: float
 ) -> BandSample:
@@ -475,86 +512,32 @@ def nonconvex_band_partition(
     from the bottom edge midpoint.  The band of thickness t inside it has
     area ell*t - k*t^2, where k counts the rectangle corners the arc
     strictly covers; t is the smaller positive root meeting the area
-    target.  The band is piece one (the smaller area share).
+    target.  The band is piece one (the smaller area share).  Its numbers
+    are `_band`'s closed forms; the two rings draw the pieces and judge
+    whether the band is convex.
     """
     if not (0.0 < s <= 0.5):
         raise ValueError("arc fraction s must be in (0, 1/2]")
     W, H = float(width), float(height)
     if W <= 0 or H <= 0:
         raise ValueError("rectangle dimensions must be positive")
-    per = 2.0 * (W + H)
-    ell = s * per
-    want = target.fraction * W * H
-    tmax = 0.5 * min(W, H)
-    scale = max(W, H)
-    eps_len = 1e-12 * per
-
-    # s <= 1/2 keeps the arc on the first three edges, so only the two
-    # right-hand corners can be covered
-    corners = [(0.5 * W, (W, 0.0)), (0.5 * W + H, (W, H))]
-    covered = [c for c in corners if c[0] < ell - eps_len]
-    k = len(covered)
-
-    if k == 0:
-        t = want / ell
-    else:
-        # a discriminant within rounding of 0 is the double root
-        disc = ell * ell - 4.0 * k * want
-        if disc < -1e-12 * ell * ell:
-            return BandSample(s, False, BAND_CHECKS[0], ell, k)
-        t = (ell - math.sqrt(max(disc, 0.0))) / (2.0 * k)
-    arm = ell - covered[-1][0] if covered else None
-    if t > tmax * (1.0 + 1e-12):
-        return BandSample(s, False, BAND_CHECKS[1], ell, k, thickness=t, arm=arm)
-    if covered and arm < t * (1.0 - 1e-12):
-        return BandSample(s, False, BAND_CHECKS[2], ell, k, thickness=t, arm=arm)
-
-    def outer_point(d):
-        # ties resolve to the earlier edge so an arc ending exactly on a
-        # corner keeps its cap perpendicular to the edge it travelled
-        if d <= 0.5 * W + eps_len:
-            return (0.5 * W + d, 0.0)
-        if d <= 0.5 * W + H + eps_len:
-            return (W, d - 0.5 * W)
-        return (W - (d - 0.5 * W - H), H)
-
-    def inner_point(d):
-        x, y = outer_point(d)
-        if d <= 0.5 * W + eps_len:
-            return (x, t)
-        if d <= 0.5 * W + H + eps_len:
-            return (x - t, y)
-        return (x, y - t)
-
-    start, end = (0.5 * W, 0.0), outer_point(ell)
-    inner_corner = {(W, 0.0): (W - t, t), (W, H): (W - t, H - t)}
-    outer_chain = [start] + [p for _, p in covered] + [end]
-    inner_chain = (
-        [(0.5 * W, t)] + [inner_corner[p] for _, p in covered] + [inner_point(ell)]
-    )
-    small = outer_chain + inner_chain[::-1]
-
-    # when the arc ends exactly on a corner the end cap lies along the
-    # boundary, so the complement never reaches the corner point itself
-    corner_hit = any(abs(ell - c) <= eps_len for c, _ in corners)
-    remaining = [p for c, p in corners if c > ell + eps_len]
-    remaining += [(0.0, H), (0.0, 0.0)]
-    big = ([] if corner_hit else [end]) + remaining + [start] + inner_chain
-
-    eps = 1e-12 * scale
-    small = dedupe_ring(small, eps)
-    big = dedupe_ring(big, eps)
-    area_s, area_b = abs(ring_area(small)), abs(ring_area(big))
-    perim_s, perim_b = ring_perimeter(small), ring_perimeter(big)
-    return BandSample(
-        s, True, None, ell, k,
-        thickness=t, arm=arm,
-        piece_small=tuple(small), piece_big=tuple(big),
-        area_small=area_s, area_big=area_b,
-        perimeter_small=perim_s, perimeter_big=perim_b,
-        rho=perim_s / perim_b,
-        small_convex=is_convex_ring(small, eps * scale),
-    )
+    e, on_corner = _band(W, H, target, s)
+    if not e.feasible:
+        return e
+    k, t, ell = e.corners_covered, e.thickness, e.arc_length
+    # the arc ends on edge k, and the band's inner wall t inside it
+    x, y = ((0.5 * W + ell, 0.0), (W, ell - 0.5 * W), (W - (ell - 0.5 * W - H), H))[k]
+    inner = [(0.5 * W, t), (W - t, t), (W - t, H - t)][:k + 1]
+    inner.append(((x, t), (x - t, y), (x, y - t))[k])
+    corners = [(W, 0.0), (W, H)]
+    small = [(0.5 * W, 0.0)] + corners[:k] + [(x, y)] + inner[::-1]
+    # an end cap along the boundary keeps the complement off the corner
+    big = [(x, y)] * (not on_corner) + corners[k + on_corner:]
+    big += [(0.0, H), (0.0, 0.0), (0.5 * W, 0.0)] + inner
+    eps = 1e-12 * max(W, H)
+    small, big = dedupe_ring(small, eps), dedupe_ring(big, eps)
+    return e._replace(piece_small=tuple(small), piece_big=tuple(big),
+                      small_convex=is_convex_ring(small, eps * max(W, H)))
 
 
 class BandRun(NamedTuple):
@@ -586,18 +569,19 @@ class BandSolveResult(NamedTuple):
 def _band_runs(W: float, H: float, target: RatioTarget) -> Tuple[List[BandRun], List[str]]:
     """The runs of each corner count k, and the reasons for the gaps.  For ell = s*p in
     (c_k, c_k+1], t is the smaller root of ell*t - k*t^2 = A, so ell = A/t + k*t falls as t
-    grows, and each check of `nonconvex_band_partition`, in its order, caps t and so floors
-    ell: t <= sqrt(A/k) (a real root), t <= min(W,H)/2, and arm = ell - c_k >= t, i.e.
+    grows, and each check of `_band`, in its order, caps t and so floors ell:
+    t <= sqrt(A/k) (a real root), t <= min(W,H)/2, and arm = ell - c_k >= t, i.e.
     t <= A/c_1 (k = 1) or the smaller root of t^2 - c_2 t + A (k = 2).  On a run, with
     m = 1 - k, rho = (2 ell + 2m t) / (p + 2m t) is stationary only at
-    t* = (2mA + sqrt(4m^2A^2 + p^2A)) / p."""
+    t* = (2mA + sqrt(4m^2A^2 + p^2A)) / p.  The band at a run's end is `_band`'s,
+    every number a closed form."""
     p, A = 2.0 * (W + H), target.fraction * W * H
     c = (0.0, 0.5 * W, 0.5 * W + H, W + H)
     d = c[2] * c[2] - 4.0 * A
     arm_cap = (math.inf, A / c[1], 2.0 * A / (c[2] + math.sqrt(d)) if d >= 0 else math.inf)
 
     def rho(k: int, ell: float) -> float:
-        t = 2.0 * A / (ell + math.sqrt(max(ell * ell - 4.0 * k * A, 0.0)))
+        t = _thickness(A, k, ell)
         return (2.0 * ell + 2.0 * (1 - k) * t) / (p + 2.0 * (1 - k) * t)
 
     runs, reasons = [], []
@@ -610,11 +594,11 @@ def _band_runs(W: float, H: float, target: RatioTarget) -> Tuple[List[BandRun], 
                 if floor < end and reason not in reasons:
                     reasons.append(reason)
                 floor = A / t + k * t
-        # with nonconvex_band_partition's 1e-12 slack for rounding: a run that
-        # starts within 1e-12 p of its end, or just past it, is the band there.
-        # The floor meets the end at a double root (1:1, the half rectangle)
-        # and lands a few ulps either side of it, so exact comparisons would
-        # drop that band or add a run of zero length, by the scale alone.
+        # with `_band`'s 1e-12 slack for rounding: a run that starts within
+        # 1e-12 p of its end, or just past it, is the band there.  The floor
+        # meets the end at a double root (1:1, the half rectangle) and lands
+        # a few ulps either side of it, so exact comparisons would drop that
+        # band or add a run of zero length, by the scale alone.
         if floor > end * (1.0 + 1e-12):
             continue
         if floor < end - 1e-12 * p:
@@ -623,7 +607,7 @@ def _band_runs(W: float, H: float, target: RatioTarget) -> Tuple[List[BandRun], 
             rhos = [rho(k, floor), rho(k, end)]
             rhos += [rho(k, ell_star)] if floor < ell_star < end else []
             runs.append(BandRun(floor / p, end / p, rhos[0], rhos[1], min(rhos), max(rhos)))
-        e = nonconvex_band_partition(W, H, target, min(0.5, end / p))
+        e = _band(W, H, target, min(0.5, end / p))[0]
         if (k < 2 or floor >= end - 1e-12 * p) and e.feasible:
             runs.append(BandRun(e.s, e.s, e.rho, e.rho, e.rho, e.rho))
     return runs, reasons
@@ -635,9 +619,10 @@ def solve_band(
     """The band of smallest s with rho = sqrt(a/b), in closed form.  Put
     ell = A/t + k*t into rho: one quadratic in t per corner count k,
     2(1 - rho(1-k)) t^2 - rho p t + 2A = 0, whose roots map to s = ell/p (at
-    most 1/2).  With the one-point runs, those `nonconvex_band_partition`
-    finds feasible and within tol are kept.  A negative discriminant counts
-    as zero, so a target within tol of a run's extreme still finds a band."""
+    most 1/2).  With the one-point runs, those `_band` finds feasible and
+    within tol are kept, and only the band of the smallest is drawn.  A
+    negative discriminant counts as zero, so a target within tol of a run's
+    extreme still finds a band."""
     _check_tol(tol)
     W, H = float(width), float(height)
     if not (1e-75 < W < 1e75 and 1e-75 < H < 1e75):  # keeps p^2 A a normal float
@@ -652,7 +637,7 @@ def solve_band(
 
     arcs = [min(0.5, (A / t + k * t) / p) for k in range(3) for t in roots(k)]
     arcs += [r.s_lo for r in runs if r.s_lo == r.s_hi]
-    bands = [nonconvex_band_partition(W, H, target, s) for s in arcs]
-    hits = [e for e in bands if e.feasible and abs(e.rho - want) <= tol]
-    best = min(hits, key=lambda e: e.s, default=None)
+    bands = [_band(W, H, target, s)[0] for s in arcs]
+    best = min((e.s for e in bands if e.feasible and abs(e.rho - want) <= tol), default=None)
+    best = None if best is None else nonconvex_band_partition(W, H, target, best)
     return BandSolveResult(best is not None, best, want, tuple(runs), tuple(reasons))

@@ -99,6 +99,29 @@ def test_max_diameter_shape_disc_bound():
         max_diameter_shape(1e-310, 1.0)
 
 
+def _around_the_disc_bound():
+    """The pair that maxdiam and mindiam once split on, then the 21 floats
+    nearest the 1e-12 slack of the disc bound at 200 perimeters in 1e-5..1e5."""
+    yield 415.1904505058837, 72.23182869479676
+    for j in range(200):
+        p = 10.0 ** (j / 20 - 5)
+        area = p * p * (1 + 1e-12) / (4 * math.pi)
+        for _ in range(10):
+            area = math.nextafter(area, 0.0)
+        for _ in range(21):
+            yield area, p
+            area = math.nextafter(area, math.inf)
+
+
+def test_maxdiam_finds_a_lens_exactly_when_mindiam_is_feasible():
+    # one disc-bound rule decides both: a lens (the disc, at the bound)
+    # exists iff the survey is feasible, and then the disc is a candidate
+    for area, p in _around_the_disc_bound():
+        report = min_diameter_survey(area, p)[0]
+        assert (max_diameter_shape(area, p) is not None) == report["feasible"], (area, p)
+        assert not report["feasible"] or report["best"]["family"] == "constant-width"
+
+
 def test_lens_dominates_random_polygons():
     # the lens with a polygon's area and perimeter is never slimmer than
     # the polygon itself

@@ -9,8 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import case_named, case_table
+from convexkit import fairpart
 from convexkit.kernel.arcs import ArcPolygon
-from convexkit.kernel.polygon import ConvexPolygon, rectangle, regular_ngon
+from convexkit.kernel.polygon import (
+    ConvexPolygon, rectangle, regular_ngon, ring_area, ring_perimeter
+)
 from convexkit.fairpart import (
     LineCut,
     ProfilePoint,
@@ -923,10 +926,76 @@ def test_band_solver_finds_a_band_just_inside_its_run():
     assert res.sample.corners_covered == 2
 
 
-@pytest.mark.parametrize("W, H", [(0.346, 2.323), (1.0, 1.0), (3.0, 0.5)])
+@pytest.mark.parametrize("W, H", [(0.346, 2.323), (1.0, 1.0), (3.0, 0.5),
+                                  (335.0232766525496, 0.001160365491069799)])
 def test_band_at_one_to_one_sits_on_the_thickness_cap(W, H):
     # at s = 1/2 the band is the half rectangle, t = min(W,H)/2 exactly:
     # rounding may put t a hair above the cap, within the partition's slack
     res = solve_band(W, H, RatioTarget(6, 6))
     assert res.found and abs(res.sample.rho - 1.0) <= 1e-12
     assert any(r.s_hi == 0.5 for r in res.runs)
+
+
+@pytest.mark.parametrize("b", [10 ** 9, 10 ** 12])
+@pytest.mark.parametrize("s, corners", [(0.3, 1), (0.45, 2)])
+def test_a_thin_band_reports_its_area_exactly(b, s, corners):
+    # a shoelace over rings of size 1 loses a band of area 1e-12; the
+    # band's areas are A and W*H - A, not measured
+    W, H, target = 2.0, 3.0, RatioTarget(1, b)
+    e = nonconvex_band_partition(W, H, target, s)
+    assert e.feasible and e.corners_covered == corners
+    assert e.area_small == target.fraction * W * H
+    assert e.area_big == W * H - target.fraction * W * H
+
+
+def _draw_band_case(rng):
+    """A rectangle with sides in [0.2, 5], a ratio, and an arc fraction:
+    uniform, on one of the two corners, or 1/2."""
+    W, H = rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0)
+    p = 2 * (W + H)
+    s = rng.choice((rng.uniform(1e-3, 0.5), W / 2 / p, (W / 2 + H) / p, 0.5))
+    return W, H, (rng.randint(1, 12), rng.randint(1, 12)), s
+
+
+BAND_RING_CASES = case_table(
+    "test_band_rings_measure_their_closed_forms", 2000, _draw_band_case,
+    first=[(1.0, 1.0, (1, 3), 0.5), (1.4777, 1.4777, (1, 1), 0.49999999999999994),
+           (1.0, 4.0, (1, 8), 0.125)],
+)
+
+
+def test_band_rings_measure_their_closed_forms():
+    """The rings only draw the pieces: their shoelace areas and perimeters
+    are the closed forms, to 1e-12 of W*H and of p, over every corner count
+    and arcs that end on a corner."""
+    seen = set()
+    for index, (W, H, ratio, s) in enumerate(BAND_RING_CASES):
+        with case_named(index, W, H, ratio, s):
+            e = nonconvex_band_partition(W, H, RatioTarget(*ratio), s)
+            if not e.feasible:
+                continue
+            seen.add((e.corners_covered, ends_on_corner(W, H, e)))
+            p = 2 * (W + H)
+            for ring, area, perimeter in ((e.piece_small, e.area_small, e.perimeter_small),
+                                          (e.piece_big, e.area_big, e.perimeter_big)):
+                assert abs(abs(ring_area(ring)) - area) <= 1e-12 * W * H
+                assert abs(ring_perimeter(ring) - perimeter) <= 1e-12 * p
+    assert seen >= {(0, False), (0, True), (1, False), (1, True), (2, False)}
+
+
+def test_band_solve_draws_one_band(monkeypatch):
+    # every candidate arc is decided in closed form; only the answer is drawn
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nonconvex_band_partition(*args)
+
+    monkeypatch.setattr(fairpart, "nonconvex_band_partition", counted)
+    for W, H, ratio in [(1.0, 1.0, (1, 3)), (1.0, 1.0, (16, 25)), (1.0, 4.0, (1, 8)),
+                        (2.0, 0.25, (3, 4)), (1.0, 1.0, (6, 6)), (1.0, 1.0, (1, 29))]:
+        calls.clear()
+        res = fairpart.solve_band(W, H, RatioTarget(*ratio))
+        assert len(calls) == res.found
+        if res.found:
+            assert calls[0][3] == res.sample.s

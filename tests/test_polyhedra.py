@@ -221,6 +221,21 @@ def test_forty_triangle_pair():
     assert abs(v1 - v2) > 0.01 * max(v1, v2)
 
 
+@pytest.mark.parametrize("s, l", [(1.0, 3.5), (0.37, 2.9), (2.5, 7.25), (1e-5, 3e-5), (1e30, 4e30)])
+def test_capped_antiprism_volume_has_a_closed_form(s, l):
+    """The antiprism is a prismatoid of height g between two decagons of
+    circumradius r, with its mid-height section, a 20-gon, between them;
+    each cap is a pyramid of height z_c on a decagon."""
+    n = 10
+    r = s / (2 * math.sin(math.pi / n))
+    g = math.sqrt(l * l - (2 * r * math.sin(math.pi / (2 * n))) ** 2)
+    z_c = math.sqrt(l * l - r * r)
+    a_end = n / 2 * r * r * math.sin(2 * math.pi / n)
+    a_mid = n * r * r * math.cos(math.pi / (2 * n)) ** 2 * math.sin(math.pi / n)
+    want = g / 6 * (2 * a_end + 4 * a_mid) + 2 / 3 * a_end * z_c
+    assert volume(build_decagonal_dipyramidal_antiprism(s, l)) == pytest.approx(want, rel=1e-12)
+
+
 @settings(max_examples=40)
 @given(
     s=st.floats(min_value=0.1, max_value=10.0),

@@ -20,6 +20,7 @@ COMMANDS = [
     ["tiling", "search-iso", "--n", "7", "--limit", "1"],
     ["tiling", "hcn", "--h", "60", "--i", "5", "--length", "4"],
     ["fairpart", "solve", "--shape", "rect:4x1", "--ratio", "1:3", "--samples", "16"],
+    ["fairpart", "band", "--shape", "rect:1x1", "--ratio", "1:3"],
     ["fairpart", "disc", "--ratio", "1:3", "--ngon", "64", "--expect-infeasible"],
     ["shapes", "interp", "--t", "0.5", "--samples", "64"],
     ["poly", "build", "--solid", "rco"],
@@ -51,3 +52,5 @@ def test_tracer_installs_traces_and_uninstalls(tmp_path):
                     "tiling.hcn.census_widths", "kernel.polygon.constructs", "kernel.support.bodies",
                     "polyhedra.meshes", "cli.bytes_written"):
         assert metrics[counter] > 0, counter
+    # the band solve and its one drawing, by name; `_band` counts toward them
+    assert metrics["fairpart.band_self_s"] > 0
